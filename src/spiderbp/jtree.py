@@ -7,12 +7,13 @@ the lexicographically smallest clique pair) links them so the running
 intersection property holds: every variable's cliques form a connected
 subtree.
 
-Inference then runs on a derived tree-shaped factor graph: each separator
-becomes a composite variable, each clique becomes a factor whose tensor is
-the clique potential pushed forward onto its separator axes. Two passes of
-the ordinary engine are exact there; original-variable marginals come from
-marginalizing a covering clique's member-space belief, and any covering
-clique gives the same answer.
+Inference is Shafer-Shenoy propagation over the separators: each tree edge
+carries one message each way, a dense array over the separator's variables,
+and a clique sends its potential times every other incoming message, summed
+onto the separator. One collect and one distribute pass per component are
+exact over any commutative semiring (the generalized distributive law).
+Original-variable marginals come from marginalizing a covering clique's
+belief, and any covering clique gives the same answer.
 """
 
 from __future__ import annotations
@@ -24,16 +25,8 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import get_semiring
-from .engine import RunConfig, contraction_from_state, run_two_pass
 from .errors import CliqueTooLargeError, ValidationError
-from .graph import (
-    FactorGraph,
-    FactorNode,
-    GraphMode,
-    ObjectType,
-    VariableNode,
-    validate_graph,
-)
+from .graph import GraphMode, ObjectType, validate_graph
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor, Message
 
 
@@ -211,10 +204,6 @@ def _clique_potential(g, semiring, clique):
     """Member-space product of the factors assigned to this clique."""
     member_pos = {v: i for i, v in enumerate(clique.members)}
     member_dims = tuple(g.variable(v).obj.dim for v in clique.members)
-    if math.prod(member_dims) > DEFAULT_TENSOR_CAP:
-        raise CliqueTooLargeError(
-            f"clique {list(clique.members)} exceeds the tensor cap"
-        )
     pot = semiring.ones(member_dims)
     grid = np.indices(member_dims)
     for fid in clique.factor_ids:
@@ -224,45 +213,21 @@ def _clique_potential(g, semiring, clique):
             continue
         index = tuple(grid[member_pos[v]] for v in f.neighbors)
         pot = semiring.array_mul(pot, f.tensor.as_array()[index])
-    return np.asarray(pot), member_dims, member_pos
+    return np.asarray(pot)
 
 
-def _separator_index_map(member_dims, member_pos, sep):
-    """Flat separator index for every member state, as an int array."""
-    grid = np.indices(member_dims)
-    idx = np.zeros(member_dims, dtype=np.int64)
-    stride = 1
-    for v in reversed(sep):
-        idx += grid[member_pos[v]] * stride
-        stride *= member_dims[member_pos[v]]
-    return idx
+def _sum_onto(semiring, arr, members, sep):
+    """Semiring sum of a member-space array onto the separator's axes."""
+    keep = [members.index(v) for v in sep]
+    rest = [i for i in range(len(members)) if i not in keep]
+    sep_dims = tuple(arr.shape[i] for i in keep)
+    rows = np.transpose(arr, keep + rest).reshape(math.prod(sep_dims), -1)
+    return semiring.fold_axis_add(rows, 1).reshape(sep_dims)
 
 
-def _pushforward(semiring, pot, sep_maps, sep_dims):
-    """Scatter-add the potential onto its separator axes.
-
-    Accumulates in ascending member-state order so float results are
-    reproducible. With no separators this collapses to the total mass.
-    """
-    if not sep_dims:
-        out = semiring.zeros(())
-        out[()] = semiring.fold_add(pot.reshape(-1))
-        return DenseTensor((), out.reshape(-1))
-    out = semiring.zeros(sep_dims).reshape(-1)
-    flat_pot = pot.reshape(-1)
-    strides = []
-    acc = 1
-    for d in reversed(sep_dims):
-        strides.append(acc)
-        acc *= d
-    strides = list(reversed(strides))
-    flat_idx = np.zeros(flat_pot.shape[0], dtype=np.int64)
-    for m, stride in zip(sep_maps, strides):
-        flat_idx += m.reshape(-1) * stride
-    for i in range(flat_pot.shape[0]):
-        j = int(flat_idx[i])
-        out[j] = semiring.add(out[j], flat_pot[i])
-    return DenseTensor(sep_dims, out)
+def _lift(msg, members, sep):
+    """Separator message reshaped to broadcast over a clique's member axes."""
+    return msg.reshape(tuple(msg.shape[sep.index(v)] if v in sep else 1 for v in members))
 
 
 @dataclass
@@ -270,7 +235,6 @@ class JTResult:
     variable_beliefs: dict
     contraction_value: object
     tree: JunctionTree
-    derived_graph: FactorGraph
     #: clique id -> unnormalized member-space belief (potential times all
     #: incoming separator messages); every covering clique of a variable
     #: folds to the same marginal
@@ -281,69 +245,62 @@ class JTResult:
 def run_junction_tree(g, cfg):
     """Exact marginals and contraction value via the junction tree.
 
-    Builds the tree, runs unnormalized two-pass propagation on the derived
-    separator/clique graph, recovers each original variable's marginal from
-    its covering clique's member-space belief (rescaled per config), and
-    closes the diagram for the contraction value.
+    Builds the tree and runs unnormalized Shafer-Shenoy propagation on it:
+    in each component, rooted at its lowest clique id, messages over the
+    separators are collected towards the root in post-order and then
+    distributed in pre-order. Each clique's belief is its potential times
+    every incoming message; each variable's marginal is folded out of its
+    lowest-id covering clique (rescaled per config), and the contraction
+    value is the product over components of the root beliefs' totals.
     """
     semiring = get_semiring(cfg.semiring)
     tree = build_junction_tree(g)
+    z = semiring.one
     if not tree.cliques:
-        z = semiring.one
         for f in sorted(g.factors, key=lambda f: f.id):
             z = semiring.mul(z, f.tensor.data[0])
-        empty = FactorGraph((), (), mode=GraphMode.SPIDER)
-        contradiction = semiring.name == "bool" and z == semiring.zero
-        return JTResult({}, z, tree, empty, clique_beliefs={}, contradiction=contradiction)
-    pots = {}
-    for c in tree.cliques:
-        pots[c.id] = _clique_potential(g, semiring, c)
+    members = {c.id: c.members for c in tree.cliques}
+    pots = {c.id: _clique_potential(g, semiring, c) for c in tree.cliques}
+    nbrs = {c.id: {} for c in tree.cliques}
+    for a, b, sep in tree.edges:
+        nbrs[a][b] = sep
+        nbrs[b][a] = sep
+    messages = {}  # (sender, receiver) -> dense array over the separator
 
-    incident = {c.id: [] for c in tree.cliques}
-    sep_objs = []
-    for eid, (a, b, sep) in enumerate(tree.edges):
-        dim = math.prod(g.variable(v).obj.dim for v in sep)
-        name = "sep" + str(eid) + "(" + ",".join(str(v) for v in sep) + ")"
-        sep_objs.append(ObjectType(name, dim))
-        incident[a].append(eid)
-        incident[b].append(eid)
+    def gather(cid, skip=None):
+        arr = pots[cid]
+        for other in sorted(nbrs[cid]):
+            if other != skip:
+                lifted = _lift(messages[(other, cid)], members[cid], nbrs[cid][other])
+                arr = semiring.array_mul(arr, lifted)
+        return arr
 
-    derived_vars = tuple(
-        VariableNode(eid, obj) for eid, obj in enumerate(sep_objs)
-    )
-    derived_factors = []
-    for c in tree.cliques:
-        pot, member_dims, member_pos = pots[c.id]
-        eids = sorted(incident[c.id])
-        sep_maps = [
-            _separator_index_map(member_dims, member_pos, tree.edges[e][2])
-            for e in eids
-        ]
-        sep_dims = tuple(sep_objs[e].dim for e in eids)
-        if math.prod(sep_dims) > DEFAULT_TENSOR_CAP:
-            raise CliqueTooLargeError(
-                f"separator space for clique {list(c.members)} exceeds the tensor cap"
-            )
-        derived_factors.append(
-            FactorNode(c.id, _pushforward(semiring, pot, sep_maps, sep_dims), tuple(eids))
-        )
-    derived = FactorGraph(derived_vars, tuple(derived_factors), mode=GraphMode.SPIDER)
+    def send(a, b):
+        messages[(a, b)] = _sum_onto(semiring, gather(a, skip=b), members[a], nbrs[a][b])
 
-    run_cfg = RunConfig(semiring=cfg.semiring, schedule="tree", normalize=False)
-    state, _ = run_two_pass(derived, run_cfg)
-    z = contraction_from_state(derived, semiring, state)
+    roots, parent = [], {}
+    for root in sorted(nbrs):
+        if root in parent:
+            continue
+        roots.append(root)
+        order, parent[root], stack = [], None, [root]
+        while stack:  # pre-order, lowest-id child first
+            cid = stack.pop()
+            order.append(cid)
+            for other in sorted(nbrs[cid], reverse=True):
+                if other != parent[cid]:
+                    parent[other] = cid
+                    stack.append(other)
+        for cid in reversed(order[1:]):
+            send(cid, parent[cid])
+        for cid in order[1:]:
+            send(parent[cid], cid)
 
-    clique_beliefs = {}
-    for c in tree.cliques:
-        pot, member_dims, member_pos = pots[c.id]
-        arr = pot
-        for axis, eid in enumerate(sorted(incident[c.id])):
-            msg = state.var_to_factor[(eid, c.id, axis)]
-            sep_map = _separator_index_map(member_dims, member_pos, tree.edges[eid][2])
-            arr = semiring.array_mul(arr, np.asarray(msg.values)[sep_map])
-        clique_beliefs[c.id] = DenseTensor(member_dims, np.asarray(arr).reshape(-1))
-
-    result = JTResult({}, z, tree, derived, clique_beliefs=clique_beliefs)
+    beliefs = {cid: gather(cid) for cid in sorted(nbrs)}
+    for root in roots:
+        z = semiring.mul(z, semiring.fold_add(beliefs[root].reshape(-1)))
+    clique_beliefs = {cid: DenseTensor.from_array(arr) for cid, arr in beliefs.items()}
+    result = JTResult({}, z, tree, clique_beliefs=clique_beliefs)
     for v in g.variables:
         cid = tree.variable_to_clique[v.id]
         folded = marginal_from_clique(result, cid, v.id, cfg)
@@ -369,12 +326,8 @@ def marginal_from_clique(result, cid, variable_id, cfg):
     belief = result.clique_beliefs[cid]
     pos = clique.members.index(variable_id)
     dim = belief.shape[pos]
-    moved = np.moveaxis(belief.as_array(), pos, -1)
-    rows = moved.reshape(-1, dim)
-    acc = rows[0]
-    for i in range(1, rows.shape[0]):
-        acc = semiring.array_add(acc, rows[i])
-    values = np.asarray(acc).copy()
+    rows = np.moveaxis(belief.as_array(), pos, -1).reshape(-1, dim)
+    values = semiring.fold_axis_add(rows, 0)
     if cfg.normalize and semiring.has_normalize:
         try:
             values = semiring.normalize(values)

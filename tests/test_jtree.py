@@ -6,6 +6,8 @@ import pytest
 from spiderbp import (
     BOOL,
     COUNT,
+    DUAL,
+    MAXTIMES,
     PROB,
     CliqueTooLargeError,
     GraphMode,
@@ -13,6 +15,7 @@ from spiderbp import (
     ValidationError,
     build_graph,
     build_junction_tree,
+    dual_seed,
     exact_contraction,
     exact_marginal,
     marginal_from_clique,
@@ -238,24 +241,82 @@ class TestCliqueConsistency:
             marginal_from_clique(result, c0.id, outsider, cfg)
 
 
-class TestDerivedGraph:
-    def test_separators_have_composite_dims(self):
-        g = loopy_square()
-        result = run_junction_tree(g, RunConfig())
-        derived = result.derived_graph
-        # one separator {1, 3} of dim 2*2, two clique factors
-        assert len(derived.variables) == 1
-        assert derived.variables[0].obj.dim == 4
-        assert len(derived.factors) == 2
-        from spiderbp import tree_info
+class TestSeparatorMessages:
+    def test_every_clique_belief_folds_to_z(self):
+        rng = np.random.default_rng(47)
+        for g in [loopy_square()] + [random_loopy(rng) for _ in range(10)]:
+            result = run_junction_tree(g, RunConfig())
+            z = exact_contraction(g, PROB)
+            assert np.isclose(result.contraction_value, z, rtol=1e-12)
+            for belief in result.clique_beliefs.values():
+                assert np.isclose(belief.data.sum(), z, rtol=1e-12)
 
-        assert tree_info(derived).is_tree
+    def test_separator_marginals_agree(self):
+        rng = np.random.default_rng(53)
+        for g in [loopy_square()] + [random_loopy(rng) for _ in range(10)]:
+            result = run_junction_tree(g, RunConfig())
+            cliques = result.tree.cliques
+            for a, b, sep in result.tree.edges:
+                folded = []
+                for cid in (a, b):
+                    members = cliques[cid].members
+                    away = tuple(i for i, v in enumerate(members) if v not in sep)
+                    folded.append(result.clique_beliefs[cid].as_array().sum(axis=away))
+                assert np.allclose(folded[0], folded[1], rtol=1e-12)
 
-    def test_derived_contraction_equals_original(self):
-        g = loopy_square()
-        result = run_junction_tree(g, RunConfig())
-        assert np.isclose(
-            exact_contraction(result.derived_graph, PROB),
-            exact_contraction(g, PROB),
-            rtol=1e-12,
-        )
+
+def ternary_grid(side):
+    """side x side grid of 3-state variables, all-ones pairwise count tables."""
+    pairs = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                pairs.append((v, v + 1))
+            if r + 1 < side:
+                pairs.append((v, v + side))
+    return build_graph([3] * side * side, [(p, [1] * 9) for p in pairs], COUNT)
+
+
+class TestCliqueCapIsTheOnlyCap:
+    def test_six_by_six_ternary_grid_counts_exactly(self):
+        # its cliques hold 2187 states, but the product of a clique's
+        # separator spaces once exceeded the tensor cap
+        g = ternary_grid(6)
+        result = run_junction_tree(g, RunConfig(semiring="count", normalize=False))
+        assert max(c.size for c in result.clique_beliefs.values()) == 3**7
+        assert result.contraction_value == 3**36
+        for v in g.variables:
+            assert result.variable_beliefs[v.id].values.tolist() == [3**35] * 3
+
+    def test_clique_cap_still_applies(self):
+        with pytest.raises(CliqueTooLargeError):
+            build_junction_tree(ternary_grid(6), cap=3**7 - 1)
+
+
+class TestSemiringsAndDeterminism:
+    def test_maxtimes_max_marginals_match_oracle(self):
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            g = random_loopy(rng, "maxtimes")
+            result = run_junction_tree(g, RunConfig(semiring="maxtimes", normalize=False))
+            for v in g.variables:
+                expected = exact_marginal(g, MAXTIMES, v.id)
+                assert np.allclose(result.variable_beliefs[v.id].values, expected, rtol=1e-12)
+
+    def test_dual_contraction_matches_oracle(self):
+        rng = np.random.default_rng(61)
+        g = dual_seed(random_loopy(rng), 0, 1)
+        result = run_junction_tree(g, RunConfig(semiring="dual", normalize=False))
+        expected = exact_contraction(g, DUAL)
+        assert np.isclose(result.contraction_value.real, expected.real, rtol=1e-12)
+        assert np.isclose(result.contraction_value.eps, expected.eps, rtol=1e-12)
+
+    def test_repeat_runs_are_byte_identical(self):
+        g = random_loopy(np.random.default_rng(67))
+        first, second = (run_junction_tree(g, RunConfig()) for _ in range(2))
+        assert first.contraction_value == second.contraction_value
+        for vid, belief in first.variable_beliefs.items():
+            assert belief.values.tobytes() == second.variable_beliefs[vid].values.tobytes()
+        for cid, belief in first.clique_beliefs.items():
+            assert belief.data.tobytes() == second.clique_beliefs[cid].data.tobytes()
