@@ -26,6 +26,7 @@ for ``count`` (arbitrary-precision Python ints) and ``dual`` (pairs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -179,6 +180,21 @@ class Semiring:
         """
         raise NotImplementedError
 
+    def _normalize_rows(self, rows):
+        """``normalize`` applied to each row of a 2-d array.
+
+        Returns (rescaled rows, dead-row mask). Dead rows come back as they
+        were, and nothing is divided by zero.
+        """
+        out = rows.copy()
+        dead = np.zeros(len(rows), dtype=bool)
+        for i, row in enumerate(rows):
+            try:
+                out[i] = self.normalize(row)
+            except ZeroMessageError:
+                dead[i] = True
+        return out, dead
+
     # -- randomized-check support --------------------------------------------
 
     def random_scalar(self, rng):
@@ -237,14 +253,42 @@ class ProbSemiring(Semiring):
     def fold_axis_add(self, arr, axis):
         return np.add.reduce(np.asarray(arr), axis=axis)
 
+    def max_distance(self, a, b):
+        # the same answer as the scalar loop, whose max() keeps a leading
+        # nan and skips any later one (max itself is exact)
+        with np.errstate(invalid="ignore"):
+            d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)).ravel()
+        if d.size == 0:
+            return 0.0
+        if d[0] != d[0]:
+            return math.nan
+        return float(np.fmax.reduce(d))
+
     def aggregate(self, values):
         return self.fold_add(values)
+
+    def _row_aggregates(self, rows):
+        # fold_add on every row at once: columns left to right from 0.0
+        acc = np.zeros(rows.shape[0])
+        for j in range(rows.shape[1]):
+            acc = acc + rows[:, j]
+        return acc
 
     def normalize(self, values):
         s = self.aggregate(values)
         if s == 0.0:
             raise ZeroMessageError(values=values)
         return np.asarray(values) / s
+
+    def _normalize_rows(self, rows):
+        s = self._row_aggregates(rows)
+        dead = s == 0.0
+        if not dead.any():
+            return rows / s[:, None], dead
+        out = rows.copy()
+        live = ~dead
+        out[live] = rows[live] / s[live, None]
+        return out, dead
 
     def random_scalar(self, rng):
         return float(rng.uniform(0.0, 2.0))
@@ -274,6 +318,9 @@ class MaxTimesSemiring(ProbSemiring):
     def aggregate(self, values):
         arr = np.asarray(values)
         return float(arr.max()) if arr.size else 0.0
+
+    def _row_aggregates(self, rows):
+        return rows.max(axis=1)
 
     def normalize(self, values):
         m = self.aggregate(values)

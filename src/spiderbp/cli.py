@@ -28,6 +28,7 @@ from .algebra import SEMIRINGS, get_semiring
 from .checks import run_all_checks
 from .engine import (
     RunConfig,
+    contraction_from_state,
     contraction_value,
     decode_map,
     dual_seed,
@@ -191,7 +192,8 @@ def _cmd_run(args):
     result = run_bp(g, cfg)
     z = None
     if args.no_normalize and args.schedule == "tree":
-        z = contraction_value(g, cfg)
+        # the unnormalized two-pass state is exact: close it directly
+        z = contraction_from_state(g, semiring, result.state)
     _emit(args, _beliefs_document(g, semiring, result, z))
     if result.contradiction:
         _diag("error", "contradiction: an all-zero message was produced",

@@ -17,6 +17,17 @@ componentwise change falls to the tolerance; on a tree the fixed point is
 reached within diameter sweeps. ``tree`` performs the classic two passes,
 leaves to root then root to leaves, and is exact on trees in a single
 execution.
+
+The two schedules store messages differently. ``tree`` updates one wire
+at a time through ``update_variable_message`` and
+``update_factor_message``, in dicts of ``Message``. ``sync`` first
+compiles the graph into a plan (``_Plan``, once per ``run_bp`` call): each
+wire gets an integer row in one packed ``(wires, dim)`` array per dim and
+direction, variables are grouped by (dim, degree) and tensors stacked by
+shape, so a sweep is a few batched semiring array operations per group.
+The batched kernels apply the per-wire rules in the same operation order,
+so both give the same messages bit for bit; ``beliefs`` runs on the plan
+for either kind of state.
 """
 
 from __future__ import annotations
@@ -73,14 +84,48 @@ class RunConfig:
             raise ValueError("damping is only supported with the sync schedule")
 
 
-@dataclass(frozen=True)
 class MessageState:
-    """Immutable snapshot of every directed message plus run counters."""
+    """Every directed message of a run plus its counters; an immutable snapshot.
 
-    var_to_factor: dict
-    factor_to_var: dict
-    iteration: int = 0
-    residual: float = math.inf
+    ``var_to_factor[(v, f, axis)]`` and ``factor_to_var[(f, axis)]`` hold one
+    ``Message`` per directed wire. A state returned by ``sweep_synchronous``
+    keeps its messages in the packed arrays of a compiled plan instead and
+    builds these two dicts once, when a caller first reads them; a state
+    built from dicts wraps them as they are.
+    """
+
+    __slots__ = ("_v2f", "_f2v", "_plan", "_arrays", "iteration", "residual")
+
+    def __init__(self, var_to_factor, factor_to_var, iteration=0, residual=math.inf):
+        self._v2f = var_to_factor
+        self._f2v = factor_to_var
+        self._plan = None
+        self._arrays = None
+        self.iteration = iteration
+        self.residual = residual
+
+    @classmethod
+    def _from_arrays(cls, plan, arrays, iteration, residual):
+        state = cls(None, None, iteration, residual)
+        state._plan, state._arrays = plan, arrays
+        return state
+
+    def _unpack(self):
+        if self._v2f is None:
+            self._v2f, self._f2v = self._plan.unpack(self._arrays)
+
+    @property
+    def var_to_factor(self):
+        self._unpack()
+        return self._v2f
+
+    @property
+    def factor_to_var(self):
+        self._unpack()
+        return self._f2v
+
+    def __repr__(self):
+        return f"MessageState(iteration={self.iteration}, residual={self.residual})"
 
 
 @dataclass
@@ -93,13 +138,6 @@ class BPResult:
     factor_beliefs: dict = field(default_factory=dict)
     contradiction: bool = False
     contradiction_wire: tuple = None
-
-
-def _directed_wires(g):
-    """All (kind, factor, axis) in deterministic order, v->f first."""
-    v2f = [("v2f", f, a) for f, a in g.wires]
-    f2v = [("f2v", f, a) for f, a in g.wires]
-    return v2f + f2v
 
 
 def _wire_var(g, fid, axis):
@@ -180,38 +218,299 @@ def update_factor_message(g, state, cfg, fid, out_axis):
     return _finish(semiring, cfg, out.values, ("f2v", fid, out_axis), obj)
 
 
-def _damp(semiring, cfg, new, old):
-    if cfg.damping == 0.0:
+class _TensorGroup:
+    """Tensors of one shape stacked as (members, *shape), with wire rows.
+
+    ``rows[a][i]`` is the packed row of the wire on axis ``a`` of member
+    ``i``; every axis ``a`` is a wire of dim ``shape[a]``.
+    """
+
+    def __init__(self, shape, ids, tensors, rows):
+        self.shape, self.ids, self.tensors, self.rows = shape, ids, tensors, rows
+        # axis order that moves one tensor axis last, keeping the rest
+        axes = range(1, len(shape) + 1)
+        self.target_last = [(0, *(a for a in axes if a != t + 1), t + 1) for t in range(len(shape))]
+
+    def multiplied(self, semiring, msgs, skip=None):
+        """Stacked tensors times one message per axis, axes ascending."""
+        arr = self.tensors
+        rank = len(self.shape)
+        for axis, m in enumerate(msgs):
+            if axis != skip:
+                shape = (len(self.ids),) + (1,) * axis + (self.shape[axis],) + (1,) * (rank - axis - 1)
+                arr = semiring.array_mul(arr, m.reshape(shape))
+        return arr
+
+
+def _tensor_groups(members):
+    """Group (id, DenseTensor, wire rows) triples by tensor shape."""
+    by_shape = {}
+    for nid, tensor, rows in members:
+        ids, arrays, wire_rows = by_shape.setdefault(tensor.shape, ([], [], []))
+        ids.append(nid)
+        arrays.append(tensor.as_array())
+        wire_rows.append(rows)
+    return [
+        _TensorGroup(
+            shape,
+            ids,
+            np.stack(arrays),
+            list(np.array(wire_rows, dtype=np.intp).reshape(len(ids), len(shape)).T),
+        )
+        for shape, (ids, arrays, wire_rows) in by_shape.items()
+    ]
+
+
+class _Plan:
+    """A graph compiled for batched sync sweeps over one semiring.
+
+    Every wire ``(factor id, axis)`` owns one integer row in the packed
+    ``(wires, dim)`` array of its variable's dim, numbered in ``g.wires``
+    order; a message array pair ``(v2f, f2v)`` maps each dim to such an
+    array per direction. Spider variables are grouped by (dim, degree), with
+    ``rows[i, k]`` the row of member i's k-th incident wire; factor tensors
+    (and bipartite node tensors) are stacked by shape.
+
+    The batched kernels repeat the per-wire rules operation for operation:
+    a variable left-folds ``array_mul`` over its other wires in incidence
+    order (as ``hadamard``), a tensor multiplies messages in ascending axis
+    order and left-folds the remaining index tuples with ``array_add`` in
+    row-major order (as ``contract_to_axis``). Messages, residuals and
+    beliefs therefore equal the per-wire results bit for bit.
+    """
+
+    def __init__(self, g, semiring):
+        self.g, self.semiring = g, semiring
+        self.dims = {}  # dim -> number of wires of that dim
+        self.wire_rows = []  # (dim, row) of each entry of g.wires
+        self.wire_vars = []
+        for fid, axis in g.wires:
+            vid = g.factor(fid).neighbors[axis]
+            d = g.variable(vid).obj.dim
+            self.wire_rows.append((d, self.dims.get(d, 0)))
+            self.wire_vars.append(vid)
+            self.dims[d] = self.dims.get(d, 0) + 1
+        row = {w: r for w, (_d, r) in zip(g.wires, self.wire_rows)}
+        # index into g.wires of each packed row, for first-dead-wire order
+        self.position = {d: np.empty(n, dtype=np.intp) for d, n in self.dims.items()}
+        for pos, (d, r) in enumerate(self.wire_rows):
+            self.position[d][r] = pos
+        self.var_groups = []
+        self.node_groups = []
+        if g.mode is GraphMode.BIPARTITE:
+            self.node_groups = _tensor_groups(
+                (v.id, v.tensor, [row[w] for w in _node_axis_order(g, v.id)])
+                for v in g.variables
+            )
+        else:
+            by_key = {}
+            for v in g.variables:
+                ids, rows = by_key.setdefault((v.obj.dim, g.degree(v.id)), ([], []))
+                ids.append(v.id)
+                rows.append([row[w] for w in g.incident[v.id]])
+            self.var_groups = [
+                (d, ids, np.array(rows, dtype=np.intp).reshape(len(ids), k))
+                for (d, k), (ids, rows) in by_key.items()
+            ]
+        self.factor_groups = _tensor_groups(
+            (f.id, f.tensor, [row[(f.id, axis)] for axis in range(f.rank)]) for f in g.factors
+        )
+
+    # -- packing ---------------------------------------------------------------
+
+    def _empty(self):
+        return {d: np.empty((n, d), dtype=self.semiring.dtype) for d, n in self.dims.items()}
+
+    def initial(self, cfg):
+        """The unit message on every directed wire, as ``init_messages``."""
+        semiring = self.semiring
+        v2f = self._empty()
+        for d, arr in v2f.items():
+            unit = semiring.ones((d,))
+            if cfg.normalize and semiring.has_normalize:
+                unit = semiring.normalize(unit)
+            arr[...] = unit
+        return v2f, {d: arr.copy() for d, arr in v2f.items()}
+
+    def pack(self, state):
+        v2f, f2v = self._empty(), self._empty()
+        by_var, by_factor = state.var_to_factor, state.factor_to_var
+        for (fid, axis), vid, (d, r) in zip(self.g.wires, self.wire_vars, self.wire_rows):
+            v2f[d][r] = by_var[(vid, fid, axis)].values
+            f2v[d][r] = by_factor[(fid, axis)].values
+        return v2f, f2v
+
+    def unpack(self, arrays):
+        v2f, f2v = arrays
+        by_var, by_factor = {}, {}
+        for (fid, axis), vid, (d, r) in zip(self.g.wires, self.wire_vars, self.wire_rows):
+            obj = self.g.variable(vid).obj
+            by_var[(vid, fid, axis)] = Message(obj, v2f[d][r])
+            by_factor[(fid, axis)] = Message(obj, f2v[d][r])
+        return by_var, by_factor
+
+    # -- one sync sweep ----------------------------------------------------------
+
+    def sweep(self, arrays, cfg):
+        """New (v2f, f2v) arrays from the old ones, plus the residual."""
+        v2f, f2v = arrays
+        new_v2f = self._empty()
+        for d, _ids, rows in self.var_groups:
+            if rows.shape[1]:  # an isolated variable sends nothing
+                self._spider_update(d, rows, f2v[d], new_v2f[d])
+        for group in self.node_groups:
+            self._contract(group, f2v, new_v2f)
+        new_v2f = self._normalize_and_damp("v2f", new_v2f, v2f, cfg)
+        new_f2v = self._empty()
+        for group in self.factor_groups:
+            self._contract(group, v2f, new_f2v)
+        new_f2v = self._normalize_and_damp("f2v", new_f2v, f2v, cfg)
+        residual = max(self._residual(new_v2f, v2f), self._residual(new_f2v, f2v))
+        return (new_v2f, new_f2v), residual
+
+    def _spider_update(self, d, rows, incoming, out):
+        semiring = self.semiring
+        k = rows.shape[1]
+        if k == 1:
+            out[rows[:, 0]] = semiring.ones((d,))
+            return
+        # others[i, p, j]: message on member i's j-th wire other than wire p
+        leave_out = [[q for q in range(k) if q != p] for p in range(k)]
+        others = incoming[rows[:, leave_out]]  # (members, k, k - 1, d)
+        acc = others[:, :, 0]
+        for j in range(1, k - 1):
+            acc = semiring.array_mul(acc, others[:, :, j])
+        out[rows.reshape(-1)] = acc.reshape(-1, d)
+
+    def _contract(self, group, src, dst):
+        semiring = self.semiring
+        msgs = [src[d][r] for d, r in zip(group.shape, group.rows)]
+        for target, d in enumerate(group.shape):
+            arr = group.multiplied(semiring, msgs, skip=target)
+            terms = arr.transpose(group.target_last[target]).reshape(len(group.ids), -1, d)
+            acc = terms[:, 0]
+            for i in range(1, terms.shape[1]):
+                acc = semiring.array_add(acc, terms[:, i])
+            dst[d][group.rows[target]] = acc
+
+    def _normalize_and_damp(self, kind, new, old, cfg):
+        """Normalize and damp fresh messages as the per-wire rules do.
+
+        The first dead row in ``g.wires`` order raises ContradictionError
+        for its wire, before anything is divided by zero.
+        """
+        semiring = self.semiring
+        if cfg.normalize and semiring.has_normalize:
+            first = None
+            for d, rows in new.items():
+                new[d], dead = semiring._normalize_rows(rows)
+                if dead.any():
+                    pos = int(self.position[d][dead].min())
+                    first = pos if first is None else min(first, pos)
+            if first is not None:
+                raise ContradictionError((kind,) + self.g.wires[first])
+        if cfg.damping != 0.0:
+            lam = cfg.damping
+            for d in new:
+                new[d] = (1.0 - lam) * new[d] + lam * old[d]
         return new
-    lam = cfg.damping
-    blended = (1.0 - lam) * np.asarray(new.values) + lam * np.asarray(old.values)
-    return Message(new.obj, blended)
+
+    def _residual(self, new, old):
+        """Largest per-wire ``max_distance``, taken as a per-wire loop would.
+
+        A loop's ``max`` drops a nan gap unless it leads its wire, so arrays
+        holding anything but finite floats are measured wire by wire.
+        """
+        semiring = self.semiring
+        out = 0.0
+        for d, a in new.items():
+            b = old[d]
+            if semiring.exact or (
+                a.dtype == np.float64 and np.isfinite(a).all() and np.isfinite(b).all()
+            ):
+                out = max(out, semiring.max_distance(a, b))
+            else:
+                for x, y in zip(a, b):
+                    out = max(out, semiring.max_distance(x, y))
+        return out
+
+    # -- reading a state -------------------------------------------------------
+
+    def beliefs(self, arrays, cfg):
+        """``beliefs`` computed on the packed arrays."""
+        g, semiring = self.g, self.semiring
+        v2f, f2v = arrays
+        by_var, dead_vars = {}, set()
+        for d, ids, rows in self.var_groups:
+            if rows.shape[1] == 0:
+                values = semiring.ones((len(ids), d))
+            else:
+                msgs = f2v[d][rows]
+                values = msgs[:, 0]
+                for q in range(1, rows.shape[1]):
+                    values = semiring.array_mul(values, msgs[:, q])
+            if cfg.normalize and semiring.has_normalize:
+                values, dead = semiring._normalize_rows(values)
+                dead_vars.update(vid for vid, gone in zip(ids, dead.tolist()) if gone)
+            for vid, row in zip(ids, values):
+                by_var[vid] = Message(g.variable(vid).obj, row)
+        for group in self.node_groups:
+            by_var.update(self._tensor_beliefs(group, f2v))
+        by_factor = {}
+        for group in self.factor_groups:
+            by_factor.update(self._tensor_beliefs(group, v2f))
+        zero_wire = next((("belief", v.id) for v in g.variables if v.id in dead_vars), None)
+        var_beliefs = {v.id: by_var[v.id] for v in g.variables}
+        factor_beliefs = {f.id: by_factor[f.id] for f in g.factors}
+        return var_beliefs, factor_beliefs, zero_wire
+
+    def _tensor_beliefs(self, group, src):
+        msgs = [src[d][r] for d, r in zip(group.shape, group.rows)]
+        arr = np.asarray(group.multiplied(self.semiring, msgs)).reshape(len(group.ids), -1)
+        return {nid: DenseTensor(group.shape, flat) for nid, flat in zip(group.ids, arr)}
+
+    def first_zero_wire(self, arrays):
+        """First all-zero message, every v2f in wire order before every f2v."""
+        for kind, packed in zip(("v2f", "f2v"), arrays):
+            first = None
+            for d, rows in packed.items():
+                zero = (rows == self.semiring.zero).all(axis=1)
+                if zero.any():
+                    pos = int(self.position[d][zero].min())
+                    first = pos if first is None else min(first, pos)
+            if first is not None:
+                return (kind,) + self.g.wires[first]
+        return None
+
+
+def _plan_and_arrays(g, semiring, state):
+    """The state's compiled plan and packed messages.
+
+    A state without them for this graph and semiring (one built from
+    dicts) is compiled and packed once; the result is kept on the state.
+    """
+    plan = state._plan
+    if plan is None or plan.g is not g or plan.semiring is not semiring:
+        plan = _Plan(g, semiring)
+        state._plan, state._arrays = plan, plan.pack(state)
+    return plan, state._arrays
 
 
 def sweep_synchronous(g, state, cfg):
     """One Jacobi sweep: every message recomputed from the old snapshot.
 
-    Returns the new state; its ``residual`` is the largest componentwise
-    change (after normalization and damping), which doubles as an exact
-    change flag for the exact semirings.
+    Runs on the compiled plan: batched variable updates, then batched
+    factor updates, each normalized and damped per config; a dead message
+    raises ContradictionError for the first such wire, every v2f wire in
+    ``g.wires`` order before every f2v wire. A state from an earlier sweep
+    is used as it is; any other state is compiled and packed first. The
+    returned state's ``residual`` is the largest componentwise change
+    (after normalization and damping), which doubles as an exact change
+    flag for the exact semirings.
     """
-    semiring = get_semiring(cfg.semiring)
-    new_v2f, new_f2v = {}, {}
-    residual = 0.0
-    for kind, fid, axis in _directed_wires(g):
-        if kind == "v2f":
-            vid = _wire_var(g, fid, axis)
-            msg = update_variable_message(g, state, cfg, vid, (fid, axis))
-            old = state.var_to_factor[(vid, fid, axis)]
-            msg = _damp(semiring, cfg, msg, old)
-            new_v2f[(vid, fid, axis)] = msg
-        else:
-            msg = update_factor_message(g, state, cfg, fid, axis)
-            old = state.factor_to_var[(fid, axis)]
-            msg = _damp(semiring, cfg, msg, old)
-            new_f2v[(fid, axis)] = msg
-        residual = max(residual, semiring.max_distance(msg.values, old.values))
-    return MessageState(new_v2f, new_f2v, iteration=state.iteration + 1, residual=residual)
+    plan, arrays = _plan_and_arrays(g, get_semiring(cfg.semiring), state)
+    arrays, residual = plan.sweep(arrays, cfg)
+    return MessageState._from_arrays(plan, arrays, state.iteration + 1, residual)
 
 
 def two_pass_schedule(g, root=None):
@@ -291,8 +590,8 @@ def run_two_pass(g, cfg, root=None):
     state = init_messages(g, cfg)
     v2f = dict(state.var_to_factor)
     f2v = dict(state.factor_to_var)
+    working = MessageState(v2f, f2v, iteration=state.iteration)  # wraps the dicts updated below
     for kind, fid, axis in schedule:
-        working = MessageState(v2f, f2v, iteration=state.iteration)
         try:
             if kind == "v2f":
                 vid = _wire_var(g, fid, axis)
@@ -304,19 +603,6 @@ def run_two_pass(g, cfg, root=None):
     return MessageState(v2f, f2v, iteration=1, residual=0.0), None
 
 
-def _first_zero_wire(g, semiring, state):
-    """First all-zero message in deterministic wire order, if any."""
-    for kind, fid, axis in _directed_wires(g):
-        if kind == "v2f":
-            vid = _wire_var(g, fid, axis)
-            values = state.var_to_factor[(vid, fid, axis)].values
-        else:
-            values = state.factor_to_var[(fid, axis)].values
-        if all(x == semiring.zero for x in values.tolist()):
-            return (kind, fid, axis)
-    return None
-
-
 def beliefs(g, state, cfg):
     """Per-variable and per-factor beliefs from a message state.
 
@@ -324,46 +610,10 @@ def beliefs(g, state, cfg):
     it (the unit for an isolated variable); a factor's belief is its tensor
     times the incoming messages, one per axis. Normalized per config. In
     bipartite mode variable beliefs are node-space tensors instead.
+    Computed on the state's compiled plan.
     """
-    semiring = get_semiring(cfg.semiring)
-    var_beliefs = {}
-    zero_wire = None
-    for v in g.variables:
-        if g.mode is GraphMode.BIPARTITE:
-            var_beliefs[v.id] = _node_belief(g, semiring, state, v)
-            continue
-        incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
-        if incoming:
-            values = hadamard(semiring, incoming).values
-        else:
-            values = semiring.ones((v.obj.dim,))
-        if cfg.normalize and semiring.has_normalize:
-            try:
-                values = semiring.normalize(values)
-            except ZeroMessageError:
-                zero_wire = zero_wire or ("belief", v.id)
-        var_beliefs[v.id] = Message(v.obj, np.asarray(values))
-    factor_beliefs = {}
-    for f in g.factors:
-        arr = f.tensor.as_array()
-        for axis in range(f.rank):
-            vid = f.neighbors[axis]
-            msg = state.var_to_factor[(vid, f.id, axis)]
-            shape = [1] * f.rank
-            shape[axis] = len(msg.values)
-            arr = semiring.array_mul(arr, np.asarray(msg.values).reshape(shape))
-        factor_beliefs[f.id] = DenseTensor(f.tensor.shape, np.asarray(arr).reshape(-1))
-    return var_beliefs, factor_beliefs, zero_wire
-
-
-def _node_belief(g, semiring, state, v):
-    arr = v.tensor.as_array()
-    for axis, wire in enumerate(_node_axis_order(g, v.id)):
-        msg = state.factor_to_var[wire]
-        shape = [1] * arr.ndim
-        shape[axis] = len(msg.values)
-        arr = semiring.array_mul(arr, np.asarray(msg.values).reshape(shape))
-    return DenseTensor(v.tensor.shape, np.asarray(arr).reshape(-1))
+    plan, arrays = _plan_and_arrays(g, get_semiring(cfg.semiring), state)
+    return plan.beliefs(arrays, cfg)
 
 
 def run_bp(g, cfg, root=None):
@@ -408,7 +658,8 @@ def run_bp(g, cfg, root=None):
             )
         converged, iterations = True, 1
     else:
-        state = init_messages(g, cfg)
+        plan = _Plan(g, semiring)
+        state = MessageState._from_arrays(plan, plan.initial(cfg), 0, math.inf)
         converged = False
         iterations = 0
         try:
@@ -417,7 +668,7 @@ def run_bp(g, cfg, root=None):
                 k += 1
                 new_state = sweep_synchronous(g, state, cfg)
                 iterations = k
-                changed = _state_changed(g, state, new_state)
+                changed = _state_changed(state, new_state)
                 state = new_state
                 if new_state.residual > cfg.tol:
                     continue
@@ -452,7 +703,8 @@ def run_bp(g, cfg, root=None):
     if semiring.name == "bool":
         # dead support can hide in a belief even when every wire message
         # still has a true entry, so scan both
-        contradiction_wire = _first_zero_wire(g, semiring, state)
+        plan, arrays = _plan_and_arrays(g, semiring, state)
+        contradiction_wire = plan.first_zero_wire(arrays)
         if contradiction_wire is None:
             for vid in sorted(var_b):
                 values = var_b[vid].values if hasattr(var_b[vid], "values") else var_b[vid].data
@@ -473,14 +725,13 @@ def run_bp(g, cfg, root=None):
     )
 
 
-def _state_changed(g, old, new):
-    for key, msg in new.var_to_factor.items():
-        if not np.array_equal(msg.values, old.var_to_factor[key].values):
-            return True
-    for key, msg in new.factor_to_var.items():
-        if not np.array_equal(msg.values, old.factor_to_var[key].values):
-            return True
-    return False
+def _state_changed(old, new):
+    """Whether any message of two packed states differs bit for bit."""
+    return any(
+        not np.array_equal(arr, before[d])
+        for after, before in zip(new._arrays, old._arrays)
+        for d, arr in after.items()
+    )
 
 
 def contraction_value(g, cfg=None, root=None):
