@@ -26,7 +26,6 @@ for ``count`` (arbitrary-precision Python ints) and ``dual`` (pairs).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -161,10 +160,17 @@ class Semiring:
         return np.asarray(acc)
 
     def max_distance(self, a, b):
-        """Largest componentwise ``distance`` between two equal-shape arrays."""
-        a_flat = np.asarray(a).ravel().tolist()
-        b_flat = np.asarray(b).ravel().tolist()
-        return max((self.distance(x, y) for x, y in zip(a_flat, b_flat)), default=0.0)
+        """Largest componentwise ``distance`` between two equal-shape arrays.
+
+        A nan distance anywhere makes the result nan.
+        """
+        out = 0.0
+        for x, y in zip(np.asarray(a).ravel().tolist(), np.asarray(b).ravel().tolist()):
+            gap = self.distance(x, y)
+            if gap != gap:
+                return gap
+            out = max(out, gap)
+        return out
 
     # -- optional: message rescaling -----------------------------------------
 
@@ -254,25 +260,20 @@ class ProbSemiring(Semiring):
         return np.add.reduce(np.asarray(arr), axis=axis)
 
     def max_distance(self, a, b):
-        # the same answer as the scalar loop, whose max() keeps a leading
-        # nan and skips any later one (max itself is exact)
+        # the same answer as the scalar loop: max is exact, and np.max keeps
+        # any nan
         with np.errstate(invalid="ignore"):
-            d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)).ravel()
-        if d.size == 0:
-            return 0.0
-        if d[0] != d[0]:
-            return math.nan
-        return float(np.fmax.reduce(d))
+            d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
+        return float(d.max()) if d.size else 0.0
 
     def aggregate(self, values):
         return self.fold_add(values)
 
     def _row_aggregates(self, rows):
-        # fold_add on every row at once: columns left to right from 0.0
-        acc = np.zeros(rows.shape[0])
-        for j in range(rows.shape[1]):
-            acc = acc + rows[:, j]
-        return acc
+        # fold_add on every row at once: a running sum, columns left to
+        # right. fold_add starts from 0.0, which can change only the sign of
+        # an all-zero sum, and such a row is dead either way.
+        return np.add.accumulate(rows, axis=1)[:, -1]
 
     def normalize(self, values):
         s = self.aggregate(values)
@@ -283,7 +284,7 @@ class ProbSemiring(Semiring):
     def _normalize_rows(self, rows):
         s = self._row_aggregates(rows)
         dead = s == 0.0
-        if not dead.any():
+        if np.count_nonzero(s) == len(s):
             return rows / s[:, None], dead
         out = rows.copy()
         live = ~dead
@@ -463,7 +464,9 @@ class DualSemiring(Semiring):
         return a * b
 
     def distance(self, a, b):
-        return max(abs(a.real - b.real), abs(a.eps - b.eps))
+        # a nan in either part is a nan gap; max() would drop it second
+        real, eps = abs(a.real - b.real), abs(a.eps - b.eps)
+        return eps if eps != eps or eps > real else real
 
     def fold_axis_add(self, arr, axis):
         return np.add.reduce(np.asarray(arr), axis=axis)

@@ -182,7 +182,6 @@ def _config(args, semiring_name, normalize=None):
         tol=args.tol,
         damping=args.damping,
         normalize=(not args.no_normalize) if normalize is None else normalize,
-        seed=args.seed,
     )
 
 
@@ -285,7 +284,6 @@ def _cmd_grad(args):
         max_iters=args.max_iters,
         tol=args.tol,
         normalize=False,
-        seed=args.seed,
     )
     z = contraction_value(lifted, cfg)
     doc = {

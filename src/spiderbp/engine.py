@@ -18,16 +18,17 @@ reached within diameter sweeps. ``tree`` performs the classic two passes,
 leaves to root then root to leaves, and is exact on trees in a single
 execution.
 
-The two schedules store messages differently. ``tree`` updates one wire
-at a time through ``update_variable_message`` and
-``update_factor_message``, in dicts of ``Message``. ``sync`` first
-compiles the graph into a plan (``_Plan``, once per ``run_bp`` call): each
+Both schedules run on one plan (``_Plan``), compiled once per run: each
 wire gets an integer row in one packed ``(wires, dim)`` array per dim and
 direction, variables are grouped by (dim, degree) and tensors stacked by
-shape, so a sweep is a few batched semiring array operations per group.
-The batched kernels apply the per-wire rules in the same operation order,
-so both give the same messages bit for bit; ``beliefs`` runs on the plan
-for either kind of state.
+shape, so an update is a few batched semiring array operations per group.
+A ``sync`` sweep updates every row at once. ``tree`` gives each directed
+wire a level (1 + the largest level among the messages it reads) and
+updates one level at a time, so every message is computed once from final
+inputs. The batched kernels apply the per-wire rules of
+``update_variable_message`` and ``update_factor_message`` in the same
+operation order, so both schedules give the per-wire messages bit for bit;
+beliefs, contraction and decoding read the packed arrays directly.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ class RunConfig:
     ``damping`` blends each new message with the old one as
     (1 - damping) * new + damping * old and is only allowed for prob with
     the sync schedule. ``normalize`` rescales messages when the semiring
-    knows how; exact algebras ignore it. ``seed`` is reserved for
-    randomized schedules.
+    knows how; exact algebras ignore it.
     """
 
     semiring: str = "prob"
@@ -68,7 +68,6 @@ class RunConfig:
     tol: float = 1e-9
     damping: float = 0.0
     normalize: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         get_semiring(self.semiring)
@@ -89,9 +88,9 @@ class MessageState:
 
     ``var_to_factor[(v, f, axis)]`` and ``factor_to_var[(f, axis)]`` hold one
     ``Message`` per directed wire. A state returned by ``sweep_synchronous``
-    keeps its messages in the packed arrays of a compiled plan instead and
-    builds these two dicts once, when a caller first reads them; a state
-    built from dicts wraps them as they are.
+    or ``run_two_pass`` keeps its messages in the packed arrays of a
+    compiled plan instead and builds these two dicts once, when a caller
+    first reads them; a state built from dicts wraps them as they are.
     """
 
     __slots__ = ("_v2f", "_f2v", "_plan", "_arrays", "iteration", "residual")
@@ -140,16 +139,12 @@ class BPResult:
     contradiction_wire: tuple = None
 
 
-def _wire_var(g, fid, axis):
-    return g.factor(fid).neighbors[axis]
-
-
 def init_messages(g, cfg):
     """Unit (all-ones) messages on every directed wire, iteration 0."""
     semiring = get_semiring(cfg.semiring)
     v2f, f2v = {}, {}
     for fid, axis in g.wires:
-        vid = _wire_var(g, fid, axis)
+        vid = g.factor(fid).neighbors[axis]
         obj = g.variable(vid).obj
         unit = Message(obj, semiring.ones((obj.dim,)))
         if cfg.normalize and semiring.has_normalize:
@@ -218,6 +213,23 @@ def update_factor_message(g, state, cfg, fid, out_axis):
     return _finish(semiring, cfg, out.values, ("f2v", fid, out_axis), obj)
 
 
+def _fold_mul(semiring, msgs):
+    """Left fold of ``array_mul`` over axis 1 of a (rows, terms, dim) array."""
+    acc = msgs[:, 0]
+    for j in range(1, msgs.shape[1]):
+        acc = semiring.array_mul(acc, msgs[:, j])
+    return acc
+
+
+def _by_level(levels):
+    """Stable sort order of ``levels``, then (level, slice) for each run of it."""
+    order = np.argsort(levels, kind="stable")
+    ordered = levels[order]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(order)]
+    runs = [(int(ordered[i]), slice(i, j)) for i, j in zip(bounds, bounds[1:])]
+    return order, runs
+
+
 class _TensorGroup:
     """Tensors of one shape stacked as (members, *shape), with wire rows.
 
@@ -227,19 +239,33 @@ class _TensorGroup:
 
     def __init__(self, shape, ids, tensors, rows):
         self.shape, self.ids, self.tensors, self.rows = shape, ids, tensors, rows
+        rank = len(shape)
         # axis order that moves one tensor axis last, keeping the rest
-        axes = range(1, len(shape) + 1)
-        self.target_last = [(0, *(a for a in axes if a != t + 1), t + 1) for t in range(len(shape))]
+        axes = range(1, rank + 1)
+        self.target_last = [(0, *(a for a in axes if a != t + 1), t + 1) for t in range(rank)]
+        # shape that lines (members, dim) messages up with one axis
+        self.along = [(-1,) + (1,) * a + (d,) + (1,) * (rank - a - 1) for a, d in enumerate(shape)]
 
-    def multiplied(self, semiring, msgs, skip=None):
-        """Stacked tensors times one message per axis, axes ascending."""
-        arr = self.tensors
-        rank = len(self.shape)
+    def multiplied(self, semiring, tensors, msgs, skip=None):
+        """Stacked tensors times one (members, dim) message per axis, axes ascending."""
+        arr = tensors
         for axis, m in enumerate(msgs):
             if axis != skip:
-                shape = (len(self.ids),) + (1,) * axis + (self.shape[axis],) + (1,) * (rank - axis - 1)
-                arr = semiring.array_mul(arr, m.reshape(shape))
+                arr = semiring.array_mul(arr, m.reshape(self.along[axis]))
         return arr
+
+    def contract(self, semiring, target, tensors, msgs):
+        """The message each stacked tensor sends out of axis ``target``.
+
+        Multiplies the messages on the other axes in ascending order, then
+        left-folds the other index tuples in row-major order.
+        """
+        arr = self.multiplied(semiring, tensors, msgs, skip=target)
+        terms = arr.transpose(self.target_last[target]).reshape(len(arr), -1, self.shape[target])
+        acc = terms[:, 0]
+        for i in range(1, terms.shape[1]):
+            acc = semiring.array_add(acc, terms[:, i])
+        return acc
 
 
 def _tensor_groups(members):
@@ -248,13 +274,13 @@ def _tensor_groups(members):
     for nid, tensor, rows in members:
         ids, arrays, wire_rows = by_shape.setdefault(tensor.shape, ([], [], []))
         ids.append(nid)
-        arrays.append(tensor.as_array())
+        arrays.append(tensor.data)
         wire_rows.append(rows)
     return [
         _TensorGroup(
             shape,
             ids,
-            np.stack(arrays),
+            np.concatenate(arrays).reshape((len(ids), *shape)),
             list(np.array(wire_rows, dtype=np.intp).reshape(len(ids), len(shape)).T),
         )
         for shape, (ids, arrays, wire_rows) in by_shape.items()
@@ -262,7 +288,7 @@ def _tensor_groups(members):
 
 
 class _Plan:
-    """A graph compiled for batched sync sweeps over one semiring.
+    """A graph compiled for batched message updates over one semiring.
 
     Every wire ``(factor id, axis)`` owns one integer row in the packed
     ``(wires, dim)`` array of its variable's dim, numbered in ``g.wires``
@@ -276,45 +302,50 @@ class _Plan:
     order (as ``hadamard``), a tensor multiplies messages in ascending axis
     order and left-folds the remaining index tuples with ``array_add`` in
     row-major order (as ``contract_to_axis``). Messages, residuals and
-    beliefs therefore equal the per-wire results bit for bit.
+    beliefs therefore equal the per-wire results bit for bit. A sync sweep
+    runs every kernel on all rows at once; the two-pass schedule runs them
+    level by level on the rows whose inputs are final.
     """
 
     def __init__(self, g, semiring):
         self.g, self.semiring = g, semiring
+        dim_of = {v.id: v.obj.dim for v in g.variables}
         self.dims = {}  # dim -> number of wires of that dim
         self.wire_rows = []  # (dim, row) of each entry of g.wires
         self.wire_vars = []
-        for fid, axis in g.wires:
-            vid = g.factor(fid).neighbors[axis]
-            d = g.variable(vid).obj.dim
-            self.wire_rows.append((d, self.dims.get(d, 0)))
-            self.wire_vars.append(vid)
-            self.dims[d] = self.dims.get(d, 0) + 1
-        row = {w: r for w, (_d, r) in zip(g.wires, self.wire_rows)}
+        # rows of each variable's wires in incidence order, which is also the
+        # axis order of a bipartite node tensor
+        self.var_rows = {vid: [] for vid in dim_of}
+        factor_rows = {}
+        for f in sorted(g.factors, key=lambda f: f.id):  # g.wires order
+            rows = factor_rows[f.id] = []
+            for vid in f.neighbors:
+                d = dim_of[vid]
+                r = self.dims.get(d, 0)
+                self.dims[d] = r + 1
+                self.wire_rows.append((d, r))
+                self.wire_vars.append(vid)
+                self.var_rows[vid].append(r)
+                rows.append(r)
+        wire_dims = np.array([d for d, _r in self.wire_rows], dtype=np.intp)
         # index into g.wires of each packed row, for first-dead-wire order
-        self.position = {d: np.empty(n, dtype=np.intp) for d, n in self.dims.items()}
-        for pos, (d, r) in enumerate(self.wire_rows):
-            self.position[d][r] = pos
+        self.position = {d: np.flatnonzero(wire_dims == d) for d in self.dims}
         self.var_groups = []
         self.node_groups = []
         if g.mode is GraphMode.BIPARTITE:
-            self.node_groups = _tensor_groups(
-                (v.id, v.tensor, [row[w] for w in _node_axis_order(g, v.id)])
-                for v in g.variables
-            )
+            self.node_groups = _tensor_groups((v.id, v.tensor, self.var_rows[v.id]) for v in g.variables)
         else:
             by_key = {}
             for v in g.variables:
-                ids, rows = by_key.setdefault((v.obj.dim, g.degree(v.id)), ([], []))
+                rows = self.var_rows[v.id]
+                ids, members = by_key.setdefault((v.obj.dim, len(rows)), ([], []))
                 ids.append(v.id)
-                rows.append([row[w] for w in g.incident[v.id]])
+                members.append(rows)
             self.var_groups = [
                 (d, ids, np.array(rows, dtype=np.intp).reshape(len(ids), k))
                 for (d, k), (ids, rows) in by_key.items()
             ]
-        self.factor_groups = _tensor_groups(
-            (f.id, f.tensor, [row[(f.id, axis)] for axis in range(f.rank)]) for f in g.factors
-        )
+        self.factor_groups = _tensor_groups((f.id, f.tensor, factor_rows[f.id]) for f in g.factors)
 
     # -- packing ---------------------------------------------------------------
 
@@ -369,29 +400,19 @@ class _Plan:
         return (new_v2f, new_f2v), residual
 
     def _spider_update(self, d, rows, incoming, out):
-        semiring = self.semiring
         k = rows.shape[1]
         if k == 1:
-            out[rows[:, 0]] = semiring.ones((d,))
+            out[rows[:, 0]] = self.semiring.ones((d,))
             return
-        # others[i, p, j]: message on member i's j-th wire other than wire p
+        # others[i * k + p, j]: message on member i's j-th wire other than wire p
         leave_out = [[q for q in range(k) if q != p] for p in range(k)]
-        others = incoming[rows[:, leave_out]]  # (members, k, k - 1, d)
-        acc = others[:, :, 0]
-        for j in range(1, k - 1):
-            acc = semiring.array_mul(acc, others[:, :, j])
-        out[rows.reshape(-1)] = acc.reshape(-1, d)
+        others = incoming[rows[:, leave_out]].reshape(-1, k - 1, d)
+        out[rows.reshape(-1)] = _fold_mul(self.semiring, others)
 
     def _contract(self, group, src, dst):
-        semiring = self.semiring
         msgs = [src[d][r] for d, r in zip(group.shape, group.rows)]
         for target, d in enumerate(group.shape):
-            arr = group.multiplied(semiring, msgs, skip=target)
-            terms = arr.transpose(group.target_last[target]).reshape(len(group.ids), -1, d)
-            acc = terms[:, 0]
-            for i in range(1, terms.shape[1]):
-                acc = semiring.array_add(acc, terms[:, i])
-            dst[d][group.rows[target]] = acc
+            dst[d][group.rows[target]] = group.contract(self.semiring, target, group.tensors, msgs)
 
     def _normalize_and_damp(self, kind, new, old, cfg):
         """Normalize and damp fresh messages as the per-wire rules do.
@@ -416,44 +437,204 @@ class _Plan:
         return new
 
     def _residual(self, new, old):
-        """Largest per-wire ``max_distance``, taken as a per-wire loop would.
+        """Largest componentwise gap between two message arrays.
 
-        A loop's ``max`` drops a nan gap unless it leads its wire, so arrays
-        holding anything but finite floats are measured wire by wire.
+        A nan gap (``inf - inf`` once unnormalized messages overflow) makes
+        the residual inf, so an overflowed run can never pass for converged.
         """
-        semiring = self.semiring
         out = 0.0
         for d, a in new.items():
-            b = old[d]
-            if semiring.exact or (
-                a.dtype == np.float64 and np.isfinite(a).all() and np.isfinite(b).all()
-            ):
-                out = max(out, semiring.max_distance(a, b))
-            else:
-                for x, y in zip(a, b):
-                    out = max(out, semiring.max_distance(x, y))
+            gap = self.semiring.max_distance(a, old[d])
+            if gap != gap:
+                return math.inf
+            out = max(out, gap)
         return out
 
+    # -- the two-pass schedule ---------------------------------------------------
+
+    def two_pass(self, cfg, root=None):
+        """Every message of the exact tree schedule, level by level.
+
+        Returns ((v2f, f2v), contradiction wire or None). Each directed
+        wire is computed once from final inputs, so the messages equal those
+        of the per-wire two-pass run. A normalized run that hits dead
+        support leaves the dead rows undivided and carries on; at the end
+        every message from the first dead wire of ``two_pass_schedule`` on
+        is reset to the unit, which is the state the per-wire run halts in.
+        """
+        semiring = self.semiring
+        normalize = cfg.normalize and semiring.has_normalize
+        arrays = v2f, f2v = self.initial(cfg)
+        gone = []  # (kind, dim, out rows, dead-row mask) of each normalized op
+        for ops in self._levels():
+            for kind, d, out, group, arg in ops:
+                if group is None:
+                    values = semiring.ones((len(out), d)) if arg is None else _fold_mul(semiring, f2v[d][arg])
+                else:
+                    target, members, msg_rows = arg
+                    src = f2v if kind == "v2f" else v2f
+                    msgs = [None if r is None else src[dd][r] for dd, r in zip(group.shape, msg_rows)]
+                    values = group.contract(semiring, target, group.tensors[members], msgs)
+                if normalize:
+                    values, dead = semiring._normalize_rows(values)
+                    gone.append((kind, d, out, dead))
+                (v2f if kind == "v2f" else f2v)[d][out] = values
+        if not gone or not np.concatenate([dead for *_op, dead in gone]).any():
+            return arrays, None
+        return arrays, self._halt(arrays, cfg, root, gone)
+
+    def _halt(self, arrays, cfg, root, gone):
+        """Reset the messages the per-wire run never reaches; return the
+        wire it halts at."""
+        wires = self.g.wires
+        dead_wires = {
+            (kind,) + wires[pos]
+            for kind, d, out, dead in gone
+            for pos in self.position[d][out[dead]].tolist()
+        }
+        schedule = two_pass_schedule(self.g, root)
+        at = next(k for k, wire in enumerate(schedule) if wire in dead_wires)
+        unit = self.initial(cfg)
+        wire_row = dict(zip(wires, self.wire_rows))
+        for kind, fid, axis in schedule[at:]:
+            d, r = wire_row[(fid, axis)]
+            k = 0 if kind == "v2f" else 1
+            arrays[k][d][r] = unit[k][d][r]
+        return schedule[at]
+
+    def _levels(self):
+        """The two-pass updates as batched ops, one list per level.
+
+        An op is (kind, dim, out rows, tensor group or None, argument): a
+        spider variable op folds the f2v rows ``argument`` (None: the unit),
+        a tensor op contracts ``argument`` = (target axis, members, message
+        rows per axis) of its group.
+        """
+        v2f_levels, f2v_levels = self._wire_levels()
+        ops = []
+        for d, _ids, rows in self.var_groups:
+            k = rows.shape[1]
+            if k == 1:  # a leaf variable sends the unit
+                ops.append((0, ("v2f", d, rows[:, 0], None, None)))
+            elif k > 1:
+                leave_out = [[q for q in range(k) if q != p] for p in range(k)]
+                out = rows.reshape(-1)
+                order, runs = _by_level(v2f_levels[d][out])
+                out, others = out[order], rows[:, leave_out].reshape(-1, k - 1)[order]
+                ops.extend((level, ("v2f", d, out[run], None, others[run])) for level, run in runs)
+        for kind, groups, levels in (
+            ("v2f", self.node_groups, v2f_levels),
+            ("f2v", self.factor_groups, f2v_levels),
+        ):
+            for group in groups:
+                for target, d in enumerate(group.shape):
+                    order, runs = _by_level(levels[d][group.rows[target]])
+                    rows = [r[order] for r in group.rows]
+                    for level, run in runs:
+                        msg_rows = [None if a == target else r[run] for a, r in enumerate(rows)]
+                        ops.append((level, (kind, d, rows[target][run], group, (target, order[run], msg_rows))))
+        program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
+        for level, op in ops:
+            program[level].append(op)
+        return program
+
+    def _wire_levels(self):
+        """Level of every directed wire, as dim -> level per packed row.
+
+        A message's level is 1 + the largest level among the messages it
+        reads, 0 when it reads none (a leaf variable, a rank-1 factor).
+        One rooted BFS per component, then an up pass and a down pass that
+        keep each node's top two incoming levels. Raises NotATreeError on a
+        cycle or a repeated wire.
+        """
+        g = self.g
+        nv = len(g.variables)
+        # nodes: variable ids, then nv + factor id; ends[i] - node is the
+        # other end of wire i
+        node_wires = [[] for _ in range(nv + len(g.factors))]
+        ends = []
+        for i, ((fid, _axis), vid) in enumerate(zip(g.wires, self.wire_vars)):
+            node_wires[vid].append(i)
+            node_wires[nv + fid].append(i)
+            ends.append(vid + nv + fid)
+        parent = [-2] * len(node_wires)  # wire to the parent; -1 root, -2 unseen
+        order = []
+        for r in range(nv):
+            if parent[r] != -2:
+                continue
+            parent[r] = -1
+            k = len(order)
+            order.append(r)
+            while k < len(order):
+                node = order[k]
+                k += 1
+                p = parent[node]
+                for i in node_wires[node]:
+                    if i != p:
+                        other = ends[i] - node
+                        if parent[other] != -2:
+                            raise NotATreeError(
+                                "two-pass scheduling needs a cycle-free graph without repeated wires"
+                            )
+                        parent[other] = i
+                        order.append(other)
+        # levels by wire index; a variable reads f2v and sends v2f
+        v2f = [0] * len(ends)
+        f2v = [0] * len(ends)
+        for node in reversed(order):
+            p = parent[node]
+            if p >= 0:
+                into, out = (f2v, v2f) if node < nv else (v2f, f2v)
+                top = -1
+                for i in node_wires[node]:
+                    if i != p and into[i] > top:
+                        top = into[i]
+                out[p] = top + 1
+        for node in order:
+            into, out = (f2v, v2f) if node < nv else (v2f, f2v)
+            wires = node_wires[node]
+            top, second, top_wire = -1, -1, -1
+            for i in wires:
+                x = into[i]
+                if x > top:
+                    top, second, top_wire = x, top, i
+                elif x > second:
+                    second = x
+            p = parent[node]
+            for i in wires:
+                if i != p:
+                    out[i] = (second if i == top_wire else top) + 1
+        v2f, f2v = np.array(v2f, dtype=np.intp), np.array(f2v, dtype=np.intp)
+        return ({d: v2f[pos] for d, pos in self.position.items()}, {d: f2v[pos] for d, pos in self.position.items()})
+
     # -- reading a state -------------------------------------------------------
+
+    def incoming_products(self, f2v):
+        """(dim, ids, product of each member's incoming f2v messages) per spider group.
+
+        The product left-folds in incidence order, as ``hadamard``; an
+        isolated variable gets the unit.
+        """
+        semiring = self.semiring
+        for d, ids, rows in self.var_groups:
+            if rows.shape[1] == 0:
+                yield d, ids, semiring.ones((len(ids), d))
+            else:
+                yield d, ids, _fold_mul(semiring, f2v[d][rows])
 
     def beliefs(self, arrays, cfg):
         """``beliefs`` computed on the packed arrays."""
         g, semiring = self.g, self.semiring
         v2f, f2v = arrays
         by_var, dead_vars = {}, set()
-        for d, ids, rows in self.var_groups:
-            if rows.shape[1] == 0:
-                values = semiring.ones((len(ids), d))
-            else:
-                msgs = f2v[d][rows]
-                values = msgs[:, 0]
-                for q in range(1, rows.shape[1]):
-                    values = semiring.array_mul(values, msgs[:, q])
+        for d, ids, values in self.incoming_products(f2v):
             if cfg.normalize and semiring.has_normalize:
                 values, dead = semiring._normalize_rows(values)
                 dead_vars.update(vid for vid, gone in zip(ids, dead.tolist()) if gone)
+            values = np.asarray(values)
+            values.flags.writeable = False
             for vid, row in zip(ids, values):
-                by_var[vid] = Message(g.variable(vid).obj, row)
+                by_var[vid] = Message._wrap(g.variable(vid).obj, row)
         for group in self.node_groups:
             by_var.update(self._tensor_beliefs(group, f2v))
         by_factor = {}
@@ -466,8 +647,9 @@ class _Plan:
 
     def _tensor_beliefs(self, group, src):
         msgs = [src[d][r] for d, r in zip(group.shape, group.rows)]
-        arr = np.asarray(group.multiplied(self.semiring, msgs)).reshape(len(group.ids), -1)
-        return {nid: DenseTensor(group.shape, flat) for nid, flat in zip(group.ids, arr)}
+        arr = np.asarray(group.multiplied(self.semiring, group.tensors, msgs)).reshape(len(group.ids), -1)
+        arr.flags.writeable = False
+        return {nid: DenseTensor._wrap(group.shape, flat) for nid, flat in zip(group.ids, arr)}
 
     def first_zero_wire(self, arrays):
         """First all-zero message, every v2f in wire order before every f2v."""
@@ -581,26 +763,18 @@ def _upward_wires(g, root_vid):
 
 
 def run_two_pass(g, cfg, root=None):
-    """Execute the two-pass schedule once, in order, updating in place.
+    """Execute the two-pass schedule once on the compiled plan.
 
-    Returns (state, contradiction wire or None). A normalized run that hits
-    dead support stops at that wire but keeps the messages computed so far.
+    Returns (state, contradiction wire or None). Messages are computed one
+    dependency level at a time and equal those of the per-wire schedule
+    ``two_pass_schedule`` bit for bit. A normalized run that hits dead
+    support returns the state the per-wire run halts in: the messages
+    before the first dead wire of that schedule, the unit from there on.
     """
-    schedule = two_pass_schedule(g, root)
-    state = init_messages(g, cfg)
-    v2f = dict(state.var_to_factor)
-    f2v = dict(state.factor_to_var)
-    working = MessageState(v2f, f2v, iteration=state.iteration)  # wraps the dicts updated below
-    for kind, fid, axis in schedule:
-        try:
-            if kind == "v2f":
-                vid = _wire_var(g, fid, axis)
-                v2f[(vid, fid, axis)] = update_variable_message(g, working, cfg, vid, (fid, axis))
-            else:
-                f2v[(fid, axis)] = update_factor_message(g, working, cfg, fid, axis)
-        except ContradictionError as err:
-            return MessageState(v2f, f2v, iteration=1, residual=math.inf), err.wire
-    return MessageState(v2f, f2v, iteration=1, residual=0.0), None
+    plan = _Plan(g, get_semiring(cfg.semiring))
+    arrays, halted_wire = plan.two_pass(cfg, root)
+    residual = 0.0 if halted_wire is None else math.inf
+    return MessageState._from_arrays(plan, arrays, 1, residual), halted_wire
 
 
 def beliefs(g, state, cfg):
@@ -757,6 +931,7 @@ def contraction_value(g, cfg=None, root=None):
 def contraction_from_state(g, semiring, state, root=None):
     """Close the diagram against converged messages, component by component."""
     semiring = get_semiring(semiring)
+    plan, (_v2f, f2v) = _plan_and_arrays(g, semiring, state)
     total = semiring.one
     for var_ids, fac_ids in components(g):
         if not var_ids:
@@ -765,11 +940,11 @@ def contraction_from_state(g, semiring, state, root=None):
             continue
         comp_root = root if root in var_ids else var_ids[0]
         v = g.variable(comp_root)
-        incoming = [state.factor_to_var[w] for w in g.incident[comp_root]]
+        rows = plan.var_rows[comp_root]
         if g.mode is GraphMode.BIPARTITE:
-            z = full_contraction(semiring, v.tensor, [state.factor_to_var[w] for w in _node_axis_order(g, comp_root)])
-        elif incoming:
-            z = semiring.fold_add(hadamard(semiring, incoming).values)
+            z = full_contraction(semiring, v.tensor, [Message(v.obj, f2v[v.obj.dim][r]) for r in rows])
+        elif rows:
+            z = semiring.fold_add(_fold_mul(semiring, f2v[v.obj.dim][[rows]])[0])
         else:
             z = semiring.fold_add(semiring.ones((v.obj.dim,)))
         total = semiring.mul(total, z)
@@ -781,7 +956,8 @@ def decode_map(g, state, semiring):
 
     Needs a totally ordered semiring (prob, maxtimes, bool, count). On a
     tree with maxtimes messages and a unique optimum this recovers the
-    globally best assignment.
+    globally best assignment. A state wins only by comparing greater than
+    the best so far, so a nan never wins and a leading nan keeps state 0.
     """
     semiring = get_semiring(semiring)
     if not semiring.has_compare:
@@ -790,20 +966,17 @@ def decode_map(g, state, semiring):
         )
     if g.mode is not GraphMode.SPIDER:
         raise ValidationError("decoding needs spider-mode variable semantics")
-    assignment = {}
-    for v in g.variables:
-        incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
-        values = (
-            hadamard(semiring, incoming).values
-            if incoming
-            else semiring.ones((v.obj.dim,))
-        )
-        best, best_val = 0, values[0]
-        for j in range(1, len(values)):
-            if semiring.compare(values[j], best_val) > 0:
-                best, best_val = j, values[j]
-        assignment[v.id] = best
-    return assignment
+    plan, (_v2f, f2v) = _plan_and_arrays(g, semiring, state)
+    best_of = {}
+    for d, ids, values in plan.incoming_products(f2v):
+        best = np.zeros(len(ids), dtype=np.intp)
+        best_val = values[:, 0]
+        for j in range(1, d):
+            better = np.asarray(values[:, j] > best_val, dtype=bool)
+            best[better] = j
+            best_val = np.where(better, values[:, j], best_val)
+        best_of.update(zip(ids, best.tolist()))
+    return {v.id: best_of[v.id] for v in g.variables}
 
 
 def dual_seed(g, factor_id, entry_index):

@@ -60,6 +60,18 @@ class DenseTensor:
         return cls(tuple(shape), semiring.coerce(flat))
 
     @classmethod
+    def _wrap(cls, shape, data):
+        """A tensor over ``data`` as it is, unchecked and uncopied.
+
+        For callers that already hold a read-only flat array filling the
+        int tuple ``shape``.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "data", data)
+        return t
+
+    @classmethod
     def from_array(cls, arr):
         arr = np.asarray(arr)
         return cls(arr.shape, arr.reshape(-1))
@@ -122,6 +134,18 @@ class Message:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _wrap(cls, obj, values):
+        """A message over ``values`` as it is, unchecked and uncopied.
+
+        For callers that already hold a read-only flat array of ``obj.dim``
+        entries.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "obj", obj)
+        object.__setattr__(m, "values", values)
+        return m
 
     @property
     def dim(self):

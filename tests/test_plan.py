@@ -1,14 +1,18 @@
-"""Sync sweeps on the compiled plan against the per-wire update rules.
+"""Both schedules on the compiled plan against the per-wire update rules.
 
-The reference below composes one Jacobi sweep from the public per-wire
-updates (``update_variable_message`` / ``update_factor_message``), the
-damping formula and the scalar ``distance``. The plan must reproduce it
-bit for bit: every message, the residual and the iteration counter.
+The references below compose one Jacobi sweep, and one two-pass run, from
+the public per-wire updates (``update_variable_message`` /
+``update_factor_message``), the damping formula and the scalar
+``distance``. The plan must reproduce them bit for bit: every message, the
+residual and the iteration counter, and for the two-pass run the beliefs,
+the closed value, the decoded states and the halting wire too.
 """
 
 import json
+import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,25 +22,34 @@ import spiderbp
 from spiderbp import (
     PROB,
     ContradictionError,
+    DualNumber,
     GraphMode,
     MessageState,
+    NotATreeError,
     RunConfig,
+    ZeroMessageError,
     beliefs,
     build_graph,
+    components,
     contraction_value,
+    decode_map,
     dual_seed,
+    exact_contraction,
+    full_contraction,
     get_semiring,
     hadamard,
     init_messages,
     run_bp,
+    run_two_pass,
     sweep_synchronous,
+    two_pass_schedule,
 )
 from spiderbp import engine
-from spiderbp.cli import cli_dispatch
-from spiderbp.engine import update_factor_message, update_variable_message
+from spiderbp.cli import EXIT_NOT_CONVERGED, cli_dispatch
+from spiderbp.engine import contraction_from_state, update_factor_message, update_variable_message
 from spiderbp.tensor import Message
 
-from fixtures import random_loopy, random_tree
+from fixtures import random_loopy, random_tree, random_tree_structure, table_for
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -338,3 +351,303 @@ class TestCliClosesItsOwnState:
         assert out["contraction_value"] == want_z
         assert {b["id"]: b["values"] for b in out["beliefs"]} == want_beliefs
         assert (out["converged"], out["iterations"], out["residual"]) == (True, 1, 0.0)
+
+
+# -- the two-pass schedule on the plan -------------------------------------------
+
+
+def reference_two_pass(g, cfg, root=None):
+    """The per-wire two-pass run: ``two_pass_schedule`` order, one update at a
+    time, stopping at the first dead wire."""
+    start = init_messages(g, cfg)
+    v2f, f2v = dict(start.var_to_factor), dict(start.factor_to_var)
+    working = MessageState(v2f, f2v)
+    for kind, fid, axis in two_pass_schedule(g, root):
+        try:
+            if kind == "v2f":
+                vid = g.factor(fid).neighbors[axis]
+                v2f[(vid, fid, axis)] = update_variable_message(g, working, cfg, vid, (fid, axis))
+            else:
+                f2v[(fid, axis)] = update_factor_message(g, working, cfg, fid, axis)
+        except ContradictionError as err:
+            return MessageState(v2f, f2v, 1, math.inf), err.wire
+    return MessageState(v2f, f2v, 1, 0.0), None
+
+
+def reference_tensor_belief(semiring, tensor, msgs):
+    """A tensor times one message per axis, axes ascending."""
+    arr = tensor.as_array()
+    for axis, values in enumerate(msgs):
+        shape = [1] * arr.ndim
+        shape[axis] = len(values)
+        arr = semiring.array_mul(arr, np.asarray(values).reshape(shape))
+    return np.asarray(arr).reshape(-1)
+
+
+def reference_beliefs(g, state, cfg):
+    """Variable beliefs (node tensors in bipartite mode) and factor beliefs."""
+    semiring = get_semiring(cfg.semiring)
+    if g.mode is GraphMode.SPIDER:
+        var_b = {}
+        for v in g.variables:
+            incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
+            values = hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
+            if cfg.normalize and semiring.has_normalize:
+                try:
+                    values = semiring.normalize(values)
+                except ZeroMessageError:
+                    pass  # a dead belief is reported as it is
+            var_b[v.id] = values
+    else:
+        var_b = {
+            v.id: reference_tensor_belief(
+                semiring, v.tensor, [state.factor_to_var[w].values for w in g.incident[v.id]]
+            )
+            for v in g.variables
+        }
+    fac_b = {
+        f.id: reference_tensor_belief(
+            semiring,
+            f.tensor,
+            [state.var_to_factor[(vid, f.id, axis)].values for axis, vid in enumerate(f.neighbors)],
+        )
+        for f in g.factors
+    }
+    return var_b, fac_b
+
+
+def reference_z(g, semiring, state, root=None):
+    """Each component closed at its root by a per-wire product and fold."""
+    total = semiring.one
+    for var_ids, fac_ids in components(g):
+        if not var_ids:
+            total = semiring.mul(total, g.factor(fac_ids[0]).tensor.data[0])
+            continue
+        v = g.variable(root if root in var_ids else var_ids[0])
+        incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
+        if g.mode is GraphMode.BIPARTITE:
+            z = full_contraction(semiring, v.tensor, incoming)
+        elif incoming:
+            z = semiring.fold_add(hadamard(semiring, incoming).values)
+        else:
+            z = semiring.fold_add(semiring.ones((v.dim,)))
+        total = semiring.mul(total, z)
+    return total
+
+
+def reference_map(g, state, semiring):
+    """The scalar argmax scan: strictly greater wins, ties to the lowest index."""
+    out = {}
+    for v in g.variables:
+        incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
+        values = hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
+        best, best_val = 0, values[0]
+        for j in range(1, len(values)):
+            if semiring.compare(values[j], best_val) > 0:
+                best, best_val = j, values[j]
+        out[v.id] = best
+    return out
+
+
+def check_tree_against_reference(g, cfg, root=None):
+    """A tree run on the plan against the per-wire two-pass, bit for bit."""
+    semiring = get_semiring(cfg.semiring)
+    want, want_wire = reference_two_pass(g, cfg, root)
+    result = run_bp(g, replace(cfg, schedule="tree"), root=root)
+    if want_wire is None:
+        assert result.converged and result.residual == 0.0
+    else:
+        assert result.contradiction and result.contradiction_wire == want_wire
+        assert result.residual == math.inf and not result.converged
+    assert_same_state(result.state, want)
+    var_b, fac_b = reference_beliefs(g, want, cfg)
+    for vid, values in var_b.items():
+        got = result.variable_beliefs[vid]
+        assert same_bits(got.values if g.mode is GraphMode.SPIDER else got.data, values), ("belief", vid)
+    for fid, values in fac_b.items():
+        assert same_bits(result.factor_beliefs[fid].data, values), ("factor belief", fid)
+    if not cfg.normalize:
+        z = contraction_from_state(g, semiring, result.state, root)
+        assert same_bits(np.array([z], dtype=object), np.array([reference_z(g, semiring, want, root)], dtype=object))
+    if semiring.has_compare and g.mode is GraphMode.SPIDER:
+        assert decode_map(g, result.state, semiring) == reference_map(g, want, semiring)
+    return result
+
+
+def random_forest(rng, semiring="prob"):
+    """Two or three random trees side by side, plus isolated variables and
+    rank-0 factors, with ids interleaved."""
+    dims, factors = [], []
+    for _ in range(int(rng.integers(2, 4))):
+        tree = random_tree(rng, semiring, max_vars=6)
+        offset = len(dims)
+        dims.extend(v.dim for v in tree.variables)
+        for f in tree.factors:
+            factors.append((tuple(offset + v for v in f.neighbors), f.tensor.data.tolist()))
+        dims.append(int(rng.integers(2, 4)))  # an isolated variable
+        factors.append(((), table_for(rng, semiring, 1)))  # a rank-0 factor
+    order = rng.permutation(len(factors))
+    return build_graph(dims, [factors[i] for i in order], get_semiring(semiring))
+
+
+def dead_tree(rng, name="prob"):
+    """A random tree whose tables hold zeros, so support may die."""
+    dims, edges = random_tree_structure(rng, max_vars=7)
+    factors = []
+    for a, b in edges:
+        factors.append(((a, b), (rng.integers(0, 2, dims[a] * dims[b]) * rng.uniform(0.5, 1.5, dims[a] * dims[b])).tolist()))
+    for v in range(len(dims)):
+        if rng.random() < 0.6:
+            factors.append(((v,), (rng.integers(0, 2, dims[v]) * rng.uniform(0.5, 1.5, dims[v])).tolist()))
+    if not factors:
+        factors.append(((0,), [0.0] * dims[0]))
+    return build_graph(dims, factors, get_semiring(name))
+
+
+def bipartite_chain(rng, n=4):
+    """Nodes v0 - v1 - ... joined by rank-2 factors, with a unary factor on
+    the first and last node; every node carries its own tensor."""
+    dims = [int(d) for d in rng.integers(2, 4, n)]
+    factors = [((i, i + 1), rng.uniform(0.1, 2.0, dims[i] * dims[i + 1]).tolist()) for i in range(n - 1)]
+    factors += [((0,), rng.uniform(0.1, 2.0, dims[0]).tolist()), ((n - 1,), rng.uniform(0.1, 2.0, dims[-1]).tolist())]
+    degree = {v: sum(v in nb for nb, _ in factors) for v in range(n)}
+    tensors = {v: rng.uniform(0.1, 2.0, dims[v] ** degree[v]).tolist() for v in range(n)}
+    return build_graph(dims, factors, PROB, mode=GraphMode.BIPARTITE, var_tensors=tensors)
+
+
+class TestTreeBitIdentity:
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_every_semiring_on_trees(self, name, normalize):
+        rng = np.random.default_rng(311)
+        for _ in range(8):
+            assert check_tree_against_reference(random_tree(rng, name), RunConfig(semiring=name, normalize=normalize)).converged
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_dual(self, normalize):
+        rng = np.random.default_rng(312)
+        for i in range(5):
+            g = dual_seed(random_tree(rng, "prob", max_vars=8), 0, i % 2)
+            check_tree_against_reference(g, RunConfig(semiring="dual", normalize=normalize))
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_forests_with_isolated_variables_and_rank0_factors(self, name, normalize):
+        rng = np.random.default_rng(313)
+        for _ in range(5):
+            check_tree_against_reference(random_forest(rng, name), RunConfig(semiring=name, normalize=normalize))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_explicit_root(self, normalize):
+        rng = np.random.default_rng(314)
+        for _ in range(5):
+            g = random_forest(rng)
+            for root in (len(g.variables) - 1, int(rng.integers(len(g.variables)))):
+                check_tree_against_reference(g, RunConfig(normalize=normalize), root=root)
+
+    def test_long_chain_is_exact(self):
+        # a 300-variable chain: about 600 levels, one or two messages each
+        rng = np.random.default_rng(315)
+        factors = [((i, i + 1), rng.uniform(0.5, 1.5, 9).tolist()) for i in range(299)]
+        factors += [((i,), rng.uniform(0.5, 1.5, 3).tolist()) for i in range(300)]
+        g = build_graph([3] * 300, factors, PROB)
+        for normalize in (True, False):
+            check_tree_against_reference(g, RunConfig(normalize=normalize), root=150)
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes"])
+    def test_dead_support_same_wire_and_partial_beliefs(self, name):
+        rng = np.random.default_rng(316)
+        halted = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(40):
+                g = dead_tree(rng, name)
+                result = check_tree_against_reference(g, RunConfig(semiring=name))
+                halted += result.contradiction
+            check_tree_against_reference(dead_graph(), RunConfig(semiring=name))
+        assert halted >= 10
+
+    def test_dead_support_with_a_root(self):
+        rng = np.random.default_rng(317)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                g = dead_tree(rng)
+                check_tree_against_reference(g, RunConfig(), root=len(g.variables) - 1)
+
+    def test_not_a_tree(self):
+        cycle = random_loopy(np.random.default_rng(318))
+        repeated = build_graph([2, 2], [((0, 0, 1), [1.0] * 8)], PROB)
+        for g in (cycle, repeated):
+            with pytest.raises(NotATreeError):
+                run_two_pass(g, RunConfig(schedule="tree"))
+            with pytest.raises(NotATreeError):
+                run_bp(g, RunConfig(schedule="tree"))
+            with pytest.raises(NotATreeError):
+                contraction_value(g)
+
+    def test_tree_runs_make_no_per_wire_update(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-wire update called")
+
+        monkeypatch.setattr(engine, "update_variable_message", forbidden)
+        monkeypatch.setattr(engine, "update_factor_message", forbidden)
+        g = random_tree(np.random.default_rng(319))
+        run_bp(g, RunConfig(schedule="tree"))
+        contraction_value(g)
+
+
+class TestBipartiteChain:
+    """Rank-2 factors between nodes, so variable-to-factor messages matter."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_tree_matches_per_wire_reference(self, normalize):
+        rng = np.random.default_rng(320)
+        for n in (2, 3, 4, 5):
+            check_tree_against_reference(bipartite_chain(rng, n), RunConfig(normalize=normalize))
+
+    def test_contraction_matches_the_oracle(self):
+        rng = np.random.default_rng(321)
+        for n in (2, 3, 4, 5):
+            g = bipartite_chain(rng, n)
+            z = contraction_value(g, RunConfig(schedule="tree", normalize=False))
+            assert np.isclose(z, exact_contraction(g, PROB), rtol=1e-12)
+
+    def test_sync_reaches_the_tree_fixed_point(self):
+        g = bipartite_chain(np.random.default_rng(322), 4)
+        tree = run_bp(g, RunConfig(schedule="tree"))
+        sync = run_bp(g, RunConfig(schedule="sync", tol=1e-14))
+        assert sync.converged
+        for vid, belief in tree.variable_beliefs.items():
+            assert np.allclose(belief.data, sync.variable_beliefs[vid].data, rtol=1e-9)
+
+
+class TestOverflowIsNotConvergence:
+    """Unnormalized sync messages on a loopy graph overflow to inf; inf - inf
+    gaps are nan and must not read as a zero residual."""
+
+    def graph(self):
+        return random_loopy(np.random.default_rng(7))
+
+    def test_run_reports_not_converged(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = run_bp(self.graph(), RunConfig(normalize=False))
+        assert not result.converged
+        assert result.residual == math.inf
+        assert result.iterations == 1000
+
+    def test_a_nan_dual_part_is_a_nan_gap(self):
+        dual = get_semiring("dual")
+        for a in (DualNumber(1.0, math.nan), DualNumber(math.nan, 1.0)):
+            assert math.isnan(dual.distance(a, DualNumber(0.0, 0.0)))
+        assert dual.distance(DualNumber(1.0, 3.0), DualNumber(0.5, 1.0)) == 2.0
+
+    def test_cli_exits_not_converged(self, tmp_path, capsys):
+        path = tmp_path / "loopy.json"
+        path.write_text(spiderbp.serialize_native(self.graph(), PROB))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli_dispatch(["run", "--input", str(path), "--no-normalize"])
+        capsys.readouterr()
+        assert code == EXIT_NOT_CONVERGED
