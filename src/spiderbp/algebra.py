@@ -6,6 +6,7 @@ algebra it runs on. Each instance bundles:
 
 * the scalar operations ``add``/``mul`` with their identities,
 * the numpy dtype used to store tensors of such scalars,
+* ``fold``, the one semiring sum every other layer calls,
 * optional extras: ``normalize`` (rescale a message vector) and ``compare``
   (a total order, needed for argmax decoding).
 
@@ -22,10 +23,30 @@ Instances are stateless singletons looked up by name:
 Tensors over a semiring are ordinary numpy arrays whose dtype the instance
 picks: float64 for the real semirings, bool for ``bool``, and object arrays
 for ``count`` (arbitrary-precision Python ints) and ``dual`` (pairs).
+
+Determinism contract. Every semiring sum in the package (message
+contraction, normalization, closing a diagram, the junction tree's
+separator sums and marginals, the oracle's totals) goes through
+``Semiring.fold(arr, axis)``, and its result is the ascending left fold
+
+    acc = x[0]; acc = add(acc, x[i]) for i = 1, 2, ...
+
+along ``axis``, bit for bit; an empty axis gives the zero. Callers fold
+summed-out index tuples in ascending row-major order. Floating-point
+addition is not associative, so this order is what makes a run
+reproducible bit for bit on one platform, whichever kernel computes it:
+prob and maxtimes use their ufunc's ``accumulate`` (sequential by
+definition) or, when the slices are long, a loop over them; or and exact
+integer addition cannot change a bit in any order, so bool and count use
+ufunc ``reduce``; dual loops over the slices. The maxtimes ``add`` follows
+``np.maximum`` (a nan wins, a tie goes to the second operand), so its
+scalar and array forms agree. Rescaling is written once per semiring too,
+in ``_normalize_rows``, and ``normalize`` is its one-row case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -137,27 +158,23 @@ class Semiring:
     def array_mul(self, a, b):
         return np.frompyfunc(self.mul, 2, 1)(a, b)
 
-    def fold_add(self, values):
-        """Semiring sum of a 1-d array, left to right."""
-        acc = self.zero
-        for x in values.tolist() if isinstance(values, np.ndarray) else values:
-            acc = self.add(acc, x)
-        return acc
+    def fold(self, arr, axis):
+        """Semiring sum of ``arr`` along ``axis``, as a new array without it.
 
-    def fold_axis_add(self, arr, axis):
-        """Semiring sum along one axis of a bulk table.
-
-        Slices combine first to last here; subclasses may substitute any
-        fixed deterministic chunking (a ufunc reduction), which is exact
-        for the exact semirings and within rounding for the float ones.
+        The result is the ascending left fold ``acc = x[0]; acc = add(acc,
+        x[i])`` along the axis, bit for bit, and the zero for an empty
+        axis (the contract in the module docstring). Overrides change how
+        it is computed, never its bits. This one adds whole slices, first
+        to last.
         """
-        moved = np.moveaxis(np.asarray(arr), axis, 0)
-        if moved.shape[0] == 0:
-            return self.full(moved.shape[1:], self.zero)
-        acc = moved[0]
-        for i in range(1, moved.shape[0]):
-            acc = self.array_add(acc, moved[i])
-        return np.asarray(acc)
+        arr = np.asarray(arr)
+        lead = (slice(None),) * axis
+        if arr.shape[axis] == 0:
+            return self.zeros(arr.shape[:axis] + arr.shape[axis + 1 :])
+        acc = arr[lead + (0,)]
+        for i in range(1, arr.shape[axis]):
+            acc = self.array_add(acc, arr[lead + (i,)])
+        return np.array(acc, dtype=self.dtype)
 
     def max_distance(self, a, b):
         """Largest componentwise ``distance`` between two equal-shape arrays.
@@ -174,32 +191,26 @@ class Semiring:
 
     # -- optional: message rescaling -----------------------------------------
 
-    def aggregate(self, values):
-        """Scalar a message is divided by when normalizing."""
-        raise NotImplementedError
-
     def normalize(self, values):
         """Rescaled copy of ``values``; raises ZeroMessageError on dead support.
 
-        Only available when ``has_normalize``. The exception carries the
-        unchanged input so callers can still report what was computed.
+        Only available when ``has_normalize``; the one-row case of
+        ``_normalize_rows``. The exception carries the unchanged input so
+        callers can still report what was computed.
         """
-        raise NotImplementedError
+        out, dead = self._normalize_rows(np.asarray(values).reshape(1, -1))
+        if dead[0]:
+            raise ZeroMessageError(values=values)
+        return out[0]
 
     def _normalize_rows(self, rows):
-        """``normalize`` applied to each row of a 2-d array.
+        """Each row of a 2-d array divided by its mass (a semiring fold).
 
-        Returns (rescaled rows, dead-row mask). Dead rows come back as they
-        were, and nothing is divided by zero.
+        Returns (rescaled rows, dead-row mask). A row is dead when its mass
+        is zero; dead rows come back as they were, and nothing is divided
+        by zero.
         """
-        out = rows.copy()
-        dead = np.zeros(len(rows), dtype=bool)
-        for i, row in enumerate(rows):
-            try:
-                out[i] = self.normalize(row)
-            except ZeroMessageError:
-                dead[i] = True
-        return out, dead
+        raise NotImplementedError
 
     # -- randomized-check support --------------------------------------------
 
@@ -223,6 +234,8 @@ class ProbSemiring(Semiring):
     one = 1.0
     has_normalize = True
     has_compare = True
+    #: the ufunc of ``add``; its ``accumulate`` applies it in index order
+    _ufunc = np.add
 
     def add(self, a, b):
         return a + b
@@ -239,25 +252,33 @@ class ProbSemiring(Semiring):
 
     def coerce_scalar(self, x):
         v = float(x)
-        if not v >= 0.0:
-            raise ValueError(f"prob values must be nonnegative reals, got {x!r}")
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"{self.name} values must be finite nonnegative reals, got {x!r}")
         return v
 
     def coerce(self, values):
         out = np.asarray([float(x) for x in values], dtype=np.float64)
-        if out.size and not (out >= 0.0).all():
-            bad = out[~(out >= 0.0)][0]
-            raise ValueError(f"prob values must be nonnegative reals, got {bad!r}")
+        ok = (out >= 0.0) & (out < math.inf)
+        if not ok.all():
+            bad = float(out[~ok][0])
+            raise ValueError(f"{self.name} values must be finite nonnegative reals, got {bad!r}")
         return out
 
     def array_add(self, a, b):
-        return np.add(a, b)
+        return self._ufunc(a, b)
 
     def array_mul(self, a, b):
         return np.multiply(a, b)
 
-    def fold_axis_add(self, arr, axis):
-        return np.add.reduce(np.asarray(arr), axis=axis)
+    def fold(self, arr, axis):
+        # The slice loop makes one call per index along the axis, accumulate
+        # runs one inner loop per position across it: long slices favour
+        # the loop. Both add in index order, so the choice moves no bit.
+        arr = np.asarray(arr)
+        n = arr.shape[axis]
+        if n == 0 or arr.size >= 32 * n * n:
+            return super().fold(arr, axis)
+        return np.array(self._ufunc.accumulate(arr, axis=axis)[(slice(None),) * axis + (-1,)], dtype=self.dtype)
 
     def max_distance(self, a, b):
         # the same answer as the scalar loop: max is exact, and np.max keeps
@@ -266,23 +287,8 @@ class ProbSemiring(Semiring):
             d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
         return float(d.max()) if d.size else 0.0
 
-    def aggregate(self, values):
-        return self.fold_add(values)
-
-    def _row_aggregates(self, rows):
-        # fold_add on every row at once: a running sum, columns left to
-        # right. fold_add starts from 0.0, which can change only the sign of
-        # an all-zero sum, and such a row is dead either way.
-        return np.add.accumulate(rows, axis=1)[:, -1]
-
-    def normalize(self, values):
-        s = self.aggregate(values)
-        if s == 0.0:
-            raise ZeroMessageError(values=values)
-        return np.asarray(values) / s
-
     def _normalize_rows(self, rows):
-        s = self._row_aggregates(rows)
+        s = self.fold(rows, 1)
         dead = s == 0.0
         if np.count_nonzero(s) == len(s):
             return rows / s[:, None], dead
@@ -306,28 +312,12 @@ class MaxTimesSemiring(ProbSemiring):
     """
 
     name = "maxtimes"
+    _ufunc = np.maximum
 
     def add(self, a, b):
-        return a if a >= b else b
-
-    def array_add(self, a, b):
-        return np.maximum(a, b)
-
-    def fold_axis_add(self, arr, axis):
-        return np.maximum.reduce(np.asarray(arr), axis=axis)
-
-    def aggregate(self, values):
-        arr = np.asarray(values)
-        return float(arr.max()) if arr.size else 0.0
-
-    def _row_aggregates(self, rows):
-        return rows.max(axis=1)
-
-    def normalize(self, values):
-        m = self.aggregate(values)
-        if m == 0.0:
-            raise ZeroMessageError(values=values)
-        return np.asarray(values) / m
+        # np.maximum's rule, so scalar and array sums agree bit for bit: a
+        # nan wins, and a tie (0.0 against -0.0) goes to the second
+        return a if a > b or a != a else b
 
 
 class BoolSemiring(Semiring):
@@ -372,8 +362,9 @@ class BoolSemiring(Semiring):
     def array_mul(self, a, b):
         return np.logical_and(a, b)
 
-    def fold_axis_add(self, arr, axis):
-        return np.logical_or.reduce(np.asarray(arr), axis=axis)
+    def fold(self, arr, axis):
+        # or gives the same bits in any order
+        return np.asarray(np.logical_or.reduce(np.asarray(arr), axis=axis))
 
     def random_scalar(self, rng):
         return bool(rng.integers(2))
@@ -431,10 +422,9 @@ class NatCountSemiring(Semiring):
     def array_mul(self, a, b):
         return np.multiply(a, b)
 
-    def fold_axis_add(self, arr, axis):
-        # object-dtype reduce combines strictly first to last, and int
-        # addition is exact in any case
-        return np.add.reduce(np.asarray(arr), axis=axis)
+    def fold(self, arr, axis):
+        # int addition is exact in any order
+        return np.asarray(np.add.reduce(np.asarray(arr), axis=axis), dtype=object)
 
     def random_scalar(self, rng):
         return int(rng.integers(0, 10))
@@ -468,37 +458,33 @@ class DualSemiring(Semiring):
         real, eps = abs(a.real - b.real), abs(a.eps - b.eps)
         return eps if eps != eps or eps > real else real
 
-    def fold_axis_add(self, arr, axis):
-        return np.add.reduce(np.asarray(arr), axis=axis)
-
     def render(self, a):
         return repr(a)
 
     def coerce_scalar(self, x):
         if isinstance(x, DualNumber):
-            return x
-        if isinstance(x, (list, tuple)) and len(x) == 2:
-            return DualNumber(float(x[0]), float(x[1]))
-        if isinstance(x, (int, float, np.floating, np.integer)):
-            return DualNumber(float(x), 0.0)
-        raise ValueError(f"dual values must be [a, b] pairs or numbers, got {x!r}")
+            v = x
+        elif isinstance(x, (list, tuple)) and len(x) == 2:
+            v = DualNumber(float(x[0]), float(x[1]))
+        elif isinstance(x, (int, float, np.floating, np.integer)):
+            v = DualNumber(float(x), 0.0)
+        else:
+            raise ValueError(f"dual values must be [a, b] pairs or numbers, got {x!r}")
+        if not (math.isfinite(v.real) and math.isfinite(v.eps)):
+            raise ValueError(f"dual values must be finite, got {x!r}")
+        return v
 
-    def aggregate(self, values):
-        arr = values.tolist() if isinstance(values, np.ndarray) else values
-        s = 0.0
-        for d in arr:
-            s += d.real
-        return s
-
-    def normalize(self, values):
-        # Rescaling by the (real) mass keeps the derivative information
+    def _normalize_rows(self, rows):
+        # Rescaling by the real mass keeps the derivative information
         # consistent: both components divide by the same real scalar.
-        s = self.aggregate(values)
-        if s == 0.0:
-            raise ZeroMessageError(values=values)
-        out = np.empty(len(values), dtype=object)
-        out[:] = [DualNumber(d.real / s, d.eps / s) for d in values.tolist()]
-        return out
+        lines = rows.tolist()
+        reals = np.array([[d.real for d in line] for line in lines], dtype=np.float64)
+        mass = PROB.fold(reals.reshape(rows.shape), 1)
+        out = rows.copy()
+        for i, s in enumerate(mass.tolist()):
+            if s != 0.0:
+                out[i] = [DualNumber(d.real / s, d.eps / s) for d in lines[i]]
+        return out, mass == 0.0
 
     def random_scalar(self, rng):
         return DualNumber(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))

@@ -28,7 +28,9 @@ updates one level at a time, so every message is computed once from final
 inputs. The batched kernels apply the per-wire rules of
 ``update_variable_message`` and ``update_factor_message`` in the same
 operation order, so both schedules give the per-wire messages bit for bit;
-beliefs, contraction and decoding read the packed arrays directly.
+beliefs, contraction and decoding read the packed arrays directly. Every
+semiring sum is a ``Semiring.fold`` and every rescaling a
+``_normalize_rows``, under the contract written in ``spiderbp.algebra``.
 """
 
 from __future__ import annotations
@@ -258,14 +260,11 @@ class _TensorGroup:
         """The message each stacked tensor sends out of axis ``target``.
 
         Multiplies the messages on the other axes in ascending order, then
-        left-folds the other index tuples in row-major order.
+        folds the other index tuples in row-major order.
         """
         arr = self.multiplied(semiring, tensors, msgs, skip=target)
         terms = arr.transpose(self.target_last[target]).reshape(len(arr), -1, self.shape[target])
-        acc = terms[:, 0]
-        for i in range(1, terms.shape[1]):
-            acc = semiring.array_add(acc, terms[:, i])
-        return acc
+        return semiring.fold(terms, 1)
 
 
 def _tensor_groups(members):
@@ -300,9 +299,9 @@ class _Plan:
     The batched kernels repeat the per-wire rules operation for operation:
     a variable left-folds ``array_mul`` over its other wires in incidence
     order (as ``hadamard``), a tensor multiplies messages in ascending axis
-    order and left-folds the remaining index tuples with ``array_add`` in
-    row-major order (as ``contract_to_axis``). Messages, residuals and
-    beliefs therefore equal the per-wire results bit for bit. A sync sweep
+    order and folds the remaining index tuples in row-major order (as
+    ``contract_to_axis``). Messages, residuals and beliefs therefore equal
+    the per-wire results bit for bit. A sync sweep
     runs every kernel on all rows at once; the two-pass schedule runs them
     level by level on the rows whose inputs are final.
     """
@@ -944,9 +943,9 @@ def contraction_from_state(g, semiring, state, root=None):
         if g.mode is GraphMode.BIPARTITE:
             z = full_contraction(semiring, v.tensor, [Message(v.obj, f2v[v.obj.dim][r]) for r in rows])
         elif rows:
-            z = semiring.fold_add(_fold_mul(semiring, f2v[v.obj.dim][[rows]])[0])
+            z = semiring.fold(_fold_mul(semiring, f2v[v.obj.dim][[rows]])[0], 0).item()
         else:
-            z = semiring.fold_add(semiring.ones((v.obj.dim,)))
+            z = semiring.fold(semiring.ones((v.obj.dim,)), 0).item()
         total = semiring.mul(total, z)
     return total
 
@@ -986,11 +985,12 @@ def dual_seed(g, factor_id, entry_index):
     row-major ``entry_index``, which becomes x + 1*eps. Contracting the
     result leaves d(contraction)/d(entry) in the eps component.
     """
-    from .algebra import DUAL, DualNumber
+    from .algebra import DualNumber
     from .graph import FactorGraph, FactorNode, VariableNode
 
     def lift(tensor, seed_at=None):
-        values = [DualNumber(float(x), 0.0) for x in tensor.data.tolist()]
+        values = np.empty(tensor.size, dtype=object)
+        values[:] = [DualNumber(float(x), 0.0) for x in tensor.data.tolist()]
         if seed_at is not None:
             if not 0 <= seed_at < len(values):
                 raise ValidationError(
@@ -998,7 +998,7 @@ def dual_seed(g, factor_id, entry_index):
                     f"({len(values)} entries)"
                 )
             values[seed_at] = DualNumber(values[seed_at].real, 1.0)
-        return DenseTensor.from_values(tensor.shape, values, DUAL)
+        return DenseTensor(tensor.shape, values)
 
     if factor_id not in {f.id for f in g.factors}:
         raise ValidationError(f"no factor with id {factor_id}")

@@ -13,7 +13,9 @@ and a clique sends its potential times every other incoming message, summed
 onto the separator. One collect and one distribute pass per component are
 exact over any commutative semiring (the generalized distributive law).
 Original-variable marginals come from marginalizing a covering clique's
-belief, and any covering clique gives the same answer.
+belief, and any covering clique gives the same answer. Every sum is a
+``Semiring.fold`` in ascending row-major order of the summed-out indices,
+under the contract written in ``spiderbp.algebra``.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def _sum_onto(semiring, arr, members, sep):
     rest = [i for i in range(len(members)) if i not in keep]
     sep_dims = tuple(arr.shape[i] for i in keep)
     rows = np.transpose(arr, keep + rest).reshape(math.prod(sep_dims), -1)
-    return semiring.fold_axis_add(rows, 1).reshape(sep_dims)
+    return semiring.fold(rows, 1).reshape(sep_dims)
 
 
 def _lift(msg, members, sep):
@@ -298,7 +300,7 @@ def run_junction_tree(g, cfg):
 
     beliefs = {cid: gather(cid) for cid in sorted(nbrs)}
     for root in roots:
-        z = semiring.mul(z, semiring.fold_add(beliefs[root].reshape(-1)))
+        z = semiring.mul(z, semiring.fold(beliefs[root].reshape(-1), 0).item())
     clique_beliefs = {cid: DenseTensor.from_array(arr) for cid, arr in beliefs.items()}
     result = JTResult({}, z, tree, clique_beliefs=clique_beliefs)
     for v in g.variables:
@@ -327,7 +329,7 @@ def marginal_from_clique(result, cid, variable_id, cfg):
     pos = clique.members.index(variable_id)
     dim = belief.shape[pos]
     rows = np.moveaxis(belief.as_array(), pos, -1).reshape(-1, dim)
-    values = semiring.fold_axis_add(rows, 0)
+    values = semiring.fold(rows, 0)
     if cfg.normalize and semiring.has_normalize:
         try:
             values = semiring.normalize(values)

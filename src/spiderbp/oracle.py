@@ -1,8 +1,9 @@
 """Exhaustive ground truth by brute-force enumeration.
 
 Everything here is deliberately independent of the message-passing engine:
-results come from materializing the full joint table and folding it in a
-fixed ascending order, so these functions can arbitrate when the fast path
+results come from materializing the full joint table and folding it in
+ascending row-major order with ``Semiring.fold`` (the contract written in
+``spiderbp.algebra``), so these functions can arbitrate when the fast path
 and a test disagree. A hard size cap trades silent slowness for a loud
 error.
 """
@@ -101,12 +102,13 @@ def exact_contraction(g, semiring, cap=DEFAULT_ORACLE_CAP):
         for v in g.variables:
             if not g.incident[v.id]:
                 # a variable with no wires contributes one term per state
-                free = semiring.mul(free, semiring.fold_add(v.tensor.data if v.tensor else semiring.ones((v.obj.dim,))))
-        return semiring.mul(semiring.fold_add(table.reshape(-1)), free)
+                values = v.tensor.data if v.tensor else semiring.ones((v.obj.dim,))
+                free = semiring.mul(free, semiring.fold(values, 0).item())
+        return semiring.mul(semiring.fold(table.reshape(-1), 0).item(), free)
     dims = tuple(v.obj.dim for v in g.variables)
     _guard(dims, cap)
     table = joint_table(g, semiring)
-    return semiring.fold_add(table.reshape(-1))
+    return semiring.fold(table.reshape(-1), 0).item()
 
 
 def exact_marginal(g, semiring, variable_id, cap=DEFAULT_ORACLE_CAP, table=None):
@@ -125,7 +127,7 @@ def exact_marginal(g, semiring, variable_id, cap=DEFAULT_ORACLE_CAP, table=None)
     if table is None:
         table = joint_table(g, semiring)
     rows = np.moveaxis(np.asarray(table), pos, -1).reshape(-1, dims[pos])
-    return np.asarray(semiring.fold_axis_add(rows, 0)).copy()
+    return semiring.fold(rows, 0)
 
 
 def exact_argmax(g, cap=DEFAULT_ORACLE_CAP):

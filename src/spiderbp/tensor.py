@@ -1,10 +1,9 @@
 """Dense semiring tensors, messages, and the contraction kernels.
 
 Data is stored flat in row-major order (last axis fastest) inside a numpy
-array whose dtype the semiring picks. Wherever the result of a semiring sum
-could depend on grouping (floating point is not associative), the kernels
-fold terms in ascending row-major order of the summed-out indices, so runs
-are reproducible bit for bit on a given platform.
+array whose dtype the semiring picks. Every semiring sum here is a
+``Semiring.fold`` over the summed-out index tuples in ascending row-major
+order, under the determinism contract written in ``spiderbp.algebra``.
 """
 
 from __future__ import annotations
@@ -243,15 +242,11 @@ def _multiply_into_axis(semiring, arr, axis, values):
 def fold_axis_sum(semiring, arr, keep_axis):
     """Semiring-sum every axis except ``keep_axis``.
 
-    Terms fold left to right over the summed-out index tuples in ascending
-    row-major order, one vectorized row at a time.
+    One ``semiring.fold`` over the summed-out index tuples in ascending
+    row-major order.
     """
     moved = np.moveaxis(arr, keep_axis, -1)
-    rows = moved.reshape(-1, arr.shape[keep_axis])
-    acc = rows[0]
-    for i in range(1, rows.shape[0]):
-        acc = semiring.array_add(acc, rows[i])
-    return np.asarray(acc).copy()
+    return semiring.fold(moved.reshape(-1, arr.shape[keep_axis]), 0)
 
 
 def contract_to_axis(semiring, t, target, messages, out_obj=None):
@@ -263,7 +258,8 @@ def contract_to_axis(semiring, t, target, messages, out_obj=None):
         out[j] = sum over remaining index tuples of
                  t[..., j, ...] * prod of message entries
 
-    with the sum folded in ascending row-major order of the tuples.
+    with the sum folded in ascending row-major order of the tuples
+    (``fold_axis_sum``).
     """
     if t.rank < 1:
         raise ShapeMismatchError("cannot contract a rank-0 tensor to an axis")
@@ -294,4 +290,4 @@ def full_contraction(semiring, t, messages):
     arr = t.as_array()
     for axis, msg in enumerate(messages):
         arr = _multiply_into_axis(semiring, arr, axis, msg.values)
-    return semiring.fold_add(np.asarray(arr).reshape(-1))
+    return semiring.fold(np.asarray(arr).reshape(-1), 0).item()

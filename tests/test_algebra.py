@@ -141,6 +141,20 @@ class TestCoercion:
         with pytest.raises(ValueError):
             PROB.coerce([float("nan")])
 
+    @pytest.mark.parametrize("semiring", [PROB, MAXTIMES])
+    def test_real_semirings_reject_non_finite(self, semiring):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite nonnegative"):
+                semiring.coerce([bad, 1.0])
+            with pytest.raises(ValueError, match="finite nonnegative"):
+                semiring.coerce_scalar(bad)
+
+    def test_dual_rejects_non_finite(self):
+        inf, nan = float("inf"), float("nan")
+        for bad in ([nan, 1.0], [1.0, inf], inf, DualNumber(1.0, nan)):
+            with pytest.raises(ValueError, match="finite"):
+                DUAL.coerce([bad])
+
     def test_count_accepts_integer_valued_floats(self):
         out = COUNT.coerce([1, 2.0, True])
         assert out.tolist() == [1, 2, 1]
@@ -200,15 +214,129 @@ class TestArrayOps:
 
     def test_fold_add_is_left_to_right(self):
         xs = np.array([0.1, 0.2, 0.3, 0.4])
-        acc = 0.0
-        for x in xs.tolist():
+        acc = xs[0]
+        for x in xs.tolist()[1:]:
             acc = acc + x
-        assert PROB.fold_add(xs) == acc
+        assert PROB.fold(xs, 0) == acc
 
     def test_zeros_ones(self):
         assert COUNT.ones((2,)).tolist() == [1, 1]
         assert DUAL.zeros((2,)).tolist() == [DualNumber(0.0, 0.0)] * 2
         assert BOOL.ones((3,)).tolist() == [True, True, True]
+
+
+def literal_fold(semiring, arr, axis):
+    """The fold contract spelled out, one scalar ``add`` at a time."""
+    moved = np.moveaxis(arr, axis, -1)
+    lines = moved.reshape(int(np.prod(moved.shape[:-1])), moved.shape[-1]).tolist()
+    out = []
+    for line in lines:
+        acc = semiring.zero if not line else line[0]
+        for x in line[1:]:
+            acc = semiring.add(acc, x)
+        out.append(acc)
+    return out
+
+
+def random_entries(rng, name, shape):
+    if name == "prob":
+        # magnitudes far apart, so a different grouping changes the bits
+        return rng.random(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    if name == "maxtimes":
+        return rng.integers(0, 5, shape) * rng.random(shape)
+    if name == "bool":
+        return rng.random(shape) < 0.2
+    out = np.empty(shape, dtype=object)
+    if name == "count":
+        out.ravel()[:] = [int(x) * 10**30 + int(y) for x, y in zip(rng.integers(0, 3, out.size), rng.integers(0, 9, out.size))]
+    else:
+        reals = rng.random(out.size) * 10.0 ** rng.integers(-8, 9, out.size)
+        eps = rng.standard_normal(out.size) * 10.0 ** rng.integers(-8, 9, out.size)
+        out.ravel()[:] = [DualNumber(a, b) for a, b in zip(reals.tolist(), eps.tolist())]
+    return out
+
+
+FOLD_SHAPES = [(7,), (1,), (4, 6), (1, 9), (9, 1), (70, 2), (2, 70), (3, 4, 5), (40, 3, 2), (2, 1, 33)]
+
+
+class TestFoldContract:
+    """``Semiring.fold`` is the ascending left fold of ``add``, bit for bit."""
+
+    def assert_contract(self, semiring, arr, axis):
+        got = semiring.fold(arr, axis)
+        want = literal_fold(semiring, arr, axis)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.dtype(semiring.dtype)
+        assert got.shape == arr.shape[:axis] + arr.shape[axis + 1 :]
+        flat = got.reshape(-1).tolist()
+        assert [(type(x), repr(x)) for x in flat] == [(type(x), repr(x)) for x in want]
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_every_axis_of_random_arrays(self, name):
+        rng = np.random.default_rng(11)
+        semiring = get_semiring(name)
+        for shape in FOLD_SHAPES:
+            arr = random_entries(rng, name, shape)
+            for axis in range(arr.ndim):
+                self.assert_contract(semiring, arr, axis)
+                # a transposed, non-contiguous view of the same entries
+                self.assert_contract(semiring, arr.T, arr.ndim - 1 - axis)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_empty_axis_gives_the_zero(self, name):
+        semiring = get_semiring(name)
+        arr = semiring.zeros((3, 0, 2))
+        got = semiring.fold(arr, 1)
+        assert got.shape == (3, 2)
+        assert got.tolist() == [[semiring.zero] * 2] * 3
+        assert semiring.fold(semiring.zeros((0,)), 0).item() == semiring.zero
+
+    def test_maxtimes_nan_wins_in_scalar_and_array_sums(self):
+        arr = np.array([[np.nan, 1.0, 2.0], [1.0, np.nan, 0.5], [3.0, 1.0, np.nan], [1.0, 2.0, 0.5]])
+        for axis in (0, 1):
+            self.assert_contract(MAXTIMES, arr, axis)
+        assert np.isnan(MAXTIMES.fold(arr, 1)).tolist() == [True, True, True, False]
+
+    def test_prob_order_is_visible(self):
+        # the data above is only a test of order if other orders differ
+        rng = np.random.default_rng(11)
+        arr = random_entries(rng, "prob", (300, 40))
+        assert not np.array_equal(PROB.fold(arr, 1), np.add.reduce(arr, axis=1))
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "dual"])
+    def test_normalize_is_the_one_row_case(self, name):
+        rng = np.random.default_rng(5)
+        semiring = get_semiring(name)
+        for dim in (1, 2, 3, 7):
+            rows = random_entries(rng, "dual" if name == "dual" else "prob", (100, dim))
+            rows[0] = semiring.zeros((dim,))  # one dead row
+            scaled, dead = semiring._normalize_rows(rows)
+            assert dead.tolist() == [True] + [False] * 99
+            assert [repr(x) for x in scaled[0].tolist()] == [repr(x) for x in rows[0].tolist()]
+            for i in range(1, len(rows)):
+                one = semiring.normalize(rows[i])
+                assert [repr(x) for x in one.tolist()] == [repr(x) for x in scaled[i].tolist()]
+            with pytest.raises(ZeroMessageError):
+                semiring.normalize(rows[0])
+
+    @pytest.mark.parametrize(
+        "name, kind", [("prob", float), ("maxtimes", float), ("count", int), ("bool", bool), ("dual", DualNumber)]
+    )
+    def test_closed_values_are_python_scalars(self, name, kind):
+        from spiderbp import RunConfig, contraction_value, dual_seed, exact_contraction, run_junction_tree
+
+        from fixtures import random_tree
+
+        rng = np.random.default_rng(23)
+        g = random_tree(rng, "prob" if name == "dual" else name, max_vars=6)
+        if name == "dual":
+            g = dual_seed(g, 0, 0)
+        values = [
+            contraction_value(g, RunConfig(semiring=name, schedule="tree", normalize=False)),
+            exact_contraction(g, name),
+            run_junction_tree(g, RunConfig(semiring=name)).contraction_value,
+        ]
+        assert [type(z) for z in values] == [kind] * 3
 
 
 class TestNormalize:

@@ -127,6 +127,15 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "run", "--input", path)
         assert code == 2
 
+    def test_non_finite_value_is_2(self, tmp_path, capsys):
+        native = write(tmp_path, json.dumps(GOOD).replace("2.0", "1e309"))
+        uai = write(tmp_path, UAI_PAIR.replace("2.0", "1e309"), "g.uai")
+        for argv in (["--input", native], ["--input", uai, "--format", "uai"]):
+            code, out, err = run_cli(capsys, "run", *argv)
+            assert code == 2
+            assert out == ""
+            assert "finite" in err
+
     def test_missing_file_is_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "run", "--input", str(tmp_path / "nope.json"))
         assert code == 2

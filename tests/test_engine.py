@@ -417,6 +417,24 @@ class TestDualSeed:
         with pytest.raises(ValidationError):
             dual_seed(g, 0, 99)
 
+    def test_lift_equals_coercing_each_entry(self):
+        rng = np.random.default_rng(29)
+        g = random_tree(rng, "prob", max_vars=8)
+        for fid in (f.id for f in g.factors):
+            for entry in (0, g.factor(fid).tensor.size - 1):
+                lifted = dual_seed(g, fid, entry)
+                for f, lf in zip(g.factors, lifted.factors):
+                    pairs = [[x, 1.0 if (f.id, i) == (fid, entry) else 0.0] for i, x in enumerate(f.tensor.data.tolist())]
+                    want = DUAL.coerce(pairs)
+                    assert lf.tensor.shape == f.tensor.shape
+                    assert lf.tensor.data.dtype == object and not lf.tensor.data.flags.writeable
+                    assert [(d.real, d.eps) for d in lf.tensor.data.tolist()] == [(d.real, d.eps) for d in want.tolist()]
+                    assert all(type(d.real) is float and type(d.eps) is float for d in lf.tensor.data.tolist())
+            with pytest.raises(ValidationError, match="out of range"):
+                dual_seed(g, fid, g.factor(fid).tensor.size)
+            with pytest.raises(ValidationError, match="out of range"):
+                dual_seed(g, fid, -1)
+
 
 class TestBipartiteMode:
     def bipartite_pair(self):

@@ -164,6 +164,20 @@ class TestParseNative:
         with pytest.raises(ValidationError, match="factor 0"):
             parse_native(json.dumps(doc))
 
+    @pytest.mark.parametrize("semiring", ["prob", "maxtimes"])
+    def test_non_finite_value_cites_factor(self, semiring):
+        # json reads 1e309 as inf, and accepts the NaN and Infinity literals
+        for bad in ("1e309", "Infinity", "NaN"):
+            text = MINIMAL.replace("[1.0, 2.0, 3.0, 4.0]", f"[1.0, {bad}, 3.0, 4.0]")
+            with pytest.raises(ValidationError, match="factor 0"):
+                parse_native(text, semiring=semiring)
+
+    def test_non_finite_dual_value_cites_factor(self):
+        for bad in ("[NaN, 1.0]", "[1.0, 1e309]"):
+            text = MINIMAL.replace("[1.0, 2.0, 3.0, 4.0]", f"[[1.0, 0.0], {bad}, [3.0, 0.0], [4.0, 0.0]]")
+            with pytest.raises(ValidationError, match="factor 0"):
+                parse_native(text, semiring="dual")
+
     def test_bipartite_document(self):
         doc = {
             "semiring_hint": "prob",
@@ -304,6 +318,12 @@ class TestParseUAI:
     def test_fractional_count_rejected(self):
         with pytest.raises(ValidationError, match="factor 0"):
             parse_uai(UAI_PAIR.replace("2.0", "2.5"), semiring="count")
+
+    @pytest.mark.parametrize("semiring", ["prob", "maxtimes"])
+    def test_non_finite_value_rejected(self, semiring):
+        for bad in ("1e309", "inf", "nan"):
+            with pytest.raises(ValidationError, match="factor 0"):
+                parse_uai(UAI_PAIR.replace("2.0", bad), semiring=semiring)
 
 
 class TestSerializeUAI:

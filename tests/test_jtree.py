@@ -320,3 +320,30 @@ class TestSemiringsAndDeterminism:
             assert belief.values.tobytes() == second.variable_beliefs[vid].values.tobytes()
         for cid, belief in first.clique_beliefs.items():
             assert belief.data.tobytes() == second.clique_beliefs[cid].data.tobytes()
+
+    def test_separator_sums_are_ascending_left_folds(self):
+        # every separator entry is acc = x[0]; acc = acc + x[i] over the
+        # other members' index tuples in ascending row-major order
+        from itertools import product
+
+        from spiderbp.jtree import _sum_onto
+
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            k = int(rng.integers(2, 5))
+            dims = tuple(int(d) for d in rng.integers(2, 5, k))
+            members = tuple(sorted(int(v) for v in rng.choice(20, k, replace=False)))
+            sep = tuple(sorted(int(v) for v in rng.choice(members, int(rng.integers(1, k)), replace=False)))
+            arr = rng.random(dims) * 10.0 ** rng.integers(-4, 5, dims)
+            keep = [members.index(v) for v in sep]
+            rest = [i for i in range(k) if i not in keep]
+            got = _sum_onto(PROB, arr, members, sep)
+            for s in product(*(range(dims[i]) for i in keep)):
+                acc = None
+                for r in product(*(range(dims[i]) for i in rest)):
+                    index = [0] * k
+                    for i, x in zip(keep + rest, s + r):
+                        index[i] = x
+                    x = float(arr[tuple(index)])
+                    acc = x if acc is None else acc + x
+                assert float(got[s]).hex() == acc.hex()

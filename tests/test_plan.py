@@ -428,9 +428,9 @@ def reference_z(g, semiring, state, root=None):
         if g.mode is GraphMode.BIPARTITE:
             z = full_contraction(semiring, v.tensor, incoming)
         elif incoming:
-            z = semiring.fold_add(hadamard(semiring, incoming).values)
+            z = semiring.fold(hadamard(semiring, incoming).values, 0).item()
         else:
-            z = semiring.fold_add(semiring.ones((v.dim,)))
+            z = semiring.fold(semiring.ones((v.dim,)), 0).item()
         total = semiring.mul(total, z)
     return total
 
