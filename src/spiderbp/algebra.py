@@ -83,10 +83,9 @@ class Semiring:
     """Base contract every scalar algebra fulfils.
 
     Subclasses set ``name``, ``zero``, ``one``, ``dtype`` and implement the
-    scalar ops. The array-level helpers below are what the tensor and engine
-    layers actually call; they default to broadcasting the scalar ops via
-    numpy ufuncs and only need overriding when a faster elementwise kernel
-    exists.
+    scalar ops and their elementwise array forms ``array_add`` and
+    ``array_mul``, which are what the tensor and engine layers actually
+    call.
     """
 
     name = "?"
@@ -152,12 +151,6 @@ class Semiring:
     def ones(self, shape):
         return self.full(shape, self.one)
 
-    def array_add(self, a, b):
-        return np.frompyfunc(self.add, 2, 1)(a, b)
-
-    def array_mul(self, a, b):
-        return np.frompyfunc(self.mul, 2, 1)(a, b)
-
     def fold(self, arr, axis):
         """Semiring sum of ``arr`` along ``axis``, as a new array without it.
 
@@ -221,9 +214,6 @@ class Semiring:
 
     def value_to_json(self, a):
         return a
-
-    def value_from_json(self, x):
-        return self.coerce_scalar(x)
 
 
 class ProbSemiring(Semiring):
@@ -453,6 +443,13 @@ class DualSemiring(Semiring):
     def mul(self, a, b):
         return a * b
 
+    def array_add(self, a, b):
+        # object arrays: numpy calls DualNumber.__add__ per element, in order
+        return np.add(a, b)
+
+    def array_mul(self, a, b):
+        return np.multiply(a, b)
+
     def distance(self, a, b):
         # a nan in either part is a nan gap; max() would drop it second
         real, eps = abs(a.real - b.real), abs(a.eps - b.eps)
@@ -511,19 +508,6 @@ def get_semiring(name):
     except KeyError:
         known = ", ".join(sorted(SEMIRINGS))
         raise ValueError(f"unknown semiring {name!r}; known: {known}") from None
-
-
-def normalize_message(semiring, values):
-    """Rescale a message vector so its aggregate equals the unit.
-
-    Raises ZeroMessageError (carrying the unchanged input) when the
-    aggregate is the semiring zero, and ValueError when the semiring has
-    no notion of rescaling at all.
-    """
-    semiring = get_semiring(semiring)
-    if not semiring.has_normalize:
-        raise ValueError(f"semiring {semiring.name!r} does not support normalization")
-    return semiring.normalize(np.asarray(values, dtype=semiring.dtype))
 
 
 @dataclass

@@ -18,14 +18,16 @@ reached within diameter sweeps. ``tree`` performs the classic two passes,
 leaves to root then root to leaves, and is exact on trees in a single
 execution.
 
-Both schedules run on one plan (``_Plan``), compiled once per run: each
+Both schedules run on one plan (``_Plan``), compiled once per run. Every
 wire gets an integer row in one packed ``(wires, dim)`` array per dim and
-direction, variables are grouped by (dim, degree) and tensors stacked by
-shape, so an update is a few batched semiring array operations per group.
-A ``sync`` sweep updates every row at once. ``tree`` gives each directed
-wire a level (1 + the largest level among the messages it reads) and
-updates one level at a time, so every message is computed once from final
-inputs. The batched kernels apply the per-wire rules of
+direction, and a ``MessageState`` holds nothing but these arrays.
+Variables are grouped by (dim, degree) and tensors stacked by shape, and an
+update program is a list of levels of batched ops, one op per group and
+out axis at each level. ``tree`` gives each directed wire a level (1 + the
+largest level among the messages it reads) and runs the levels in order,
+in place, so every message is computed once from final inputs. A ``sync``
+sweep is the same program with every wire at level 0, run from the old
+arrays into new ones. The batched kernels apply the per-wire rules of
 ``update_variable_message`` and ``update_factor_message`` in the same
 operation order, so both schedules give the per-wire messages bit for bit;
 beliefs, contraction and decoding read the packed arrays directly. Every
@@ -37,6 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -88,42 +92,33 @@ class RunConfig:
 class MessageState:
     """Every directed message of a run plus its counters; an immutable snapshot.
 
-    ``var_to_factor[(v, f, axis)]`` and ``factor_to_var[(f, axis)]`` hold one
-    ``Message`` per directed wire. A state returned by ``sweep_synchronous``
-    or ``run_two_pass`` keeps its messages in the packed arrays of a
-    compiled plan instead and builds these two dicts once, when a caller
-    first reads them; a state built from dicts wraps them as they are.
+    The messages live in the packed ``(v2f, f2v)`` arrays of the plan that
+    computed them, and a state is only ever read against that plan's graph
+    and semiring. ``var_to_factor[(v, f, axis)]`` and
+    ``factor_to_var[(f, axis)]`` are read-only views holding one
+    ``Message`` per directed wire, built once, when a caller first reads
+    them.
     """
 
-    __slots__ = ("_v2f", "_f2v", "_plan", "_arrays", "iteration", "residual")
+    __slots__ = ("_plan", "_arrays", "_views", "iteration", "residual")
 
-    def __init__(self, var_to_factor, factor_to_var, iteration=0, residual=math.inf):
-        self._v2f = var_to_factor
-        self._f2v = factor_to_var
-        self._plan = None
-        self._arrays = None
+    def __init__(self, plan, arrays, iteration=0, residual=math.inf):
+        self._plan, self._arrays, self._views = plan, arrays, None
         self.iteration = iteration
         self.residual = residual
 
-    @classmethod
-    def _from_arrays(cls, plan, arrays, iteration, residual):
-        state = cls(None, None, iteration, residual)
-        state._plan, state._arrays = plan, arrays
-        return state
-
     def _unpack(self):
-        if self._v2f is None:
-            self._v2f, self._f2v = self._plan.unpack(self._arrays)
+        if self._views is None:
+            self._views = tuple(MappingProxyType(d) for d in self._plan.unpack(self._arrays))
+        return self._views
 
     @property
     def var_to_factor(self):
-        self._unpack()
-        return self._v2f
+        return self._unpack()[0]
 
     @property
     def factor_to_var(self):
-        self._unpack()
-        return self._f2v
+        return self._unpack()[1]
 
     def __repr__(self):
         return f"MessageState(iteration={self.iteration}, residual={self.residual})"
@@ -143,17 +138,8 @@ class BPResult:
 
 def init_messages(g, cfg):
     """Unit (all-ones) messages on every directed wire, iteration 0."""
-    semiring = get_semiring(cfg.semiring)
-    v2f, f2v = {}, {}
-    for fid, axis in g.wires:
-        vid = g.factor(fid).neighbors[axis]
-        obj = g.variable(vid).obj
-        unit = Message(obj, semiring.ones((obj.dim,)))
-        if cfg.normalize and semiring.has_normalize:
-            unit = Message(obj, semiring.normalize(unit.values))
-        v2f[(vid, fid, axis)] = unit
-        f2v[(fid, axis)] = unit
-    return MessageState(v2f, f2v, iteration=0, residual=math.inf)
+    plan = _Plan(g, get_semiring(cfg.semiring))
+    return MessageState(plan, plan.initial(cfg))
 
 
 def _node_axis_order(g, vid):
@@ -292,18 +278,23 @@ class _Plan:
     Every wire ``(factor id, axis)`` owns one integer row in the packed
     ``(wires, dim)`` array of its variable's dim, numbered in ``g.wires``
     order; a message array pair ``(v2f, f2v)`` maps each dim to such an
-    array per direction. Spider variables are grouped by (dim, degree), with
-    ``rows[i, k]`` the row of member i's k-th incident wire; factor tensors
-    (and bipartite node tensors) are stacked by shape.
+    array per direction, and is the only message store. Spider variables
+    are grouped by (dim, degree), with ``rows[i, k]`` the row of member i's
+    k-th incident wire; factor tensors (and bipartite node tensors) are
+    stacked by shape.
 
-    The batched kernels repeat the per-wire rules operation for operation:
-    a variable left-folds ``array_mul`` over its other wires in incidence
-    order (as ``hadamard``), a tensor multiplies messages in ascending axis
-    order and folds the remaining index tuples in row-major order (as
+    Both schedules run one kind of update program (``_levels``): a list of
+    levels, each a list of batched ops, run by ``_execute``. The ops repeat
+    the per-wire rules operation for operation: a variable left-folds
+    ``array_mul`` over its other wires in incidence order (as
+    ``hadamard``), a tensor multiplies messages in ascending axis order and
+    folds the remaining index tuples in row-major order (as
     ``contract_to_axis``). Messages, residuals and beliefs therefore equal
-    the per-wire results bit for bit. A sync sweep
-    runs every kernel on all rows at once; the two-pass schedule runs them
-    level by level on the rows whose inputs are final.
+    the per-wire results bit for bit. The sync sweep is the program with
+    every wire at level 0, compiled once per plan: one op per spider group
+    and one per (tensor group, out axis). The two-pass schedule runs the
+    program of the wires' dependency levels on the rows whose inputs are
+    final.
     """
 
     def __init__(self, g, semiring):
@@ -346,8 +337,6 @@ class _Plan:
             ]
         self.factor_groups = _tensor_groups((f.id, f.tensor, factor_rows[f.id]) for f in g.factors)
 
-    # -- packing ---------------------------------------------------------------
-
     def _empty(self):
         return {d: np.empty((n, d), dtype=self.semiring.dtype) for d, n in self.dims.items()}
 
@@ -362,14 +351,6 @@ class _Plan:
             arr[...] = unit
         return v2f, {d: arr.copy() for d, arr in v2f.items()}
 
-    def pack(self, state):
-        v2f, f2v = self._empty(), self._empty()
-        by_var, by_factor = state.var_to_factor, state.factor_to_var
-        for (fid, axis), vid, (d, r) in zip(self.g.wires, self.wire_vars, self.wire_rows):
-            v2f[d][r] = by_var[(vid, fid, axis)].values
-            f2v[d][r] = by_factor[(fid, axis)].values
-        return v2f, f2v
-
     def unpack(self, arrays):
         v2f, f2v = arrays
         by_var, by_factor = {}, {}
@@ -379,61 +360,109 @@ class _Plan:
             by_factor[(fid, axis)] = Message(obj, f2v[d][r])
         return by_var, by_factor
 
-    # -- one sync sweep ----------------------------------------------------------
+    def _first_wire(self, masks):
+        """Smallest ``g.wires`` index among the rows a dim -> mask map sets, or None."""
+        hits = [int(self.position[d][mask].min()) for d, mask in masks.items() if mask.any()]
+        return min(hits, default=None)
 
-    def sweep(self, arrays, cfg):
-        """New (v2f, f2v) arrays from the old ones, plus the residual."""
-        v2f, f2v = arrays
-        new_v2f = self._empty()
-        for d, _ids, rows in self.var_groups:
-            if rows.shape[1]:  # an isolated variable sends nothing
-                self._spider_update(d, rows, f2v[d], new_v2f[d])
-        for group in self.node_groups:
-            self._contract(group, f2v, new_v2f)
-        new_v2f = self._normalize_and_damp("v2f", new_v2f, v2f, cfg)
-        new_f2v = self._empty()
-        for group in self.factor_groups:
-            self._contract(group, v2f, new_f2v)
-        new_f2v = self._normalize_and_damp("f2v", new_f2v, f2v, cfg)
-        residual = max(self._residual(new_v2f, v2f), self._residual(new_f2v, f2v))
-        return (new_v2f, new_f2v), residual
+    # -- the update program ------------------------------------------------------
 
-    def _spider_update(self, d, rows, incoming, out):
-        k = rows.shape[1]
-        if k == 1:
-            out[rows[:, 0]] = self.semiring.ones((d,))
-            return
-        # others[i * k + p, j]: message on member i's j-th wire other than wire p
-        leave_out = [[q for q in range(k) if q != p] for p in range(k)]
-        others = incoming[rows[:, leave_out]].reshape(-1, k - 1, d)
-        out[rows.reshape(-1)] = _fold_mul(self.semiring, others)
+    def _execute(self, program, src, dst, normalize=False):
+        """Run a program's ops level by level, reading ``src`` and writing ``dst``.
 
-    def _contract(self, group, src, dst):
-        msgs = [src[d][r] for d, r in zip(group.shape, group.rows)]
-        for target, d in enumerate(group.shape):
-            dst[d][group.rows[target]] = group.contract(self.semiring, target, group.tensors, msgs)
-
-    def _normalize_and_damp(self, kind, new, old, cfg):
-        """Normalize and damp fresh messages as the per-wire rules do.
-
-        The first dead row in ``g.wires`` order raises ContradictionError
-        for its wire, before anything is divided by zero.
+        Both are (v2f, f2v) array pairs: a v2f op reads f2v rows and an f2v
+        op reads v2f rows. With ``normalize`` every op rescales its rows
+        before writing them, and the result lists (kind, dim, out rows,
+        dead-row mask) per op; without, it is empty.
         """
         semiring = self.semiring
-        if cfg.normalize and semiring.has_normalize:
-            first = None
-            for d, rows in new.items():
-                new[d], dead = semiring._normalize_rows(rows)
-                if dead.any():
-                    pos = int(self.position[d][dead].min())
-                    first = pos if first is None else min(first, pos)
-            if first is not None:
-                raise ContradictionError((kind,) + self.g.wires[first])
-        if cfg.damping != 0.0:
-            lam = cfg.damping
-            for d in new:
-                new[d] = (1.0 - lam) * new[d] + lam * old[d]
-        return new
+        gone = []
+        for ops in program:
+            for kind, d, out, group, arg in ops:
+                k = 0 if kind == "v2f" else 1
+                reads = src[1 - k]
+                if group is None:
+                    values = semiring.ones((len(out), d)) if arg is None else _fold_mul(semiring, reads[d][arg])
+                else:
+                    target, members, msg_rows = arg
+                    msgs = [None if r is None else reads[dd][r] for dd, r in zip(group.shape, msg_rows)]
+                    values = group.contract(semiring, target, group.tensors[members], msgs)
+                if normalize:
+                    values, dead = semiring._normalize_rows(values)
+                    gone.append((kind, d, out, dead))
+                dst[k][d][out] = values
+        return gone
+
+    def _levels(self, v2f_levels, f2v_levels):
+        """The update program for given wire levels (dim -> level per row).
+
+        An op is (kind, dim, out rows, tensor group or None, argument): a
+        spider variable op folds the f2v rows ``argument`` (None: the unit),
+        a tensor op contracts ``argument`` = (target axis, members, message
+        rows per axis) of its group. An op that covers its whole group
+        takes the members as a slice, so the stacked tensors are not copied.
+        """
+        ops = []
+        for d, _ids, rows in self.var_groups:
+            k = rows.shape[1]
+            if k == 1:  # a leaf variable sends the unit, at level 0
+                ops.append((0, ("v2f", d, rows[:, 0], None, None)))
+            elif k > 1:
+                leave_out = [[q for q in range(k) if q != p] for p in range(k)]
+                out = rows.reshape(-1)
+                order, runs = _by_level(v2f_levels[d][out])
+                out, others = out[order], rows[:, leave_out].reshape(-1, k - 1)[order]
+                ops.extend((level, ("v2f", d, out[run], None, others[run])) for level, run in runs)
+        for kind, groups, levels in (
+            ("v2f", self.node_groups, v2f_levels),
+            ("f2v", self.factor_groups, f2v_levels),
+        ):
+            for group in groups:
+                for target, d in enumerate(group.shape):
+                    order, runs = _by_level(levels[d][group.rows[target]])
+                    rows = [r[order] for r in group.rows]
+                    for level, run in runs:
+                        members = slice(None) if len(runs) == 1 else order[run]
+                        msg_rows = [None if a == target else r[run] for a, r in enumerate(rows)]
+                        ops.append((level, (kind, d, rows[target][run], group, (target, members, msg_rows))))
+        program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
+        for level, op in ops:
+            program[level].append(op)
+        return program
+
+    # -- one sync sweep ----------------------------------------------------------
+
+    @cached_property
+    def _sync_program(self):
+        level0 = {d: np.zeros(n, dtype=np.intp) for d, n in self.dims.items()}
+        return self._levels(level0, level0)
+
+    def sweep(self, arrays, cfg):
+        """New (v2f, f2v) arrays from the old ones, plus the residual.
+
+        Runs the level-0 program from the old arrays into new ones, then
+        normalizes and damps per config as the per-wire rules do. The first
+        dead row raises ContradictionError for its wire, every v2f row in
+        ``g.wires`` order before every f2v row, before anything is divided
+        by zero.
+        """
+        semiring = self.semiring
+        new = self._empty(), self._empty()
+        self._execute(self._sync_program, arrays, new)
+        for kind, fresh, old in zip(("v2f", "f2v"), new, arrays):
+            if cfg.normalize and semiring.has_normalize:
+                dead = {}
+                for d, rows in fresh.items():
+                    fresh[d], dead[d] = semiring._normalize_rows(rows)
+                first = self._first_wire(dead)
+                if first is not None:
+                    raise ContradictionError((kind,) + self.g.wires[first])
+            if cfg.damping != 0.0:
+                lam = cfg.damping
+                for d in fresh:
+                    fresh[d] = (1.0 - lam) * fresh[d] + lam * old[d]
+        residual = max(self._residual(new[0], arrays[0]), self._residual(new[1], arrays[1]))
+        return new, residual
 
     def _residual(self, new, old):
         """Largest componentwise gap between two message arrays.
@@ -461,23 +490,9 @@ class _Plan:
         every message from the first dead wire of ``two_pass_schedule`` on
         is reset to the unit, which is the state the per-wire run halts in.
         """
-        semiring = self.semiring
-        normalize = cfg.normalize and semiring.has_normalize
-        arrays = v2f, f2v = self.initial(cfg)
-        gone = []  # (kind, dim, out rows, dead-row mask) of each normalized op
-        for ops in self._levels():
-            for kind, d, out, group, arg in ops:
-                if group is None:
-                    values = semiring.ones((len(out), d)) if arg is None else _fold_mul(semiring, f2v[d][arg])
-                else:
-                    target, members, msg_rows = arg
-                    src = f2v if kind == "v2f" else v2f
-                    msgs = [None if r is None else src[dd][r] for dd, r in zip(group.shape, msg_rows)]
-                    values = group.contract(semiring, target, group.tensors[members], msgs)
-                if normalize:
-                    values, dead = semiring._normalize_rows(values)
-                    gone.append((kind, d, out, dead))
-                (v2f if kind == "v2f" else f2v)[d][out] = values
+        arrays = self.initial(cfg)
+        normalize = cfg.normalize and self.semiring.has_normalize
+        gone = self._execute(self._levels(*self._wire_levels()), arrays, arrays, normalize)
         if not gone or not np.concatenate([dead for *_op, dead in gone]).any():
             return arrays, None
         return arrays, self._halt(arrays, cfg, root, gone)
@@ -500,42 +515,6 @@ class _Plan:
             k = 0 if kind == "v2f" else 1
             arrays[k][d][r] = unit[k][d][r]
         return schedule[at]
-
-    def _levels(self):
-        """The two-pass updates as batched ops, one list per level.
-
-        An op is (kind, dim, out rows, tensor group or None, argument): a
-        spider variable op folds the f2v rows ``argument`` (None: the unit),
-        a tensor op contracts ``argument`` = (target axis, members, message
-        rows per axis) of its group.
-        """
-        v2f_levels, f2v_levels = self._wire_levels()
-        ops = []
-        for d, _ids, rows in self.var_groups:
-            k = rows.shape[1]
-            if k == 1:  # a leaf variable sends the unit
-                ops.append((0, ("v2f", d, rows[:, 0], None, None)))
-            elif k > 1:
-                leave_out = [[q for q in range(k) if q != p] for p in range(k)]
-                out = rows.reshape(-1)
-                order, runs = _by_level(v2f_levels[d][out])
-                out, others = out[order], rows[:, leave_out].reshape(-1, k - 1)[order]
-                ops.extend((level, ("v2f", d, out[run], None, others[run])) for level, run in runs)
-        for kind, groups, levels in (
-            ("v2f", self.node_groups, v2f_levels),
-            ("f2v", self.factor_groups, f2v_levels),
-        ):
-            for group in groups:
-                for target, d in enumerate(group.shape):
-                    order, runs = _by_level(levels[d][group.rows[target]])
-                    rows = [r[order] for r in group.rows]
-                    for level, run in runs:
-                        msg_rows = [None if a == target else r[run] for a, r in enumerate(rows)]
-                        ops.append((level, (kind, d, rows[target][run], group, (target, order[run], msg_rows))))
-        program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
-        for level, op in ops:
-            program[level].append(op)
-        return program
 
     def _wire_levels(self):
         """Level of every directed wire, as dim -> level per packed row.
@@ -653,45 +632,37 @@ class _Plan:
     def first_zero_wire(self, arrays):
         """First all-zero message, every v2f in wire order before every f2v."""
         for kind, packed in zip(("v2f", "f2v"), arrays):
-            first = None
-            for d, rows in packed.items():
-                zero = (rows == self.semiring.zero).all(axis=1)
-                if zero.any():
-                    pos = int(self.position[d][zero].min())
-                    first = pos if first is None else min(first, pos)
+            first = self._first_wire({d: (rows == self.semiring.zero).all(axis=1) for d, rows in packed.items()})
             if first is not None:
                 return (kind,) + self.g.wires[first]
         return None
 
 
 def _plan_and_arrays(g, semiring, state):
-    """The state's compiled plan and packed messages.
-
-    A state without them for this graph and semiring (one built from
-    dicts) is compiled and packed once; the result is kept on the state.
-    """
+    """The state's compiled plan and packed messages, for its own graph and semiring."""
     plan = state._plan
-    if plan is None or plan.g is not g or plan.semiring is not semiring:
-        plan = _Plan(g, semiring)
-        state._plan, state._arrays = plan, plan.pack(state)
+    if plan.g is not g:
+        raise ValidationError("the message state was computed on another graph")
+    if plan.semiring is not semiring:
+        raise ValidationError(f"the message state holds {plan.semiring.name} messages, not {semiring.name}")
     return plan, state._arrays
 
 
 def sweep_synchronous(g, state, cfg):
     """One Jacobi sweep: every message recomputed from the old snapshot.
 
-    Runs on the compiled plan: batched variable updates, then batched
-    factor updates, each normalized and damped per config; a dead message
-    raises ContradictionError for the first such wire, every v2f wire in
-    ``g.wires`` order before every f2v wire. A state from an earlier sweep
-    is used as it is; any other state is compiled and packed first. The
-    returned state's ``residual`` is the largest componentwise change
+    Runs the state's plan at level 0: every variable and factor update at
+    once, normalized and damped per config; a dead message raises
+    ContradictionError for the first such wire, every v2f wire in
+    ``g.wires`` order before every f2v wire. The state must come from this
+    graph and semiring (ValidationError otherwise). The returned state's
+    ``residual`` is the largest componentwise change
     (after normalization and damping), which doubles as an exact change
     flag for the exact semirings.
     """
     plan, arrays = _plan_and_arrays(g, get_semiring(cfg.semiring), state)
     arrays, residual = plan.sweep(arrays, cfg)
-    return MessageState._from_arrays(plan, arrays, state.iteration + 1, residual)
+    return MessageState(plan, arrays, state.iteration + 1, residual)
 
 
 def two_pass_schedule(g, root=None):
@@ -773,7 +744,7 @@ def run_two_pass(g, cfg, root=None):
     plan = _Plan(g, get_semiring(cfg.semiring))
     arrays, halted_wire = plan.two_pass(cfg, root)
     residual = 0.0 if halted_wire is None else math.inf
-    return MessageState._from_arrays(plan, arrays, 1, residual), halted_wire
+    return MessageState(plan, arrays, 1, residual), halted_wire
 
 
 def beliefs(g, state, cfg):
@@ -803,7 +774,9 @@ def run_bp(g, cfg, root=None):
     failed probe counts as a normal sweep and iteration continues. If the
     budget runs out before certification the run reports not converged even
     though the last residual may sit at or below ``tol``.
-    The tree schedule executes its two passes once and is exact.
+    The tree schedule executes its two passes once and is exact. Count
+    messages grow without bound around a cycle, so count under ``sync``
+    needs a cycle-free graph (ValidationError otherwise).
 
     A normalized run that hits an all-zero aggregate stops early and flags
     ``contradiction`` with the offending wire; partial beliefs are still
@@ -814,6 +787,11 @@ def run_bp(g, cfg, root=None):
     report = validate_graph(g)
     report.raise_if_invalid()
     semiring = get_semiring(cfg.semiring)
+    if semiring.name == "count" and cfg.schedule == "sync" and not tree_info(g).is_tree:
+        raise ValidationError(
+            "count under the sync schedule needs a cycle-free graph: exact counts grow every "
+            "sweep around a cycle; count on a tree with --schedule tree, or on any graph with jtree"
+        )
     contradiction_wire = None
     if cfg.schedule == "tree":
         state, halted_wire = run_two_pass(g, cfg, root)
@@ -831,8 +809,7 @@ def run_bp(g, cfg, root=None):
             )
         converged, iterations = True, 1
     else:
-        plan = _Plan(g, semiring)
-        state = MessageState._from_arrays(plan, plan.initial(cfg), 0, math.inf)
+        state = init_messages(g, cfg)
         converged = False
         iterations = 0
         try:
@@ -876,8 +853,7 @@ def run_bp(g, cfg, root=None):
     if semiring.name == "bool":
         # dead support can hide in a belief even when every wire message
         # still has a true entry, so scan both
-        plan, arrays = _plan_and_arrays(g, semiring, state)
-        contradiction_wire = plan.first_zero_wire(arrays)
+        contradiction_wire = state._plan.first_zero_wire(state._arrays)
         if contradiction_wire is None:
             for vid in sorted(var_b):
                 values = var_b[vid].values if hasattr(var_b[vid], "values") else var_b[vid].data

@@ -15,7 +15,6 @@ from spiderbp import (
     ZeroMessageError,
     check_semiring_axioms,
     get_semiring,
-    normalize_message,
 )
 
 ALL_NAMES = ("prob", "maxtimes", "bool", "count", "dual")
@@ -211,6 +210,22 @@ class TestArrayOps:
         a = DUAL.coerce([[1.0, 1.0]])
         b = DUAL.coerce([[2.0, 0.0]])
         assert DUAL.array_mul(a, b).tolist() == [DualNumber(2.0, 2.0)]
+        rng = np.random.default_rng(41)
+
+        def duals(shape):
+            out = np.empty(shape, dtype=object)
+            out.reshape(-1)[:] = [DUAL.random_scalar(rng) for _ in range(out.size)]
+            return out
+
+        pairs = [(duals((3,)), duals((3,))), (duals((4, 3)), duals((3,))), (duals((2, 1)), duals((1, 5)))]
+        pairs += [(duals((3,)), DUAL.random_scalar(rng)), (duals(()), duals(()))]
+        for x, y in pairs:
+            for array_op, op in ((DUAL.array_add, DUAL.add), (DUAL.array_mul, DUAL.mul)):
+                got = np.asarray(array_op(x, y), dtype=object)
+                xs, ys = np.broadcast_arrays(np.asarray(x, dtype=object), np.asarray(y, dtype=object))
+                want = [op(p, q) for p, q in zip(xs.ravel().tolist(), ys.ravel().tolist())]
+                assert got.shape == xs.shape
+                assert [repr(z) for z in got.ravel().tolist()] == [repr(z) for z in want]
 
     def test_fold_add_is_left_to_right(self):
         xs = np.array([0.1, 0.2, 0.3, 0.4])
@@ -341,30 +356,25 @@ class TestFoldContract:
 
 class TestNormalize:
     def test_prob_normalizes_to_unit_sum(self):
-        out = normalize_message("prob", [0.2, 0.3, 0.5])
+        out = get_semiring("prob").normalize([0.2, 0.3, 0.5])
         assert np.allclose(out, [0.2, 0.3, 0.5])
-        out = normalize_message("prob", [1.0, 3.0])
+        out = get_semiring("prob").normalize([1.0, 3.0])
         assert np.allclose(out, [0.25, 0.75])
 
     def test_maxtimes_normalizes_to_unit_max(self):
-        out = normalize_message("maxtimes", [0.2, 0.8])
+        out = get_semiring("maxtimes").normalize([0.2, 0.8])
         assert np.allclose(out, [0.25, 1.0])
 
     def test_dual_divides_both_components_by_real_mass(self):
-        out = normalize_message("dual", [DualNumber(1.0, 1.0), DualNumber(3.0, 0.0)])
+        values = DUAL.coerce([DualNumber(1.0, 1.0), DualNumber(3.0, 0.0)])
+        out = get_semiring("dual").normalize(values)
         assert out.tolist() == [DualNumber(0.25, 0.25), DualNumber(0.75, 0.0)]
 
     def test_zero_vector_raises_with_payload(self):
         for name in ("prob", "maxtimes"):
             with pytest.raises(ZeroMessageError) as exc:
-                normalize_message(name, [0.0, 0.0])
+                get_semiring(name).normalize([0.0, 0.0])
             assert list(exc.value.values) == [0.0, 0.0]
-
-    def test_unsupported_semirings(self):
-        with pytest.raises(ValueError, match="does not support"):
-            normalize_message("bool", [True, False])
-        with pytest.raises(ValueError, match="does not support"):
-            normalize_message("count", [1, 2])
 
 
 class TestRender:
@@ -377,13 +387,6 @@ class TestRender:
 
 
 class TestJSONValues:
-    def test_round_trips(self):
-        assert PROB.value_from_json(PROB.value_to_json(0.125)) == 0.125
-        assert COUNT.value_from_json(COUNT.value_to_json(10**25)) == 10**25
-        assert BOOL.value_from_json(BOOL.value_to_json(True)) is True
-        d = DualNumber(1.5, -2.0)
-        assert DUAL.value_from_json(DUAL.value_to_json(d)) == d
-
     def test_dual_encodes_as_pair(self):
         assert DUAL.value_to_json(DualNumber(1.0, 2.0)) == [1.0, 2.0]
 

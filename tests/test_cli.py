@@ -127,6 +127,20 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "run", "--input", path)
         assert code == 2
 
+    def test_count_sync_on_a_cycle_is_2(self, tmp_path, capsys):
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        doc = {
+            "variables": [{"id": i, "dim": 2} for i in range(4)],
+            "factors": [{"id": i, "neighbors": list(p), "values": [1, 1, 1, 1]} for i, p in enumerate(pairs)],
+        }
+        path = write(tmp_path, doc)
+        code, _, err = run_cli(capsys, "run", "--input", path, "--semiring", "count", "--max-iters", "30")
+        assert code == 2
+        assert "--schedule tree" in err and "jtree" in err
+        code, out, _ = run_cli(capsys, "jtree", "--input", path, "--semiring", "count")
+        assert code == 0
+        assert json.loads(out)["contraction_value"] == 16
+
     def test_non_finite_value_is_2(self, tmp_path, capsys):
         native = write(tmp_path, json.dumps(GOOD).replace("2.0", "1e309"))
         uai = write(tmp_path, UAI_PAIR.replace("2.0", "1e309"), "g.uai")

@@ -26,11 +26,15 @@ from spiderbp import (
     exact_marginal,
     init_messages,
     run_bp,
+    run_junction_tree,
+    sweep_synchronous,
     tree_info,
     two_pass_schedule,
 )
+from spiderbp import engine
+from spiderbp.engine import beliefs, contraction_from_state
 
-from fixtures import brute_force_count, random_tree, random_tree_csp
+from fixtures import brute_force_count, random_loopy, random_tree, random_tree_csp
 
 
 def normalized(values):
@@ -491,3 +495,86 @@ class TestValidationGate:
         )
         with pytest.raises(ValidationError):
             run_bp(bad, RunConfig())
+
+
+def k4(semiring=COUNT):
+    """Four binary variables, an all-ones table on every pair."""
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    return build_graph([2] * 4, [(pair, [1] * 4) for pair in pairs], semiring)
+
+
+def spin_glass_grid(rng, n):
+    """An n x n binary grid with random couplings and fields."""
+    factors = []
+    for i in range(n * n):
+        r, c = divmod(i, n)
+        for j in ([i + 1] if c + 1 < n else []) + ([i + n] if r + 1 < n else []):
+            coupling = rng.normal()
+            factors.append(((i, j), np.exp([coupling, -coupling, -coupling, coupling]).tolist()))
+        field = rng.normal()
+        factors.append(((i,), np.exp([field, -field]).tolist()))
+    return build_graph([2] * (n * n), factors, PROB)
+
+
+class TestMessageState:
+    def test_another_graph_or_semiring_is_rejected(self):
+        g, twin = (random_loopy(np.random.default_rng(51)) for _ in range(2))
+        cfg = RunConfig()
+        state = run_bp(g, cfg).state
+        maxtimes = RunConfig(semiring="maxtimes")
+        for other, read_as in ((twin, cfg), (g, maxtimes)):
+            with pytest.raises(ValidationError):
+                beliefs(other, state, read_as)
+            with pytest.raises(ValidationError):
+                decode_map(other, state, read_as.semiring)
+            with pytest.raises(ValidationError):
+                contraction_from_state(other, read_as.semiring, state)
+            with pytest.raises(ValidationError):
+                sweep_synchronous(other, state, read_as)
+        beliefs(g, state, cfg)  # its own graph and semiring are fine
+
+    def test_message_views_are_read_only(self):
+        state = init_messages(chain3(), RunConfig())
+        with pytest.raises(TypeError):
+            state.var_to_factor[(0, 0, 0)] = None
+        with pytest.raises(TypeError):
+            state.factor_to_var[(0, 0)] = None
+
+    def test_one_sync_sweep_runs_one_op_per_group_and_axis(self, monkeypatch):
+        g = spin_glass_grid(np.random.default_rng(52), 10)
+        cfg = RunConfig()
+        plan = engine._Plan(g, PROB)
+        folds, contracts = [], []
+        fold_mul, contract = engine._fold_mul, engine._TensorGroup.contract
+
+        def counted_fold(semiring, msgs):
+            folds.append(msgs.shape)
+            return fold_mul(semiring, msgs)
+
+        def counted_contract(group, *args):
+            contracts.append(group.shape)
+            return contract(group, *args)
+
+        monkeypatch.setattr(engine, "_fold_mul", counted_fold)
+        monkeypatch.setattr(engine._TensorGroup, "contract", counted_contract)
+        sweep_synchronous(g, init_messages(g, cfg), cfg)
+        assert len(folds) == sum(rows.shape[1] >= 2 for _d, _ids, rows in plan.var_groups) == 3
+        assert sorted(contracts) == sorted(group.shape for group in plan.factor_groups for _axis in group.shape)
+        assert len(contracts) == 3  # (2, 2) tables on both axes, (2,) fields
+
+
+class TestCountNeedsATreeUnderSync:
+    def test_count_sync_on_a_cycle_is_a_validation_error(self):
+        g = k4()
+        for max_iters in (30, 1000):
+            with pytest.raises(ValidationError, match="--schedule tree.*jtree"):
+                run_bp(g, RunConfig(semiring="count", max_iters=max_iters))
+        assert run_junction_tree(g, RunConfig(semiring="count")).contraction_value == 16
+
+    def test_count_trees_and_other_semirings_still_run(self):
+        rng = np.random.default_rng(53)
+        for _ in range(5):
+            assert run_bp(random_tree(rng, "count"), RunConfig(semiring="count")).converged
+        assert run_bp(k4(PROB), RunConfig()).converged
+        assert run_bp(k4(BOOL), RunConfig(semiring="bool")).converged
+
