@@ -47,6 +47,7 @@ in ``_normalize_rows``, and ``normalize`` is its one-row case.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from itertools import product
 
@@ -241,13 +242,27 @@ class ProbSemiring(Semiring):
         return int(a > b) - int(a < b)
 
     def coerce_scalar(self, x):
-        v = float(x)
+        v = self._real(x)
         if not 0.0 <= v < math.inf:
             raise ValueError(f"{self.name} values must be finite nonnegative reals, got {x!r}")
         return v
 
+    def _real(self, x):
+        # float() of None, a list or an int past float range is a
+        # ValueError here, like any other value out of the domain
+        try:
+            return float(x)
+        except (TypeError, OverflowError):
+            raise ValueError(
+                f"{self.name} values must be finite nonnegative reals, got {reprlib.repr(x)}"
+            ) from None
+
     def coerce(self, values):
-        out = np.asarray([float(x) for x in values], dtype=np.float64)
+        try:
+            reals = list(map(float, values))
+        except (TypeError, OverflowError):
+            reals = [self._real(x) for x in values]  # raises at the same value
+        out = np.array(reals, dtype=np.float64)
         ok = (out >= 0.0) & (out < math.inf)
         if not ok.all():
             bad = float(out[~ok][0])
@@ -406,6 +421,16 @@ class NatCountSemiring(Semiring):
             raise ValueError(f"count values must be nonnegative integers, got {x!r}")
         return v
 
+    def coerce(self, values):
+        values = list(values)
+        if set(map(type, values)) <= {int} and (not values or min(values) >= 0):
+            # plain nonnegative ints pass through unchanged, as coerce_scalar
+            # would return them
+            out = np.empty(len(values), dtype=object)
+            out[:] = values
+            return out
+        return super().coerce(values)
+
     def array_add(self, a, b):
         return np.add(a, b)
 
@@ -462,14 +487,23 @@ class DualSemiring(Semiring):
         if isinstance(x, DualNumber):
             v = x
         elif isinstance(x, (list, tuple)) and len(x) == 2:
-            v = DualNumber(float(x[0]), float(x[1]))
+            v = DualNumber(self._part(x, x[0]), self._part(x, x[1]))
         elif isinstance(x, (int, float, np.floating, np.integer)):
-            v = DualNumber(float(x), 0.0)
+            v = DualNumber(self._part(x, x), 0.0)
         else:
             raise ValueError(f"dual values must be [a, b] pairs or numbers, got {x!r}")
         if not (math.isfinite(v.real) and math.isfinite(v.eps)):
             raise ValueError(f"dual values must be finite, got {x!r}")
         return v
+
+    def _part(self, x, part):
+        # float() of None or an int past float range, as a domain error
+        try:
+            return float(part)
+        except (TypeError, OverflowError):
+            raise ValueError(
+                f"dual values must be [a, b] pairs or numbers, got {reprlib.repr(x)}"
+            ) from None
 
     def _normalize_rows(self, rows):
         # Rescaling by the real mass keeps the derivative information

@@ -20,6 +20,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -72,7 +73,10 @@ def _diag(level, message, **extra):
     sys.stderr.write(json.dumps(record) + "\n")
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process: parsing keeps no state
+    in it between calls."""
     common = _Parser(add_help=False)
     common.add_argument("--input", help="path to the factor-graph file")
     common.add_argument(

@@ -52,7 +52,7 @@ from .errors import (
     ValidationError,
     ZeroMessageError,
 )
-from .graph import GraphMode, components, tree_info, validate_graph
+from .graph import GraphMode, _carry_verdict, _ensure_valid, components, tree_info
 from .tensor import DenseTensor, Message, contract_to_axis, full_contraction, hadamard
 
 SCHEDULES = ("sync", "tree")
@@ -784,8 +784,7 @@ def run_bp(g, cfg, root=None):
     support dies; they flag ``contradiction`` with the first dead wire and
     their all-false beliefs are exact.
     """
-    report = validate_graph(g)
-    report.raise_if_invalid()
+    _ensure_valid(g)
     semiring = get_semiring(cfg.semiring)
     if semiring.name == "count" and cfg.schedule == "sync" and not tree_info(g).is_tree:
         raise ValidationError(
@@ -897,8 +896,7 @@ def contraction_value(g, cfg=None, root=None):
     if cfg.normalize:
         raise ValidationError("contraction requires normalize=False (raw mass must survive)")
     semiring = get_semiring(cfg.semiring)
-    report = validate_graph(g)
-    report.raise_if_invalid()
+    _ensure_valid(g)
     state, _ = run_two_pass(g, cfg, root)  # unnormalized: never halts
     return contraction_from_state(g, semiring, state, root)
 
@@ -986,7 +984,9 @@ def dual_seed(g, factor_id, entry_index):
         VariableNode(v.id, v.obj, lift(v.tensor) if v.tensor is not None else None)
         for v in g.variables
     )
-    return FactorGraph(variables, factors, mode=g.mode)
+    # lifting keeps every id, wire and shape, so a valid input needs no
+    # second validation
+    return _carry_verdict(FactorGraph(variables, factors, mode=g.mode), g)
 
 
 def evaluate_assignment(g, semiring, assignment):

@@ -19,14 +19,30 @@ structurally identical.
 The UAI format is the plain-text MARKOV network layout: a preamble token,
 variable count, cardinalities, clique scopes, then one table per clique.
 BAYES files are accepted as plain factor tables with a warning; other
-preambles are rejected.
+preambles are rejected. A UAI file is split into tokens once; a token's
+byte offset is computed only for an error message.
+
+Tables are read in bulk. Under prob, maxtimes and count every table of a
+file goes through one conversion and one ``coerce``, and each factor's
+tensor is a read-only slice of that one array. Count entries stay exact
+Python ints in both formats: a UAI integer token is read with ``int``, so
+``9007199254740993`` is not rounded to a float (``2.0`` still reads as 2,
+``2.5`` is still rejected). Bool and dual tables, nested lists and any
+file with a bad table are read table by table through
+``DenseTensor.from_values``, so every error is the one that table alone
+raises: factor i's unknown-variable, value and size checks all run before
+factor i+1 is looked at, and the first error in file order wins. A parsed
+graph is validated once; ``run_bp`` and the other entry points reuse the
+verdict.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
+from itertools import accumulate, chain, islice
 
 from .algebra import get_semiring
 from .errors import (
@@ -42,11 +58,13 @@ from .graph import (
     GraphMode,
     ObjectType,
     VariableNode,
-    validate_graph,
+    _ensure_valid,
 )
-from .tensor import DenseTensor
+from .tensor import DEFAULT_TENSOR_CAP, DenseTensor
 
 _TOP_KEYS = ("semiring_hint", "variables", "factors", "mode")
+_FACTOR_KEYS = ("id", "neighbors", "values")
+_INT = frozenset((int,))
 
 
 def resolve_semiring(requested, hint, payload_sample):
@@ -62,13 +80,52 @@ def resolve_semiring(requested, hint, payload_sample):
     return get_semiring("prob")
 
 
-def _require_keys(obj, allowed, required, where):
+def _require_keys(obj, allowed, required, where, index=None):
+    if all(map(allowed.__contains__, obj)) and all(map(obj.__contains__, required)):
+        return
+    if index is not None:
+        where = f"{where}[{index}]"
     for key in obj:
         if key not in allowed:
             raise ParseError(f"unknown key {key!r} at {where}")
     for key in required:
         if key not in obj:
             raise ParseError(f"missing key {key!r} at {where}")
+
+
+#: semirings whose tables are converted and coerced in one call per file
+_BULK = ("prob", "maxtimes", "count")
+
+
+def _bulk(sr, shapes, flat):
+    """One tensor per shape, cut in order from one flat list of entries.
+
+    The entries go through one ``coerce``, and each tensor is a read-only
+    slice of the result. Returns None when a table is over the size cap or
+    an entry does not coerce: the caller then reads table by table, which
+    raises the first error in file order.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    if sizes and max(sizes) > DEFAULT_TENSOR_CAP:
+        return None
+    try:
+        data = sr.coerce(flat)
+    except ValueError:
+        return None
+    data.flags.writeable = False
+    return [
+        DenseTensor._wrap(shape, data[end - size : end])
+        for shape, size, end in zip(shapes, sizes, accumulate(sizes))
+    ]
+
+
+def _table(sr, fid, shape, values):
+    """One factor's tensor through ``DenseTensor.from_values``; a bad table
+    is a ValidationError naming the factor."""
+    try:
+        return DenseTensor.from_values(shape, values, sr)
+    except (ValueError, ShapeMismatchError) as err:
+        raise ValidationError(f"factor {fid}: {err}") from None
 
 
 def parse_native(text, semiring=None):
@@ -105,51 +162,63 @@ def parse_native(text, semiring=None):
     var_allowed = ("id", "name", "dim") + (("values",) if mode is GraphMode.BIPARTITE else ())
     variables = []
     raw_values = {}
+    # JSON gives exact types, so ``type(x) is int`` is an integer, not a bool
     for i, item in enumerate(doc["variables"]):
-        where = f"variables[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(f"expected an object at {where}")
-        _require_keys(item, var_allowed, ("id", "dim"), where)
+        if type(item) is not dict:
+            raise ParseError(f"expected an object at variables[{i}]")
+        _require_keys(item, var_allowed, ("id", "dim"), "variables", i)
         vid = item["id"]
-        if not isinstance(vid, int) or isinstance(vid, bool):
-            raise ParseError(f"id must be an integer at {where}")
-        name = item.get("name", f"v{vid}")
+        if type(vid) is not int:
+            raise ParseError(f"id must be an integer at variables[{i}]")
+        name = item["name"] if "name" in item else f"v{vid}"
         try:
             obj = ObjectType(name, item["dim"])
         except ValueError as err:
-            raise ValidationError(f"{err} at {where}") from None
+            raise ValidationError(f"{err} at variables[{i}]") from None
         variables.append(VariableNode(vid, obj))
         if "values" in item:
             raw_values[vid] = item["values"]
 
     factors = []
     for i, item in enumerate(doc["factors"]):
-        where = f"factors[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(f"expected an object at {where}")
-        _require_keys(item, ("id", "neighbors", "values"), ("id", "neighbors", "values"), where)
+        if type(item) is not dict:
+            raise ParseError(f"expected an object at factors[{i}]")
+        _require_keys(item, _FACTOR_KEYS, _FACTOR_KEYS, "factors", i)
         fid = item["id"]
-        if not isinstance(fid, int) or isinstance(fid, bool):
-            raise ParseError(f"id must be an integer at {where}")
+        if type(fid) is not int:
+            raise ParseError(f"id must be an integer at factors[{i}]")
         neighbors = item["neighbors"]
-        if not isinstance(neighbors, list) or any(
-            not isinstance(v, int) or isinstance(v, bool) for v in neighbors
-        ):
-            raise ParseError(f"neighbors must be a list of variable ids at {where}")
+        if type(neighbors) is not list or not _INT.issuperset(map(type, neighbors)):
+            raise ParseError(f"neighbors must be a list of variable ids at factors[{i}]")
         factors.append((fid, tuple(neighbors), item["values"]))
 
-    dims = {v.id: v.obj.dim for v in variables}
-    nodes = []
-    for fid, neighbors, values in factors:
-        unknown = [v for v in neighbors if v not in dims]
-        if unknown:
-            raise ValidationError(f"factor {fid} references unknown variable {unknown[0]}")
-        shape = tuple(dims[v] for v in neighbors)
+    dims = {v.id: int(v.obj.dim) for v in variables}
+    shapes, stop = [], None
+    for fid, neighbors, _values in factors:
         try:
-            tensor = DenseTensor.from_values(shape, values, sr)
-        except (ValueError, ShapeMismatchError) as err:
-            raise ValidationError(f"factor {fid}: {err}") from None
-        nodes.append(FactorNode(fid, tensor, neighbors))
+            shapes.append(tuple(map(dims.__getitem__, neighbors)))
+        except KeyError:
+            unknown = [v for v in neighbors if v not in dims]
+            stop = ValidationError(f"factor {fid} references unknown variable {unknown[0]}")
+            break
+    # the tables before an unknown variable raise their own errors first
+    tables = [values for _fid, _nb, values in factors[: len(shapes)]]
+    tensors = None
+    if sr.name in _BULK and all(
+        type(values) is list and len(values) == math.prod(shape)
+        for shape, values in zip(shapes, tables)
+    ):
+        tensors = _bulk(sr, shapes, list(chain.from_iterable(tables)))
+    if tensors is None:
+        tensors = [
+            _table(sr, f[0], shape, values) for f, shape, values in zip(factors, shapes, tables)
+        ]
+    if stop is not None:
+        raise stop
+    nodes = [
+        FactorNode(fid, tensor, neighbors)
+        for (fid, neighbors, _values), tensor in zip(factors, tensors)
+    ]
 
     if mode is GraphMode.BIPARTITE:
         g0 = FactorGraph(tuple(variables), tuple(nodes), mode=GraphMode.SPIDER)
@@ -167,8 +236,7 @@ def parse_native(text, semiring=None):
         variables = fitted
 
     g = FactorGraph(tuple(variables), tuple(nodes), mode=mode)
-    validate_graph(g).raise_if_invalid()
-    return g, sr
+    return _ensure_valid(g), sr
 
 
 def graph_to_document(g, semiring, hint=None):
@@ -200,37 +268,66 @@ def serialize_native(g, semiring, hint=None):
 _TOKEN = re.compile(rb"\S+")
 
 
-def _tokenize(data):
-    return [(m.start(), m.group().decode("ascii", "replace")) for m in _TOKEN.finditer(data)]
+class _Tokens:
+    """The whitespace-separated tokens of a UAI file, read front to back.
 
+    ``bytes.split`` splits on the same ASCII whitespace as ``\\S+``, and
+    ``int`` and ``float`` read a bytes token exactly as its ASCII text. A
+    token's byte offset is worked out only when an error message needs it.
+    """
 
-class _TokenStream:
     def __init__(self, text):
-        data = text.encode("utf-8") if isinstance(text, str) else text
-        self.tokens = _tokenize(data)
+        self.data = text.encode("utf-8") if isinstance(text, str) else text
+        self.tokens = self.data.split()
         self.pos = 0
-        self.end = len(data)
 
-    def next(self, what):
-        if self.pos >= len(self.tokens):
-            raise ParseError(f"truncated input: expected {what} at byte offset {self.end}")
-        offset, tok = self.tokens[self.pos]
-        self.pos += 1
-        return offset, tok
+    def take(self, count, what, convert=int, **names):
+        """The next ``count`` tokens through ``convert`` (none when count < 0).
 
-    def next_int(self, what):
-        offset, tok = self.next(what)
+        ``what`` names the expected token in errors, formatted with the
+        ``names`` and with ``j``, the token's index among the ``count``.
+        """
+        start = self.pos
+        chunk = self.tokens[start : start + max(count, 0)]
         try:
-            return int(tok)
+            values = list(map(convert, chunk))
         except ValueError:
-            raise ParseError(f"expected {what} at byte offset {offset}, got {tok!r}") from None
+            for j, tok in enumerate(chunk):
+                try:
+                    convert(tok)
+                except ValueError:
+                    raise ParseError(
+                        f"expected {what.format(j=j, **names)} at byte offset "
+                        f"{self.offset(start + j)}, got {_ascii(tok)!r}"
+                    ) from None
+        if len(chunk) < count:
+            raise ParseError(
+                f"truncated input: expected {what.format(j=len(chunk), **names)} "
+                f"at byte offset {len(self.data)}"
+            )
+        self.pos = start + len(chunk)
+        return values
 
-    def next_number(self, what):
-        offset, tok = self.next(what)
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParseError(f"expected {what} at byte offset {offset}, got {tok!r}") from None
+    def next_int(self, what, **names):
+        return self.take(1, what, **names)[0]
+
+    def offset(self, k):
+        """Byte offset of token ``k``."""
+        return next(islice(_TOKEN.finditer(self.data), k, None)).start()
+
+
+def _ascii(tok):
+    return tok.decode("ascii", "replace")
+
+
+def _count_entry(tok):
+    """A count table entry: a nonnegative integer token as an exact int,
+    any other token as ``float`` reads it (so 2.0 passes, 2.5 and -1 fail)."""
+    try:
+        v = int(tok)
+    except ValueError:
+        return float(tok)
+    return v if v >= 0 else float(tok)
 
 
 def parse_uai(text, semiring="prob"):
@@ -240,8 +337,8 @@ def parse_uai(text, semiring="prob"):
     ParseError with the byte offset where input ran out.
     """
     sr = get_semiring(semiring)
-    stream = _TokenStream(text)
-    offset, preamble = stream.next("a network type preamble")
+    toks = _Tokens(text)
+    preamble = toks.take(1, "a network type preamble", _ascii)[0]
     kind = preamble.upper()
     if kind == "BAYES":
         warnings.warn(
@@ -249,35 +346,64 @@ def parse_uai(text, semiring="prob"):
         )
     elif kind != "MARKOV":
         raise UnsupportedPreambleError(
-            f"unsupported network type {preamble!r} at byte offset {offset}"
+            f"unsupported network type {preamble!r} at byte offset {toks.offset(0)}"
         )
-    n_vars = stream.next_int("the variable count")
-    dims = [stream.next_int(f"cardinality of variable {i}") for i in range(n_vars)]
+    n_vars = toks.next_int("the variable count")
+    dims = toks.take(n_vars, "cardinality of variable {j}")
     variables = tuple(
         VariableNode(i, ObjectType(f"v{i}", d)) for i, d in enumerate(dims)
     )
-    n_factors = stream.next_int("the factor count")
+    n_factors = toks.next_int("the factor count")
+    tokens = toks.tokens
     scopes = []
     for i in range(n_factors):
-        k = stream.next_int(f"the scope size of factor {i}")
-        scope = tuple(stream.next_int(f"a variable id in factor {i}") for _ in range(k))
-        bad = [v for v in scope if not 0 <= v < n_vars]
-        if bad:
+        p = toks.pos
+        try:
+            end = p + 1 + int(tokens[p])
+            scope = tuple(map(int, tokens[p + 1 : end]))
+            if not p < end <= len(tokens):
+                raise ValueError
+            toks.pos = end
+        except (IndexError, ValueError):
+            # the careful reader raises the error, or reads a negative size as 0
+            k = toks.next_int("the scope size of factor {i}", i=i)
+            scope = tuple(toks.take(k, "a variable id in factor {i}", i=i))
+        if scope and not (0 <= min(scope) and max(scope) < n_vars):
+            bad = [v for v in scope if not 0 <= v < n_vars]
             raise ParseError(f"factor {i} references unknown variable {bad[0]}")
         scopes.append(scope)
-    factors = []
-    for i, scope in enumerate(scopes):
-        count = stream.next_int(f"the table size of factor {i}")
-        values = [stream.next_number(f"entry {j} of factor {i}") for j in range(count)]
-        shape = tuple(dims[v] for v in scope)
-        try:
-            tensor = DenseTensor.from_values(shape, values, sr)
-        except (ValueError, ShapeMismatchError) as err:
-            raise ValidationError(f"factor {i}: {err}") from None
-        factors.append(FactorNode(i, tensor, scope))
-    g = FactorGraph(variables, tuple(factors), mode=GraphMode.SPIDER)
-    validate_graph(g).raise_if_invalid()
-    return g, sr
+    shapes = [tuple(map(dims.__getitem__, scope)) for scope in scopes]
+    number = _count_entry if sr.name == "count" else float
+    tensors = _uai_bulk(toks, sr, shapes, number) if sr.name in _BULK else None
+    if tensors is None:
+        tensors = []
+        for i, shape in enumerate(shapes):
+            count = toks.next_int("the table size of factor {i}", i=i)
+            values = toks.take(count, "entry {j} of factor {i}", number, i=i)
+            tensors.append(_table(sr, i, shape, values))
+    factors = tuple(FactorNode(i, t, scope) for i, (t, scope) in enumerate(zip(tensors, scopes)))
+    g = FactorGraph(variables, factors, mode=GraphMode.SPIDER)
+    return _ensure_valid(g), sr
+
+
+def _uai_bulk(toks, sr, shapes, number):
+    """The tables section read in one pass, or None when a size token does
+    not match its table, a token is bad or missing, or an entry does not
+    coerce; ``toks`` is left where the tables begin."""
+    tokens, p, entries = toks.tokens, toks.pos, []
+    try:
+        for shape in shapes:
+            end = p + 1 + math.prod(shape)
+            if int(tokens[p]) != end - p - 1:
+                return None
+            entries += tokens[p + 1 : end]
+            p = end
+        if p > len(tokens):
+            return None
+        values = list(map(number, entries))
+    except (IndexError, ValueError):
+        return None
+    return _bulk(sr, shapes, values)
 
 
 def serialize_uai(g, semiring):

@@ -118,6 +118,36 @@ class FactorGraph:
     def degree(self, vid):
         return len(self.incident[vid])
 
+    @cached_property
+    def _components(self):
+        # components(g) copies this tuple into a new list
+        scope = {f.id: f.neighbors for f in self.factors}
+        fac_of_var = {v.id: [] for v in self.variables}
+        for f in self.factors:
+            for vid in f.neighbors:
+                fac_of_var[vid].append(f.id)
+        seen_v, seen_f = set(), set()
+        comps = []
+        for v in sorted(fac_of_var):
+            if v in seen_v:
+                continue
+            vs, fs, stack = {v}, set(), [v]
+            while stack:
+                for fid in fac_of_var[stack.pop()]:
+                    if fid not in fs:
+                        fs.add(fid)
+                        for u in scope[fid]:
+                            if u not in vs:
+                                vs.add(u)
+                                stack.append(u)
+            seen_v |= vs
+            seen_f |= fs
+            comps.append((tuple(sorted(vs)), tuple(sorted(fs))))
+        for f in self.factors:
+            if f.id not in seen_f:
+                comps.append(((), (f.id,)))
+        return tuple(comps)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -208,7 +238,6 @@ def validate_graph(g):
         return out
 
     for v in g.variables:
-        deg = g.degree(v.id)
         if g.mode is GraphMode.SPIDER:
             if v.tensor is not None:
                 bad(
@@ -217,7 +246,7 @@ def validate_graph(g):
                     variable_id=v.id,
                 )
         else:
-            t = v.tensor
+            t, deg = v.tensor, g.degree(v.id)
             if t is None:
                 bad("node-tensor", f"variable {v.id} needs a tensor in bipartite mode", variable_id=v.id)
             elif len(t.shape) != deg or any(d != v.obj.dim for d in t.shape):
@@ -227,6 +256,28 @@ def validate_graph(g):
                     variable_id=v.id,
                 )
     return out
+
+
+def _ensure_valid(g):
+    """Raise ValidationError unless ``g`` passes ``validate_graph``.
+
+    A graph is frozen and its tensors are read-only, so a passing verdict
+    is kept on the graph, beside ``wires`` and ``incident``, and each graph
+    is validated once however many entry points it passes through. A
+    failing graph is checked again at every call. Returns ``g``.
+    """
+    if "_valid" not in g.__dict__:
+        validate_graph(g).raise_if_invalid()
+        g.__dict__["_valid"] = True
+    return g
+
+
+def _carry_verdict(g, source):
+    """Carry ``source``'s passing verdict over to ``g``, a graph with the
+    same ids, wiring, tensor shapes and mode."""
+    if "_valid" in source.__dict__:
+        g.__dict__["_valid"] = True
+    return g
 
 
 @dataclass(frozen=True)
@@ -240,38 +291,10 @@ def components(g):
     """Connected components as (variable ids, factor ids) pairs.
 
     Isolated variables and rank-0 factors each form their own component.
-    Deterministic: ordered by smallest member, variables first.
+    Deterministic: ordered by smallest member, variables first. Computed
+    once per graph; each call returns a new list.
     """
-    seen_v, seen_f = set(), set()
-    comps = []
-    fac_of_var = {v.id: [] for v in g.variables}
-    for fid, axis in g.wires:
-        fac_of_var[g.factor(fid).neighbors[axis]].append(fid)
-
-    for v in sorted(fac_of_var):
-        if v in seen_v:
-            continue
-        vs, fs = set(), set()
-        stack = [("v", v)]
-        while stack:
-            kind, nid = stack.pop()
-            if kind == "v":
-                if nid in vs:
-                    continue
-                vs.add(nid)
-                stack.extend(("f", f) for f in fac_of_var[nid])
-            else:
-                if nid in fs:
-                    continue
-                fs.add(nid)
-                stack.extend(("v", u) for u in g.factor(nid).neighbors)
-        seen_v |= vs
-        seen_f |= fs
-        comps.append((tuple(sorted(vs)), tuple(sorted(fs))))
-    for f in g.factors:
-        if f.id not in seen_f:
-            comps.append(((), (f.id,)))
-    return comps
+    return list(g._components)
 
 
 def tree_info(g):
@@ -368,8 +391,7 @@ def build_graph(var_dims, factors, semiring, mode=GraphMode.SPIDER, var_tensors=
             t = DenseTensor.from_values((v.obj.dim,) * deg, var_tensors[v.id], semiring)
             fitted.append(VariableNode(v.id, v.obj, t))
         g = FactorGraph(tuple(fitted), g.factors, mode=mode)
-    validate_graph(g).raise_if_invalid()
-    return g
+    return _ensure_valid(g)
 
 
 def _resolve(semiring):

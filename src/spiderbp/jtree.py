@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import get_semiring
 from .errors import CliqueTooLargeError, ValidationError
-from .graph import GraphMode, ObjectType, validate_graph
+from .graph import GraphMode, ObjectType, _ensure_valid
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor, Message
 
 
@@ -168,8 +168,7 @@ def build_junction_tree(g, cap=DEFAULT_TENSOR_CAP):
     """
     if g.mode is not GraphMode.SPIDER:
         raise ValidationError("junction trees need spider-mode variable semantics")
-    report = validate_graph(g)
-    report.raise_if_invalid()
+    _ensure_valid(g)
     order, raw_cliques = _min_fill_order(_primal_adjacency(g))
     members = _maximal(raw_cliques)
     dims = {v.id: v.obj.dim for v in g.variables}

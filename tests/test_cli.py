@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from spiderbp import graph
 from spiderbp.cli import cli_dispatch
 
 GOOD = {
@@ -149,6 +150,15 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert "finite" in err
+
+    @pytest.mark.parametrize("bad", ["null", "{}", pytest.param("1" * 400, id="400-digit-int")])
+    def test_malformed_native_entry_is_2(self, tmp_path, capsys, bad):
+        path = write(tmp_path, json.dumps(GOOD).replace("2.0", bad))
+        for semiring in ("prob", "maxtimes"):
+            code, out, err = run_cli(capsys, "run", "--input", path, "--semiring", semiring)
+            assert code == 2
+            assert out == ""
+            assert "factor 0" in err
 
     def test_missing_file_is_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "run", "--input", str(tmp_path / "nope.json"))
@@ -361,3 +371,58 @@ class TestConvert:
         code, out, _ = run_cli(capsys, "convert", "--input", path, "--output", str(dest))
         assert code == 0 and out == ""
         assert dest.read_text().startswith("MARKOV")
+
+
+class TestRepeatedDispatch:
+    def test_usage_error_after_success_is_1(self, tmp_path, capsys):
+        path = write(tmp_path, GOOD)
+        assert run_cli(capsys, "run", "--input", path)[0] == 0
+        assert run_cli(capsys, "run", "--input", path, "--frobnicate")[0] == 1
+        assert run_cli(capsys)[0] == 1
+        assert run_cli(capsys, "grad", "--input", path)[0] == 1
+        assert run_cli(capsys, "run", "--input", path)[0] == 0
+
+    def test_repeated_dispatches_give_identical_documents(self, tmp_path, capsys):
+        native = write(tmp_path, GOOD)
+        uai = write(tmp_path, UAI_PAIR, "g.uai")
+        argvs = [
+            ["run", "--input", native, "--schedule", "tree", "--no-normalize"],
+            ["map", "--input", uai, "--format", "uai", "--schedule", "tree"],
+            ["grad", "--input", native, "--factor", "0", "--entry", "1"],
+            ["run", "--input", uai, "--format", "uai", "--semiring", "count", "--schedule", "tree"],
+        ]
+        first = [run_cli(capsys, *argv) for argv in argvs]
+        again = [run_cli(capsys, *argv) for argv in reversed(argvs)][::-1]
+        assert first == again
+        assert all(code == 0 for code, _out, _err in first)
+
+
+class TestValidateOnce:
+    """A parsed graph is validated once per op, however many entry points
+    it passes through (the parser, run_bp, contraction_value)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--schedule", "tree"],
+            ["run", "--schedule", "tree", "--no-normalize"],
+            ["map", "--schedule", "tree"],
+            ["grad", "--factor", "0", "--entry", "1"],
+            ["run", "--semiring", "count", "--schedule", "tree", "--no-normalize"],
+        ],
+    )
+    def test_one_validation_per_op(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+        original = graph.validate_graph
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graph, "validate_graph", counted)
+        native = write(tmp_path, GOOD)
+        uai = write(tmp_path, UAI_PAIR, "g.uai")
+        for source in (["--input", native], ["--input", uai, "--format", "uai"]):
+            calls.clear()
+            assert run_cli(capsys, *argv, *source)[0] == 0
+            assert len(calls) == 1

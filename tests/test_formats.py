@@ -9,14 +9,19 @@ from spiderbp import (
     COUNT,
     DUAL,
     PROB,
+    DenseTensor,
     DualNumber,
     FormatWarning,
     GraphMode,
     ParseError,
+    RunConfig,
+    TooLargeError,
     UnsupportedPreambleError,
     ValidationError,
     build_graph,
+    contraction_value,
     exact_contraction,
+    get_semiring,
     parse_native,
     parse_uai,
     serialize_native,
@@ -360,3 +365,252 @@ class TestSerializeUAI:
         )
         with pytest.raises(ValidationError):
             serialize_uai(g, PROB)
+
+
+# -- bulk table reading ------------------------------------------------------------
+
+
+def _bits(data):
+    """Everything that must match between two tensors' flat data."""
+    if data.dtype == object:
+        return [(type(x).__name__, repr(x)) for x in data.tolist()]
+    return data.tobytes()
+
+
+def _random_document(rng, semiring):
+    """A random spider graph as (dims, scopes, tables) with raw table values."""
+    n = int(rng.integers(1, 9))
+    dims = [int(rng.integers(1, 5)) for _ in range(n)]
+    scopes = [[int(rng.integers(0, v)), v] for v in range(1, n)]
+    scopes += [[v] for v in range(n) if rng.random() < 0.6]
+    if rng.random() < 0.3:
+        scopes.append([])
+    tables = []
+    for scope in scopes:
+        size = int(np.prod([dims[v] for v in scope]))
+        if semiring in ("prob", "maxtimes"):
+            t = rng.uniform(0.0, 3.0, size)
+            t[rng.random(size) < 0.2] = 0.0
+            values = [float(x) if rng.random() < 0.8 else int(rng.integers(0, 5)) for x in t]
+            if rng.random() < 0.2:
+                values[0] = -0.0
+        elif semiring == "count":
+            values = [int(x) for x in rng.integers(0, 4, size)]
+            if rng.random() < 0.3:
+                values[-1] = 2**60 + int(rng.integers(0, 1000))
+        elif semiring == "bool":
+            values = [bool(x) for x in rng.integers(0, 2, size)]
+        else:
+            values = [[float(a), float(b)] for a, b in rng.uniform(0.0, 2.0, (size, 2))]
+        tables.append(values)
+    return dims, scopes, tables
+
+
+def _native_text(dims, scopes, tables):
+    return json.dumps(
+        {
+            "variables": [{"id": i, "dim": d} for i, d in enumerate(dims)],
+            "factors": [
+                {"id": i, "neighbors": scope, "values": values}
+                for i, (scope, values) in enumerate(zip(scopes, tables))
+            ],
+        }
+    )
+
+
+def _uai_text(dims, scopes, tables):
+    lines = ["MARKOV", str(len(dims)), " ".join(map(str, dims)), str(len(scopes))]
+    lines += [" ".join(map(str, [len(s)] + s)) for s in scopes]
+    for values in tables:
+        lines.append(str(len(values)))
+        lines.append(" ".join(str(int(x)) if isinstance(x, bool) else repr(x) for x in values))
+    return "\n".join(lines) + "\n"
+
+
+class TestBulkTables:
+    @pytest.mark.parametrize("semiring", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_native_tensors_equal_from_values(self, semiring):
+        rng = np.random.default_rng(["prob", "maxtimes", "count", "bool", "dual"].index(semiring))
+        sr = get_semiring(semiring)
+        for _ in range(40):
+            dims, scopes, tables = _random_document(rng, semiring)
+            g, _ = parse_native(_native_text(dims, scopes, tables), semiring=semiring)
+            for f, scope, values in zip(g.factors, scopes, tables):
+                want = DenseTensor.from_values(tuple(dims[v] for v in scope), values, sr)
+                assert f.tensor.shape == want.shape
+                assert f.tensor.data.dtype == want.data.dtype
+                assert _bits(f.tensor.data) == _bits(want.data)
+                assert not f.tensor.data.flags.writeable
+
+    @pytest.mark.parametrize("semiring", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_uai_tensors_equal_from_values(self, semiring):
+        # dual files hold plain numbers, read under the dual semiring; a
+        # two-entry table is skipped there, since from_values takes a flat
+        # [a, b] list for one dual pair
+        rng = np.random.default_rng(10 + ["prob", "maxtimes", "count", "bool", "dual"].index(semiring))
+        sr = get_semiring(semiring)
+        written = "prob" if semiring == "dual" else semiring
+        for _ in range(40):
+            dims, scopes, tables = _random_document(rng, written)
+            if semiring == "dual" and any(len(t) == 2 for t in tables):
+                continue
+            g, _ = parse_uai(_uai_text(dims, scopes, tables), semiring=semiring)
+            for f, scope, values in zip(g.factors, scopes, tables):
+                entries = [x if semiring == "count" else float(x) for x in values]
+                want = DenseTensor.from_values(tuple(dims[v] for v in scope), entries, sr)
+                assert f.tensor.shape == want.shape
+                assert f.tensor.data.dtype == want.data.dtype
+                assert _bits(f.tensor.data) == _bits(want.data)
+                assert not f.tensor.data.flags.writeable
+
+    @pytest.mark.parametrize("semiring", ["prob", "count"])
+    def test_one_coerce_per_file(self, semiring, monkeypatch):
+        sr = get_semiring(semiring)
+        calls = []
+        original = sr.coerce
+
+        def counted(values):
+            calls.append(len(values))
+            return original(values)
+
+        monkeypatch.setattr(sr, "coerce", counted)
+        dims, scopes, tables = _random_document(np.random.default_rng(7), semiring)
+        for text, parse in ((_native_text(dims, scopes, tables), parse_native),
+                            (_uai_text(dims, scopes, tables), parse_uai)):
+            calls.clear()
+            parse(text, semiring=semiring)
+            assert calls == [sum(len(t) for t in tables)]
+
+
+class TestExactUAICounts:
+    def test_integer_tokens_stay_exact(self):
+        big = 2**53 + 1  # the first integer a float64 cannot hold
+        text = UAI_PAIR.replace("1.0 2.0 3.0 4.0", f"{big} 1 1 1")
+        g, _ = parse_uai(text, semiring="count")
+        assert g.factor(0).tensor.data.tolist() == [big, 1, 1, 1]
+        assert exact_contraction(g, COUNT) == big + 3
+        cfg = RunConfig(semiring="count", schedule="tree", normalize=False)
+        assert contraction_value(g, cfg) == big + 3
+
+    def test_integral_float_tokens_still_read(self):
+        g, _ = parse_uai(UAI_PAIR.replace("1.0 2.0 3.0 4.0", "2.0 1e3 0 -0"), semiring="count")
+        data = g.factor(0).tensor.data.tolist()
+        assert data == [2, 1000, 0, 0]
+        assert all(type(x) is int for x in data)
+
+
+class TestMalformedNativeEntries:
+    @pytest.mark.parametrize("semiring", ["prob", "maxtimes"])
+    @pytest.mark.parametrize(
+        "bad", ["null", "{}", pytest.param("1" * 400, id="400-digit-int"), "[1.0, null]"]
+    )
+    def test_value_error_names_the_factor(self, semiring, bad):
+        text = MINIMAL.replace("[1.0, 2.0, 3.0, 4.0]", f"[1.0, {bad}, 3.0, 4.0]")
+        with pytest.raises(ValidationError, match=f"factor 0: {semiring} values must be finite nonnegative reals"):
+            parse_native(text, semiring=semiring)
+
+    def test_dual_pair_past_float_range(self):
+        text = MINIMAL.replace("[1.0, 2.0, 3.0, 4.0]", "[[1.0, 0.0], [1" + "0" * 400 + ", 0.0], [1.0, 0.0], [1.0, 0.0]]")
+        with pytest.raises(ValidationError, match="factor 0: dual values must be"):
+            parse_native(text, semiring="dual")
+
+
+#: (format, semiring, text, error type, message): each message and byte
+#: offset as the table-by-table reader words it
+_TWO = UAI_WITH_UNARY
+ERRORS = [
+    ("uai", "prob", UAI_PAIR.replace("2.0", "duck"), ParseError,
+     "expected entry 1 of factor 0 at byte offset 28, got 'duck'"),
+    ("uai", "prob", UAI_PAIR.replace("2 2\n", "2 x\n"), ParseError,
+     "expected cardinality of variable 1 at byte offset 11, got 'x'"),
+    ("uai", "prob", UAI_PAIR.replace("2 0 1", "2 0 q"), ParseError,
+     "expected a variable id in factor 0 at byte offset 19, got 'q'"),
+    ("uai", "prob", UAI_PAIR.replace("4\n1.0", "4.0\n1.0"), ParseError,
+     "expected the table size of factor 0 at byte offset 22, got '4.0'"),
+    ("uai", "prob", UAI_PAIR[: UAI_PAIR.index("3.0")], ParseError,
+     "truncated input: expected entry 2 of factor 0 at byte offset 32"),
+    ("uai", "prob", "MARKOV\n2\n2 2\n1\n2 0", ParseError,
+     "truncated input: expected a variable id in factor 0 at byte offset 18"),
+    ("uai", "prob", "  \n", ParseError,
+     "truncated input: expected a network type preamble at byte offset 3"),
+    ("uai", "prob", "  \n MRF 2 2 2 0", UnsupportedPreambleError,
+     "unsupported network type 'MRF' at byte offset 4"),
+    ("uai", "prob", UAI_PAIR.replace("4\n1.0", "-4\n1.0"), ValidationError,
+     "factor 0: 0 values cannot fill shape [2, 2] (4 entries)"),
+    ("uai", "prob", UAI_PAIR.replace("2.0", "-2.0"), ValidationError,
+     "factor 0: prob values must be finite nonnegative reals, got -2.0"),
+    ("uai", "prob", UAI_PAIR.replace("2.0", "1e309"), ValidationError,
+     "factor 0: prob values must be finite nonnegative reals, got inf"),
+    ("uai", "maxtimes", UAI_PAIR.replace("2.0", "nan"), ValidationError,
+     "factor 0: maxtimes values must be finite nonnegative reals, got nan"),
+    ("uai", "prob", UAI_PAIR.replace("4\n1.0 2.0 3.0 4.0", "3\n1.0 2.0 3.0"), ValidationError,
+     "factor 0: 3 values cannot fill shape [2, 2] (4 entries)"),
+    ("uai", "prob", UAI_PAIR.replace("2 0 1", "2 0 9"), ParseError,
+     "factor 0 references unknown variable 9"),
+    ("uai", "count", UAI_PAIR.replace("2.0", "2.5"), ValidationError,
+     "factor 0: count values must be nonnegative integers, got 2.5"),
+    ("uai", "count", UAI_PAIR.replace("2.0", "-1"), ValidationError,
+     "factor 0: count values must be nonnegative integers, got -1.0"),
+    ("uai", "bool", UAI_PAIR.replace("2.0", "2"), ValidationError,
+     "factor 0: bool values must be true/false or 0/1, got 2.0"),
+    ("uai", "prob", "MARKOV\n5\n40 40 40 40 40\n1\n5 0 1 2 3 4\n0\n", TooLargeError,
+     "tensor of 102400000 entries exceeds the cap of 16777216"),
+    # two bad factors: the first in file order wins, whatever the kinds
+    ("uai", "prob", _TWO.replace("2.0", "-2.0").replace("0.25", "duck"), ValidationError,
+     "factor 0: prob values must be finite nonnegative reals, got -2.0"),
+    ("uai", "prob", _TWO.replace("2.0", "-2.0")[:-6], ValidationError,
+     "factor 0: prob values must be finite nonnegative reals, got -2.0"),
+    ("uai", "prob", _TWO.replace("2.0", "duck").replace("0.25", "-1"), ParseError,
+     "expected entry 1 of factor 0 at byte offset 32, got 'duck'"),
+    ("uai", "prob", _TWO.replace("4\n1.0 2.0 3.0 4.0", "3\n1.0 2.0 3.0").replace("0.25", "-1"), ValidationError,
+     "factor 0: 3 values cannot fill shape [2, 2] (4 entries)"),
+    ("uai", "prob", _TWO.replace("0.25", "-0.25"), ValidationError,
+     "factor 1: prob values must be finite nonnegative reals, got -0.25"),
+    ("uai", "count", _TWO.replace("3.0", "3.5").replace("0.25", "x"), ValidationError,
+     "factor 0: count values must be nonnegative integers, got 3.5"),
+    ("native", None, MINIMAL.replace("[0, 1]", "[0, 7]"), ValidationError,
+     "factor 0 references unknown variable 7"),
+    ("native", None, MINIMAL.replace("[1.0, 2.0, 3.0, 4.0]", "[1.0, 2.0]"), ValidationError,
+     "factor 0: 2 values cannot fill shape [2, 2] (4 entries)"),
+    ("native", None, MINIMAL.replace("2.0, 3.0", "-2.0, 3.0"), ValidationError,
+     "factor 0: prob values must be finite nonnegative reals, got -2.0"),
+    ("native", "maxtimes", MINIMAL.replace("2.0, 3.0", "NaN, 3.0"), ValidationError,
+     "factor 0: maxtimes values must be finite nonnegative reals, got nan"),
+    ("native", None, MINIMAL.replace("2.0, 3.0", '"abc", 3.0'), ValidationError,
+     "factor 0: could not convert string to float: 'abc'"),
+    ("native", "count", MINIMAL.replace("[1.0, 2.0, 3.0, 4.0]", "[1, -2, 3, 4]"), ValidationError,
+     "factor 0: count values must be nonnegative integers, got -2"),
+]
+
+
+def _two_factor_native(first, second):
+    doc = json.loads(MINIMAL)
+    doc["factors"] = [
+        {"id": 0, "neighbors": first[0], "values": first[1]},
+        {"id": 1, "neighbors": second[0], "values": second[1]},
+    ]
+    return json.dumps(doc)
+
+
+ERRORS += [
+    ("native", None, _two_factor_native(([0, 1], [1.0, -2.0, 3.0, 4.0]), ([0, 9], [1.0, 1.0])), ValidationError,
+     "factor 0: prob values must be finite nonnegative reals, got -2.0"),
+    ("native", None, _two_factor_native(([0, 9], [1.0, 1.0]), ([0, 1], [1.0, -2.0, 3.0, 4.0])), ValidationError,
+     "factor 0 references unknown variable 9"),
+    ("native", None, _two_factor_native(([0, 1], [1.0, 3.0, 4.0]), ([0], [1.0, -2.0])), ValidationError,
+     "factor 0: 3 values cannot fill shape [2, 2] (4 entries)"),
+    ("native", None, _two_factor_native(([0, 1], [1.0, 2.0, 3.0, 4.0]), ([0], [1.0, -2.0])), ValidationError,
+     "factor 1: prob values must be finite nonnegative reals, got -2.0"),
+]
+
+
+class TestErrorCatalogue:
+    @pytest.mark.parametrize("fmt, semiring, text, error, message", ERRORS)
+    def test_message_and_offset(self, fmt, semiring, text, error, message):
+        with pytest.raises(error) as info:
+            if fmt == "uai":
+                parse_uai(text, semiring=semiring)
+            else:
+                parse_native(text, semiring=semiring)
+        assert type(info.value) is error
+        assert str(info.value) == message

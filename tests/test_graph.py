@@ -11,14 +11,20 @@ from spiderbp import (
     FactorNode,
     GraphMode,
     ObjectType,
+    RunConfig,
     ValidationError,
     VariableNode,
     build_graph,
+    build_junction_tree,
     components,
     composite_object,
+    contraction_value,
+    run_bp,
+    run_junction_tree,
     tree_info,
     validate_graph,
 )
+from spiderbp import graph as graph_module
 
 
 def chain(n_vars, dim=2, semiring=PROB):
@@ -170,6 +176,59 @@ class TestComponents:
         comps = components(g)
         assert ((), (0,)) in comps
         assert ((0,), ()) in comps
+
+
+    def test_each_call_returns_a_new_list(self):
+        g = build_graph([2, 2, 2], [((0, 1), [1.0] * 4)], PROB)
+        first = components(g)
+        first.append("scribble")
+        second = components(g)
+        assert second == [((0, 1), (0,)), ((2,), ())]
+        assert second is not components(g)
+
+
+class TestValidateOnce:
+    def test_validate_graph_returns_a_fresh_report(self):
+        g = chain(3)
+        a, b = validate_graph(g), validate_graph(g)
+        assert a.ok and b.ok
+        assert a is not b
+        a.violations.append("scribble")
+        assert validate_graph(g).ok
+
+    def test_a_valid_graph_is_checked_once(self, monkeypatch):
+        calls = []
+        original = graph_module.validate_graph
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        built = chain(3)  # build_graph validates its own result
+        g = FactorGraph(built.variables, built.factors)
+        monkeypatch.setattr(graph_module, "validate_graph", counted)
+        run_bp(g, RunConfig())
+        contraction_value(g, RunConfig(schedule="tree", normalize=False))
+        run_junction_tree(g, RunConfig())
+        assert len(calls) == 1 and calls[0] is g
+
+    def test_an_invalid_graph_raises_at_every_entry_point(self):
+        good = chain(2)
+        t = DenseTensor.from_values((3, 2), [1.0] * 6, PROB)  # axis 0 should have dim 2
+        g = FactorGraph(good.variables, (FactorNode(0, t, (0, 1)),))
+        calls = [
+            lambda: run_bp(g, RunConfig()),
+            lambda: run_bp(g, RunConfig(schedule="tree")),
+            lambda: contraction_value(g, RunConfig(schedule="tree", normalize=False)),
+            lambda: run_junction_tree(g, RunConfig()),
+            lambda: build_junction_tree(g),
+        ]
+        messages = set()
+        for call in calls * 2:
+            with pytest.raises(ValidationError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"invalid graph: factor 0 axis 0: dim 3 != variable 0 dim 2"}
 
 
 class TestTreeInfo:
