@@ -7,14 +7,14 @@ everywhere; adding one more rule kills every assignment and the run flags
 the contradiction while still returning its all-false beliefs.
 """
 
-from spiderbp import BOOL, RunConfig, build_graph, run_bp
+from spiderbp import RunConfig, build_graph, run_bp
 
 IMPLIES = [1, 1, 0, 1]  # rows: antecedent; truth table of "row -> column"
 XOR = [0, 1, 1, 0]
 
 
 def show(tag, g):
-    result = run_bp(g, RunConfig(semiring="bool", schedule="tree"))
+    result = run_bp(g, RunConfig(schedule="tree"))
     print(f"{tag}: contradiction={result.contradiction}", end="")
     if result.contradiction:
         print(f" (first dead aggregate at {result.contradiction_wire})")
@@ -30,11 +30,11 @@ def show(tag, g):
 def main():
     # rain -> wet, wet XOR dry, and it does rain
     rules = [((0, 1), IMPLIES), ((1, 2), XOR), ((0,), [0, 1])]
-    g = build_graph([("rain", 2), ("wet", 2), ("dry", 2)], rules, BOOL)
+    g = build_graph([("rain", 2), ("wet", 2), ("dry", 2)], rules, "bool")
     show("satisfiable ", g)
 
     # now also assert the pavement stays dry: nothing satisfies all four
-    g2 = build_graph([("rain", 2), ("wet", 2), ("dry", 2)], rules + [((2,), [0, 1])], BOOL)
+    g2 = build_graph([("rain", 2), ("wet", 2), ("dry", 2)], rules + [((2,), [0, 1])], "bool")
     result = show("contradicted", g2)
     assert result.contradiction
 

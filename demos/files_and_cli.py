@@ -11,7 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from spiderbp import PROB, build_graph, parse_uai, serialize_native, serialize_uai
+from spiderbp import build_graph, parse_uai, serialize_native, serialize_uai
 from spiderbp.cli import cli_dispatch
 
 
@@ -19,13 +19,13 @@ def main():
     g = build_graph(
         [2, 3],
         [((0, 1), [1.0, 2.0, 0.5, 1.5, 1.0, 2.5]), ((0,), [0.25, 0.75])],
-        PROB,
+        "prob",
     )
     with tempfile.TemporaryDirectory() as tmp:
         native = Path(tmp) / "model.json"
         uai = Path(tmp) / "model.uai"
-        native.write_text(serialize_native(g, "prob"))
-        uai.write_text(serialize_uai(g, "prob"))
+        native.write_text(serialize_native(g))
+        uai.write_text(serialize_uai(g))
         print("native document:")
         doc = json.loads(native.read_text())
         print(json.dumps(doc, indent=2)[:320], "...\n")

@@ -11,7 +11,6 @@ yields its whole sensitivity table.
 import numpy as np
 
 from spiderbp import (
-    PROB,
     RunConfig,
     build_graph,
     contraction_value,
@@ -26,17 +25,17 @@ def make_model(bump=0.0):
     return build_graph(
         [2, 2, 2],
         [((0, 1), pair.tolist()), ((1, 2), [0.5, 1.5, 2.5, 0.5]), ((0,), [0.6, 0.4])],
-        PROB,
+        "prob",
     )
 
 
 def main():
-    cfg = RunConfig(semiring="dual", schedule="tree", normalize=False)
+    cfg = RunConfig(schedule="tree", normalize=False)
     z = contraction_value(dual_seed(make_model(), 0, 2), cfg)
     print(f"Z = {z.real:.6f},  dZ/d(factor 0, entry 2) = {z.eps:.6f}")
 
     h = 1e-6
-    fd = (exact_contraction(make_model(+h), PROB) - exact_contraction(make_model(-h), PROB)) / (2 * h)
+    fd = (exact_contraction(make_model(+h), "prob") - exact_contraction(make_model(-h), "prob")) / (2 * h)
     print(f"central difference with step {h:g}: {fd:.6f}")
     assert abs(z.eps - fd) <= 1e-6 * max(1.0, abs(fd))
 

@@ -10,7 +10,6 @@ machine precision.
 import numpy as np
 
 from spiderbp import (
-    PROB,
     RunConfig,
     build_graph,
     exact_marginal,
@@ -26,7 +25,7 @@ def main():
     pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
     factors = [(p, edge) for p in pairs]
     factors.append(((0,), rng.uniform(0.5, 1.5, size=2).tolist()))
-    g = build_graph([2] * 4, factors, PROB)
+    g = build_graph([2] * 4, factors, "prob")
 
     loopy = run_bp(g, RunConfig(schedule="sync", max_iters=5000))
     jt = run_junction_tree(g, RunConfig())
@@ -35,7 +34,7 @@ def main():
     print(f"loopy run converged after {loopy.iterations} sweeps\n")
     print("            loopy sync      junction tree   brute force")
     for v in g.variables:
-        exact = exact_marginal(g, PROB, v.id)
+        exact = exact_marginal(g, g.semiring, v.id)
         exact = exact / exact.sum()
         b_sync = loopy.variable_beliefs[v.id].values
         b_jt = jt.variable_beliefs[v.id].values

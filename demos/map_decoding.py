@@ -30,11 +30,11 @@ def main():
     factors += [((i, i + 1), [1.0, 0.55, 0.55, 1.0]) for i in range(n - 1)]
     g = build_graph([2] * n, factors, "maxtimes")
 
-    result = run_bp(g, RunConfig(semiring="maxtimes", schedule="tree"))
-    decoded = decode_map(g, result.state, "maxtimes")
+    result = run_bp(g, RunConfig(schedule="tree"))
+    decoded = decode_map(g, result.state)
     best, best_value = exact_argmax(g)
 
-    attained = evaluate_assignment(g, "maxtimes", decoded)
+    attained = evaluate_assignment(g, decoded)
     print("truth       :", "".join(str(b) for b in truth))
     print("observed    :", "".join(str(b) for b in observed))
     print("decoded     :", "".join(str(decoded[i]) for i in range(n)))

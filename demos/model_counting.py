@@ -17,13 +17,13 @@ def differ(k):
 
 def path_colorings(n, k):
     g = build_graph([k] * n, [((i, i + 1), differ(k)) for i in range(n - 1)], "count")
-    return contraction_value(g, RunConfig(semiring="count", schedule="tree", normalize=False))
+    return contraction_value(g, RunConfig(schedule="tree", normalize=False))
 
 
 def cycle_colorings(n, k):
     edges = [((i, (i + 1) % n), differ(k)) for i in range(n)]
     g = build_graph([k] * n, edges, "count")
-    result = run_junction_tree(g, RunConfig(semiring="count", normalize=False))
+    result = run_junction_tree(g, RunConfig(normalize=False))
     return result.contraction_value
 
 

@@ -10,7 +10,6 @@ single up/down pass.
 import numpy as np
 
 from spiderbp import (
-    PROB,
     RunConfig,
     build_graph,
     exact_marginal,
@@ -24,7 +23,7 @@ def main():
     n, d = 5, 3
     factors = [((i, i + 1), rng.uniform(0.1, 2.0, size=d * d).tolist()) for i in range(n - 1)]
     factors.append(((0,), [0.7, 0.2, 0.1]))  # a prior pinning the first variable
-    g = build_graph([d] * n, factors, PROB)
+    g = build_graph([d] * n, factors, "prob")
 
     info = tree_info(g)
     print(f"chain of {n} ternary variables, diameter {info.diameter}")
@@ -35,7 +34,7 @@ def main():
               f"after {result.iterations} iteration(s), residual {result.residual:.2e}")
         for v in g.variables:
             belief = result.variable_beliefs[v.id].values
-            exact = exact_marginal(g, PROB, v.id)
+            exact = exact_marginal(g, g.semiring, v.id)
             exact = exact / exact.sum()
             gap = np.max(np.abs(belief - exact))
             marks = " ".join(f"{x:.4f}" for x in belief)

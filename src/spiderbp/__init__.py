@@ -5,41 +5,22 @@ Factor graphs are treated as wiring diagrams whose variables are copy
 your choice. The same message-passing engine then computes marginals,
 partition functions, satisfiability, model counts, best assignments, and
 derivatives, depending only on which semiring the values live in.
+
+A graph's tensors live in one semiring, named by ``FactorGraph.semiring``;
+to run another algebra, build or parse the model under it. The names below
+are what the demos, the README and the benchmark use; everything else is
+imported from its submodule (``spiderbp.engine``, ``spiderbp.tensor``, ...).
 """
 
-from .algebra import (
-    BOOL,
-    COUNT,
-    DUAL,
-    MAXTIMES,
-    PROB,
-    SEMIRINGS,
-    AxiomReport,
-    DualNumber,
-    Semiring,
-    check_semiring_axioms,
-    get_semiring,
-)
-from .checks import (
-    CheckReport,
-    check_reshape_routes,
-    check_spider_fusion,
-    run_all_checks,
-)
+from .algebra import PROB, SEMIRINGS
 from .engine import (
     BPResult,
-    MessageState,
     RunConfig,
-    beliefs,
     contraction_value,
     decode_map,
     dual_seed,
     evaluate_assignment,
-    init_messages,
     run_bp,
-    run_two_pass,
-    sweep_synchronous,
-    two_pass_schedule,
 )
 from .errors import (
     BadPermutationError,
@@ -58,141 +39,48 @@ from .errors import (
     ValidationError,
     ZeroMessageError,
 )
-from .formats import (
-    graph_to_document,
-    parse_native,
-    parse_uai,
-    resolve_semiring,
-    serialize_native,
-    serialize_uai,
-)
-from .graph import (
-    FactorGraph,
-    FactorNode,
-    GraphMode,
-    ObjectType,
-    TreeInfo,
-    ValidationReport,
-    VariableNode,
-    build_graph,
-    components,
-    composite_object,
-    tree_info,
-    validate_graph,
-)
-from .jtree import (
-    Clique,
-    JTResult,
-    JunctionTree,
-    build_junction_tree,
-    marginal_from_clique,
-    run_junction_tree,
-    running_intersection_holds,
-)
-from .oracle import (
-    assignments,
-    exact_argmax,
-    exact_contraction,
-    exact_marginal,
-    joint_table,
-)
-from .tensor import (
-    DEFAULT_TENSOR_CAP,
-    DenseTensor,
-    Message,
-    contract_to_axis,
-    fold_axis_sum,
-    full_contraction,
-    hadamard,
-    matricize,
-    permute_axes,
-    spider_tensor,
-)
+from .formats import parse_native, parse_uai, serialize_native, serialize_uai
+from .graph import FactorGraph, build_graph, tree_info
+from .jtree import JTResult, run_junction_tree
+from .oracle import exact_argmax, exact_contraction, exact_marginal
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport",
     "BadPermutationError",
     "BadSplitError",
-    "BOOL",
     "BPResult",
     "build_graph",
-    "build_junction_tree",
-    "beliefs",
-    "check_reshape_routes",
-    "check_semiring_axioms",
-    "check_spider_fusion",
-    "CheckReport",
-    "Clique",
     "CliqueTooLargeError",
-    "components",
-    "composite_object",
     "ContradictionError",
-    "contract_to_axis",
     "contraction_value",
-    "COUNT",
     "decode_map",
-    "DEFAULT_TENSOR_CAP",
-    "DenseTensor",
-    "DUAL",
     "dual_seed",
-    "DualNumber",
     "evaluate_assignment",
     "exact_argmax",
     "exact_contraction",
     "exact_marginal",
     "FactorGraph",
-    "FactorNode",
-    "fold_axis_sum",
     "FormatWarning",
-    "full_contraction",
-    "get_semiring",
-    "graph_to_document",
-    "GraphMode",
-    "hadamard",
-    "init_messages",
-    "joint_table",
     "JTResult",
-    "JunctionTree",
-    "marginal_from_clique",
-    "matricize",
-    "MAXTIMES",
-    "Message",
-    "MessageState",
     "NoTotalOrderError",
     "NotATreeError",
     "ObjectMismatchError",
-    "ObjectType",
     "ParseError",
     "parse_native",
     "parse_uai",
-    "permute_axes",
     "PROB",
-    "resolve_semiring",
-    "run_all_checks",
     "run_bp",
     "run_junction_tree",
-    "run_two_pass",
     "RunConfig",
-    "running_intersection_holds",
-    "Semiring",
     "SEMIRINGS",
     "serialize_native",
     "serialize_uai",
     "ShapeMismatchError",
     "SpiderBPError",
-    "spider_tensor",
-    "sweep_synchronous",
     "TooLargeError",
     "tree_info",
-    "TreeInfo",
-    "two_pass_schedule",
     "UnsupportedPreambleError",
-    "validate_graph",
     "ValidationError",
-    "ValidationReport",
-    "VariableNode",
     "ZeroMessageError",
-    "assignments",
 ]

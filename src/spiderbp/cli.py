@@ -89,7 +89,7 @@ def _build_parser():
         "--semiring",
         choices=tuple(SEMIRINGS),
         default=None,
-        help="semiring to run under (default: from the file, else prob)",
+        help="semiring to parse the file under (default: from the file, else prob)",
     )
     common.add_argument(
         "--schedule",
@@ -129,8 +129,9 @@ def _build_parser():
     return parser
 
 
-def _load_graph(args, semiring_name):
-    """Parse the input file; returns (graph, semiring). Warnings become diags."""
+def _load_graph(args, semiring=None):
+    """Parse the input file under ``semiring``, else ``--semiring``; the
+    graph carries the semiring it was parsed under. Warnings become diags."""
     if not args.input:
         raise _UsageError(f"{args.command} requires --input")
     try:
@@ -138,15 +139,16 @@ def _load_graph(args, semiring_name):
             text = handle.read()
     except OSError as err:
         raise ParseError(f"cannot read {args.input}: {err}") from err
+    semiring = semiring or args.semiring
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.format == "uai":
-            graph, semiring = parse_uai(text, semiring=semiring_name or "prob")
+            graph, _ = parse_uai(text, semiring=semiring or "prob")
         else:
-            graph, semiring = parse_native(text, semiring=semiring_name)
+            graph, _ = parse_native(text, semiring=semiring)
     for w in caught:
         _diag("warning", str(w.message))
-    return graph, semiring
+    return graph
 
 
 def _emit(args, document):
@@ -162,7 +164,8 @@ def _values_json(semiring, values):
     return [semiring.value_to_json(v) for v in values.reshape(-1).tolist()]
 
 
-def _beliefs_document(g, semiring, result, z=None):
+def _beliefs_document(g, result, z=None):
+    semiring = get_semiring(g.semiring)
     doc = {
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
@@ -178,26 +181,24 @@ def _beliefs_document(g, semiring, result, z=None):
     return doc
 
 
-def _config(args, semiring_name, normalize=None):
+def _config(args):
     return RunConfig(
-        semiring=semiring_name,
         schedule=args.schedule,
         max_iters=args.max_iters,
         tol=args.tol,
         damping=args.damping,
-        normalize=(not args.no_normalize) if normalize is None else normalize,
+        normalize=not args.no_normalize,
     )
 
 
 def _cmd_run(args):
-    g, semiring = _load_graph(args, args.semiring)
-    cfg = _config(args, semiring.name)
-    result = run_bp(g, cfg)
+    g = _load_graph(args)
+    result = run_bp(g, _config(args))
     z = None
     if args.no_normalize and args.schedule == "tree":
         # the unnormalized two-pass state is exact: close it directly
-        z = contraction_from_state(g, semiring, result.state)
-    _emit(args, _beliefs_document(g, semiring, result, z))
+        z = contraction_from_state(g, result.state)
+    _emit(args, _beliefs_document(g, result, z))
     if result.contradiction:
         _diag("error", "contradiction: an all-zero message was produced",
               wire=list(result.contradiction_wire) if result.contradiction_wire else None)
@@ -210,7 +211,8 @@ def _cmd_run(args):
 
 
 def _cmd_exact(args):
-    g, semiring = _load_graph(args, args.semiring)
+    g = _load_graph(args)
+    semiring = get_semiring(g.semiring)
     z = exact_contraction(g, semiring)
     doc = {
         "semiring": semiring.name,
@@ -227,9 +229,9 @@ def _cmd_exact(args):
 
 
 def _cmd_jtree(args):
-    g, semiring = _load_graph(args, args.semiring)
-    cfg = _config(args, semiring.name)
-    jt = run_junction_tree(g, cfg)
+    g = _load_graph(args)
+    semiring = get_semiring(g.semiring)
+    jt = run_junction_tree(g, _config(args))
     doc = {
         "converged": True,
         "iterations": 1,
@@ -254,24 +256,22 @@ def _cmd_jtree(args):
 def _cmd_map(args):
     if args.semiring not in (None, "maxtimes"):
         raise _UsageError("map decodes under maxtimes; drop --semiring")
-    g, _ = _load_graph(args, "maxtimes")
-    semiring = get_semiring("maxtimes")
-    cfg = _config(args, "maxtimes")
-    result = run_bp(g, cfg)
+    g = _load_graph(args, "maxtimes")
+    result = run_bp(g, _config(args))
     if result.contradiction:
         _diag("error", "contradiction: an all-zero message was produced")
         return EXIT_CONTRADICTION
     if not result.converged:
         _diag("error", f"did not converge in {result.iterations} iterations")
         return EXIT_NOT_CONVERGED
-    assignment = decode_map(g, result.state, semiring)
-    value = evaluate_assignment(g, semiring, assignment)
+    assignment = decode_map(g, result.state)
+    value = evaluate_assignment(g, assignment)
     doc = {
         "semiring": "maxtimes",
         "converged": True,
         "iterations": int(result.iterations),
         "assignment": [{"id": vid, "state": int(s)} for vid, s in sorted(assignment.items())],
-        "value": semiring.value_to_json(value),
+        "value": get_semiring("maxtimes").value_to_json(value),
     }
     _emit(args, doc)
     return EXIT_OK
@@ -280,10 +280,8 @@ def _cmd_map(args):
 def _cmd_grad(args):
     if args.semiring not in (None, "dual"):
         raise _UsageError("grad runs under the dual semiring; drop --semiring")
-    g, _ = _load_graph(args, "prob")
-    lifted = dual_seed(g, args.factor, args.entry)
+    lifted = dual_seed(_load_graph(args, "prob"), args.factor, args.entry)
     cfg = RunConfig(
-        semiring="dual",
         schedule="tree",
         max_iters=args.max_iters,
         tol=args.tol,
@@ -322,11 +320,11 @@ def _cmd_check(args):
 
 
 def _cmd_convert(args):
-    g, semiring = _load_graph(args, args.semiring)
+    g = _load_graph(args)
     if args.format == "uai":
-        payload = serialize_native(g, semiring)
+        payload = serialize_native(g)
     else:
-        payload = serialize_uai(g, semiring)
+        payload = serialize_uai(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(payload)

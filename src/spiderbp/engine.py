@@ -33,6 +33,11 @@ operation order, so both schedules give the per-wire messages bit for bit;
 beliefs, contraction and decoding read the packed arrays directly. Every
 semiring sum is a ``Semiring.fold`` and every rescaling a
 ``_normalize_rows``, under the contract written in ``spiderbp.algebra``.
+
+A graph's tensors live in one semiring, named by ``g.semiring``, and every
+entry point here runs the graph in that one. A ``RunConfig`` leaves it
+unnamed, or names the same one (``_run_semiring`` checks this); a state
+is only ever read against the graph that computed it.
 """
 
 from __future__ import annotations
@@ -60,15 +65,18 @@ SCHEDULES = ("sync", "tree")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for one run. ``semiring`` is a registry name.
+    """Knobs for one run.
 
-    ``damping`` blends each new message with the old one as
-    (1 - damping) * new + damping * old and is only allowed for prob with
-    the sync schedule. ``normalize`` rescales messages when the semiring
-    knows how; exact algebras ignore it.
+    The run's semiring is the graph's (``FactorGraph.semiring``).
+    ``semiring`` is None, meaning the graph's, or a registry name that must
+    equal it: a different name is a ValidationError, since the tensors
+    cannot change algebra. ``damping`` blends each new message with the old
+    one as (1 - damping) * new + damping * old and is only allowed for prob
+    with the sync schedule. ``normalize`` rescales messages when the
+    semiring knows how; exact algebras ignore it.
     """
 
-    semiring: str = "prob"
+    semiring: str = None
     schedule: str = "sync"
     max_iters: int = 1000
     tol: float = 1e-9
@@ -76,28 +84,44 @@ class RunConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        get_semiring(self.semiring)
+        if self.semiring is not None:
+            get_semiring(self.semiring)
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
-        if self.damping > 0.0 and self.semiring != "prob":
+        if self.damping > 0.0 and self.semiring not in (None, "prob"):
             raise ValueError("damping is only supported for the prob semiring")
         if self.damping > 0.0 and self.schedule != "sync":
             raise ValueError("damping is only supported with the sync schedule")
+
+
+def _run_semiring(name, cfg):
+    """The semiring of a run under ``cfg`` over tensors in semiring ``name``.
+
+    ``cfg.semiring`` is None (the tensors' own) or must equal ``name``;
+    another name is a ValidationError. Damping outside prob is a ValueError.
+    """
+    if cfg.semiring is not None and cfg.semiring != name:
+        raise ValidationError(
+            f"the graph's tensors live in {name}, not {cfg.semiring}: "
+            f"build or parse the model under {cfg.semiring} to run it there"
+        )
+    if cfg.damping > 0.0 and name != "prob":
+        raise ValueError("damping is only supported for the prob semiring")
+    return get_semiring(name)
 
 
 class MessageState:
     """Every directed message of a run plus its counters; an immutable snapshot.
 
     The messages live in the packed ``(v2f, f2v)`` arrays of the plan that
-    computed them, and a state is only ever read against that plan's graph
-    and semiring. ``var_to_factor[(v, f, axis)]`` and
-    ``factor_to_var[(f, axis)]`` are read-only views holding one
-    ``Message`` per directed wire, built once, when a caller first reads
-    them.
+    computed them, and a state is only ever read against that plan's graph.
+    ``var_to_factor[(v, f, axis)]`` and ``factor_to_var[(f, axis)]`` are
+    read-only views holding one ``Message`` per directed wire, built once,
+    when a caller first reads them.
     """
 
     __slots__ = ("_plan", "_arrays", "_views", "iteration", "residual")
@@ -138,7 +162,8 @@ class BPResult:
 
 def init_messages(g, cfg):
     """Unit (all-ones) messages on every directed wire, iteration 0."""
-    plan = _Plan(g, get_semiring(cfg.semiring))
+    _run_semiring(g.semiring, cfg)
+    plan = _Plan(g)
     return MessageState(plan, plan.initial(cfg))
 
 
@@ -164,7 +189,7 @@ def update_variable_message(g, state, cfg, vid, out_wire):
     message when there are none. Bipartite mode: contract the node's own
     tensor against the other incoming messages instead.
     """
-    semiring = get_semiring(cfg.semiring)
+    semiring = _run_semiring(g.semiring, cfg)
     v = g.variable(vid)
     incoming_wires = [w for w in g.incident[vid] if w != out_wire]
     if g.mode is GraphMode.BIPARTITE:
@@ -188,7 +213,7 @@ def update_factor_message(g, state, cfg, fid, out_axis):
     Contracts the factor tensor against the variable-to-factor messages on
     every other axis, summing in ascending row-major order.
     """
-    semiring = get_semiring(cfg.semiring)
+    semiring = _run_semiring(g.semiring, cfg)
     f = g.factor(fid)
     msgs = []
     for axis in range(f.rank):
@@ -273,7 +298,7 @@ def _tensor_groups(members):
 
 
 class _Plan:
-    """A graph compiled for batched message updates over one semiring.
+    """A graph compiled for batched message updates over its semiring.
 
     Every wire ``(factor id, axis)`` owns one integer row in the packed
     ``(wires, dim)`` array of its variable's dim, numbered in ``g.wires``
@@ -297,8 +322,8 @@ class _Plan:
     final.
     """
 
-    def __init__(self, g, semiring):
-        self.g, self.semiring = g, semiring
+    def __init__(self, g):
+        self.g, self.semiring = g, get_semiring(g.semiring)
         dim_of = {v.id: v.obj.dim for v in g.variables}
         self.dims = {}  # dim -> number of wires of that dim
         self.wire_rows = []  # (dim, row) of each entry of g.wires
@@ -638,13 +663,11 @@ class _Plan:
         return None
 
 
-def _plan_and_arrays(g, semiring, state):
-    """The state's compiled plan and packed messages, for its own graph and semiring."""
+def _plan_and_arrays(g, state):
+    """The state's compiled plan and packed messages, for its own graph."""
     plan = state._plan
     if plan.g is not g:
         raise ValidationError("the message state was computed on another graph")
-    if plan.semiring is not semiring:
-        raise ValidationError(f"the message state holds {plan.semiring.name} messages, not {semiring.name}")
     return plan, state._arrays
 
 
@@ -655,12 +678,12 @@ def sweep_synchronous(g, state, cfg):
     once, normalized and damped per config; a dead message raises
     ContradictionError for the first such wire, every v2f wire in
     ``g.wires`` order before every f2v wire. The state must come from this
-    graph and semiring (ValidationError otherwise). The returned state's
-    ``residual`` is the largest componentwise change
-    (after normalization and damping), which doubles as an exact change
-    flag for the exact semirings.
+    graph (ValidationError otherwise). The returned state's ``residual`` is
+    the largest componentwise change (after normalization and damping),
+    which doubles as an exact change flag for the exact semirings.
     """
-    plan, arrays = _plan_and_arrays(g, get_semiring(cfg.semiring), state)
+    _run_semiring(g.semiring, cfg)
+    plan, arrays = _plan_and_arrays(g, state)
     arrays, residual = plan.sweep(arrays, cfg)
     return MessageState(plan, arrays, state.iteration + 1, residual)
 
@@ -741,7 +764,8 @@ def run_two_pass(g, cfg, root=None):
     support returns the state the per-wire run halts in: the messages
     before the first dead wire of that schedule, the unit from there on.
     """
-    plan = _Plan(g, get_semiring(cfg.semiring))
+    _run_semiring(g.semiring, cfg)
+    plan = _Plan(g)
     arrays, halted_wire = plan.two_pass(cfg, root)
     residual = 0.0 if halted_wire is None else math.inf
     return MessageState(plan, arrays, 1, residual), halted_wire
@@ -756,7 +780,8 @@ def beliefs(g, state, cfg):
     bipartite mode variable beliefs are node-space tensors instead.
     Computed on the state's compiled plan.
     """
-    plan, arrays = _plan_and_arrays(g, get_semiring(cfg.semiring), state)
+    _run_semiring(g.semiring, cfg)
+    plan, arrays = _plan_and_arrays(g, state)
     return plan.beliefs(arrays, cfg)
 
 
@@ -785,7 +810,7 @@ def run_bp(g, cfg, root=None):
     their all-false beliefs are exact.
     """
     _ensure_valid(g)
-    semiring = get_semiring(cfg.semiring)
+    semiring = _run_semiring(g.semiring, cfg)
     if semiring.name == "count" and cfg.schedule == "sync" and not tree_info(g).is_tree:
         raise ValidationError(
             "count under the sync schedule needs a cycle-free graph: exact counts grow every "
@@ -895,16 +920,15 @@ def contraction_value(g, cfg=None, root=None):
         cfg = RunConfig(normalize=False, schedule="tree")
     if cfg.normalize:
         raise ValidationError("contraction requires normalize=False (raw mass must survive)")
-    semiring = get_semiring(cfg.semiring)
     _ensure_valid(g)
     state, _ = run_two_pass(g, cfg, root)  # unnormalized: never halts
-    return contraction_from_state(g, semiring, state, root)
+    return contraction_from_state(g, state, root)
 
 
-def contraction_from_state(g, semiring, state, root=None):
+def contraction_from_state(g, state, root=None):
     """Close the diagram against converged messages, component by component."""
-    semiring = get_semiring(semiring)
-    plan, (_v2f, f2v) = _plan_and_arrays(g, semiring, state)
+    plan, (_v2f, f2v) = _plan_and_arrays(g, state)
+    semiring = plan.semiring
     total = semiring.one
     for var_ids, fac_ids in components(g):
         if not var_ids:
@@ -924,22 +948,23 @@ def contraction_from_state(g, semiring, state, root=None):
     return total
 
 
-def decode_map(g, state, semiring):
+def decode_map(g, state):
     """Best state per variable from its belief, ties to the lowest index.
 
-    Needs a totally ordered semiring (prob, maxtimes, bool, count). On a
-    tree with maxtimes messages and a unique optimum this recovers the
-    globally best assignment. A state wins only by comparing greater than
-    the best so far, so a nan never wins and a leading nan keeps state 0.
+    Needs a graph in a totally ordered semiring (prob, maxtimes, bool,
+    count). On a tree with maxtimes messages and a unique optimum this
+    recovers the globally best assignment. A state wins only by comparing
+    greater than the best so far, so a nan never wins and a leading nan
+    keeps state 0.
     """
-    semiring = get_semiring(semiring)
+    semiring = get_semiring(g.semiring)
     if not semiring.has_compare:
         raise NoTotalOrderError(
             f"semiring {semiring.name!r} has no total order to decode with"
         )
     if g.mode is not GraphMode.SPIDER:
         raise ValidationError("decoding needs spider-mode variable semantics")
-    plan, (_v2f, f2v) = _plan_and_arrays(g, semiring, state)
+    plan, (_v2f, f2v) = _plan_and_arrays(g, state)
     best_of = {}
     for d, ids, values in plan.incoming_products(f2v):
         best = np.zeros(len(ids), dtype=np.intp)
@@ -953,7 +978,7 @@ def decode_map(g, state, semiring):
 
 
 def dual_seed(g, factor_id, entry_index):
-    """Copy of a numeric graph over dual numbers, one entry carrying eps.
+    """Copy of a numeric graph as a dual graph, one entry carrying eps.
 
     Every value x becomes x + 0*eps except the chosen factor's flat
     row-major ``entry_index``, which becomes x + 1*eps. Contracting the
@@ -986,12 +1011,12 @@ def dual_seed(g, factor_id, entry_index):
     )
     # lifting keeps every id, wire and shape, so a valid input needs no
     # second validation
-    return _carry_verdict(FactorGraph(variables, factors, mode=g.mode), g)
+    return _carry_verdict(FactorGraph(variables, factors, mode=g.mode, semiring="dual"), g)
 
 
-def evaluate_assignment(g, semiring, assignment):
-    """Product of all factor entries at one full assignment."""
-    semiring = get_semiring(semiring)
+def evaluate_assignment(g, assignment):
+    """Product of all factor entries at one full assignment, in the graph's semiring."""
+    semiring = get_semiring(g.semiring)
     total = semiring.one
     for f in sorted(g.factors, key=lambda f: f.id):
         index = tuple(assignment[v] for v in f.neighbors)

@@ -10,10 +10,12 @@ The native format is a single JSON object::
     }
 
 Factor values are flat row-major lists: numbers, booleans for the bool
-algebra, or [a, b] pairs for dual numbers. In bipartite mode variables also
-carry a "values" list for their own tensor. Unknown keys are rejected with
-the path to the offending object. Serialization preserves this key order
-and renders floats with up to 17 significant digits, so a round trip is
+algebra, or [a, b] pairs for dual numbers (a plain number x in a dual table
+is x + 0*eps). A rank-0 factor may give its one value bare. In bipartite
+mode variables also carry a "values" list for their own tensor. Unknown
+keys are rejected with the path to the offending object. Serialization
+writes the graph's semiring as the hint, preserves this key order and
+renders floats with up to 17 significant digits, so a round trip is
 structurally identical.
 
 The UAI format is the plain-text MARKOV network layout: a preamble token,
@@ -67,7 +69,7 @@ _FACTOR_KEYS = ("id", "neighbors", "values")
 _INT = frozenset((int,))
 
 
-def resolve_semiring(requested, hint, payload_sample):
+def _resolve_semiring(requested, hint, payload_sample):
     """Pick the semiring: explicit request, then document hint, then payload."""
     if requested:
         return get_semiring(requested)
@@ -131,9 +133,11 @@ def _table(sr, fid, shape, values):
 def parse_native(text, semiring=None):
     """Parse a native JSON document into (FactorGraph, semiring).
 
-    Raises ParseError for malformed documents (with the JSON position or
-    object path) and ValidationError when the described graph is unsound
-    (with the offending ids).
+    The semiring is ``semiring`` if given, else the document's
+    ``semiring_hint``, else guessed from the first table entry; the graph
+    is labelled with it. Raises ParseError for malformed documents (with
+    the JSON position or object path) and ValidationError when the
+    described graph is unsound (with the offending ids).
     """
     try:
         doc = json.loads(text)
@@ -148,14 +152,15 @@ def parse_native(text, semiring=None):
     except ValueError:
         raise ParseError(f'mode must be "spider" or "bipartite", got {mode_name!r} at top level') from None
 
+    # the first table entry: a rank-0 table may be a bare value
     sample = None
     for fac in doc.get("factors", []):
         vals = fac.get("values") if isinstance(fac, dict) else None
-        if vals:
-            sample = vals[0]
+        if vals is not None and vals != []:
+            sample = vals[0] if type(vals) is list else vals
             break
     try:
-        sr = resolve_semiring(semiring, doc.get("semiring_hint"), sample)
+        sr = _resolve_semiring(semiring, doc.get("semiring_hint"), sample)
     except ValueError as err:
         raise ParseError(f"{err} at top level") from None
 
@@ -235,14 +240,14 @@ def parse_native(text, semiring=None):
             fitted.append(VariableNode(v.id, v.obj, tensor))
         variables = fitted
 
-    g = FactorGraph(tuple(variables), tuple(nodes), mode=mode)
+    g = FactorGraph(tuple(variables), tuple(nodes), mode=mode, semiring=sr.name)
     return _ensure_valid(g), sr
 
 
-def graph_to_document(g, semiring, hint=None):
+def graph_to_document(g):
     """Native-format dict for a graph, in canonical key order."""
-    semiring = get_semiring(semiring)
-    doc = {"semiring_hint": hint or semiring.name}
+    semiring = get_semiring(g.semiring)
+    doc = {"semiring_hint": semiring.name}
     doc["variables"] = []
     for v in g.variables:
         item = {"id": v.id, "name": v.obj.name, "dim": v.obj.dim}
@@ -261,8 +266,8 @@ def graph_to_document(g, semiring, hint=None):
     return doc
 
 
-def serialize_native(g, semiring, hint=None):
-    return json.dumps(graph_to_document(g, semiring, hint)) + "\n"
+def serialize_native(g):
+    return json.dumps(graph_to_document(g)) + "\n"
 
 
 _TOKEN = re.compile(rb"\S+")
@@ -331,7 +336,8 @@ def _count_entry(tok):
 
 
 def parse_uai(text, semiring="prob"):
-    """Parse a UAI MARKOV file into (FactorGraph, semiring).
+    """Parse a UAI MARKOV file into (FactorGraph, semiring), the graph
+    labelled with ``semiring``.
 
     Whitespace and newlines are interchangeable. Truncated files raise
     ParseError with the byte offset where input ran out.
@@ -382,7 +388,7 @@ def parse_uai(text, semiring="prob"):
             values = toks.take(count, "entry {j} of factor {i}", number, i=i)
             tensors.append(_table(sr, i, shape, values))
     factors = tuple(FactorNode(i, t, scope) for i, (t, scope) in enumerate(zip(tensors, scopes)))
-    g = FactorGraph(variables, factors, mode=GraphMode.SPIDER)
+    g = FactorGraph(variables, factors, mode=GraphMode.SPIDER, semiring=sr.name)
     return _ensure_valid(g), sr
 
 
@@ -406,9 +412,9 @@ def _uai_bulk(toks, sr, shapes, number):
     return _bulk(sr, shapes, values)
 
 
-def serialize_uai(g, semiring):
+def serialize_uai(g):
     """Write a spider-mode graph with numeric values as a UAI MARKOV file."""
-    semiring = get_semiring(semiring)
+    semiring = get_semiring(g.semiring)
     if g.mode is not GraphMode.SPIDER:
         raise ValidationError("only spider-mode graphs have a UAI form")
     if semiring.name == "dual":

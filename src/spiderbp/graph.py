@@ -19,6 +19,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
+from .algebra import SEMIRINGS, get_semiring
 from .errors import ValidationError
 
 
@@ -74,9 +77,17 @@ class FactorNode:
 
 @dataclass(frozen=True)
 class FactorGraph:
+    """Variables and factors whose tensors all live in one semiring.
+
+    ``semiring`` is the registry name of that algebra. Every entry point
+    runs the graph in it; to run another algebra, build or parse the model
+    under that one.
+    """
+
     variables: tuple = ()
     factors: tuple = ()
     mode: GraphMode = GraphMode.SPIDER
+    semiring: str = "prob"
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -181,14 +192,21 @@ class ValidationReport:
 def validate_graph(g):
     """Structural checks; returns a report rather than raising.
 
-    Checks id density, wiring against declared dims, tensor shapes, and the
-    per-mode rules for variable tensors. An empty report means the graph is
-    safe to run.
+    Checks the semiring label, id density, wiring against declared dims,
+    tensor shapes and dtypes (every tensor stored as the labelled
+    semiring's ``dtype``), and the per-mode rules for variable tensors. An
+    empty report means the graph is safe to run.
     """
     out = ValidationReport()
 
     def bad(code, message, **where):
         out.violations.append(Violation(code, message, **where))
+
+    if g.semiring not in SEMIRINGS:
+        known = ", ".join(sorted(SEMIRINGS))
+        bad("semiring", f"unknown semiring {g.semiring!r}; known: {known}")
+        return out
+    dtype = np.dtype(SEMIRINGS[g.semiring].dtype)
 
     var_ids = [v.id for v in g.variables]
     if sorted(var_ids) != list(range(len(var_ids))):
@@ -212,6 +230,12 @@ def validate_graph(g):
                 factor_id=f.id,
             )
             continue
+        if t.data.dtype != dtype:
+            bad(
+                "tensor-dtype",
+                f"factor {f.id}: {t.data.dtype} values in a {g.semiring} graph (needs {dtype})",
+                factor_id=f.id,
+            )
         if len(t.data) != math.prod(t.shape):
             bad(
                 "tensor-size",
@@ -253,6 +277,12 @@ def validate_graph(g):
                 bad(
                     "node-shape",
                     f"variable {v.id}: tensor shape {list(t.shape)} must be [{v.obj.dim}] * degree {deg}",
+                    variable_id=v.id,
+                )
+            elif t.data.dtype != dtype:
+                bad(
+                    "tensor-dtype",
+                    f"variable {v.id}: {t.data.dtype} values in a {g.semiring} graph (needs {dtype})",
                     variable_id=v.id,
                 )
     return out
@@ -362,12 +392,13 @@ def build_graph(var_dims, factors, semiring, mode=GraphMode.SPIDER, var_tensors=
 
     ``var_dims`` is a list of dims or (name, dim) pairs; ``factors`` a list
     of (neighbor ids, flat row-major values). Values are coerced into the
-    given semiring's scalar type. ``var_tensors`` supplies per-variable
-    tensors for bipartite mode as flat value lists.
+    given semiring's scalar type, and the graph is labelled with it.
+    ``var_tensors`` supplies per-variable tensors for bipartite mode as
+    flat value lists.
     """
     from .tensor import DenseTensor  # local import; tensor layer sits above this one
 
-    semiring = _resolve(semiring)
+    semiring = get_semiring(semiring)
     variables = []
     for i, entry in enumerate(var_dims):
         name, dim = entry if isinstance(entry, tuple) else (f"v{i}", entry)
@@ -383,18 +414,12 @@ def build_graph(var_dims, factors, semiring, mode=GraphMode.SPIDER, var_tensors=
         shape = tuple(variables[v].obj.dim for v in neighbors)
         nodes.append(FactorNode(i, DenseTensor.from_values(shape, values, semiring), tuple(neighbors)))
 
-    g = FactorGraph(tuple(variables), tuple(nodes), mode=mode)
+    g = FactorGraph(tuple(variables), tuple(nodes), mode=mode, semiring=semiring.name)
     if var_tensors is not None:
         fitted = []
         for v in g.variables:
             deg = g.degree(v.id)
             t = DenseTensor.from_values((v.obj.dim,) * deg, var_tensors[v.id], semiring)
             fitted.append(VariableNode(v.id, v.obj, t))
-        g = FactorGraph(tuple(fitted), g.factors, mode=mode)
+        g = FactorGraph(tuple(fitted), g.factors, mode=mode, semiring=semiring.name)
     return _ensure_valid(g)
-
-
-def _resolve(semiring):
-    from .algebra import get_semiring
-
-    return get_semiring(semiring)

@@ -26,8 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import get_semiring
-from .errors import CliqueTooLargeError, ValidationError
+from .engine import _run_semiring
+from .errors import CliqueTooLargeError, ValidationError, ZeroMessageError
 from .graph import GraphMode, ObjectType, _ensure_valid
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor, Message
 
@@ -236,6 +236,8 @@ class JTResult:
     variable_beliefs: dict
     contraction_value: object
     tree: JunctionTree
+    #: registry name of the graph's semiring, which the beliefs live in
+    semiring: str
     #: clique id -> unnormalized member-space belief (potential times all
     #: incoming separator messages); every covering clique of a variable
     #: folds to the same marginal
@@ -254,7 +256,7 @@ def run_junction_tree(g, cfg):
     lowest-id covering clique (rescaled per config), and the contraction
     value is the product over components of the root beliefs' totals.
     """
-    semiring = get_semiring(cfg.semiring)
+    semiring = _run_semiring(g.semiring, cfg)
     tree = build_junction_tree(g)
     z = semiring.one
     if not tree.cliques:
@@ -301,7 +303,7 @@ def run_junction_tree(g, cfg):
     for root in roots:
         z = semiring.mul(z, semiring.fold(beliefs[root].reshape(-1), 0).item())
     clique_beliefs = {cid: DenseTensor.from_array(arr) for cid, arr in beliefs.items()}
-    result = JTResult({}, z, tree, clique_beliefs=clique_beliefs)
+    result = JTResult({}, z, tree, semiring.name, clique_beliefs=clique_beliefs)
     for v in g.variables:
         cid = tree.variable_to_clique[v.id]
         folded = marginal_from_clique(result, cid, v.id, cfg)
@@ -314,11 +316,10 @@ def marginal_from_clique(result, cid, variable_id, cfg):
     """Marginal of one variable folded out of one covering clique's belief.
 
     Every clique containing the variable must yield the same (rescaled)
-    answer; exposed so callers can verify that consistency.
+    answer; exposed so callers can verify that consistency. ``cfg`` is
+    checked against the semiring of the graph the result came from.
     """
-    from .errors import ZeroMessageError
-
-    semiring = get_semiring(cfg.semiring)
+    semiring = _run_semiring(result.semiring, cfg)
     clique = result.tree.cliques[cid]
     if variable_id not in clique.members:
         raise ValidationError(

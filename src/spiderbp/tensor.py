@@ -99,7 +99,8 @@ def _flatten(values, pairs_are_scalars=False):
     out = []
 
     # preserve row-major order while unrolling nested lists; for the dual
-    # algebra a two-number [a, b] is a scalar, not nesting
+    # algebra a two-number [a, b] inside the table is a scalar, not nesting,
+    # while the table itself is always a list of entries
     def walk(x):
         if isinstance(x, (list, tuple)) and not (pairs_are_scalars and _is_pair(x)):
             for item in x:
@@ -107,7 +108,8 @@ def _flatten(values, pairs_are_scalars=False):
         else:
             out.append(x)
 
-    walk(values)
+    for item in values:
+        walk(item)
     return out
 
 

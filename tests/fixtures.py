@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from spiderbp import build_graph, get_semiring
+from spiderbp import build_graph
+from spiderbp.algebra import get_semiring
 
 MAX_JOINT = 1 << 16
 

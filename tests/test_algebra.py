@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from spiderbp import (
+from spiderbp import PROB, SEMIRINGS, NoTotalOrderError, ZeroMessageError
+from spiderbp.algebra import (
     BOOL,
     COUNT,
     DUAL,
     MAXTIMES,
-    PROB,
-    SEMIRINGS,
     DualNumber,
-    NoTotalOrderError,
-    ZeroMessageError,
     check_semiring_axioms,
     get_semiring,
 )

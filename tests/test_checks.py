@@ -2,14 +2,14 @@
 
 import numpy as np
 
-from spiderbp import (
-    DenseTensor,
+from spiderbp.checks import (
     check_reshape_routes,
     check_spider_fusion,
-    matricize,
+    random_split,
+    reshape_via,
     run_all_checks,
 )
-from spiderbp.checks import random_split, reshape_via
+from spiderbp.tensor import DenseTensor, matricize
 
 
 class TestSpiderFusion:

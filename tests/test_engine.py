@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from spiderbp import (
-    BOOL,
-    COUNT,
-    DUAL,
     PROB,
-    DualNumber,
-    GraphMode,
     NotATreeError,
     NoTotalOrderError,
     RunConfig,
@@ -24,15 +19,22 @@ from spiderbp import (
     exact_argmax,
     exact_contraction,
     exact_marginal,
-    init_messages,
     run_bp,
     run_junction_tree,
-    sweep_synchronous,
     tree_info,
+)
+from spiderbp.algebra import BOOL, COUNT, DUAL, DualNumber
+from spiderbp.graph import GraphMode
+from spiderbp.jtree import marginal_from_clique
+from spiderbp import engine
+from spiderbp.engine import (
+    beliefs,
+    contraction_from_state,
+    init_messages,
+    run_two_pass,
+    sweep_synchronous,
     two_pass_schedule,
 )
-from spiderbp import engine
-from spiderbp.engine import beliefs, contraction_from_state
 
 from fixtures import brute_force_count, random_loopy, random_tree, random_tree_csp
 
@@ -58,7 +60,7 @@ def chain3():
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.semiring == "prob"
+        assert cfg.semiring is None  # the graph's
         assert cfg.schedule == "sync"
         assert cfg.max_iters == 1000
         assert cfg.tol == 1e-9
@@ -249,8 +251,6 @@ class TestSyncSchedule:
 
 class TestFixedPointContract:
     def test_extra_sweep_moves_nothing(self):
-        from spiderbp import sweep_synchronous
-
         rng = np.random.default_rng(41)
         for _ in range(10):
             g = random_tree(rng, "prob")
@@ -335,7 +335,8 @@ class TestContractionValue:
         assert contraction_value(g, cfg) == 2 * 3
 
     def test_rank0_factor_multiplies_in(self):
-        from spiderbp import DenseTensor, FactorGraph, FactorNode, VariableNode, ObjectType
+        from spiderbp.graph import FactorGraph, FactorNode, ObjectType, VariableNode
+        from spiderbp.tensor import DenseTensor
 
         g = FactorGraph(
             (VariableNode(0, ObjectType("a", 2)),),
@@ -343,6 +344,7 @@ class TestContractionValue:
                 FactorNode(0, DenseTensor.from_values((2,), [1, 1], COUNT), (0,)),
                 FactorNode(1, DenseTensor.from_values((), [5], COUNT), ()),
             ),
+            semiring="count",
         )
         cfg = RunConfig(semiring="count", schedule="tree", normalize=False)
         assert contraction_value(g, cfg) == 2 * 5
@@ -359,28 +361,28 @@ class TestDecodeMap:
             g = random_tree(rng, "maxtimes", max_vars=6)
             cfg = RunConfig(semiring="maxtimes", schedule="tree")
             result = run_bp(g, cfg)
-            decoded = decode_map(g, result.state, "maxtimes")
+            decoded = decode_map(g, result.state)
             best, best_value = exact_argmax(g)
-            got = float(evaluate_assignment(g, "maxtimes", decoded))
+            got = float(evaluate_assignment(g, decoded))
             assert np.isclose(got, best_value, rtol=1e-12)
 
     def test_tie_goes_to_lowest_index(self):
-        g = build_graph([3], [((0,), [0.5, 0.5, 0.2])], PROB)
+        g = build_graph([3], [((0,), [0.5, 0.5, 0.2])], "maxtimes")
         result = run_bp(g, RunConfig(semiring="maxtimes", schedule="tree"))
-        decoded = decode_map(g, result.state, "maxtimes")
+        decoded = decode_map(g, result.state)
         assert decoded == {0: 0}
 
     def test_needs_total_order(self):
-        g = chain3()
+        g = dual_seed(chain3(), 0, 0)
         result = run_bp(g, RunConfig(schedule="tree"))
         with pytest.raises(NoTotalOrderError):
-            decode_map(g, result.state, "dual")
+            decode_map(g, result.state)
 
 
 class TestEvaluateAssignment:
     def test_product_of_entries(self):
         g = chain3()
-        v = evaluate_assignment(g, PROB, {0: 1, 1: 0, 2: 1})
+        v = evaluate_assignment(g, {0: 1, 1: 0, 2: 1})
         assert np.isclose(v, 3.0 * 6.0 * 0.75)
 
 
@@ -487,7 +489,8 @@ class TestBipartiteMode:
 
 class TestValidationGate:
     def test_run_bp_validates_first(self):
-        from spiderbp import DenseTensor, FactorGraph, FactorNode, VariableNode, ObjectType
+        from spiderbp.graph import FactorGraph, FactorNode, ObjectType, VariableNode
+        from spiderbp.tensor import DenseTensor
 
         bad = FactorGraph(
             (VariableNode(0, ObjectType("a", 2)),),
@@ -516,22 +519,70 @@ def spin_glass_grid(rng, n):
     return build_graph([2] * (n * n), factors, PROB)
 
 
+def small_chain(name):
+    """Three binary variables in a chain, tables valid in every semiring."""
+    factors = [((0, 1), [1, 0, 1, 1]), ((1, 2), [1, 1, 0, 1]), ((0,), [1, 1])]
+    return build_graph([2, 2, 2], factors, name)
+
+
+class TestTheGraphOwnsItsSemiring:
+    def test_an_unnamed_config_runs_the_graphs_semiring(self):
+        z = contraction_value(build_graph([2, 2], [((0, 1), [1, 2, 3, 4])], "count"))
+        assert z == 10 and type(z) is int
+        g = build_graph([2], [((0,), [True, False])], "bool")
+        for schedule in ("sync", "tree"):
+            values = run_bp(g, RunConfig(schedule=schedule)).variable_beliefs[0].values
+            assert values.dtype == np.bool_ and values.tolist() == [True, False]
+        assert run_junction_tree(g, RunConfig()).variable_beliefs[0].values.tolist() == [True, False]
+
+    @pytest.mark.parametrize(
+        "name, other",
+        [("prob", "count"), ("prob", "dual"), ("prob", "maxtimes"), ("count", "prob"), ("bool", "prob")],
+    )
+    @pytest.mark.parametrize("schedule", ["sync", "tree"])
+    def test_another_semiring_is_rejected_everywhere(self, name, other, schedule):
+        g = small_chain(name)
+        own = RunConfig(schedule=schedule, normalize=False)
+        cfg = RunConfig(semiring=other, schedule=schedule, normalize=False)
+        state = init_messages(g, own)
+        jt = run_junction_tree(g, own)
+        calls = [
+            lambda: run_bp(g, cfg),
+            lambda: contraction_value(g, cfg),
+            lambda: init_messages(g, cfg),
+            lambda: beliefs(g, state, cfg),
+            lambda: sweep_synchronous(g, state, cfg),
+            lambda: run_two_pass(g, cfg),
+            lambda: run_junction_tree(g, cfg),
+            lambda: marginal_from_clique(jt, 0, 0, cfg),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"live in {name}, not {other}"):
+                call()
+        # naming the graph's own semiring is the same as naming none
+        named = RunConfig(semiring=name, schedule=schedule, normalize=False)
+        assert repr(contraction_value(g, named)) == repr(contraction_value(g, own))
+
+    def test_damping_needs_a_prob_graph(self):
+        with pytest.raises(ValueError, match="damping"):
+            run_bp(small_chain("count"), RunConfig(damping=0.5))
+        assert run_bp(small_chain("prob"), RunConfig(damping=0.5)).converged
+
+
 class TestMessageState:
-    def test_another_graph_or_semiring_is_rejected(self):
+    def test_another_graph_is_rejected(self):
         g, twin = (random_loopy(np.random.default_rng(51)) for _ in range(2))
         cfg = RunConfig()
         state = run_bp(g, cfg).state
-        maxtimes = RunConfig(semiring="maxtimes")
-        for other, read_as in ((twin, cfg), (g, maxtimes)):
-            with pytest.raises(ValidationError):
-                beliefs(other, state, read_as)
-            with pytest.raises(ValidationError):
-                decode_map(other, state, read_as.semiring)
-            with pytest.raises(ValidationError):
-                contraction_from_state(other, read_as.semiring, state)
-            with pytest.raises(ValidationError):
-                sweep_synchronous(other, state, read_as)
-        beliefs(g, state, cfg)  # its own graph and semiring are fine
+        with pytest.raises(ValidationError):
+            beliefs(twin, state, cfg)
+        with pytest.raises(ValidationError):
+            decode_map(twin, state)
+        with pytest.raises(ValidationError):
+            contraction_from_state(twin, state)
+        with pytest.raises(ValidationError):
+            sweep_synchronous(twin, state, cfg)
+        beliefs(g, state, cfg)  # its own graph is fine
 
     def test_message_views_are_read_only(self):
         state = init_messages(chain3(), RunConfig())
@@ -543,7 +594,7 @@ class TestMessageState:
     def test_one_sync_sweep_runs_one_op_per_group_and_axis(self, monkeypatch):
         g = spin_glass_grid(np.random.default_rng(52), 10)
         cfg = RunConfig()
-        plan = engine._Plan(g, PROB)
+        plan = engine._Plan(g)
         folds, contracts = [], []
         fold_mul, contract = engine._fold_mul, engine._TensorGroup.contract
 

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from spiderbp import (
-    COUNT,
-    DUAL,
     PROB,
-    DenseTensor,
-    DualNumber,
     FormatWarning,
-    GraphMode,
     ParseError,
     RunConfig,
     TooLargeError,
@@ -21,12 +16,14 @@ from spiderbp import (
     build_graph,
     contraction_value,
     exact_contraction,
-    get_semiring,
     parse_native,
     parse_uai,
     serialize_native,
     serialize_uai,
 )
+from spiderbp.algebra import COUNT, DUAL, DualNumber, get_semiring
+from spiderbp.graph import GraphMode
+from spiderbp.tensor import DenseTensor
 
 from fixtures import random_tree
 
@@ -100,6 +97,19 @@ class TestParseNative:
         doc["factors"][0]["values"] = [1.0, 2.0, 3.0, 4.0]
         _, sr = parse_native(json.dumps(doc))
         assert sr.name == "prob"
+
+    def test_bare_number_table_in_any_position(self):
+        # a rank-0 factor may give its one entry as a bare value
+        factors = [
+            {"id": 0, "neighbors": [], "values": 5},
+            {"id": 1, "neighbors": [0], "values": [1.0, 2.0]},
+        ]
+        parsed = []
+        for order in (factors, factors[::-1]):
+            doc = {"variables": [{"id": 0, "dim": 2}], "factors": order}
+            g, sr = parse_native(json.dumps(doc))
+            parsed.append((sr.name, g.semiring, [g.factor(i).tensor.data.tolist() for i in (0, 1)]))
+        assert parsed[0] == parsed[1] == ("prob", "prob", [[5.0], [1.0, 2.0]])
 
     def test_bad_json_reports_position(self):
         with pytest.raises(ParseError, match=r"line \d+ column \d+"):
@@ -212,7 +222,7 @@ class TestNativeRoundTrip:
         rng = np.random.default_rng(53)
         for name in ("prob", "maxtimes", "bool", "count"):
             g = random_tree(rng, name, max_vars=6)
-            text = serialize_native(g, name)
+            text = serialize_native(g)
             g2, sr2 = parse_native(text)
             assert sr2.name == name
             assert g2.mode == g.mode
@@ -227,18 +237,18 @@ class TestNativeRoundTrip:
     def test_serialization_is_stable(self):
         rng = np.random.default_rng(59)
         g = random_tree(rng, "prob")
-        text = serialize_native(g, "prob")
+        text = serialize_native(g)
         g2, _ = parse_native(text)
-        assert serialize_native(g2, "prob") == text
+        assert serialize_native(g2) == text
 
     def test_float_precision_survives(self):
         g = build_graph([2], [((0,), [1 / 3, 0.1])], PROB)
-        g2, _ = parse_native(serialize_native(g, PROB))
+        g2, _ = parse_native(serialize_native(g))
         assert g2.factor(0).tensor.data.tolist() == [1 / 3, 0.1]
 
     def test_dual_values_as_pairs(self):
         g = build_graph([2], [((0,), [[1.5, 2.0], [3.0, 0.0]])], DUAL)
-        text = serialize_native(g, DUAL)
+        text = serialize_native(g)
         doc = json.loads(text)
         assert doc["factors"][0]["values"] == [[1.5, 2.0], [3.0, 0.0]]
         g2, sr = parse_native(text)
@@ -250,7 +260,7 @@ class TestNativeRoundTrip:
 
     def test_canonical_key_order(self):
         g = build_graph([2], [((0,), [1.0, 2.0])], PROB)
-        text = serialize_native(g, PROB)
+        text = serialize_native(g)
         keys = list(json.loads(text))
         assert keys == ["semiring_hint", "variables", "factors", "mode"]
         assert text.index("semiring_hint") < text.index("variables") < text.index("factors")
@@ -263,9 +273,38 @@ class TestNativeRoundTrip:
             mode=GraphMode.BIPARTITE,
             var_tensors={0: [1.0, 0.0, 0.0, 1.0]},
         )
-        g2, _ = parse_native(serialize_native(g, PROB))
+        g2, _ = parse_native(serialize_native(g))
         assert g2.mode is GraphMode.BIPARTITE
         assert g2.variable(0).tensor.data.tolist() == [1.0, 0.0, 0.0, 1.0]
+
+
+class TestDualPlainNumbers:
+    """Under dual, a table of plain numbers holds one scalar per number."""
+
+    WANT = [DualNumber(1.5, 0.0), DualNumber(2.5, 0.0)]
+
+    def test_uai(self):
+        g, sr = parse_uai("MARKOV 1 2 1 1 0 2 1.5 2.5", semiring="dual")
+        assert sr.name == g.semiring == "dual"
+        assert g.factor(0).tensor.data.tolist() == self.WANT
+
+    def test_native(self):
+        doc = {
+            "semiring_hint": "dual",
+            "variables": [{"id": 0, "dim": 2}],
+            "factors": [{"id": 0, "neighbors": [0], "values": [1.5, 2.5]}],
+        }
+        g, _ = parse_native(json.dumps(doc))
+        assert g.factor(0).tensor.data.tolist() == self.WANT
+
+    def test_build_graph_and_native_round_trip(self):
+        g = build_graph([2], [([0], [1.5, 2.5])], "dual")
+        assert g.factor(0).tensor.data.tolist() == self.WANT
+        text = serialize_native(g)
+        g2, sr = parse_native(text)
+        assert sr.name == g2.semiring == "dual"
+        assert g2.factor(0).tensor.data.tolist() == self.WANT
+        assert serialize_native(g2) == text
 
 
 class TestParseUAI:
@@ -335,7 +374,7 @@ class TestSerializeUAI:
     def test_round_trip(self):
         rng = np.random.default_rng(61)
         g = random_tree(rng, "prob", max_vars=6)
-        text = serialize_uai(g, "prob")
+        text = serialize_uai(g)
         g2, _ = parse_uai(text)
         assert len(g2.variables) == len(g.variables)
         for f, f2 in zip(g.factors, g2.factors):
@@ -344,7 +383,7 @@ class TestSerializeUAI:
 
     def test_bool_as_01(self):
         g = build_graph([2], [((0,), [True, False])], "bool")
-        text = serialize_uai(g, "bool")
+        text = serialize_uai(g)
         lines = [ln for ln in text.splitlines() if ln]
         assert lines[-1] == "1 0"
         g2, _ = parse_uai(text, semiring="bool")
@@ -353,7 +392,7 @@ class TestSerializeUAI:
     def test_dual_has_no_uai_form(self):
         g = build_graph([2], [((0,), [[1.0, 0.0], [2.0, 0.0]])], DUAL)
         with pytest.raises(ValidationError):
-            serialize_uai(g, DUAL)
+            serialize_uai(g)
 
     def test_bipartite_has_no_uai_form(self):
         g = build_graph(
@@ -364,7 +403,7 @@ class TestSerializeUAI:
             var_tensors={0: [1.0, 1.0]},
         )
         with pytest.raises(ValidationError):
-            serialize_uai(g, PROB)
+            serialize_uai(g)
 
 
 # -- bulk table reading ------------------------------------------------------------

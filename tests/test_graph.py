@@ -4,26 +4,28 @@ import numpy as np
 import pytest
 
 from spiderbp import (
-    COUNT,
     PROB,
-    DenseTensor,
     FactorGraph,
-    FactorNode,
-    GraphMode,
-    ObjectType,
     RunConfig,
     ValidationError,
-    VariableNode,
     build_graph,
-    build_junction_tree,
-    components,
-    composite_object,
     contraction_value,
     run_bp,
     run_junction_tree,
     tree_info,
+)
+from spiderbp.algebra import BOOL, COUNT
+from spiderbp.graph import (
+    FactorNode,
+    GraphMode,
+    ObjectType,
+    VariableNode,
+    components,
+    composite_object,
     validate_graph,
 )
+from spiderbp.jtree import build_junction_tree
+from spiderbp.tensor import DenseTensor
 from spiderbp import graph as graph_module
 
 
@@ -148,6 +150,28 @@ class TestValidation:
             mode=GraphMode.BIPARTITE,
         )
         assert any(v.code == "node-shape" for v in validate_graph(g2).violations)
+
+    def test_unknown_semiring_label(self):
+        g = FactorGraph(chain(2).variables, chain(2).factors, semiring="real")
+        report = validate_graph(g)
+        assert [v.code for v in report.violations] == ["semiring"]
+
+    def test_tensor_dtype_must_match_the_label(self):
+        t = DenseTensor.from_values((2,), [True, False], BOOL)
+        variables = (VariableNode(0, ObjectType("a", 2)),)
+        g = FactorGraph(variables, (FactorNode(0, t, (0,)),))  # left at "prob"
+        assert [v.code for v in validate_graph(g).violations] == ["tensor-dtype"]
+        with pytest.raises(ValidationError, match="bool values in a prob graph"):
+            run_bp(g, RunConfig())
+        assert validate_graph(FactorGraph(variables, (FactorNode(0, t, (0,)),), semiring="bool")).ok
+
+    def test_node_tensor_dtype_must_match_the_label(self):
+        g = build_graph(
+            [2], [((0,), [1.0, 2.0])], PROB, mode=GraphMode.BIPARTITE, var_tensors={0: [1.0, 3.0]}
+        )
+        node = VariableNode(0, g.variable(0).obj, DenseTensor.from_values((2,), [1, 3], COUNT))
+        bad = FactorGraph((node,), g.factors, mode=GraphMode.BIPARTITE)
+        assert [v.code for v in validate_graph(bad).violations] == ["tensor-dtype"]
 
     def test_build_graph_validates(self):
         with pytest.raises(ValidationError):

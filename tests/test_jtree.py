@@ -4,25 +4,20 @@ import numpy as np
 import pytest
 
 from spiderbp import (
-    BOOL,
-    COUNT,
-    DUAL,
-    MAXTIMES,
     PROB,
     CliqueTooLargeError,
-    GraphMode,
     RunConfig,
     ValidationError,
     build_graph,
-    build_junction_tree,
     dual_seed,
     exact_contraction,
     exact_marginal,
-    marginal_from_clique,
     run_bp,
     run_junction_tree,
-    running_intersection_holds,
 )
+from spiderbp.algebra import BOOL, COUNT, DUAL, MAXTIMES
+from spiderbp.graph import GraphMode
+from spiderbp.jtree import build_junction_tree, marginal_from_clique, running_intersection_holds
 
 from fixtures import brute_force_count, four_cycle, random_loopy, random_tree
 

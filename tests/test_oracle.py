@@ -6,25 +6,19 @@ import numpy as np
 import pytest
 
 from spiderbp import (
-    BOOL,
-    COUNT,
     PROB,
-    DenseTensor,
-    DualNumber,
     FactorGraph,
-    FactorNode,
-    GraphMode,
-    ObjectType,
     TooLargeError,
     ValidationError,
-    VariableNode,
-    assignments,
     build_graph,
     exact_argmax,
     exact_contraction,
     exact_marginal,
-    joint_table,
 )
+from spiderbp.algebra import BOOL, COUNT, DualNumber
+from spiderbp.graph import FactorNode, GraphMode, ObjectType, VariableNode
+from spiderbp.oracle import assignments, joint_table
+from spiderbp.tensor import DenseTensor
 
 from fixtures import random_tree
 

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from spiderbp import (
-    BOOL,
-    COUNT,
-    DUAL,
     PROB,
     BadPermutationError,
     BadSplitError,
-    DenseTensor,
-    DualNumber,
-    Message,
     ObjectMismatchError,
-    ObjectType,
     ShapeMismatchError,
     TooLargeError,
+)
+from spiderbp.algebra import BOOL, COUNT, DUAL, DualNumber
+from spiderbp.graph import ObjectType
+from spiderbp.tensor import (
+    DenseTensor,
+    Message,
     contract_to_axis,
     fold_axis_sum,
     full_contraction,
@@ -51,6 +50,13 @@ class TestDenseTensor:
     def test_dual_pairs_are_scalars(self):
         t = DenseTensor.from_values((2,), [[1.0, 2.0], [3.0, 4.0]], DUAL)
         assert t.data.tolist() == [DualNumber(1.0, 2.0), DualNumber(3.0, 4.0)]
+
+    def test_a_flat_dual_table_is_a_list_of_scalars(self):
+        # the table's own list is never an [a, b] pair, only its items are
+        t = DenseTensor.from_values((2,), [1.5, 2.5], DUAL)
+        assert t.data.tolist() == [DualNumber(1.5, 0.0), DualNumber(2.5, 0.0)]
+        mixed = DenseTensor.from_values((2,), [[1.5, 1.0], 2.5], DUAL)
+        assert mixed.data.tolist() == [DualNumber(1.5, 1.0), DualNumber(2.5, 0.0)]
 
     def test_data_is_read_only(self):
         t = DenseTensor.from_values((2,), [1.0, 2.0], PROB)
