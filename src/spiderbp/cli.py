@@ -76,46 +76,48 @@ def _diag(level, message, **extra):
 @functools.cache
 def _build_parser():
     """The argparse tree, built once per process: parsing keeps no state
-    in it between calls."""
-    common = _Parser(add_help=False)
-    common.add_argument("--input", help="path to the factor-graph file")
-    common.add_argument(
+    in it between calls. Each subcommand takes only the flags it reads."""
+    output = _Parser(add_help=False)
+    output.add_argument("--output", help="write the result document here instead of stdout")
+    io = _Parser(add_help=False, parents=[output])
+    io.add_argument("--input", help="path to the factor-graph file")
+    io.add_argument(
         "--format",
         choices=("native", "uai"),
         default="native",
         help="input file format (default: native)",
     )
-    common.add_argument(
+    io.add_argument(
         "--semiring",
         choices=tuple(SEMIRINGS),
         default=None,
         help="semiring to parse the file under (default: from the file, else prob)",
     )
-    common.add_argument(
+    no_normalize = _Parser(add_help=False)
+    no_normalize.add_argument(
+        "--no-normalize",
+        action="store_true",
+        help="keep messages unnormalized (required for contraction values)",
+    )
+    bp = _Parser(add_help=False, parents=[no_normalize])
+    bp.add_argument(
         "--schedule",
         choices=("sync", "tree"),
         default="sync",
         help="message schedule (default: sync)",
     )
-    common.add_argument("--max-iters", type=int, default=1000)
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--damping", type=float, default=0.0)
-    common.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="keep messages unnormalized (required for contraction values)",
-    )
-    common.add_argument("--output", help="write the result document here instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    bp.add_argument("--max-iters", type=int, default=1000)
+    bp.add_argument("--tol", type=float, default=1e-9)
+    bp.add_argument("--damping", type=float, default=0.0)
 
     parser = _Parser(prog="spiderbp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    sub.add_parser("run", parents=[common], help="run belief propagation")
-    sub.add_parser("exact", parents=[common], help="brute-force contraction and marginals")
-    sub.add_parser("jtree", parents=[common], help="junction-tree marginals on loopy graphs")
-    sub.add_parser("map", parents=[common], help="max-times decoding of a best assignment")
-    grad = sub.add_parser("grad", parents=[common], help="derivative of the contraction value")
+    sub.add_parser("run", parents=[io, bp], help="run belief propagation")
+    sub.add_parser("exact", parents=[io], help="brute-force contraction and marginals")
+    sub.add_parser("jtree", parents=[io, no_normalize], help="junction-tree marginals on loopy graphs")
+    sub.add_parser("map", parents=[io, bp], help="max-times decoding of a best assignment")
+    grad = sub.add_parser("grad", parents=[io], help="derivative of the contraction value")
     grad.add_argument("--factor", type=int, required=True, help="factor id to differentiate")
     grad.add_argument(
         "--entry",
@@ -123,8 +125,9 @@ def _build_parser():
         required=True,
         help="flat row-major index of the entry within the factor table",
     )
-    sub.add_parser("check", parents=[common], help="self-test the algebra and tensor laws")
-    sub.add_parser("convert", parents=[common], help="convert between native and uai formats")
+    check = sub.add_parser("check", parents=[output], help="self-test the algebra and tensor laws")
+    check.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    sub.add_parser("convert", parents=[io], help="convert between native and uai formats")
 
     return parser
 
@@ -182,6 +185,9 @@ def _beliefs_document(g, result, z=None):
 
 
 def _config(args):
+    """The run's config from the bp flags; read before the input file."""
+    if not 0.0 <= args.damping < 1.0:
+        raise _UsageError("--damping must lie in [0, 1)")
     return RunConfig(
         schedule=args.schedule,
         max_iters=args.max_iters,
@@ -192,8 +198,9 @@ def _config(args):
 
 
 def _cmd_run(args):
+    cfg = _config(args)
     g = _load_graph(args)
-    result = run_bp(g, _config(args))
+    result = run_bp(g, cfg)
     z = None
     if args.no_normalize and args.schedule == "tree":
         # the unnormalized two-pass state is exact: close it directly
@@ -231,7 +238,7 @@ def _cmd_exact(args):
 def _cmd_jtree(args):
     g = _load_graph(args)
     semiring = get_semiring(g.semiring)
-    jt = run_junction_tree(g, _config(args))
+    jt = run_junction_tree(g, RunConfig(normalize=not args.no_normalize))
     doc = {
         "converged": True,
         "iterations": 1,
@@ -256,8 +263,9 @@ def _cmd_jtree(args):
 def _cmd_map(args):
     if args.semiring not in (None, "maxtimes"):
         raise _UsageError("map decodes under maxtimes; drop --semiring")
+    cfg = _config(args)
     g = _load_graph(args, "maxtimes")
-    result = run_bp(g, _config(args))
+    result = run_bp(g, cfg)
     if result.contradiction:
         _diag("error", "contradiction: an all-zero message was produced")
         return EXIT_CONTRADICTION
@@ -281,13 +289,7 @@ def _cmd_grad(args):
     if args.semiring not in (None, "dual"):
         raise _UsageError("grad runs under the dual semiring; drop --semiring")
     lifted = dual_seed(_load_graph(args, "prob"), args.factor, args.entry)
-    cfg = RunConfig(
-        schedule="tree",
-        max_iters=args.max_iters,
-        tol=args.tol,
-        normalize=False,
-    )
-    z = contraction_value(lifted, cfg)
+    z = contraction_value(lifted)
     doc = {
         "semiring": "dual",
         "factor": args.factor,
@@ -351,8 +353,6 @@ def cli_dispatch(argv):
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required (run, exact, jtree, map, grad, check, convert)")
-        if not 0.0 <= args.damping < 1.0:
-            raise _UsageError("--damping must lie in [0, 1)")
         return _COMMANDS[args.command](args)
     except _UsageError as err:
         _diag("error", f"usage: {err}")

@@ -14,9 +14,10 @@ tensor over those axes rather than a length-dim message.
 Two schedules are provided. ``sync`` recomputes every message from a
 snapshot of the previous state (Jacobi style) until the largest
 componentwise change falls to the tolerance; on a tree the fixed point is
-reached within diameter sweeps. ``tree`` performs the classic two passes,
-leaves to root then root to leaves, and is exact on trees in a single
-execution.
+reached within diameter sweeps, because a message of level k (below) is
+final after k + 1 sweeps and the diameter is one more than the highest
+level. ``tree`` performs the classic two passes, leaves to root then root
+to leaves, and is exact on trees in a single execution.
 
 Both schedules run on one plan (``_Plan``), compiled once per run. Every
 wire gets an integer row in one packed ``(wires, dim)`` array per dim and
@@ -57,7 +58,7 @@ from .errors import (
     ValidationError,
     ZeroMessageError,
 )
-from .graph import GraphMode, _carry_verdict, _ensure_valid, components, tree_info
+from .graph import GraphMode, _carry_verdict, _ensure_valid, _walk, _wire_levels, components, tree_info
 from .tensor import DenseTensor, Message, contract_to_axis, full_contraction, hadamard
 
 SCHEDULES = ("sync", "tree")
@@ -542,72 +543,8 @@ class _Plan:
         return schedule[at]
 
     def _wire_levels(self):
-        """Level of every directed wire, as dim -> level per packed row.
-
-        A message's level is 1 + the largest level among the messages it
-        reads, 0 when it reads none (a leaf variable, a rank-1 factor).
-        One rooted BFS per component, then an up pass and a down pass that
-        keep each node's top two incoming levels. Raises NotATreeError on a
-        cycle or a repeated wire.
-        """
-        g = self.g
-        nv = len(g.variables)
-        # nodes: variable ids, then nv + factor id; ends[i] - node is the
-        # other end of wire i
-        node_wires = [[] for _ in range(nv + len(g.factors))]
-        ends = []
-        for i, ((fid, _axis), vid) in enumerate(zip(g.wires, self.wire_vars)):
-            node_wires[vid].append(i)
-            node_wires[nv + fid].append(i)
-            ends.append(vid + nv + fid)
-        parent = [-2] * len(node_wires)  # wire to the parent; -1 root, -2 unseen
-        order = []
-        for r in range(nv):
-            if parent[r] != -2:
-                continue
-            parent[r] = -1
-            k = len(order)
-            order.append(r)
-            while k < len(order):
-                node = order[k]
-                k += 1
-                p = parent[node]
-                for i in node_wires[node]:
-                    if i != p:
-                        other = ends[i] - node
-                        if parent[other] != -2:
-                            raise NotATreeError(
-                                "two-pass scheduling needs a cycle-free graph without repeated wires"
-                            )
-                        parent[other] = i
-                        order.append(other)
-        # levels by wire index; a variable reads f2v and sends v2f
-        v2f = [0] * len(ends)
-        f2v = [0] * len(ends)
-        for node in reversed(order):
-            p = parent[node]
-            if p >= 0:
-                into, out = (f2v, v2f) if node < nv else (v2f, f2v)
-                top = -1
-                for i in node_wires[node]:
-                    if i != p and into[i] > top:
-                        top = into[i]
-                out[p] = top + 1
-        for node in order:
-            into, out = (f2v, v2f) if node < nv else (v2f, f2v)
-            wires = node_wires[node]
-            top, second, top_wire = -1, -1, -1
-            for i in wires:
-                x = into[i]
-                if x > top:
-                    top, second, top_wire = x, top, i
-                elif x > second:
-                    second = x
-            p = parent[node]
-            for i in wires:
-                if i != p:
-                    out[i] = (second if i == top_wire else top) + 1
-        v2f, f2v = np.array(v2f, dtype=np.intp), np.array(f2v, dtype=np.intp)
+        """``graph._wire_levels`` as dim -> level per packed row."""
+        v2f, f2v = (np.array(levels, dtype=np.intp) for levels in _wire_levels(self.g))
         return ({d: v2f[pos] for d, pos in self.position.items()}, {d: f2v[pos] for d, pos in self.position.items()})
 
     # -- reading a state -------------------------------------------------------
@@ -698,61 +635,24 @@ def two_pass_schedule(g, root=None):
     deterministic. Entries are ``(kind, factor id, axis)`` with kind
     "v2f" or "f2v".
     """
-    info = tree_info(g)
-    if not info.is_tree:
+    comps, parent, _node_wires, ends, cyclic = _walk(g, root)
+    if cyclic:
         raise NotATreeError("two-pass scheduling needs a cycle-free graph without repeated wires")
+    nv, wires = len(g.variables), g.wires
+    depth = [0] * len(parent)
     upward = []
-    for var_ids, fac_ids in components(g):
-        if not var_ids:
-            continue  # an isolated rank-0 factor exchanges no messages
-        comp_root = root if root in var_ids else var_ids[0]
-        upward.extend(_upward_wires(g, comp_root))
+    for comp in comps:
+        for node in comp[1:]:
+            depth[node] = depth[ends[parent[node]] - node] + 1
+        # deepest nodes send first; nodes of one depth are all variables or
+        # all factors, so node order is id order
+        for node in sorted(comp[1:], key=lambda n: (-depth[n], n)):
+            upward.append(("v2f" if node < nv else "f2v",) + wires[parent[node]])
     downward = [
         ("f2v" if kind == "v2f" else "v2f", fid, axis)
         for kind, fid, axis in reversed(upward)
     ]
     return upward + downward
-
-
-def _upward_wires(g, root_vid):
-    """Wires of one component pointing toward the root, leaves first."""
-    # BFS from the root over (kind, id) nodes, recording each node's parent wire
-    parent = {("v", root_vid): None}
-    order = [("v", root_vid)]
-    frontier = [("v", root_vid)]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            kind, nid = node
-            if kind == "v":
-                nbrs = [("f", fid) for fid, axis in g.incident[nid]]
-            else:
-                nbrs = [("v", vid) for vid in g.factor(nid).neighbors]
-            for nb in sorted(set(nbrs), key=lambda n: n[1]):
-                if nb not in parent:
-                    parent[nb] = node
-                    order.append(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    # deepest nodes emit first; ties break by ascending id
-    depth = {}
-    for node in order:
-        depth[node] = 0 if parent[node] is None else depth[parent[node]] + 1
-    wires = []
-    for node in sorted(order, key=lambda n: (-depth[n], n[1])):
-        if parent[node] is None:
-            continue
-        kind, nid = node
-        pkind, pid = parent[node]
-        if kind == "v":
-            # variable sends to its parent factor
-            axis = next(a for f, a in g.incident[nid] if f == pid)
-            wires.append(("v2f", pid, axis))
-        else:
-            # factor sends to its parent variable
-            axis = next(a for a, u in enumerate(g.factor(nid).neighbors) if u == pid)
-            wires.append(("f2v", nid, axis))
-    return wires
 
 
 def run_two_pass(g, cfg, root=None):
@@ -978,14 +878,18 @@ def decode_map(g, state):
 
 
 def dual_seed(g, factor_id, entry_index):
-    """Copy of a numeric graph as a dual graph, one entry carrying eps.
+    """Copy of a prob graph as a dual graph, one entry carrying eps.
 
     Every value x becomes x + 0*eps except the chosen factor's flat
     row-major ``entry_index``, which becomes x + 1*eps. Contracting the
-    result leaves d(contraction)/d(entry) in the eps component.
+    result leaves d(contraction)/d(entry) in the eps component. A graph in
+    any other semiring is a ValidationError.
     """
     from .algebra import DualNumber
     from .graph import FactorGraph, FactorNode, VariableNode
+
+    if g.semiring != "prob":
+        raise ValidationError(f"dual_seed lifts a prob graph, not a {g.semiring} graph: parse or build the model under prob")
 
     def lift(tensor, seed_at=None):
         values = np.empty(tensor.size, dtype=object)

@@ -151,10 +151,13 @@ def parse_native(text, semiring=None):
         mode = GraphMode(mode_name)
     except ValueError:
         raise ParseError(f'mode must be "spider" or "bipartite", got {mode_name!r} at top level') from None
+    for key in ("variables", "factors"):
+        if type(doc[key]) is not list:
+            raise ParseError(f"expected a list at {key}")
 
     # the first table entry: a rank-0 table may be a bare value
     sample = None
-    for fac in doc.get("factors", []):
+    for fac in doc["factors"]:
         vals = fac.get("values") if isinstance(fac, dict) else None
         if vals is not None and vals != []:
             sample = vals[0] if type(vals) is list else vals

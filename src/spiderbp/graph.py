@@ -10,6 +10,13 @@ whatever arity its degree demands; that tensor is never materialized, the
 engine multiplies messages pointwise instead. In bipartite mode each
 variable node carries an explicit tensor of its own (rank = degree, every
 axis of the variable's dimension) and is updated exactly like a factor.
+
+Tree structure comes from one walk, ``_walk``: a breadth-first traversal
+that roots each component at a variable and records every node's wire to
+its parent, noting any wire that closes a cycle. ``components``,
+``tree_info``, the two-pass schedule and its message levels
+(``_wire_levels``) all read it; on a tree the diameter is one more than
+the highest message level.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import SEMIRINGS, get_semiring
-from .errors import ValidationError
+from .errors import NotATreeError, ValidationError
 
 
 class GraphMode(Enum):
@@ -130,34 +137,19 @@ class FactorGraph:
         return len(self.incident[vid])
 
     @cached_property
+    def _forest(self):
+        # the walk rooted at each component's smallest variable; components(),
+        # tree_info() and the two-pass levels all read it
+        return _walk(self)
+
+    @cached_property
     def _components(self):
         # components(g) copies this tuple into a new list
-        scope = {f.id: f.neighbors for f in self.factors}
-        fac_of_var = {v.id: [] for v in self.variables}
-        for f in self.factors:
-            for vid in f.neighbors:
-                fac_of_var[vid].append(f.id)
-        seen_v, seen_f = set(), set()
-        comps = []
-        for v in sorted(fac_of_var):
-            if v in seen_v:
-                continue
-            vs, fs, stack = {v}, set(), [v]
-            while stack:
-                for fid in fac_of_var[stack.pop()]:
-                    if fid not in fs:
-                        fs.add(fid)
-                        for u in scope[fid]:
-                            if u not in vs:
-                                vs.add(u)
-                                stack.append(u)
-            seen_v |= vs
-            seen_f |= fs
-            comps.append((tuple(sorted(vs)), tuple(sorted(fs))))
-        for f in self.factors:
-            if f.id not in seen_f:
-                comps.append(((), (f.id,)))
-        return tuple(comps)
+        nv = len(self.variables)
+        return tuple(
+            (tuple(sorted(n for n in comp if n < nv)), tuple(sorted(n - nv for n in comp if n >= nv)))
+            for comp in self._forest[0]
+        )
 
 
 @dataclass(frozen=True)
@@ -333,58 +325,108 @@ def tree_info(g):
     ``is_tree`` holds when every component is a tree (no cycles) and no
     factor touches the same variable twice. The diameter is the longest
     shortest path measured in edges, maximized over components; a graph of
-    isolated nodes has diameter 0.
+    isolated nodes has diameter 0. On a tree that path ends in the wire of
+    the highest-level message (see ``_wire_levels``), so the diameter is one
+    more than the highest level.
     """
-    n_edges = len(g.wires)
-    multi = False
-    for f in g.factors:
-        if len(set(f.neighbors)) != len(f.neighbors):
-            multi = True
-            break
-    comps = components(g)
-    n_nodes = len(g.variables) + len(g.factors)
-    # a forest has exactly nodes - components edges
-    is_forest = n_edges == n_nodes - len(comps)
-    is_tree = is_forest and not multi
-    diameter = _forest_diameter(g, comps) if is_tree else None
-    return TreeInfo(is_tree=is_tree, diameter=diameter, components=len(comps))
+    n = len(components(g))
+    try:
+        v2f, f2v = _wire_levels(g)
+    except NotATreeError:
+        return TreeInfo(is_tree=False, components=n)
+    return TreeInfo(is_tree=True, diameter=1 + max(v2f + f2v, default=-1), components=n)
 
 
-def _adjacency(g):
-    adj = {("v", v.id): [] for v in g.variables}
-    adj.update({("f", f.id): [] for f in g.factors})
-    for fid, axis in g.wires:
-        vid = g.factor(fid).neighbors[axis]
-        adj[("f", fid)].append(("v", vid))
-        adj[("v", vid)].append(("f", fid))
-    return adj
+def _walk(g, root=None):
+    """Breadth-first walk of every component of ``g`` as a rooted tree.
 
-def _bfs_depths(adj, start):
-    depth = {start: 0}
-    frontier = [start]
-    far = start
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adj[node]:
-                if nb not in depth:
-                    depth[nb] = depth[node] + 1
-                    nxt.append(nb)
-                    far = nb
-        frontier = nxt
-    return depth, far
+    Variable ``v`` is node ``v`` and factor ``f`` node ``nv + f``; wire
+    ``i`` is ``g.wires[i]`` and ``ends[i]`` the sum of its two nodes, so
+    ``ends[i] - n`` is the other end seen from node ``n``. A component is
+    rooted at ``root`` if it holds that variable, else at its smallest
+    variable (a rank-0 factor is a component of its own).
+
+    Returns ``(comps, parent, node_wires, ends, cyclic)``: each component's
+    nodes in BFS order, components ordered by smallest member, variables
+    first; each node's wire to its parent (-1 at a root); each node's wires
+    in ``g.wires`` order; and whether some wire closes a cycle, a repeated
+    wire included.
+    """
+    nv = len(g.variables)
+    node_wires = [[] for _ in range(nv + len(g.factors))]
+    ends = []
+    for f in sorted(g.factors, key=lambda f: f.id):  # g.wires order
+        for vid in f.neighbors:
+            node_wires[vid].append(len(ends))
+            node_wires[nv + f.id].append(len(ends))
+            ends.append(vid + nv + f.id)
+    parent = [-2] * len(node_wires)  # -2: not reached yet
+    starts = range(len(node_wires))
+    rooted = root is not None and root in range(nv)
+    if rooted:
+        starts = [root, *starts]
+    comps, cyclic = [], False
+    for start in starts:
+        if parent[start] != -2:
+            continue
+        parent[start] = -1
+        comp = [start]
+        for node in comp:  # grows while it is read
+            p = parent[node]
+            for i in node_wires[node]:
+                if i != p:
+                    other = ends[i] - node
+                    if parent[other] == -2:
+                        parent[other] = i
+                        comp.append(other)
+                    else:
+                        cyclic = True
+        comps.append(comp)
+    if rooted:
+        comps.sort(key=min)  # the root's component was walked first
+    return comps, parent, node_wires, ends, cyclic
 
 
-def _forest_diameter(g, comps):
-    # classic double-BFS per component
-    adj = _adjacency(g)
-    best = 0
-    for vs, fs in comps:
-        start = ("v", vs[0]) if vs else ("f", fs[0])
-        _, far = _bfs_depths(adj, start)
-        depth, _ = _bfs_depths(adj, far)
-        best = max(best, max(depth.values()))
-    return best
+def _wire_levels(g):
+    """Level of every directed wire, as (v2f, f2v) lists by ``g.wires`` index.
+
+    A message's level is 1 + the largest level among the messages it
+    reads, 0 when it reads none (a leaf variable, a rank-1 factor). An up
+    pass and a down pass over the walk keep each node's top two incoming
+    levels. Raises NotATreeError on a cycle or a repeated wire.
+    """
+    comps, parent, node_wires, ends, cyclic = g._forest
+    if cyclic:
+        raise NotATreeError("two-pass scheduling needs a cycle-free graph without repeated wires")
+    nv = len(g.variables)
+    # a variable reads f2v and sends v2f
+    v2f = [0] * len(ends)
+    f2v = [0] * len(ends)
+    for comp in comps:
+        for node in reversed(comp):
+            p = parent[node]
+            if p >= 0:
+                into, out = (f2v, v2f) if node < nv else (v2f, f2v)
+                top = -1
+                for i in node_wires[node]:
+                    if i != p and into[i] > top:
+                        top = into[i]
+                out[p] = top + 1
+        for node in comp:
+            into, out = (f2v, v2f) if node < nv else (v2f, f2v)
+            wires = node_wires[node]
+            top, second, top_wire = -1, -1, -1
+            for i in wires:
+                x = into[i]
+                if x > top:
+                    top, second, top_wire = x, top, i
+                elif x > second:
+                    second = x
+            p = parent[node]
+            for i in wires:
+                if i != p:
+                    out[i] = (second if i == top_wire else top) + 1
+    return v2f, f2v
 
 
 def build_graph(var_dims, factors, semiring, mode=GraphMode.SPIDER, var_tensors=None):

@@ -116,6 +116,32 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "run", "--input", path, "--damping", "1.5")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grad", "--factor", "0", "--entry", "0", "--schedule", "sync"],
+            ["exact", "--tol", "1"],
+            ["run", "--seed", "3"],
+            ["jtree", "--schedule", "tree"],
+            ["convert", "--no-normalize"],
+            ["check", "--input", "x"],
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_1(self, tmp_path, capsys, argv):
+        path = write(tmp_path, GOOD)
+        if argv[0] != "check":
+            argv = argv + ["--input", path]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("doc", [{"variables": 3, "factors": []}, {"variables": [], "factors": 5}])
+    def test_non_list_variables_or_factors_is_2(self, tmp_path, capsys, doc):
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(capsys, "run", "--input", path)
+        assert code == 2 and out == ""
+        assert "expected a list at" in err
+
     def test_parse_error_is_2(self, tmp_path, capsys):
         path = write(tmp_path, "{broken")
         code, _, _ = run_cli(capsys, "run", "--input", path)

@@ -142,6 +142,26 @@ class TestTwoPassSchedule:
         # delivered v0's side
         assert up.index(("f2v", 0, 1)) < up.index(("v2f", 1, 0))
 
+    def test_forest_with_ties_isolated_variable_and_rank0_factor(self):
+        # component A: v0 - f3 - v1 and v0 - f0 - v2; v3 alone; f1 of rank 0;
+        # component B: v5 - f2 - v4 - f5 and v5 - f4 - (v6, v7), rooted at v5
+        scopes = [(2, 0), (), (5, 4), (0, 1), (6, 5, 7), (4,)]
+        g = build_graph([2] * 8, [(s, [1.0] * 2 ** len(s)) for s in scopes], PROB)
+        up = [
+            ("v2f", 3, 1),  # depth 2 in A: v1, then v2
+            ("v2f", 0, 0),
+            ("f2v", 0, 1),  # depth 1 in A: f0, then f3
+            ("f2v", 3, 0),
+            ("f2v", 5, 0),  # depth 3 in B: f5
+            ("v2f", 2, 1),  # depth 2 in B: v4, v6, v7
+            ("v2f", 4, 0),
+            ("v2f", 4, 2),
+            ("f2v", 2, 0),  # depth 1 in B: f2, then f4
+            ("f2v", 4, 1),
+        ]
+        down = [("f2v" if kind == "v2f" else "v2f", fid, axis) for kind, fid, axis in reversed(up)]
+        assert two_pass_schedule(g, root=5) == up + down
+
     def test_rejects_cycles_and_multi_wires(self):
         loopy = build_graph(
             [2, 2],
@@ -415,6 +435,21 @@ class TestDualSeed:
         cfg = RunConfig(semiring="dual", schedule="tree", normalize=False)
         z = contraction_value(lifted, cfg)
         assert np.isclose(z.real, exact_contraction(g, PROB), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: dual_seed(build_graph([2], [((0,), [1.0, 2.0])], PROB), 0, 0),
+            lambda: build_graph([2], [((0,), [10**400, 1])], COUNT),
+            lambda: build_graph([2], [((0,), [True, False])], BOOL),
+            lambda: build_graph([2], [((0,), [1.0, 2.0])], "maxtimes"),
+        ],
+        ids=["dual", "count-past-float", "bool", "maxtimes"],
+    )
+    def test_lifts_prob_graphs_only(self, make):
+        g = make()
+        with pytest.raises(ValidationError, match=f"not a {g.semiring} graph"):
+            dual_seed(g, 0, 0)
 
     def test_bad_targets_rejected(self):
         g = build_graph([2], [((0,), [1.0, 1.0])], PROB)

@@ -149,6 +149,13 @@ class TestParseNative:
         with pytest.raises(ParseError, match="id must be an integer"):
             parse_native(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, bad", [("variables", 3), ("factors", 5), ("variables", {}), ("factors", "f")])
+    def test_variables_and_factors_must_be_lists(self, key, bad):
+        doc = json.loads(MINIMAL)
+        doc[key] = bad
+        with pytest.raises(ParseError, match=f"expected a list at {key}$"):
+            parse_native(json.dumps(doc))
+
     def test_bad_mode(self):
         doc = json.loads(MINIMAL)
         doc["mode"] = "triangle"

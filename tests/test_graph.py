@@ -1,5 +1,7 @@
 """Graph data model: wiring, validation, components, tree detection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,79 @@ class TestTreeInfo:
         assert info.is_tree
         assert info.components == 2
         assert info.diameter == 4
+
+
+def random_scopes(rng, extra_factors=0):
+    """Dims and factor scopes of a random forest of factors of rank 1-3,
+    with isolated variables and rank-0 factors, factors shuffled; then
+    ``extra_factors`` factors on random variables, which may close cycles
+    or repeat a neighbour."""
+    dims, scopes = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        first = len(dims)
+        dims.append(2)
+        for _ in range(int(rng.integers(0, 6))):
+            new = list(range(len(dims), len(dims) + int(rng.integers(0, 3))))
+            dims.extend(2 for _ in new)
+            scopes.append([int(rng.integers(first, len(dims) - len(new)))] + new)
+        if rng.random() < 0.5:
+            dims.append(3)  # an isolated variable
+        if rng.random() < 0.5:
+            scopes.append([])  # a rank-0 factor
+    for _ in range(extra_factors):
+        scopes.append([int(v) for v in rng.integers(0, len(dims), int(rng.integers(1, 4)))])
+    scopes = [[int(v) for v in rng.permutation(s)] for s in scopes]
+    return dims, [scopes[i] for i in rng.permutation(len(scopes))]
+
+
+def graph_of(dims, scopes):
+    return build_graph(dims, [(s, [1.0] * math.prod(dims[v] for v in s)) for s in scopes], PROB)
+
+
+def all_distances(dims, scopes):
+    """BFS distances from every node; variable v is node v, factor j node len(dims) + j."""
+    adjacency = [[] for _ in range(len(dims) + len(scopes))]
+    for j, scope in enumerate(scopes):
+        for v in scope:
+            adjacency[v].append(len(dims) + j)
+            adjacency[len(dims) + j].append(v)
+    out = []
+    for start in range(len(adjacency)):
+        dist = {start: 0}
+        frontier = [start]
+        for node in frontier:
+            for nb in adjacency[node]:
+                if nb not in dist:
+                    dist[nb] = dist[node] + 1
+                    frontier.append(nb)
+        out.append(dist)
+    return out
+
+
+class TestTreeInfoAgainstBruteForce:
+    def test_diameter_is_the_longest_shortest_path_on_forests(self):
+        rng = np.random.default_rng(907)
+        for _ in range(150):
+            dims, scopes = random_scopes(rng)
+            info = tree_info(graph_of(dims, scopes))
+            assert info.is_tree
+            assert info.diameter == max(max(d.values()) for d in all_distances(dims, scopes))
+
+    def test_is_tree_counts_edges_and_repeated_neighbours(self):
+        rng = np.random.default_rng(908)
+        seen = set()
+        for case in range(200):
+            dims, scopes = random_scopes(rng, extra_factors=case % 3)
+            reached = {frozenset(d) for d in all_distances(dims, scopes)}
+            edges = sum(len(s) for s in scopes)
+            expected = edges == len(dims) + len(scopes) - len(reached) and all(
+                len(set(s)) == len(s) for s in scopes
+            )
+            info = tree_info(graph_of(dims, scopes))
+            assert info.is_tree == expected
+            assert info.components == len(reached)
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestBuildGraph:
