@@ -44,7 +44,6 @@ from .errors import (
     ValidationError,
 )
 from .formats import parse_native, parse_uai, serialize_native, serialize_uai
-from .graph import GraphMode
 from .jtree import run_junction_tree
 from .oracle import exact_contraction, exact_marginal
 
@@ -225,12 +224,11 @@ def _cmd_exact(args):
         "semiring": semiring.name,
         "contraction_value": semiring.value_to_json(z),
     }
-    if g.mode is GraphMode.SPIDER:
-        marginals = []
-        for v in g.variables:
-            values = exact_marginal(g, semiring, v.id)
-            marginals.append({"id": v.id, "values": _values_json(semiring, values)})
-        doc["marginals"] = marginals
+    marginals = []
+    for v in g.variables:
+        values = exact_marginal(g, semiring, v.id)
+        marginals.append({"id": v.id, "values": _values_json(semiring, values)})
+    doc["marginals"] = marginals
     _emit(args, doc)
     return EXIT_OK
 

@@ -4,12 +4,9 @@ Messages live on directed wires. Because a factor can touch the same
 variable on several axes, wires are keyed by ``(factor id, axis)``:
 ``factor_to_var[(f, axis)]`` flows from the factor to the variable on that
 axis, and ``var_to_factor[(v, f, axis)]`` flows back. Variable updates take
-the pointwise product of the other incoming messages (the copy tensor stays
-virtual); factor updates contract the factor against the other incoming
-messages. In bipartite mode a variable node carries an explicit tensor and
-is updated exactly like a factor, with its axes paired to the incident
-wires sorted by ``(factor id, axis)``; its per-node "belief" is then a
-tensor over those axes rather than a length-dim message.
+the pointwise product of the other incoming messages (every variable is a
+spider, a copy tensor that stays virtual); factor updates contract the
+factor against the other incoming messages.
 
 Two schedules are provided. ``sync`` recomputes every message from a
 snapshot of the previous state (Jacobi style) until the largest
@@ -58,8 +55,8 @@ from .errors import (
     ValidationError,
     ZeroMessageError,
 )
-from .graph import GraphMode, _carry_verdict, _ensure_valid, _walk, _wire_levels, components, tree_info
-from .tensor import DenseTensor, Message, contract_to_axis, full_contraction, hadamard
+from .graph import _carry_verdict, _ensure_valid, _walk, _wire_levels, components, tree_info
+from .tensor import DenseTensor, Message, contract_to_axis, hadamard
 
 SCHEDULES = ("sync", "tree")
 
@@ -71,10 +68,11 @@ class RunConfig:
     The run's semiring is the graph's (``FactorGraph.semiring``).
     ``semiring`` is None, meaning the graph's, or a registry name that must
     equal it: a different name is a ValidationError, since the tensors
-    cannot change algebra. ``damping`` blends each new message with the old
-    one as (1 - damping) * new + damping * old and is only allowed for prob
-    with the sync schedule. ``normalize`` rescales messages when the
-    semiring knows how; exact algebras ignore it.
+    cannot change algebra. ``tol`` is a finite number >= 0. ``damping``
+    blends each new message with the old one as (1 - damping) * new +
+    damping * old and is only allowed for prob with the sync schedule.
+    ``normalize`` rescales messages when the semiring knows how; exact
+    algebras ignore it.
     """
 
     semiring: str = None
@@ -91,6 +89,8 @@ class RunConfig:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
         if self.damping > 0.0 and self.semiring not in (None, "prob"):
@@ -168,11 +168,6 @@ def init_messages(g, cfg):
     return MessageState(plan, plan.initial(cfg))
 
 
-def _node_axis_order(g, vid):
-    """Axis pairing of a bipartite variable tensor: wires sorted ascending."""
-    return tuple(sorted(g.incident[vid]))
-
-
 def _finish(semiring, cfg, values, wire, obj):
     """Apply per-config normalization to a freshly computed message."""
     if cfg.normalize and semiring.has_normalize:
@@ -186,19 +181,12 @@ def _finish(semiring, cfg, values, wire, obj):
 def update_variable_message(g, state, cfg, vid, out_wire):
     """Message a variable sends toward ``out_wire`` = (factor id, axis).
 
-    Spider mode: pointwise product of the other incoming messages, the unit
-    message when there are none. Bipartite mode: contract the node's own
-    tensor against the other incoming messages instead.
+    The pointwise product of the other incoming messages, the unit message
+    when there are none.
     """
     semiring = _run_semiring(g.semiring, cfg)
     v = g.variable(vid)
     incoming_wires = [w for w in g.incident[vid] if w != out_wire]
-    if g.mode is GraphMode.BIPARTITE:
-        order = _node_axis_order(g, vid)
-        target = order.index(out_wire)
-        msgs = [state.factor_to_var[w] for w in order if w != out_wire]
-        out = contract_to_axis(semiring, v.tensor, target, msgs, out_obj=v.obj)
-        return _finish(semiring, cfg, out.values, ("v2f",) + out_wire, v.obj)
     if not incoming_wires:
         values = semiring.ones((v.obj.dim,))
     else:
@@ -304,10 +292,9 @@ class _Plan:
     Every wire ``(factor id, axis)`` owns one integer row in the packed
     ``(wires, dim)`` array of its variable's dim, numbered in ``g.wires``
     order; a message array pair ``(v2f, f2v)`` maps each dim to such an
-    array per direction, and is the only message store. Spider variables
-    are grouped by (dim, degree), with ``rows[i, k]`` the row of member i's
-    k-th incident wire; factor tensors (and bipartite node tensors) are
-    stacked by shape.
+    array per direction, and is the only message store. Variables are
+    grouped by (dim, degree), with ``rows[i, k]`` the row of member i's
+    k-th incident wire; factor tensors are stacked by shape.
 
     Both schedules run one kind of update program (``_levels``): a list of
     levels, each a list of batched ops, run by ``_execute``. The ops repeat
@@ -329,8 +316,7 @@ class _Plan:
         self.dims = {}  # dim -> number of wires of that dim
         self.wire_rows = []  # (dim, row) of each entry of g.wires
         self.wire_vars = []
-        # rows of each variable's wires in incidence order, which is also the
-        # axis order of a bipartite node tensor
+        # rows of each variable's wires in incidence order
         self.var_rows = {vid: [] for vid in dim_of}
         factor_rows = {}
         for f in sorted(g.factors, key=lambda f: f.id):  # g.wires order
@@ -346,21 +332,16 @@ class _Plan:
         wire_dims = np.array([d for d, _r in self.wire_rows], dtype=np.intp)
         # index into g.wires of each packed row, for first-dead-wire order
         self.position = {d: np.flatnonzero(wire_dims == d) for d in self.dims}
-        self.var_groups = []
-        self.node_groups = []
-        if g.mode is GraphMode.BIPARTITE:
-            self.node_groups = _tensor_groups((v.id, v.tensor, self.var_rows[v.id]) for v in g.variables)
-        else:
-            by_key = {}
-            for v in g.variables:
-                rows = self.var_rows[v.id]
-                ids, members = by_key.setdefault((v.obj.dim, len(rows)), ([], []))
-                ids.append(v.id)
-                members.append(rows)
-            self.var_groups = [
-                (d, ids, np.array(rows, dtype=np.intp).reshape(len(ids), k))
-                for (d, k), (ids, rows) in by_key.items()
-            ]
+        by_key = {}
+        for v in g.variables:
+            rows = self.var_rows[v.id]
+            ids, members = by_key.setdefault((v.obj.dim, len(rows)), ([], []))
+            ids.append(v.id)
+            members.append(rows)
+        self.var_groups = [
+            (d, ids, np.array(rows, dtype=np.intp).reshape(len(ids), k))
+            for (d, k), (ids, rows) in by_key.items()
+        ]
         self.factor_groups = _tensor_groups((f.id, f.tensor, factor_rows[f.id]) for f in g.factors)
 
     def _empty(self):
@@ -396,22 +377,23 @@ class _Plan:
     def _execute(self, program, src, dst, normalize=False):
         """Run a program's ops level by level, reading ``src`` and writing ``dst``.
 
-        Both are (v2f, f2v) array pairs: a v2f op reads f2v rows and an f2v
-        op reads v2f rows. With ``normalize`` every op rescales its rows
-        before writing them, and the result lists (kind, dim, out rows,
-        dead-row mask) per op; without, it is empty.
+        Both are (v2f, f2v) array pairs: a variable op folds f2v rows into
+        v2f rows, and a factor op contracts v2f rows into f2v rows. With
+        ``normalize`` every op rescales its rows before writing them, and the
+        result lists (kind, dim, out rows, dead-row mask) per op; without, it
+        is empty.
         """
         semiring = self.semiring
         gone = []
         for ops in program:
-            for kind, d, out, group, arg in ops:
-                k = 0 if kind == "v2f" else 1
-                reads = src[1 - k]
+            for d, out, group, arg in ops:
                 if group is None:
-                    values = semiring.ones((len(out), d)) if arg is None else _fold_mul(semiring, reads[d][arg])
+                    kind, k = "v2f", 0
+                    values = semiring.ones((len(out), d)) if arg is None else _fold_mul(semiring, src[1][d][arg])
                 else:
+                    kind, k = "f2v", 1
                     target, members, msg_rows = arg
-                    msgs = [None if r is None else reads[dd][r] for dd, r in zip(group.shape, msg_rows)]
+                    msgs = [None if r is None else src[0][dd][r] for dd, r in zip(group.shape, msg_rows)]
                     values = group.contract(semiring, target, group.tensors[members], msgs)
                 if normalize:
                     values, dead = semiring._normalize_rows(values)
@@ -422,9 +404,9 @@ class _Plan:
     def _levels(self, v2f_levels, f2v_levels):
         """The update program for given wire levels (dim -> level per row).
 
-        An op is (kind, dim, out rows, tensor group or None, argument): a
-        spider variable op folds the f2v rows ``argument`` (None: the unit),
-        a tensor op contracts ``argument`` = (target axis, members, message
+        An op is (dim, out rows, factor group or None, argument): a variable
+        op (group None) folds the f2v rows ``argument`` (None: the unit), a
+        factor op contracts ``argument`` = (target axis, members, message
         rows per axis) of its group. An op that covers its whole group
         takes the members as a slice, so the stacked tensors are not copied.
         """
@@ -432,25 +414,21 @@ class _Plan:
         for d, _ids, rows in self.var_groups:
             k = rows.shape[1]
             if k == 1:  # a leaf variable sends the unit, at level 0
-                ops.append((0, ("v2f", d, rows[:, 0], None, None)))
+                ops.append((0, (d, rows[:, 0], None, None)))
             elif k > 1:
                 leave_out = [[q for q in range(k) if q != p] for p in range(k)]
                 out = rows.reshape(-1)
                 order, runs = _by_level(v2f_levels[d][out])
                 out, others = out[order], rows[:, leave_out].reshape(-1, k - 1)[order]
-                ops.extend((level, ("v2f", d, out[run], None, others[run])) for level, run in runs)
-        for kind, groups, levels in (
-            ("v2f", self.node_groups, v2f_levels),
-            ("f2v", self.factor_groups, f2v_levels),
-        ):
-            for group in groups:
-                for target, d in enumerate(group.shape):
-                    order, runs = _by_level(levels[d][group.rows[target]])
-                    rows = [r[order] for r in group.rows]
-                    for level, run in runs:
-                        members = slice(None) if len(runs) == 1 else order[run]
-                        msg_rows = [None if a == target else r[run] for a, r in enumerate(rows)]
-                        ops.append((level, (kind, d, rows[target][run], group, (target, members, msg_rows))))
+                ops.extend((level, (d, out[run], None, others[run])) for level, run in runs)
+        for group in self.factor_groups:
+            for target, d in enumerate(group.shape):
+                order, runs = _by_level(f2v_levels[d][group.rows[target]])
+                rows = [r[order] for r in group.rows]
+                for level, run in runs:
+                    members = slice(None) if len(runs) == 1 else order[run]
+                    msg_rows = [None if a == target else r[run] for a, r in enumerate(rows)]
+                    ops.append((level, (d, rows[target][run], group, (target, members, msg_rows))))
         program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
         for level, op in ops:
             program[level].append(op)
@@ -575,8 +553,6 @@ class _Plan:
             values.flags.writeable = False
             for vid, row in zip(ids, values):
                 by_var[vid] = Message._wrap(g.variable(vid).obj, row)
-        for group in self.node_groups:
-            by_var.update(self._tensor_beliefs(group, f2v))
         by_factor = {}
         for group in self.factor_groups:
             by_factor.update(self._tensor_beliefs(group, v2f))
@@ -616,8 +592,9 @@ def sweep_synchronous(g, state, cfg):
     ContradictionError for the first such wire, every v2f wire in
     ``g.wires`` order before every f2v wire. The state must come from this
     graph (ValidationError otherwise). The returned state's ``residual`` is
-    the largest componentwise change (after normalization and damping),
-    which doubles as an exact change flag for the exact semirings.
+    the largest componentwise change (after normalization and damping);
+    0.0 means no message changed, since a gap is 0 only between equal
+    values and a nan gap makes the residual inf.
     """
     _run_semiring(g.semiring, cfg)
     plan, arrays = _plan_and_arrays(g, state)
@@ -676,8 +653,7 @@ def beliefs(g, state, cfg):
 
     A variable's belief is the pointwise product of everything flowing into
     it (the unit for an isolated variable); a factor's belief is its tensor
-    times the incoming messages, one per axis. Normalized per config. In
-    bipartite mode variable beliefs are node-space tensors instead.
+    times the incoming messages, one per axis. Normalized per config.
     Computed on the state's compiled plan.
     """
     _run_semiring(g.semiring, cfg)
@@ -742,12 +718,11 @@ def run_bp(g, cfg, root=None):
                 k += 1
                 new_state = sweep_synchronous(g, state, cfg)
                 iterations = k
-                changed = _state_changed(state, new_state)
                 state = new_state
                 if new_state.residual > cfg.tol:
                     continue
-                if not changed:
-                    # bit-identical: already a fixed point, sweep not counted
+                if new_state.residual == 0.0:
+                    # no message changed: already a fixed point, sweep not counted
                     converged = True
                     iterations = k - 1
                     break
@@ -780,8 +755,7 @@ def run_bp(g, cfg, root=None):
         contradiction_wire = state._plan.first_zero_wire(state._arrays)
         if contradiction_wire is None:
             for vid in sorted(var_b):
-                values = var_b[vid].values if hasattr(var_b[vid], "values") else var_b[vid].data
-                if not any(bool(x) for x in values.tolist()):
+                if not any(bool(x) for x in var_b[vid].values.tolist()):
                     contradiction_wire = ("belief", vid)
                     break
     if zero_wire is not None and contradiction_wire is None:
@@ -795,15 +769,6 @@ def run_bp(g, cfg, root=None):
         factor_beliefs=fac_b,
         contradiction=contradiction_wire is not None,
         contradiction_wire=contradiction_wire,
-    )
-
-
-def _state_changed(old, new):
-    """Whether any message of two packed states differs bit for bit."""
-    return any(
-        not np.array_equal(arr, before[d])
-        for after, before in zip(new._arrays, old._arrays)
-        for d, arr in after.items()
     )
 
 
@@ -838,9 +803,7 @@ def contraction_from_state(g, state, root=None):
         comp_root = root if root in var_ids else var_ids[0]
         v = g.variable(comp_root)
         rows = plan.var_rows[comp_root]
-        if g.mode is GraphMode.BIPARTITE:
-            z = full_contraction(semiring, v.tensor, [Message(v.obj, f2v[v.obj.dim][r]) for r in rows])
-        elif rows:
+        if rows:
             z = semiring.fold(_fold_mul(semiring, f2v[v.obj.dim][[rows]])[0], 0).item()
         else:
             z = semiring.fold(semiring.ones((v.obj.dim,)), 0).item()
@@ -862,8 +825,6 @@ def decode_map(g, state):
         raise NoTotalOrderError(
             f"semiring {semiring.name!r} has no total order to decode with"
         )
-    if g.mode is not GraphMode.SPIDER:
-        raise ValidationError("decoding needs spider-mode variable semantics")
     plan, (_v2f, f2v) = _plan_and_arrays(g, state)
     best_of = {}
     for d, ids, values in plan.incoming_products(f2v):
@@ -886,7 +847,7 @@ def dual_seed(g, factor_id, entry_index):
     any other semiring is a ValidationError.
     """
     from .algebra import DualNumber
-    from .graph import FactorGraph, FactorNode, VariableNode
+    from .graph import FactorGraph, FactorNode
 
     if g.semiring != "prob":
         raise ValidationError(f"dual_seed lifts a prob graph, not a {g.semiring} graph: parse or build the model under prob")
@@ -909,13 +870,9 @@ def dual_seed(g, factor_id, entry_index):
         FactorNode(f.id, lift(f.tensor, entry_index if f.id == factor_id else None), f.neighbors)
         for f in g.factors
     )
-    variables = tuple(
-        VariableNode(v.id, v.obj, lift(v.tensor) if v.tensor is not None else None)
-        for v in g.variables
-    )
     # lifting keeps every id, wire and shape, so a valid input needs no
     # second validation
-    return _carry_verdict(FactorGraph(variables, factors, mode=g.mode, semiring="dual"), g)
+    return _carry_verdict(FactorGraph(g.variables, factors, semiring="dual"), g)
 
 
 def evaluate_assignment(g, assignment):

@@ -6,13 +6,14 @@ The native format is a single JSON object::
       "semiring_hint": "prob",          # optional
       "variables": [{"id": 0, "name": "v0", "dim": 2}, ...],
       "factors":   [{"id": 0, "neighbors": [0, 1], "values": [...]}, ...],
-      "mode": "spider"                  # or "bipartite"
+      "mode": "spider"                  # optional; the only value
     }
 
 Factor values are flat row-major lists: numbers, booleans for the bool
 algebra, or [a, b] pairs for dual numbers (a plain number x in a dual table
-is x + 0*eps). A rank-0 factor may give its one value bare. In bipartite
-mode variables also carry a "values" list for their own tensor. Unknown
+is x + 0*eps). A rank-0 factor may give its one value bare. Every variable
+is a spider (a copy tensor); a node with a tensor of its own is written as
+one variable per wire plus the node tensor as a factor over them. Unknown
 keys are rejected with the path to the offending object. Serialization
 writes the graph's semiring as the hint, preserves this key order and
 renders floats with up to 17 significant digits, so a round trip is
@@ -57,7 +58,6 @@ from .errors import (
 from .graph import (
     FactorGraph,
     FactorNode,
-    GraphMode,
     ObjectType,
     VariableNode,
     _ensure_valid,
@@ -65,6 +65,7 @@ from .graph import (
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor
 
 _TOP_KEYS = ("semiring_hint", "variables", "factors", "mode")
+_VARIABLE_KEYS = ("id", "name", "dim")
 _FACTOR_KEYS = ("id", "neighbors", "values")
 _INT = frozenset((int,))
 
@@ -146,11 +147,12 @@ def parse_native(text, semiring=None):
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     _require_keys(doc, _TOP_KEYS, ("variables", "factors"), "top level")
-    mode_name = doc.get("mode", "spider")
-    try:
-        mode = GraphMode(mode_name)
-    except ValueError:
-        raise ParseError(f'mode must be "spider" or "bipartite", got {mode_name!r} at top level') from None
+    mode = doc.get("mode", "spider")
+    if mode != "spider":
+        raise ParseError(
+            f'mode must be "spider", got {mode!r} at top level: write a node that carries its own '
+            "tensor as one variable per wire, with the node tensor as a factor over those variables"
+        )
     for key in ("variables", "factors"):
         if type(doc[key]) is not list:
             raise ParseError(f"expected a list at {key}")
@@ -167,14 +169,12 @@ def parse_native(text, semiring=None):
     except ValueError as err:
         raise ParseError(f"{err} at top level") from None
 
-    var_allowed = ("id", "name", "dim") + (("values",) if mode is GraphMode.BIPARTITE else ())
     variables = []
-    raw_values = {}
     # JSON gives exact types, so ``type(x) is int`` is an integer, not a bool
     for i, item in enumerate(doc["variables"]):
         if type(item) is not dict:
             raise ParseError(f"expected an object at variables[{i}]")
-        _require_keys(item, var_allowed, ("id", "dim"), "variables", i)
+        _require_keys(item, _VARIABLE_KEYS, ("id", "dim"), "variables", i)
         vid = item["id"]
         if type(vid) is not int:
             raise ParseError(f"id must be an integer at variables[{i}]")
@@ -184,8 +184,6 @@ def parse_native(text, semiring=None):
         except ValueError as err:
             raise ValidationError(f"{err} at variables[{i}]") from None
         variables.append(VariableNode(vid, obj))
-        if "values" in item:
-            raw_values[vid] = item["values"]
 
     factors = []
     for i, item in enumerate(doc["factors"]):
@@ -228,22 +226,7 @@ def parse_native(text, semiring=None):
         for (fid, neighbors, _values), tensor in zip(factors, tensors)
     ]
 
-    if mode is GraphMode.BIPARTITE:
-        g0 = FactorGraph(tuple(variables), tuple(nodes), mode=GraphMode.SPIDER)
-        fitted = []
-        for v in variables:
-            if v.id not in raw_values:
-                raise ValidationError(f"variable {v.id} needs values in bipartite mode")
-            deg = len(g0.incident.get(v.id, ()))
-            shape = (v.obj.dim,) * deg
-            try:
-                tensor = DenseTensor.from_values(shape, raw_values[v.id], sr)
-            except (ValueError, ShapeMismatchError) as err:
-                raise ValidationError(f"variable {v.id}: {err}") from None
-            fitted.append(VariableNode(v.id, v.obj, tensor))
-        variables = fitted
-
-    g = FactorGraph(tuple(variables), tuple(nodes), mode=mode, semiring=sr.name)
+    g = FactorGraph(tuple(variables), tuple(nodes), semiring=sr.name)
     return _ensure_valid(g), sr
 
 
@@ -251,12 +234,7 @@ def graph_to_document(g):
     """Native-format dict for a graph, in canonical key order."""
     semiring = get_semiring(g.semiring)
     doc = {"semiring_hint": semiring.name}
-    doc["variables"] = []
-    for v in g.variables:
-        item = {"id": v.id, "name": v.obj.name, "dim": v.obj.dim}
-        if g.mode is GraphMode.BIPARTITE and v.tensor is not None:
-            item["values"] = [semiring.value_to_json(x) for x in v.tensor.data.tolist()]
-        doc["variables"].append(item)
+    doc["variables"] = [{"id": v.id, "name": v.obj.name, "dim": v.obj.dim} for v in g.variables]
     doc["factors"] = [
         {
             "id": f.id,
@@ -265,7 +243,7 @@ def graph_to_document(g):
         }
         for f in g.factors
     ]
-    doc["mode"] = g.mode.value
+    doc["mode"] = "spider"
     return doc
 
 
@@ -391,7 +369,7 @@ def parse_uai(text, semiring="prob"):
             values = toks.take(count, "entry {j} of factor {i}", number, i=i)
             tensors.append(_table(sr, i, shape, values))
     factors = tuple(FactorNode(i, t, scope) for i, (t, scope) in enumerate(zip(tensors, scopes)))
-    g = FactorGraph(variables, factors, mode=GraphMode.SPIDER, semiring=sr.name)
+    g = FactorGraph(variables, factors, semiring=sr.name)
     return _ensure_valid(g), sr
 
 
@@ -416,10 +394,8 @@ def _uai_bulk(toks, sr, shapes, number):
 
 
 def serialize_uai(g):
-    """Write a spider-mode graph with numeric values as a UAI MARKOV file."""
+    """Write a graph with numeric values as a UAI MARKOV file."""
     semiring = get_semiring(g.semiring)
-    if g.mode is not GraphMode.SPIDER:
-        raise ValidationError("only spider-mode graphs have a UAI form")
     if semiring.name == "dual":
         raise ValidationError("dual-valued graphs have no UAI form")
     lines = ["MARKOV", str(len(g.variables))]

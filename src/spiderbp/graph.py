@@ -5,11 +5,11 @@ tensors) on the other. Each factor axis is wired to exactly one variable,
 and a factor may touch the same variable on several axes, so an edge is
 always identified by ``(factor id, axis)``.
 
-Two modes exist. In spider mode a variable acts as a copy/delta tensor of
-whatever arity its degree demands; that tensor is never materialized, the
-engine multiplies messages pointwise instead. In bipartite mode each
-variable node carries an explicit tensor of its own (rank = degree, every
-axis of the variable's dimension) and is updated exactly like a factor.
+Every variable is a spider: a copy/delta tensor of whatever arity its
+degree demands. That tensor is never materialized; the engine multiplies
+messages pointwise instead. A node that should carry a tensor of its own
+is written in normal (Forney) form: one variable per wire, and the node's
+tensor as a factor over those variables.
 
 Tree structure comes from one walk, ``_walk``: a breadth-first traversal
 that roots each component at a variable and records every node's wire to
@@ -23,18 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import SEMIRINGS, get_semiring
 from .errors import NotATreeError, ValidationError
-
-
-class GraphMode(Enum):
-    SPIDER = "spider"
-    BIPARTITE = "bipartite"
 
 
 @dataclass(frozen=True)
@@ -49,19 +43,10 @@ class ObjectType:
             raise ValueError(f"object {self.name!r} must have integer dim >= 1, got {self.dim!r}")
 
 
-def composite_object(objects, name=None):
-    """Object for a bundle of wires; its dim is the product of the parts."""
-    dim = math.prod(o.dim for o in objects)
-    if name is None:
-        name = "(" + "*".join(o.name for o in objects) + ")"
-    return ObjectType(name, dim)
-
-
 @dataclass(frozen=True)
 class VariableNode:
     id: int
     obj: ObjectType
-    tensor: object = None  # DenseTensor in bipartite mode, else None
 
     @property
     def dim(self):
@@ -93,7 +78,6 @@ class FactorGraph:
 
     variables: tuple = ()
     factors: tuple = ()
-    mode: GraphMode = GraphMode.SPIDER
     semiring: str = "prob"
 
     def __post_init__(self):
@@ -185,9 +169,8 @@ def validate_graph(g):
     """Structural checks; returns a report rather than raising.
 
     Checks the semiring label, id density, wiring against declared dims,
-    tensor shapes and dtypes (every tensor stored as the labelled
-    semiring's ``dtype``), and the per-mode rules for variable tensors. An
-    empty report means the graph is safe to run.
+    and tensor shapes and dtypes (every tensor stored as the labelled
+    semiring's ``dtype``). An empty report means the graph is safe to run.
     """
     out = ValidationReport()
 
@@ -250,33 +233,6 @@ def validate_graph(g):
                     axis=axis,
                 )
 
-    if not out.ok:
-        return out
-
-    for v in g.variables:
-        if g.mode is GraphMode.SPIDER:
-            if v.tensor is not None:
-                bad(
-                    "spider-tensor",
-                    f"variable {v.id} carries a tensor but the graph is in spider mode",
-                    variable_id=v.id,
-                )
-        else:
-            t, deg = v.tensor, g.degree(v.id)
-            if t is None:
-                bad("node-tensor", f"variable {v.id} needs a tensor in bipartite mode", variable_id=v.id)
-            elif len(t.shape) != deg or any(d != v.obj.dim for d in t.shape):
-                bad(
-                    "node-shape",
-                    f"variable {v.id}: tensor shape {list(t.shape)} must be [{v.obj.dim}] * degree {deg}",
-                    variable_id=v.id,
-                )
-            elif t.data.dtype != dtype:
-                bad(
-                    "tensor-dtype",
-                    f"variable {v.id}: {t.data.dtype} values in a {g.semiring} graph (needs {dtype})",
-                    variable_id=v.id,
-                )
     return out
 
 
@@ -296,7 +252,7 @@ def _ensure_valid(g):
 
 def _carry_verdict(g, source):
     """Carry ``source``'s passing verdict over to ``g``, a graph with the
-    same ids, wiring, tensor shapes and mode."""
+    same ids, wiring and tensor shapes."""
     if "_valid" in source.__dict__:
         g.__dict__["_valid"] = True
     return g
@@ -429,14 +385,12 @@ def _wire_levels(g):
     return v2f, f2v
 
 
-def build_graph(var_dims, factors, semiring, mode=GraphMode.SPIDER, var_tensors=None):
+def build_graph(var_dims, factors, semiring):
     """Convenience constructor from plain Python data.
 
     ``var_dims`` is a list of dims or (name, dim) pairs; ``factors`` a list
     of (neighbor ids, flat row-major values). Values are coerced into the
     given semiring's scalar type, and the graph is labelled with it.
-    ``var_tensors`` supplies per-variable tensors for bipartite mode as
-    flat value lists.
     """
     from .tensor import DenseTensor  # local import; tensor layer sits above this one
 
@@ -456,12 +410,4 @@ def build_graph(var_dims, factors, semiring, mode=GraphMode.SPIDER, var_tensors=
         shape = tuple(variables[v].obj.dim for v in neighbors)
         nodes.append(FactorNode(i, DenseTensor.from_values(shape, values, semiring), tuple(neighbors)))
 
-    g = FactorGraph(tuple(variables), tuple(nodes), mode=mode, semiring=semiring.name)
-    if var_tensors is not None:
-        fitted = []
-        for v in g.variables:
-            deg = g.degree(v.id)
-            t = DenseTensor.from_values((v.obj.dim,) * deg, var_tensors[v.id], semiring)
-            fitted.append(VariableNode(v.id, v.obj, t))
-        g = FactorGraph(tuple(fitted), g.factors, mode=mode, semiring=semiring.name)
-    return _ensure_valid(g)
+    return _ensure_valid(FactorGraph(tuple(variables), tuple(nodes), semiring=semiring.name))

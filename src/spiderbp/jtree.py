@@ -28,7 +28,7 @@ import numpy as np
 
 from .engine import _run_semiring
 from .errors import CliqueTooLargeError, ValidationError, ZeroMessageError
-from .graph import GraphMode, ObjectType, _ensure_valid
+from .graph import ObjectType, _ensure_valid
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor, Message
 
 
@@ -159,15 +159,13 @@ def running_intersection_holds(tree):
 
 
 def build_junction_tree(g, cap=DEFAULT_TENSOR_CAP):
-    """Cluster a spider-mode graph into a junction tree (forest).
+    """Cluster a graph into a junction tree (forest).
 
     Deterministic throughout: min-fill ties break to the lowest variable
     id, spanning ties to the smallest clique pair, and each factor lands in
     the lowest-id clique covering its scope. Raises CliqueTooLargeError
     when any clique's state space would exceed ``cap`` entries.
     """
-    if g.mode is not GraphMode.SPIDER:
-        raise ValidationError("junction trees need spider-mode variable semantics")
     _ensure_valid(g)
     order, raw_cliques = _min_fill_order(_primal_adjacency(g))
     members = _maximal(raw_cliques)

@@ -16,8 +16,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import get_semiring
-from .errors import TooLargeError, ValidationError
-from .graph import GraphMode
+from .errors import TooLargeError
 
 #: cap on the number of enumerated assignments
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -50,7 +49,7 @@ def _lifted_factor(factor, var_pos, grid, dims):
 
 
 def joint_table(g, semiring):
-    """Full joint array over variable assignments (spider semantics)."""
+    """Full joint array over variable assignments."""
     semiring = get_semiring(semiring)
     dims = tuple(v.obj.dim for v in g.variables)
     var_pos = {v.id: i for i, v in enumerate(g.variables)}
@@ -64,47 +63,13 @@ def joint_table(g, semiring):
     return np.asarray(table)
 
 
-def _wire_table(g, semiring):
-    """Joint array over independent per-wire indices (bipartite semantics)."""
-    wires = g.wires
-    wire_pos = {w: i for i, w in enumerate(wires)}
-    dims = tuple(g.factor(f).tensor.shape[axis] for f, axis in wires)
-    grid = np.indices(dims) if dims else None
-    table = semiring.ones(dims)
-    for f in sorted(g.factors, key=lambda f: f.id):
-        if f.rank == 0:
-            table = semiring.array_mul(table, f.tensor.data[0])
-            continue
-        index = tuple(grid[wire_pos[(f.id, axis)]] for axis in range(f.rank))
-        table = semiring.array_mul(table, f.tensor.as_array()[index])
-    for v in g.variables:
-        inc = g.incident[v.id]
-        if not inc:
-            continue
-        index = tuple(grid[wire_pos[w]] for w in inc)
-        table = semiring.array_mul(table, v.tensor.as_array()[index])
-    return np.asarray(table)
-
-
 def exact_contraction(g, semiring, cap=DEFAULT_ORACLE_CAP):
     """Semiring-sum of the joint table over every assignment.
 
-    In spider mode an assignment picks one state per variable; in bipartite
-    mode every wire carries its own index and variable-node tensors join the
-    product. Terms fold in ascending row-major order.
+    An assignment picks one state per variable. Terms fold in ascending
+    row-major order.
     """
     semiring = get_semiring(semiring)
-    if g.mode is GraphMode.BIPARTITE:
-        dims = tuple(g.factor(f).tensor.shape[axis] for f, axis in g.wires)
-        _guard(dims, cap)
-        table = _wire_table(g, semiring)
-        free = semiring.one
-        for v in g.variables:
-            if not g.incident[v.id]:
-                # a variable with no wires contributes one term per state
-                values = v.tensor.data if v.tensor else semiring.ones((v.obj.dim,))
-                free = semiring.mul(free, semiring.fold(values, 0).item())
-        return semiring.mul(semiring.fold(table.reshape(-1), 0).item(), free)
     dims = tuple(v.obj.dim for v in g.variables)
     _guard(dims, cap)
     table = joint_table(g, semiring)
@@ -115,12 +80,10 @@ def exact_marginal(g, semiring, variable_id, cap=DEFAULT_ORACLE_CAP, table=None)
     """Unnormalized marginal of one variable by exhaustive summation.
 
     Component j sums the joint over every assignment that pins the variable
-    to j. Spider mode only. Pass a precomputed ``joint_table`` as ``table``
-    to amortize its construction over several variables.
+    to j. Pass a precomputed ``joint_table`` as ``table`` to amortize its
+    construction over several variables.
     """
     semiring = get_semiring(semiring)
-    if g.mode is not GraphMode.SPIDER:
-        raise ValidationError("exact_marginal needs spider-mode variable semantics")
     dims = tuple(v.obj.dim for v in g.variables)
     _guard(dims, cap)
     pos = {v.id: i for i, v in enumerate(g.variables)}[variable_id]
@@ -136,8 +99,6 @@ def exact_argmax(g, cap=DEFAULT_ORACLE_CAP):
     Works on nonnegative-real tables (prob/maxtimes storage). Returns
     (assignment dict keyed by variable id, max product).
     """
-    if g.mode is not GraphMode.SPIDER:
-        raise ValidationError("exact_argmax needs spider-mode variable semantics")
     semiring = get_semiring("maxtimes")
     dims = tuple(v.obj.dim for v in g.variables)
     _guard(dims, cap)

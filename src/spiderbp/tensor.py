@@ -194,8 +194,10 @@ def spider_tensor(dim, legs, semiring=None):
     """Copy tensor: one where all ``legs`` indices agree, zero elsewhere.
 
     With a single leg this degenerates to the all-ones vector (the unit
-    message). The engine never materializes these; they exist for tests and
-    for explicit bipartite-mode variable nodes.
+    message). Every variable is one of these, but the engine never
+    materializes it: contracting a spider against messages is their
+    pointwise product (``hadamard``). The copy tensors here serve the
+    spider-law checks in ``spiderbp.checks`` and the tests.
     """
     if legs < 1:
         raise ShapeMismatchError("a spider needs at least one leg")
@@ -284,12 +286,3 @@ def contract_to_axis(semiring, t, target, messages, out_obj=None):
         out_obj = ObjectType(f"axis{target}", t.shape[target])
     return Message(out_obj, out)
 
-
-def full_contraction(semiring, t, messages):
-    """Close every axis of ``t`` against one message each, down to a scalar."""
-    if t.rank == 0:
-        return t.data[0]
-    arr = t.as_array()
-    for axis, msg in enumerate(messages):
-        arr = _multiply_into_axis(semiring, arr, axis, msg.values)
-    return semiring.fold(np.asarray(arr).reshape(-1), 0).item()

@@ -133,3 +133,27 @@ def brute_force_count(g):
                 break
         total += value
     return total
+
+
+def normal_form(dims, factors, node_tensors, semiring="prob"):
+    """A model whose nodes carry tensors of their own, written with spiders
+    only (Forney's normal form). Node v gets one variable per factor axis
+    on it, in factor-then-axis order; each such axis is rewired to its own
+    variable, and v's tensor becomes a factor over those variables. A node
+    no factor touches carries a rank-0 tensor, which becomes a rank-0 factor."""
+    var_dims, wires, rewired = [], {v: [] for v in range(len(dims))}, []
+    for neighbors, values in factors:
+        axes = []
+        for v in neighbors:
+            wires[v].append(len(var_dims))
+            axes.append(len(var_dims))
+            var_dims.append(dims[v])
+        rewired.append((tuple(axes), values))
+    rewired += [(tuple(wires[v]), node_tensors[v]) for v in range(len(dims))]
+    return build_graph(var_dims, rewired, get_semiring(semiring))
+
+
+def node_between(node_tensor):
+    """One node between the unary factors [1, 2] and [3, 4]; factor 2 is
+    the node's tensor over its wires v0 (to factor 0) and v1 (to factor 1)."""
+    return normal_form([2], [((0,), [1.0, 2.0]), ((0,), [3.0, 4.0])], {0: node_tensor})

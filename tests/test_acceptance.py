@@ -185,7 +185,7 @@ def _perturbed(g, fid, entry, delta):
         if f.id == fid:
             data[entry] += delta
         factors.append(FactorNode(f.id, DenseTensor.from_values(f.tensor.shape, data, PROB), f.neighbors))
-    return FactorGraph(g.variables, tuple(factors), mode=g.mode)
+    return FactorGraph(g.variables, tuple(factors))
 
 
 def test_criterion_07_dual_derivatives(capsys):

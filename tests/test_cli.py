@@ -142,6 +142,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "expected a list at" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_non_finite_or_negative_tol_is_1(self, tmp_path, capsys, tol):
+        path = write(tmp_path, LOOPY)
+        code, out, err = run_cli(capsys, "run", "--no-normalize", f"--tol={tol}", "--input", path)
+        assert code == 1 and out == ""
+        assert "tol must be a finite number >= 0" in err
+
+    def test_bipartite_mode_is_2(self, tmp_path, capsys):
+        path = write(tmp_path, dict(GOOD, mode="bipartite"))
+        code, out, err = run_cli(capsys, "run", "--input", path)
+        assert code == 2 and out == ""
+        assert "one variable per wire" in err
+
     def test_parse_error_is_2(self, tmp_path, capsys):
         path = write(tmp_path, "{broken")
         code, _, _ = run_cli(capsys, "run", "--input", path)

@@ -24,7 +24,6 @@ from spiderbp import (
     tree_info,
 )
 from spiderbp.algebra import BOOL, COUNT, DUAL, DualNumber
-from spiderbp.graph import GraphMode
 from spiderbp.jtree import marginal_from_clique
 from spiderbp import engine
 from spiderbp.engine import (
@@ -36,7 +35,7 @@ from spiderbp.engine import (
     two_pass_schedule,
 )
 
-from fixtures import brute_force_count, random_loopy, random_tree, random_tree_csp
+from fixtures import brute_force_count, node_between, random_loopy, random_tree, random_tree_csp
 
 
 def normalized(values):
@@ -77,6 +76,13 @@ class TestRunConfig:
             RunConfig(damping=-0.1)
         with pytest.raises(ValueError):
             RunConfig(semiring="nosuch")
+
+    def test_tol_must_be_finite_and_nonnegative(self):
+        # a nan tol passed every residual, an inf one certified any state
+        for tol in (math.nan, math.inf, -math.inf, -1e-9):
+            with pytest.raises(ValueError, match="tol"):
+                RunConfig(tol=tol)
+        assert RunConfig(tol=0.0).tol == 0.0
 
     def test_damping_restricted_to_prob_sync(self):
         with pytest.raises(ValueError):
@@ -477,49 +483,48 @@ class TestDualSeed:
                 dual_seed(g, fid, -1)
 
 
-class TestBipartiteMode:
-    def bipartite_pair(self):
-        # one node with a copy tensor between two unary factors
-        return build_graph(
-            [2],
-            [((0,), [1.0, 2.0]), ((0,), [3.0, 4.0])],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: [1.0, 0.0, 0.0, 1.0]},
-        )
+class TestNodeTensorInNormalForm:
+    """A node with a tensor of its own, as one variable per wire and the
+    tensor as a factor over them (fixtures.normal_form)."""
 
-    def test_tree_run_beliefs_are_node_tensors(self):
-        g = self.bipartite_pair()
-        result = run_bp(g, RunConfig(schedule="tree", normalize=False))
+    def test_node_factor_belief_is_the_weighted_node_tensor(self):
+        result = run_bp(node_between([1.0, 0.0, 0.0, 1.0]), RunConfig(schedule="tree", normalize=False))
         assert result.converged
-        belief = result.variable_beliefs[0]
+        belief = result.factor_beliefs[2]
         assert belief.shape == (2, 2)
-        assert belief.as_array().tolist() == [[3.0, 0.0], [0.0, 8.0]]
+        assert belief.data.tolist() == [3.0, 0.0, 0.0, 8.0]
 
     def test_contraction_matches_oracle(self):
-        g = self.bipartite_pair()
+        g = node_between([1.0, 0.0, 0.0, 1.0])
         cfg = RunConfig(schedule="tree", normalize=False)
         assert np.isclose(contraction_value(g, cfg), exact_contraction(g, PROB))
 
     def test_sync_agrees_with_tree(self):
-        g = self.bipartite_pair()
+        g = node_between([1.0, 0.0, 0.0, 1.0])
         a = run_bp(g, RunConfig(schedule="sync", normalize=False))
         b = run_bp(g, RunConfig(schedule="tree", normalize=False))
         assert a.converged
-        assert np.allclose(
-            a.variable_beliefs[0].as_array(), b.variable_beliefs[0].as_array()
-        )
+        for fid, belief in b.factor_beliefs.items():
+            assert np.allclose(a.factor_beliefs[fid].data, belief.data)
 
     def test_decoupling_node_changes_the_value(self):
-        g = build_graph(
-            [2],
-            [((0,), [1.0, 2.0]), ((0,), [3.0, 4.0])],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: [1.0, 1.0, 1.0, 1.0]},
-        )
         cfg = RunConfig(schedule="tree", normalize=False)
-        assert np.isclose(contraction_value(g, cfg), (1 + 2) * (3 + 4))
+        assert np.isclose(contraction_value(node_between([1.0, 1.0, 1.0, 1.0]), cfg), (1 + 2) * (3 + 4))
+
+
+class TestContractionOfOneTable:
+    def test_scalar_result(self):
+        g = build_graph([2, 2], [((0, 1), [1.0, 2.0, 3.0, 4.0])], PROB)
+        assert contraction_value(g, RunConfig(normalize=False)) == 10.0
+
+    def test_rank0_passthrough(self):
+        g = build_graph([], [((), [5])], COUNT)
+        z = contraction_value(g, RunConfig(semiring="count", normalize=False))
+        assert z == 5 and type(z) is int
+
+    def test_weighted(self):
+        g = build_graph([2], [((0,), [3.0, 4.0]), ((0,), [0.5, 2.0])], PROB)
+        assert contraction_value(g, RunConfig(normalize=False)) == 3.0 * 0.5 + 4.0 * 2.0
 
 
 class TestValidationGate:

@@ -1,6 +1,7 @@
 """File formats: native JSON round trips and UAI text parsing."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from spiderbp import (
     serialize_uai,
 )
 from spiderbp.algebra import COUNT, DUAL, DualNumber, get_semiring
-from spiderbp.graph import GraphMode
 from spiderbp.tensor import DenseTensor
 
 from fixtures import random_tree
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 MINIMAL = """
 {
@@ -65,7 +67,6 @@ class TestParseNative:
     def test_minimal_document(self):
         g, sr = parse_native(MINIMAL)
         assert sr.name == "prob"
-        assert g.mode is GraphMode.SPIDER
         assert [v.obj.dim for v in g.variables] == [2, 2]
         assert g.variable(0).obj.name == "a"
         assert g.variable(1).obj.name == "v1"  # defaulted
@@ -75,7 +76,7 @@ class TestParseNative:
         doc = json.loads(MINIMAL)
         del doc["mode"]
         g, _ = parse_native(json.dumps(doc))
-        assert g.mode is GraphMode.SPIDER
+        assert serialize_native(g) == serialize_native(parse_native(MINIMAL)[0])
 
     def test_explicit_semiring_wins_over_hint(self):
         doc = json.loads(MINIMAL)
@@ -137,7 +138,7 @@ class TestParseNative:
         with pytest.raises(ParseError, match="missing key 'values'"):
             parse_native(json.dumps(doc))
 
-    def test_variable_values_only_allowed_in_bipartite(self):
+    def test_variables_carry_no_values(self):
         doc = json.loads(MINIMAL)
         doc["variables"][0]["values"] = [1.0, 1.0]
         with pytest.raises(ParseError, match="'values'"):
@@ -160,6 +161,12 @@ class TestParseNative:
         doc = json.loads(MINIMAL)
         doc["mode"] = "triangle"
         with pytest.raises(ParseError, match="mode"):
+            parse_native(json.dumps(doc))
+
+    def test_bipartite_mode_names_the_spider_rewrite(self):
+        doc = json.loads(MINIMAL)
+        doc["mode"] = "bipartite"
+        with pytest.raises(ParseError, match="one variable per wire"):
             parse_native(json.dumps(doc))
 
     def test_bad_semiring_hint(self):
@@ -200,29 +207,6 @@ class TestParseNative:
             with pytest.raises(ValidationError, match="factor 0"):
                 parse_native(text, semiring="dual")
 
-    def test_bipartite_document(self):
-        doc = {
-            "semiring_hint": "prob",
-            "variables": [{"id": 0, "dim": 2, "values": [1.0, 0.0, 0.0, 1.0]}],
-            "factors": [
-                {"id": 0, "neighbors": [0], "values": [1.0, 2.0]},
-                {"id": 1, "neighbors": [0], "values": [3.0, 4.0]},
-            ],
-            "mode": "bipartite",
-        }
-        g, _ = parse_native(json.dumps(doc))
-        assert g.mode is GraphMode.BIPARTITE
-        assert g.variable(0).tensor.shape == (2, 2)
-
-    def test_bipartite_requires_variable_values(self):
-        doc = {
-            "variables": [{"id": 0, "dim": 2}],
-            "factors": [{"id": 0, "neighbors": [0], "values": [1.0, 2.0]}],
-            "mode": "bipartite",
-        }
-        with pytest.raises(ValidationError, match="variable 0"):
-            parse_native(json.dumps(doc))
-
 
 class TestNativeRoundTrip:
     def test_structure_identical(self):
@@ -232,7 +216,6 @@ class TestNativeRoundTrip:
             text = serialize_native(g)
             g2, sr2 = parse_native(text)
             assert sr2.name == name
-            assert g2.mode == g.mode
             assert [(v.id, v.obj.name, v.obj.dim) for v in g2.variables] == [
                 (v.id, v.obj.name, v.obj.dim) for v in g.variables
             ]
@@ -271,18 +254,6 @@ class TestNativeRoundTrip:
         keys = list(json.loads(text))
         assert keys == ["semiring_hint", "variables", "factors", "mode"]
         assert text.index("semiring_hint") < text.index("variables") < text.index("factors")
-
-    def test_bipartite_round_trip(self):
-        g = build_graph(
-            [2],
-            [((0,), [1.0, 2.0]), ((0,), [3.0, 4.0])],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: [1.0, 0.0, 0.0, 1.0]},
-        )
-        g2, _ = parse_native(serialize_native(g))
-        assert g2.mode is GraphMode.BIPARTITE
-        assert g2.variable(0).tensor.data.tolist() == [1.0, 0.0, 0.0, 1.0]
 
 
 class TestDualPlainNumbers:
@@ -398,17 +369,6 @@ class TestSerializeUAI:
 
     def test_dual_has_no_uai_form(self):
         g = build_graph([2], [((0,), [[1.0, 0.0], [2.0, 0.0]])], DUAL)
-        with pytest.raises(ValidationError):
-            serialize_uai(g)
-
-    def test_bipartite_has_no_uai_form(self):
-        g = build_graph(
-            [2],
-            [((0,), [1.0, 1.0])],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: [1.0, 1.0]},
-        )
         with pytest.raises(ValidationError):
             serialize_uai(g)
 
@@ -660,3 +620,30 @@ class TestErrorCatalogue:
                 parse_native(text, semiring=semiring)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+class TestBenchModelsParse:
+    """The benchmark writes its model files with its own writer; every one
+    must still parse, under the semiring the benchmark reads it with."""
+
+    @pytest.mark.parametrize("workload", ["tree-cli", "loopy-sync", "jtree-grid"])
+    def test_every_model_parses(self, workload, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        plan = json.loads(Path(workloads.write_plan(workload, 7, str(tmp_path))).read_text())
+        semirings = {f["path"]: f["semiring"] for f in plan["setup_files"]}
+        for op in plan["ops"]:
+            argv = op.get("argv", [])
+            if "--input" in argv:
+                named = "--semiring" in argv
+                semirings[argv[argv.index("--input") + 1]] = argv[argv.index("--semiring") + 1] if named else "prob"
+        models = sorted(p for p in tmp_path.iterdir() if p.name != "plan.json")
+        assert models and {str(p) for p in models} == set(semirings)
+        for path in models:
+            if path.suffix == ".json":
+                _g, sr = parse_native(path.read_text())
+            else:
+                assert path.suffix == ".uai"
+                _g, sr = parse_uai(path.read_text(), semiring=semirings[str(path)])
+            assert sr.name == semirings[str(path)], path.name

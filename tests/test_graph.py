@@ -16,19 +16,19 @@ from spiderbp import (
     run_junction_tree,
     tree_info,
 )
-from spiderbp.algebra import BOOL, COUNT
+from spiderbp.algebra import BOOL
 from spiderbp.graph import (
     FactorNode,
-    GraphMode,
     ObjectType,
     VariableNode,
     components,
-    composite_object,
     validate_graph,
 )
 from spiderbp.jtree import build_junction_tree
 from spiderbp.tensor import DenseTensor
 from spiderbp import graph as graph_module
+
+from fixtures import normal_form
 
 
 def chain(n_vars, dim=2, semiring=PROB):
@@ -46,12 +46,6 @@ class TestObjectType:
             ObjectType("x", 0)
         with pytest.raises(ValueError):
             ObjectType("x", 2.0)
-
-    def test_composite_multiplies_dims(self):
-        a, b = ObjectType("a", 2), ObjectType("b", 3)
-        c = composite_object([a, b])
-        assert c.dim == 6
-        assert "a" in c.name and "b" in c.name
 
 
 class TestWiring:
@@ -127,32 +121,6 @@ class TestValidation:
         )
         assert any(v.code == "factor-rank" for v in validate_graph(g).violations)
 
-    def test_spider_mode_forbids_variable_tensors(self):
-        t = DenseTensor.from_values((2,), [1.0, 1.0], PROB)
-        g = FactorGraph(
-            (VariableNode(0, ObjectType("a", 2), t),),
-            (FactorNode(0, t, (0,)),),
-            mode=GraphMode.SPIDER,
-        )
-        assert any(v.code == "spider-tensor" for v in validate_graph(g).violations)
-
-    def test_bipartite_mode_requires_matching_node_tensor(self):
-        f = DenseTensor.from_values((2,), [1.0, 1.0], PROB)
-        g = FactorGraph(
-            (VariableNode(0, ObjectType("a", 2)),),
-            (FactorNode(0, f, (0,)),),
-            mode=GraphMode.BIPARTITE,
-        )
-        assert any(v.code == "node-tensor" for v in validate_graph(g).violations)
-
-        wrong = DenseTensor.from_values((2, 2), [1.0] * 4, PROB)
-        g2 = FactorGraph(
-            (VariableNode(0, ObjectType("a", 2), wrong),),
-            (FactorNode(0, f, (0,)),),
-            mode=GraphMode.BIPARTITE,
-        )
-        assert any(v.code == "node-shape" for v in validate_graph(g2).violations)
-
     def test_unknown_semiring_label(self):
         g = FactorGraph(chain(2).variables, chain(2).factors, semiring="real")
         report = validate_graph(g)
@@ -166,14 +134,6 @@ class TestValidation:
         with pytest.raises(ValidationError, match="bool values in a prob graph"):
             run_bp(g, RunConfig())
         assert validate_graph(FactorGraph(variables, (FactorNode(0, t, (0,)),), semiring="bool")).ok
-
-    def test_node_tensor_dtype_must_match_the_label(self):
-        g = build_graph(
-            [2], [((0,), [1.0, 2.0])], PROB, mode=GraphMode.BIPARTITE, var_tensors={0: [1.0, 3.0]}
-        )
-        node = VariableNode(0, g.variable(0).obj, DenseTensor.from_values((2,), [1, 3], COUNT))
-        bad = FactorGraph((node,), g.factors, mode=GraphMode.BIPARTITE)
-        assert [v.code for v in validate_graph(bad).violations] == ["tensor-dtype"]
 
     def test_build_graph_validates(self):
         with pytest.raises(ValidationError):
@@ -287,6 +247,16 @@ class TestTreeInfo:
         assert not info.is_tree
         assert info.diameter is None
 
+    def test_node_tensors_in_normal_form_keep_the_shape(self):
+        # every wire variable joins its factor to its node's tensor, so the
+        # normal form is a tree exactly when the model of nodes is
+        line = normal_form([2, 2, 2], [((0, 1), [1.0] * 4), ((1, 2), [1.0] * 4)], {0: [1.0, 1.0], 1: [1.0] * 4, 2: [1.0, 1.0]})
+        assert all(line.degree(v.id) == 2 for v in line.variables)
+        assert tree_info(line).is_tree
+        pairs = [(0, 1), (1, 2), (0, 2)]
+        cycle = normal_form([2, 2, 2], [(p, [1.0] * 4) for p in pairs], {v: [1.0] * 4 for v in range(3)})
+        assert not tree_info(cycle).is_tree
+
     def test_repeated_neighbor_is_not_tree(self):
         g = build_graph([2], [((0, 0), [1.0] * 4)], PROB)
         assert not tree_info(g).is_tree
@@ -387,13 +357,3 @@ class TestBuildGraph:
         assert g.factor(0).tensor.data.tolist() == [1, 0]
         assert type(g.factor(0).tensor.data[0]) is int
 
-    def test_bipartite_var_tensors(self):
-        g = build_graph(
-            [2, 2],
-            [((0, 1), [1.0] * 4)],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: [1.0, 1.0], 1: [0.5, 0.5]},
-        )
-        assert g.mode is GraphMode.BIPARTITE
-        assert g.variable(1).tensor.data.tolist() == [0.5, 0.5]

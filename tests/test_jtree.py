@@ -16,10 +16,9 @@ from spiderbp import (
     run_junction_tree,
 )
 from spiderbp.algebra import BOOL, COUNT, DUAL, MAXTIMES
-from spiderbp.graph import GraphMode
 from spiderbp.jtree import build_junction_tree, marginal_from_clique, running_intersection_holds
 
-from fixtures import brute_force_count, four_cycle, random_loopy, random_tree
+from fixtures import brute_force_count, four_cycle, normal_form, random_loopy, random_tree
 
 
 def normalized(values):
@@ -98,16 +97,18 @@ class TestBuild:
         with pytest.raises(CliqueTooLargeError):
             build_junction_tree(g, cap=4)
 
-    def test_spider_mode_only(self):
-        g = build_graph(
-            [2],
-            [((0,), [1.0, 1.0])],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: [1.0, 1.0]},
-        )
-        with pytest.raises(ValidationError):
-            build_junction_tree(g)
+    def test_node_tensors_in_normal_form(self):
+        # a 3-cycle of nodes with tensors of their own: the normal form is loopy
+        rng = np.random.default_rng(330)
+        dims = [2, 3, 2]
+        factors = [((a, b), rng.uniform(0.1, 2.0, dims[a] * dims[b]).tolist()) for a, b in [(0, 1), (1, 2), (0, 2)]]
+        tensors = {v: rng.uniform(0.1, 2.0, dims[v] ** 2).tolist() for v in range(3)}
+        g = normal_form(dims, factors, tensors)
+        assert running_intersection_holds(build_junction_tree(g))
+        result = run_junction_tree(g, RunConfig(normalize=False))
+        assert np.isclose(result.contraction_value, exact_contraction(g, PROB), rtol=1e-12)
+        for v in g.variables:
+            assert np.allclose(result.variable_beliefs[v.id].values, exact_marginal(g, PROB, v.id), rtol=1e-12)
 
     def test_disconnected_graph_builds_forest(self):
         g = build_graph(

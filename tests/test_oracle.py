@@ -16,11 +16,11 @@ from spiderbp import (
     exact_marginal,
 )
 from spiderbp.algebra import BOOL, COUNT, DualNumber
-from spiderbp.graph import FactorNode, GraphMode, ObjectType, VariableNode
+from spiderbp.graph import FactorNode, ObjectType, VariableNode
 from spiderbp.oracle import assignments, joint_table
 from spiderbp.tensor import DenseTensor
 
-from fixtures import random_tree
+from fixtures import node_between, normal_form, random_tree
 
 
 class TestAssignments:
@@ -114,16 +114,11 @@ class TestExactMarginal:
         assert exact_marginal(g, PROB, 0).tolist() == [3.0, 7.0]
         assert exact_marginal(g, PROB, 1).tolist() == [4.0, 6.0]
 
-    def test_spider_mode_only(self):
-        g = build_graph(
-            [2],
-            [((0,), [1.0, 1.0])],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: [1.0, 1.0]},
-        )
-        with pytest.raises(ValidationError):
-            exact_marginal(g, PROB, 0)
+    def test_wire_variable_of_a_node_tensor(self):
+        # the identity node ties its two wires: both see 1*3 and 2*4
+        g = node_between([1.0, 0.0, 0.0, 1.0])
+        assert exact_marginal(g, PROB, 0).tolist() == [3.0, 8.0]
+        assert exact_marginal(g, PROB, 1).tolist() == [3.0, 8.0]
 
 
 class TestExactArgmax:
@@ -150,40 +145,14 @@ class TestExactArgmax:
         assert np.isclose(value, 0.8)
 
 
-class TestBipartiteOracle:
+class TestNodeTensorOracle:
     def test_wire_indices_are_independent(self):
-        # variable holds tensor h on two wires; factors a (axis to wire 0)
-        # and b (wire 1): sum over i, j of a[i] h[i, j] b[j]
-        a = [1.0, 2.0]
-        b = [3.0, 4.0]
-        h = [1.0, 0.0, 0.0, 1.0]  # copy tensor: forces i == j
-        g = build_graph(
-            [2],
-            [((0,), a), ((0,), b)],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: h},
-        )
-        assert exact_contraction(g, PROB) == 1 * 3 + 2 * 4
+        # a node tensor h between factors a and b: sum over i, j of a[i] h[i, j] b[j]
+        assert exact_contraction(node_between([1.0, 0.0, 0.0, 1.0]), PROB) == 1 * 3 + 2 * 4
+        # decoupling node: product of sums
+        assert exact_contraction(node_between([1.0, 1.0, 1.0, 1.0]), PROB) == (1 + 2) * (3 + 4)
 
-        h_free = [1.0, 1.0, 1.0, 1.0]  # decoupling node: product of sums
-        g2 = build_graph(
-            [2],
-            [((0,), a), ((0,), b)],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: h_free},
-        )
-        assert exact_contraction(g2, PROB) == (1 + 2) * (3 + 4)
-
-    def test_isolated_variable_contributes_its_scalar(self):
+    def test_isolated_node_contributes_its_scalar(self):
         # a degree-0 node carries a rank-0 tensor; it multiplies the total
-        g = build_graph(
-            [2, 2],
-            [((0,), [1.0, 1.0])],
-            PROB,
-            mode=GraphMode.BIPARTITE,
-            var_tensors={0: [2.0, 3.0], 1: [5.0]},
-        )
-        z = exact_contraction(g, PROB)
-        assert z == (1.0 * 2.0 + 1.0 * 3.0) * 5.0
+        g = normal_form([2, 2], [((0,), [1.0, 1.0])], {0: [2.0, 3.0], 1: [5.0]})
+        assert exact_contraction(g, PROB) == (1.0 * 2.0 + 1.0 * 3.0) * 5.0

@@ -40,14 +40,14 @@ from spiderbp.engine import (
     sweep_synchronous,
     two_pass_schedule,
 )
-from spiderbp.graph import GraphMode, components
-from spiderbp.tensor import full_contraction, hadamard
+from spiderbp.graph import components
+from spiderbp.tensor import hadamard
 from spiderbp import engine
 from spiderbp.cli import EXIT_NOT_CONVERGED, cli_dispatch
 from spiderbp.engine import contraction_from_state, update_factor_message, update_variable_message
 from spiderbp.tensor import Message
 
-from fixtures import random_loopy, random_tree, random_tree_structure, table_for
+from fixtures import node_between, normal_form, random_loopy, random_tree, random_tree_structure, table_for
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -139,34 +139,23 @@ def check_against_reference(g, cfg):
     assert_same_state(result.state, want)
     assert result.iterations in (want.iteration - 1, want.iteration)
     assert repr(result.residual) == repr(want.residual)
-    if g.mode is GraphMode.SPIDER:
-        expected = reference_variable_beliefs(g, want, cfg)
-        for vid, values in expected.items():
-            assert same_bits(result.variable_beliefs[vid].values, values), ("belief", vid)
+    for vid, values in reference_variable_beliefs(g, want, cfg).items():
+        assert same_bits(result.variable_beliefs[vid].values, values), ("belief", vid)
     return result
 
 
 # -- models ---------------------------------------------------------------------
 
 
-def bipartite_pair():
-    return build_graph(
-        [2],
-        [((0,), [1.0, 2.0]), ((0,), [3.0, 4.0])],
-        PROB,
-        mode=GraphMode.BIPARTITE,
-        var_tensors={0: [1.0, 0.0, 0.0, 1.0]},
-    )
-
-
-def bipartite_loopy(rng, name="prob"):
+def normal_form_loopy(rng, name="prob"):
+    """A loopy model whose nodes carry tensors of their own, in normal form."""
     dims = [2, 3, 2, 2]
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
     factors = [((a, b), rng.uniform(0.1, 2.0, dims[a] * dims[b]).tolist()) for a, b in edges]
     factors.append(((2,), rng.uniform(0.1, 2.0, 2).tolist()))
     degree = {v: sum(v in nb for nb, _ in factors) for v in range(len(dims))}
     tensors = {v: rng.uniform(0.1, 2.0, dims[v] ** degree[v]).tolist() for v in degree}
-    return build_graph(dims, factors, name, mode=GraphMode.BIPARTITE, var_tensors=tensors)
+    return normal_form(dims, factors, tensors, name)
 
 
 def odd_shapes(rng, name="prob"):
@@ -241,14 +230,14 @@ class TestBitIdentity:
             check_against_reference(random_loopy(rng), RunConfig(damping=0.4, max_iters=300))
 
     @pytest.mark.parametrize("normalize", [True, False])
-    def test_bipartite_pair(self, normalize):
-        check_against_reference(bipartite_pair(), RunConfig(normalize=normalize))
+    def test_node_tensor_pair(self, normalize):
+        check_against_reference(node_between([1.0, 0.0, 0.0, 1.0]), RunConfig(normalize=normalize))
 
     @pytest.mark.parametrize("name", ["prob", "maxtimes"])
-    def test_bipartite_loopy(self, name):
+    def test_node_tensors_on_a_loopy_graph(self, name):
         rng = np.random.default_rng(305)
         for _ in range(3):
-            result = check_against_reference(bipartite_loopy(rng, name), RunConfig(semiring=name, max_iters=200))
+            result = check_against_reference(normal_form_loopy(rng, name), RunConfig(semiring=name, max_iters=200))
             assert result.converged
 
     @pytest.mark.parametrize("name", ["prob", "maxtimes"])
@@ -384,26 +373,18 @@ def reference_tensor_belief(semiring, tensor, msgs):
 
 
 def reference_beliefs(g, state, cfg):
-    """Variable beliefs (node tensors in bipartite mode) and factor beliefs."""
+    """Variable beliefs and factor beliefs."""
     semiring = get_semiring(g.semiring)
-    if g.mode is GraphMode.SPIDER:
-        var_b = {}
-        for v in g.variables:
-            incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
-            values = hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
-            if cfg.normalize and semiring.has_normalize:
-                try:
-                    values = semiring.normalize(values)
-                except ZeroMessageError:
-                    pass  # a dead belief is reported as it is
-            var_b[v.id] = values
-    else:
-        var_b = {
-            v.id: reference_tensor_belief(
-                semiring, v.tensor, [state.factor_to_var[w].values for w in g.incident[v.id]]
-            )
-            for v in g.variables
-        }
+    var_b = {}
+    for v in g.variables:
+        incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
+        values = hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
+        if cfg.normalize and semiring.has_normalize:
+            try:
+                values = semiring.normalize(values)
+            except ZeroMessageError:
+                pass  # a dead belief is reported as it is
+        var_b[v.id] = values
     fac_b = {
         f.id: reference_tensor_belief(
             semiring,
@@ -424,9 +405,7 @@ def reference_z(g, semiring, state, root=None):
             continue
         v = g.variable(root if root in var_ids else var_ids[0])
         incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
-        if g.mode is GraphMode.BIPARTITE:
-            z = full_contraction(semiring, v.tensor, incoming)
-        elif incoming:
+        if incoming:
             z = semiring.fold(hadamard(semiring, incoming).values, 0).item()
         else:
             z = semiring.fold(semiring.ones((v.dim,)), 0).item()
@@ -462,13 +441,13 @@ def check_tree_against_reference(g, cfg, root=None):
     var_b, fac_b = reference_beliefs(g, want, cfg)
     for vid, values in var_b.items():
         got = result.variable_beliefs[vid]
-        assert same_bits(got.values if g.mode is GraphMode.SPIDER else got.data, values), ("belief", vid)
+        assert same_bits(got.values, values), ("belief", vid)
     for fid, values in fac_b.items():
         assert same_bits(result.factor_beliefs[fid].data, values), ("factor belief", fid)
     if not cfg.normalize:
         z = contraction_from_state(g, result.state, root)
         assert same_bits(np.array([z], dtype=object), np.array([reference_z(g, semiring, want, root)], dtype=object))
-    if semiring.has_compare and g.mode is GraphMode.SPIDER:
+    if semiring.has_compare:
         assert decode_map(g, result.state) == reference_map(g, want, semiring)
     return result
 
@@ -503,15 +482,16 @@ def dead_tree(rng, name="prob"):
     return build_graph(dims, factors, get_semiring(name))
 
 
-def bipartite_chain(rng, n=4):
+def node_tensor_chain(rng, n=4):
     """Nodes v0 - v1 - ... joined by rank-2 factors, with a unary factor on
-    the first and last node; every node carries its own tensor."""
+    the first and last node; every node carries its own tensor, written in
+    normal form."""
     dims = [int(d) for d in rng.integers(2, 4, n)]
     factors = [((i, i + 1), rng.uniform(0.1, 2.0, dims[i] * dims[i + 1]).tolist()) for i in range(n - 1)]
     factors += [((0,), rng.uniform(0.1, 2.0, dims[0]).tolist()), ((n - 1,), rng.uniform(0.1, 2.0, dims[-1]).tolist())]
     degree = {v: sum(v in nb for nb, _ in factors) for v in range(n)}
     tensors = {v: rng.uniform(0.1, 2.0, dims[v] ** degree[v]).tolist() for v in range(n)}
-    return build_graph(dims, factors, PROB, mode=GraphMode.BIPARTITE, var_tensors=tensors)
+    return normal_form(dims, factors, tensors)
 
 
 class TestTreeBitIdentity:
@@ -596,29 +576,30 @@ class TestTreeBitIdentity:
         contraction_value(g)
 
 
-class TestBipartiteChain:
-    """Rank-2 factors between nodes, so variable-to-factor messages matter."""
+class TestNodeTensorChain:
+    """Rank-2 factors between nodes that carry tensors of their own, so
+    messages through the node factors matter."""
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_tree_matches_per_wire_reference(self, normalize):
         rng = np.random.default_rng(320)
         for n in (2, 3, 4, 5):
-            check_tree_against_reference(bipartite_chain(rng, n), RunConfig(normalize=normalize))
+            check_tree_against_reference(node_tensor_chain(rng, n), RunConfig(normalize=normalize))
 
     def test_contraction_matches_the_oracle(self):
         rng = np.random.default_rng(321)
         for n in (2, 3, 4, 5):
-            g = bipartite_chain(rng, n)
+            g = node_tensor_chain(rng, n)
             z = contraction_value(g, RunConfig(schedule="tree", normalize=False))
             assert np.isclose(z, exact_contraction(g, PROB), rtol=1e-12)
 
     def test_sync_reaches_the_tree_fixed_point(self):
-        g = bipartite_chain(np.random.default_rng(322), 4)
+        g = node_tensor_chain(np.random.default_rng(322), 4)
         tree = run_bp(g, RunConfig(schedule="tree"))
         sync = run_bp(g, RunConfig(schedule="sync", tol=1e-14))
         assert sync.converged
-        for vid, belief in tree.variable_beliefs.items():
-            assert np.allclose(belief.data, sync.variable_beliefs[vid].data, rtol=1e-9)
+        for fid, belief in tree.factor_beliefs.items():
+            assert np.allclose(belief.data, sync.factor_beliefs[fid].data, rtol=1e-9)
 
 
 class TestOverflowIsNotConvergence:

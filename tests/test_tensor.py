@@ -18,7 +18,6 @@ from spiderbp.tensor import (
     Message,
     contract_to_axis,
     fold_axis_sum,
-    full_contraction,
     hadamard,
     matricize,
     permute_axes,
@@ -259,18 +258,3 @@ class TestContractToAxis:
         with pytest.raises(ShapeMismatchError):
             contract_to_axis(PROB, t, 0, [])
 
-
-class TestFullContraction:
-    def test_scalar_result(self):
-        f = DenseTensor.from_values((2, 2), [[1.0, 2.0], [3.0, 4.0]], PROB)
-        ones = Message(obj(2), np.ones(2))
-        assert full_contraction(PROB, f, [ones, ones]) == 10.0
-
-    def test_rank0_passthrough(self):
-        t = DenseTensor.from_values((), [5], COUNT)
-        assert full_contraction(COUNT, t, []) == 5
-
-    def test_weighted(self):
-        f = DenseTensor.from_values((2,), [3.0, 4.0], PROB)
-        m = Message(obj(2), np.array([0.5, 2.0]))
-        assert full_contraction(PROB, f, [m]) == 3.0 * 0.5 + 4.0 * 2.0
