@@ -154,7 +154,11 @@ def _load_graph(args, semiring=None):
 
 
 def _emit(args, document):
-    payload = json.dumps(document, indent=2) + "\n"
+    _write(args, json.dumps(document, indent=2) + "\n")
+
+
+def _write(args, payload):
+    """Write ``payload`` to ``--output``, else to stdout."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(payload)
@@ -166,16 +170,17 @@ def _values_json(semiring, values):
     return [semiring.value_to_json(v) for v in values.reshape(-1).tolist()]
 
 
-def _beliefs_document(g, result, z=None):
+def _beliefs_document(g, beliefs, z=None, converged=True, iterations=1, residual=0.0):
+    """A run's result document; the defaults are those of an exact run."""
     semiring = get_semiring(g.semiring)
     doc = {
-        "converged": bool(result.converged),
-        "iterations": int(result.iterations),
-        "residual": float(result.residual),
+        "converged": bool(converged),
+        "iterations": int(iterations),
+        "residual": float(residual),
         "semiring": semiring.name,
         "beliefs": [
             {"id": vid, "values": _values_json(semiring, belief.values)}
-            for vid, belief in sorted(result.variable_beliefs.items())
+            for vid, belief in sorted(beliefs.items())
         ],
     }
     if z is not None:
@@ -185,8 +190,6 @@ def _beliefs_document(g, result, z=None):
 
 def _config(args):
     """The run's config from the bp flags; read before the input file."""
-    if not 0.0 <= args.damping < 1.0:
-        raise _UsageError("--damping must lie in [0, 1)")
     return RunConfig(
         schedule=args.schedule,
         max_iters=args.max_iters,
@@ -204,7 +207,7 @@ def _cmd_run(args):
     if args.no_normalize and args.schedule == "tree":
         # the unnormalized two-pass state is exact: close it directly
         z = contraction_from_state(g, result.state)
-    _emit(args, _beliefs_document(g, result, z))
+    _emit(args, _beliefs_document(g, result.variable_beliefs, z, result.converged, result.iterations, result.residual))
     if result.contradiction:
         _diag("error", "contradiction: an all-zero message was produced",
               wire=list(result.contradiction_wire) if result.contradiction_wire else None)
@@ -235,22 +238,9 @@ def _cmd_exact(args):
 
 def _cmd_jtree(args):
     g = _load_graph(args)
-    semiring = get_semiring(g.semiring)
     jt = run_junction_tree(g, RunConfig(normalize=not args.no_normalize))
-    doc = {
-        "converged": True,
-        "iterations": 1,
-        "residual": 0.0,
-        "semiring": semiring.name,
-        "beliefs": [
-            {"id": vid, "values": _values_json(semiring, belief.values)}
-            for vid, belief in sorted(jt.variable_beliefs.items())
-        ],
-        "contraction_value": semiring.value_to_json(jt.contraction_value),
-        "cliques": [
-            {"id": c.id, "members": list(c.members)} for c in jt.tree.cliques
-        ],
-    }
+    doc = _beliefs_document(g, jt.variable_beliefs, jt.contraction_value)
+    doc["cliques"] = [{"id": c.id, "members": list(c.members)} for c in jt.tree.cliques]
     _emit(args, doc)
     if jt.contradiction:
         _diag("error", "contradiction: the model admits no satisfying state")
@@ -321,15 +311,7 @@ def _cmd_check(args):
 
 def _cmd_convert(args):
     g = _load_graph(args)
-    if args.format == "uai":
-        payload = serialize_native(g)
-    else:
-        payload = serialize_uai(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(args, serialize_native(g) if args.format == "uai" else serialize_uai(g))
     return EXIT_OK
 
 

@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
     ZeroMessageError,
 )
-from .graph import _carry_verdict, _ensure_valid, _walk, _wire_levels, components, tree_info
+from .graph import _carry_verdict, _ensure_valid, _wire_levels, components, tree_info
 from .tensor import DenseTensor, Message, contract_to_axis, hadamard
 
 SCHEDULES = ("sync", "tree")
@@ -367,10 +367,20 @@ class _Plan:
             by_factor[(fid, axis)] = Message(obj, f2v[d][r])
         return by_var, by_factor
 
-    def _first_wire(self, masks):
-        """Smallest ``g.wires`` index among the rows a dim -> mask map sets, or None."""
-        hits = [int(self.position[d][mask].min()) for d, mask in masks.items() if mask.any()]
-        return min(hits, default=None)
+    def _dead_wires(self, gone):
+        """The wires of dead rows, as (kind, factor id, axis): every v2f
+        before every f2v, each in ``g.wires`` order.
+
+        ``gone`` holds (kind, dim, out rows, dead-row mask) entries, as
+        ``_execute`` returns them; ``out`` may be ``slice(None)``, every row
+        of the dim.
+        """
+        if not gone or not np.concatenate([dead for _kind, _d, _out, dead in gone]).any():
+            return []
+        hits = {"v2f": [], "f2v": []}
+        for kind, d, out, dead in gone:
+            hits[kind] += self.position[d][out][dead].tolist()
+        return [(kind,) + self.g.wires[pos] for kind, found in hits.items() for pos in sorted(found)]
 
     # -- the update program ------------------------------------------------------
 
@@ -453,16 +463,18 @@ class _Plan:
         semiring = self.semiring
         new = self._empty(), self._empty()
         self._execute(self._sync_program, arrays, new)
-        for kind, fresh, old in zip(("v2f", "f2v"), new, arrays):
-            if cfg.normalize and semiring.has_normalize:
-                dead = {}
+        if cfg.normalize and semiring.has_normalize:
+            gone = []
+            for kind, fresh in zip(("v2f", "f2v"), new):
                 for d, rows in fresh.items():
-                    fresh[d], dead[d] = semiring._normalize_rows(rows)
-                first = self._first_wire(dead)
-                if first is not None:
-                    raise ContradictionError((kind,) + self.g.wires[first])
-            if cfg.damping != 0.0:
-                lam = cfg.damping
+                    fresh[d], dead = semiring._normalize_rows(rows)
+                    gone.append((kind, d, slice(None), dead))
+            dead_wires = self._dead_wires(gone)
+            if dead_wires:
+                raise ContradictionError(dead_wires[0])
+        if cfg.damping != 0.0:
+            lam = cfg.damping
+            for fresh, old in zip(new, arrays):
                 for d in fresh:
                     fresh[d] = (1.0 - lam) * fresh[d] + lam * old[d]
         residual = max(self._residual(new[0], arrays[0]), self._residual(new[1], arrays[1]))
@@ -484,7 +496,7 @@ class _Plan:
 
     # -- the two-pass schedule ---------------------------------------------------
 
-    def two_pass(self, cfg, root=None):
+    def two_pass(self, cfg):
         """Every message of the exact tree schedule, level by level.
 
         Returns ((v2f, f2v), contradiction wire or None). Each directed
@@ -497,23 +509,16 @@ class _Plan:
         arrays = self.initial(cfg)
         normalize = cfg.normalize and self.semiring.has_normalize
         gone = self._execute(self._levels(*self._wire_levels()), arrays, arrays, normalize)
-        if not gone or not np.concatenate([dead for *_op, dead in gone]).any():
-            return arrays, None
-        return arrays, self._halt(arrays, cfg, root, gone)
+        dead_wires = self._dead_wires(gone)
+        return arrays, self._halt(arrays, cfg, set(dead_wires)) if dead_wires else None
 
-    def _halt(self, arrays, cfg, root, gone):
+    def _halt(self, arrays, cfg, dead_wires):
         """Reset the messages the per-wire run never reaches; return the
         wire it halts at."""
-        wires = self.g.wires
-        dead_wires = {
-            (kind,) + wires[pos]
-            for kind, d, out, dead in gone
-            for pos in self.position[d][out[dead]].tolist()
-        }
-        schedule = two_pass_schedule(self.g, root)
+        schedule = two_pass_schedule(self.g)
         at = next(k for k, wire in enumerate(schedule) if wire in dead_wires)
         unit = self.initial(cfg)
-        wire_row = dict(zip(wires, self.wire_rows))
+        wire_row = dict(zip(self.g.wires, self.wire_rows))
         for kind, fid, axis in schedule[at:]:
             d, r = wire_row[(fid, axis)]
             k = 0 if kind == "v2f" else 1
@@ -569,11 +574,12 @@ class _Plan:
 
     def first_zero_wire(self, arrays):
         """First all-zero message, every v2f in wire order before every f2v."""
-        for kind, packed in zip(("v2f", "f2v"), arrays):
-            first = self._first_wire({d: (rows == self.semiring.zero).all(axis=1) for d, rows in packed.items()})
-            if first is not None:
-                return (kind,) + self.g.wires[first]
-        return None
+        dead_wires = self._dead_wires([
+            (kind, d, slice(None), (rows == self.semiring.zero).all(axis=1))
+            for kind, packed in zip(("v2f", "f2v"), arrays)
+            for d, rows in packed.items()
+        ])
+        return dead_wires[0] if dead_wires else None
 
 
 def _plan_and_arrays(g, state):
@@ -602,17 +608,17 @@ def sweep_synchronous(g, state, cfg):
     return MessageState(plan, arrays, state.iteration + 1, residual)
 
 
-def two_pass_schedule(g, root=None):
+def two_pass_schedule(g):
     """Directed-wire order for one exact tree sweep.
 
-    First every wire pointing toward the root in nondecreasing
-    distance-from-leaves order, then the same wires reversed. ``root`` is a
-    variable id; components not containing it are rooted at their smallest
-    variable id. Ties break by ascending node id, so the order is
+    Each component is closed at its smallest variable id (on a tree every
+    closing point gives the same value). First every wire pointing toward
+    that root in nondecreasing distance-from-leaves order, then the same
+    wires reversed. Ties break by ascending node id, so the order is
     deterministic. Entries are ``(kind, factor id, axis)`` with kind
     "v2f" or "f2v".
     """
-    comps, parent, _node_wires, ends, cyclic = _walk(g, root)
+    comps, parent, _node_wires, ends, cyclic = g._forest
     if cyclic:
         raise NotATreeError("two-pass scheduling needs a cycle-free graph without repeated wires")
     nv, wires = len(g.variables), g.wires
@@ -632,7 +638,7 @@ def two_pass_schedule(g, root=None):
     return upward + downward
 
 
-def run_two_pass(g, cfg, root=None):
+def run_two_pass(g, cfg):
     """Execute the two-pass schedule once on the compiled plan.
 
     Returns (state, contradiction wire or None). Messages are computed one
@@ -643,7 +649,7 @@ def run_two_pass(g, cfg, root=None):
     """
     _run_semiring(g.semiring, cfg)
     plan = _Plan(g)
-    arrays, halted_wire = plan.two_pass(cfg, root)
+    arrays, halted_wire = plan.two_pass(cfg)
     residual = 0.0 if halted_wire is None else math.inf
     return MessageState(plan, arrays, 1, residual), halted_wire
 
@@ -661,7 +667,7 @@ def beliefs(g, state, cfg):
     return plan.beliefs(arrays, cfg)
 
 
-def run_bp(g, cfg, root=None):
+def run_bp(g, cfg):
     """Run belief propagation under the given config.
 
     The sync schedule sweeps until the residual falls to ``tol`` or
@@ -692,106 +698,91 @@ def run_bp(g, cfg, root=None):
             "count under the sync schedule needs a cycle-free graph: exact counts grow every "
             "sweep around a cycle; count on a tree with --schedule tree, or on any graph with jtree"
         )
-    contradiction_wire = None
     if cfg.schedule == "tree":
-        state, halted_wire = run_two_pass(g, cfg, root)
-        if halted_wire is not None:
-            var_b, fac_b, _ = beliefs(g, state, cfg)
-            return BPResult(
-                state,
-                converged=False,
-                iterations=1,
-                residual=math.inf,
-                variable_beliefs=var_b,
-                factor_beliefs=fac_b,
-                contradiction=True,
-                contradiction_wire=halted_wire,
-            )
-        converged, iterations = True, 1
+        state, wire = run_two_pass(g, cfg)
+        converged, iterations = wire is None, 1
     else:
-        state = init_messages(g, cfg)
-        converged = False
-        iterations = 0
-        try:
-            k = 0
-            while k < cfg.max_iters:
-                k += 1
-                new_state = sweep_synchronous(g, state, cfg)
-                iterations = k
-                state = new_state
-                if new_state.residual > cfg.tol:
-                    continue
-                if new_state.residual == 0.0:
-                    # no message changed: already a fixed point, sweep not counted
-                    converged = True
-                    iterations = k - 1
-                    break
-                if k >= cfg.max_iters:
-                    break  # no budget left to certify the fixed point
-                probe = sweep_synchronous(g, new_state, cfg)
-                if probe.residual <= cfg.tol:
-                    converged = True  # certified: the next sweep stays put
-                    break
-                # the probe was real progress after all; adopt and continue
-                k += 1
-                iterations = k
-                state = probe
-        except ContradictionError as err:
-            var_b, fac_b, _ = beliefs(g, state, cfg)
-            return BPResult(
-                state,
-                converged=False,
-                iterations=iterations,
-                residual=state.residual,
-                variable_beliefs=var_b,
-                factor_beliefs=fac_b,
-                contradiction=True,
-                contradiction_wire=err.wire,
-            )
+        state, converged, iterations, wire = _run_sync(g, cfg)
     var_b, fac_b, zero_wire = beliefs(g, state, cfg)
-    if semiring.name == "bool":
+    if wire is None and semiring.name == "bool":
         # dead support can hide in a belief even when every wire message
         # still has a true entry, so scan both
-        contradiction_wire = state._plan.first_zero_wire(state._arrays)
-        if contradiction_wire is None:
+        wire = state._plan.first_zero_wire(state._arrays)
+        if wire is None:
             for vid in sorted(var_b):
                 if not any(bool(x) for x in var_b[vid].values.tolist()):
-                    contradiction_wire = ("belief", vid)
+                    wire = ("belief", vid)
                     break
-    if zero_wire is not None and contradiction_wire is None:
-        contradiction_wire = zero_wire
+    if wire is None:
+        wire = zero_wire
     return BPResult(
         state,
         converged=converged,
         iterations=iterations,
-        residual=state.residual if cfg.schedule == "sync" else 0.0,
+        residual=state.residual,
         variable_beliefs=var_b,
         factor_beliefs=fac_b,
-        contradiction=contradiction_wire is not None,
-        contradiction_wire=contradiction_wire,
+        contradiction=wire is not None,
+        contradiction_wire=wire,
     )
 
 
-def contraction_value(g, cfg=None, root=None):
+def _run_sync(g, cfg):
+    """``run_bp``'s sync loop; returns (state, converged, iterations,
+    contradiction wire or None)."""
+    state = init_messages(g, cfg)
+    converged = False
+    iterations = 0
+    try:
+        k = 0
+        while k < cfg.max_iters:
+            k += 1
+            state = sweep_synchronous(g, state, cfg)
+            iterations = k
+            if state.residual > cfg.tol:
+                continue
+            if state.residual == 0.0:
+                # no message changed: already a fixed point, sweep not counted
+                converged = True
+                iterations = k - 1
+                break
+            if k >= cfg.max_iters:
+                break  # no budget left to certify the fixed point
+            probe = sweep_synchronous(g, state, cfg)
+            if probe.residual <= cfg.tol:
+                converged = True  # certified: the next sweep stays put
+                break
+            # the probe was real progress after all; adopt and continue
+            k += 1
+            iterations = k
+            state = probe
+    except ContradictionError as err:
+        return state, False, iterations, err.wire
+    return state, converged, iterations, None
+
+
+def contraction_value(g, cfg=None):
     """Scalar value of the closed diagram (partition sum, count, ...).
 
-    Runs unnormalized two-pass propagation and closes the diagram at one
-    root per component (the smallest variable id, or ``root`` in its own
-    component), multiplying components together. Exact on trees for every
-    semiring; any root choice gives the same value. Rank-0 factors multiply
-    in directly; an isolated variable contributes one term per state.
+    Runs unnormalized two-pass propagation and closes the diagram at the
+    smallest variable id of each component, multiplying components
+    together. Exact on trees for every semiring; on a tree every closing
+    point gives the same value, so relabelling the ids leaves it unchanged.
+    Rank-0 factors multiply in directly; an isolated variable contributes
+    one term per state.
     """
     if cfg is None:
         cfg = RunConfig(normalize=False, schedule="tree")
     if cfg.normalize:
         raise ValidationError("contraction requires normalize=False (raw mass must survive)")
     _ensure_valid(g)
-    state, _ = run_two_pass(g, cfg, root)  # unnormalized: never halts
-    return contraction_from_state(g, state, root)
+    state, _ = run_two_pass(g, cfg)  # unnormalized: never halts
+    return contraction_from_state(g, state)
 
 
-def contraction_from_state(g, state, root=None):
-    """Close the diagram against converged messages, component by component."""
+def contraction_from_state(g, state):
+    """Close the diagram against converged messages, component by component,
+    each at its smallest variable id."""
     plan, (_v2f, f2v) = _plan_and_arrays(g, state)
     semiring = plan.semiring
     total = semiring.one
@@ -800,9 +791,8 @@ def contraction_from_state(g, state, root=None):
             f = g.factor(fac_ids[0])
             total = semiring.mul(total, f.tensor.data[0])
             continue
-        comp_root = root if root in var_ids else var_ids[0]
-        v = g.variable(comp_root)
-        rows = plan.var_rows[comp_root]
+        v = g.variable(var_ids[0])
+        rows = plan.var_rows[v.id]
         if rows:
             z = semiring.fold(_fold_mul(semiring, f2v[v.obj.dim][[rows]])[0], 0).item()
         else:

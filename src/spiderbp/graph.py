@@ -12,11 +12,11 @@ is written in normal (Forney) form: one variable per wire, and the node's
 tensor as a factor over those variables.
 
 Tree structure comes from one walk, ``_walk``: a breadth-first traversal
-that roots each component at a variable and records every node's wire to
-its parent, noting any wire that closes a cycle. ``components``,
-``tree_info``, the two-pass schedule and its message levels
-(``_wire_levels``) all read it; on a tree the diameter is one more than
-the highest message level.
+that roots each component at its smallest variable and records every
+node's wire to its parent, noting any wire that closes a cycle.
+``components``, ``tree_info``, the two-pass schedule and its message
+levels (``_wire_levels``) all read it; on a tree the diameter is one more
+than the highest message level.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class FactorGraph:
     @cached_property
     def _forest(self):
         # the walk rooted at each component's smallest variable; components(),
-        # tree_info() and the two-pass levels all read it
+        # tree_info(), the two-pass schedule and its levels all read it
         return _walk(self)
 
     @cached_property
@@ -293,14 +293,15 @@ def tree_info(g):
     return TreeInfo(is_tree=True, diameter=1 + max(v2f + f2v, default=-1), components=n)
 
 
-def _walk(g, root=None):
+def _walk(g):
     """Breadth-first walk of every component of ``g`` as a rooted tree.
 
     Variable ``v`` is node ``v`` and factor ``f`` node ``nv + f``; wire
     ``i`` is ``g.wires[i]`` and ``ends[i]`` the sum of its two nodes, so
-    ``ends[i] - n`` is the other end seen from node ``n``. A component is
-    rooted at ``root`` if it holds that variable, else at its smallest
-    variable (a rank-0 factor is a component of its own).
+    ``ends[i] - n`` is the other end seen from node ``n``. Each component
+    is rooted at its smallest variable, where the two-pass schedule and
+    ``contraction_value`` close it (a rank-0 factor is a component of its
+    own). Read it through the graph's cached ``_forest``.
 
     Returns ``(comps, parent, node_wires, ends, cyclic)``: each component's
     nodes in BFS order, components ordered by smallest member, variables
@@ -317,12 +318,8 @@ def _walk(g, root=None):
             node_wires[nv + f.id].append(len(ends))
             ends.append(vid + nv + f.id)
     parent = [-2] * len(node_wires)  # -2: not reached yet
-    starts = range(len(node_wires))
-    rooted = root is not None and root in range(nv)
-    if rooted:
-        starts = [root, *starts]
     comps, cyclic = [], False
-    for start in starts:
+    for start in range(len(node_wires)):
         if parent[start] != -2:
             continue
         parent[start] = -1
@@ -338,8 +335,6 @@ def _walk(g, root=None):
                     else:
                         cyclic = True
         comps.append(comp)
-    if rooted:
-        comps.sort(key=min)  # the root's component was walked first
     return comps, parent, node_wires, ends, cyclic
 
 

@@ -56,11 +56,10 @@ def joint_table(g, semiring):
     grid = np.indices(dims) if dims else None
     table = semiring.ones(dims)
     for f in sorted(g.factors, key=lambda f: f.id):
-        if f.rank == 0:
-            table = semiring.array_mul(table, f.tensor.data[0])
-        else:
-            table = semiring.array_mul(table, _lifted_factor(f, var_pos, grid, dims))
-    return np.asarray(table)
+        # a 0-d product comes back a bare scalar, and two bare ints multiply
+        # as int64: keep the table in the semiring's dtype
+        table = np.asarray(semiring.array_mul(table, _lifted_factor(f, var_pos, grid, dims)), dtype=semiring.dtype)
+    return table
 
 
 def exact_contraction(g, semiring, cap=DEFAULT_ORACLE_CAP):

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from spiderbp import build_graph
+from spiderbp import FactorGraph, build_graph
 from spiderbp.algebra import get_semiring
+from spiderbp.graph import FactorNode, VariableNode
 
 MAX_JOINT = 1 << 16
 
@@ -103,6 +104,18 @@ def random_loopy(rng, semiring="prob", max_vars=8, extra_edges=(1, 3)):
         if rng.random() < 0.5:
             factors.append(((v,), table_for(rng, semiring, dims[v])))
     return build_graph(dims, factors, get_semiring(semiring))
+
+
+def relabel(g, new_ids):
+    """Copy of ``g`` with variable ``v`` renamed ``new_ids.get(v, v)``.
+
+    ``new_ids`` permutes some ids among themselves; factors keep their ids,
+    axes and tables. Runs close each component at its smallest variable id,
+    so a relabelled copy of a tree is the same model closed elsewhere.
+    """
+    variables = sorted((VariableNode(new_ids.get(v.id, v.id), v.obj) for v in g.variables), key=lambda v: v.id)
+    factors = [FactorNode(f.id, f.tensor, tuple(new_ids.get(v, v) for v in f.neighbors)) for f in g.factors]
+    return FactorGraph(tuple(variables), tuple(factors), semiring=g.semiring)
 
 
 def four_cycle(rng, semiring="count"):

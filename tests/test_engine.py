@@ -1,10 +1,12 @@
 """Message-passing engine: schedules, exactness, contraction, decoding."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import spiderbp
 from spiderbp import (
     PROB,
     NotATreeError,
@@ -35,7 +37,7 @@ from spiderbp.engine import (
     two_pass_schedule,
 )
 
-from fixtures import brute_force_count, node_between, random_loopy, random_tree, random_tree_csp
+from fixtures import brute_force_count, node_between, random_loopy, random_tree, random_tree_csp, relabel
 
 
 def normalized(values):
@@ -115,13 +117,14 @@ class TestInitMessages:
 
 class TestTwoPassSchedule:
     def test_chain_rooted_at_far_end(self):
-        g = build_graph([2, 2], [((0, 1), [1.0] * 4)], PROB)
-        order = two_pass_schedule(g, root=1)
+        # v1 - f0 - v0 with v0 on axis 1: the root sits at the far end
+        g = relabel(build_graph([2, 2], [((0, 1), [1.0] * 4)], PROB), {0: 1, 1: 0})
+        order = two_pass_schedule(g)
         assert order == [
-            ("v2f", 0, 0),  # v0 up to f0
-            ("f2v", 0, 1),  # f0 up to the root v1
-            ("v2f", 0, 1),  # v1 back down
-            ("f2v", 0, 0),  # f0 back down to v0
+            ("v2f", 0, 0),  # v1 up to f0
+            ("f2v", 0, 1),  # f0 up to the root v0
+            ("v2f", 0, 1),  # v0 back down
+            ("f2v", 0, 0),  # f0 back down to v1
         ]
 
     def test_every_directed_wire_exactly_once(self):
@@ -141,32 +144,34 @@ class TestTwoPassSchedule:
         assert two_pass_schedule(g) == two_pass_schedule(g)
 
     def test_children_finish_before_parents_send(self):
-        g = chain3()
-        order = two_pass_schedule(g, root=2)
+        # chain3 rooted at its far end: v2 - f0 - v1 - f1 - v0
+        g = relabel(chain3(), {0: 2, 2: 0})
+        order = two_pass_schedule(g)
         up = order[: len(order) // 2]
         # v1 cannot send to f1 (where it sits on axis 0) before f0
-        # delivered v0's side
+        # delivered v2's side
         assert up.index(("f2v", 0, 1)) < up.index(("v2f", 1, 0))
 
     def test_forest_with_ties_isolated_variable_and_rank0_factor(self):
         # component A: v0 - f3 - v1 and v0 - f0 - v2; v3 alone; f1 of rank 0;
-        # component B: v5 - f2 - v4 - f5 and v5 - f4 - (v6, v7), rooted at v5
+        # component B: v4 - f2 - v5 - f5 and v4 - f4 - (v6, v7), rooted at
+        # v4, its smallest id (v4 and v5 swapped from the scopes below)
         scopes = [(2, 0), (), (5, 4), (0, 1), (6, 5, 7), (4,)]
-        g = build_graph([2] * 8, [(s, [1.0] * 2 ** len(s)) for s in scopes], PROB)
+        g = relabel(build_graph([2] * 8, [(s, [1.0] * 2 ** len(s)) for s in scopes], PROB), {4: 5, 5: 4})
         up = [
             ("v2f", 3, 1),  # depth 2 in A: v1, then v2
             ("v2f", 0, 0),
             ("f2v", 0, 1),  # depth 1 in A: f0, then f3
             ("f2v", 3, 0),
             ("f2v", 5, 0),  # depth 3 in B: f5
-            ("v2f", 2, 1),  # depth 2 in B: v4, v6, v7
+            ("v2f", 2, 1),  # depth 2 in B: v5, v6, v7
             ("v2f", 4, 0),
             ("v2f", 4, 2),
             ("f2v", 2, 0),  # depth 1 in B: f2, then f4
             ("f2v", 4, 1),
         ]
         down = [("f2v" if kind == "v2f" else "v2f", fid, axis) for kind, fid, axis in reversed(up)]
-        assert two_pass_schedule(g, root=5) == up + down
+        assert two_pass_schedule(g) == up + down
 
     def test_rejects_cycles_and_multi_wires(self):
         loopy = build_graph(
@@ -208,12 +213,13 @@ class TestTreeExactness:
             assert result.variable_beliefs[v.id].values.tolist() == expected
 
     def test_root_choice_does_not_matter(self):
-        g = chain3()
-        a = run_bp(g, RunConfig(schedule="tree"), root=0)
-        b = run_bp(g, RunConfig(schedule="tree"), root=2)
+        # the relabelled copy closes at the old v2
+        g, swap = chain3(), {0: 2, 2: 0}
+        a = run_bp(g, RunConfig(schedule="tree"))
+        b = run_bp(relabel(g, swap), RunConfig(schedule="tree"))
         for v in g.variables:
-            assert np.allclose(
-                a.variable_beliefs[v.id].values, b.variable_beliefs[v.id].values
+            np.testing.assert_allclose(
+                a.variable_beliefs[v.id].values, b.variable_beliefs[swap.get(v.id, v.id)].values, rtol=1e-12
             )
 
 
@@ -346,9 +352,16 @@ class TestContractionValue:
             assert contraction_value(g, cfg) == brute_force_count(g)
 
     def test_root_invariance(self):
+        # each relabelled copy closes at another variable of one graph
         g = chain3()
-        values = [contraction_value(g, root=r) for r in (0, 1, 2)]
+        values = [contraction_value(relabel(g, {0: r, r: 0})) for r in (0, 1, 2)]
         assert all(np.isclose(v, values[0], rtol=1e-12) for v in values)
+        rng = np.random.default_rng(41)
+        for name in ("count", "bool"):
+            g = random_tree(rng, name)
+            cfg = RunConfig(schedule="tree", normalize=False)
+            values = {contraction_value(relabel(g, {0: r, r: 0}), cfg) for r in range(len(g.variables))}
+            assert len(values) == 1
 
     def test_forest_multiplies_components(self):
         g = build_graph(
@@ -669,3 +682,10 @@ class TestCountNeedsATreeUnderSync:
         assert run_bp(k4(PROB), RunConfig()).converged
         assert run_bp(k4(BOOL), RunConfig(semiring="bool")).converged
 
+
+class TestPublicApiWidth:
+    def test_no_root_parameter_and_36_public_names(self):
+        # every component closes at its smallest variable id; no caller picks a root
+        assert len(spiderbp.__all__) == 36
+        for fn in (run_bp, engine.run_two_pass, contraction_value, engine.contraction_from_state, two_pass_schedule):
+            assert "root" not in inspect.signature(fn).parameters, fn.__name__

@@ -11,6 +11,7 @@ from spiderbp import (
     TooLargeError,
     ValidationError,
     build_graph,
+    contraction_value,
     exact_argmax,
     exact_contraction,
     exact_marginal,
@@ -98,6 +99,11 @@ class TestExactContraction:
             (FactorNode(0, DenseTensor.from_values((), [7], COUNT), ()),),
         )
         assert exact_contraction(g, COUNT) == 7
+
+    def test_no_variables_count_stays_exact(self):
+        # rank-0 factors only: the product must not pass through int64
+        g = build_graph([], [((), [2**62]), ((), [4])], COUNT)
+        assert exact_contraction(g, COUNT) == 2**64 == contraction_value(g)
 
 
 class TestExactMarginal:

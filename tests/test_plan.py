@@ -47,7 +47,7 @@ from spiderbp.cli import EXIT_NOT_CONVERGED, cli_dispatch
 from spiderbp.engine import contraction_from_state, update_factor_message, update_variable_message
 from spiderbp.tensor import Message
 
-from fixtures import node_between, normal_form, random_loopy, random_tree, random_tree_structure, table_for
+from fixtures import node_between, normal_form, random_loopy, random_tree, random_tree_structure, relabel, table_for
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -344,13 +344,13 @@ class TestCliClosesItsOwnState:
 # -- the two-pass schedule on the plan -------------------------------------------
 
 
-def reference_two_pass(g, cfg, root=None):
+def reference_two_pass(g, cfg):
     """The per-wire two-pass run: ``two_pass_schedule`` order, one update at a
     time, stopping at the first dead wire."""
     start = init_messages(g, cfg)
     v2f, f2v = dict(start.var_to_factor), dict(start.factor_to_var)
     working = DictState(v2f, f2v)
-    for kind, fid, axis in two_pass_schedule(g, root):
+    for kind, fid, axis in two_pass_schedule(g):
         try:
             if kind == "v2f":
                 vid = g.factor(fid).neighbors[axis]
@@ -396,14 +396,15 @@ def reference_beliefs(g, state, cfg):
     return var_b, fac_b
 
 
-def reference_z(g, semiring, state, root=None):
-    """Each component closed at its root by a per-wire product and fold."""
+def reference_z(g, semiring, state):
+    """Each component closed at its smallest variable id by a per-wire
+    product and fold."""
     total = semiring.one
     for var_ids, fac_ids in components(g):
         if not var_ids:
             total = semiring.mul(total, g.factor(fac_ids[0]).tensor.data[0])
             continue
-        v = g.variable(root if root in var_ids else var_ids[0])
+        v = g.variable(var_ids[0])
         incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
         if incoming:
             z = semiring.fold(hadamard(semiring, incoming).values, 0).item()
@@ -427,11 +428,11 @@ def reference_map(g, state, semiring):
     return out
 
 
-def check_tree_against_reference(g, cfg, root=None):
+def check_tree_against_reference(g, cfg):
     """A tree run on the plan against the per-wire two-pass, bit for bit."""
     semiring = get_semiring(g.semiring)
-    want, want_wire = reference_two_pass(g, cfg, root)
-    result = run_bp(g, replace(cfg, schedule="tree"), root=root)
+    want, want_wire = reference_two_pass(g, cfg)
+    result = run_bp(g, replace(cfg, schedule="tree"))
     if want_wire is None:
         assert result.converged and result.residual == 0.0
     else:
@@ -445,8 +446,8 @@ def check_tree_against_reference(g, cfg, root=None):
     for fid, values in fac_b.items():
         assert same_bits(result.factor_beliefs[fid].data, values), ("factor belief", fid)
     if not cfg.normalize:
-        z = contraction_from_state(g, result.state, root)
-        assert same_bits(np.array([z], dtype=object), np.array([reference_z(g, semiring, want, root)], dtype=object))
+        z = contraction_from_state(g, result.state)
+        assert same_bits(np.array([z], dtype=object), np.array([reference_z(g, semiring, want)], dtype=object))
     if semiring.has_compare:
         assert decode_map(g, result.state) == reference_map(g, want, semiring)
     return result
@@ -518,20 +519,22 @@ class TestTreeBitIdentity:
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_explicit_root(self, normalize):
+        # the old root becomes id 0, so its component closes there
         rng = np.random.default_rng(314)
         for _ in range(5):
             g = random_forest(rng)
             for root in (len(g.variables) - 1, int(rng.integers(len(g.variables)))):
-                check_tree_against_reference(g, RunConfig(normalize=normalize), root=root)
+                check_tree_against_reference(relabel(g, {0: root, root: 0}), RunConfig(normalize=normalize))
 
     def test_long_chain_is_exact(self):
         # a 300-variable chain: about 600 levels, one or two messages each
         rng = np.random.default_rng(315)
         factors = [((i, i + 1), rng.uniform(0.5, 1.5, 9).tolist()) for i in range(299)]
         factors += [((i,), rng.uniform(0.5, 1.5, 3).tolist()) for i in range(300)]
-        g = build_graph([3] * 300, factors, PROB)
+        # closed in the middle: v150 is relabelled v0
+        g = relabel(build_graph([3] * 300, factors, PROB), {0: 150, 150: 0})
         for normalize in (True, False):
-            check_tree_against_reference(g, RunConfig(normalize=normalize), root=150)
+            check_tree_against_reference(g, RunConfig(normalize=normalize))
 
     @pytest.mark.parametrize("name", ["prob", "maxtimes"])
     def test_dead_support_same_wire_and_partial_beliefs(self, name):
@@ -552,7 +555,8 @@ class TestTreeBitIdentity:
             warnings.simplefilter("error")
             for _ in range(20):
                 g = dead_tree(rng)
-                check_tree_against_reference(g, RunConfig(), root=len(g.variables) - 1)
+                last = len(g.variables) - 1
+                check_tree_against_reference(relabel(g, {0: last, last: 0}), RunConfig())
 
     def test_not_a_tree(self):
         cycle = random_loopy(np.random.default_rng(318))
