@@ -7,8 +7,9 @@ algebra it runs on. Each instance bundles:
 * the scalar operations ``add``/``mul`` with their identities,
 * the numpy dtype used to store tensors of such scalars,
 * ``fold``, the one semiring sum every other layer calls,
-* optional extras: ``normalize`` (rescale a message vector) and ``compare``
-  (a total order, needed for argmax decoding).
+* optional extras: ``normalize`` (rescale a message vector) and the
+  ``has_compare`` flag (a total order under ``>``, needed for argmax
+  decoding).
 
 Instances are stateless singletons looked up by name:
 
@@ -53,7 +54,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NoTotalOrderError, ZeroMessageError
+from .errors import ZeroMessageError
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,10 @@ class DualNumber:
 
     def __repr__(self):
         return f"{self.real} + {self.eps}ε"
+
+
+#: elementwise DualNumber(real, eps) of two float arrays, as an object array
+_dual_array = np.frompyfunc(DualNumber, 2, 1)
 
 
 class Semiring:
@@ -123,10 +128,6 @@ class Semiring:
     def render(self, a):
         """Decimal string for one scalar."""
         return repr(a)
-
-    def compare(self, a, b):
-        """Three-way comparison; only meaningful when ``has_compare``."""
-        raise NoTotalOrderError(f"semiring {self.name!r} has no total order")
 
     # -- array operations ---------------------------------------------------
 
@@ -193,16 +194,16 @@ class Semiring:
         callers can still report what was computed.
         """
         out, dead = self._normalize_rows(np.asarray(values).reshape(1, -1))
-        if dead[0]:
+        if dead is not None:
             raise ZeroMessageError(values=values)
         return out[0]
 
     def _normalize_rows(self, rows):
         """Each row of a 2-d array divided by its mass (a semiring fold).
 
-        Returns (rescaled rows, dead-row mask). A row is dead when its mass
-        is zero; dead rows come back as they were, and nothing is divided
-        by zero.
+        Returns (rescaled rows, dead-row mask), the mask None when no row
+        is dead. A row is dead when its mass is zero; dead rows come back
+        as they were, and nothing is divided by zero.
         """
         raise NotImplementedError
 
@@ -236,10 +237,6 @@ class ProbSemiring(Semiring):
 
     def distance(self, a, b):
         return abs(a - b)
-
-    def compare(self, a, b):
-        # int() first: numpy bools do not support subtraction.
-        return int(a > b) - int(a < b)
 
     def coerce_scalar(self, x):
         v = self._real(x)
@@ -294,9 +291,9 @@ class ProbSemiring(Semiring):
 
     def _normalize_rows(self, rows):
         s = self.fold(rows, 1)
-        dead = s == 0.0
         if np.count_nonzero(s) == len(s):
-            return rows / s[:, None], dead
+            return rows / s[:, None], None
+        dead = s == 0.0
         out = rows.copy()
         live = ~dead
         out[live] = rows[live] / s[live, None]
@@ -344,9 +341,6 @@ class BoolSemiring(Semiring):
 
     def distance(self, a, b):
         return 0.0 if bool(a) == bool(b) else 1.0
-
-    def compare(self, a, b):
-        return int(bool(a)) - int(bool(b))
 
     def render(self, a):
         return "1" if a else "0"
@@ -400,10 +394,6 @@ class NatCountSemiring(Semiring):
 
     def distance(self, a, b):
         return 0.0 if a == b else 1.0
-
-    def compare(self, a, b):
-        # int() first: numpy bools do not support subtraction.
-        return int(a > b) - int(a < b)
 
     def render(self, a):
         return str(a)
@@ -506,16 +496,19 @@ class DualSemiring(Semiring):
             ) from None
 
     def _normalize_rows(self, rows):
-        # Rescaling by the real mass keeps the derivative information
-        # consistent: both components divide by the same real scalar.
+        # The quotient rule: (a + b*eps) / (s + sigma*eps), with s and sigma
+        # the sums of the real and eps parts, is a/s + (b*s - a*sigma)/s^2
+        # eps, the derivative of a/s; the eps part is computed as
+        # (b - sigma*a/s)/s, which does not square s.
         lines = rows.tolist()
-        reals = np.array([[d.real for d in line] for line in lines], dtype=np.float64)
-        mass = PROB.fold(reals.reshape(rows.shape), 1)
+        a = np.array([[d.real for d in line] for line in lines], dtype=np.float64).reshape(rows.shape)
+        b = np.array([[d.eps for d in line] for line in lines], dtype=np.float64).reshape(rows.shape)
+        s, sigma = PROB.fold(a, 1)[:, None], PROB.fold(b, 1)[:, None]
+        live = s[:, 0] != 0.0
+        real = a[live] / s[live]
         out = rows.copy()
-        for i, s in enumerate(mass.tolist()):
-            if s != 0.0:
-                out[i] = [DualNumber(d.real / s, d.eps / s) for d in lines[i]]
-        return out, mass == 0.0
+        out[live] = _dual_array(real, (b[live] - sigma[live] * real) / s[live])
+        return out, None if live.all() else ~live
 
     def random_scalar(self, rng):
         return DualNumber(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))

@@ -375,8 +375,6 @@ class _Plan:
         ``_execute`` returns them; ``out`` may be ``slice(None)``, every row
         of the dim.
         """
-        if not gone or not np.concatenate([dead for _kind, _d, _out, dead in gone]).any():
-            return []
         hits = {"v2f": [], "f2v": []}
         for kind, d, out, dead in gone:
             hits[kind] += self.position[d][out][dead].tolist()
@@ -390,8 +388,8 @@ class _Plan:
         Both are (v2f, f2v) array pairs: a variable op folds f2v rows into
         v2f rows, and a factor op contracts v2f rows into f2v rows. With
         ``normalize`` every op rescales its rows before writing them, and the
-        result lists (kind, dim, out rows, dead-row mask) per op; without, it
-        is empty.
+        result lists (kind, dim, out rows, dead-row mask) per op with a dead
+        row; without, it is empty.
         """
         semiring = self.semiring
         gone = []
@@ -407,7 +405,8 @@ class _Plan:
                     values = group.contract(semiring, target, group.tensors[members], msgs)
                 if normalize:
                     values, dead = semiring._normalize_rows(values)
-                    gone.append((kind, d, out, dead))
+                    if dead is not None:
+                        gone.append((kind, d, out, dead))
                 dst[k][d][out] = values
         return gone
 
@@ -468,7 +467,8 @@ class _Plan:
             for kind, fresh in zip(("v2f", "f2v"), new):
                 for d, rows in fresh.items():
                     fresh[d], dead = semiring._normalize_rows(rows)
-                    gone.append((kind, d, slice(None), dead))
+                    if dead is not None:
+                        gone.append((kind, d, slice(None), dead))
             dead_wires = self._dead_wires(gone)
             if dead_wires:
                 raise ContradictionError(dead_wires[0])
@@ -553,7 +553,8 @@ class _Plan:
         for d, ids, values in self.incoming_products(f2v):
             if cfg.normalize and semiring.has_normalize:
                 values, dead = semiring._normalize_rows(values)
-                dead_vars.update(vid for vid, gone in zip(ids, dead.tolist()) if gone)
+                if dead is not None:
+                    dead_vars.update(vid for vid, gone in zip(ids, dead.tolist()) if gone)
             values = np.asarray(values)
             values.flags.writeable = False
             for vid, row in zip(ids, values):

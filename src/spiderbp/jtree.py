@@ -1,11 +1,12 @@
 """Junction trees: exact inference on loopy graphs by clustering.
 
 The variables' co-occurrence graph is triangulated by min-fill elimination
-(ties to the lowest id), the elimination cliques are pruned to the maximal
-ones, and a maximum-weight spanning forest over separator sizes (ties to
-the lexicographically smallest clique pair) links them so the running
-intersection property holds: every variable's cliques form a connected
-subtree.
+(ties to the lowest id), and the junction tree is read off the elimination:
+each eliminated variable's clique hangs under the step that eliminates the
+first of its remaining neighbours, and a clique contained in a child's
+takes that child's place. The maximal cliques so linked form a spanning
+forest of maximum total separator size, and the running intersection
+property holds: every variable's cliques form a connected subtree.
 
 Inference is Shafer-Shenoy propagation over the separators: each tree edge
 carries one message each way, a dense array over the separator's variables,
@@ -42,7 +43,8 @@ class Clique:
 @dataclass(frozen=True)
 class JunctionTree:
     cliques: tuple
-    #: tree edges as (clique id a, clique id b, separator variable ids), a < b
+    #: tree edges as (clique id a, clique id b, separator variable ids), a < b,
+    #: sorted
     edges: tuple
     #: original variable id -> lowest-id covering clique
     variable_to_clique: dict
@@ -59,10 +61,19 @@ def _primal_adjacency(g):
     return adj
 
 
-def _min_fill_order(adj):
-    """Elimination order greedily minimizing fill-in, ties to lowest id."""
+def _eliminate(adj):
+    """Min-fill elimination and the clique tree it induces.
+
+    Eliminates greedily by least fill-in, ties to the lowest id. Step i's
+    clique is v_i with N_i, its neighbours still uneliminated, and its
+    parent is the step of N_i's first-eliminated member. A step's clique
+    is contained in another exactly when some child's N_i equals it; the
+    first such child takes its place in the tree. Returns (elimination
+    order, maximal cliques in elimination order, edges (a, b, separator)
+    between their indices, a < b, sorted).
+    """
     adj = {v: set(nbrs) for v, nbrs in adj.items()}
-    order, cliques = [], []
+    order, later = [], []  # later[i]: N_i, sorted
     remaining = set(adj)
     while remaining:
         best, best_fill = None, None
@@ -74,7 +85,6 @@ def _min_fill_order(adj):
             if best_fill is None or fill < best_fill:
                 best, best_fill = v, fill
         nbrs = sorted(adj[best])
-        cliques.append(tuple(sorted([best] + nbrs)))
         for a, b in combinations(nbrs, 2):
             adj[a].add(b)
             adj[b].add(a)
@@ -82,55 +92,25 @@ def _min_fill_order(adj):
             adj[n].discard(best)
         remaining.discard(best)
         order.append(best)
-    return order, cliques
+        later.append(nbrs)
 
-
-def _maximal(cliques):
-    """Drop cliques contained in another; duplicates keep first occurrence."""
-    kept = []
-    for i, c in enumerate(cliques):
-        cs = set(c)
-        dominated = False
-        for j, d in enumerate(cliques):
-            if i == j:
-                continue
-            ds = set(d)
-            if cs < ds or (cs == ds and j < i):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(c)
-    return kept
-
-
-def _spanning_forest(cliques):
-    """Maximum-weight forest over separator sizes (Kruskal).
-
-    Candidate edges are pairs of cliques with a nonempty intersection;
-    equal weights break ties by the lexicographically smallest pair of
-    member tuples.
-    """
-    candidates = []
-    for i, j in combinations(range(len(cliques)), 2):
-        sep = tuple(sorted(set(cliques[i].members) & set(cliques[j].members)))
-        if sep:
-            candidates.append((i, j, sep))
-    candidates.sort(key=lambda e: (-len(e[2]), cliques[e[0]].members, cliques[e[1]].members))
-    parent = list(range(len(cliques)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    step = {v: i for i, v in enumerate(order)}
+    parent = [min((step[n] for n in nbrs), default=None) for nbrs in later]
+    heir = {}  # non-maximal step -> its first child, whose clique holds it
+    for i, p in enumerate(parent):
+        if p is not None and p not in heir and len(later[i]) == len(later[p]) + 1:
+            heir[p] = i
+    holder = []  # step -> the step of the kept clique that holds it
+    for i in range(len(order)):
+        holder.append(holder[heir[i]] if i in heir else i)
+    kept = {s: k for k, s in enumerate(i for i in range(len(order)) if i not in heir)}
+    cliques = [tuple(sorted([order[s]] + later[s])) for s in kept]
     edges = []
-    for i, j, sep in candidates:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j, sep))
-    return tuple(edges)
+    for i, p in enumerate(parent):
+        if p is not None and heir.get(p) != i:
+            a, b = sorted((kept[holder[i]], kept[holder[p]]))
+            edges.append((a, b, tuple(sorted(set(cliques[a]) & set(cliques[b])))))
+    return order, cliques, tuple(sorted(edges))
 
 
 def running_intersection_holds(tree):
@@ -162,13 +142,13 @@ def build_junction_tree(g, cap=DEFAULT_TENSOR_CAP):
     """Cluster a graph into a junction tree (forest).
 
     Deterministic throughout: min-fill ties break to the lowest variable
-    id, spanning ties to the smallest clique pair, and each factor lands in
-    the lowest-id clique covering its scope. Raises CliqueTooLargeError
-    when any clique's state space would exceed ``cap`` entries.
+    id, a clique's id is its place in elimination order, the tree is the
+    one the elimination induces, and each factor lands in the lowest-id
+    clique covering its scope. Raises CliqueTooLargeError when any clique's
+    state space would exceed ``cap`` entries.
     """
     _ensure_valid(g)
-    order, raw_cliques = _min_fill_order(_primal_adjacency(g))
-    members = _maximal(raw_cliques)
+    order, members, edges = _eliminate(_primal_adjacency(g))
     dims = {v.id: v.obj.dim for v in g.variables}
     for m in members:
         size = math.prod(dims[v] for v in m)
@@ -188,7 +168,6 @@ def build_junction_tree(g, cap=DEFAULT_TENSOR_CAP):
     cliques = tuple(
         Clique(i, m, tuple(assigned[i])) for i, m in enumerate(members)
     )
-    edges = _spanning_forest(cliques)
     var_to_clique = {}
     for c in cliques:
         for v in c.members:

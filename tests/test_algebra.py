@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spiderbp import PROB, SEMIRINGS, NoTotalOrderError, ZeroMessageError
+from spiderbp import PROB, SEMIRINGS, ZeroMessageError
 from spiderbp.algebra import (
     BOOL,
     COUNT,
@@ -108,24 +108,6 @@ class TestDistance:
         a = np.array([1.0, 2.0, 3.0])
         b = np.array([1.0, 2.5, 3.1])
         assert PROB.max_distance(a, b) == 0.5
-
-
-class TestCompare:
-    def test_ordered_semirings(self):
-        for s in (PROB, MAXTIMES):
-            assert s.compare(1.0, 2.0) < 0
-            assert s.compare(2.0, 1.0) > 0
-            assert s.compare(2.0, 2.0) == 0
-        assert COUNT.compare(3, 10) < 0
-        assert BOOL.compare(False, True) < 0
-
-    def test_compare_accepts_numpy_scalars(self):
-        arr = np.array([1.0, 2.0])
-        assert PROB.compare(arr[1], arr[0]) == 1
-
-    def test_dual_has_no_order(self):
-        with pytest.raises(NoTotalOrderError):
-            DUAL.compare(DualNumber(1.0), DualNumber(2.0))
 
 
 class TestCoercion:
@@ -362,10 +344,11 @@ class TestNormalize:
         out = get_semiring("maxtimes").normalize([0.2, 0.8])
         assert np.allclose(out, [0.25, 1.0])
 
-    def test_dual_divides_both_components_by_real_mass(self):
+    def test_dual_follows_the_quotient_rule(self):
+        # (a + b eps)/(s + sigma eps): s = 4, sigma = 1, eps = (b s - a sigma)/s^2
         values = DUAL.coerce([DualNumber(1.0, 1.0), DualNumber(3.0, 0.0)])
         out = get_semiring("dual").normalize(values)
-        assert out.tolist() == [DualNumber(0.25, 0.25), DualNumber(0.75, 0.0)]
+        assert out.tolist() == [DualNumber(0.25, 0.1875), DualNumber(0.75, -0.1875)]
 
     def test_zero_vector_raises_with_payload(self):
         for name in ("prob", "maxtimes"):

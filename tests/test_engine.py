@@ -496,6 +496,65 @@ class TestDualSeed:
                 dual_seed(g, fid, -1)
 
 
+def uniform_grid(rng, n=4):
+    """(dims, factors) of an n x n binary grid with uniform(0.5, 1.5) tables."""
+    factors = []
+    for i in range(n * n):
+        r, c = divmod(i, n)
+        for j in ([i + 1] if c + 1 < n else []) + ([i + n] if r + 1 < n else []):
+            factors.append(((i, j), rng.uniform(0.5, 1.5, 4).tolist()))
+    return [2] * (n * n), factors
+
+
+def nudged(factors, fid, entry, h):
+    """The factor list with one table entry moved by h."""
+    out = [(nbrs, list(values)) for nbrs, values in factors]
+    out[fid][1][entry] += h
+    return out
+
+
+class TestNormalizedDual:
+    """A normalized dual belief is p + (dp/d entry) eps: its eps part is the
+    derivative of the normalized prob belief with respect to the seeded
+    entry (the quotient rule), on trees and on loops alike."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loopy_sync_converges_with_prob(self, seed):
+        rng = np.random.default_rng(seed)
+        g = build_graph(*uniform_grid(rng), PROB)
+        cfg = RunConfig(schedule="sync")
+        prob = run_bp(g, cfg)
+        dual = run_bp(dual_seed(g, int(rng.integers(len(g.factors))), int(rng.integers(4))), cfg)
+        assert prob.converged and dual.converged
+        assert dual.iterations <= prob.iterations + 2
+        for v in g.variables:
+            real = [x.real for x in dual.variable_beliefs[v.id].values]
+            assert np.allclose(real, prob.variable_beliefs[v.id].values, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", ["tree", "loopy-grid"])
+    def test_eps_is_the_central_difference(self, shape):
+        rng = np.random.default_rng(41)
+        if shape == "tree":
+            g = random_tree(rng, "prob", max_vars=8)
+            dims = [v.obj.dim for v in g.variables]
+            factors = [(f.neighbors, f.tensor.data.tolist()) for f in g.factors]
+            cfg = RunConfig(schedule="tree")
+        else:
+            dims, factors = uniform_grid(rng)
+            cfg = RunConfig(schedule="sync", tol=1e-13)
+        h = 1e-6
+        for fid in range(0, len(factors), 3):
+            entry = int(rng.integers(len(factors[fid][1])))
+            dual = run_bp(dual_seed(build_graph(dims, factors, PROB), fid, entry), cfg)
+            up = run_bp(build_graph(dims, nudged(factors, fid, entry, h), PROB), cfg)
+            down = run_bp(build_graph(dims, nudged(factors, fid, entry, -h), PROB), cfg)
+            assert dual.converged and up.converged and down.converged
+            for v in range(len(dims)):
+                diff = (up.variable_beliefs[v].values - down.variable_beliefs[v].values) / (2 * h)
+                eps = [x.eps for x in dual.variable_beliefs[v].values]
+                assert np.allclose(eps, diff, rtol=0, atol=1e-8)
+
+
 class TestNodeTensorInNormalForm:
     """A node with a tensor of its own, as one variable per wire and the
     tensor as a factor over them (fixtures.normal_form)."""

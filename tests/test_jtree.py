@@ -121,6 +121,116 @@ class TestBuild:
         assert tree.edges == ()  # no shared variables, nothing to join
 
 
+def scope_graph(n, scopes):
+    """n binary variables under all-ones prob factors over the given scopes."""
+    return build_graph([2] * n, [(scope, [1.0] * 2 ** len(scope)) for scope in scopes], PROB)
+
+
+def odd_graphs(rng, count):
+    """Random loopy graphs, some beside a second disjoint one, with isolated
+    variables, rank-0 factors and factors that repeat a neighbour."""
+    for _ in range(count):
+        scopes = [f.neighbors for f in random_loopy(rng, max_vars=10, extra_edges=(1, 6)).factors]
+        n = 1 + max(v for scope in scopes for v in scope)
+        if rng.random() < 0.5:  # a second component
+            other = [f.neighbors for f in random_loopy(rng, max_vars=6).factors]
+            scopes += [tuple(n + v for v in scope) for scope in other]
+            n += 1 + max(v for scope in other for v in scope)
+        for _ in range(int(rng.integers(0, 3))):  # a repeated neighbour
+            v = int(rng.integers(n))
+            scopes.append((v, v) if rng.random() < 0.5 else (v, int(rng.integers(n)), v))
+        if rng.random() < 0.5:
+            scopes.append(())
+        yield scope_graph(n + int(rng.integers(0, 3)), scopes)
+
+
+def elimination_cliques(g, order):
+    """Each step's variable with its uneliminated neighbours, after fill-in."""
+    adj = {v.id: set() for v in g.variables}
+    for f in g.factors:
+        for a in f.neighbors:
+            adj[a].update(set(f.neighbors) - {a})
+    cliques = []
+    for v in order:
+        nbrs = adj.pop(v)
+        cliques.append({v} | nbrs)
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(v)
+    return cliques
+
+
+def root(parent, x):
+    """Union-find root of x."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def components_of(g):
+    parent = {v.id: v.id for v in g.variables}
+    for f in g.factors:
+        for v in f.neighbors[1:]:
+            parent[root(parent, v)] = root(parent, f.neighbors[0])
+    return len({root(parent, v.id) for v in g.variables})
+
+
+def max_spanning_weight(cliques):
+    """Total separator size of a maximum-weight spanning forest (Kruskal)."""
+    pairs = sorted(
+        ((len(set(a) & set(b)), i, j) for i, a in enumerate(cliques) for j, b in enumerate(cliques) if i < j),
+        reverse=True,
+    )
+    parent = list(range(len(cliques)))
+    total = 0
+    for weight, i, j in pairs:
+        if weight and root(parent, i) != root(parent, j):
+            parent[root(parent, i)] = root(parent, j)
+            total += weight
+    return total
+
+
+class TestEliminationTree:
+    """The junction tree is the one min-fill elimination induces."""
+
+    def test_invariants_on_random_graphs(self):
+        rng = np.random.default_rng(73)
+        for g in odd_graphs(rng, 60):
+            tree = build_junction_tree(g)
+            members = [set(c.members) for c in tree.cliques]
+            assert [c.id for c in tree.cliques] == list(range(len(members)))
+            # the maximal elimination cliques, in elimination order
+            raw = elimination_cliques(g, tree.elimination_order)
+            assert members == [c for c in raw if not any(c < d for d in raw)]
+            assert not any(a <= b for i, a in enumerate(members) for j, b in enumerate(members) if i != j)
+            # a forest: one edge fewer than cliques per component, no cycle
+            assert len(tree.edges) == len(members) - components_of(g)
+            parent = list(range(len(members)))
+            for a, b, sep in tree.edges:
+                assert a < b and root(parent, a) != root(parent, b)
+                parent[root(parent, a)] = root(parent, b)
+                assert sep == tuple(sorted(members[a] & members[b]))
+            assert list(tree.edges) == sorted(tree.edges)
+            assert running_intersection_holds(tree)
+            weight = sum(len(sep) for _a, _b, sep in tree.edges)
+            assert weight == max_spanning_weight([c.members for c in tree.cliques])
+
+    def test_star_centre_gives_way_to_its_first_child(self):
+        # the leaves go first (no fill), so the centre's own clique {3}
+        # lies in each leaf's, and the first leaf's clique takes its place
+        tree = build_junction_tree(scope_graph(4, [(0, 3), (1, 3), (2, 3)]))
+        assert tree.elimination_order == (0, 1, 2, 3)
+        assert [c.members for c in tree.cliques] == [(0, 3), (1, 3), (2, 3)]
+        assert tree.edges == ((0, 1, (3,)), (0, 2, (3,)))
+
+    def test_isolated_variables_and_rank0_factors(self):
+        tree = build_junction_tree(scope_graph(4, [(), (1, 1), (1, 2), ()]))
+        assert [c.members for c in tree.cliques] == [(0,), (1, 2), (3,)]
+        assert tree.edges == ()
+        # a rank-0 factor covers nothing, so it lands in clique 0
+        assert [c.factor_ids for c in tree.cliques] == [(0, 3), (1, 2), ()]
+
+
 class TestRunJunctionTree:
     def test_four_cycle_marginals_match_oracle(self):
         g = loopy_square()

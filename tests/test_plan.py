@@ -422,7 +422,7 @@ def reference_map(g, state, semiring):
         values = hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
         best, best_val = 0, values[0]
         for j in range(1, len(values)):
-            if semiring.compare(values[j], best_val) > 0:
+            if values[j] > best_val:
                 best, best_val = j, values[j]
         out[v.id] = best
     return out
