@@ -154,7 +154,8 @@ def _load_graph(args, semiring=None):
 
 
 def _emit(args, document):
-    _write(args, json.dumps(document, indent=2) + "\n")
+    """Write a result document as one line of compact JSON."""
+    _write(args, json.dumps(document) + "\n")
 
 
 def _write(args, payload):

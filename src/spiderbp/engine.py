@@ -19,18 +19,21 @@ to leaves, and is exact on trees in a single execution.
 Both schedules run on one plan (``_Plan``), compiled once per run. Every
 wire gets an integer row in one packed ``(wires, dim)`` array per dim and
 direction, and a ``MessageState`` holds nothing but these arrays.
-Variables are grouped by (dim, degree) and tensors stacked by shape, and an
-update program is a list of levels of batched ops, one op per group and
-out axis at each level. ``tree`` gives each directed wire a level (1 + the
-largest level among the messages it reads) and runs the levels in order,
-in place, so every message is computed once from final inputs. A ``sync``
-sweep is the same program with every wire at level 0, run from the old
-arrays into new ones. The batched kernels apply the per-wire rules of
-``update_variable_message`` and ``update_factor_message`` in the same
-operation order, so both schedules give the per-wire messages bit for bit;
-beliefs, contraction and decoding read the packed arrays directly. Every
-semiring sum is a ``Semiring.fold`` and every rescaling a
-``_normalize_rows``, under the contract written in ``spiderbp.algebra``.
+Variables are grouped by (dim, degree), and every tensor is stacked once
+per out wire, transposed so that wire is last; tensors that agree in this
+oriented shape share a stack, kept in level order. An update program is a
+list of levels of batched ops: at each level, one op per spider group and
+one per oriented shape, on a slice of its stack. ``tree`` gives each
+directed wire a level (1 + the largest level among the messages it reads)
+and runs the levels in order, in place, so every message is computed once
+from final inputs. A ``sync`` sweep is the same program with every wire at
+level 0, run from the old arrays into new ones. The batched kernels apply
+the per-wire rules of ``update_variable_message`` and
+``update_factor_message`` in the same operation order, so both schedules
+give the per-wire messages bit for bit; beliefs, contraction and decoding
+read the packed arrays directly. Every semiring sum is a ``Semiring.fold``
+and every rescaling a ``_normalize_rows``, under the contract written in
+``spiderbp.algebra``.
 
 A graph's tensors live in one semiring, named by ``g.semiring``, and every
 entry point here runs the graph in that one. A ``RunConfig`` leaves it
@@ -236,7 +239,9 @@ class _TensorGroup:
     """Tensors of one shape stacked as (members, *shape), with wire rows.
 
     ``rows[a][i]`` is the packed row of the wire on axis ``a`` of member
-    ``i``; every axis ``a`` is a wire of dim ``shape[a]``.
+    ``i``; every axis ``a`` is a wire of dim ``shape[a]``. An oriented
+    stack (``_Plan._levels``) is a group whose last axis is the out wire;
+    its ``ids`` are None.
     """
 
     def __init__(self, shape, ids, tensors, rows):
@@ -248,23 +253,12 @@ class _TensorGroup:
         # shape that lines (members, dim) messages up with one axis
         self.along = [(-1,) + (1,) * a + (d,) + (1,) * (rank - a - 1) for a, d in enumerate(shape)]
 
-    def multiplied(self, semiring, tensors, msgs, skip=None):
-        """Stacked tensors times one (members, dim) message per axis, axes ascending."""
+    def multiplied(self, semiring, tensors, msgs):
+        """Stacked tensors times one (members, dim) message per leading axis, axes ascending."""
         arr = tensors
         for axis, m in enumerate(msgs):
-            if axis != skip:
-                arr = semiring.array_mul(arr, m.reshape(self.along[axis]))
+            arr = semiring.array_mul(arr, m.reshape(self.along[axis]))
         return arr
-
-    def contract(self, semiring, target, tensors, msgs):
-        """The message each stacked tensor sends out of axis ``target``.
-
-        Multiplies the messages on the other axes in ascending order, then
-        folds the other index tuples in row-major order.
-        """
-        arr = self.multiplied(semiring, tensors, msgs, skip=target)
-        terms = arr.transpose(self.target_last[target]).reshape(len(arr), -1, self.shape[target])
-        return semiring.fold(terms, 1)
 
 
 def _tensor_groups(members):
@@ -302,12 +296,17 @@ class _Plan:
     ``array_mul`` over its other wires in incidence order (as
     ``hadamard``), a tensor multiplies messages in ascending axis order and
     folds the remaining index tuples in row-major order (as
-    ``contract_to_axis``). Messages, residuals and beliefs therefore equal
-    the per-wire results bit for bit. The sync sweep is the program with
-    every wire at level 0, compiled once per plan: one op per spider group
-    and one per (tensor group, out axis). The two-pass schedule runs the
-    program of the wires' dependency levels on the rows whose inputs are
-    final.
+    ``contract_to_axis``). A box with its wires permuted is the same map,
+    so each tensor is stacked once per out axis with that axis last; one
+    oriented shape (say (3, 2): a (2, 3) table sending on axis 0 and a
+    (3, 2) table sending on axis 1) is one stack across tensor groups, in
+    level order, and a level's factor op reads a slice of it. Messages,
+    residuals and beliefs therefore equal the per-wire results bit for
+    bit. The sync sweep is the program with every wire at level 0,
+    compiled once per plan: one op per spider group and one per oriented
+    shape. The two-pass schedule runs the program of the wires' dependency
+    levels on the rows whose inputs are final, one op per spider group and
+    oriented shape at each level.
     """
 
     def __init__(self, g):
@@ -398,11 +397,11 @@ class _Plan:
                 if group is None:
                     kind, k = "v2f", 0
                     values = semiring.ones((len(out), d)) if arg is None else _fold_mul(semiring, src[1][d][arg])
-                else:
+                else:  # the out axis is last
                     kind, k = "f2v", 1
-                    target, members, msg_rows = arg
-                    msgs = [None if r is None else src[0][dd][r] for dd, r in zip(group.shape, msg_rows)]
-                    values = group.contract(semiring, target, group.tensors[members], msgs)
+                    msgs = [src[0][dd][r[arg]] for dd, r in zip(group.shape, group.rows[:-1])]
+                    arr = group.multiplied(semiring, group.tensors[arg], msgs)
+                    values = semiring.fold(arr.reshape(len(out), -1, d), 1)
                 if normalize:
                     values, dead = semiring._normalize_rows(values)
                     if dead is not None:
@@ -413,11 +412,13 @@ class _Plan:
     def _levels(self, v2f_levels, f2v_levels):
         """The update program for given wire levels (dim -> level per row).
 
-        An op is (dim, out rows, factor group or None, argument): a variable
-        op (group None) folds the f2v rows ``argument`` (None: the unit), a
-        factor op contracts ``argument`` = (target axis, members, message
-        rows per axis) of its group. An op that covers its whole group
-        takes the members as a slice, so the stacked tensors are not copied.
+        An op is (dim, out rows, oriented stack or None, argument): a
+        variable op (stack None) folds the f2v rows ``argument`` (None: the
+        unit), a factor op contracts the slice ``argument`` of its stack.
+        Each (tensor group, out axis) is transposed to the oriented shape
+        (other axes ascending, out axis last); the groups of one oriented
+        shape make one stack, in level order, so a level runs one factor
+        op per oriented shape on a contiguous slice.
         """
         ops = []
         for d, _ids, rows in self.var_groups:
@@ -430,14 +431,17 @@ class _Plan:
                 order, runs = _by_level(v2f_levels[d][out])
                 out, others = out[order], rows[:, leave_out].reshape(-1, k - 1)[order]
                 ops.extend((level, (d, out[run], None, others[run])) for level, run in runs)
+        stacks = {}
         for group in self.factor_groups:
-            for target, d in enumerate(group.shape):
-                order, runs = _by_level(f2v_levels[d][group.rows[target]])
-                rows = [r[order] for r in group.rows]
-                for level, run in runs:
-                    members = slice(None) if len(runs) == 1 else order[run]
-                    msg_rows = [None if a == target else r[run] for a, r in enumerate(rows)]
-                    ops.append((level, (d, rows[target][run], group, (target, members, msg_rows))))
+            for axes in group.target_last:
+                tensors, rows = stacks.setdefault(tuple(group.shape[a - 1] for a in axes[1:]), ([], []))
+                tensors.append(group.tensors.transpose(axes))
+                rows.append([group.rows[a - 1] for a in axes[1:]])
+        for shape, (tensors, rows) in stacks.items():
+            d, rows = shape[-1], [np.concatenate(r) for r in zip(*rows)]
+            order, runs = _by_level(f2v_levels[d][rows[-1]])
+            stack = _TensorGroup(shape, None, np.concatenate(tensors)[order], [r[order] for r in rows])
+            ops.extend((level, (d, stack.rows[-1][run], stack, run)) for level, run in runs)
         program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
         for level, op in ops:
             program[level].append(op)

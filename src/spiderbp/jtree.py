@@ -158,11 +158,12 @@ def build_junction_tree(g, cap=DEFAULT_TENSOR_CAP):
             )
 
     assigned = {i: [] for i in range(len(members))}
+    member_sets = [set(m) for m in members]
     for f in sorted(g.factors, key=lambda f: f.id):
         if not members:
             break  # variable-free graph: rank-0 factors fold straight into Z
         scope = set(f.neighbors)
-        home = next(i for i, m in enumerate(members) if scope <= set(m))
+        home = next(i for i, m in enumerate(member_sets) if scope <= m)
         assigned[home].append(f.id)
 
     cliques = tuple(

@@ -412,6 +412,30 @@ class TestConvert:
         assert dest.read_text().startswith("MARKOV")
 
 
+class TestResultDocument:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["run", "--schedule", "tree", "--no-normalize"],
+            ["map"],
+            ["grad", "--factor", "0", "--entry", "2"],
+            ["jtree"],
+            ["exact"],
+        ],
+    )
+    def test_one_line_of_json_on_stdout_and_in_the_output_file(self, tmp_path, capsys, argv):
+        path = write(tmp_path, GOOD)
+        code, out, _ = run_cli(capsys, argv[0], "--input", path, *argv[1:])
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert out == json.dumps(json.loads(out)) + "\n"
+        dest = tmp_path / "out.json"
+        code, quiet, _ = run_cli(capsys, argv[0], "--input", path, *argv[1:], "--output", str(dest))
+        assert code == 0 and quiet == ""
+        assert dest.read_bytes() == out.encode("utf-8")
+
+
 class TestRepeatedDispatch:
     def test_usage_error_after_success_is_1(self, tmp_path, capsys):
         path = write(tmp_path, GOOD)

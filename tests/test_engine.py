@@ -703,27 +703,38 @@ class TestMessageState:
         with pytest.raises(TypeError):
             state.factor_to_var[(0, 0)] = None
 
-    def test_one_sync_sweep_runs_one_op_per_group_and_axis(self, monkeypatch):
+    def test_one_sync_sweep_runs_one_op_per_spider_group_and_oriented_shape(self, monkeypatch):
         g = spin_glass_grid(np.random.default_rng(52), 10)
         cfg = RunConfig()
         plan = engine._Plan(g)
-        folds, contracts = [], []
-        fold_mul, contract = engine._fold_mul, engine._TensorGroup.contract
+        folds, contractions = [], []
+        fold_mul, multiplied = engine._fold_mul, engine._TensorGroup.multiplied
 
         def counted_fold(semiring, msgs):
             folds.append(msgs.shape)
             return fold_mul(semiring, msgs)
 
-        def counted_contract(group, *args):
-            contracts.append(group.shape)
-            return contract(group, *args)
+        def counted_multiplied(stack, *args):
+            contractions.append(stack.shape)
+            return multiplied(stack, *args)
 
         monkeypatch.setattr(engine, "_fold_mul", counted_fold)
-        monkeypatch.setattr(engine._TensorGroup, "contract", counted_contract)
+        monkeypatch.setattr(engine._TensorGroup, "multiplied", counted_multiplied)
         sweep_synchronous(g, init_messages(g, cfg), cfg)
         assert len(folds) == sum(rows.shape[1] >= 2 for _d, _ids, rows in plan.var_groups) == 3
-        assert sorted(contracts) == sorted(group.shape for group in plan.factor_groups for _axis in group.shape)
-        assert len(contracts) == 3  # (2, 2) tables on both axes, (2,) fields
+        # (2,) fields, and (2, 2) tables sending on both axes in one op
+        assert sorted(contractions) == [(2,), (2, 2)]
+
+    def test_two_pass_runs_one_op_per_level_on_a_chain_facing_both_ways(self):
+        rng = np.random.default_rng(54)
+        n = 200
+        pairs = [(i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(n - 1)]
+        factors = [(pair, rng.uniform(0.5, 1.5, 4).tolist()) for pair in pairs]
+        factors += [((i,), rng.uniform(0.5, 1.5, 2).tolist()) for i in range(n)]
+        plan = engine._Plan(build_graph([2] * n, factors, PROB))
+        program = plan._levels(*plan._wire_levels())
+        assert len(program) == 2 * n
+        assert all(len(ops) == 1 for ops in program)
 
 
 class TestCountNeedsATreeUnderSync:

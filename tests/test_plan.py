@@ -606,6 +606,60 @@ class TestNodeTensorChain:
             assert np.allclose(belief.data, sync.factor_beliefs[fid].data, rtol=1e-9)
 
 
+def merged_orientations(rng, name="prob", zeroed=None):
+    """A tree whose oriented stacks take members from several tensor groups.
+
+    A (2, 3) and a (3, 2) table both send into the dim-3 variable v1, as
+    (2, 3) stacks, and out of it, as (3, 2) stacks; the rank-3 tensors of
+    shapes (3, 2, 3) and (3, 3, 2) share their (3, 2, 3) and (3, 3, 2)
+    orientations; a rank-0 factor sits apart. ``zeroed`` names a factor
+    whose table is all zeros."""
+    dims = [2, 3, 2, 2, 3, 3, 2]
+    scopes = [(0, 1), (1, 2), (1, 3, 4), (4, 5, 6), (2,), (6,)]
+    factors = [(scope, table_for(rng, name, math.prod(dims[v] for v in scope))) for scope in scopes]
+    factors.append(((), table_for(rng, name, 1)))
+    if zeroed is not None:
+        scope, values = factors[zeroed]
+        factors[zeroed] = (scope, [0.0] * len(values))
+    return build_graph(dims, factors, get_semiring(name))
+
+
+class TestMergedOrientations:
+    """Stacks merged across tensor groups against the per-wire reference."""
+
+    def test_stacks_merge_across_groups(self):
+        plan = engine._Plan(merged_orientations(np.random.default_rng(330)))
+        ops = [op for op in plan._sync_program[0] if op[2] is not None]
+        assert sorted(op[2].shape for op in ops) == [(2,), (2, 3), (2, 3, 3), (3, 2), (3, 2, 3), (3, 3, 2)]
+        assert sum(len(group.shape) for group in plan.factor_groups) == 11
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_both_schedules_every_semiring(self, name, normalize):
+        rng = np.random.default_rng(331)
+        for i in range(3):
+            if name == "dual":
+                g = dual_seed(merged_orientations(rng), 2, i)
+            else:
+                g = merged_orientations(rng, name)
+            cfg = RunConfig(semiring=name, normalize=normalize)
+            check_against_reference(g, cfg)
+            check_tree_against_reference(g, cfg)
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes"])
+    @pytest.mark.parametrize("zeroed", [0, 1, 2, 3])
+    def test_zeroed_tables_halt_at_the_reference_wire(self, name, zeroed):
+        g = merged_orientations(np.random.default_rng(332), name, zeroed)
+        cfg = RunConfig(semiring=name, max_iters=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_tree_against_reference(g, cfg).contradiction
+            want = TestContradictions().reference_wire(g, cfg)
+            result = run_bp(g, cfg)
+        assert want is not None
+        assert result.contradiction and result.contradiction_wire == want
+
+
 class TestOverflowIsNotConvergence:
     """Unnormalized sync messages on a loopy graph overflow to inf; inf - inf
     gaps are nan and must not read as a zero residual."""
