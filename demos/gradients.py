@@ -10,13 +10,7 @@ yields its whole sensitivity table.
 
 import numpy as np
 
-from spiderbp import (
-    RunConfig,
-    build_graph,
-    contraction_value,
-    dual_seed,
-    exact_contraction,
-)
+from spiderbp import build_graph, contraction_value, dual_seed, exact_contraction
 
 
 def make_model(bump=0.0):
@@ -30,8 +24,7 @@ def make_model(bump=0.0):
 
 
 def main():
-    cfg = RunConfig(schedule="tree", normalize=False)
-    z = contraction_value(dual_seed(make_model(), 0, 2), cfg)
+    z = contraction_value(dual_seed(make_model(), 0, 2))
     print(f"Z = {z.real:.6f},  dZ/d(factor 0, entry 2) = {z.eps:.6f}")
 
     h = 1e-6
@@ -41,7 +34,7 @@ def main():
 
     g = make_model()
     print("\nsensitivity of Z to every entry of the first pairwise table:")
-    grads = [contraction_value(dual_seed(g, 0, e), cfg).eps for e in range(4)]
+    grads = [contraction_value(dual_seed(g, 0, e)).eps for e in range(4)]
     for e, d in enumerate(grads):
         i, j = divmod(e, 2)
         print(f"  d Z / d f0[{i},{j}] = {d:.6f}")

@@ -17,7 +17,7 @@ def differ(k):
 
 def path_colorings(n, k):
     g = build_graph([k] * n, [((i, i + 1), differ(k)) for i in range(n - 1)], "count")
-    return contraction_value(g, RunConfig(schedule="tree", normalize=False))
+    return contraction_value(g)
 
 
 def cycle_colorings(n, k):

@@ -23,7 +23,6 @@ from .engine import (
     run_bp,
 )
 from .errors import (
-    BadPermutationError,
     BadSplitError,
     CliqueTooLargeError,
     ContradictionError,
@@ -47,7 +46,6 @@ from .oracle import exact_argmax, exact_contraction, exact_marginal
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadPermutationError",
     "BadSplitError",
     "BPResult",
     "build_graph",

@@ -200,6 +200,20 @@ def _config(args):
     )
 
 
+def _run_failure(result):
+    """A failed run's diagnostic and exit code; None for a run that
+    converged without a contradiction."""
+    if result.contradiction:
+        _diag("error", "contradiction: an all-zero message was produced",
+              wire=list(result.contradiction_wire) if result.contradiction_wire else None)
+        return EXIT_CONTRADICTION
+    if not result.converged:
+        _diag("error", f"did not converge in {result.iterations} iterations "
+              f"(residual {result.residual:.3e})")
+        return EXIT_NOT_CONVERGED
+    return None
+
+
 def _cmd_run(args):
     cfg = _config(args)
     g = _load_graph(args)
@@ -209,15 +223,7 @@ def _cmd_run(args):
         # the unnormalized two-pass state is exact: close it directly
         z = contraction_from_state(g, result.state)
     _emit(args, _beliefs_document(g, result.variable_beliefs, z, result.converged, result.iterations, result.residual))
-    if result.contradiction:
-        _diag("error", "contradiction: an all-zero message was produced",
-              wire=list(result.contradiction_wire) if result.contradiction_wire else None)
-        return EXIT_CONTRADICTION
-    if not result.converged:
-        _diag("error", f"did not converge in {result.iterations} iterations "
-              f"(residual {result.residual:.3e})")
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _run_failure(result) or EXIT_OK
 
 
 def _cmd_exact(args):
@@ -255,12 +261,9 @@ def _cmd_map(args):
     cfg = _config(args)
     g = _load_graph(args, "maxtimes")
     result = run_bp(g, cfg)
-    if result.contradiction:
-        _diag("error", "contradiction: an all-zero message was produced")
-        return EXIT_CONTRADICTION
-    if not result.converged:
-        _diag("error", f"did not converge in {result.iterations} iterations")
-        return EXIT_NOT_CONVERGED
+    failed = _run_failure(result)
+    if failed:
+        return failed
     assignment = decode_map(g, result.state)
     value = evaluate_assignment(g, assignment)
     doc = {

@@ -1,10 +1,12 @@
 """The message-passing engine: schedules, convergence, contraction, decoding.
 
 Messages live on directed wires. Because a factor can touch the same
-variable on several axes, wires are keyed by ``(factor id, axis)``:
-``factor_to_var[(f, axis)]`` flows from the factor to the variable on that
-axis, and ``var_to_factor[(v, f, axis)]`` flows back. Variable updates take
-the pointwise product of the other incoming messages (every variable is a
+variable on several axes, wires are keyed by ``(factor id, axis)``. The
+per-wire reference rules (``update_variable_message``,
+``update_factor_message``) read a per-wire state: ``factor_to_var[(f,
+axis)]`` flows from the factor to the variable on that axis, and
+``var_to_factor[(v, f, axis)]`` flows back. Variable updates take the
+pointwise product of the other incoming messages (every variable is a
 spider, a copy tensor that stays virtual); factor updates contract the
 factor against the other incoming messages.
 
@@ -30,8 +32,9 @@ from final inputs. A ``sync`` sweep is the same program with every wire at
 level 0, run from the old arrays into new ones. The batched kernels apply
 the per-wire rules of ``update_variable_message`` and
 ``update_factor_message`` in the same operation order, so both schedules
-give the per-wire messages bit for bit; beliefs, contraction and decoding
-read the packed arrays directly. Every semiring sum is a ``Semiring.fold``
+give the per-wire messages bit for bit. A run's state is read through
+``beliefs``, ``decode_map`` and ``contraction_from_state``, which work on
+the packed arrays directly. Every semiring sum is a ``Semiring.fold``
 and every rescaling a ``_normalize_rows``, under the contract written in
 ``spiderbp.algebra``.
 
@@ -46,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -122,31 +124,16 @@ class MessageState:
     """Every directed message of a run plus its counters; an immutable snapshot.
 
     The messages live in the packed ``(v2f, f2v)`` arrays of the plan that
-    computed them, and a state is only ever read against that plan's graph.
-    ``var_to_factor[(v, f, axis)]`` and ``factor_to_var[(f, axis)]`` are
-    read-only views holding one ``Message`` per directed wire, built once,
-    when a caller first reads them.
+    computed them, and a state is only ever read against that plan's graph:
+    through ``beliefs``, ``decode_map`` and ``contraction_from_state``.
     """
 
-    __slots__ = ("_plan", "_arrays", "_views", "iteration", "residual")
+    __slots__ = ("_plan", "_arrays", "iteration", "residual")
 
     def __init__(self, plan, arrays, iteration=0, residual=math.inf):
-        self._plan, self._arrays, self._views = plan, arrays, None
+        self._plan, self._arrays = plan, arrays
         self.iteration = iteration
         self.residual = residual
-
-    def _unpack(self):
-        if self._views is None:
-            self._views = tuple(MappingProxyType(d) for d in self._plan.unpack(self._arrays))
-        return self._views
-
-    @property
-    def var_to_factor(self):
-        return self._unpack()[0]
-
-    @property
-    def factor_to_var(self):
-        return self._unpack()[1]
 
     def __repr__(self):
         return f"MessageState(iteration={self.iteration}, residual={self.residual})"
@@ -185,7 +172,8 @@ def update_variable_message(g, state, cfg, vid, out_wire):
     """Message a variable sends toward ``out_wire`` = (factor id, axis).
 
     The pointwise product of the other incoming messages, the unit message
-    when there are none.
+    when there are none. ``state`` is a per-wire state: any object whose
+    ``factor_to_var`` maps each (factor id, axis) wire to a ``Message``.
     """
     semiring = _run_semiring(g.semiring, cfg)
     v = g.variable(vid)
@@ -203,7 +191,9 @@ def update_factor_message(g, state, cfg, fid, out_axis):
     """Message a factor sends out of one axis.
 
     Contracts the factor tensor against the variable-to-factor messages on
-    every other axis, summing in ascending row-major order.
+    every other axis, summing in ascending row-major order. ``state`` is a
+    per-wire state: any object whose ``var_to_factor`` maps each
+    (variable id, factor id, axis) wire to a ``Message``.
     """
     semiring = _run_semiring(g.semiring, cfg)
     f = g.factor(fid)
@@ -314,7 +304,6 @@ class _Plan:
         dim_of = {v.id: v.obj.dim for v in g.variables}
         self.dims = {}  # dim -> number of wires of that dim
         self.wire_rows = []  # (dim, row) of each entry of g.wires
-        self.wire_vars = []
         # rows of each variable's wires in incidence order
         self.var_rows = {vid: [] for vid in dim_of}
         factor_rows = {}
@@ -325,7 +314,6 @@ class _Plan:
                 r = self.dims.get(d, 0)
                 self.dims[d] = r + 1
                 self.wire_rows.append((d, r))
-                self.wire_vars.append(vid)
                 self.var_rows[vid].append(r)
                 rows.append(r)
         wire_dims = np.array([d for d, _r in self.wire_rows], dtype=np.intp)
@@ -356,15 +344,6 @@ class _Plan:
                 unit = semiring.normalize(unit)
             arr[...] = unit
         return v2f, {d: arr.copy() for d, arr in v2f.items()}
-
-    def unpack(self, arrays):
-        v2f, f2v = arrays
-        by_var, by_factor = {}, {}
-        for (fid, axis), vid, (d, r) in zip(self.g.wires, self.wire_vars, self.wire_rows):
-            obj = self.g.variable(vid).obj
-            by_var[(vid, fid, axis)] = Message(obj, v2f[d][r])
-            by_factor[(fid, axis)] = Message(obj, f2v[d][r])
-        return by_var, by_factor
 
     def _dead_wires(self, gone):
         """The wires of dead rows, as (kind, factor id, axis): every v2f
@@ -766,22 +745,18 @@ def _run_sync(g, cfg):
     return state, converged, iterations, None
 
 
-def contraction_value(g, cfg=None):
+def contraction_value(g):
     """Scalar value of the closed diagram (partition sum, count, ...).
 
-    Runs unnormalized two-pass propagation and closes the diagram at the
-    smallest variable id of each component, multiplying components
-    together. Exact on trees for every semiring; on a tree every closing
-    point gives the same value, so relabelling the ids leaves it unchanged.
-    Rank-0 factors multiply in directly; an isolated variable contributes
-    one term per state.
+    Runs unnormalized two-pass propagation in the graph's semiring and
+    closes the diagram at the smallest variable id of each component,
+    multiplying components together. Exact on trees for every semiring; on
+    a tree every closing point gives the same value, so relabelling the ids
+    leaves it unchanged. Rank-0 factors multiply in directly; an isolated
+    variable contributes one term per state.
     """
-    if cfg is None:
-        cfg = RunConfig(normalize=False, schedule="tree")
-    if cfg.normalize:
-        raise ValidationError("contraction requires normalize=False (raw mass must survive)")
     _ensure_valid(g)
-    state, _ = run_two_pass(g, cfg)  # unnormalized: never halts
+    state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
     return contraction_from_state(g, state)
 
 

@@ -17,10 +17,6 @@ class ObjectMismatchError(SpiderBPError):
     """Messages over different objects were combined."""
 
 
-class BadPermutationError(SpiderBPError):
-    """Axis permutation is not a bijection on the tensor's axes."""
-
-
 class BadSplitError(SpiderBPError):
     """Row/column axis split is not a partition of the tensor's axes."""
 

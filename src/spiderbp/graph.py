@@ -117,9 +117,6 @@ class FactorGraph:
                 inc[vid].append((fid, axis))
         return {vid: tuple(ws) for vid, ws in inc.items()}
 
-    def degree(self, vid):
-        return len(self.incident[vid])
-
     @cached_property
     def _forest(self):
         # the walk rooted at each component's smallest variable; components(),

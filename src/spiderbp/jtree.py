@@ -181,17 +181,10 @@ def build_junction_tree(g, cap=DEFAULT_TENSOR_CAP):
 
 def _clique_potential(g, semiring, clique):
     """Member-space product of the factors assigned to this clique."""
-    member_pos = {v: i for i, v in enumerate(clique.members)}
-    member_dims = tuple(g.variable(v).obj.dim for v in clique.members)
-    pot = semiring.ones(member_dims)
-    grid = np.indices(member_dims)
+    pot = semiring.ones(tuple(g.variable(v).obj.dim for v in clique.members))
     for fid in clique.factor_ids:
         f = g.factor(fid)
-        if f.rank == 0:
-            pot = semiring.array_mul(pot, f.tensor.data[0])
-            continue
-        index = tuple(grid[member_pos[v]] for v in f.neighbors)
-        pot = semiring.array_mul(pot, f.tensor.as_array()[index])
+        pot = semiring.array_mul(pot, _lift(f.tensor.as_array(), f.neighbors, clique.members))
     return np.asarray(pot)
 
 
@@ -204,9 +197,20 @@ def _sum_onto(semiring, arr, members, sep):
     return semiring.fold(rows, 1).reshape(sep_dims)
 
 
-def _lift(msg, members, sep):
-    """Separator message reshaped to broadcast over a clique's member axes."""
-    return msg.reshape(tuple(msg.shape[sep.index(v)] if v in sep else 1 for v in members))
+def _lift(arr, variables, members):
+    """``arr``, one axis per entry of ``variables``, as a view that
+    broadcasts over a clique's member axes: a repeated variable's axes
+    become their diagonal, the others are transposed into member order, and
+    absent members get unit axes. No entry is copied."""
+    axes = list(variables)
+    while len(set(axes)) < len(axes):  # np.diagonal puts the pair's axis last
+        i = next(k for k, v in enumerate(axes) if v in axes[k + 1:])
+        j = axes.index(axes[i], i + 1)
+        arr = np.diagonal(arr, axis1=i, axis2=j)
+        axes = [a for k, a in enumerate(axes) if k not in (i, j)] + [axes[i]]
+    if axes != sorted(axes):
+        arr = arr.transpose(sorted(range(len(axes)), key=axes.__getitem__))
+    return arr[tuple([slice(None) if m in axes else None for m in members])]
 
 
 @dataclass
@@ -252,7 +256,7 @@ def run_junction_tree(g, cfg):
         arr = pots[cid]
         for other in sorted(nbrs[cid]):
             if other != skip:
-                lifted = _lift(messages[(other, cid)], members[cid], nbrs[cid][other])
+                lifted = _lift(messages[(other, cid)], nbrs[cid][other], members[cid])
                 arr = semiring.array_mul(arr, lifted)
         return arr
 

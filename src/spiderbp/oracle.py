@@ -35,11 +35,12 @@ def _guard(dims, cap):
 
 
 def _lifted_factor(factor, var_pos, grid, dims):
-    """Factor table broadcast over the full joint shape.
+    """Factor table, broadcastable over the full joint shape.
 
     Repeated neighbors are handled by advanced indexing: each axis of the
-    factor is indexed by its variable's position in the joint grid, so a
-    factor touching a variable twice lands on the diagonal.
+    factor is indexed by its variable's open grid over the joint shape, so
+    a factor touching a variable twice lands on the diagonal, and the
+    result spans only its own variables' axes (unit axes elsewhere).
     """
     arr = factor.tensor.as_array()
     if factor.rank == 0:
@@ -53,7 +54,7 @@ def joint_table(g, semiring):
     semiring = get_semiring(semiring)
     dims = tuple(v.obj.dim for v in g.variables)
     var_pos = {v.id: i for i, v in enumerate(g.variables)}
-    grid = np.indices(dims) if dims else None
+    grid = np.ix_(*map(range, dims))  # open grids: one axis each
     table = semiring.ones(dims)
     for f in sorted(g.factors, key=lambda f: f.id):
         # a 0-d product comes back a bare scalar, and two bare ints multiply

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadPermutationError,
     BadSplitError,
     ObjectMismatchError,
     ShapeMismatchError,
@@ -151,21 +150,6 @@ class Message:
     @property
     def dim(self):
         return self.obj.dim
-
-
-def permute_axes(t, perm):
-    """Reorder axes: output axis k draws from input axis perm[k].
-
-    Pure data reindexing, no arithmetic; composing permutations composes
-    the reindexing.
-    """
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(t.rank)):
-        raise BadPermutationError(
-            f"{list(perm)} is not a permutation of the {t.rank} axes"
-        )
-    arr = np.transpose(t.as_array(), perm)
-    return DenseTensor(arr.shape, arr.reshape(-1))
 
 
 def matricize(t, row_axes, col_axes):

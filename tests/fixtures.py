@@ -1,4 +1,4 @@
-"""Shared random-model builders for the test suite.
+"""Shared random-model builders, and a peak-allocation probe, for the test suite.
 
 Everything takes an explicit ``numpy.random.Generator`` so each test
 controls its own seed. Joint state spaces are kept at or below 2**16 so
@@ -6,6 +6,8 @@ the brute-force oracle stays fast.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -164,6 +166,16 @@ def normal_form(dims, factors, node_tensors, semiring="prob"):
         rewired.append((tuple(axes), values))
     rewired += [(tuple(wires[v]), node_tensors[v]) for v in range(len(dims))]
     return build_graph(var_dims, rewired, get_semiring(semiring))
+
+
+def peak_bytes(fn, *args):
+    """Peak traced allocation while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def node_between(node_tensor):

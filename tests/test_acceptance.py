@@ -154,10 +154,9 @@ def test_criterion_04_spider_fusion(capsys):
 def test_criterion_05_exact_counting(capsys):
     with reported(capsys, 5, "tree CSP counts and 4-cycle jtree counts are exact"):
         rng = np.random.default_rng(505)
-        cfg = RunConfig(semiring="count", schedule="tree", normalize=False)
         for case in range(50):
             g = random_tree_csp(rng)
-            assert contraction_value(g, cfg) == brute_force_count(g), f"tree CSP {case}"
+            assert contraction_value(g) == brute_force_count(g), f"tree CSP {case}"
         for case in range(10):
             g = four_cycle(rng, "count")
             result = run_junction_tree(g, RunConfig(semiring="count", normalize=False))
@@ -192,7 +191,6 @@ def test_criterion_07_dual_derivatives(capsys):
     with reported(capsys, 7, "dual dZ/dtheta matches central differences on 20 trees"):
         rng = np.random.default_rng(707)
         h = 1e-5
-        cfg = RunConfig(semiring="dual", schedule="tree", normalize=False)
         for case in range(20):
             dims = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 7)))]
             factors = []
@@ -206,7 +204,7 @@ def test_criterion_07_dual_derivatives(capsys):
             fid = int(rng.integers(0, len(g.factors)))
             entry = int(rng.integers(0, g.factor(fid).tensor.size))
 
-            z = contraction_value(dual_seed(g, fid, entry), cfg)
+            z = contraction_value(dual_seed(g, fid, entry))
             assert rel_gap(z.real, exact_contraction(g, PROB)) <= 1e-12, (
                 f"fixture {case}: dual real part drifted from the prob value"
             )

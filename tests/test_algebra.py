@@ -326,7 +326,7 @@ class TestFoldContract:
         if name == "dual":
             g = dual_seed(g, 0, 0)
         values = [
-            contraction_value(g, RunConfig(semiring=name, schedule="tree", normalize=False)),
+            contraction_value(g),
             exact_contraction(g, name),
             run_junction_tree(g, RunConfig(semiring=name)).contraction_value,
         ]

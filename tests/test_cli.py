@@ -330,6 +330,21 @@ class TestMap:
         code, _, _ = run_cli(capsys, "map", "--input", path, "--semiring", "maxtimes")
         assert code == 0
 
+    def test_failures_report_like_run(self, tmp_path, capsys):
+        # the same diagnostic as run under maxtimes, and no document
+        dead = json.loads(json.dumps(GOOD))
+        dead["factors"].append({"id": 1, "neighbors": [0], "values": [0.0, 0.0]})
+        loopy = json.loads(json.dumps(LOOPY))
+        loopy["factors"].append({"id": 3, "neighbors": [0], "values": [0.3, 0.7]})
+        cases = [(write(tmp_path, dead), ["--schedule", "tree"], 4), (write(tmp_path, loopy, "loopy.json"), ["--max-iters", "1"], 3)]
+        for path, flags, want in cases:
+            code, out, err = run_cli(capsys, "map", "--input", path, *flags)
+            assert (code, out) == (want, "")
+            _, _, run_err = run_cli(capsys, "run", "--input", path, "--semiring", "maxtimes", *flags)
+            assert err == run_err
+        assert json.loads(run_cli(capsys, "map", "--input", cases[0][0], "--schedule", "tree")[2])["wire"] == ["f2v", 1, 0]
+        assert "residual" in json.loads(err)["message"]
+
 
 class TestGrad:
     def test_derivative_of_contraction(self, tmp_path, capsys):

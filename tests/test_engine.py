@@ -38,6 +38,7 @@ from spiderbp.engine import (
 )
 
 from fixtures import brute_force_count, node_between, random_loopy, random_tree, random_tree_csp, relabel
+from test_plan import unpack
 
 
 def normalized(values):
@@ -98,20 +99,20 @@ class TestInitMessages:
     def test_normalized_units(self):
         g = chain3()
         state = init_messages(g, RunConfig())
-        for msg in state.var_to_factor.values():
+        for msg in unpack(state).var_to_factor.values():
             assert np.allclose(msg.values, [0.5, 0.5])
         assert state.iteration == 0
 
     def test_raw_units_when_unnormalized(self):
         g = chain3()
         state = init_messages(g, RunConfig(normalize=False))
-        for msg in state.factor_to_var.values():
+        for msg in unpack(state).factor_to_var.values():
             assert msg.values.tolist() == [1.0, 1.0]
 
     def test_count_units(self):
         g = build_graph([2, 2], [((0, 1), [1, 1, 1, 1])], COUNT)
         state = init_messages(g, RunConfig(semiring="count"))
-        for msg in state.var_to_factor.values():
+        for msg in unpack(state).var_to_factor.values():
             assert msg.values.tolist() == [1, 1]
 
 
@@ -338,7 +339,7 @@ class TestContradictions:
 class TestContractionValue:
     def test_equality_pair_count(self):
         g = build_graph([2, 2], [((0, 1), [1, 0, 0, 1])], COUNT)
-        assert contraction_value(g, RunConfig(semiring="count", schedule="tree", normalize=False)) == 2
+        assert contraction_value(g) == 2
 
     def test_default_config_prob(self):
         g = chain3()
@@ -348,8 +349,7 @@ class TestContractionValue:
         rng = np.random.default_rng(9)
         for _ in range(5):
             g = random_tree_csp(rng)
-            cfg = RunConfig(semiring="count", schedule="tree", normalize=False)
-            assert contraction_value(g, cfg) == brute_force_count(g)
+            assert contraction_value(g) == brute_force_count(g)
 
     def test_root_invariance(self):
         # each relabelled copy closes at another variable of one graph
@@ -359,8 +359,7 @@ class TestContractionValue:
         rng = np.random.default_rng(41)
         for name in ("count", "bool"):
             g = random_tree(rng, name)
-            cfg = RunConfig(schedule="tree", normalize=False)
-            values = {contraction_value(relabel(g, {0: r, r: 0}), cfg) for r in range(len(g.variables))}
+            values = {contraction_value(relabel(g, {0: r, r: 0})) for r in range(len(g.variables))}
             assert len(values) == 1
 
     def test_forest_multiplies_components(self):
@@ -369,9 +368,8 @@ class TestContractionValue:
             [((0, 1), [1, 0, 0, 1])],
             COUNT,
         )
-        cfg = RunConfig(semiring="count", schedule="tree", normalize=False)
         # equality pair has 2 states; the isolated variable contributes 3
-        assert contraction_value(g, cfg) == 2 * 3
+        assert contraction_value(g) == 2 * 3
 
     def test_rank0_factor_multiplies_in(self):
         from spiderbp.graph import FactorGraph, FactorNode, ObjectType, VariableNode
@@ -385,12 +383,7 @@ class TestContractionValue:
             ),
             semiring="count",
         )
-        cfg = RunConfig(semiring="count", schedule="tree", normalize=False)
-        assert contraction_value(g, cfg) == 2 * 5
-
-    def test_requires_unnormalized(self):
-        with pytest.raises(ValidationError):
-            contraction_value(chain3(), RunConfig(normalize=True))
+        assert contraction_value(g) == 2 * 5
 
 
 class TestDecodeMap:
@@ -442,8 +435,7 @@ class TestDualSeed:
             PROB,
         )
         lifted = dual_seed(g, 0, 1)
-        cfg = RunConfig(semiring="dual", schedule="tree", normalize=False)
-        z = contraction_value(lifted, cfg)
+        z = contraction_value(lifted)
         assert z.real == 2.0 * 10.0 + 5.0 * 20.0
         assert z.eps == 20.0  # dZ / du[1]
 
@@ -451,8 +443,7 @@ class TestDualSeed:
         rng = np.random.default_rng(19)
         g = random_tree(rng, "prob", max_vars=6)
         lifted = dual_seed(g, 0, 0)
-        cfg = RunConfig(semiring="dual", schedule="tree", normalize=False)
-        z = contraction_value(lifted, cfg)
+        z = contraction_value(lifted)
         assert np.isclose(z.real, exact_contraction(g, PROB), rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -568,8 +559,7 @@ class TestNodeTensorInNormalForm:
 
     def test_contraction_matches_oracle(self):
         g = node_between([1.0, 0.0, 0.0, 1.0])
-        cfg = RunConfig(schedule="tree", normalize=False)
-        assert np.isclose(contraction_value(g, cfg), exact_contraction(g, PROB))
+        assert np.isclose(contraction_value(g), exact_contraction(g, PROB))
 
     def test_sync_agrees_with_tree(self):
         g = node_between([1.0, 0.0, 0.0, 1.0])
@@ -580,23 +570,22 @@ class TestNodeTensorInNormalForm:
             assert np.allclose(a.factor_beliefs[fid].data, belief.data)
 
     def test_decoupling_node_changes_the_value(self):
-        cfg = RunConfig(schedule="tree", normalize=False)
-        assert np.isclose(contraction_value(node_between([1.0, 1.0, 1.0, 1.0]), cfg), (1 + 2) * (3 + 4))
+        assert np.isclose(contraction_value(node_between([1.0, 1.0, 1.0, 1.0])), (1 + 2) * (3 + 4))
 
 
 class TestContractionOfOneTable:
     def test_scalar_result(self):
         g = build_graph([2, 2], [((0, 1), [1.0, 2.0, 3.0, 4.0])], PROB)
-        assert contraction_value(g, RunConfig(normalize=False)) == 10.0
+        assert contraction_value(g) == 10.0
 
     def test_rank0_passthrough(self):
         g = build_graph([], [((), [5])], COUNT)
-        z = contraction_value(g, RunConfig(semiring="count", normalize=False))
+        z = contraction_value(g)
         assert z == 5 and type(z) is int
 
     def test_weighted(self):
         g = build_graph([2], [((0,), [3.0, 4.0]), ((0,), [0.5, 2.0])], PROB)
-        assert contraction_value(g, RunConfig(normalize=False)) == 3.0 * 0.5 + 4.0 * 2.0
+        assert contraction_value(g) == 3.0 * 0.5 + 4.0 * 2.0
 
 
 class TestValidationGate:
@@ -660,7 +649,6 @@ class TestTheGraphOwnsItsSemiring:
         jt = run_junction_tree(g, own)
         calls = [
             lambda: run_bp(g, cfg),
-            lambda: contraction_value(g, cfg),
             lambda: init_messages(g, cfg),
             lambda: beliefs(g, state, cfg),
             lambda: sweep_synchronous(g, state, cfg),
@@ -673,7 +661,8 @@ class TestTheGraphOwnsItsSemiring:
                 call()
         # naming the graph's own semiring is the same as naming none
         named = RunConfig(semiring=name, schedule=schedule, normalize=False)
-        assert repr(contraction_value(g, named)) == repr(contraction_value(g, own))
+        z = [contraction_from_state(g, run_two_pass(g, c)[0]) for c in (named, own)]
+        assert repr(z[0]) == repr(z[1])
 
     def test_damping_needs_a_prob_graph(self):
         with pytest.raises(ValueError, match="damping"):
@@ -695,13 +684,6 @@ class TestMessageState:
         with pytest.raises(ValidationError):
             sweep_synchronous(twin, state, cfg)
         beliefs(g, state, cfg)  # its own graph is fine
-
-    def test_message_views_are_read_only(self):
-        state = init_messages(chain3(), RunConfig())
-        with pytest.raises(TypeError):
-            state.var_to_factor[(0, 0, 0)] = None
-        with pytest.raises(TypeError):
-            state.factor_to_var[(0, 0)] = None
 
     def test_one_sync_sweep_runs_one_op_per_spider_group_and_oriented_shape(self, monkeypatch):
         g = spin_glass_grid(np.random.default_rng(52), 10)
@@ -754,8 +736,20 @@ class TestCountNeedsATreeUnderSync:
 
 
 class TestPublicApiWidth:
-    def test_no_root_parameter_and_36_public_names(self):
+    def test_no_root_parameter_and_35_public_names(self):
         # every component closes at its smallest variable id; no caller picks a root
-        assert len(spiderbp.__all__) == 36
+        assert len(spiderbp.__all__) == 35
         for fn in (run_bp, engine.run_two_pass, contraction_value, engine.contraction_from_state, two_pass_schedule):
             assert "root" not in inspect.signature(fn).parameters, fn.__name__
+
+    def test_no_surface_that_only_tests_read(self):
+        # a closed diagram has one value: contraction takes the graph alone
+        assert list(inspect.signature(contraction_value).parameters) == ["g"]
+        # a run's state is read through beliefs, decode_map and contraction_from_state
+        state = init_messages(chain3(), RunConfig())
+        for name in ("var_to_factor", "factor_to_var", "_views"):
+            assert not hasattr(state, name), name
+        assert not hasattr(engine._Plan, "unpack")
+        assert not hasattr(spiderbp.tensor, "permute_axes")
+        assert not hasattr(spiderbp.errors, "BadPermutationError")
+        assert not hasattr(spiderbp.FactorGraph, "degree")

@@ -65,12 +65,12 @@ class TestWiring:
         )
         assert g.incident[0] == ((0, 0),)
         assert g.incident[1] == ((0, 1), (1, 0))
-        assert g.degree(1) == 2
+        assert len(g.incident[1]) == 2
 
     def test_repeated_neighbor_yields_two_wires(self):
         g = build_graph([2], [((0, 0), [1.0] * 4)], PROB)
         assert g.incident[0] == ((0, 0), (0, 1))
-        assert g.degree(0) == 2
+        assert len(g.incident[0]) == 2
 
     def test_lookup(self):
         g = chain(3)
@@ -194,7 +194,7 @@ class TestValidateOnce:
         g = FactorGraph(built.variables, built.factors)
         monkeypatch.setattr(graph_module, "validate_graph", counted)
         run_bp(g, RunConfig())
-        contraction_value(g, RunConfig(schedule="tree", normalize=False))
+        contraction_value(g)
         run_junction_tree(g, RunConfig())
         assert len(calls) == 1 and calls[0] is g
 
@@ -205,7 +205,7 @@ class TestValidateOnce:
         calls = [
             lambda: run_bp(g, RunConfig()),
             lambda: run_bp(g, RunConfig(schedule="tree")),
-            lambda: contraction_value(g, RunConfig(schedule="tree", normalize=False)),
+            lambda: contraction_value(g),
             lambda: run_junction_tree(g, RunConfig()),
             lambda: build_junction_tree(g),
         ]
@@ -251,7 +251,7 @@ class TestTreeInfo:
         # every wire variable joins its factor to its node's tensor, so the
         # normal form is a tree exactly when the model of nodes is
         line = normal_form([2, 2, 2], [((0, 1), [1.0] * 4), ((1, 2), [1.0] * 4)], {0: [1.0, 1.0], 1: [1.0] * 4, 2: [1.0, 1.0]})
-        assert all(line.degree(v.id) == 2 for v in line.variables)
+        assert all(len(line.incident[v.id]) == 2 for v in line.variables)
         assert tree_info(line).is_tree
         pairs = [(0, 1), (1, 2), (0, 2)]
         cycle = normal_form([2, 2, 2], [(p, [1.0] * 4) for p in pairs], {v: [1.0] * 4 for v in range(3)})

@@ -1,5 +1,8 @@
 """Junction trees: construction invariants and exact loopy inference."""
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,10 +18,11 @@ from spiderbp import (
     run_bp,
     run_junction_tree,
 )
-from spiderbp.algebra import BOOL, COUNT, DUAL, MAXTIMES
-from spiderbp.jtree import build_junction_tree, marginal_from_clique, running_intersection_holds
+from spiderbp.algebra import BOOL, COUNT, DUAL, MAXTIMES, get_semiring
+from spiderbp.jtree import _clique_potential, build_junction_tree, marginal_from_clique, running_intersection_holds
 
-from fixtures import brute_force_count, four_cycle, normal_form, random_loopy, random_tree
+from fixtures import brute_force_count, four_cycle, normal_form, peak_bytes, random_loopy, random_tree, table_for
+from test_plan import same_bits
 
 
 def normalized(values):
@@ -453,3 +457,52 @@ class TestSemiringsAndDeterminism:
                     x = float(arr[tuple(index)])
                     acc = x if acc is None else acc + x
                 assert float(got[s]).hex() == acc.hex()
+
+
+def with_odd_factors(rng, g, name):
+    """``g`` plus factors over (b, a, b) and (c, b, a) for three of its
+    variables, and a rank-0 factor."""
+    a, b, c = (int(v) for v in rng.permutation(len(g.variables))[:3])
+    dims = [v.obj.dim for v in g.variables]
+    factors = [(f.neighbors, f.tensor.data.tolist()) for f in sorted(g.factors, key=lambda f: f.id)]
+    for scope in ((b, a, b), (c, b, a), ()):
+        factors.append((scope, table_for(rng, name, math.prod(dims[v] for v in scope))))
+    return build_graph(dims, factors, get_semiring(name))
+
+
+def grid_potential(g, semiring, clique):
+    """A clique's potential by one gather per factor over the full index
+    grid of its members."""
+    pos = {v: i for i, v in enumerate(clique.members)}
+    dims = tuple(g.variable(v).obj.dim for v in clique.members)
+    grid = np.indices(dims)
+    pot = semiring.ones(dims)
+    for fid in clique.factor_ids:
+        f = g.factor(fid)
+        if f.rank == 0:
+            pot = semiring.array_mul(pot, f.tensor.data[0])
+        else:
+            pot = semiring.array_mul(pot, f.tensor.as_array()[tuple(grid[pos[v]] for v in f.neighbors)])
+    return np.asarray(pot)
+
+
+class TestLargeCliques:
+    """Potentials are built from broadcast views of the factor tables, never
+    from an index grid over the clique."""
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool"])
+    def test_potentials_match_the_full_index_gather(self, name):
+        rng = np.random.default_rng(340)
+        semiring = get_semiring(name)
+        for _ in range(12):
+            g = with_odd_factors(rng, random_loopy(rng, name), name)
+            for clique in build_junction_tree(g).cliques:
+                assert same_bits(_clique_potential(g, semiring, clique), grid_potential(g, semiring, clique))
+
+    def test_one_big_clique_peaks_near_its_potential(self):
+        # 18 binary variables, all pairs joined: one clique of 2**18 states,
+        # whose index grid alone would take 18 times the potential
+        rng = np.random.default_rng(342)
+        g = build_graph([2] * 18, [(pair, rng.uniform(0.9, 1.1, 4).tolist()) for pair in combinations(range(18), 2)], PROB)
+        assert len(build_junction_tree(g).cliques) == 1
+        assert peak_bytes(run_junction_tree, g, RunConfig()) < 6 * 8 * 2**18

@@ -21,7 +21,7 @@ from spiderbp.graph import FactorNode, ObjectType, VariableNode
 from spiderbp.oracle import assignments, joint_table
 from spiderbp.tensor import DenseTensor
 
-from fixtures import node_between, normal_form, random_tree
+from fixtures import node_between, normal_form, peak_bytes, random_tree
 
 
 class TestAssignments:
@@ -162,3 +162,12 @@ class TestNodeTensorOracle:
         # a degree-0 node carries a rank-0 tensor; it multiplies the total
         g = normal_form([2, 2], [((0,), [1.0, 1.0])], {0: [2.0, 3.0], 1: [5.0]})
         assert exact_contraction(g, PROB) == (1.0 * 2.0 + 1.0 * 3.0) * 5.0
+
+
+class TestJointTableMemory:
+    def test_exact_contraction_peaks_near_the_table(self):
+        # an 18-variable binary ring: open grids index each factor, so the
+        # joint table is the only full-size array
+        rng = np.random.default_rng(343)
+        g = build_graph([2] * 18, [((i, (i + 1) % 18), rng.uniform(0.5, 1.5, 4).tolist()) for i in range(18)], PROB)
+        assert peak_bytes(exact_contraction, g, PROB) < 4 * 8 * 2**18

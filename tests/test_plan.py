@@ -57,13 +57,26 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 @dataclass
 class DictState:
-    """The messages of a reference run, one dict per direction, read like a
-    ``MessageState``."""
+    """A per-wire state: the messages of a reference run, one dict per
+    direction, as the per-wire update rules read them."""
 
     var_to_factor: dict
     factor_to_var: dict
     iteration: int = 0
     residual: float = math.inf
+
+
+def unpack(state):
+    """A plan's ``MessageState`` as a ``DictState``: one ``Message`` per
+    directed wire, read off the wire's packed row."""
+    g, v2f, f2v = state._plan.g, *state._arrays
+    var_to_factor, factor_to_var = {}, {}
+    for (fid, axis), (d, r) in zip(g.wires, state._plan.wire_rows):
+        vid = g.factor(fid).neighbors[axis]
+        obj = g.variable(vid).obj
+        var_to_factor[(vid, fid, axis)] = Message(obj, v2f[d][r])
+        factor_to_var[(fid, axis)] = Message(obj, f2v[d][r])
+    return DictState(var_to_factor, factor_to_var, state.iteration, state.residual)
 
 
 def reference_sweep(g, state, cfg):
@@ -118,6 +131,7 @@ def same_bits(a, b):
 
 
 def assert_same_state(got, want):
+    got = unpack(got)
     assert got.iteration == want.iteration
     assert repr(got.residual) == repr(want.residual)
     assert list(got.var_to_factor) == list(want.var_to_factor)
@@ -131,9 +145,9 @@ def assert_same_state(got, want):
 def check_against_reference(g, cfg):
     """One sweep, then a full run, each against the per-wire reference."""
     start = init_messages(g, cfg)
-    assert_same_state(sweep_synchronous(g, start, cfg), reference_sweep(g, start, cfg))
+    assert_same_state(sweep_synchronous(g, start, cfg), reference_sweep(g, unpack(start), cfg))
     result = run_bp(g, cfg)
-    want = start
+    want = unpack(start)
     for _ in range(result.state.iteration):
         want = reference_sweep(g, want, cfg)
     assert_same_state(result.state, want)
@@ -250,7 +264,7 @@ class TestBitIdentity:
 
 class TestContradictions:
     def reference_wire(self, g, cfg):
-        state = init_messages(g, cfg)
+        state = unpack(init_messages(g, cfg))
         try:
             for _ in range(cfg.max_iters):
                 state = reference_sweep(g, state, cfg)
@@ -321,7 +335,7 @@ class TestCliClosesItsOwnState:
         path.write_text(json.dumps(doc))
         g, _ = spiderbp.parse_native(path.read_text())
         cfg = RunConfig(schedule="tree", normalize=False)
-        want_z = contraction_value(g, cfg)
+        want_z = contraction_value(g)
         want_beliefs = {vid: b.values.tolist() for vid, b in run_bp(g, cfg).variable_beliefs.items()}
 
         calls = []
@@ -347,8 +361,8 @@ class TestCliClosesItsOwnState:
 def reference_two_pass(g, cfg):
     """The per-wire two-pass run: ``two_pass_schedule`` order, one update at a
     time, stopping at the first dead wire."""
-    start = init_messages(g, cfg)
-    v2f, f2v = dict(start.var_to_factor), dict(start.factor_to_var)
+    start = unpack(init_messages(g, cfg))
+    v2f, f2v = start.var_to_factor, start.factor_to_var
     working = DictState(v2f, f2v)
     for kind, fid, axis in two_pass_schedule(g):
         try:
@@ -594,7 +608,7 @@ class TestNodeTensorChain:
         rng = np.random.default_rng(321)
         for n in (2, 3, 4, 5):
             g = node_tensor_chain(rng, n)
-            z = contraction_value(g, RunConfig(schedule="tree", normalize=False))
+            z = contraction_value(g)
             assert np.isclose(z, exact_contraction(g, PROB), rtol=1e-12)
 
     def test_sync_reaches_the_tree_fixed_point(self):

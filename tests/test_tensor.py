@@ -5,7 +5,6 @@ import pytest
 
 from spiderbp import (
     PROB,
-    BadPermutationError,
     BadSplitError,
     ObjectMismatchError,
     ShapeMismatchError,
@@ -20,7 +19,6 @@ from spiderbp.tensor import (
     fold_axis_sum,
     hadamard,
     matricize,
-    permute_axes,
     spider_tensor,
 )
 
@@ -94,35 +92,6 @@ class TestMessage:
         m = Message(obj(2), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             m.values[0] = 0.0
-
-
-class TestPermuteAxes:
-    def test_output_axis_draws_from_input_axis(self):
-        t = DenseTensor.from_values((2, 3), [[1, 2, 3], [4, 5, 6]], COUNT)
-        p = permute_axes(t, (1, 0))
-        assert p.shape == (3, 2)
-        for i in range(2):
-            for j in range(3):
-                assert p.entry((j, i)) == t.entry((i, j))
-
-    def test_identity(self):
-        t = DenseTensor.from_values((2, 2), [1, 2, 3, 4], COUNT)
-        assert permute_axes(t, (0, 1)).data.tolist() == t.data.tolist()
-
-    def test_composition(self):
-        rng = np.random.default_rng(3)
-        t = DenseTensor.from_array(rng.uniform(size=(2, 3, 4)))
-        p, q = (2, 0, 1), (1, 2, 0)
-        twice = permute_axes(permute_axes(t, p), q)
-        composed = tuple(p[q[k]] for k in range(3))
-        assert twice.data.tolist() == permute_axes(t, composed).data.tolist()
-
-    def test_bad_permutation(self):
-        t = DenseTensor.from_values((2, 2), [1, 2, 3, 4], COUNT)
-        with pytest.raises(BadPermutationError):
-            permute_axes(t, (0, 0))
-        with pytest.raises(BadPermutationError):
-            permute_axes(t, (0, 1, 2))
 
 
 class TestMatricize:
