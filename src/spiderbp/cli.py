@@ -29,10 +29,9 @@ from .algebra import SEMIRINGS, get_semiring
 from .checks import run_all_checks
 from .engine import (
     RunConfig,
+    contraction_derivative,
     contraction_from_state,
-    contraction_value,
     decode_map,
-    dual_seed,
     evaluate_assignment,
     run_bp,
 )
@@ -280,14 +279,13 @@ def _cmd_map(args):
 def _cmd_grad(args):
     if args.semiring not in (None, "dual"):
         raise _UsageError("grad runs under the dual semiring; drop --semiring")
-    lifted = dual_seed(_load_graph(args, "prob"), args.factor, args.entry)
-    z = contraction_value(lifted)
+    value, derivative = contraction_derivative(_load_graph(args, "prob"), args.factor, args.entry)
     doc = {
         "semiring": "dual",
         "factor": args.factor,
         "entry": args.entry,
-        "value": float(z.real),
-        "derivative": float(z.eps),
+        "value": float(value),
+        "derivative": float(derivative),
     }
     _emit(args, doc)
     return EXIT_OK

@@ -34,9 +34,10 @@ the per-wire rules of ``update_variable_message`` and
 ``update_factor_message`` in the same operation order, so both schedules
 give the per-wire messages bit for bit. A run's state is read through
 ``beliefs``, ``decode_map`` and ``contraction_from_state``, which work on
-the packed arrays directly. Every semiring sum is a ``Semiring.fold``
-and every rescaling a ``_normalize_rows``, under the contract written in
-``spiderbp.algebra``.
+the packed arrays directly; ``contraction_derivative`` also reads a
+factor's cavity (its incoming messages) off them. Every semiring sum is a
+``Semiring.fold`` and every rescaling a ``_normalize_rows``, under the
+contract written in ``spiderbp.algebra``.
 
 A graph's tensors live in one semiring, named by ``g.semiring``, and every
 entry point here runs the graph in that one. A ``RunConfig`` leaves it
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -306,7 +307,8 @@ class _Plan:
         self.wire_rows = []  # (dim, row) of each entry of g.wires
         # rows of each variable's wires in incidence order
         self.var_rows = {vid: [] for vid in dim_of}
-        factor_rows = {}
+        # rows of each factor's wires in axis order
+        self.factor_rows = factor_rows = {}
         for f in sorted(g.factors, key=lambda f: f.id):  # g.wires order
             rows = factor_rows[f.id] = []
             for vid in f.neighbors:
@@ -556,6 +558,15 @@ class _Plan:
         arr.flags.writeable = False
         return {nid: DenseTensor._wrap(group.shape, flat) for nid, flat in zip(group.ids, arr)}
 
+    def cavity(self, v2f, fid, entry):
+        """Factor ``fid``'s incoming v2f messages multiplied at its flat
+        row-major ``entry``: the factor's belief there with the tensor left
+        out. Left-folds ``mul`` in ascending axis order, as
+        ``_tensor_beliefs``; a rank-0 factor's is the empty product."""
+        shape = self.g.factor(fid).tensor.shape
+        terms = [v2f[d].item(r, i) for d, r, i in zip(shape, self.factor_rows[fid], np.unravel_index(entry, shape))]
+        return reduce(self.semiring.mul, terms) if terms else self.semiring.one
+
     def first_zero_wire(self, arrays):
         """First all-zero message, every v2f in wire order before every f2v."""
         dead_wires = self._dead_wires([
@@ -764,12 +775,20 @@ def contraction_from_state(g, state):
     """Close the diagram against converged messages, component by component,
     each at its smallest variable id."""
     plan, (_v2f, f2v) = _plan_and_arrays(g, state)
+    total = plan.semiring.one
+    for _fac_ids, z in _closed_components(g, plan, f2v):
+        total = plan.semiring.mul(total, z)
+    return total
+
+
+def _closed_components(g, plan, f2v):
+    """(factor ids, closed value) per component, in ``components`` order:
+    a rank-0 factor's entry, else the fold of the incoming product at the
+    smallest variable id."""
     semiring = plan.semiring
-    total = semiring.one
     for var_ids, fac_ids in components(g):
         if not var_ids:
-            f = g.factor(fac_ids[0])
-            total = semiring.mul(total, f.tensor.data[0])
+            yield fac_ids, g.factor(fac_ids[0]).tensor.data[0]
             continue
         v = g.variable(var_ids[0])
         rows = plan.var_rows[v.id]
@@ -777,8 +796,41 @@ def contraction_from_state(g, state):
             z = semiring.fold(_fold_mul(semiring, f2v[v.obj.dim][[rows]])[0], 0).item()
         else:
             z = semiring.fold(semiring.ones((v.obj.dim,)), 0).item()
-        total = semiring.mul(total, z)
-    return total
+        yield fac_ids, z
+
+
+def contraction_derivative(g, factor_id, entry_index):
+    """(Z, dZ/dx) for the closed diagram's value Z and the flat row-major
+    entry x = ``entry_index`` of factor ``factor_id``'s table.
+
+    Z is linear in every entry, so dZ/dT_f[x] is the diagram with the box
+    T_f cut out (Darwiche, JACM 2003): on a tree, f's cavity at x times
+    every other component's value. One unnormalized two-pass gives both,
+    Z bit for bit as ``contraction_value``. A bad target is a
+    ValidationError, a graph with a cycle a NotATreeError.
+    """
+    _check_target(g, factor_id, entry_index)
+    _ensure_valid(g)
+    state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
+    plan, (v2f, f2v) = state._plan, state._arrays
+    semiring = plan.semiring
+    cavity = plan.cavity(v2f, factor_id, entry_index)
+    value = derivative = semiring.one
+    for fac_ids, z in _closed_components(g, plan, f2v):
+        value = semiring.mul(value, z)
+        derivative = semiring.mul(derivative, cavity if factor_id in fac_ids else z)
+    return value, derivative
+
+
+def _check_target(g, factor_id, entry_index):
+    """Check that ``g`` has factor ``factor_id`` and that ``entry_index`` is
+    a flat row-major index into its table; a ValidationError otherwise."""
+    try:
+        size = g.factor(factor_id).tensor.size
+    except KeyError:
+        raise ValidationError(f"no factor with id {factor_id}") from None
+    if not 0 <= entry_index < size:
+        raise ValidationError(f"entry {entry_index} out of range for factor {factor_id} ({size} entries)")
 
 
 def decode_map(g, state):
@@ -813,29 +865,24 @@ def dual_seed(g, factor_id, entry_index):
 
     Every value x becomes x + 0*eps except the chosen factor's flat
     row-major ``entry_index``, which becomes x + 1*eps. Contracting the
-    result leaves d(contraction)/d(entry) in the eps component. A graph in
-    any other semiring is a ValidationError.
+    result leaves d(contraction)/d(entry) in the eps component: the
+    generic-algebra route to what ``contraction_derivative`` reads off one
+    prob run. A graph in any other semiring is a ValidationError.
     """
     from .algebra import DualNumber
     from .graph import FactorGraph, FactorNode
 
     if g.semiring != "prob":
         raise ValidationError(f"dual_seed lifts a prob graph, not a {g.semiring} graph: parse or build the model under prob")
+    _check_target(g, factor_id, entry_index)
 
     def lift(tensor, seed_at=None):
         values = np.empty(tensor.size, dtype=object)
         values[:] = [DualNumber(float(x), 0.0) for x in tensor.data.tolist()]
         if seed_at is not None:
-            if not 0 <= seed_at < len(values):
-                raise ValidationError(
-                    f"entry {seed_at} out of range for factor {factor_id} "
-                    f"({len(values)} entries)"
-                )
             values[seed_at] = DualNumber(values[seed_at].real, 1.0)
         return DenseTensor(tensor.shape, values)
 
-    if factor_id not in {f.id for f in g.factors}:
-        raise ValidationError(f"no factor with id {factor_id}")
     factors = tuple(
         FactorNode(f.id, lift(f.tensor, entry_index if f.id == factor_id else None), f.neighbors)
         for f in g.factors

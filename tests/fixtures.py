@@ -69,6 +69,29 @@ def random_tree(rng, semiring="prob", max_vars=12, unary_prob=0.7):
     return build_graph(dims, factors, get_semiring(semiring))
 
 
+def random_forest(rng, semiring="prob", max_vars=8):
+    """Random forest: a few trees, isolated variables, rank-0 factors and
+    tables with zero entries. Always has at least one factor."""
+    n = int(rng.integers(1, max_vars + 1))
+    dims = random_dims(rng, n)
+
+    def table(size):
+        values = table_for(rng, semiring, size)
+        return [type(x)(0) if rng.random() < 0.2 else x for x in values]
+
+    factors = []
+    for v in range(1, n):
+        if rng.random() < 0.7:  # otherwise v roots a tree of its own
+            u = int(rng.integers(0, v))
+            factors.append(((u, v), table(dims[u] * dims[v])))
+    for v in range(n):
+        if rng.random() < 0.4:
+            factors.append(((v,), table(dims[v])))
+    for _ in range(int(rng.integers(0 if factors else 1, 3))):
+        factors.append(((), table(1)))
+    return build_graph(dims, factors, get_semiring(semiring))
+
+
 def random_tree_csp(rng, max_vars=8):
     """Random tree of 0/1 constraint tables under the counting semiring."""
     dims, edges = random_tree_structure(rng, max_vars)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from spiderbp import graph
+from spiderbp import engine, graph
+from spiderbp.algebra import DualSemiring
 from spiderbp.cli import cli_dispatch
 
 GOOD = {
@@ -364,6 +365,43 @@ class TestGrad:
             capsys, "grad", "--input", path, "--factor", "0", "--entry", "99"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, factor, entry, message",
+        [
+            (GOOD, "7", "0", "no factor with id 7"),
+            (GOOD, "0", "-1", "entry -1 out of range for factor 0 (4 entries)"),
+            (GOOD, "0", "4", "entry 4 out of range for factor 0 (4 entries)"),
+            (LOOPY, "0", "0", "two-pass scheduling needs a cycle-free graph without repeated wires"),
+        ],
+        ids=["unknown-factor", "entry-minus-1", "entry-at-size", "loopy"],
+    )
+    def test_bad_target_or_loopy_model_is_2(self, tmp_path, capsys, doc, factor, entry, message):
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(capsys, "grad", "--input", path, "--factor", factor, "--entry", entry)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"level": "error", "message": message}
+
+    def test_one_prob_two_pass_and_no_dual_code(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("grad ran dual code")
+
+        monkeypatch.setattr(engine, "dual_seed", boom)
+        for name, attr in vars(DualSemiring).items():
+            if callable(attr):
+                monkeypatch.setattr(DualSemiring, name, boom)
+        runs = []
+        two_pass = engine._Plan.two_pass
+
+        def counted(plan, cfg):
+            runs.append(plan.semiring.name)
+            return two_pass(plan, cfg)
+
+        monkeypatch.setattr(engine._Plan, "two_pass", counted)
+        path = write(tmp_path, GOOD)
+        code, out, _ = run_cli(capsys, "grad", "--input", path, "--factor", "0", "--entry", "2")
+        assert code == 0 and runs == ["prob"]
+        assert json.loads(out) == {"semiring": "dual", "factor": 0, "entry": 2, "value": 10.0, "derivative": 1.0}
 
     def test_requires_factor_and_entry(self, tmp_path, capsys):
         path = write(tmp_path, GOOD)

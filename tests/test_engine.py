@@ -21,8 +21,10 @@ from spiderbp import (
     exact_argmax,
     exact_contraction,
     exact_marginal,
+    parse_uai,
     run_bp,
     run_junction_tree,
+    serialize_uai,
     tree_info,
 )
 from spiderbp.algebra import BOOL, COUNT, DUAL, DualNumber
@@ -30,6 +32,7 @@ from spiderbp.jtree import marginal_from_clique
 from spiderbp import engine
 from spiderbp.engine import (
     beliefs,
+    contraction_derivative,
     contraction_from_state,
     init_messages,
     run_two_pass,
@@ -37,8 +40,8 @@ from spiderbp.engine import (
     two_pass_schedule,
 )
 
-from fixtures import brute_force_count, node_between, random_loopy, random_tree, random_tree_csp, relabel
-from test_plan import unpack
+from fixtures import brute_force_count, node_between, random_forest, random_loopy, random_tree, random_tree_csp, relabel
+from test_plan import same_bits, unpack
 
 
 def normalized(values):
@@ -485,6 +488,73 @@ class TestDualSeed:
                 dual_seed(g, fid, g.factor(fid).tensor.size)
             with pytest.raises(ValidationError, match="out of range"):
                 dual_seed(g, fid, -1)
+
+
+def with_entry(g, fid, entry, value):
+    """A copy of ``g`` with one table entry set to ``value``."""
+    factors = []
+    for f in sorted(g.factors, key=lambda f: f.id):
+        values = f.tensor.data.tolist()
+        if f.id == fid:
+            values[entry] = value
+        factors.append((f.neighbors, values))
+    return build_graph([v.obj.dim for v in g.variables], factors, g.semiring)
+
+
+class TestContractionDerivative:
+    """dZ/d(entry) is the factor's cavity times every other component's
+    value, read off one unnormalized prob two-pass."""
+
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(43)
+        graphs = [random_tree(rng, "prob", max_vars=8) for _ in range(10)]
+        graphs += [random_forest(rng, "prob", max_vars=8) for _ in range(30)]
+        graphs.append(parse_uai(serialize_uai(graphs[-1]))[0])
+        return graphs
+
+    def test_value_and_derivative_of_the_dual_route(self):
+        for g in self.graphs():
+            for f in g.factors:
+                zeros = np.flatnonzero(f.tensor.data == 0).tolist()
+                for entry in {0, f.tensor.size - 1, *zeros[:1]}:
+                    value, derivative = contraction_derivative(g, f.id, entry)
+                    z = contraction_value(dual_seed(g, f.id, entry))
+                    assert same_bits(value, z.real), (f.id, entry)
+                    assert np.isclose(derivative, z.eps, rtol=1e-12, atol=0.0), (f.id, entry)
+
+    def test_derivative_is_the_central_difference(self):
+        h = 1e-6
+        rng = np.random.default_rng(47)
+        for g in self.graphs():
+            for f in g.factors:
+                entry = int(rng.integers(f.tensor.size))
+                _, derivative = contraction_derivative(g, f.id, entry)
+                # Z is affine in one entry, so every centre gives its slope;
+                # a zero entry is differenced about h, keeping tables >= 0
+                c = max(float(f.tensor.data[entry]), h)
+                up, down = (exact_contraction(with_entry(g, f.id, entry, c + s), PROB) for s in (h, -h))
+                fd = (up - down) / (2 * h)
+                assert abs(derivative - fd) <= 1e-6 * max(1.0, abs(fd)), (f.id, entry)
+
+    def test_a_rank0_cavity_is_the_other_components(self):
+        # Z = (1 + 2) * 5 * 3, the isolated variable summing its 3 states
+        g = build_graph([2, 3], [((0,), [1.0, 2.0]), ((), [5.0])], PROB)
+        assert contraction_derivative(g, 1, 0) == (45.0, 9.0)
+        assert contraction_derivative(g, 0, 1) == (45.0, 15.0)
+
+    def test_bad_targets_before_the_tree_check(self):
+        g = build_graph([2], [((0,), [1.0, 1.0])], PROB)
+        with pytest.raises(ValidationError, match="^no factor with id 5$"):
+            contraction_derivative(g, 5, 0)
+        for entry in (-1, 2):
+            with pytest.raises(ValidationError, match=rf"^entry {entry} out of range for factor 0 \(2 entries\)$"):
+                contraction_derivative(g, 0, entry)
+        loopy = random_loopy(np.random.default_rng(3))
+        with pytest.raises(NotATreeError):
+            contraction_derivative(loopy, 0, 0)
+        with pytest.raises(ValidationError, match="no factor with id"):
+            contraction_derivative(loopy, len(loopy.factors), 0)
 
 
 def uniform_grid(rng, n=4):

@@ -9,7 +9,11 @@ below check that the engine honours both on seeded random trees:
   dual run is the prob run, and the support of a count run is the bool
   run;
 - the generalized distributive law: on a tree the junction tree and the
-  two-pass schedule give the same value and marginals.
+  two-pass schedule give the same value and marginals;
+- a derivative is the diagram with one box cut out: the cavity read of a
+  factor at entry x is the value of the diagram with that factor's table
+  replaced by the one-hot e_x (exactly, in count), and the eps part of a
+  dual run (in prob).
 """
 
 import numpy as np
@@ -25,6 +29,7 @@ from spiderbp import (
     run_junction_tree,
 )
 from spiderbp.algebra import get_semiring
+from spiderbp.engine import contraction_derivative
 from spiderbp.tensor import spider_tensor
 
 from fixtures import random_tree
@@ -120,3 +125,23 @@ def test_generalized_distributive_law(seed, name):
         assert np.isclose(jt.contraction_value, contraction_value(g), rtol=1e-12, atol=0.0)
         for vid, belief in bp.variable_beliefs.items():
             assert np.allclose(jt.variable_beliefs[vid].values, belief.values, rtol=1e-12, atol=0.0), vid
+
+
+@given(seed=SEEDS, name=st.sampled_from(["count", "prob"]))
+def test_a_derivative_is_the_diagram_with_one_box_cut_out(seed, name):
+    rng = np.random.default_rng(seed)
+    g = random_tree(rng, name, max_vars=8)
+    f = g.factor(int(rng.integers(len(g.factors))))
+    x = int(rng.integers(f.tensor.size))
+    _value, cavity = contraction_derivative(g, f.id, x)
+    if name == "count":
+        one_hot = [int(i == x) for i in range(f.tensor.size)]
+        cut = build_graph(
+            [v.obj.dim for v in g.variables],
+            [(h.neighbors, one_hot if h.id == f.id else h.tensor.data.tolist()) for h in sorted(g.factors, key=lambda h: h.id)],
+            name,
+        )
+        assert same_value(cavity, contraction_value(cut))
+    else:
+        eps = contraction_value(dual_seed(g, f.id, x)).eps
+        assert np.isclose(cavity, eps, rtol=1e-12, atol=0.0)
