@@ -788,7 +788,7 @@ def _closed_components(g, plan, f2v):
     semiring = plan.semiring
     for var_ids, fac_ids in components(g):
         if not var_ids:
-            yield fac_ids, g.factor(fac_ids[0]).tensor.data[0]
+            yield fac_ids, g.factor(fac_ids[0]).tensor.data.item(0)
             continue
         v = g.variable(var_ids[0])
         rows = plan.var_rows[v.id]

@@ -164,8 +164,11 @@ def parse_native(text, semiring=None):
         if vals is not None and vals != []:
             sample = vals[0] if type(vals) is list else vals
             break
+    hint = doc.get("semiring_hint")
+    if hint is not None and type(hint) is not str:
+        raise ParseError(f"semiring_hint must be a string, got {type(hint).__name__} at top level")
     try:
-        sr = _resolve_semiring(semiring, doc.get("semiring_hint"), sample)
+        sr = _resolve_semiring(semiring, hint, sample)
     except ValueError as err:
         raise ParseError(f"{err} at top level") from None
 
@@ -337,6 +340,12 @@ def parse_uai(text, semiring="prob"):
         )
     n_vars = toks.next_int("the variable count")
     dims = toks.take(n_vars, "cardinality of variable {j}")
+    if dims and min(dims) < 1:  # one check over the list, before any ObjectType
+        j = next(j for j, d in enumerate(dims) if d < 1)
+        raise ValidationError(
+            f"cardinality of variable {j} must be >= 1, got {dims[j]} "
+            f"at byte offset {toks.offset(toks.pos - len(dims) + j)}"
+        )
     variables = tuple(
         VariableNode(i, ObjectType(f"v{i}", d)) for i, d in enumerate(dims)
     )

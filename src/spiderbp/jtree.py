@@ -1,26 +1,28 @@
 """Junction trees: exact inference on loopy graphs by clustering.
 
 The variables' co-occurrence graph is triangulated by min-fill elimination
-(ties to the lowest id), and the junction tree is read off the elimination:
-each eliminated variable's clique hangs under the step that eliminates the
-first of its remaining neighbours, and a clique contained in a child's
-takes that child's place. The maximal cliques so linked form a spanning
-forest of maximum total separator size, and the running intersection
-property holds: every variable's cliques form a connected subtree.
+(ties to the lowest id, fills kept in a heap and updated incrementally),
+and the junction tree is read off the elimination: each eliminated
+variable's clique hangs under the step that eliminates the first of its
+remaining neighbours, and a clique contained in a child's takes that
+child's place. The maximal cliques so linked form a spanning forest of
+maximum total separator size, and the running intersection property holds:
+every variable's cliques form a connected subtree.
 
 Inference is Shafer-Shenoy propagation over the separators: each tree edge
-carries one message each way, a dense array over the separator's variables,
-and a clique sends its potential times every other incoming message, summed
-onto the separator. One collect and one distribute pass per component are
-exact over any commutative semiring (the generalized distributive law).
-Original-variable marginals come from marginalizing a covering clique's
-belief, and any covering clique gives the same answer. Every sum is a
-``Semiring.fold`` in ascending row-major order of the summed-out indices,
-under the contract written in ``spiderbp.algebra``.
+carries one message each way, a dense array over the separator's variables
+lifted once into the receiver's member axes, and a clique sends its
+potential times every other incoming message, summed onto the separator.
+One collect and one distribute pass per component are exact over any
+commutative semiring (the generalized distributive law). A variable's
+marginal is one fold of its lowest-id covering clique's belief, the same
+from any covering clique. Every sum is a ``Semiring.fold`` in ascending
+row-major order of the summed-out indices (``spiderbp.algebra``).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -64,33 +66,43 @@ def _primal_adjacency(g):
 def _eliminate(adj):
     """Min-fill elimination and the clique tree it induces.
 
-    Eliminates greedily by least fill-in, ties to the lowest id. Step i's
+    Eliminates greedily by least fill-in, ties to the lowest id, off a heap
+    keyed (fill, id) whose stale entries are skipped. Eliminating x changes
+    only its neighbours' fills, recomputed, and takes one off a vertex's
+    per fill edge between two of its neighbours (Kjaerulff 1990). Step i's
     clique is v_i with N_i, its neighbours still uneliminated, and its
-    parent is the step of N_i's first-eliminated member. A step's clique
-    is contained in another exactly when some child's N_i equals it; the
-    first such child takes its place in the tree. Returns (elimination
-    order, maximal cliques in elimination order, edges (a, b, separator)
-    between their indices, a < b, sorted).
+    parent is the step of N_i's first-eliminated member. It lies in another
+    clique exactly when a child's N_i equals it, and the first such child
+    takes its place. Returns (elimination order, maximal cliques in that
+    order, tree edges (a, b, separator) between clique indices, a < b, sorted).
     """
     adj = {v: set(nbrs) for v, nbrs in adj.items()}
+
+    def missing(v):  # edges missing among v's k neighbours: (k(k-1) - sum |N(a) & N(v)|) / 2
+        k = len(adj[v])
+        return (k * (k - 1) - sum(map(len, map(adj[v].intersection, map(adj.__getitem__, adj[v]))))) // 2
+
+    fill = {v: missing(v) for v in adj}
+    heap = sorted((f, v) for v, f in fill.items())
     order, later = [], []  # later[i]: N_i, sorted
-    remaining = set(adj)
-    while remaining:
-        best, best_fill = None, None
-        for v in sorted(remaining):
-            nbrs = adj[v]
-            fill = sum(
-                1 for a, b in combinations(sorted(nbrs), 2) if b not in adj[a]
-            )
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        nbrs = sorted(adj[best])
-        for a, b in combinations(nbrs, 2):
-            adj[a].add(b)
-            adj[b].add(a)
+    while heap:
+        f, best = heapq.heappop(heap)
+        if fill.get(best) != f:
+            continue  # stale: eliminated, or its fill has changed since
+        del fill[best]
+        nbrs = sorted(nset := adj.pop(best))
         for n in nbrs:
             adj[n].discard(best)
-        remaining.discard(best)
+        for a, b in combinations(nbrs, 2):
+            if b not in adj[a]:  # a fill edge: one fewer missing for a and b's common neighbours
+                for w in (adj[a] & adj[b]) - nset:
+                    fill[w] -= 1
+                    heapq.heappush(heap, (fill[w], w))
+                adj[a].add(b)
+                adj[b].add(a)
+        for v in nbrs:
+            fill[v] = missing(v)
+            heapq.heappush(heap, (fill[v], v))
         order.append(best)
         later.append(nbrs)
 
@@ -158,21 +170,21 @@ def build_junction_tree(g, cap=DEFAULT_TENSOR_CAP):
             )
 
     assigned = {i: [] for i in range(len(members))}
-    member_sets = [set(m) for m in members]
+    covering = {}  # variable id -> ids of the cliques holding it, ascending
+    for i, m in enumerate(members):
+        for v in m:
+            covering.setdefault(v, []).append(i)
     for f in sorted(g.factors, key=lambda f: f.id):
         if not members:
             break  # variable-free graph: rank-0 factors fold straight into Z
         scope = set(f.neighbors)
-        home = next(i for i, m in enumerate(member_sets) if scope <= m)
-        assigned[home].append(f.id)
+        candidates = covering[f.neighbors[0]] if f.neighbors else range(len(members))
+        assigned[next(i for i in candidates if scope.issubset(members[i]))].append(f.id)
 
     cliques = tuple(
         Clique(i, m, tuple(assigned[i])) for i, m in enumerate(members)
     )
-    var_to_clique = {}
-    for c in cliques:
-        for v in c.members:
-            var_to_clique.setdefault(v, c.id)
+    var_to_clique = {v: ids[0] for v, ids in covering.items()}
     tree = JunctionTree(cliques, edges, var_to_clique, tuple(order))
     if not running_intersection_holds(tree):
         raise RuntimeError("internal error: running intersection property violated")
@@ -243,25 +255,24 @@ def run_junction_tree(g, cfg):
     z = semiring.one
     if not tree.cliques:
         for f in sorted(g.factors, key=lambda f: f.id):
-            z = semiring.mul(z, f.tensor.data[0])
+            z = semiring.mul(z, f.tensor.data.item(0))
     members = {c.id: c.members for c in tree.cliques}
     pots = {c.id: _clique_potential(g, semiring, c) for c in tree.cliques}
     nbrs = {c.id: {} for c in tree.cliques}
     for a, b, sep in tree.edges:
         nbrs[a][b] = sep
         nbrs[b][a] = sep
-    messages = {}  # (sender, receiver) -> dense array over the separator
+    messages = {}  # (sender, receiver) -> separator message lifted to the receiver
 
     def gather(cid, skip=None):
         arr = pots[cid]
         for other in sorted(nbrs[cid]):
             if other != skip:
-                lifted = _lift(messages[(other, cid)], nbrs[cid][other], members[cid])
-                arr = semiring.array_mul(arr, lifted)
+                arr = semiring.array_mul(arr, messages[(other, cid)])
         return arr
 
     def send(a, b):
-        messages[(a, b)] = _sum_onto(semiring, gather(a, skip=b), members[a], nbrs[a][b])
+        messages[(a, b)] = _lift(_sum_onto(semiring, gather(a, skip=b), members[a], nbrs[a][b]), nbrs[a][b], members[b])
 
     roots, parent = [], {}
     for root in sorted(nbrs):
@@ -284,14 +295,15 @@ def run_junction_tree(g, cfg):
     beliefs = {cid: gather(cid) for cid in sorted(nbrs)}
     for root in roots:
         z = semiring.mul(z, semiring.fold(beliefs[root].reshape(-1), 0).item())
-    clique_beliefs = {cid: DenseTensor.from_array(arr) for cid, arr in beliefs.items()}
-    result = JTResult({}, z, tree, semiring.name, clique_beliefs=clique_beliefs)
+    variable_beliefs = {}
     for v in g.variables:
         cid = tree.variable_to_clique[v.id]
-        folded = marginal_from_clique(result, cid, v.id, cfg)
-        result.variable_beliefs[v.id] = Message(v.obj, folded.values)
-    result.contradiction = semiring.name == "bool" and z == semiring.zero
-    return result
+        variable_beliefs[v.id] = _marginal(semiring, beliefs[cid], members[cid].index(v.id), v.obj, cfg.normalize)
+    clique_beliefs = {cid: DenseTensor._wrap(arr.shape, arr.reshape(-1)) for cid, arr in beliefs.items()}
+    for belief in clique_beliefs.values():  # fresh arrays: frozen, not copied
+        belief.data.flags.writeable = False
+    contradiction = semiring.name == "bool" and z == semiring.zero
+    return JTResult(variable_beliefs, z, tree, semiring.name, clique_beliefs, contradiction)
 
 
 def marginal_from_clique(result, cid, variable_id, cfg):
@@ -307,15 +319,18 @@ def marginal_from_clique(result, cid, variable_id, cfg):
         raise ValidationError(
             f"variable {variable_id} is not a member of clique {cid} {list(clique.members)}"
         )
-    belief = result.clique_beliefs[cid]
+    belief = result.clique_beliefs[cid].as_array()
     pos = clique.members.index(variable_id)
-    dim = belief.shape[pos]
-    rows = np.moveaxis(belief.as_array(), pos, -1).reshape(-1, dim)
-    values = semiring.fold(rows, 0)
-    if cfg.normalize and semiring.has_normalize:
+    return _marginal(semiring, belief, pos, ObjectType(f"v{variable_id}", belief.shape[pos]), cfg.normalize)
+
+
+def _marginal(semiring, belief, pos, obj, normalize):
+    """Read-only marginal over ``obj`` of ``belief``'s axis ``pos``: one left fold, rescaled if asked."""
+    values = semiring.fold(np.moveaxis(belief, pos, 0).reshape(belief.shape[pos], -1), 1)
+    if normalize and semiring.has_normalize:
         try:
             values = semiring.normalize(values)
         except ZeroMessageError:
             pass  # dead support: report the raw zeros
-    obj = ObjectType(f"v{variable_id}", dim)
-    return Message(obj, values)
+    values.flags.writeable = False
+    return Message._wrap(obj, values)

@@ -332,6 +332,34 @@ class TestFoldContract:
         ]
         assert [type(z) for z in values] == [kind] * 3
 
+    @pytest.mark.parametrize(
+        "name, kind", [("prob", float), ("maxtimes", float), ("count", int), ("bool", bool), ("dual", DualNumber)]
+    )
+    @pytest.mark.parametrize("variables", [0, 4])
+    def test_closed_values_with_a_rank0_factor_are_python_scalars(self, name, kind, variables):
+        # a rank-0 factor is a component of its own, closed at its one entry
+        from spiderbp import RunConfig, build_graph, contraction_value, dual_seed, exact_contraction, run_junction_tree
+
+        from fixtures import random_tree, table_for
+
+        rng = np.random.default_rng(29)
+        base = "prob" if name == "dual" else name
+        factors = [((), table_for(rng, base, 1))]
+        dims = []
+        if variables:
+            tree = random_tree(rng, base, max_vars=variables)
+            dims = [v.obj.dim for v in tree.variables]
+            factors += [(f.neighbors, f.tensor.data.tolist()) for f in sorted(tree.factors, key=lambda f: f.id)]
+        g = build_graph(dims, factors, get_semiring(base))
+        if name == "dual":
+            g = dual_seed(g, 0, 0)
+        values = [
+            contraction_value(g),
+            exact_contraction(g, name),
+            run_junction_tree(g, RunConfig(semiring=name)).contraction_value,
+        ]
+        assert [type(z) for z in values] == [kind] * 3
+
 
 class TestNormalize:
     def test_prob_normalizes_to_unit_sum(self):

@@ -200,6 +200,23 @@ class TestExitCodes:
             assert out == ""
             assert "factor 0" in err
 
+    def test_uai_cardinality_below_one_is_2(self, tmp_path, capsys):
+        # once a bare ValueError from ObjectType, reported as a usage error
+        path = write(tmp_path, "MARKOV\n2\n2 0\n1\n2 0 1\n\n0\n", "g.uai")
+        code, out, err = run_cli(capsys, "run", "--input", path, "--format", "uai")
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == "cardinality of variable 1 must be >= 1, got 0 at byte offset 11"
+
+    @pytest.mark.parametrize("hint", [["prob"], {"name": "prob"}])
+    @pytest.mark.parametrize("command", ["run", "jtree"])
+    def test_non_string_semiring_hint_is_2(self, tmp_path, capsys, command, hint):
+        # once an unhashable-type TypeError that escaped cli_dispatch
+        doc = {"semiring_hint": hint, "variables": [{"id": 0, "name": "a", "dim": 2}],
+               "factors": [{"id": 0, "neighbors": [0], "values": [1, 2]}]}
+        code, out, err = run_cli(capsys, command, "--input", write(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith("semiring_hint must be a string")
+
     def test_missing_file_is_2(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "run", "--input", str(tmp_path / "nope.json"))
         assert code == 2

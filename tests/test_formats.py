@@ -175,6 +175,13 @@ class TestParseNative:
         with pytest.raises(ParseError, match="unknown semiring"):
             parse_native(json.dumps(doc))
 
+    @pytest.mark.parametrize("hint", [["prob"], {"prob": 1}, 3])
+    def test_semiring_hint_must_be_a_string(self, hint):
+        doc = json.loads(MINIMAL)
+        doc["semiring_hint"] = hint
+        with pytest.raises(ParseError, match="semiring_hint must be a string"):
+            parse_native(json.dumps(doc))
+
     def test_unknown_neighbor_cites_factor(self):
         doc = json.loads(MINIMAL)
         doc["factors"][0]["neighbors"] = [0, 7]
@@ -528,6 +535,8 @@ ERRORS = [
      "expected entry 1 of factor 0 at byte offset 28, got 'duck'"),
     ("uai", "prob", UAI_PAIR.replace("2 2\n", "2 x\n"), ParseError,
      "expected cardinality of variable 1 at byte offset 11, got 'x'"),
+    ("uai", "prob", UAI_PAIR.replace("2 2\n", "2 -1\n"), ValidationError,
+     "cardinality of variable 1 must be >= 1, got -1 at byte offset 11"),
     ("uai", "prob", UAI_PAIR.replace("2 0 1", "2 0 q"), ParseError,
      "expected a variable id in factor 0 at byte offset 19, got 'q'"),
     ("uai", "prob", UAI_PAIR.replace("4\n1.0", "4.0\n1.0"), ParseError,

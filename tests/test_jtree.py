@@ -1,10 +1,13 @@
 """Junction trees: construction invariants and exact loopy inference."""
 
+import json
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiderbp import (
     PROB,
@@ -19,7 +22,17 @@ from spiderbp import (
     run_junction_tree,
 )
 from spiderbp.algebra import BOOL, COUNT, DUAL, MAXTIMES, get_semiring
-from spiderbp.jtree import _clique_potential, build_junction_tree, marginal_from_clique, running_intersection_holds
+from spiderbp.jtree import (
+    _clique_potential,
+    _eliminate,
+    _marginal,
+    _primal_adjacency,
+    build_junction_tree,
+    marginal_from_clique,
+    running_intersection_holds,
+)
+from spiderbp.formats import graph_to_document, parse_native
+from spiderbp.graph import ObjectType
 
 from fixtures import brute_force_count, four_cycle, normal_form, peak_bytes, random_loopy, random_tree, table_for
 from test_plan import same_bits
@@ -506,3 +519,186 @@ class TestLargeCliques:
         g = build_graph([2] * 18, [(pair, rng.uniform(0.9, 1.1, 4).tolist()) for pair in combinations(range(18), 2)], PROB)
         assert len(build_junction_tree(g).cliques) == 1
         assert peak_bytes(run_junction_tree, g, RunConfig()) < 6 * 8 * 2**18
+
+
+def full_scan_eliminate(adj):
+    """Min-fill elimination that rescans every remaining variable's fill at
+    every step, ties to the lowest id, with the clique tree read off as
+    ``_eliminate`` reads it: the reference for its incremental heap."""
+    adj = {v: set(nbrs) for v, nbrs in adj.items()}
+    order, later = [], []
+    remaining = set(adj)
+    while remaining:
+        best, best_fill = None, None
+        for v in sorted(remaining):
+            nbrs = adj[v]
+            fill = sum(1 for a, b in combinations(sorted(nbrs), 2) if b not in adj[a])
+            if best_fill is None or fill < best_fill:
+                best, best_fill = v, fill
+        nbrs = sorted(adj[best])
+        for a, b in combinations(nbrs, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        for n in nbrs:
+            adj[n].discard(best)
+        remaining.discard(best)
+        order.append(best)
+        later.append(nbrs)
+
+    step = {v: i for i, v in enumerate(order)}
+    parent = [min((step[n] for n in nbrs), default=None) for nbrs in later]
+    heir = {}
+    for i, p in enumerate(parent):
+        if p is not None and p not in heir and len(later[i]) == len(later[p]) + 1:
+            heir[p] = i
+    holder = []
+    for i in range(len(order)):
+        holder.append(holder[heir[i]] if i in heir else i)
+    kept = {s: k for k, s in enumerate(i for i in range(len(order)) if i not in heir)}
+    cliques = [tuple(sorted([order[s]] + later[s])) for s in kept]
+    edges = []
+    for i, p in enumerate(parent):
+        if p is not None and heir.get(p) != i:
+            a, b = sorted((kept[holder[i]], kept[holder[p]]))
+            edges.append((a, b, tuple(sorted(set(cliques[a]) & set(cliques[b])))))
+    return order, cliques, tuple(sorted(edges))
+
+
+@st.composite
+def tied_graphs(draw):
+    """Adjacency of 2-30 vertices, ids shuffled: random edge sets, or grids,
+    ladders, paths and cycles, whose fills tie at nearly every step."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 30))
+        pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+        edges = {(a, b) for a, b in pairs if a != b}
+    else:
+        rows = draw(st.integers(1, 5))
+        cols = draw(st.integers(2, 30 // rows))
+        n = rows * cols
+        edges = {(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)}
+        edges |= {(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)}
+        if rows == 1 and cols > 2 and draw(st.booleans()):
+            edges.add((0, cols - 1))
+    ids = draw(st.permutations(range(n)))
+    adj = {v: set() for v in range(n)}
+    for a, b in edges:
+        adj[ids[a]].add(ids[b])
+        adj[ids[b]].add(ids[a])
+    return adj
+
+
+class TestIncrementalMinFill:
+    """The heap of fills, updated only where an elimination can change
+    them, picks what a full rescan at every step picks."""
+
+    @settings(max_examples=300)
+    @given(adj=tied_graphs())
+    def test_heap_matches_the_full_scan(self, adj):
+        assert _eliminate(adj) == full_scan_eliminate(adj)
+
+    def test_bench_shaped_models_match_the_full_scan(self):
+        for g in [ternary_grid(side) for side in (4, 5, 6, 7)] + [loopy_square()]:
+            adj = _primal_adjacency(g)
+            assert _eliminate(adj) == full_scan_eliminate(adj)
+
+
+def ternary_prob_grid(rng, side):
+    """side x side grid of 3-state variables under random prob tables."""
+    g = ternary_grid(side)
+    factors = [(f.neighbors, rng.uniform(0.1, 2.0, 9).tolist()) for f in sorted(g.factors, key=lambda f: f.id)]
+    return build_graph([3] * side * side, factors, PROB)
+
+
+def literal_fold(arr, pos):
+    """acc = x[0]; acc = acc + x[i] per state of axis ``pos``, over the
+    other axes' index tuples in ascending row-major order."""
+    rest = [i for i in range(arr.ndim) if i != pos]
+    out = []
+    for s in range(arr.shape[pos]):
+        acc = None
+        for r in np.ndindex(*(arr.shape[i] for i in rest)):
+            index = list(r)
+            index.insert(pos, s)
+            x = float(arr[tuple(index)])
+            acc = x if acc is None else acc + x
+        out.append(acc)
+    return out
+
+
+class TestOneReadPerVariable:
+    """A variable's belief is one fold of its home clique's belief, the
+    same fold ``marginal_from_clique`` takes."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool"])
+    def test_beliefs_are_marginal_from_clique_bit_for_bit(self, name, normalize):
+        rng = np.random.default_rng(350)
+        graphs = [random_loopy(rng, name, max_vars=10, extra_edges=(1, 6)) for _ in range(8)]
+        if name == "prob":
+            graphs.append(ternary_prob_grid(rng, 6))
+        elif name == "count":
+            graphs.append(ternary_grid(6))
+        for g in graphs:
+            cfg = RunConfig(semiring=name, normalize=normalize)
+            result = run_junction_tree(g, cfg)
+            for c in result.tree.cliques:
+                for vid in c.members:
+                    got = result.variable_beliefs[vid].values
+                    folded = marginal_from_clique(result, c.id, vid, cfg).values
+                    if result.tree.variable_to_clique[vid] == c.id or get_semiring(name).exact:
+                        assert same_bits(got, folded)
+                    else:
+                        assert np.allclose(np.asarray(got, float), np.asarray(folded, float), rtol=1e-12)
+
+    def test_the_big_clique_read_is_the_literal_left_fold(self):
+        rng = np.random.default_rng(351)
+        g = ternary_prob_grid(rng, 6)
+        result = run_junction_tree(g, RunConfig(normalize=False))
+        big = next(c for c in result.tree.cliques if result.clique_beliefs[c.id].size == 3**7)
+        belief = result.clique_beliefs[big.id].as_array()
+        for pos, vid in enumerate(big.members):
+            values = marginal_from_clique(result, big.id, vid, RunConfig(normalize=False)).values
+            assert values.tolist() == literal_fold(belief, pos)
+
+    def test_marginal_is_the_literal_left_fold_on_every_axis(self):
+        rng = np.random.default_rng(352)
+        for _ in range(100):
+            dims = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(1, 5))))
+            arr = rng.random(dims) * 10.0 ** rng.integers(-4, 5, dims)
+            for pos in range(len(dims)):
+                values = _marginal(PROB, arr, pos, ObjectType("v", dims[pos]), False).values
+                assert values.tolist() == literal_fold(arr, pos)
+
+    def test_one_fold_per_variable(self, monkeypatch):
+        from spiderbp import jtree
+
+        calls = []
+        monkeypatch.setattr(jtree, "_marginal", lambda *args: calls.append(args) or _marginal(*args))
+        g = random_loopy(np.random.default_rng(353), max_vars=10)
+        result = run_junction_tree(g, RunConfig())
+        assert len(calls) == len(g.variables)
+        marginal_from_clique(result, 0, result.tree.cliques[0].members[0], RunConfig())
+        assert len(calls) == len(g.variables) + 1
+
+    def test_beliefs_are_read_only(self):
+        g = random_loopy(np.random.default_rng(354), max_vars=10)
+        result = run_junction_tree(g, RunConfig())
+        for belief in result.clique_beliefs.values():
+            assert not belief.data.flags.writeable
+            with pytest.raises(ValueError):
+                belief.as_array()[(0,) * belief.rank] = 1.0
+        for message in result.variable_beliefs.values():
+            assert not message.values.flags.writeable
+
+    def test_variable_beliefs_come_in_graph_order(self):
+        # a native file may list its variables in any id order
+        rng = np.random.default_rng(355)
+        orders = []
+        for _ in range(10):
+            doc = graph_to_document(random_loopy(rng, max_vars=10))
+            doc["variables"] = [doc["variables"][int(i)] for i in rng.permutation(len(doc["variables"]))]
+            g, _ = parse_native(json.dumps(doc))
+            orders.append([v.id for v in g.variables])
+            assert list(run_junction_tree(g, RunConfig()).variable_beliefs) == orders[-1]
+        assert any(order != sorted(order) for order in orders)

@@ -416,7 +416,7 @@ def reference_z(g, semiring, state):
     total = semiring.one
     for var_ids, fac_ids in components(g):
         if not var_ids:
-            total = semiring.mul(total, g.factor(fac_ids[0]).tensor.data[0])
+            total = semiring.mul(total, g.factor(fac_ids[0]).tensor.data.item(0))
             continue
         v = g.variable(var_ids[0])
         incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
