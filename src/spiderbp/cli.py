@@ -2,7 +2,10 @@
 
 Subcommands operate on factor-graph files (native JSON or UAI) and print a
 JSON result document to stdout (or ``--output``). Diagnostics go to stderr
-as single-line JSON objects so they are easy to collect from scripts.
+as single-line JSON objects so they are easy to collect from scripts; a
+Python warning raised while a command runs (numpy's overflow warnings, say)
+becomes one such ``warning`` line per distinct message, after the command's
+own diagnostics.
 
 Exit codes:
 
@@ -330,6 +333,15 @@ _COMMANDS = {
 
 def cli_dispatch(argv):
     """Run one CLI invocation; returns the exit code."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _dispatch(argv)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        _diag("warning", message)
+    return code
+
+
+def _dispatch(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,9 +18,10 @@ final after k + 1 sweeps and the diameter is one more than the highest
 level. ``tree`` performs the classic two passes, leaves to root then root
 to leaves, and is exact on trees in a single execution.
 
-Both schedules run on one plan (``_Plan``), compiled once per run. Every
-wire gets an integer row in one packed ``(wires, dim)`` array per dim and
-direction, and a ``MessageState`` holds nothing but these arrays.
+Both schedules run on one plan (``_Plan``), compiled once per graph: the
+first run builds it and the graph keeps it beside its validation verdict.
+Every wire gets an integer row in one packed ``(wires, dim)`` array per
+dim and direction, and a ``MessageState`` holds nothing but these arrays.
 Variables are grouped by (dim, degree), and every tensor is stacked once
 per out wire, transposed so that wire is last; tensors that agree in this
 oriented shape share a stack, kept in level order. An update program is a
@@ -125,8 +126,9 @@ class MessageState:
     """Every directed message of a run plus its counters; an immutable snapshot.
 
     The messages live in the packed ``(v2f, f2v)`` arrays of the plan that
-    computed them, and a state is only ever read against that plan's graph:
-    through ``beliefs``, ``decode_map`` and ``contraction_from_state``.
+    computed them, and a state is only ever read against the graph that
+    keeps that plan: through ``beliefs``, ``decode_map`` and
+    ``contraction_from_state``.
     """
 
     __slots__ = ("_plan", "_arrays", "iteration", "residual")
@@ -142,20 +144,42 @@ class MessageState:
 
 @dataclass
 class BPResult:
+    """A run's final state, counters and beliefs.
+
+    ``factor_beliefs`` is computed from ``state`` on first read and then
+    kept; it equals ``beliefs(g, state, cfg)[1]`` bit for bit. The result
+    holds its graph for that read.
+    """
+
     state: MessageState
     converged: bool
     iterations: int
     residual: float
     variable_beliefs: dict = field(default_factory=dict)
-    factor_beliefs: dict = field(default_factory=dict)
     contradiction: bool = False
     contradiction_wire: tuple = None
+    _graph: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def factor_beliefs(self):
+        plan, (v2f, _f2v) = _plan_and_arrays(self._graph, self.state)
+        return plan.factor_beliefs(self._graph, v2f)
+
+
+def _plan_of(g):
+    """The graph's compiled plan, built on its first run and kept on the
+    graph as ``_ensure_valid`` keeps the verdict."""
+    plan = g.__dict__.get("_plan")
+    if plan is None:
+        # setdefault: of two threads compiling at once, both keep the first
+        plan = g.__dict__.setdefault("_plan", _Plan(g))
+    return plan
 
 
 def init_messages(g, cfg):
     """Unit (all-ones) messages on every directed wire, iteration 0."""
     _run_semiring(g.semiring, cfg)
-    plan = _Plan(g)
+    plan = _plan_of(g)
     return MessageState(plan, plan.initial(cfg))
 
 
@@ -217,6 +241,13 @@ def _fold_mul(semiring, msgs):
     return acc
 
 
+def _frozen(arr):
+    """``arr``, made read-only (a kept plan is shared by every run of its
+    graph); views of it inherit the flag."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _by_level(levels):
     """Stable sort order of ``levels``, then (level, slice) for each run of it."""
     order = np.argsort(levels, kind="stable")
@@ -264,8 +295,8 @@ def _tensor_groups(members):
         _TensorGroup(
             shape,
             ids,
-            np.concatenate(arrays).reshape((len(ids), *shape)),
-            list(np.array(wire_rows, dtype=np.intp).reshape(len(ids), len(shape)).T),
+            _frozen(np.concatenate(arrays).reshape((len(ids), *shape))),
+            list(_frozen(np.array(wire_rows, dtype=np.intp).reshape(len(ids), len(shape)).T)),
         )
         for shape, (ids, arrays, wire_rows) in by_shape.items()
     ]
@@ -298,10 +329,15 @@ class _Plan:
     shape. The two-pass schedule runs the program of the wires' dependency
     levels on the rows whose inputs are final, one op per spider group and
     oriented shape at each level.
+
+    A graph keeps its plan (``_plan_of``) and every run of the graph shares
+    it, so every array the plan keeps is read-only and runs write only into
+    arrays they allocate. The plan holds no reference to its graph: the
+    methods that read the graph take it as an argument.
     """
 
     def __init__(self, g):
-        self.g, self.semiring = g, get_semiring(g.semiring)
+        self.semiring = get_semiring(g.semiring)
         dim_of = {v.id: v.obj.dim for v in g.variables}
         self.dims = {}  # dim -> number of wires of that dim
         self.wire_rows = []  # (dim, row) of each entry of g.wires
@@ -320,7 +356,7 @@ class _Plan:
                 rows.append(r)
         wire_dims = np.array([d for d, _r in self.wire_rows], dtype=np.intp)
         # index into g.wires of each packed row, for first-dead-wire order
-        self.position = {d: np.flatnonzero(wire_dims == d) for d in self.dims}
+        self.position = {d: _frozen(np.flatnonzero(wire_dims == d)) for d in self.dims}
         by_key = {}
         for v in g.variables:
             rows = self.var_rows[v.id]
@@ -328,7 +364,7 @@ class _Plan:
             ids.append(v.id)
             members.append(rows)
         self.var_groups = [
-            (d, ids, np.array(rows, dtype=np.intp).reshape(len(ids), k))
+            (d, ids, _frozen(np.array(rows, dtype=np.intp).reshape(len(ids), k)))
             for (d, k), (ids, rows) in by_key.items()
         ]
         self.factor_groups = _tensor_groups((f.id, f.tensor, factor_rows[f.id]) for f in g.factors)
@@ -347,7 +383,7 @@ class _Plan:
             arr[...] = unit
         return v2f, {d: arr.copy() for d, arr in v2f.items()}
 
-    def _dead_wires(self, gone):
+    def _dead_wires(self, g, gone):
         """The wires of dead rows, as (kind, factor id, axis): every v2f
         before every f2v, each in ``g.wires`` order.
 
@@ -358,7 +394,7 @@ class _Plan:
         hits = {"v2f": [], "f2v": []}
         for kind, d, out, dead in gone:
             hits[kind] += self.position[d][out][dead].tolist()
-        return [(kind,) + self.g.wires[pos] for kind, found in hits.items() for pos in sorted(found)]
+        return [(kind,) + g.wires[pos] for kind, found in hits.items() for pos in sorted(found)]
 
     # -- the update program ------------------------------------------------------
 
@@ -410,7 +446,7 @@ class _Plan:
                 leave_out = [[q for q in range(k) if q != p] for p in range(k)]
                 out = rows.reshape(-1)
                 order, runs = _by_level(v2f_levels[d][out])
-                out, others = out[order], rows[:, leave_out].reshape(-1, k - 1)[order]
+                out, others = _frozen(out[order]), _frozen(rows[:, leave_out].reshape(-1, k - 1)[order])
                 ops.extend((level, (d, out[run], None, others[run])) for level, run in runs)
         stacks = {}
         for group in self.factor_groups:
@@ -421,7 +457,8 @@ class _Plan:
         for shape, (tensors, rows) in stacks.items():
             d, rows = shape[-1], [np.concatenate(r) for r in zip(*rows)]
             order, runs = _by_level(f2v_levels[d][rows[-1]])
-            stack = _TensorGroup(shape, None, np.concatenate(tensors)[order], [r[order] for r in rows])
+            tensors, rows = _frozen(np.concatenate(tensors)[order]), [_frozen(r[order]) for r in rows]
+            stack = _TensorGroup(shape, None, tensors, rows)
             ops.extend((level, (d, stack.rows[-1][run], stack, run)) for level, run in runs)
         program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
         for level, op in ops:
@@ -435,7 +472,7 @@ class _Plan:
         level0 = {d: np.zeros(n, dtype=np.intp) for d, n in self.dims.items()}
         return self._levels(level0, level0)
 
-    def sweep(self, arrays, cfg):
+    def sweep(self, g, arrays, cfg):
         """New (v2f, f2v) arrays from the old ones, plus the residual.
 
         Runs the level-0 program from the old arrays into new ones, then
@@ -454,7 +491,7 @@ class _Plan:
                     fresh[d], dead = semiring._normalize_rows(rows)
                     if dead is not None:
                         gone.append((kind, d, slice(None), dead))
-            dead_wires = self._dead_wires(gone)
+            dead_wires = self._dead_wires(g, gone)
             if dead_wires:
                 raise ContradictionError(dead_wires[0])
         if cfg.damping != 0.0:
@@ -481,7 +518,7 @@ class _Plan:
 
     # -- the two-pass schedule ---------------------------------------------------
 
-    def two_pass(self, cfg):
+    def two_pass(self, g, cfg):
         """Every message of the exact tree schedule, level by level.
 
         Returns ((v2f, f2v), contradiction wire or None). Each directed
@@ -493,26 +530,26 @@ class _Plan:
         """
         arrays = self.initial(cfg)
         normalize = cfg.normalize and self.semiring.has_normalize
-        gone = self._execute(self._levels(*self._wire_levels()), arrays, arrays, normalize)
-        dead_wires = self._dead_wires(gone)
-        return arrays, self._halt(arrays, cfg, set(dead_wires)) if dead_wires else None
+        gone = self._execute(self._levels(*self._wire_levels(g)), arrays, arrays, normalize)
+        dead_wires = self._dead_wires(g, gone)
+        return arrays, self._halt(g, arrays, cfg, set(dead_wires)) if dead_wires else None
 
-    def _halt(self, arrays, cfg, dead_wires):
+    def _halt(self, g, arrays, cfg, dead_wires):
         """Reset the messages the per-wire run never reaches; return the
         wire it halts at."""
-        schedule = two_pass_schedule(self.g)
+        schedule = two_pass_schedule(g)
         at = next(k for k, wire in enumerate(schedule) if wire in dead_wires)
         unit = self.initial(cfg)
-        wire_row = dict(zip(self.g.wires, self.wire_rows))
+        wire_row = dict(zip(g.wires, self.wire_rows))
         for kind, fid, axis in schedule[at:]:
             d, r = wire_row[(fid, axis)]
             k = 0 if kind == "v2f" else 1
             arrays[k][d][r] = unit[k][d][r]
         return schedule[at]
 
-    def _wire_levels(self):
+    def _wire_levels(self, g):
         """``graph._wire_levels`` as dim -> level per packed row."""
-        v2f, f2v = (np.array(levels, dtype=np.intp) for levels in _wire_levels(self.g))
+        v2f, f2v = (np.array(levels, dtype=np.intp) for levels in _wire_levels(g))
         return ({d: v2f[pos] for d, pos in self.position.items()}, {d: f2v[pos] for d, pos in self.position.items()})
 
     # -- reading a state -------------------------------------------------------
@@ -530,10 +567,9 @@ class _Plan:
             else:
                 yield d, ids, _fold_mul(semiring, f2v[d][rows])
 
-    def beliefs(self, arrays, cfg):
-        """``beliefs`` computed on the packed arrays."""
-        g, semiring = self.g, self.semiring
-        v2f, f2v = arrays
+    def variable_beliefs(self, g, f2v, cfg):
+        """``beliefs``'s variable beliefs and zero wire, from the packed f2v arrays."""
+        semiring = self.semiring
         by_var, dead_vars = {}, set()
         for d, ids, values in self.incoming_products(f2v):
             if cfg.normalize and semiring.has_normalize:
@@ -544,32 +580,31 @@ class _Plan:
             values.flags.writeable = False
             for vid, row in zip(ids, values):
                 by_var[vid] = Message._wrap(g.variable(vid).obj, row)
+        zero_wire = next((("belief", v.id) for v in g.variables if v.id in dead_vars), None)
+        return {v.id: by_var[v.id] for v in g.variables}, zero_wire
+
+    def factor_beliefs(self, g, v2f):
+        """``beliefs``'s factor beliefs, from the packed v2f arrays."""
         by_factor = {}
         for group in self.factor_groups:
-            by_factor.update(self._tensor_beliefs(group, v2f))
-        zero_wire = next((("belief", v.id) for v in g.variables if v.id in dead_vars), None)
-        var_beliefs = {v.id: by_var[v.id] for v in g.variables}
-        factor_beliefs = {f.id: by_factor[f.id] for f in g.factors}
-        return var_beliefs, factor_beliefs, zero_wire
+            msgs = [v2f[d][r] for d, r in zip(group.shape, group.rows)]
+            arr = np.asarray(group.multiplied(self.semiring, group.tensors, msgs)).reshape(len(group.ids), -1)
+            arr.flags.writeable = False
+            by_factor.update((nid, DenseTensor._wrap(group.shape, flat)) for nid, flat in zip(group.ids, arr))
+        return {f.id: by_factor[f.id] for f in g.factors}
 
-    def _tensor_beliefs(self, group, src):
-        msgs = [src[d][r] for d, r in zip(group.shape, group.rows)]
-        arr = np.asarray(group.multiplied(self.semiring, group.tensors, msgs)).reshape(len(group.ids), -1)
-        arr.flags.writeable = False
-        return {nid: DenseTensor._wrap(group.shape, flat) for nid, flat in zip(group.ids, arr)}
-
-    def cavity(self, v2f, fid, entry):
+    def cavity(self, g, v2f, fid, entry):
         """Factor ``fid``'s incoming v2f messages multiplied at its flat
         row-major ``entry``: the factor's belief there with the tensor left
         out. Left-folds ``mul`` in ascending axis order, as
-        ``_tensor_beliefs``; a rank-0 factor's is the empty product."""
-        shape = self.g.factor(fid).tensor.shape
+        ``factor_beliefs``; a rank-0 factor's is the empty product."""
+        shape = g.factor(fid).tensor.shape
         terms = [v2f[d].item(r, i) for d, r, i in zip(shape, self.factor_rows[fid], np.unravel_index(entry, shape))]
         return reduce(self.semiring.mul, terms) if terms else self.semiring.one
 
-    def first_zero_wire(self, arrays):
+    def first_zero_wire(self, g, arrays):
         """First all-zero message, every v2f in wire order before every f2v."""
-        dead_wires = self._dead_wires([
+        dead_wires = self._dead_wires(g, [
             (kind, d, slice(None), (rows == self.semiring.zero).all(axis=1))
             for kind, packed in zip(("v2f", "f2v"), arrays)
             for d, rows in packed.items()
@@ -578,9 +613,10 @@ class _Plan:
 
 
 def _plan_and_arrays(g, state):
-    """The state's compiled plan and packed messages, for its own graph."""
+    """The state's compiled plan and packed messages, for its own graph: the
+    one that keeps that plan."""
     plan = state._plan
-    if plan.g is not g:
+    if g.__dict__.get("_plan") is not plan:
         raise ValidationError("the message state was computed on another graph")
     return plan, state._arrays
 
@@ -599,7 +635,7 @@ def sweep_synchronous(g, state, cfg):
     """
     _run_semiring(g.semiring, cfg)
     plan, arrays = _plan_and_arrays(g, state)
-    arrays, residual = plan.sweep(arrays, cfg)
+    arrays, residual = plan.sweep(g, arrays, cfg)
     return MessageState(plan, arrays, state.iteration + 1, residual)
 
 
@@ -643,8 +679,8 @@ def run_two_pass(g, cfg):
     before the first dead wire of that schedule, the unit from there on.
     """
     _run_semiring(g.semiring, cfg)
-    plan = _Plan(g)
-    arrays, halted_wire = plan.two_pass(cfg)
+    plan = _plan_of(g)
+    arrays, halted_wire = plan.two_pass(g, cfg)
     residual = 0.0 if halted_wire is None else math.inf
     return MessageState(plan, arrays, 1, residual), halted_wire
 
@@ -658,8 +694,9 @@ def beliefs(g, state, cfg):
     Computed on the state's compiled plan.
     """
     _run_semiring(g.semiring, cfg)
-    plan, arrays = _plan_and_arrays(g, state)
-    return plan.beliefs(arrays, cfg)
+    plan, (v2f, f2v) = _plan_and_arrays(g, state)
+    var_beliefs, zero_wire = plan.variable_beliefs(g, f2v, cfg)
+    return var_beliefs, plan.factor_beliefs(g, v2f), zero_wire
 
 
 def run_bp(g, cfg):
@@ -685,6 +722,9 @@ def run_bp(g, cfg):
     returned. Boolean runs never normalize, so they complete even when
     support dies; they flag ``contradiction`` with the first dead wire and
     their all-false beliefs are exact.
+
+    The run builds variable beliefs only; the result computes its factor
+    beliefs from its state on first read.
     """
     _ensure_valid(g)
     semiring = _run_semiring(g.semiring, cfg)
@@ -698,11 +738,11 @@ def run_bp(g, cfg):
         converged, iterations = wire is None, 1
     else:
         state, converged, iterations, wire = _run_sync(g, cfg)
-    var_b, fac_b, zero_wire = beliefs(g, state, cfg)
+    var_b, zero_wire = state._plan.variable_beliefs(g, state._arrays[1], cfg)
     if wire is None and semiring.name == "bool":
         # dead support can hide in a belief even when every wire message
         # still has a true entry, so scan both
-        wire = state._plan.first_zero_wire(state._arrays)
+        wire = state._plan.first_zero_wire(g, state._arrays)
         if wire is None:
             for vid in sorted(var_b):
                 if not any(bool(x) for x in var_b[vid].values.tolist()):
@@ -716,9 +756,9 @@ def run_bp(g, cfg):
         iterations=iterations,
         residual=state.residual,
         variable_beliefs=var_b,
-        factor_beliefs=fac_b,
         contradiction=wire is not None,
         contradiction_wire=wire,
+        _graph=g,
     )
 
 
@@ -814,7 +854,7 @@ def contraction_derivative(g, factor_id, entry_index):
     state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
     plan, (v2f, f2v) = state._plan, state._arrays
     semiring = plan.semiring
-    cavity = plan.cavity(v2f, factor_id, entry_index)
+    cavity = plan.cavity(g, v2f, factor_id, entry_index)
     value = derivative = semiring.one
     for fac_ids, z in _closed_components(g, plan, f2v):
         value = semiring.mul(value, z)
@@ -893,10 +933,10 @@ def dual_seed(g, factor_id, entry_index):
 
 
 def evaluate_assignment(g, assignment):
-    """Product of all factor entries at one full assignment, in the graph's semiring."""
+    """Product of all factor entries at one full assignment, in the graph's
+    semiring, as a Python scalar (as ``contraction_value``)."""
     semiring = get_semiring(g.semiring)
     total = semiring.one
     for f in sorted(g.factors, key=lambda f: f.id):
-        index = tuple(assignment[v] for v in f.neighbors)
-        total = semiring.mul(total, f.tensor.entry(index) if f.rank else f.tensor.data[0])
+        total = semiring.mul(total, f.tensor.entry([assignment[v] for v in f.neighbors]))
     return total

@@ -87,7 +87,9 @@ class DenseTensor:
         return self.data.reshape(self.shape)
 
     def entry(self, index):
-        return self.as_array()[tuple(index)]
+        """The entry at an int tuple ``index`` (``()`` for rank 0), as a
+        Python scalar: ``float``, ``bool`` or the object itself."""
+        return self.as_array().item(tuple(index))
 
 
 def _flatten(values, pairs_are_scalars=False):

@@ -410,9 +410,9 @@ class TestGrad:
         runs = []
         two_pass = engine._Plan.two_pass
 
-        def counted(plan, cfg):
+        def counted(plan, g, cfg):
             runs.append(plan.semiring.name)
-            return two_pass(plan, cfg)
+            return two_pass(plan, g, cfg)
 
         monkeypatch.setattr(engine._Plan, "two_pass", counted)
         path = write(tmp_path, GOOD)
@@ -504,6 +504,48 @@ class TestResultDocument:
         code, quiet, _ = run_cli(capsys, argv[0], "--input", path, *argv[1:], "--output", str(dest))
         assert code == 0 and quiet == ""
         assert dest.read_bytes() == out.encode("utf-8")
+
+
+def big_tables(n, edges):
+    """A native document on ``n`` binary variables whose pairwise tables
+    hold 1e30, or 1e20 past the first half, so unnormalized messages
+    overflow to inf, at more than one level of a chain."""
+    return {
+        "variables": [{"id": i, "dim": 2} for i in range(n)],
+        "factors": [
+            {"id": k, "neighbors": list(e), "values": [1e30 if 2 * k < len(edges) else 1e20] * 4}
+            for k, e in enumerate(edges)
+        ],
+    }
+
+
+class TestDiagnosticsAreJson:
+    """A numpy warning raised while a command runs is one single-line JSON
+    diagnostic per distinct message, after the command's own."""
+
+    def records(self, err):
+        records = [json.loads(line) for line in err.splitlines()]
+        assert all(isinstance(r, dict) and "level" in r for r in records)
+        return records
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--schedule", "tree", "--no-normalize"], ["grad", "--factor", "0", "--entry", "0"]],
+    )
+    def test_overflow_warnings_on_a_tree(self, tmp_path, capsys, argv):
+        path = write(tmp_path, big_tables(60, [(i, i + 1) for i in range(59)]))
+        code, out, err = run_cli(capsys, argv[0], "--input", path, *argv[1:])
+        assert code == 0 and out == json.dumps(json.loads(out)) + "\n"
+        messages = [r["message"] for r in self.records(err) if r["level"] == "warning"]
+        assert messages and len(set(messages)) == len(messages)
+        assert all(m.startswith("overflow encountered in") for m in messages)
+
+    def test_warnings_follow_the_error_of_a_failed_run(self, tmp_path, capsys):
+        path = write(tmp_path, big_tables(3, [(0, 1), (1, 2), (2, 0)]))
+        code, _, err = run_cli(capsys, "run", "--input", path, "--no-normalize", "--max-iters", "40")
+        assert code == 3
+        levels = [r["level"] for r in self.records(err)]
+        assert levels[0] == "error" and len(levels) > 1 and set(levels[1:]) == {"warning"}
 
 
 class TestRepeatedDispatch:

@@ -102,20 +102,20 @@ class TestInitMessages:
     def test_normalized_units(self):
         g = chain3()
         state = init_messages(g, RunConfig())
-        for msg in unpack(state).var_to_factor.values():
+        for msg in unpack(g, state).var_to_factor.values():
             assert np.allclose(msg.values, [0.5, 0.5])
         assert state.iteration == 0
 
     def test_raw_units_when_unnormalized(self):
         g = chain3()
         state = init_messages(g, RunConfig(normalize=False))
-        for msg in unpack(state).factor_to_var.values():
+        for msg in unpack(g, state).factor_to_var.values():
             assert msg.values.tolist() == [1.0, 1.0]
 
     def test_count_units(self):
         g = build_graph([2, 2], [((0, 1), [1, 1, 1, 1])], COUNT)
         state = init_messages(g, RunConfig(semiring="count"))
-        for msg in unpack(state).var_to_factor.values():
+        for msg in unpack(g, state).var_to_factor.values():
             assert msg.values.tolist() == [1, 1]
 
 
@@ -419,6 +419,21 @@ class TestEvaluateAssignment:
         g = chain3()
         v = evaluate_assignment(g, {0: 1, 1: 0, 2: 1})
         assert np.isclose(v, 3.0 * 6.0 * 0.75)
+
+    @pytest.mark.parametrize(
+        "name, scalar", [("prob", float), ("maxtimes", float), ("count", int), ("bool", bool), ("dual", DualNumber)]
+    )
+    def test_one_python_scalar_type_per_semiring(self, name, scalar):
+        tables = {"count": ([1, 2, 3, 4], [5, 6], [7]), "bool": ([1, 0, 1, 1], [1, 1], [1])}
+        pair, unary, rank0 = tables.get(name, ([1.0, 2.0, 3.0, 4.0], [0.5, 1.5], [2.0]))
+        g = build_graph([2, 2], [((0, 1), pair), ((0,), unary), ((), rank0)], "prob" if name == "dual" else name)
+        if name == "dual":
+            g = dual_seed(g, 0, 2)
+        v = evaluate_assignment(g, {0: 1, 1: 0})
+        assert type(v) is scalar
+        assert repr(v) == {
+            "prob": "9.0", "maxtimes": "9.0", "count": "126", "bool": "True", "dual": repr(DualNumber(9.0, 3.0)),
+        }[name]
 
 
 class TestDualSeed:
@@ -783,8 +798,9 @@ class TestMessageState:
         pairs = [(i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(n - 1)]
         factors = [(pair, rng.uniform(0.5, 1.5, 4).tolist()) for pair in pairs]
         factors += [((i,), rng.uniform(0.5, 1.5, 2).tolist()) for i in range(n)]
-        plan = engine._Plan(build_graph([2] * n, factors, PROB))
-        program = plan._levels(*plan._wire_levels())
+        g = build_graph([2] * n, factors, PROB)
+        plan = engine._Plan(g)
+        program = plan._levels(*plan._wire_levels(g))
         assert len(program) == 2 * n
         assert all(len(ops) == 1 for ops in program)
 

@@ -8,10 +8,12 @@ residual and the iteration counter, and for the two-pass run the beliefs,
 the closed value, the decoded states and the halting wire too.
 """
 
+import gc
 import json
 import math
 import sys
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from spiderbp import (
     ContradictionError,
     NotATreeError,
     RunConfig,
+    ValidationError,
     ZeroMessageError,
     build_graph,
     contraction_value,
@@ -40,7 +43,7 @@ from spiderbp.engine import (
     sweep_synchronous,
     two_pass_schedule,
 )
-from spiderbp.graph import components
+from spiderbp.graph import FactorGraph, components
 from spiderbp.tensor import hadamard
 from spiderbp import engine
 from spiderbp.cli import EXIT_NOT_CONVERGED, cli_dispatch
@@ -66,10 +69,10 @@ class DictState:
     residual: float = math.inf
 
 
-def unpack(state):
-    """A plan's ``MessageState`` as a ``DictState``: one ``Message`` per
+def unpack(g, state):
+    """A ``MessageState`` of ``g`` as a ``DictState``: one ``Message`` per
     directed wire, read off the wire's packed row."""
-    g, v2f, f2v = state._plan.g, *state._arrays
+    v2f, f2v = state._arrays
     var_to_factor, factor_to_var = {}, {}
     for (fid, axis), (d, r) in zip(g.wires, state._plan.wire_rows):
         vid = g.factor(fid).neighbors[axis]
@@ -130,8 +133,8 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_same_state(got, want):
-    got = unpack(got)
+def assert_same_state(g, got, want):
+    got = unpack(g, got)
     assert got.iteration == want.iteration
     assert repr(got.residual) == repr(want.residual)
     assert list(got.var_to_factor) == list(want.var_to_factor)
@@ -145,12 +148,12 @@ def assert_same_state(got, want):
 def check_against_reference(g, cfg):
     """One sweep, then a full run, each against the per-wire reference."""
     start = init_messages(g, cfg)
-    assert_same_state(sweep_synchronous(g, start, cfg), reference_sweep(g, unpack(start), cfg))
+    assert_same_state(g, sweep_synchronous(g, start, cfg), reference_sweep(g, unpack(g, start), cfg))
     result = run_bp(g, cfg)
-    want = unpack(start)
+    want = unpack(g, start)
     for _ in range(result.state.iteration):
         want = reference_sweep(g, want, cfg)
-    assert_same_state(result.state, want)
+    assert_same_state(g, result.state, want)
     assert result.iterations in (want.iteration - 1, want.iteration)
     assert repr(result.residual) == repr(want.residual)
     for vid, values in reference_variable_beliefs(g, want, cfg).items():
@@ -264,7 +267,7 @@ class TestBitIdentity:
 
 class TestContradictions:
     def reference_wire(self, g, cfg):
-        state = unpack(init_messages(g, cfg))
+        state = unpack(g, init_messages(g, cfg))
         try:
             for _ in range(cfg.max_iters):
                 state = reference_sweep(g, state, cfg)
@@ -361,7 +364,7 @@ class TestCliClosesItsOwnState:
 def reference_two_pass(g, cfg):
     """The per-wire two-pass run: ``two_pass_schedule`` order, one update at a
     time, stopping at the first dead wire."""
-    start = unpack(init_messages(g, cfg))
+    start = unpack(g, init_messages(g, cfg))
     v2f, f2v = start.var_to_factor, start.factor_to_var
     working = DictState(v2f, f2v)
     for kind, fid, axis in two_pass_schedule(g):
@@ -452,7 +455,7 @@ def check_tree_against_reference(g, cfg):
     else:
         assert result.contradiction and result.contradiction_wire == want_wire
         assert result.residual == math.inf and not result.converged
-    assert_same_state(result.state, want)
+    assert_same_state(g, result.state, want)
     var_b, fac_b = reference_beliefs(g, want, cfg)
     for vid, values in var_b.items():
         got = result.variable_beliefs[vid]
@@ -703,3 +706,180 @@ class TestOverflowIsNotConvergence:
             code = cli_dispatch(["run", "--input", str(path), "--no-normalize"])
         capsys.readouterr()
         assert code == EXIT_NOT_CONVERGED
+
+
+# -- one plan per graph ----------------------------------------------------------
+
+
+def fresh(g):
+    """``g`` as a new graph object: the same nodes, no plan kept yet."""
+    return FactorGraph(g.variables, g.factors, semiring=g.semiring)
+
+
+def bits(a):
+    a = np.asarray(a)
+    if a.dtype == object:
+        return a.shape, [(type(x), repr(x)) for x in a.ravel().tolist()]
+    return a.dtype, a.shape, a.tobytes()
+
+
+def result_bits(result):
+    """Every field, message and belief of a ``BPResult``, as comparable bits."""
+    state = result.state
+    return (
+        result.converged,
+        result.iterations,
+        repr(result.residual),
+        result.contradiction,
+        result.contradiction_wire,
+        state.iteration,
+        repr(state.residual),
+        [(vid, bits(b.values)) for vid, b in result.variable_beliefs.items()],
+        [(fid, b.shape, bits(b.data)) for fid, b in result.factor_beliefs.items()],
+        [(d, bits(a)) for arrays in state._arrays for d, a in arrays.items()],
+    )
+
+
+def kept_arrays(obj):
+    """Every ndarray a plan keeps, through its containers, stacks and programs."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from kept_arrays(x)
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from kept_arrays(x)
+    elif isinstance(obj, (engine._Plan, engine._TensorGroup)):
+        yield from kept_arrays(vars(obj))
+
+
+class TestOnePlanPerGraph:
+    """A graph compiles its plan on its first run and every later run,
+    under any config, reuses it; the plan holds no reference back."""
+
+    def test_every_entry_point_reuses_one_plan(self, monkeypatch):
+        built = []
+        init = engine._Plan.__init__
+
+        def counted(plan, g):
+            built.append(id(g))
+            init(plan, g)
+
+        monkeypatch.setattr(engine._Plan, "__init__", counted)
+        g = merged_orientations(np.random.default_rng(340))
+        run_bp(g, RunConfig())
+        run_bp(g, RunConfig(schedule="tree", normalize=False))
+        contraction_value(g)
+        engine.contraction_derivative(g, 2, 1)
+        init_messages(g, RunConfig(normalize=False))
+        assert built == [id(g)]
+        lifted, moved = dual_seed(g, 2, 1), relabel(g, {0: 1, 1: 0})
+        for other in (lifted, moved):
+            state = run_bp(other, RunConfig(schedule="tree")).state
+            assert state._plan is not g.__dict__["_plan"]
+            with pytest.raises(ValidationError):
+                beliefs(g, state, RunConfig())
+        assert built == [id(g), id(lifted), id(moved)]
+
+    def test_two_plans_compiled_at_once_leave_one_kept(self, monkeypatch):
+        g = merged_orientations(np.random.default_rng(345))
+        init, first = engine._Plan.__init__, []
+
+        def racing(plan, graph):
+            if not first:  # another thread compiles and keeps its plan meanwhile
+                first.append(object.__new__(engine._Plan))
+                init(first[0], graph)
+                graph.__dict__["_plan"] = first[0]
+            init(plan, graph)
+
+        monkeypatch.setattr(engine._Plan, "__init__", racing)
+        result = run_bp(g, RunConfig())
+        assert result.state._plan is first[0] is g.__dict__["_plan"]
+        assert list(beliefs(g, result.state, RunConfig())[1]) == list(result.factor_beliefs)
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_a_kept_plan_runs_as_a_fresh_one(self, name):
+        rng = np.random.default_rng(341)
+        graphs = [dual_seed(merged_orientations(rng), 2, 1) if name == "dual" else merged_orientations(rng, name)]
+        if name in ("prob", "maxtimes", "bool"):
+            graphs.append(random_loopy(rng, name))  # sync only
+        for g in graphs:
+            schedules = ("sync",) if len(graphs) == 2 and g is graphs[1] else ("sync", "tree")
+            # few enough sweeps that unnormalized loopy messages stay finite
+            configs = [RunConfig(schedule=s, normalize=n, max_iters=25) for s in schedules for n in (True, False)]
+            if name == "prob":
+                configs.append(RunConfig(damping=0.3))
+            for cfg in configs * 2:  # every config twice, each on the kept plan
+                assert result_bits(run_bp(g, cfg)) == result_bits(run_bp(fresh(g), cfg)), cfg
+        g = graphs[0]
+        assert repr(contraction_value(g)) == repr(contraction_value(fresh(g)))
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes"])
+    def test_a_contradiction_leaves_the_kept_plan_clean(self, name):
+        g = merged_orientations(np.random.default_rng(332), name, 1)
+        normalized = [RunConfig(max_iters=20), RunConfig(schedule="tree")]
+        clean = [RunConfig(normalize=False, max_iters=20), RunConfig(schedule="tree", normalize=False)]
+        for cfg in normalized + clean + normalized:
+            got = run_bp(g, cfg)
+            assert got.contradiction == (cfg in normalized)
+            assert result_bits(got) == result_bits(run_bp(fresh(g), cfg)), cfg
+
+    def test_every_kept_array_is_read_only(self):
+        rng = np.random.default_rng(342)
+        for g, schedule in ((odd_shapes(rng), "sync"), (merged_orientations(rng), "tree")):
+            result = run_bp(g, RunConfig(schedule=schedule))
+            run_bp(g, RunConfig())  # compiles the sync program of a tree too
+            plan = g.__dict__["_plan"]
+            assert "_sync_program" in vars(plan)
+            arrays = list(kept_arrays(plan))
+            assert len(arrays) > 10
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError):
+                plan.factor_groups[0].tensors[...] = 0.0
+            # a run's own arrays stay writable for the next sweep
+            assert all(a.flags.writeable for arrays in result.state._arrays for a in arrays.values())
+
+    def test_a_dropped_graph_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            g = merged_orientations(np.random.default_rng(343))
+            results = [run_bp(g, RunConfig()), run_bp(g, RunConfig(schedule="tree"))]
+            results[0].factor_beliefs
+            contraction_value(g)
+            graph_ref, plan_ref = weakref.ref(g), weakref.ref(g.__dict__["_plan"])
+            del g
+            alive = graph_ref() is not None  # the results hold their graph
+            del results
+            dead = graph_ref() is None and plan_ref() is None
+        finally:
+            gc.enable()
+        assert alive and dead
+
+    @pytest.mark.parametrize("schedule", ["sync", "tree"])
+    def test_factor_beliefs_are_built_on_first_read(self, monkeypatch, schedule):
+        rng = np.random.default_rng(344)
+        built = []
+        factor_beliefs = engine._Plan.factor_beliefs
+
+        def counted(plan, g, v2f):
+            built.append(id(g))
+            return factor_beliefs(plan, g, v2f)
+
+        monkeypatch.setattr(engine._Plan, "factor_beliefs", counted)
+        graphs = [merged_orientations(rng), merged_orientations(rng, "prob", 1)]
+        if schedule == "sync":
+            graphs.append(odd_shapes(rng))
+        for g in graphs:
+            cfg = RunConfig(schedule=schedule, max_iters=20)
+            result = run_bp(g, cfg)
+            assert built == []
+            first = result.factor_beliefs
+            assert built == [id(g)]
+            want = beliefs(g, result.state, cfg)[1]
+            assert list(first) == list(want) == [f.id for f in g.factors]
+            for fid, belief in want.items():
+                assert first[fid].shape == belief.shape and same_bits(first[fid].data, belief.data), fid
+            assert result.factor_beliefs is first
+            assert built == [id(g)] * 2  # the second is the public beliefs call
+            built.clear()
