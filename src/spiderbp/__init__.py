@@ -38,8 +38,8 @@ from .errors import (
     ValidationError,
     ZeroMessageError,
 )
-from .formats import parse_native, parse_uai, serialize_native, serialize_uai
-from .graph import FactorGraph, build_graph, tree_info
+from .formats import build_graph, parse_native, parse_uai, serialize_native, serialize_uai
+from .graph import FactorGraph, tree_info
 from .jtree import JTResult, run_junction_tree
 from .oracle import exact_argmax, exact_contraction, exact_marginal
 

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .formats import parse_native, parse_uai, serialize_native, serialize_uai
 from .jtree import run_junction_tree
-from .oracle import exact_contraction, exact_marginal
+from .oracle import exact_contraction, exact_marginal, joint_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,7 +135,8 @@ def _build_parser():
 
 def _load_graph(args, semiring=None):
     """Parse the input file under ``semiring``, else ``--semiring``; the
-    graph carries the semiring it was parsed under. Warnings become diags."""
+    graph carries the semiring it was parsed under. A parser's warnings are
+    caught with the rest of the command's (``cli_dispatch``)."""
     if not args.input:
         raise _UsageError(f"{args.command} requires --input")
     try:
@@ -144,15 +145,9 @@ def _load_graph(args, semiring=None):
     except OSError as err:
         raise ParseError(f"cannot read {args.input}: {err}") from err
     semiring = semiring or args.semiring
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if args.format == "uai":
-            graph, _ = parse_uai(text, semiring=semiring or "prob")
-        else:
-            graph, _ = parse_native(text, semiring=semiring)
-    for w in caught:
-        _diag("warning", str(w.message))
-    return graph
+    if args.format == "uai":
+        return parse_uai(text, semiring=semiring or "prob")[0]
+    return parse_native(text, semiring=semiring)[0]
 
 
 def _emit(args, document):
@@ -231,16 +226,15 @@ def _cmd_run(args):
 def _cmd_exact(args):
     g = _load_graph(args)
     semiring = get_semiring(g.semiring)
-    z = exact_contraction(g, semiring)
+    table = joint_table(g, semiring)  # built once, read by every answer
     doc = {
         "semiring": semiring.name,
-        "contraction_value": semiring.value_to_json(z),
+        "contraction_value": semiring.value_to_json(exact_contraction(g, semiring, table=table)),
+        "marginals": [
+            {"id": v.id, "values": _values_json(semiring, exact_marginal(g, semiring, v.id, table=table))}
+            for v in g.variables
+        ],
     }
-    marginals = []
-    for v in g.variables:
-        values = exact_marginal(g, semiring, v.id)
-        marginals.append({"id": v.id, "values": _values_json(semiring, values)})
-    doc["marginals"] = marginals
     _emit(args, doc)
     return EXIT_OK
 

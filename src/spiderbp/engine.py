@@ -62,7 +62,8 @@ from .errors import (
     ValidationError,
     ZeroMessageError,
 )
-from .graph import _carry_verdict, _ensure_valid, _wire_levels, components, tree_info
+from .formats import _assemble
+from .graph import _ensure_valid, _wire_levels, components, tree_info
 from .tensor import DenseTensor, Message, contract_to_axis, hadamard
 
 SCHEDULES = ("sync", "tree")
@@ -168,18 +169,19 @@ class BPResult:
 
 def _plan_of(g):
     """The graph's compiled plan, built on its first run and kept on the
-    graph as ``_ensure_valid`` keeps the verdict."""
+    graph as ``_ensure_valid`` keeps the verdict. Only a valid graph is
+    compiled: this is where every run checks its graph (ValidationError)."""
     plan = g.__dict__.get("_plan")
     if plan is None:
         # setdefault: of two threads compiling at once, both keep the first
-        plan = g.__dict__.setdefault("_plan", _Plan(g))
+        plan = g.__dict__.setdefault("_plan", _Plan(_ensure_valid(g)))
     return plan
 
 
 def init_messages(g, cfg):
     """Unit (all-ones) messages on every directed wire, iteration 0."""
-    _run_semiring(g.semiring, cfg)
     plan = _plan_of(g)
+    _run_semiring(g.semiring, cfg)
     return MessageState(plan, plan.initial(cfg))
 
 
@@ -678,8 +680,8 @@ def run_two_pass(g, cfg):
     support returns the state the per-wire run halts in: the messages
     before the first dead wire of that schedule, the unit from there on.
     """
-    _run_semiring(g.semiring, cfg)
     plan = _plan_of(g)
+    _run_semiring(g.semiring, cfg)
     arrays, halted_wire = plan.two_pass(g, cfg)
     residual = 0.0 if halted_wire is None else math.inf
     return MessageState(plan, arrays, 1, residual), halted_wire
@@ -726,7 +728,7 @@ def run_bp(g, cfg):
     The run builds variable beliefs only; the result computes its factor
     beliefs from its state on first read.
     """
-    _ensure_valid(g)
+    _plan_of(g)
     semiring = _run_semiring(g.semiring, cfg)
     if semiring.name == "count" and cfg.schedule == "sync" and not tree_info(g).is_tree:
         raise ValidationError(
@@ -806,7 +808,6 @@ def contraction_value(g):
     leaves it unchanged. Rank-0 factors multiply in directly; an isolated
     variable contributes one term per state.
     """
-    _ensure_valid(g)
     state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
     return contraction_from_state(g, state)
 
@@ -850,7 +851,6 @@ def contraction_derivative(g, factor_id, entry_index):
     ValidationError, a graph with a cycle a NotATreeError.
     """
     _check_target(g, factor_id, entry_index)
-    _ensure_valid(g)
     state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
     plan, (v2f, f2v) = state._plan, state._arrays
     semiring = plan.semiring
@@ -909,27 +909,16 @@ def dual_seed(g, factor_id, entry_index):
     generic-algebra route to what ``contraction_derivative`` reads off one
     prob run. A graph in any other semiring is a ValidationError.
     """
-    from .algebra import DualNumber
-    from .graph import FactorGraph, FactorNode
-
     if g.semiring != "prob":
         raise ValidationError(f"dual_seed lifts a prob graph, not a {g.semiring} graph: parse or build the model under prob")
     _check_target(g, factor_id, entry_index)
-
-    def lift(tensor, seed_at=None):
-        values = np.empty(tensor.size, dtype=object)
-        values[:] = [DualNumber(float(x), 0.0) for x in tensor.data.tolist()]
-        if seed_at is not None:
-            values[seed_at] = DualNumber(values[seed_at].real, 1.0)
-        return DenseTensor(tensor.shape, values)
-
-    factors = tuple(
-        FactorNode(f.id, lift(f.tensor, entry_index if f.id == factor_id else None), f.neighbors)
-        for f in g.factors
-    )
-    # lifting keeps every id, wire and shape, so a valid input needs no
-    # second validation
-    return _carry_verdict(FactorGraph(g.variables, factors, semiring="dual"), g)
+    factors = []
+    for f in g.factors:
+        values = f.tensor.data.tolist()
+        if f.id == factor_id:
+            values[entry_index] = [values[entry_index], 1.0]  # a dual pair: x + 1*eps
+        factors.append((f.id, f.neighbors, values))
+    return _assemble(get_semiring("dual"), g.variables, factors)
 
 
 def evaluate_assignment(g, assignment):

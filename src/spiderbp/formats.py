@@ -34,9 +34,11 @@ Python ints in both formats: a UAI integer token is read with ``int``, so
 file with a bad table are read table by table through
 ``DenseTensor.from_values``, so every error is the one that table alone
 raises: factor i's unknown-variable, value and size checks all run before
-factor i+1 is looked at, and the first error in file order wins. A parsed
-graph is validated once; ``run_bp`` and the other entry points reuse the
-verdict.
+factor i+1 is looked at, and the first error in file order wins.
+``build_graph`` and ``engine.dual_seed`` go through the same code
+(``_assemble``), so plain data and a file describing it give the same graph
+or the same typed error. A graph is validated once; ``run_bp`` and the
+other entry points reuse the verdict.
 """
 
 from __future__ import annotations
@@ -131,14 +133,81 @@ def _table(sr, fid, shape, values):
         raise ValidationError(f"factor {fid}: {err}") from None
 
 
+def _variable(i, vid, name, dim):
+    """Variable ``vid`` declared at ``variables[i]``: a dim that is not an
+    integer >= 1 is a ValidationError there, one over the cap a
+    TooLargeError."""
+    try:
+        return VariableNode(vid, ObjectType(name, dim))
+    except ValueError as err:
+        raise ValidationError(f"{err} at variables[{i}]") from None
+
+
+def _assemble(sr, variables, factors):
+    """The validated graph of ``variables`` and ``factors``, a list of (id,
+    neighbor ids, table) triples, its tables read into semiring ``sr`` in
+    bulk or one by one as the module docstring says: the one path from
+    tables to a graph, for ``build_graph``, ``parse_native`` and ``dual_seed``.
+    """
+    dims = {v.id: int(v.obj.dim) for v in variables}
+    shapes, stop = [], None
+    for fid, neighbors, _values in factors:
+        try:
+            shapes.append(tuple(map(dims.__getitem__, neighbors)))
+        except KeyError:
+            unknown = [v for v in neighbors if v not in dims]
+            stop = ValidationError(f"factor {fid} references unknown variable {unknown[0]}")
+            break
+    # the tables before an unknown variable raise their own errors first
+    tables = [values for _fid, _nb, values in factors[: len(shapes)]]
+    tensors = None
+    if sr.name in _BULK and all(
+        type(values) is list and len(values) == math.prod(shape)
+        for shape, values in zip(shapes, tables)
+    ):
+        tensors = _bulk(sr, shapes, list(chain.from_iterable(tables)))
+    if tensors is None:
+        tensors = [
+            _table(sr, f[0], shape, values) for f, shape, values in zip(factors, shapes, tables)
+        ]
+    if stop is not None:
+        raise stop
+    return _graph(sr, variables, factors, tensors)
+
+
+def _graph(sr, variables, factors, tensors):
+    """The validated graph with one factor per (id, neighbor ids, ...) and tensor."""
+    nodes = tuple(FactorNode(f[0], t, f[1]) for f, t in zip(factors, tensors))
+    return _ensure_valid(FactorGraph(tuple(variables), nodes, semiring=sr.name))
+
+
+def build_graph(var_dims, factors, semiring):
+    """Convenience constructor from plain Python data.
+
+    ``var_dims`` is a list of dims or (name, dim) pairs; ``factors`` a list
+    of (neighbor ids, flat row-major values). Values are coerced into the
+    given semiring's scalar type, and the graph is labelled with it. Bad
+    data raises what ``parse_native`` raises for it: a ValidationError
+    naming the variable or factor, or a TooLargeError for a dim over the
+    tensor cap.
+    """
+    sr = get_semiring(semiring)
+    variables = []
+    for i, entry in enumerate(var_dims):
+        name, dim = entry if isinstance(entry, tuple) else (f"v{i}", entry)
+        variables.append(_variable(i, i, name, dim))
+    return _assemble(sr, variables, [(i, tuple(nb), values) for i, (nb, values) in enumerate(factors)])
+
+
 def parse_native(text, semiring=None):
     """Parse a native JSON document into (FactorGraph, semiring).
 
     The semiring is ``semiring`` if given, else the document's
     ``semiring_hint``, else guessed from the first table entry; the graph
     is labelled with it. Raises ParseError for malformed documents (with
-    the JSON position or object path) and ValidationError when the
-    described graph is unsound (with the offending ids).
+    the JSON position or object path), ValidationError when the described
+    graph is unsound (with the offending ids) and TooLargeError for a dim
+    over the tensor cap.
     """
     try:
         doc = json.loads(text)
@@ -181,12 +250,7 @@ def parse_native(text, semiring=None):
         vid = item["id"]
         if type(vid) is not int:
             raise ParseError(f"id must be an integer at variables[{i}]")
-        name = item["name"] if "name" in item else f"v{vid}"
-        try:
-            obj = ObjectType(name, item["dim"])
-        except ValueError as err:
-            raise ValidationError(f"{err} at variables[{i}]") from None
-        variables.append(VariableNode(vid, obj))
+        variables.append(_variable(i, vid, item["name"] if "name" in item else f"v{vid}", item["dim"]))
 
     factors = []
     for i, item in enumerate(doc["factors"]):
@@ -201,36 +265,7 @@ def parse_native(text, semiring=None):
             raise ParseError(f"neighbors must be a list of variable ids at factors[{i}]")
         factors.append((fid, tuple(neighbors), item["values"]))
 
-    dims = {v.id: int(v.obj.dim) for v in variables}
-    shapes, stop = [], None
-    for fid, neighbors, _values in factors:
-        try:
-            shapes.append(tuple(map(dims.__getitem__, neighbors)))
-        except KeyError:
-            unknown = [v for v in neighbors if v not in dims]
-            stop = ValidationError(f"factor {fid} references unknown variable {unknown[0]}")
-            break
-    # the tables before an unknown variable raise their own errors first
-    tables = [values for _fid, _nb, values in factors[: len(shapes)]]
-    tensors = None
-    if sr.name in _BULK and all(
-        type(values) is list and len(values) == math.prod(shape)
-        for shape, values in zip(shapes, tables)
-    ):
-        tensors = _bulk(sr, shapes, list(chain.from_iterable(tables)))
-    if tensors is None:
-        tensors = [
-            _table(sr, f[0], shape, values) for f, shape, values in zip(factors, shapes, tables)
-        ]
-    if stop is not None:
-        raise stop
-    nodes = [
-        FactorNode(fid, tensor, neighbors)
-        for (fid, neighbors, _values), tensor in zip(factors, tensors)
-    ]
-
-    g = FactorGraph(tuple(variables), tuple(nodes), semiring=sr.name)
-    return _ensure_valid(g), sr
+    return _assemble(sr, variables, factors), sr
 
 
 def graph_to_document(g):
@@ -377,9 +412,7 @@ def parse_uai(text, semiring="prob"):
             count = toks.next_int("the table size of factor {i}", i=i)
             values = toks.take(count, "entry {j} of factor {i}", number, i=i)
             tensors.append(_table(sr, i, shape, values))
-    factors = tuple(FactorNode(i, t, scope) for i, (t, scope) in enumerate(zip(tensors, scopes)))
-    g = FactorGraph(variables, factors, semiring=sr.name)
-    return _ensure_valid(g), sr
+    return _graph(sr, variables, list(enumerate(scopes)), tensors), sr
 
 
 def _uai_bulk(toks, sr, shapes, number):

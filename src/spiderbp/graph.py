@@ -27,13 +27,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import SEMIRINGS, get_semiring
-from .errors import NotATreeError, ValidationError
+from .algebra import SEMIRINGS
+from .errors import NotATreeError, TooLargeError, ValidationError
+
+#: hard cap on total entries of any one tensor, and so on any one dim
+DEFAULT_TENSOR_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
 class ObjectType:
-    """A wire type: a name plus the number of states it ranges over."""
+    """A wire type: a name plus the number of states it ranges over, at
+    most ``DEFAULT_TENSOR_CAP`` (TooLargeError), as any tensor's entries."""
 
     name: str
     dim: int
@@ -41,6 +45,10 @@ class ObjectType:
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"object {self.name!r} must have integer dim >= 1, got {self.dim!r}")
+        if self.dim > DEFAULT_TENSOR_CAP:
+            raise TooLargeError(
+                f"object {self.name!r} has dim {self.dim}, over the tensor cap of {DEFAULT_TENSOR_CAP}"
+            )
 
 
 @dataclass(frozen=True)
@@ -247,14 +255,6 @@ def _ensure_valid(g):
     return g
 
 
-def _carry_verdict(g, source):
-    """Carry ``source``'s passing verdict over to ``g``, a graph with the
-    same ids, wiring and tensor shapes."""
-    if "_valid" in source.__dict__:
-        g.__dict__["_valid"] = True
-    return g
-
-
 @dataclass(frozen=True)
 class TreeInfo:
     is_tree: bool
@@ -376,30 +376,3 @@ def _wire_levels(g):
                     out[i] = (second if i == top_wire else top) + 1
     return v2f, f2v
 
-
-def build_graph(var_dims, factors, semiring):
-    """Convenience constructor from plain Python data.
-
-    ``var_dims`` is a list of dims or (name, dim) pairs; ``factors`` a list
-    of (neighbor ids, flat row-major values). Values are coerced into the
-    given semiring's scalar type, and the graph is labelled with it.
-    """
-    from .tensor import DenseTensor  # local import; tensor layer sits above this one
-
-    semiring = get_semiring(semiring)
-    variables = []
-    for i, entry in enumerate(var_dims):
-        name, dim = entry if isinstance(entry, tuple) else (f"v{i}", entry)
-        variables.append(VariableNode(i, ObjectType(name, dim)))
-
-    nodes = []
-    for i, (neighbors, values) in enumerate(factors):
-        unknown = [v for v in neighbors if not 0 <= v < len(variables)]
-        if unknown:
-            raise ValidationError(
-                f"factor {i} references unknown variable ids {unknown}"
-            )
-        shape = tuple(variables[v].obj.dim for v in neighbors)
-        nodes.append(FactorNode(i, DenseTensor.from_values(shape, values, semiring), tuple(neighbors)))
-
-    return _ensure_valid(FactorGraph(tuple(variables), tuple(nodes), semiring=semiring.name))

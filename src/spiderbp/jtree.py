@@ -249,6 +249,8 @@ def run_junction_tree(g, cfg):
     every incoming message; each variable's marginal is folded out of its
     lowest-id covering clique (rescaled per config), and the contraction
     value is the product over components of the root beliefs' totals.
+    ``contradiction`` flags dead support by ``run_bp``'s rule: a normalized
+    marginal of zero mass (reported as its raw zeros), or under bool Z = 0.
     """
     semiring = _run_semiring(g.semiring, cfg)
     tree = build_junction_tree(g)
@@ -295,14 +297,14 @@ def run_junction_tree(g, cfg):
     beliefs = {cid: gather(cid) for cid in sorted(nbrs)}
     for root in roots:
         z = semiring.mul(z, semiring.fold(beliefs[root].reshape(-1), 0).item())
-    variable_beliefs = {}
+    variable_beliefs, contradiction = {}, semiring.name == "bool" and z == semiring.zero
     for v in g.variables:
         cid = tree.variable_to_clique[v.id]
-        variable_beliefs[v.id] = _marginal(semiring, beliefs[cid], members[cid].index(v.id), v.obj, cfg.normalize)
+        variable_beliefs[v.id], dead = _marginal(semiring, beliefs[cid], members[cid].index(v.id), v.obj, cfg.normalize)
+        contradiction = contradiction or dead
     clique_beliefs = {cid: DenseTensor._wrap(arr.shape, arr.reshape(-1)) for cid, arr in beliefs.items()}
     for belief in clique_beliefs.values():  # fresh arrays: frozen, not copied
         belief.data.flags.writeable = False
-    contradiction = semiring.name == "bool" and z == semiring.zero
     return JTResult(variable_beliefs, z, tree, semiring.name, clique_beliefs, contradiction)
 
 
@@ -321,16 +323,19 @@ def marginal_from_clique(result, cid, variable_id, cfg):
         )
     belief = result.clique_beliefs[cid].as_array()
     pos = clique.members.index(variable_id)
-    return _marginal(semiring, belief, pos, ObjectType(f"v{variable_id}", belief.shape[pos]), cfg.normalize)
+    return _marginal(semiring, belief, pos, ObjectType(f"v{variable_id}", belief.shape[pos]), cfg.normalize)[0]
 
 
 def _marginal(semiring, belief, pos, obj, normalize):
-    """Read-only marginal over ``obj`` of ``belief``'s axis ``pos``: one left fold, rescaled if asked."""
+    """Read-only marginal over ``obj`` of ``belief``'s axis ``pos``: one left
+    fold, rescaled if asked. Returns (marginal, dead), ``dead`` when the
+    rescaling met zero mass; the marginal then holds the raw zeros."""
     values = semiring.fold(np.moveaxis(belief, pos, 0).reshape(belief.shape[pos], -1), 1)
+    dead = False
     if normalize and semiring.has_normalize:
         try:
             values = semiring.normalize(values)
         except ZeroMessageError:
-            pass  # dead support: report the raw zeros
+            dead = True
     values.flags.writeable = False
-    return Message._wrap(obj, values)
+    return Message._wrap(obj, values), dead

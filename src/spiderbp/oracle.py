@@ -27,13 +27,6 @@ def assignments(dims):
     return product(*(range(d) for d in dims))
 
 
-def _guard(dims, cap):
-    total = math.prod(dims) if dims else 1
-    if total > cap:
-        raise TooLargeError(f"{total} assignments exceed the oracle cap of {cap}")
-    return total
-
-
 def _lifted_factor(factor, var_pos, grid, dims):
     """Factor table, broadcastable over the full joint shape.
 
@@ -49,10 +42,14 @@ def _lifted_factor(factor, var_pos, grid, dims):
     return arr[index]
 
 
-def joint_table(g, semiring):
-    """Full joint array over variable assignments."""
+def joint_table(g, semiring, cap=DEFAULT_ORACLE_CAP):
+    """Full joint array over variable assignments; TooLargeError when there
+    are more than ``cap`` of them."""
     semiring = get_semiring(semiring)
     dims = tuple(v.obj.dim for v in g.variables)
+    total = math.prod(dims)
+    if total > cap:
+        raise TooLargeError(f"{total} assignments exceed the oracle cap of {cap}")
     var_pos = {v.id: i for i, v in enumerate(g.variables)}
     grid = np.ix_(*map(range, dims))  # open grids: one axis each
     table = semiring.ones(dims)
@@ -63,16 +60,16 @@ def joint_table(g, semiring):
     return table
 
 
-def exact_contraction(g, semiring, cap=DEFAULT_ORACLE_CAP):
+def exact_contraction(g, semiring, cap=DEFAULT_ORACLE_CAP, table=None):
     """Semiring-sum of the joint table over every assignment.
 
     An assignment picks one state per variable. Terms fold in ascending
-    row-major order.
+    row-major order. ``table`` is a precomputed ``joint_table``, as for
+    ``exact_marginal``.
     """
     semiring = get_semiring(semiring)
-    dims = tuple(v.obj.dim for v in g.variables)
-    _guard(dims, cap)
-    table = joint_table(g, semiring)
+    if table is None:
+        table = joint_table(g, semiring, cap)
     return semiring.fold(table.reshape(-1), 0).item()
 
 
@@ -85,10 +82,9 @@ def exact_marginal(g, semiring, variable_id, cap=DEFAULT_ORACLE_CAP, table=None)
     """
     semiring = get_semiring(semiring)
     dims = tuple(v.obj.dim for v in g.variables)
-    _guard(dims, cap)
     pos = {v.id: i for i, v in enumerate(g.variables)}[variable_id]
     if table is None:
-        table = joint_table(g, semiring)
+        table = joint_table(g, semiring, cap)
     rows = np.moveaxis(np.asarray(table), pos, -1).reshape(-1, dims[pos])
     return semiring.fold(rows, 0)
 
@@ -101,8 +97,7 @@ def exact_argmax(g, cap=DEFAULT_ORACLE_CAP):
     """
     semiring = get_semiring("maxtimes")
     dims = tuple(v.obj.dim for v in g.variables)
-    _guard(dims, cap)
-    table = joint_table(g, semiring)
+    table = joint_table(g, semiring, cap)
     if not dims:
         return {}, float(table.reshape(())[()])
     flat = np.asarray(table, dtype=np.float64).reshape(-1)

@@ -19,10 +19,7 @@ from .errors import (
     ShapeMismatchError,
     TooLargeError,
 )
-from .graph import ObjectType
-
-#: hard cap on total entries of any one tensor
-DEFAULT_TENSOR_CAP = 1 << 24
+from .graph import DEFAULT_TENSOR_CAP, ObjectType
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,17 @@ UAI_PAIR = """MARKOV
 """
 
 
+#: two unary factors and an equality that no state satisfies together
+DEAD_SUPPORT = {
+    "variables": [{"id": 0, "dim": 2}, {"id": 1, "dim": 2}],
+    "factors": [
+        {"id": 0, "neighbors": [0], "values": [1.0, 0.0]},
+        {"id": 1, "neighbors": [1], "values": [0.0, 1.0]},
+        {"id": 2, "neighbors": [0, 1], "values": [1.0, 0.0, 0.0, 1.0]},
+    ],
+}
+
+
 def write(tmp_path, doc, name="g.json"):
     path = tmp_path / name
     if isinstance(doc, str):
@@ -262,6 +273,26 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "run", "--input", path)
         assert code == 5
 
+    @pytest.mark.parametrize("command", ["run", "jtree", "exact", "map", "grad", "convert"])
+    def test_dim_over_the_tensor_cap_is_5_before_any_allocation(self, tmp_path, capsys, command):
+        import tracemalloc
+
+        path = write(tmp_path, {"variables": [{"id": 0, "dim": (1 << 24) + 1}], "factors": []})
+        extra = ["--factor", "0", "--entry", "0"] if command == "grad" else []
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, command, "--input", path, *extra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5 and out == ""
+        assert "over the tensor cap" in json.loads(err)["message"]
+        assert peak < 1 << 20
+
+    def test_uai_cardinality_over_the_tensor_cap_is_5(self, tmp_path, capsys):
+        path = write(tmp_path, f"MARKOV\n1\n{(1 << 24) + 1}\n0\n", "g.uai")
+        assert run_cli(capsys, "run", "--input", path, "--format", "uai")[0] == 5
+
     def test_oracle_cap_is_5(self, tmp_path, capsys):
         doc = {
             "variables": [{"id": i, "dim": 2} for i in range(24)],
@@ -297,6 +328,43 @@ class TestExact:
         assert doc["contraction_value"] == 10.0
         assert doc["marginals"][0]["values"] == [3.0, 7.0]
 
+    @pytest.mark.parametrize("semiring", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_one_joint_table_per_exact(self, tmp_path, capsys, monkeypatch, semiring):
+        from spiderbp import cli, oracle
+        from spiderbp.formats import parse_native
+
+        doc = {
+            "variables": [{"id": i, "dim": 2 + i % 2} for i in range(4)],
+            "factors": [
+                {"id": 0, "neighbors": [0, 1], "values": [1, 0, 1, 1, 1, 1]},
+                {"id": 1, "neighbors": [1, 2], "values": [1, 1, 0, 1, 1, 1]},
+                {"id": 2, "neighbors": [2, 3], "values": [1, 1, 1, 1, 0, 1]},
+            ],
+        }
+        path = write(tmp_path, doc)
+        # the document each answer gives from a joint table of its own
+        g, sr = parse_native(json.dumps(doc), semiring=semiring)
+        expected = json.dumps({
+            "semiring": semiring,
+            "contraction_value": sr.value_to_json(oracle.exact_contraction(g, sr)),
+            "marginals": [
+                {"id": v.id, "values": [sr.value_to_json(x) for x in oracle.exact_marginal(g, sr, v.id).tolist()]}
+                for v in g.variables
+            ],
+        }) + "\n"
+        calls = []
+        original = oracle.joint_table
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "joint_table", counted)
+        monkeypatch.setattr(cli, "joint_table", counted)
+        code, out, _ = run_cli(capsys, "exact", "--input", path, "--semiring", semiring)
+        assert code == 0 and len(calls) == 1
+        assert out == expected
+
 
 class TestJtree:
     def test_loopy_beliefs(self, tmp_path, capsys):
@@ -326,6 +394,25 @@ class TestJtree:
         code, out, _ = run_cli(capsys, "jtree", "--input", path, "--no-normalize")
         assert code == 4
         assert json.loads(out)["contraction_value"] is False
+
+    @pytest.mark.parametrize(
+        "flags, exit_code",
+        [
+            ([], 4),
+            (["--semiring", "maxtimes"], 4),
+            (["--semiring", "bool"], 4),
+            (["--no-normalize"], 0),
+            (["--semiring", "count"], 0),
+        ],
+    )
+    def test_dead_support_by_run_bps_rule(self, tmp_path, capsys, flags, exit_code):
+        path = write(tmp_path, DEAD_SUPPORT)
+        code, out, err = run_cli(capsys, "jtree", "--input", path, *flags)
+        assert code == exit_code
+        assert run_cli(capsys, "run", "--input", path, *flags)[0] == exit_code
+        assert [item["values"] for item in json.loads(out)["beliefs"]] == [[0, 0], [0, 0]]
+        if exit_code:
+            assert [json.loads(line)["level"] for line in err.splitlines()] == ["error"]
 
 
 class TestMap:
@@ -539,6 +626,17 @@ class TestDiagnosticsAreJson:
         messages = [r["message"] for r in self.records(err) if r["level"] == "warning"]
         assert messages and len(set(messages)) == len(messages)
         assert all(m.startswith("overflow encountered in") for m in messages)
+
+    def test_a_bayes_file_warns_once_after_the_commands_own_lines(self, tmp_path, capsys):
+        path = write(tmp_path, UAI_PAIR.replace("MARKOV", "BAYES"), "g.uai")
+        code, _, err = run_cli(capsys, "run", "--input", path, "--format", "uai")
+        assert code == 0
+        assert [(r["level"], r["message"]) for r in self.records(err)] == [
+            ("warning", "BAYES network read as plain factor tables")
+        ]
+        code, _, err = run_cli(capsys, "grad", "--input", path, "--format", "uai", "--factor", "5", "--entry", "0")
+        assert code == 2
+        assert [r["level"] for r in self.records(err)] == ["error", "warning"]
 
     def test_warnings_follow_the_error_of_a_failed_run(self, tmp_path, capsys):
         path = write(tmp_path, big_tables(3, [(0, 1), (1, 2), (2, 0)]))

@@ -685,6 +685,35 @@ class TestValidationGate:
         with pytest.raises(ValidationError):
             run_bp(bad, RunConfig())
 
+    @staticmethod
+    def dangling():
+        """A hand-built graph whose factor names a variable it does not have."""
+        from spiderbp.graph import FactorGraph, FactorNode, ObjectType, VariableNode
+        from spiderbp.tensor import DenseTensor
+
+        return FactorGraph(
+            (VariableNode(0, ObjectType("a", 2)),),
+            (FactorNode(0, DenseTensor((2, 2), np.ones(4)), (0, 1)),),
+        )
+
+    def test_init_messages_compiles_only_a_valid_graph(self):
+        g = self.dangling()
+        with pytest.raises(ValidationError, match="unknown variable 1"):
+            init_messages(g, RunConfig())
+        assert "_plan" not in g.__dict__
+
+    def test_run_two_pass_compiles_only_a_valid_graph(self):
+        g = self.dangling()
+        with pytest.raises(ValidationError, match="unknown variable 1"):
+            run_two_pass(g, RunConfig(schedule="tree"))
+        assert "_plan" not in g.__dict__
+
+    def test_count_under_sync_is_validated_before_its_tree_check(self):
+        g = self.dangling()
+        g = type(g)(g.variables, g.factors, semiring="count")
+        with pytest.raises(ValidationError, match="unknown variable 1"):
+            run_bp(g, RunConfig())
+
 
 def k4(semiring=COUNT):
     """Four binary variables, an all-ones table on every pair."""

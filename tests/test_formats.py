@@ -5,12 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiderbp import (
     PROB,
     FormatWarning,
     ParseError,
     RunConfig,
+    SpiderBPError,
     TooLargeError,
     UnsupportedPreambleError,
     ValidationError,
@@ -23,7 +26,7 @@ from spiderbp import (
     serialize_uai,
 )
 from spiderbp.algebra import COUNT, DUAL, DualNumber, get_semiring
-from spiderbp.tensor import DenseTensor
+from spiderbp.tensor import DEFAULT_TENSOR_CAP, DenseTensor
 
 from fixtures import random_tree
 
@@ -628,6 +631,76 @@ class TestErrorCatalogue:
                 parse_native(text, semiring=semiring)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+def _graph_bits(g):
+    """Everything that must match between two graphs: label, variables, and
+    each factor's wiring, shape, dtype and table bits."""
+    return (
+        g.semiring,
+        [(v.id, v.obj.name, v.obj.dim) for v in g.variables],
+        [(f.id, f.neighbors, f.tensor.shape, f.tensor.data.dtype, _bits(f.tensor.data)) for f in g.factors],
+    )
+
+
+def _mutate(rng, kind, dims, scopes, tables):
+    """One fault of ``kind`` put into a model's plain data, in place."""
+    if kind.startswith("dim"):
+        dims[int(rng.integers(0, len(dims)))] = 0 if kind == "dim 0" else DEFAULT_TENSOR_CAP + 1
+        return
+    k = int(rng.integers(0, len(tables)))
+    if kind == "short table":
+        tables[k] = tables[k][:-1]
+    elif kind == "unknown neighbor":
+        scopes[k] = scopes[k] + [len(dims)]
+    else:
+        tables[k][int(rng.integers(0, len(tables[k])))] = {"negative": -1, "nan": float("nan"), "None": None}[kind]
+
+
+MUTATIONS = ["negative", "nan", "None", "short table", "unknown neighbor", "dim 0", "dim over the cap"]
+
+
+def _outcome(build):
+    """The SpiderBPError class ``build()`` raises, None when it returns;
+    any other exception fails the test."""
+    try:
+        build()
+    except SpiderBPError as err:
+        return type(err)
+    return None
+
+
+class TestOneWayIn:
+    """``build_graph`` and both parsers assemble a graph through one path,
+    so plain data and a file describing it give the same graph bit for bit,
+    or the same typed error."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        semiring=st.sampled_from(["prob", "maxtimes", "count", "bool", "dual"]),
+        mutation=st.sampled_from(MUTATIONS),
+    )
+    def test_builders_agree(self, seed, semiring, mutation):
+        rng = np.random.default_rng(seed)
+        dims, scopes, tables = _random_document(rng, semiring)
+        g = build_graph(dims, list(zip(scopes, tables)), semiring)
+        want = _graph_bits(g)
+        assert _graph_bits(parse_native(serialize_native(g))[0]) == want
+        assert _graph_bits(parse_native(_native_text(dims, scopes, tables), semiring=semiring)[0]) == want
+        if semiring != "dual":
+            assert _graph_bits(parse_uai(serialize_uai(g), semiring=semiring)[0]) == want
+
+        if not tables and not mutation.startswith("dim"):
+            mutation = "dim 0"
+        _mutate(rng, mutation, dims, scopes, tables)
+        built = _outcome(lambda: build_graph(dims, list(zip(scopes, tables)), semiring))
+        parsed = _outcome(lambda: parse_native(_native_text(dims, scopes, tables), semiring=semiring))
+        assert built is parsed
+        if mutation == "dim over the cap":
+            assert built is TooLargeError
+        elif not (mutation == "negative" and semiring == "dual"):  # a dual entry may be negative
+            assert built is ValidationError
 
 
 class TestBenchModelsParse:

@@ -667,7 +667,7 @@ class TestOneReadPerVariable:
             dims = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(1, 5))))
             arr = rng.random(dims) * 10.0 ** rng.integers(-4, 5, dims)
             for pos in range(len(dims)):
-                values = _marginal(PROB, arr, pos, ObjectType("v", dims[pos]), False).values
+                values = _marginal(PROB, arr, pos, ObjectType("v", dims[pos]), False)[0].values
                 assert values.tolist() == literal_fold(arr, pos)
 
     def test_one_fold_per_variable(self, monkeypatch):
