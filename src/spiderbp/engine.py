@@ -167,15 +167,21 @@ class BPResult:
         return plan.factor_beliefs(self._graph, v2f)
 
 
-def _plan_of(g):
-    """The graph's compiled plan, built on its first run and kept on the
-    graph as ``_ensure_valid`` keeps the verdict. Only a valid graph is
-    compiled: this is where every run checks its graph (ValidationError)."""
-    plan = g.__dict__.get("_plan")
-    if plan is None:
+def _kept(g, key, compile):
+    """``compile(g)``, built on first use and kept on the graph under ``key``
+    as ``_ensure_valid`` keeps the verdict. Only a valid graph is compiled,
+    and a compile that raises keeps nothing."""
+    kept = g.__dict__.get(key)
+    if kept is None:
         # setdefault: of two threads compiling at once, both keep the first
-        plan = g.__dict__.setdefault("_plan", _Plan(_ensure_valid(g)))
-    return plan
+        kept = g.__dict__.setdefault(key, compile(_ensure_valid(g)))
+    return kept
+
+
+def _plan_of(g):
+    """The graph's compiled plan, built on its first run and kept: this is
+    where every run checks its graph (ValidationError)."""
+    return _kept(g, "_plan", _Plan)
 
 
 def init_messages(g, cfg):

@@ -48,6 +48,7 @@ import math
 import re
 import warnings
 from itertools import accumulate, chain, islice
+from numbers import Integral
 
 from .algebra import get_semiring
 from .errors import (
@@ -145,13 +146,20 @@ def _variable(i, vid, name, dim):
 
 def _assemble(sr, variables, factors):
     """The validated graph of ``variables`` and ``factors``, a list of (id,
-    neighbor ids, table) triples, its tables read into semiring ``sr`` in
-    bulk or one by one as the module docstring says: the one path from
-    tables to a graph, for ``build_graph``, ``parse_native`` and ``dual_seed``.
+    neighbor ids, table) triples (numpy integer ids rewritten as ints), its
+    tables read into semiring ``sr`` in bulk or one by one as the module
+    docstring says: the one path from tables to a graph, for
+    ``build_graph``, ``parse_native`` and ``dual_seed``.
     """
     dims = {v.id: int(v.obj.dim) for v in variables}
     shapes, stop = [], None
-    for fid, neighbors, _values in factors:
+    for k, (fid, neighbors, values) in enumerate(factors):
+        if not _INT.issuperset(map(type, neighbors)):  # numpy integers are kept as ints
+            bad = [v for v in neighbors if type(v) is bool or not isinstance(v, Integral)]
+            if bad:
+                stop = ValidationError(f"factor {fid}: neighbor ids must be integers, got {bad[0]!r}")
+                break
+            factors[k] = (fid, neighbors := tuple(map(int, neighbors)), values)
         try:
             shapes.append(tuple(map(dims.__getitem__, neighbors)))
         except KeyError:
@@ -261,7 +269,7 @@ def parse_native(text, semiring=None):
         if type(fid) is not int:
             raise ParseError(f"id must be an integer at factors[{i}]")
         neighbors = item["neighbors"]
-        if type(neighbors) is not list or not _INT.issuperset(map(type, neighbors)):
+        if type(neighbors) is not list:
             raise ParseError(f"neighbors must be a list of variable ids at factors[{i}]")
         factors.append((fid, tuple(neighbors), item["values"]))
 

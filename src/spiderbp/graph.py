@@ -43,7 +43,7 @@ class ObjectType:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is bool or not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"object {self.name!r} must have integer dim >= 1, got {self.dim!r}")
         if self.dim > DEFAULT_TENSOR_CAP:
             raise TooLargeError(

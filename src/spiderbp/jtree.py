@@ -18,18 +18,25 @@ commutative semiring (the generalized distributive law). A variable's
 marginal is one fold of its lowest-id covering clique's belief, the same
 from any covering clique. Every sum is a ``Semiring.fold`` in ascending
 row-major order of the summed-out indices (``spiderbp.algebra``).
+
+A frozen graph keeps its junction tree compiled, read-only, beside its BP
+plan: the tree, clique potentials and send program are built on its first
+``run_junction_tree``, later calls only propagate, and every ``JTResult``
+of the graph shares the one tree.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import types
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .engine import _run_semiring
+from .algebra import get_semiring
+from .engine import _kept, _run_semiring
 from .errors import CliqueTooLargeError, ValidationError, ZeroMessageError
 from .graph import ObjectType, _ensure_valid
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor, Message
@@ -48,8 +55,8 @@ class JunctionTree:
     #: tree edges as (clique id a, clique id b, separator variable ids), a < b,
     #: sorted
     edges: tuple
-    #: original variable id -> lowest-id covering clique
-    variable_to_clique: dict
+    #: original variable id -> lowest-id covering clique, read-only
+    variable_to_clique: types.MappingProxyType
     elimination_order: tuple
 
 
@@ -184,7 +191,7 @@ def build_junction_tree(g, cap=DEFAULT_TENSOR_CAP):
     cliques = tuple(
         Clique(i, m, tuple(assigned[i])) for i, m in enumerate(members)
     )
-    var_to_clique = {v: ids[0] for v, ids in covering.items()}
+    var_to_clique = types.MappingProxyType({v: ids[0] for v, ids in covering.items()})
     tree = JunctionTree(cliques, edges, var_to_clique, tuple(order))
     if not running_intersection_holds(tree):
         raise RuntimeError("internal error: running intersection property violated")
@@ -200,13 +207,17 @@ def _clique_potential(g, semiring, clique):
     return np.asarray(pot)
 
 
-def _sum_onto(semiring, arr, members, sep):
-    """Semiring sum of a member-space array onto the separator's axes."""
+def _onto(dims, members, sep):
+    """``_sum_onto``'s layout for ``dims``: (transpose order, rows, separator shape)."""
     keep = [members.index(v) for v in sep]
+    sep_dims = tuple(dims[i] for i in keep)
     rest = [i for i in range(len(members)) if i not in keep]
-    sep_dims = tuple(arr.shape[i] for i in keep)
-    rows = np.transpose(arr, keep + rest).reshape(math.prod(sep_dims), -1)
-    return semiring.fold(rows, 1).reshape(sep_dims)
+    return keep + rest, (math.prod(sep_dims), math.prod(dims[i] for i in rest)), sep_dims
+
+
+def _sum_onto(semiring, arr, order, rows, sep_dims):
+    """Semiring sum of a member-space array onto the separator's axes (``_onto``)."""
+    return semiring.fold(np.transpose(arr, order).reshape(rows), 1).reshape(sep_dims)
 
 
 def _lift(arr, variables, members):
@@ -225,8 +236,51 @@ def _lift(arr, variables, members):
     return arr[tuple([slice(None) if m in axes else None for m in members])]
 
 
+class _CompiledTree:
+    """A graph's junction tree, potentials (read-only: every run shares
+    them) and send program: per separator message, in collect-then-
+    distribute order, (sender, receiver, ``_onto`` layout, lift index). It
+    holds no reference to the graph."""
+
+    def __init__(self, g):
+        semiring = get_semiring(g.semiring)
+        self.tree = tree = build_junction_tree(g)
+        self.z = semiring.one  # times the rank-0 factors, when there are no cliques
+        for f in () if tree.cliques else sorted(g.factors, key=lambda f: f.id):
+            self.z = semiring.mul(self.z, f.tensor.data.item(0))
+        members = [c.members for c in tree.cliques]
+        self.potentials = tuple(_clique_potential(g, semiring, c) for c in tree.cliques)
+        for pot in self.potentials:  # fresh arrays: frozen, not copied
+            pot.flags.writeable = False
+        nbrs = [{} for _ in members]
+        for a, b, sep in tree.edges:
+            nbrs[a][b] = nbrs[b][a] = sep
+        self.neighbours = tuple(tuple(sorted(n)) for n in nbrs)
+        self.roots, self.sends, parent = [], [], {}
+        for root in range(len(members)):
+            if root in parent:
+                continue
+            self.roots.append(root)
+            order, parent[root], stack = [], None, [root]
+            while stack:  # pre-order, lowest-id child first
+                cid = stack.pop()
+                order.append(cid)
+                for other in reversed(self.neighbours[cid]):
+                    if other != parent[cid]:
+                        parent[other] = cid
+                        stack.append(other)
+            for a, b in [(cid, parent[cid]) for cid in reversed(order[1:])] + [(parent[cid], cid) for cid in order[1:]]:
+                lift = tuple([slice(None) if m in nbrs[a][b] else None for m in members[b]])
+                self.sends.append((a, b, _onto(self.potentials[a].shape, members[a], nbrs[a][b]), lift))
+        at = tree.variable_to_clique
+        self.reads = [(v.id, at[v.id], members[at[v.id]].index(v.id), v.obj) for v in g.variables]
+
+
 @dataclass
 class JTResult:
+    """One run's read-only answers; ``tree`` is the graph's kept tree,
+    shared by every result of the graph."""
+
     variable_beliefs: dict
     contraction_value: object
     tree: JunctionTree
@@ -242,70 +296,42 @@ class JTResult:
 def run_junction_tree(g, cfg):
     """Exact marginals and contraction value via the junction tree.
 
-    Builds the tree and runs unnormalized Shafer-Shenoy propagation on it:
-    in each component, rooted at its lowest clique id, messages over the
-    separators are collected towards the root in post-order and then
-    distributed in pre-order. Each clique's belief is its potential times
-    every incoming message; each variable's marginal is folded out of its
-    lowest-id covering clique (rescaled per config), and the contraction
-    value is the product over components of the root beliefs' totals.
+    The graph's first call compiles its tree, kept read-only and shared by
+    every ``JTResult`` (ValidationError, CliqueTooLargeError); each call only
+    runs unnormalized Shafer-Shenoy propagation: in each component, rooted
+    at its lowest clique id, separator messages are collected towards the
+    root in post-order, then distributed in pre-order. Each clique's belief
+    is its potential times every incoming message; each variable's marginal
+    is folded out of its lowest-id covering clique (rescaled per config),
+    and Z is the product over components of the root beliefs' totals.
     ``contradiction`` flags dead support by ``run_bp``'s rule: a normalized
     marginal of zero mass (reported as its raw zeros), or under bool Z = 0.
     """
     semiring = _run_semiring(g.semiring, cfg)
-    tree = build_junction_tree(g)
-    z = semiring.one
-    if not tree.cliques:
-        for f in sorted(g.factors, key=lambda f: f.id):
-            z = semiring.mul(z, f.tensor.data.item(0))
-    members = {c.id: c.members for c in tree.cliques}
-    pots = {c.id: _clique_potential(g, semiring, c) for c in tree.cliques}
-    nbrs = {c.id: {} for c in tree.cliques}
-    for a, b, sep in tree.edges:
-        nbrs[a][b] = sep
-        nbrs[b][a] = sep
+    jt = _kept(g, "_junction_tree", _CompiledTree)
     messages = {}  # (sender, receiver) -> separator message lifted to the receiver
 
     def gather(cid, skip=None):
-        arr = pots[cid]
-        for other in sorted(nbrs[cid]):
+        arr = jt.potentials[cid]
+        for other in jt.neighbours[cid]:
             if other != skip:
                 arr = semiring.array_mul(arr, messages[(other, cid)])
         return arr
 
-    def send(a, b):
-        messages[(a, b)] = _lift(_sum_onto(semiring, gather(a, skip=b), members[a], nbrs[a][b]), nbrs[a][b], members[b])
-
-    roots, parent = [], {}
-    for root in sorted(nbrs):
-        if root in parent:
-            continue
-        roots.append(root)
-        order, parent[root], stack = [], None, [root]
-        while stack:  # pre-order, lowest-id child first
-            cid = stack.pop()
-            order.append(cid)
-            for other in sorted(nbrs[cid], reverse=True):
-                if other != parent[cid]:
-                    parent[other] = cid
-                    stack.append(other)
-        for cid in reversed(order[1:]):
-            send(cid, parent[cid])
-        for cid in order[1:]:
-            send(parent[cid], cid)
-
-    beliefs = {cid: gather(cid) for cid in sorted(nbrs)}
-    for root in roots:
+    for a, b, onto, lift in jt.sends:
+        messages[(a, b)] = _sum_onto(semiring, gather(a, skip=b), *onto)[lift]
+    beliefs = [gather(cid) for cid in range(len(jt.potentials))]
+    z = jt.z
+    for root in jt.roots:
         z = semiring.mul(z, semiring.fold(beliefs[root].reshape(-1), 0).item())
     variable_beliefs, contradiction = {}, semiring.name == "bool" and z == semiring.zero
-    for v in g.variables:
-        cid = tree.variable_to_clique[v.id]
-        variable_beliefs[v.id], dead = _marginal(semiring, beliefs[cid], members[cid].index(v.id), v.obj, cfg.normalize)
+    for vid, cid, axis, obj in jt.reads:
+        variable_beliefs[vid], dead = _marginal(semiring, beliefs[cid], axis, obj, cfg.normalize)
         contradiction = contradiction or dead
-    clique_beliefs = {cid: DenseTensor._wrap(arr.shape, arr.reshape(-1)) for cid, arr in beliefs.items()}
-    for belief in clique_beliefs.values():  # fresh arrays: frozen, not copied
+    clique_beliefs = {cid: DenseTensor._wrap(arr.shape, arr.reshape(-1)) for cid, arr in enumerate(beliefs)}
+    for belief in clique_beliefs.values():  # fresh arrays or kept potentials: frozen, not copied
         belief.data.flags.writeable = False
-    return JTResult(variable_beliefs, z, tree, semiring.name, clique_beliefs, contradiction)
+    return JTResult(variable_beliefs, z, jt.tree, semiring.name, clique_beliefs, contradiction)
 
 
 def marginal_from_clique(result, cid, variable_id, cfg):

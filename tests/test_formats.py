@@ -645,8 +645,13 @@ def _graph_bits(g):
 
 def _mutate(rng, kind, dims, scopes, tables):
     """One fault of ``kind`` put into a model's plain data, in place."""
-    if kind.startswith("dim"):
-        dims[int(rng.integers(0, len(dims)))] = 0 if kind == "dim 0" else DEFAULT_TENSOR_CAP + 1
+    if kind in DIM_FAULTS:
+        dims[int(rng.integers(0, len(dims)))] = DIM_FAULTS[kind]
+        return
+    if kind == "float neighbor":
+        k = int(rng.choice([i for i, scope in enumerate(scopes) if scope]))
+        i = int(rng.integers(0, len(scopes[k])))
+        scopes[k][i] = float(scopes[k][i])
         return
     k = int(rng.integers(0, len(tables)))
     if kind == "short table":
@@ -657,7 +662,8 @@ def _mutate(rng, kind, dims, scopes, tables):
         tables[k][int(rng.integers(0, len(tables[k])))] = {"negative": -1, "nan": float("nan"), "None": None}[kind]
 
 
-MUTATIONS = ["negative", "nan", "None", "short table", "unknown neighbor", "dim 0", "dim over the cap"]
+DIM_FAULTS = {"dim 0": 0, "dim over the cap": DEFAULT_TENSOR_CAP + 1, "bool dim": True}
+MUTATIONS = ["negative", "nan", "None", "short table", "unknown neighbor", "float neighbor", *DIM_FAULTS]
 
 
 def _outcome(build):
@@ -691,7 +697,8 @@ class TestOneWayIn:
         if semiring != "dual":
             assert _graph_bits(parse_uai(serialize_uai(g), semiring=semiring)[0]) == want
 
-        if not tables and not mutation.startswith("dim"):
+        # a table fault needs a table, a neighbour fault a factor with neighbours
+        if mutation not in DIM_FAULTS and not (any(scopes) if mutation == "float neighbor" else tables):
             mutation = "dim 0"
         _mutate(rng, mutation, dims, scopes, tables)
         built = _outcome(lambda: build_graph(dims, list(zip(scopes, tables)), semiring))

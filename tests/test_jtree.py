@@ -1,7 +1,9 @@
 """Junction trees: construction invariants and exact loopy inference."""
 
+import gc
 import json
 import math
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -32,10 +34,12 @@ from spiderbp.jtree import (
     running_intersection_holds,
 )
 from spiderbp.formats import graph_to_document, parse_native
-from spiderbp.graph import ObjectType
+from spiderbp.graph import FactorGraph, FactorNode, ObjectType, VariableNode
+from spiderbp.tensor import DenseTensor
+from spiderbp import jtree
 
 from fixtures import brute_force_count, four_cycle, normal_form, peak_bytes, random_loopy, random_tree, table_for
-from test_plan import same_bits
+from test_plan import bits, fresh, kept_arrays, same_bits
 
 
 def normalized(values):
@@ -449,7 +453,7 @@ class TestSemiringsAndDeterminism:
         # other members' index tuples in ascending row-major order
         from itertools import product
 
-        from spiderbp.jtree import _sum_onto
+        from spiderbp.jtree import _onto, _sum_onto
 
         rng = np.random.default_rng(71)
         for _ in range(300):
@@ -460,7 +464,7 @@ class TestSemiringsAndDeterminism:
             arr = rng.random(dims) * 10.0 ** rng.integers(-4, 5, dims)
             keep = [members.index(v) for v in sep]
             rest = [i for i in range(k) if i not in keep]
-            got = _sum_onto(PROB, arr, members, sep)
+            got = _sum_onto(PROB, arr, *_onto(dims, members, sep))
             for s in product(*(range(dims[i]) for i in keep)):
                 acc = None
                 for r in product(*(range(dims[i]) for i in rest)):
@@ -702,3 +706,107 @@ class TestOneReadPerVariable:
             orders.append([v.id for v in g.variables])
             assert list(run_junction_tree(g, RunConfig()).variable_beliefs) == orders[-1]
         assert any(order != sorted(order) for order in orders)
+
+
+def jt_bits(result):
+    """Every field and belief of a ``JTResult``, as comparable bits."""
+    z = result.contraction_value
+    return (
+        type(z), repr(z), result.semiring, result.contradiction, result.tree,
+        [(vid, m.obj, bits(m.values), m.values.flags.writeable) for vid, m in result.variable_beliefs.items()],
+        [(cid, b.shape, bits(b.data), b.data.flags.writeable) for cid, b in result.clique_beliefs.items()],
+    )
+
+
+def complete_graph(n):
+    """n binary variables, a factor on every pair: one clique of 2**n states."""
+    return build_graph([2] * n, [(pair, [1.0, 2.0, 2.0, 1.0]) for pair in combinations(range(n), 2)], PROB)
+
+
+class TestOneJunctionTreePerGraph:
+    """A graph compiles its junction tree (the tree, clique potentials and
+    send program) on its first run and every later run only propagates;
+    the compile holds no reference back to the graph."""
+
+    def test_one_build_and_one_potential_per_clique(self, monkeypatch):
+        builds, potentials = [], []
+        build, potential = jtree.build_junction_tree, jtree._clique_potential
+        monkeypatch.setattr(jtree, "build_junction_tree", lambda g: builds.append(id(g)) or build(g))
+        monkeypatch.setattr(jtree, "_clique_potential", lambda *args: potentials.append(args[2].id) or potential(*args))
+        rng = np.random.default_rng(360)
+        g = with_odd_factors(rng, random_loopy(rng, max_vars=10, extra_edges=(2, 6)), "prob")
+        results = [run_junction_tree(g, RunConfig(normalize=n)) for n in (True, False, True, False)]
+        results.append(run_junction_tree(g, RunConfig(semiring="prob")))
+        cliques = results[0].tree.cliques
+        assert builds == [id(g)] and potentials == [c.id for c in cliques] and len(cliques) > 2
+        assert all(r.tree is results[0].tree for r in results)
+        other = fresh(g)
+        assert jt_bits(run_junction_tree(other, RunConfig())) == jt_bits(results[0])
+        assert builds == [id(g), id(other)] and len(potentials) == 2 * len(cliques)
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_a_kept_compile_runs_as_a_fresh_graph(self, name):
+        rng = np.random.default_rng(361)
+        for _ in range(6):
+            if name == "dual":
+                base = with_odd_factors(rng, random_loopy(rng, max_vars=9, extra_edges=(1, 5)), "prob")
+                g = dual_seed(base, int(rng.integers(len(base.factors))), 0)
+            else:
+                g = with_odd_factors(rng, random_loopy(rng, name, max_vars=9, extra_edges=(1, 5)), name)
+            for cfg in [RunConfig(normalize=n) for n in (True, False)] * 2:
+                assert jt_bits(run_junction_tree(g, cfg)) == jt_bits(run_junction_tree(fresh(g), cfg)), cfg
+        variable_free = build_graph([], [((), table_for(rng, name if name != "dual" else "prob", 1))] * 2, name)
+        assert jt_bits(run_junction_tree(variable_free, RunConfig())) == jt_bits(run_junction_tree(fresh(variable_free), RunConfig()))
+
+    def test_every_kept_array_is_read_only(self):
+        rng = np.random.default_rng(362)
+        g = with_odd_factors(rng, random_loopy(rng, max_vars=10, extra_edges=(2, 6)), "prob")
+        result = run_junction_tree(g, RunConfig())
+        kept = g.__dict__["_junction_tree"]
+        arrays = list(kept_arrays(vars(kept)))
+        assert len(arrays) == len(result.tree.cliques) > 2
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            kept.potentials[0][...] = 0.0
+        with pytest.raises(TypeError):
+            result.tree.variable_to_clique[0] = 1
+        assert jt_bits(run_junction_tree(g, RunConfig())) == jt_bits(result)
+
+    def test_a_failed_compile_keeps_nothing(self, monkeypatch):
+        builds, build = [], jtree.build_junction_tree
+        monkeypatch.setattr(jtree, "build_junction_tree", lambda g: builds.append(id(g)) or build(g))
+        g = complete_graph(25)
+        for _ in range(2):
+            with pytest.raises(CliqueTooLargeError):
+                run_junction_tree(g, RunConfig())
+        assert builds == [id(g)] * 2 and "_junction_tree" not in g.__dict__
+        bad = FactorGraph(  # its factor names a variable it does not have
+            (VariableNode(0, ObjectType("a", 2)),), (FactorNode(0, DenseTensor((2, 2), np.ones(4)), (0, 1)),)
+        )
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="unknown variable 1"):
+                run_junction_tree(bad, RunConfig())
+        assert "_junction_tree" not in bad.__dict__
+
+    def test_another_semiring_still_raises_after_the_compile(self):
+        g = loopy_square()
+        first = run_junction_tree(g, RunConfig())
+        for name in ("count", "maxtimes"):
+            with pytest.raises(ValidationError, match=f"not {name}"):
+                run_junction_tree(g, RunConfig(semiring=name))
+        assert jt_bits(run_junction_tree(g, RunConfig(semiring="prob"))) == jt_bits(first)
+
+    def test_a_dropped_graph_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            g = random_loopy(np.random.default_rng(363), max_vars=10)
+            results = [run_junction_tree(g, RunConfig()), run_junction_tree(g, RunConfig(normalize=False))]
+            refs = [weakref.ref(x) for x in (g, g.__dict__["_junction_tree"])]
+            tree_ref = weakref.ref(results[0].tree)
+            del g
+            freed = all(ref() is None for ref in refs) and tree_ref() is not None  # results hold the tree only
+            del results
+            freed = freed and tree_ref() is None
+        finally:
+            gc.enable()
+        assert freed
