@@ -39,7 +39,6 @@ from .engine import (
     run_bp,
 )
 from .errors import (
-    ContradictionError,
     NotATreeError,
     ParseError,
     TooLargeError,
@@ -351,9 +350,6 @@ def _dispatch(argv):
     except (ParseError, ValidationError, NotATreeError) as err:
         _diag("error", str(err))
         return EXIT_PARSE
-    except ContradictionError as err:
-        _diag("error", str(err))
-        return EXIT_CONTRADICTION
     except ValueError as err:
         _diag("error", f"usage: {err}")
         return EXIT_USAGE

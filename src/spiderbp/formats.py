@@ -25,13 +25,13 @@ BAYES files are accepted as plain factor tables with a warning; other
 preambles are rejected. A UAI file is split into tokens once; a token's
 byte offset is computed only for an error message.
 
-Tables are read in bulk. Under prob, maxtimes and count every table of a
-file goes through one conversion and one ``coerce``, and each factor's
-tensor is a read-only slice of that one array. Count entries stay exact
-Python ints in both formats: a UAI integer token is read with ``int``, so
+Tables are read in bulk. Under every semiring all tables of a file go
+through one conversion and one ``coerce``, and each factor's tensor is a
+read-only slice of that one array. Count entries stay exact Python ints in
+both formats: a UAI integer token is read with ``int``, so
 ``9007199254740993`` is not rounded to a float (``2.0`` still reads as 2,
-``2.5`` is still rejected). Bool and dual tables, nested lists and any
-file with a bad table are read table by table through
+``2.5`` is still rejected). Nested lists and any file with a bad table are
+read table by table through
 ``DenseTensor.from_values``, so every error is the one that table alone
 raises: factor i's unknown-variable, value and size checks all run before
 factor i+1 is looked at, and the first error in file order wins.
@@ -97,10 +97,6 @@ def _require_keys(obj, allowed, required, where, index=None):
     for key in required:
         if key not in obj:
             raise ParseError(f"missing key {key!r} at {where}")
-
-
-#: semirings whose tables are converted and coerced in one call per file
-_BULK = ("prob", "maxtimes", "count")
 
 
 def _bulk(sr, shapes, flat):
@@ -169,7 +165,7 @@ def _assemble(sr, variables, factors):
     # the tables before an unknown variable raise their own errors first
     tables = [values for _fid, _nb, values in factors[: len(shapes)]]
     tensors = None
-    if sr.name in _BULK and all(
+    if all(
         type(values) is list and len(values) == math.prod(shape)
         for shape, values in zip(shapes, tables)
     ):
@@ -314,13 +310,13 @@ class _Tokens:
         self.pos = 0
 
     def take(self, count, what, convert=int, **names):
-        """The next ``count`` tokens through ``convert`` (none when count < 0).
+        """The next ``count`` tokens through ``convert``.
 
         ``what`` names the expected token in errors, formatted with the
         ``names`` and with ``j``, the token's index among the ``count``.
         """
         start = self.pos
-        chunk = self.tokens[start : start + max(count, 0)]
+        chunk = self.tokens[start : start + count]
         try:
             values = list(map(convert, chunk))
         except ValueError:
@@ -341,7 +337,8 @@ class _Tokens:
         return values
 
     def next_int(self, what, **names):
-        return self.take(1, what, **names)[0]
+        """The next token as a count: an int >= 0."""
+        return self.take(1, what, _count, **names)[0]
 
     def offset(self, k):
         """Byte offset of token ``k``."""
@@ -350,6 +347,13 @@ class _Tokens:
 
 def _ascii(tok):
     return tok.decode("ascii", "replace")
+
+
+def _count(tok):
+    """A count or size token: an int >= 0, else a bad token (ValueError)."""
+    if (n := int(tok)) < 0:
+        raise ValueError(tok)
+    return n
 
 
 def _count_entry(tok):
@@ -367,7 +371,9 @@ def parse_uai(text, semiring="prob"):
     labelled with ``semiring``.
 
     Whitespace and newlines are interchangeable. Truncated files raise
-    ParseError with the byte offset where input ran out.
+    ParseError with the byte offset where input ran out; a negative count
+    or size, or a token after the last table, is a ParseError at its byte
+    offset.
     """
     sr = get_semiring(semiring)
     toks = _Tokens(text)
@@ -404,7 +410,7 @@ def parse_uai(text, semiring="prob"):
                 raise ValueError
             toks.pos = end
         except (IndexError, ValueError):
-            # the careful reader raises the error, or reads a negative size as 0
+            # the careful reader raises the error
             k = toks.next_int("the scope size of factor {i}", i=i)
             scope = tuple(toks.take(k, "a variable id in factor {i}", i=i))
         if scope and not (0 <= min(scope) and max(scope) < n_vars):
@@ -413,20 +419,25 @@ def parse_uai(text, semiring="prob"):
         scopes.append(scope)
     shapes = [tuple(map(dims.__getitem__, scope)) for scope in scopes]
     number = _count_entry if sr.name == "count" else float
-    tensors = _uai_bulk(toks, sr, shapes, number) if sr.name in _BULK else None
+    tensors = _uai_bulk(toks, sr, shapes, number)
     if tensors is None:
         tensors = []
         for i, shape in enumerate(shapes):
             count = toks.next_int("the table size of factor {i}", i=i)
             values = toks.take(count, "entry {j} of factor {i}", number, i=i)
             tensors.append(_table(sr, i, shape, values))
+        if toks.pos < len(tokens):
+            raise ParseError(
+                f"expected the end of input after the last table at byte offset "
+                f"{toks.offset(toks.pos)}, got {_ascii(tokens[toks.pos])!r}"
+            )
     return _graph(sr, variables, list(enumerate(scopes)), tensors), sr
 
 
 def _uai_bulk(toks, sr, shapes, number):
     """The tables section read in one pass, or None when a size token does
-    not match its table, a token is bad or missing, or an entry does not
-    coerce; ``toks`` is left where the tables begin."""
+    not match its table, a token is bad, missing or after the last table,
+    or an entry does not coerce; ``toks`` is left where the tables begin."""
     tokens, p, entries = toks.tokens, toks.pos, []
     try:
         for shape in shapes:
@@ -435,7 +446,7 @@ def _uai_bulk(toks, sr, shapes, number):
                 return None
             entries += tokens[p + 1 : end]
             p = end
-        if p > len(tokens):
+        if p != len(tokens):
             return None
         values = list(map(number, entries))
     except (IndexError, ValueError):

@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import get_semiring
 from .engine import _kept, _run_semiring
 from .errors import CliqueTooLargeError, ValidationError, ZeroMessageError
-from .graph import ObjectType, _ensure_valid
+from .graph import _ensure_valid
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor, Message
 
 
@@ -157,23 +157,23 @@ def running_intersection_holds(tree):
     return True
 
 
-def build_junction_tree(g, cap=DEFAULT_TENSOR_CAP):
+def build_junction_tree(g):
     """Cluster a graph into a junction tree (forest).
 
     Deterministic throughout: min-fill ties break to the lowest variable
     id, a clique's id is its place in elimination order, the tree is the
     one the elimination induces, and each factor lands in the lowest-id
     clique covering its scope. Raises CliqueTooLargeError when any clique's
-    state space would exceed ``cap`` entries.
+    state space would exceed ``DEFAULT_TENSOR_CAP`` entries.
     """
     _ensure_valid(g)
     order, members, edges = _eliminate(_primal_adjacency(g))
     dims = {v.id: v.obj.dim for v in g.variables}
     for m in members:
         size = math.prod(dims[v] for v in m)
-        if size > cap:
+        if size > DEFAULT_TENSOR_CAP:
             raise CliqueTooLargeError(
-                f"clique {list(m)} has {size} states, over the cap of {cap}"
+                f"clique {list(m)} has {size} states, over the cap of {DEFAULT_TENSOR_CAP}"
             )
 
     assigned = {i: [] for i in range(len(members))}
@@ -349,7 +349,7 @@ def marginal_from_clique(result, cid, variable_id, cfg):
         )
     belief = result.clique_beliefs[cid].as_array()
     pos = clique.members.index(variable_id)
-    return _marginal(semiring, belief, pos, ObjectType(f"v{variable_id}", belief.shape[pos]), cfg.normalize)[0]
+    return _marginal(semiring, belief, pos, result.variable_beliefs[variable_id].obj, cfg.normalize)[0]
 
 
 def _marginal(semiring, belief, pos, obj, normalize):

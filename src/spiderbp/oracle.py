@@ -4,8 +4,8 @@ Everything here is deliberately independent of the message-passing engine:
 results come from materializing the full joint table and folding it in
 ascending row-major order with ``Semiring.fold`` (the contract written in
 ``spiderbp.algebra``), so these functions can arbitrate when the fast path
-and a test disagree. A hard size cap trades silent slowness for a loud
-error.
+and a test disagree. A hard size cap, ``DEFAULT_ORACLE_CAP`` assignments,
+trades silent slowness for a loud error (TooLargeError).
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ def _lifted_factor(factor, var_pos, grid, dims):
     return arr[index]
 
 
-def joint_table(g, semiring, cap=DEFAULT_ORACLE_CAP):
+def joint_table(g, semiring):
     """Full joint array over variable assignments; TooLargeError when there
-    are more than ``cap`` of them."""
+    are more than ``DEFAULT_ORACLE_CAP`` of them."""
     semiring = get_semiring(semiring)
     dims = tuple(v.obj.dim for v in g.variables)
     total = math.prod(dims)
-    if total > cap:
-        raise TooLargeError(f"{total} assignments exceed the oracle cap of {cap}")
+    if total > DEFAULT_ORACLE_CAP:
+        raise TooLargeError(f"{total} assignments exceed the oracle cap of {DEFAULT_ORACLE_CAP}")
     var_pos = {v.id: i for i, v in enumerate(g.variables)}
     grid = np.ix_(*map(range, dims))  # open grids: one axis each
     table = semiring.ones(dims)
@@ -60,7 +60,7 @@ def joint_table(g, semiring, cap=DEFAULT_ORACLE_CAP):
     return table
 
 
-def exact_contraction(g, semiring, cap=DEFAULT_ORACLE_CAP, table=None):
+def exact_contraction(g, semiring, table=None):
     """Semiring-sum of the joint table over every assignment.
 
     An assignment picks one state per variable. Terms fold in ascending
@@ -69,11 +69,11 @@ def exact_contraction(g, semiring, cap=DEFAULT_ORACLE_CAP, table=None):
     """
     semiring = get_semiring(semiring)
     if table is None:
-        table = joint_table(g, semiring, cap)
+        table = joint_table(g, semiring)
     return semiring.fold(table.reshape(-1), 0).item()
 
 
-def exact_marginal(g, semiring, variable_id, cap=DEFAULT_ORACLE_CAP, table=None):
+def exact_marginal(g, semiring, variable_id, table=None):
     """Unnormalized marginal of one variable by exhaustive summation.
 
     Component j sums the joint over every assignment that pins the variable
@@ -84,12 +84,12 @@ def exact_marginal(g, semiring, variable_id, cap=DEFAULT_ORACLE_CAP, table=None)
     dims = tuple(v.obj.dim for v in g.variables)
     pos = {v.id: i for i, v in enumerate(g.variables)}[variable_id]
     if table is None:
-        table = joint_table(g, semiring, cap)
+        table = joint_table(g, semiring)
     rows = np.moveaxis(np.asarray(table), pos, -1).reshape(-1, dims[pos])
     return semiring.fold(rows, 0)
 
 
-def exact_argmax(g, cap=DEFAULT_ORACLE_CAP):
+def exact_argmax(g):
     """Lexicographically least maximizer of the product, plus its value.
 
     Works on nonnegative-real tables (prob/maxtimes storage). Returns
@@ -97,7 +97,7 @@ def exact_argmax(g, cap=DEFAULT_ORACLE_CAP):
     """
     semiring = get_semiring("maxtimes")
     dims = tuple(v.obj.dim for v in g.variables)
-    table = joint_table(g, semiring, cap)
+    table = joint_table(g, semiring)
     if not dims:
         return {}, float(table.reshape(())[()])
     flat = np.asarray(table, dtype=np.float64).reshape(-1)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _NUMBER
 from .errors import (
     BadSplitError,
     ObjectMismatchError,
@@ -112,9 +113,7 @@ def _flatten(values, pairs_are_scalars=False):
 
 
 def _is_pair(x):
-    return len(x) == 2 and all(
-        isinstance(e, (int, float, np.floating, np.integer)) for e in x
-    )
+    return len(x) == 2 and all(isinstance(e, _NUMBER) for e in x)
 
 
 @dataclass(frozen=True)
@@ -145,10 +144,6 @@ class Message:
         object.__setattr__(m, "obj", obj)
         object.__setattr__(m, "values", values)
         return m
-
-    @property
-    def dim(self):
-        return self.obj.dim
 
 
 def matricize(t, row_axes, col_axes):

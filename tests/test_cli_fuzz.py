@@ -14,6 +14,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,7 +125,8 @@ def test_every_file_gets_a_typed_exit(seed, fmt, structural, count):
 
 
 class TestNamedRegressions:
-    """Native files that once parsed to a graph they could not write back."""
+    """Files that once parsed to a graph they could not write back, or to
+    another model than the one they describe."""
 
     def _exits(self, tmp_path, doc):
         path = tmp_path / "model.json"
@@ -143,3 +145,15 @@ class TestNamedRegressions:
         assert self._exits(tmp_path, doc) == [2] * len(COMMANDS)
         _code, _out, err = _dispatch(["run", "--input", str(tmp_path / "model.json")])
         assert json.loads(err)["message"] == "factor 0: neighbor ids must be integers, got 1.0"
+
+    @pytest.mark.parametrize("text, message", [
+        ("MARKOV\n1\n2\n1\n-1\n\n1\n5.0\n", "expected the scope size of factor 0 at byte offset 13, got '-1'"),
+        ("MARKOV\n-1\n-1\n", "expected the variable count at byte offset 7, got '-1'"),
+        ("MARKOV\n1\n2\n0\n7 8 9 garbage\n", "expected the end of input after the last table at byte offset 13, got '7'"),
+    ])
+    def test_a_malformed_uai_file_is_exit_2(self, tmp_path, text, message):
+        path = tmp_path / "model.uai"
+        path.write_text(text)
+        for c in COMMANDS:
+            code, _out, err = _dispatch([c[0], "--input", str(path), "--format", "uai"] + c[1:])
+            assert (code, json.loads(err)["message"]) == (2, message)

@@ -479,7 +479,7 @@ class TestBulkTables:
                 assert _bits(f.tensor.data) == _bits(want.data)
                 assert not f.tensor.data.flags.writeable
 
-    @pytest.mark.parametrize("semiring", ["prob", "count"])
+    @pytest.mark.parametrize("semiring", ["prob", "maxtimes", "count", "bool", "dual"])
     def test_one_coerce_per_file(self, semiring, monkeypatch):
         sr = get_semiring(semiring)
         calls = []
@@ -490,11 +490,13 @@ class TestBulkTables:
             return original(values)
 
         monkeypatch.setattr(sr, "coerce", counted)
-        dims, scopes, tables = _random_document(np.random.default_rng(7), semiring)
-        for text, parse in ((_native_text(dims, scopes, tables), parse_native),
-                            (_uai_text(dims, scopes, tables), parse_uai)):
+        rng = np.random.default_rng(7)
+        native = _random_document(rng, semiring)
+        uai = _random_document(rng, "prob") if semiring == "dual" else native  # plain numbers
+        for (dims, scopes, tables), text, parse in ((native, _native_text, parse_native),
+                                                    (uai, _uai_text, parse_uai)):
             calls.clear()
-            parse(text, semiring=semiring)
+            parse(text(dims, scopes, tables), semiring=semiring)
             assert calls == [sum(len(t) for t in tables)]
 
 
@@ -552,8 +554,8 @@ ERRORS = [
      "truncated input: expected a network type preamble at byte offset 3"),
     ("uai", "prob", "  \n MRF 2 2 2 0", UnsupportedPreambleError,
      "unsupported network type 'MRF' at byte offset 4"),
-    ("uai", "prob", UAI_PAIR.replace("4\n1.0", "-4\n1.0"), ValidationError,
-     "factor 0: 0 values cannot fill shape [2, 2] (4 entries)"),
+    ("uai", "prob", UAI_PAIR.replace("4\n1.0", "-4\n1.0"), ParseError,
+     "expected the table size of factor 0 at byte offset 22, got '-4'"),
     ("uai", "prob", UAI_PAIR.replace("2.0", "-2.0"), ValidationError,
      "factor 0: prob values must be finite nonnegative reals, got -2.0"),
     ("uai", "prob", UAI_PAIR.replace("2.0", "1e309"), ValidationError,
@@ -585,6 +587,22 @@ ERRORS = [
      "factor 1: prob values must be finite nonnegative reals, got -0.25"),
     ("uai", "count", _TWO.replace("3.0", "3.5").replace("0.25", "x"), ValidationError,
      "factor 0: count values must be nonnegative integers, got 3.5"),
+    # malformed UAI files that once ran as another model: a negative count
+    # or size was read as 0, and tokens after the last table were ignored
+    ("uai", "prob", "MARKOV\n1\n2\n1\n-1\n\n1\n5.0\n", ParseError,
+     "expected the scope size of factor 0 at byte offset 13, got '-1'"),
+    ("uai", "prob", "MARKOV\n-1\n-1\n", ParseError,
+     "expected the variable count at byte offset 7, got '-1'"),
+    ("uai", "prob", "MARKOV\n1\n2\n-1\n", ParseError,
+     "expected the factor count at byte offset 11, got '-1'"),
+    ("uai", "prob", "MARKOV\n1\n2\n0\n7 8 9 garbage\n", ParseError,
+     "expected the end of input after the last table at byte offset 13, got '7'"),
+    ("uai", "prob", UAI_PAIR + "0.5\n", ParseError,
+     "expected the end of input after the last table at byte offset 40, got '0.5'"),
+    ("uai", "bool", UAI_PAIR.replace("1.0 2.0 3.0 4.0", "1 0 0 1") + "1\n", ParseError,
+     "expected the end of input after the last table at byte offset 32, got '1'"),
+    ("uai", "prob", _TWO + "x", ParseError,
+     "expected the end of input after the last table at byte offset 56, got 'x'"),
     ("native", None, MINIMAL.replace("[0, 1]", "[0, 7]"), ValidationError,
      "factor 0 references unknown variable 7"),
     ("native", None, MINIMAL.replace("[1.0, 2.0, 3.0, 4.0]", "[1.0, 2.0]"), ValidationError,
@@ -597,6 +615,9 @@ ERRORS = [
      "factor 0: could not convert string to float: 'abc'"),
     ("native", "count", MINIMAL.replace("[1.0, 2.0, 3.0, 4.0]", "[1, -2, 3, 4]"), ValidationError,
      "factor 0: count values must be nonnegative integers, got -2"),
+    # a pair's parts are numbers, whether the table is read whole or entry by entry
+    ("native", "dual", MINIMAL.replace("[1.0, 2.0, 3.0, 4.0]", '[["1.5", "2"], 2.0, 3.0, 4.0]'), ValidationError,
+     "factor 0: dual values must be [a, b] pairs or numbers, got '1.5'"),
 ]
 
 

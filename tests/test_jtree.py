@@ -114,9 +114,10 @@ class TestBuild:
         assert t1.elimination_order == t2.elimination_order
 
     def test_clique_cap(self):
-        g = loopy_square()
+        # a 3-cycle's one clique holds 257**3 states, over the tensor cap of 2**24
+        g = build_graph([257] * 3, [(e, [1.0] * 257**2) for e in ((0, 1), (1, 2), (0, 2))], "prob")
         with pytest.raises(CliqueTooLargeError):
-            build_junction_tree(g, cap=4)
+            build_junction_tree(g)
 
     def test_node_tensors_in_normal_form(self):
         # a 3-cycle of nodes with tensors of their own: the normal form is loopy
@@ -417,8 +418,9 @@ class TestCliqueCapIsTheOnlyCap:
             assert result.variable_beliefs[v.id].values.tolist() == [3**35] * 3
 
     def test_clique_cap_still_applies(self):
+        # the 15 x 15 grid's largest clique holds 3**16 states, over the 2**24 cap
         with pytest.raises(CliqueTooLargeError):
-            build_junction_tree(ternary_grid(6), cap=3**7 - 1)
+            build_junction_tree(ternary_grid(15))
 
 
 class TestSemiringsAndDeterminism:
@@ -654,6 +656,19 @@ class TestOneReadPerVariable:
                         assert same_bits(got, folded)
                     else:
                         assert np.allclose(np.asarray(got, float), np.asarray(folded, float), rtol=1e-12)
+
+    def test_marginal_from_clique_names_the_variable_as_the_run_does(self):
+        # a named 3-cycle with a pendant: "c" is covered by two cliques
+        edges = ((0, 1), (1, 2), (0, 2), (2, 3))
+        g = build_graph([("a", 2), ("b", 2), ("c", 2), ("d", 2)], [(e, [1.0, 2.0, 3.0, 4.0]) for e in edges], "prob")
+        cfg = RunConfig()
+        result = run_junction_tree(g, cfg)
+        covering = [(c.id, vid) for c in result.tree.cliques for vid in c.members]
+        assert [vid for _cid, vid in covering].count(2) == 2
+        for cid, vid in covering:
+            obj = marginal_from_clique(result, cid, vid, cfg).obj
+            assert obj == result.variable_beliefs[vid].obj == g.variable(vid).obj
+            assert obj.name == "abcd"[vid]
 
     def test_the_big_clique_read_is_the_literal_left_fold(self):
         rng = np.random.default_rng(351)

@@ -89,9 +89,10 @@ class TestExactContraction:
         assert np.isclose(exact_contraction(g, PROB), total, rtol=1e-12)
 
     def test_oracle_cap(self):
+        # 4**12 assignments, over DEFAULT_ORACLE_CAP = 2**22
         g = build_graph([4] * 12, [((0, 1), [1.0] * 16)], PROB)
         with pytest.raises(TooLargeError):
-            exact_contraction(g, PROB, cap=1 << 10)
+            exact_contraction(g, PROB)
 
     def test_no_variables(self):
         g = FactorGraph(
