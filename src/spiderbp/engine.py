@@ -30,10 +30,12 @@ one per oriented shape, on a slice of its stack. ``tree`` gives each
 directed wire a level (1 + the largest level among the messages it reads)
 and runs the levels in order, in place, so every message is computed once
 from final inputs. A ``sync`` sweep is the same program with every wire at
-level 0, run from the old arrays into new ones. The batched kernels apply
-the per-wire rules of ``update_variable_message`` and
-``update_factor_message`` in the same operation order, so both schedules
-give the per-wire messages bit for bit. A run's state is read through
+level 0, run from the old arrays into new ones, each op writing one slice
+per dim and direction. Ops read contiguous memory (``take`` gathers,
+term-major layouts); they apply the per-wire rules of
+``update_variable_message`` and ``update_factor_message`` in the same
+operation order, so both schedules give the per-wire messages bit for
+bit. A run's state is read through
 ``beliefs``, ``decode_map`` and ``contraction_from_state``, which work on
 the packed arrays directly; ``contraction_derivative`` also reads a
 factor's cavity (its incoming messages) off them. Every semiring sum is a
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, reduce
 
 import numpy as np
@@ -242,10 +245,10 @@ def update_factor_message(g, state, cfg, fid, out_axis):
 
 
 def _fold_mul(semiring, msgs):
-    """Left fold of ``array_mul`` over axis 1 of a (rows, terms, dim) array."""
-    acc = msgs[:, 0]
-    for j in range(1, msgs.shape[1]):
-        acc = semiring.array_mul(acc, msgs[:, j])
+    """Left fold of ``array_mul`` over axis 0 of a term-major (terms, ...) array."""
+    acc = msgs[0]
+    for term in msgs[1:]:
+        acc = semiring.array_mul(acc, term)
     return acc
 
 
@@ -265,30 +268,29 @@ def _by_level(levels):
     return order, runs
 
 
-class _TensorGroup:
-    """Tensors of one shape stacked as (members, *shape), with wire rows.
+#: tensors of one shape stacked as (members, *shape), ``rows[a][i]`` the packed row of
+#: member i's wire on axis a; factor beliefs read these, the update program ``_Stack``s
+_TensorGroup = namedtuple("_TensorGroup", "shape ids tensors rows")
 
-    ``rows[a][i]`` is the packed row of the wire on axis ``a`` of member
-    ``i``; every axis ``a`` is a wire of dim ``shape[a]``. An oriented
-    stack (``_Plan._levels``) is a group whose last axis is the out wire;
-    its ``ids`` are None.
-    """
 
-    def __init__(self, shape, ids, tensors, rows):
-        self.shape, self.ids, self.tensors, self.rows = shape, ids, tensors, rows
+class _Stack:
+    """The (tensor, out axis) pairs of one oriented shape, term-major: tensors
+    as (other axes ascending..., members in level order, out dim), and
+    ``rows[a][i]`` the packed row of member ``i``'s wire on oriented axis ``a``."""
+
+    def __init__(self, shape, tensors, rows):
+        self.shape, self.tensors, self.rows = shape, tensors, rows
+        # shape that lines a transposed (dim, members) message up with one other axis
         rank = len(shape)
-        # axis order that moves one tensor axis last, keeping the rest
-        axes = range(1, rank + 1)
-        self.target_last = [(0, *(a for a in axes if a != t + 1), t + 1) for t in range(rank)]
-        # shape that lines (members, dim) messages up with one axis
-        self.along = [(-1,) + (1,) * a + (d,) + (1,) * (rank - a - 1) for a, d in enumerate(shape)]
+        self.along = [(1,) * a + (d,) + (1,) * (rank - a - 2) + (-1, 1) for a, d in enumerate(shape[:-1])]
 
-    def multiplied(self, semiring, tensors, msgs):
-        """Stacked tensors times one (members, dim) message per leading axis, axes ascending."""
-        arr = tensors
-        for axis, m in enumerate(msgs):
-            arr = semiring.array_mul(arr, m.reshape(self.along[axis]))
-        return arr
+    def contracted(self, semiring, run, v2f):
+        """The out messages of the members in slice ``run``: tensors times v2f
+        messages, axes ascending, other axes folded in row-major order."""
+        arr = self.tensors[..., run, :]
+        for d, rows, along in zip(self.shape, self.rows, self.along):
+            arr = semiring.array_mul(arr, v2f[d].take(rows[run], 0).T.reshape(along))
+        return semiring.fold(arr.reshape(-1, *arr.shape[-2:]), 0)
 
 
 def _tensor_groups(members):
@@ -317,8 +319,8 @@ class _Plan:
     ``(wires, dim)`` array of its variable's dim, numbered in ``g.wires``
     order; a message array pair ``(v2f, f2v)`` maps each dim to such an
     array per direction, and is the only message store. Variables are
-    grouped by (dim, degree), with ``rows[i, k]`` the row of member i's
-    k-th incident wire; factor tensors are stacked by shape.
+    grouped by (dim, degree), term-major: ``rows[k, i]`` is the row of
+    member i's k-th incident wire; factor tensors are stacked by shape.
 
     Both schedules run one kind of update program (``_levels``): a list of
     levels, each a list of batched ops, run by ``_execute``. The ops repeat
@@ -330,13 +332,18 @@ class _Plan:
     so each tensor is stacked once per out axis with that axis last; one
     oriented shape (say (3, 2): a (2, 3) table sending on axis 0 and a
     (3, 2) table sending on axis 1) is one stack across tensor groups, in
-    level order, and a level's factor op reads a slice of it. Messages,
-    residuals and beliefs therefore equal the per-wire results bit for
-    bit. The sync sweep is the program with every wire at level 0,
+    level order, and a level's factor op reads a slice of it. Ops are
+    term-major: spider rows gather to (terms, rows, dim) and a ``_Stack``
+    is (other axes..., members, dim), so each fold step reads one
+    contiguous block. Every product and sum keeps its operands and their
+    order, so messages, residuals and beliefs equal the per-wire results
+    bit for bit. The sync sweep is the program with every wire at level 0,
     compiled once per plan: one op per spider group and one per oriented
-    shape. The two-pass schedule runs the program of the wires' dependency
-    levels on the rows whose inputs are final, one op per spider group and
-    oriented shape at each level.
+    shape, each writing a slice of an op-ordered array that one ``take``
+    per dim and direction restores to packed order. The two-pass schedule
+    runs the program of the wires' dependency levels on the rows whose
+    inputs are final, in place, one op per spider group and oriented shape
+    at each level.
 
     A graph keeps its plan (``_plan_of``) and every run of the graph shares
     it, so every array the plan keeps is read-only and runs write only into
@@ -372,7 +379,7 @@ class _Plan:
             ids.append(v.id)
             members.append(rows)
         self.var_groups = [
-            (d, ids, _frozen(np.array(rows, dtype=np.intp).reshape(len(ids), k)))
+            (d, ids, _frozen(np.array(rows, dtype=np.intp).reshape(len(ids), k).T.copy()))
             for (d, k), (ids, rows) in by_key.items()
         ]
         self.factor_groups = _tensor_groups((f.id, f.tensor, factor_rows[f.id]) for f in g.factors)
@@ -418,15 +425,13 @@ class _Plan:
         semiring = self.semiring
         gone = []
         for ops in program:
-            for d, out, group, arg in ops:
-                if group is None:
+            for d, out, stack, arg in ops:
+                if stack is None:
                     kind, k = "v2f", 0
-                    values = semiring.ones((len(out), d)) if arg is None else _fold_mul(semiring, src[1][d][arg])
-                else:  # the out axis is last
+                    values = _fold_mul(semiring, src[1][d].take(arg, 0)) if len(arg) else semiring.ones((arg.shape[1], d))
+                else:
                     kind, k = "f2v", 1
-                    msgs = [src[0][dd][r[arg]] for dd, r in zip(group.shape, group.rows[:-1])]
-                    arr = group.multiplied(semiring, group.tensors[arg], msgs)
-                    values = semiring.fold(arr.reshape(len(out), -1, d), 1)
+                    values = stack.contracted(semiring, arg, src[0])
                 if normalize:
                     values, dead = semiring._normalize_rows(values)
                     if dead is not None:
@@ -437,36 +442,40 @@ class _Plan:
     def _levels(self, v2f_levels, f2v_levels):
         """The update program for given wire levels (dim -> level per row).
 
-        An op is (dim, out rows, oriented stack or None, argument): a
-        variable op (stack None) folds the f2v rows ``argument`` (None: the
-        unit), a factor op contracts the slice ``argument`` of its stack.
-        Each (tensor group, out axis) is transposed to the oriented shape
-        (other axes ascending, out axis last); the groups of one oriented
-        shape make one stack, in level order, so a level runs one factor
-        op per oriented shape on a contiguous slice.
+        An op is (dim, out rows, stack or None, argument): a variable op
+        (stack None) folds the f2v rows of the term-major (terms, out rows)
+        index ``argument`` (no terms: the unit), a factor op contracts the
+        slice ``argument`` of its ``_Stack``. Each (tensor group, out axis)
+        is transposed to its oriented shape (other axes ascending, out axis
+        last); the groups of one oriented shape make one stack, in level
+        order. Each spider group's index and each stack are built once, so
+        a level's op reads views of them.
         """
         ops = []
         for d, _ids, rows in self.var_groups:
-            k = rows.shape[1]
-            if k == 1:  # a leaf variable sends the unit, at level 0
-                ops.append((0, (d, rows[:, 0], None, None)))
-            elif k > 1:
-                leave_out = [[q for q in range(k) if q != p] for p in range(k)]
-                out = rows.reshape(-1)
-                order, runs = _by_level(v2f_levels[d][out])
-                out, others = _frozen(out[order]), _frozen(rows[:, leave_out].reshape(-1, k - 1)[order])
-                ops.extend((level, (d, out[run], None, others[run])) for level, run in runs)
+            k = len(rows)
+            if not k:  # an isolated variable sends nothing
+                continue
+            out = rows.reshape(-1)
+            order, runs = _by_level(v2f_levels[d][out])
+            # the f2v rows each out row folds: its member's other wires, in incidence order
+            leave_out = np.array([[q for q in range(k) if q != p] for p in range(k)], dtype=np.intp).reshape(k, k - 1)
+            others = rows[leave_out].transpose(1, 0, 2).reshape(k - 1, out.size)
+            out, others = _frozen(out[order]), _frozen(others[:, order])
+            ops.extend((level, (d, out[run], None, others[:, run])) for level, run in runs)
         stacks = {}
         for group in self.factor_groups:
-            for axes in group.target_last:
-                tensors, rows = stacks.setdefault(tuple(group.shape[a - 1] for a in axes[1:]), ([], []))
-                tensors.append(group.tensors.transpose(axes))
-                rows.append([group.rows[a - 1] for a in axes[1:]])
+            rank = len(group.shape)
+            for t in range(rank):
+                axes = [a for a in range(rank) if a != t] + [t]
+                tensors, rows = stacks.setdefault(tuple(group.shape[a] for a in axes), ([], []))
+                tensors.append(group.tensors.transpose(*(a + 1 for a in axes[:-1]), 0, t + 1))
+                rows.append([group.rows[a] for a in axes])
         for shape, (tensors, rows) in stacks.items():
             d, rows = shape[-1], [np.concatenate(r) for r in zip(*rows)]
             order, runs = _by_level(f2v_levels[d][rows[-1]])
-            tensors, rows = _frozen(np.concatenate(tensors)[order]), [_frozen(r[order]) for r in rows]
-            stack = _TensorGroup(shape, None, tensors, rows)
+            tensors = _frozen(np.concatenate(tensors, axis=-2)[..., order, :])
+            stack = _Stack(shape, tensors, [_frozen(r[order]) for r in rows])
             ops.extend((level, (d, stack.rows[-1][run], stack, run)) for level, run in runs)
         program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
         for level, op in ops:
@@ -477,8 +486,17 @@ class _Plan:
 
     @cached_property
     def _sync_program(self):
+        """The level-0 program, each op writing one slice of an op-ordered array per
+        dim and direction, and the dim -> permutations back to packed order."""
         level0 = {d: np.zeros(n, dtype=np.intp) for d, n in self.dims.items()}
-        return self._levels(level0, level0)
+        ops, written = [], ({}, {})
+        for level in self._levels(level0, level0):  # one level; none without wires
+            for d, out, stack, arg in level:
+                rows = written[stack is not None].setdefault(d, [])
+                start = sum(map(len, rows))
+                ops.append((d, slice(start, start + len(out)), stack, arg))
+                rows.append(out)
+        return [ops], tuple({d: _frozen(np.argsort(np.concatenate(rows))) for d, rows in w.items()} for w in written)
 
     def sweep(self, g, arrays, cfg):
         """New (v2f, f2v) arrays from the old ones, plus the residual.
@@ -490,8 +508,10 @@ class _Plan:
         by zero.
         """
         semiring = self.semiring
-        new = self._empty(), self._empty()
-        self._execute(self._sync_program, arrays, new)
+        program, restore = self._sync_program
+        ordered = self._empty(), self._empty()
+        self._execute(program, arrays, ordered)
+        new = tuple({d: a.take(back[d], 0) for d, a in fresh.items()} for fresh, back in zip(ordered, restore))
         if cfg.normalize and semiring.has_normalize:
             gone = []
             for kind, fresh in zip(("v2f", "f2v"), new):
@@ -570,10 +590,10 @@ class _Plan:
         """
         semiring = self.semiring
         for d, ids, rows in self.var_groups:
-            if rows.shape[1] == 0:
-                yield d, ids, semiring.ones((len(ids), d))
+            if len(rows):
+                yield d, ids, _fold_mul(semiring, f2v[d].take(rows, 0))
             else:
-                yield d, ids, _fold_mul(semiring, f2v[d][rows])
+                yield d, ids, semiring.ones((len(ids), d))
 
     def variable_beliefs(self, g, f2v, cfg):
         """``beliefs``'s variable beliefs and zero wire, from the packed f2v arrays."""
@@ -595,8 +615,11 @@ class _Plan:
         """``beliefs``'s factor beliefs, from the packed v2f arrays."""
         by_factor = {}
         for group in self.factor_groups:
-            msgs = [v2f[d][r] for d, r in zip(group.shape, group.rows)]
-            arr = np.asarray(group.multiplied(self.semiring, group.tensors, msgs)).reshape(len(group.ids), -1)
+            arr, rank = group.tensors, len(group.shape)
+            for a, (d, r) in enumerate(zip(group.shape, group.rows)):  # axes ascending
+                along = (-1,) + (1,) * a + (d,) + (1,) * (rank - a - 1)
+                arr = self.semiring.array_mul(arr, v2f[d].take(r, 0).reshape(along))
+            arr = np.asarray(arr).reshape(len(group.ids), -1)
             arr.flags.writeable = False
             by_factor.update((nid, DenseTensor._wrap(group.shape, flat)) for nid, flat in zip(group.ids, arr))
         return {f.id: by_factor[f.id] for f in g.factors}
@@ -840,7 +863,7 @@ def _closed_components(g, plan, f2v):
         v = g.variable(var_ids[0])
         rows = plan.var_rows[v.id]
         if rows:
-            z = semiring.fold(_fold_mul(semiring, f2v[v.obj.dim][[rows]])[0], 0).item()
+            z = semiring.fold(_fold_mul(semiring, f2v[v.obj.dim].take(rows, 0)), 0).item()
         else:
             z = semiring.fold(semiring.ones((v.obj.dim,)), 0).item()
         yield fac_ids, z

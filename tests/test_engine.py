@@ -804,20 +804,21 @@ class TestMessageState:
         cfg = RunConfig()
         plan = engine._Plan(g)
         folds, contractions = [], []
-        fold_mul, multiplied = engine._fold_mul, engine._TensorGroup.multiplied
+        fold_mul, contracted = engine._fold_mul, engine._Stack.contracted
 
         def counted_fold(semiring, msgs):
             folds.append(msgs.shape)
             return fold_mul(semiring, msgs)
 
-        def counted_multiplied(stack, *args):
+        def counted_contracted(stack, *args):
             contractions.append(stack.shape)
-            return multiplied(stack, *args)
+            return contracted(stack, *args)
 
         monkeypatch.setattr(engine, "_fold_mul", counted_fold)
-        monkeypatch.setattr(engine._TensorGroup, "multiplied", counted_multiplied)
+        monkeypatch.setattr(engine._Stack, "contracted", counted_contracted)
         sweep_synchronous(g, init_messages(g, cfg), cfg)
-        assert len(folds) == sum(rows.shape[1] >= 2 for _d, _ids, rows in plan.var_groups) == 3
+        # spider groups are term-major: (degree, members)
+        assert len(folds) == sum(len(rows) >= 2 for _d, _ids, rows in plan.var_groups) == 3
         # (2,) fields, and (2, 2) tables sending on both axes in one op
         assert sorted(contractions) == [(2,), (2, 2)]
 

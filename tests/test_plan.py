@@ -646,7 +646,8 @@ class TestMergedOrientations:
 
     def test_stacks_merge_across_groups(self):
         plan = engine._Plan(merged_orientations(np.random.default_rng(330)))
-        ops = [op for op in plan._sync_program[0] if op[2] is not None]
+        program, _restore = plan._sync_program
+        ops = [op for op in program[0] if op[2] is not None]
         assert sorted(op[2].shape for op in ops) == [(2,), (2, 3), (2, 3, 3), (3, 2), (3, 2, 3), (3, 3, 2)]
         assert sum(len(group.shape) for group in plan.factor_groups) == 11
 
@@ -675,6 +676,57 @@ class TestMergedOrientations:
             result = run_bp(g, cfg)
         assert want is not None
         assert result.contradiction and result.contradiction_wire == want
+
+
+def sync_program_graphs(rng):
+    """Trees, forests (isolated variables, rank-0 factors), loopy graphs,
+    mixed dims with a repeated wire, merged orientations, a graph of one
+    rank-0 factor and a graph with no factor at all."""
+    yield from (random_tree(rng) for _ in range(3))
+    yield from (random_forest(rng) for _ in range(3))
+    yield from (random_loopy(rng) for _ in range(3))
+    yield odd_shapes(rng)
+    yield merged_orientations(rng)
+    yield build_graph([2, 3], [((), [2.0])], "prob")
+    yield build_graph([2], [], "prob")
+
+
+class TestSyncProgramWritesEveryRowOnce:
+    """A sync sweep's ops write slices of op-ordered arrays; one permutation
+    per dim and direction takes them back to packed order."""
+
+    def test_slices_tile_each_array_and_restore_each_row(self):
+        rng = np.random.default_rng(350)
+        for g in sync_program_graphs(rng):
+            plan = engine._Plan(g)
+            (ops, *more), restore = plan._sync_program
+            assert more == []
+            level0 = {d: np.zeros(n, dtype=np.intp) for d, n in plan.dims.items()}
+            unsliced = [op for level in plan._levels(level0, level0) for op in level]
+            # the same ops, in the same order, each writing a slice for its rows
+            assert len(ops) == len(unsliced)
+            for (d, out, stack, arg), (dd, rows, twin, same) in zip(ops, unsliced):
+                assert (d, out.stop - out.start) == (dd, len(rows))
+                assert (stack is None) == (twin is None) and getattr(stack, "shape", None) == getattr(twin, "shape", None)
+                assert same == arg if stack is not None else np.array_equal(same, arg)
+            for k, back in enumerate(restore):
+                assert sorted(back) == sorted(plan.dims)
+                for d, n in plan.dims.items():
+                    mine = [i for i, op in enumerate(ops) if op[0] == d and (op[2] is not None) == k]
+                    slices = [ops[i][1] for i in mine]
+                    assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+                    assert slices[-1].stop == n
+                    # the row written at position p of the op-ordered array
+                    written = np.concatenate([unsliced[i][1] for i in mine])
+                    assert sorted(back[d].tolist()) == list(range(n))
+                    assert written[back[d]].tolist() == list(range(n))
+
+    def test_a_graph_without_wires_sweeps(self):
+        for g in (build_graph([2, 3], [((), [2.0])], "prob"), build_graph([2], [], "prob")):
+            assert engine._Plan(g)._sync_program == ([[]], ({}, {}))
+            result = run_bp(g, RunConfig())
+            assert result.converged and result.iterations == 0
+            assert [b.values.tolist() for b in result.variable_beliefs.values()][0] == [0.5, 0.5]
 
 
 class TestOverflowIsNotConvergence:
@@ -750,7 +802,7 @@ def kept_arrays(obj):
     elif isinstance(obj, (list, tuple)):
         for x in obj:
             yield from kept_arrays(x)
-    elif isinstance(obj, (engine._Plan, engine._TensorGroup)):
+    elif isinstance(obj, (engine._Plan, engine._TensorGroup, engine._Stack)):
         yield from kept_arrays(vars(obj))
 
 
