@@ -186,14 +186,24 @@ def _beliefs_document(g, beliefs, z=None, converged=True, iterations=1, residual
 
 
 def _config(args):
-    """The run's config from the bp flags; read before the input file."""
-    return RunConfig(
-        schedule=args.schedule,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        damping=args.damping,
-        normalize=not args.no_normalize,
-    )
+    """The run's config from the bp flags; read before the input file, so a
+    bad value is a usage error whatever the file holds."""
+    try:
+        return RunConfig(
+            schedule=args.schedule,
+            max_iters=args.max_iters,
+            tol=args.tol,
+            damping=args.damping,
+            normalize=not args.no_normalize,
+        )
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
+
+
+def _run_bp(g, cfg):
+    if cfg.damping > 0.0 and g.semiring != "prob":  # the engine's ValueError, as a usage error
+        raise _UsageError(f"--damping needs a prob model, not {g.semiring}")
+    return run_bp(g, cfg)
 
 
 def _run_failure(result):
@@ -213,7 +223,7 @@ def _run_failure(result):
 def _cmd_run(args):
     cfg = _config(args)
     g = _load_graph(args)
-    result = run_bp(g, cfg)
+    result = _run_bp(g, cfg)
     z = None
     if args.no_normalize and args.schedule == "tree":
         # the unnormalized two-pass state is exact: close it directly
@@ -255,7 +265,7 @@ def _cmd_map(args):
         raise _UsageError("map decodes under maxtimes; drop --semiring")
     cfg = _config(args)
     g = _load_graph(args, "maxtimes")
-    result = run_bp(g, cfg)
+    result = _run_bp(g, cfg)
     failed = _run_failure(result)
     if failed:
         return failed
@@ -350,9 +360,6 @@ def _dispatch(argv):
     except (ParseError, ValidationError, NotATreeError) as err:
         _diag("error", str(err))
         return EXIT_PARSE
-    except ValueError as err:
-        _diag("error", f"usage: {err}")
-        return EXIT_USAGE
 
 
 def main():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spiderbp import engine, graph
+from spiderbp import cli, engine, graph
 from spiderbp.algebra import DualSemiring
 from spiderbp.cli import cli_dispatch
 
@@ -127,6 +127,24 @@ class TestExitCodes:
         path = write(tmp_path, GOOD)
         code, _, _ = run_cli(capsys, "run", "--input", path, "--damping", "1.5")
         assert code == 1
+
+    def test_damping_a_model_outside_prob_is_usage(self, tmp_path, capsys):
+        path = write(tmp_path, GOOD)
+        for argv in (["run", "--semiring", "count"], ["map"]):
+            code, out, err = run_cli(capsys, *argv, "--input", path, "--damping", "0.5")
+            assert code == 1 and out == ""
+            assert json.loads(err)["message"].startswith("usage: --damping needs a prob model")
+
+    def test_a_value_error_while_reading_is_not_usage(self, tmp_path, capsys, monkeypatch):
+        # only configuration errors raised before the input is read are usage
+        # errors: a slip in a parser surfaces as itself, not as exit 1
+        def slip(text, semiring=None):
+            raise ValueError("a parser slip")
+
+        monkeypatch.setattr(cli, "parse_native", slip)
+        path = write(tmp_path, GOOD)
+        with pytest.raises(ValueError, match="a parser slip"):
+            cli_dispatch(["run", "--input", path])
 
     @pytest.mark.parametrize(
         "argv",
