@@ -501,8 +501,8 @@ class _Plan:
     def sweep(self, g, arrays, cfg):
         """New (v2f, f2v) arrays from the old ones, plus the residual.
 
-        Runs the level-0 program from the old arrays into new ones, then
-        normalizes and damps per config as the per-wire rules do. The first
+        Runs the level-0 program into op-ordered arrays, restores packed
+        order, then normalizes and damps as the per-wire rules do. The first
         dead row raises ContradictionError for its wire, every v2f row in
         ``g.wires`` order before every f2v row, before anything is divided
         by zero.
