@@ -802,7 +802,7 @@ def kept_arrays(obj):
     elif isinstance(obj, (list, tuple)):
         for x in obj:
             yield from kept_arrays(x)
-    elif isinstance(obj, (engine._Plan, engine._TensorGroup, engine._Stack)):
+    elif isinstance(obj, (engine._Plan, engine._Stack)):  # a _TensorGroup is a tuple
         yield from kept_arrays(vars(obj))
 
 
