@@ -35,12 +35,12 @@ per dim and direction. Ops read contiguous memory (``take`` gathers,
 term-major layouts); they apply the per-wire rules of
 ``update_variable_message`` and ``update_factor_message`` in the same
 operation order, so both schedules give the per-wire messages bit for
-bit. A run's state is read through
-``beliefs``, ``decode_map`` and ``contraction_from_state``, which work on
-the packed arrays directly; ``contraction_derivative`` also reads a
-factor's cavity (its incoming messages) off them. Every semiring sum is a
-``Semiring.fold`` and every rescaling a ``_normalize_rows``, under the
-contract written in ``spiderbp.algebra``.
+bit. A run's state is read through ``beliefs``, ``decode_map`` and
+``contraction_from_state``, which work on the packed arrays directly;
+``contraction_derivative`` also reads a factor's cavity (its incoming
+messages) off them. Every semiring sum is a ``Semiring.fold`` and every
+rescaling a ``_normalize_rows``, under the contract written in
+``spiderbp.algebra``.
 
 A graph's tensors live in one semiring, named by ``g.semiring``, and every
 entry point here runs the graph in that one. A ``RunConfig`` leaves it
@@ -51,8 +51,8 @@ is only ever read against the graph that computed it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from collections import namedtuple
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
