@@ -205,3 +205,10 @@ def node_between(node_tensor):
     """One node between the unary factors [1, 2] and [3, 4]; factor 2 is
     the node's tensor over its wires v0 (to factor 0) and v1 (to factor 1)."""
     return normal_form([2], [((0,), [1.0, 2.0]), ((0,), [3.0, 4.0])], {0: node_tensor})
+
+
+def wire_messages(state):
+    """A ``MessageState``'s messages as (v2f, f2v), each dim -> a (wires,
+    dim) view, one row per wire of that dim in ``g.wires`` order: the
+    packed store read wire by wire, whatever its layout."""
+    return tuple({d: a for d, a in arrays.items()} for arrays in state._arrays)

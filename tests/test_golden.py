@@ -15,7 +15,7 @@ failure message names the key to rewrite.
 
 Rewriting the file changes the contract on purpose, so name the records
 that changed, and why, where the change is described. To rewrite this
-platform's entry:
+platform's entry, printing the names of the records whose digest moved:
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
 """
@@ -36,7 +36,7 @@ from spiderbp import serialize_native, serialize_uai
 from spiderbp.cli import cli_dispatch
 from spiderbp.engine import contraction_derivative
 
-from fixtures import random_forest, random_loopy, random_tree, table_for
+from fixtures import random_forest, random_loopy, random_tree, table_for, wire_messages
 
 GOLDEN = Path(__file__).with_name("golden.json")
 NAMES = ("prob", "maxtimes", "bool", "count", "dual")
@@ -76,7 +76,7 @@ def _result(result):
         result.contradiction_wire,
         result.variable_beliefs,
         result.factor_beliefs,
-        [sorted(arrays.items()) for arrays in state._arrays],
+        [sorted(arrays.items()) for arrays in wire_messages(state)],
     )
 
 
@@ -186,6 +186,12 @@ def digests():
     return out
 
 
+def changed_records(got, want):
+    """Sorted names of the records whose digest differs between two digest
+    dicts, counting a record that only one of them has."""
+    return sorted(set(got) ^ set(want) | {k for k in got.keys() & want.keys() if got[k] != want[k]})
+
+
 def test_every_record_keeps_its_bits():
     key, got = platform_key(), digests()
     kept = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -193,15 +199,29 @@ def test_every_record_keeps_its_bits():
         assert got == digests(), f"records differ between two runs on {key!r}"
         return
     want = kept[key]
-    changed = sorted(set(got) ^ set(want) | {k for k in got.keys() & want.keys() if got[k] != want[k]})
+    changed = changed_records(got, want)
     assert not changed, f"{len(changed)} of {len(want)} records changed on {key!r}: {changed[:10]}"
 
 
+def test_changed_records_names_moved_added_and_dropped_records():
+    want = {"a": "1", "b": "2", "c": "3", "d": "4"}
+    got = {"d": "4", "c": "30", "a": "1", "e": "5"}
+    assert changed_records(got, want) == ["b", "c", "e"]
+    assert changed_records(want, got) == ["b", "c", "e"]
+    assert changed_records(want, dict(want)) == []
+
+
 def rewrite():
+    """Write this platform's digests and print the records that changed
+    against its kept entry, one name per line."""
     kept = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    kept[platform_key()] = digests()
+    key, got = platform_key(), digests()
+    if key in kept:
+        changed = changed_records(got, kept[key])
+        print(f"{len(changed)} of {len(got)} records changed on {key!r}:", *changed, sep="\n")
+    kept[key] = got
     GOLDEN.write_text(json.dumps(kept, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(kept[platform_key()])} digests for {platform_key()!r} to {GOLDEN}")
+    print(f"wrote {len(got)} digests for {key!r} to {GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from spiderbp.cli import EXIT_NOT_CONVERGED, cli_dispatch
 from spiderbp.engine import contraction_from_state, update_factor_message, update_variable_message
 from spiderbp.tensor import Message
 
-from fixtures import node_between, normal_form, random_loopy, random_tree, random_tree_structure, relabel, table_for
+from fixtures import node_between, normal_form, random_loopy, random_tree, random_tree_structure, relabel, table_for, wire_messages
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -72,7 +72,7 @@ class DictState:
 def unpack(g, state):
     """A ``MessageState`` of ``g`` as a ``DictState``: one ``Message`` per
     directed wire, read off the wire's packed row."""
-    v2f, f2v = state._arrays
+    v2f, f2v = wire_messages(state)
     var_to_factor, factor_to_var = {}, {}
     for (fid, axis), (d, r) in zip(g.wires, state._plan.wire_rows):
         vid = g.factor(fid).neighbors[axis]
@@ -788,7 +788,7 @@ def result_bits(result):
         repr(state.residual),
         [(vid, bits(b.values)) for vid, b in result.variable_beliefs.items()],
         [(fid, b.shape, bits(b.data)) for fid, b in result.factor_beliefs.items()],
-        [(d, bits(a)) for arrays in state._arrays for d, a in arrays.items()],
+        [(d, bits(a)) for arrays in wire_messages(state) for d, a in arrays.items()],
     )
 
 
