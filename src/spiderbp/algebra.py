@@ -42,7 +42,9 @@ integer addition cannot change a bit in any order, so bool and count use
 ufunc ``reduce``; dual loops over the slices. The maxtimes ``add`` follows
 ``np.maximum`` (a nan wins, a tie goes to the second operand), so its
 scalar and array forms agree. Rescaling is written once per semiring too,
-in ``_normalize_rows``, and ``normalize`` is its one-row case.
+in ``_normalize_columns``: the engine stores messages dim-major, one column
+per wire, so a column's mass is a fold of axis 0, and ``normalize`` is the
+one-column case.
 """
 
 from __future__ import annotations
@@ -173,7 +175,8 @@ class Semiring:
         acc = arr[lead + (0,)]
         for i in range(1, arr.shape[axis]):
             acc = self.array_add(acc, arr[lead + (i,)])
-        return np.array(acc, dtype=self.dtype)
+        # a sum of two or more slices is a new array already; one slice is a view
+        return (np.asarray if arr.shape[axis] > 1 else np.array)(acc, dtype=self.dtype)
 
     def max_distance(self, a, b):
         """Largest componentwise ``distance`` between two equal-shape arrays.
@@ -193,21 +196,22 @@ class Semiring:
     def normalize(self, values):
         """Rescaled copy of ``values``; raises ZeroMessageError on dead support.
 
-        Only available when ``has_normalize``; the one-row case of
-        ``_normalize_rows``. The exception carries the unchanged input so
+        Only available when ``has_normalize``; the one-column case of
+        ``_normalize_columns``. The exception carries the unchanged input so
         callers can still report what was computed.
         """
-        out, dead = self._normalize_rows(np.asarray(values).reshape(1, -1))
+        out, dead = self._normalize_columns(np.asarray(values).reshape(-1, 1))
         if dead is not None:
             raise ZeroMessageError(values=values)
-        return out[0]
+        return out[:, 0]
 
-    def _normalize_rows(self, rows):
-        """Each row of a 2-d array divided by its mass (a semiring fold).
+    def _normalize_columns(self, cols):
+        """Each column of a (dim, n) array divided by its mass, the fold
+        of axis 0.
 
-        Returns (rescaled rows, dead-row mask), the mask None when no row
-        is dead. A row is dead when its mass is zero; dead rows come back
-        as they were, and nothing is divided by zero.
+        Returns (rescaled columns, dead-column mask), the mask None when no
+        column is dead. A column is dead when its mass is zero; dead columns
+        come back as they were, and nothing is divided by zero.
         """
         raise NotImplementedError
 
@@ -293,14 +297,14 @@ class ProbSemiring(Semiring):
             d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
         return float(d.max()) if d.size else 0.0
 
-    def _normalize_rows(self, rows):
-        s = self.fold(rows, 1)
+    def _normalize_columns(self, cols):
+        s = self.fold(cols, 0)
         if np.count_nonzero(s) == len(s):
-            return rows / s[:, None], None
+            return cols / s, None
         dead = s == 0.0
-        out = rows.copy()
+        out = cols.copy()
         live = ~dead
-        out[live] = rows[live] / s[live, None]
+        out[:, live] = cols[:, live] / s[live]
         return out, dead
 
     def random_scalar(self, rng):
@@ -490,19 +494,19 @@ class DualSemiring(Semiring):
                 f"dual values must be [a, b] pairs or numbers, got {reprlib.repr(x)}"
             ) from None
 
-    def _normalize_rows(self, rows):
+    def _normalize_columns(self, cols):
         # The quotient rule: (a + b*eps) / (s + sigma*eps), with s and sigma
         # the sums of the real and eps parts, is a/s + (b*s - a*sigma)/s^2
         # eps, the derivative of a/s; the eps part is computed as
         # (b - sigma*a/s)/s, which does not square s.
-        lines = rows.tolist()
-        a = np.array([[d.real for d in line] for line in lines], dtype=np.float64).reshape(rows.shape)
-        b = np.array([[d.eps for d in line] for line in lines], dtype=np.float64).reshape(rows.shape)
-        s, sigma = PROB.fold(a, 1)[:, None], PROB.fold(b, 1)[:, None]
-        live = s[:, 0] != 0.0
-        real = a[live] / s[live]
-        out = rows.copy()
-        out[live] = _dual_array(real, (b[live] - sigma[live] * real) / s[live])
+        lines = cols.tolist()
+        a = np.array([[d.real for d in line] for line in lines], dtype=np.float64).reshape(cols.shape)
+        b = np.array([[d.eps for d in line] for line in lines], dtype=np.float64).reshape(cols.shape)
+        s, sigma = PROB.fold(a, 0), PROB.fold(b, 0)
+        live = s != 0.0
+        real = a[:, live] / s[live]
+        out = cols.copy()
+        out[:, live] = _dual_array(real, (b[:, live] - sigma[live] * real) / s[live])
         return out, None if live.all() else ~live
 
     def random_scalar(self, rng):

@@ -20,26 +20,27 @@ to leaves, and is exact on trees in a single execution.
 
 Both schedules run on one plan (``_Plan``), compiled once per graph: the
 first run builds it and the graph keeps it beside its validation verdict.
-Every wire gets an integer row in one packed ``(wires, dim)`` array per
-dim and direction, and a ``MessageState`` holds nothing but these arrays.
-Variables are grouped by (dim, degree), and every tensor is stacked once
-per out wire, transposed so that wire is last; tensors that agree in this
-oriented shape share a stack, kept in level order. An update program is a
-list of levels of batched ops: at each level, one op per spider group and
-one per oriented shape, on a slice of its stack. ``tree`` gives each
-directed wire a level (1 + the largest level among the messages it reads)
-and runs the levels in order, in place, so every message is computed once
-from final inputs. A ``sync`` sweep is the same program with every wire at
-level 0, run from the old arrays into new ones, each op writing one slice
-per dim and direction. Ops read contiguous memory (``take`` gathers,
-term-major layouts); they apply the per-wire rules of
+Messages are stored dim-major: one packed ``(dim, wires)`` array per dim
+and direction, in which every wire owns one column (its "row" number), and
+a ``MessageState`` holds nothing but these arrays. Variables are grouped by
+(dim, degree), and every tensor is stacked once per out wire, transposed so
+that wire is last; tensors that agree in this oriented shape share a stack,
+kept in level order. An update program is a list of levels of batched ops:
+at each level, one op per spider group and one per oriented shape, on a
+slice of its stack. ``tree`` gives each directed wire a level (1 + the
+largest level among the messages it reads) and runs the levels in order, in
+place, so every message is computed once from final inputs. A ``sync``
+sweep is the same program with every wire at level 0, run from the old
+arrays into new ones, each op writing one slice per dim and direction.
+Every op, rescale and residual loops over the wires of a dim, not over the
+few entries of one message. The ops apply the per-wire rules of
 ``update_variable_message`` and ``update_factor_message`` in the same
-operation order, so both schedules give the per-wire messages bit for
-bit. A run's state is read through ``beliefs``, ``decode_map`` and
+operation order, so both schedules give the per-wire messages bit for bit.
+A run's state is read through ``beliefs``, ``decode_map`` and
 ``contraction_from_state``, which work on the packed arrays directly;
 ``contraction_derivative`` also reads a factor's cavity (its incoming
 messages) off them. Every semiring sum is a ``Semiring.fold`` and every
-rescaling a ``_normalize_rows``, under the contract written in
+rescaling a ``_normalize_columns``, under the contract written in
 ``spiderbp.algebra``.
 
 A graph's tensors live in one semiring, named by ``g.semiring``, and every
@@ -274,22 +275,25 @@ _TensorGroup = namedtuple("_TensorGroup", "shape ids tensors rows")
 
 
 class _Stack:
-    """The (tensor, out axis) pairs of one oriented shape, term-major: tensors
-    as (other axes ascending..., members in level order, out dim), and
+    """The (tensor, out axis) pairs of one oriented shape, dim-major: tensors
+    as (other axes ascending..., out dim, members in level order), and
     ``rows[a][i]`` the packed row of member ``i``'s wire on oriented axis ``a``."""
 
     def __init__(self, shape, tensors, rows):
         self.shape, self.tensors, self.rows = shape, tensors, rows
-        # shape that lines a transposed (dim, members) message up with one other axis
+        # shape that lines a (dim, members) message up with one other axis
         rank = len(shape)
-        self.along = [(1,) * a + (d,) + (1,) * (rank - a - 2) + (-1, 1) for a, d in enumerate(shape[:-1])]
+        self.along = [(d,) + (1,) * (rank - a - 1) + (-1,) for a, d in enumerate(shape[:-1])]
 
     def contracted(self, semiring, run, v2f):
-        """The out messages of the members in slice ``run``: tensors times v2f
-        messages, axes ascending, other axes folded in row-major order."""
-        arr = self.tensors[..., run, :]
+        """The (out dim, members) messages of the members in slice ``run``:
+        tensors times v2f messages, axes ascending, other axes folded in
+        row-major order (a rank-1 tensor has none: it is its message)."""
+        arr = self.tensors[..., run]
+        if not self.along:
+            return arr
         for d, rows, along in zip(self.shape, self.rows, self.along):
-            arr = semiring.array_mul(arr, v2f[d].take(rows[run], 0).T.reshape(along))
+            arr = semiring.array_mul(arr, v2f[d].take(rows[run], 1).reshape(along))
         return semiring.fold(arr.reshape(-1, *arr.shape[-2:]), 0)
 
 
@@ -315,12 +319,13 @@ def _tensor_groups(members):
 class _Plan:
     """A graph compiled for batched message updates over its semiring.
 
-    Every wire ``(factor id, axis)`` owns one integer row in the packed
-    ``(wires, dim)`` array of its variable's dim, numbered in ``g.wires``
-    order; a message array pair ``(v2f, f2v)`` maps each dim to such an
-    array per direction, and is the only message store. Variables are
-    grouped by (dim, degree), term-major: ``rows[k, i]`` is the row of
-    member i's k-th incident wire; factor tensors are stacked by shape.
+    Every wire ``(factor id, axis)`` owns one integer row number, its
+    column in the packed dim-major ``(dim, wires)`` array of its variable's
+    dim, numbered in ``g.wires`` order; a message array pair ``(v2f,
+    f2v)`` maps each dim to such a C-contiguous array per direction, and is
+    the only message store. Variables are grouped by (dim, degree),
+    term-major: ``rows[k, i]`` is the row of member i's k-th incident wire;
+    factor tensors are stacked by shape.
 
     Both schedules run one kind of update program (``_levels``): a list of
     levels, each a list of batched ops, run by ``_execute``. The ops repeat
@@ -332,10 +337,12 @@ class _Plan:
     so each tensor is stacked once per out axis with that axis last; one
     oriented shape (say (3, 2): a (2, 3) table sending on axis 0 and a
     (3, 2) table sending on axis 1) is one stack across tensor groups, in
-    level order, and a level's factor op reads a slice of it. Ops are
-    term-major: spider rows gather to (terms, rows, dim) and a ``_Stack``
-    is (other axes..., members, dim), so each fold step reads one
-    contiguous block. Every product and sum keeps its operands and their
+    level order, and a level's factor op reads a slice of it. A spider op
+    gathers (terms, dim, out rows) with one flat ``take`` and folds its
+    terms, each one contiguous (dim, rows) block; a ``_Stack`` is (other
+    axes ascending..., out dim, members), so a message multiplies in as
+    (dim, 1..., members) and the fold of the leading axes adds (out dim,
+    members) blocks. Every product and sum keeps its operands and their
     order, so messages, residuals and beliefs equal the per-wire results
     bit for bit. The sync sweep is the program with every wire at level 0,
     compiled once per plan: one op per spider group and one per oriented
@@ -385,7 +392,7 @@ class _Plan:
         self.factor_groups = _tensor_groups((f.id, f.tensor, factor_rows[f.id]) for f in g.factors)
 
     def _empty(self):
-        return {d: np.empty((n, d), dtype=self.semiring.dtype) for d, n in self.dims.items()}
+        return {d: np.empty((d, n), dtype=self.semiring.dtype) for d, n in self.dims.items()}
 
     def initial(self, cfg):
         """The unit message on every directed wire, as ``init_messages``."""
@@ -395,7 +402,7 @@ class _Plan:
             unit = semiring.ones((d,))
             if cfg.normalize and semiring.has_normalize:
                 unit = semiring.normalize(unit)
-            arr[...] = unit
+            arr[...] = unit[:, None]
         return v2f, {d: arr.copy() for d, arr in v2f.items()}
 
     def _dead_wires(self, g, gone):
@@ -417,7 +424,8 @@ class _Plan:
         """Run a program's ops level by level, reading ``src`` and writing ``dst``.
 
         Both are (v2f, f2v) array pairs: a variable op folds f2v rows into
-        v2f rows, and a factor op contracts v2f rows into f2v rows. With
+        v2f rows, and a factor op contracts v2f rows into f2v rows; each
+        writes the (dim, out rows) block ``dst[k][d][:, out]``. With
         ``normalize`` every op rescales its rows before writing them, and the
         result lists (kind, dim, out rows, dead-row mask) per op with a dead
         row; without, it is empty.
@@ -428,28 +436,28 @@ class _Plan:
             for d, out, stack, arg in ops:
                 if stack is None:
                     kind, k = "v2f", 0
-                    values = _fold_mul(semiring, src[1][d].take(arg, 0)) if len(arg) else semiring.ones((arg.shape[1], d))
+                    values = _fold_mul(semiring, src[1][d].take(arg)) if len(arg) else semiring.ones((d, arg.shape[-1]))
                 else:
                     kind, k = "f2v", 1
                     values = stack.contracted(semiring, arg, src[0])
                 if normalize:
-                    values, dead = semiring._normalize_rows(values)
+                    values, dead = semiring._normalize_columns(values)
                     if dead is not None:
                         gone.append((kind, d, out, dead))
-                dst[k][d][out] = values
+                dst[k][d][:, out] = values
         return gone
 
     def _levels(self, v2f_levels, f2v_levels):
         """The update program for given wire levels (dim -> level per row).
 
         An op is (dim, out rows, stack or None, argument): a variable op
-        (stack None) folds the f2v rows of the term-major (terms, out rows)
-        index ``argument`` (no terms: the unit), a factor op contracts the
-        slice ``argument`` of its ``_Stack``. Each (tensor group, out axis)
-        is transposed to its oriented shape (other axes ascending, out axis
-        last); the groups of one oriented shape make one stack, in level
-        order. Each spider group's index and each stack are built once, so
-        a level's op reads views of them.
+        (stack None) folds the f2v entries of the (terms, dim, out rows)
+        flat index ``argument`` (no terms: the unit), a factor op contracts
+        the slice ``argument`` of its ``_Stack``. Each (tensor group, out
+        axis) is transposed to its oriented shape (other axes ascending, out
+        axis last), with the members last; the groups of one oriented shape
+        make one stack, in level order. Each spider group's index and each
+        stack are built once, so a level's op reads views of them.
         """
         ops = []
         for d, _ids, rows in self.var_groups:
@@ -460,21 +468,23 @@ class _Plan:
             order, runs = _by_level(v2f_levels[d][out])
             # the f2v rows each out row folds: its member's other wires, in incidence order
             leave_out = np.array([[q for q in range(k) if q != p] for p in range(k)], dtype=np.intp).reshape(k, k - 1)
-            others = rows[leave_out].transpose(1, 0, 2).reshape(k - 1, out.size)
-            out, others = _frozen(out[order]), _frozen(others[:, order])
-            ops.extend((level, (d, out[run], None, others[:, run])) for level, run in runs)
+            others = rows[leave_out].transpose(1, 0, 2).reshape(k - 1, 1, out.size)
+            # as flat indices into the (dim, wires) f2v array: a (terms, dim, out rows) gather
+            others = others + self.dims[d] * np.arange(d).reshape(d, 1)
+            out, others = _frozen(out[order]), _frozen(others.take(order, -1))
+            ops.extend((level, (d, out[run], None, others[..., run])) for level, run in runs)
         stacks = {}
         for group in self.factor_groups:
             rank = len(group.shape)
             for t in range(rank):
                 axes = [a for a in range(rank) if a != t] + [t]
                 tensors, rows = stacks.setdefault(tuple(group.shape[a] for a in axes), ([], []))
-                tensors.append(group.tensors.transpose(*(a + 1 for a in axes[:-1]), 0, t + 1))
+                tensors.append(group.tensors.transpose(*(a + 1 for a in axes), 0))
                 rows.append([group.rows[a] for a in axes])
         for shape, (tensors, rows) in stacks.items():
             d, rows = shape[-1], [np.concatenate(r) for r in zip(*rows)]
             order, runs = _by_level(f2v_levels[d][rows[-1]])
-            tensors = _frozen(np.concatenate(tensors, axis=-2)[..., order, :])
+            tensors = _frozen(np.concatenate(tensors, axis=-1).take(order, -1))
             stack = _Stack(shape, tensors, [_frozen(r[order]) for r in rows])
             ops.extend((level, (d, stack.rows[-1][run], stack, run)) for level, run in runs)
         program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
@@ -511,17 +521,16 @@ class _Plan:
         program, restore = self._sync_program
         ordered = self._empty(), self._empty()
         self._execute(program, arrays, ordered)
-        new = tuple({d: a.take(back[d], 0) for d, a in fresh.items()} for fresh, back in zip(ordered, restore))
+        new = tuple({d: a.take(back[d], 1) for d, a in fresh.items()} for fresh, back in zip(ordered, restore))
         if cfg.normalize and semiring.has_normalize:
             gone = []
             for kind, fresh in zip(("v2f", "f2v"), new):
-                for d, rows in fresh.items():
-                    fresh[d], dead = semiring._normalize_rows(rows)
+                for d, cols in fresh.items():
+                    fresh[d], dead = semiring._normalize_columns(cols)
                     if dead is not None:
                         gone.append((kind, d, slice(None), dead))
-            dead_wires = self._dead_wires(g, gone)
-            if dead_wires:
-                raise ContradictionError(dead_wires[0])
+            if gone:
+                raise ContradictionError(self._dead_wires(g, gone)[0])
         if cfg.damping != 0.0:
             lam = cfg.damping
             for fresh, old in zip(new, arrays):
@@ -572,7 +581,7 @@ class _Plan:
         for kind, fid, axis in schedule[at:]:
             d, r = wire_row[(fid, axis)]
             k = 0 if kind == "v2f" else 1
-            arrays[k][d][r] = unit[k][d][r]
+            arrays[k][d][:, r] = unit[k][d][:, r]
         return schedule[at]
 
     def _wire_levels(self, g):
@@ -591,9 +600,9 @@ class _Plan:
         semiring = self.semiring
         for d, ids, rows in self.var_groups:
             if len(rows):
-                yield d, ids, _fold_mul(semiring, f2v[d].take(rows, 0))
+                yield d, ids, _fold_mul(semiring, f2v[d].take(rows, 1).swapaxes(0, 1))
             else:
-                yield d, ids, semiring.ones((len(ids), d))
+                yield d, ids, semiring.ones((d, len(ids)))
 
     def variable_beliefs(self, g, f2v, cfg):
         """``beliefs``'s variable beliefs and zero wire, from the packed f2v arrays."""
@@ -601,10 +610,10 @@ class _Plan:
         by_var, dead_vars = {}, set()
         for d, ids, values in self.incoming_products(f2v):
             if cfg.normalize and semiring.has_normalize:
-                values, dead = semiring._normalize_rows(values)
+                values, dead = semiring._normalize_columns(values)
                 if dead is not None:
                     dead_vars.update(vid for vid, gone in zip(ids, dead.tolist()) if gone)
-            values = np.asarray(values)
+            values = values.T.copy()
             values.flags.writeable = False
             for vid, row in zip(ids, values):
                 by_var[vid] = Message._wrap(g.variable(vid).obj, row)
@@ -618,7 +627,7 @@ class _Plan:
             arr, rank = group.tensors, len(group.shape)
             for a, (d, r) in enumerate(zip(group.shape, group.rows)):  # axes ascending
                 along = (-1,) + (1,) * a + (d,) + (1,) * (rank - a - 1)
-                arr = self.semiring.array_mul(arr, v2f[d].take(r, 0).reshape(along))
+                arr = self.semiring.array_mul(arr, v2f[d].take(r, 1).T.reshape(along))
             arr = np.asarray(arr).reshape(len(group.ids), -1)
             arr.flags.writeable = False
             by_factor.update((nid, DenseTensor._wrap(group.shape, flat)) for nid, flat in zip(group.ids, arr))
@@ -630,15 +639,15 @@ class _Plan:
         out. Left-folds ``mul`` in ascending axis order, as
         ``factor_beliefs``; a rank-0 factor's is the empty product."""
         shape = g.factor(fid).tensor.shape
-        terms = [v2f[d].item(r, i) for d, r, i in zip(shape, self.factor_rows[fid], np.unravel_index(entry, shape))]
+        terms = [v2f[d].item(i, r) for d, r, i in zip(shape, self.factor_rows[fid], np.unravel_index(entry, shape))]
         return reduce(self.semiring.mul, terms) if terms else self.semiring.one
 
     def first_zero_wire(self, g, arrays):
         """First all-zero message, every v2f in wire order before every f2v."""
         dead_wires = self._dead_wires(g, [
-            (kind, d, slice(None), (rows == self.semiring.zero).all(axis=1))
+            (kind, d, slice(None), (cols == self.semiring.zero).all(axis=0))
             for kind, packed in zip(("v2f", "f2v"), arrays)
-            for d, rows in packed.items()
+            for d, cols in packed.items()
         ])
         return dead_wires[0] if dead_wires else None
 
@@ -863,7 +872,7 @@ def _closed_components(g, plan, f2v):
         v = g.variable(var_ids[0])
         rows = plan.var_rows[v.id]
         if rows:
-            z = semiring.fold(_fold_mul(semiring, f2v[v.obj.dim].take(rows, 0)), 0).item()
+            z = semiring.fold(_fold_mul(semiring, f2v[v.obj.dim].take(rows, 1).T), 0).item()
         else:
             z = semiring.fold(semiring.ones((v.obj.dim,)), 0).item()
         yield fac_ids, z
@@ -920,11 +929,11 @@ def decode_map(g, state):
     best_of = {}
     for d, ids, values in plan.incoming_products(f2v):
         best = np.zeros(len(ids), dtype=np.intp)
-        best_val = values[:, 0]
+        best_val = values[0]
         for j in range(1, d):
-            better = np.asarray(values[:, j] > best_val, dtype=bool)
+            better = np.asarray(values[j] > best_val, dtype=bool)
             best[better] = j
-            best_val = np.where(better, values[:, j], best_val)
+            best_val = np.where(better, values[j], best_val)
         best_of.update(zip(ids, best.tolist()))
     return {v.id: best_of[v.id] for v in g.variables}
 

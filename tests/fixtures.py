@@ -211,4 +211,4 @@ def wire_messages(state):
     """A ``MessageState``'s messages as (v2f, f2v), each dim -> a (wires,
     dim) view, one row per wire of that dim in ``g.wires`` order: the
     packed store read wire by wire, whatever its layout."""
-    return tuple({d: a for d, a in arrays.items()} for arrays in state._arrays)
+    return tuple({d: a.T for d, a in arrays.items()} for arrays in state._arrays)

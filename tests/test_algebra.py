@@ -304,12 +304,13 @@ class TestFoldContract:
         for dim in (1, 2, 3, 7):
             rows = random_entries(rng, "dual" if name == "dual" else "prob", (100, dim))
             rows[0] = semiring.zeros((dim,))  # one dead row
-            scaled, dead = semiring._normalize_rows(rows)
+            # the engine's (dim, wires) layout: one message per column
+            scaled, dead = semiring._normalize_columns(rows.T)
             assert dead.tolist() == [True] + [False] * 99
-            assert [repr(x) for x in scaled[0].tolist()] == [repr(x) for x in rows[0].tolist()]
+            assert [repr(x) for x in scaled[:, 0].tolist()] == [repr(x) for x in rows[0].tolist()]
             for i in range(1, len(rows)):
                 one = semiring.normalize(rows[i])
-                assert [repr(x) for x in one.tolist()] == [repr(x) for x in scaled[i].tolist()]
+                assert [repr(x) for x in one.tolist()] == [repr(x) for x in scaled[:, i].tolist()]
             with pytest.raises(ZeroMessageError):
                 semiring.normalize(rows[0])
 

@@ -817,7 +817,7 @@ class TestMessageState:
         monkeypatch.setattr(engine, "_fold_mul", counted_fold)
         monkeypatch.setattr(engine._Stack, "contracted", counted_contracted)
         sweep_synchronous(g, init_messages(g, cfg), cfg)
-        # spider groups are term-major: (degree, members)
+        # one fold per spider group, term-major: (terms, dim, members)
         assert len(folds) == sum(len(rows) >= 2 for _d, _ids, rows in plan.var_groups) == 3
         # (2,) fields, and (2, 2) tables sending on both axes in one op
         assert sorted(contractions) == [(2,), (2, 2)]
