@@ -63,8 +63,9 @@ class DenseTensor:
         int tuple ``shape``.
         """
         t = object.__new__(cls)
-        object.__setattr__(t, "shape", shape)
-        object.__setattr__(t, "data", data)
+        # the instance dict, which the frozen __setattr__ does not guard
+        fields = t.__dict__
+        fields["shape"], fields["data"] = shape, data
         return t
 
     @classmethod
@@ -141,8 +142,9 @@ class Message:
         entries.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "obj", obj)
-        object.__setattr__(m, "values", values)
+        # the instance dict, which the frozen __setattr__ does not guard
+        fields = m.__dict__
+        fields["obj"], fields["values"] = obj, values
         return m
 
 

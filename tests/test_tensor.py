@@ -1,5 +1,7 @@
 """Dense tensors: storage, reshaping, spiders, and contraction kernels."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,35 @@ class TestMessage:
         m = Message(obj(2), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             m.values[0] = 0.0
+
+
+class TestWrap:
+    """``_wrap`` skips the checks and the copy, not the frozen dataclass: a
+    wrapped value compares, prints and refuses assignment as a built one."""
+
+    def test_a_wrapped_message_is_a_frozen_message(self):
+        built = Message(obj(2), np.array([1.0, 2.0]))
+        wrapped = Message._wrap(obj(2), built.values)
+        assert vars(wrapped) == {"obj": obj(2), "values": built.values}
+        assert wrapped == built and wrapped.values is built.values
+        assert wrapped != Message._wrap(obj(2, "y"), built.values)
+        assert repr(wrapped) == repr(built)
+        with pytest.raises(FrozenInstanceError):
+            wrapped.values = built.values
+        with pytest.raises(FrozenInstanceError):
+            del wrapped.obj
+
+    def test_a_wrapped_tensor_is_a_frozen_tensor(self):
+        built = DenseTensor((2, 3), np.arange(6.0))
+        wrapped = DenseTensor._wrap((2, 3), built.data)
+        assert vars(wrapped) == {"shape": (2, 3), "data": built.data}
+        assert wrapped == built and wrapped.data is built.data
+        assert wrapped != DenseTensor._wrap((3, 2), built.data)
+        assert repr(wrapped) == repr(built)
+        with pytest.raises(FrozenInstanceError):
+            wrapped.shape = (6,)
+        with pytest.raises(FrozenInstanceError):
+            del wrapped.data
 
 
 class TestMatricize:
