@@ -1,4 +1,4 @@
-"""Classic chain algorithms, written from their textbooks, against the engine.
+"""Classic algorithms, written from their textbooks, against the engine.
 
 The paper's claim is that algorithms known as analogous are one algorithm
 run over different semirings. Here each classic is written out in plain
@@ -23,13 +23,22 @@ a prior pi, a transition table a[i, j] = P(x_{t+1} = j | x_t = i) and an
 emission table; with the observations fixed, b_t(i) is the emission of
 the observed symbol at step t. Factor ids are the prior, then at each step
 its emission and its transition into the next step.
+
+Three more classics run over the other semirings, each stating its own
+association: solution counting by dynamic programming on chain CSPs
+(count, exact in any order), AC-3 on tree CSPs (bool, exact in any order)
+and forward-mode differentiation of the forward algorithm (against
+``dual_seed`` and ``contraction_derivative``, equal to rounding because
+the forward algorithm closes Z at the other end).
 """
 
 import numpy as np
 import pytest
 
-from spiderbp import RunConfig, build_graph, contraction_value, decode_map, run_bp
-from spiderbp.engine import contraction_from_state
+from spiderbp import RunConfig, build_graph, contraction_value, decode_map, dual_seed, run_bp
+from spiderbp.engine import contraction_derivative, contraction_from_state
+
+from fixtures import random_tree_structure
 
 SEEDS = range(12)
 
@@ -139,3 +148,138 @@ def test_viterbi_is_the_maxtimes_tree_run(seed):
     assert result.variable_beliefs[steps - 1].values.tobytes() == as_array(delta[-1]).tobytes()
     assert repr(left_fold(larger, result.variable_beliefs[steps - 1].values.tolist())) == repr(float(best_value))
     assert decode_map(g, result.state) == dict(enumerate(path))
+
+
+def chain_csp(rng):
+    """(dims, unary, pair) of a random chain CSP: unary[t][i] allows x_t = i,
+    pair[t][i][j] allows (x_t, x_{t+1}) = (i, j); entries are 0 or 1."""
+    steps = int(rng.integers(1, 25))
+    dims = [int(rng.integers(2, 5)) for _ in range(steps)]
+    unary = [[int(x) for x in rng.random(d) < 0.8] for d in dims]
+    pair = [[[int(x) for x in rng.random(dims[t + 1]) < 0.6] for _ in range(dims[t])] for t in range(steps - 1)]
+    return dims, unary, pair
+
+
+def csp_graph(dims, unary, pair, semiring):
+    """The chain CSP's factor graph: each step's unary table, then its pair table."""
+    factors = []
+    for t, allowed in enumerate(unary):
+        factors.append(((t,), allowed))
+        if t + 1 < len(dims):
+            factors.append(((t, t + 1), [x for row in pair[t] for x in row]))
+    return build_graph(dims, factors, semiring)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dynamic_programming_counts_are_the_count_tree_run(seed):
+    # Counting a chain CSP's solutions by dynamic programming (the counting
+    # form of bucket elimination; Dechter, Constraint Processing, 2003):
+    # f[t][j] counts the partial solutions of x_0 .. x_t ending in j, r[t][j]
+    # the extensions of x_t = j over x_{t+1} .. x_{T-1}. Integer sums and
+    # products are exact, so any association gives the same count; the
+    # folds below still run in ascending index order.
+    dims, unary, pair = chain_csp(np.random.default_rng(seed))
+    steps = len(dims)
+    f = [list(unary[0])]
+    for t in range(1, steps):
+        f.append([left_fold(add, [f[t - 1][i] * pair[t - 1][i][j] for i in range(dims[t - 1])]) * unary[t][j] for j in range(dims[t])])
+    r = [[1] * dims[-1]]
+    for t in range(steps - 2, -1, -1):
+        r.insert(0, [left_fold(add, [pair[t][i][j] * unary[t + 1][j] * r[0][j] for j in range(dims[t + 1])]) for i in range(dims[t])])
+    total = left_fold(add, f[-1])
+
+    g = csp_graph(dims, unary, pair, "count")
+    assert contraction_value(g) == total
+    result = run_bp(g, RunConfig(schedule="tree", normalize=False))
+    for t, belief in result.variable_beliefs.items():
+        assert belief.values.tolist() == [x * y for x, y in zip(f[t], r[t])], t
+
+
+def tree_csp(rng):
+    """(dims, unary, tables) of a random tree CSP: unary[v][i] allows v = i,
+    and tables[(p, c)][i][j] allows (p, c) = (i, j) on each tree edge."""
+    dims, edges = random_tree_structure(rng)
+    unary = [[int(x) for x in rng.random(d) < 0.8] for d in dims]
+    tables = {(p, c): [[int(x) for x in rng.random(dims[c]) < 0.6] for _ in range(dims[p])] for p, c in edges}
+    return dims, unary, tables
+
+
+def ac3(dims, unary, tables):
+    """AC-3 (Mackworth 1977): node consistency, then revise arcs from a
+    queue until none changes; returns the pruned domains."""
+    domains = [{i for i in range(d) if unary[v][i]} for v, d in enumerate(dims)]
+    allowed = {}  # (x, y) -> the constraint as a test of (x = a, y = b)
+    for (p, c), table in tables.items():
+        allowed[(p, c)] = lambda a, b, table=table: table[a][b]
+        allowed[(c, p)] = lambda a, b, table=table: table[b][a]
+    queue = list(allowed)
+    while queue:
+        x, y = queue.pop(0)
+        supported = {a for a in domains[x] if any(allowed[(x, y)](a, b) for b in domains[y])}
+        if supported != domains[x]:
+            domains[x] = supported
+            queue += [(z, w) for z, w in allowed if w == x and z != y and (z, w) not in queue]
+    return domains
+
+
+def tree_csp_graph(dims, unary, tables):
+    factors = [((v,), allowed) for v, allowed in enumerate(unary)]
+    factors += [(edge, [x for row in table for x in row]) for edge, table in tables.items()]
+    return build_graph(dims, factors, "bool")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ac3_supports_are_the_bool_tree_run(seed):
+    # On a tree-structured CSP, arc consistency is global consistency
+    # (Freuder 1982): when no domain is wiped out, every value AC-3 keeps
+    # extends to a solution, and it keeps exactly those. The bool run's
+    # belief is the or over solutions of each value, so the two agree
+    # entry for entry; or and and are exact in any association. A wiped
+    # out domain means no solution, which the run flags as a contradiction.
+    dims, unary, tables = tree_csp(np.random.default_rng(1700 + seed))
+    domains = ac3(dims, unary, tables)
+    result = run_bp(tree_csp_graph(dims, unary, tables), RunConfig(schedule="tree"))
+    wiped = not all(domains)
+    assert result.contradiction == wiped
+    if not wiped:
+        for v, belief in result.variable_beliefs.items():
+            assert belief.values.tolist() == [i in domains[v] for i in range(dims[v])], v
+
+
+def test_ac3_seeds_cover_both_outcomes():
+    outcomes = {all(ac3(*tree_csp(np.random.default_rng(1700 + seed)))) for seed in range(40)}
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_forward_mode_derivative_of_the_forward_algorithm(seed):
+    # Forward-mode differentiation (Wengert 1964): each forward variable
+    # alpha_t(j) carries its tangent, the derivative with respect to one
+    # table entry x, by the product and sum rules. Seeding x's tangent with
+    # 1 leaves dZ/dx in Z's tangent. Z is read off the forward end here,
+    # while the engine closes the chain at x_0 (the backward algorithm's
+    # association), so the two agree to rounding, not bit for bit.
+    rng = np.random.default_rng(seed)
+    pi, a, b = hmm(rng)
+    k, steps = len(pi), len(b)
+    g = chain_graph(pi, a, b, "prob")
+    fid = int(rng.integers(len(g.factors)))
+    entry = int(rng.integers(g.factor(fid).tensor.size))
+    # factor ids: pi, then b_t at 1 + 2t and the transition out of step t at 2 + 2t
+    dpi = [float(fid == 0 and i == entry) for i in range(k)]
+    db = [[float(fid == 1 + 2 * t and i == entry) for i in range(k)] for t in range(steps)]
+    da = [[[float(fid == 2 + 2 * t and i * k + j == entry) for j in range(k)] for i in range(k)] for t in range(steps - 1)]
+
+    alpha = [pi[i] * b[0][i] for i in range(k)]
+    dalpha = [dpi[i] * b[0][i] + pi[i] * db[0][i] for i in range(k)]
+    for t in range(1, steps):
+        s = [left_fold(add, [a[i, j] * alpha[i] for i in range(k)]) for j in range(k)]
+        ds = [left_fold(add, [da[t - 1][i][j] * alpha[i] + a[i, j] * dalpha[i] for i in range(k)]) for j in range(k)]
+        alpha, dalpha = [s[j] * b[t][j] for j in range(k)], [ds[j] * b[t][j] + s[j] * db[t][j] for j in range(k)]
+    z, dz = left_fold(add, alpha), left_fold(add, dalpha)
+
+    value, derivative = contraction_derivative(g, fid, entry)
+    dual = contraction_value(dual_seed(g, fid, entry))
+    assert value == pytest.approx(z, rel=1e-12) and dual.real == pytest.approx(z, rel=1e-12)
+    assert derivative == pytest.approx(dz, rel=1e-9, abs=1e-300)
+    assert dual.eps == pytest.approx(dz, rel=1e-9, abs=1e-300)
