@@ -182,10 +182,12 @@ def test_dynamic_programming_counts_are_the_count_tree_run(seed):
     steps = len(dims)
     f = [list(unary[0])]
     for t in range(1, steps):
-        f.append([left_fold(add, [f[t - 1][i] * pair[t - 1][i][j] for i in range(dims[t - 1])]) * unary[t][j] for j in range(dims[t])])
+        into = [left_fold(add, [f[t - 1][i] * pair[t - 1][i][j] for i in range(dims[t - 1])]) for j in range(dims[t])]
+        f.append([into[j] * unary[t][j] for j in range(dims[t])])
     r = [[1] * dims[-1]]
     for t in range(steps - 2, -1, -1):
-        r.insert(0, [left_fold(add, [pair[t][i][j] * unary[t + 1][j] * r[0][j] for j in range(dims[t + 1])]) for i in range(dims[t])])
+        ahead = [unary[t + 1][j] * r[0][j] for j in range(dims[t + 1])]
+        r.insert(0, [left_fold(add, [pair[t][i][j] * ahead[j] for j in range(dims[t + 1])]) for i in range(dims[t])])
     total = left_fold(add, f[-1])
 
     g = csp_graph(dims, unary, pair, "count")

@@ -50,7 +50,16 @@ from spiderbp.cli import EXIT_NOT_CONVERGED, cli_dispatch
 from spiderbp.engine import contraction_from_state, update_factor_message, update_variable_message
 from spiderbp.tensor import Message
 
-from fixtures import node_between, normal_form, random_loopy, random_tree, random_tree_structure, relabel, table_for, wire_messages
+from fixtures import (
+    node_between,
+    normal_form,
+    random_loopy,
+    random_tree,
+    random_tree_structure,
+    relabel,
+    table_for,
+    wire_messages,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
