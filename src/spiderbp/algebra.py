@@ -28,7 +28,9 @@ for ``count`` (arbitrary-precision Python ints) and ``dual`` (pairs).
 Determinism contract. Every semiring sum in the package (message
 contraction, normalization, closing a diagram, the junction tree's
 separator sums and marginals, the oracle's totals) goes through
-``Semiring.fold(arr, axis)``, and its result is the ascending left fold
+``Semiring.fold(arr, axis)``, or for the batched engine's axis-0 sums its
+leaner form ``_fold0`` (the same adds), and its result is the ascending
+left fold
 
     acc = x[0]; acc = add(acc, x[i]) for i = 1, 2, ...
 
@@ -178,6 +180,12 @@ class Semiring:
         # a sum of two or more slices is a new array already; one slice is a view
         return (np.asarray if arr.shape[axis] > 1 else np.array)(acc, dtype=self.dtype)
 
+    def _fold0(self, arr):
+        """``fold(arr, 0)`` of an array of this algebra's dtype with two or
+        more axes and a nonempty axis 0: the batched engine's fold, which
+        an algebra may compute without ``fold``'s conversions."""
+        return self.fold(arr, 0)
+
     def max_distance(self, a, b):
         """Largest componentwise ``distance`` between two equal-shape arrays.
 
@@ -290,6 +298,18 @@ class ProbSemiring(Semiring):
             return super().fold(arr, axis)
         return np.array(self._ufunc.accumulate(arr, axis=axis)[(slice(None),) * axis + (-1,)], dtype=self.dtype)
 
+    def _fold0(self, arr):
+        # fold's two kernels on axis 0, minus its conversions and index tuples
+        n = len(arr)
+        if arr.size < 32 * n * n:
+            return self._ufunc.accumulate(arr, axis=0)[-1]
+        if n == 1:
+            return arr[0].copy()
+        acc = self._ufunc(arr[0], arr[1])
+        for i in range(2, n):
+            acc = self._ufunc(acc, arr[i])
+        return acc
+
     def max_distance(self, a, b):
         # the same answer as the scalar loop: max is exact, and np.max keeps
         # any nan
@@ -298,7 +318,7 @@ class ProbSemiring(Semiring):
         return float(d.max()) if d.size else 0.0
 
     def _normalize_columns(self, cols):
-        s = self.fold(cols, 0)
+        s = self._fold0(cols)
         if np.count_nonzero(s) == len(s):
             return cols / s, None
         dead = s == 0.0
@@ -502,7 +522,7 @@ class DualSemiring(Semiring):
         lines = cols.tolist()
         a = np.array([[d.real for d in line] for line in lines], dtype=np.float64).reshape(cols.shape)
         b = np.array([[d.eps for d in line] for line in lines], dtype=np.float64).reshape(cols.shape)
-        s, sigma = PROB.fold(a, 0), PROB.fold(b, 0)
+        s, sigma = PROB._fold0(a), PROB._fold0(b)
         live = s != 0.0
         real = a[:, live] / s[live]
         out = cols.copy()

@@ -164,7 +164,10 @@ def _write(args, payload):
 
 
 def _values_json(semiring, values):
-    return [semiring.value_to_json(v) for v in values.reshape(-1).tolist()]
+    """The JSON list of an array of scalars: ``tolist`` gives every
+    algebra's JSON values but dual's pairs."""
+    flat = values.reshape(-1).tolist()
+    return [semiring.value_to_json(v) for v in flat] if semiring.name == "dual" else flat
 
 
 def _beliefs_document(g, beliefs, z=None, converged=True, iterations=1, residual=0.0):

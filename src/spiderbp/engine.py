@@ -18,8 +18,12 @@ final after k + 1 sweeps and the diameter is one more than the highest
 level. ``tree`` performs the classic two passes, leaves to root then root
 to leaves, and is exact on trees in a single execution.
 
-Both schedules run on one plan (``_Plan``), compiled once per graph: the
-first run builds it and the graph keeps it beside its validation verdict.
+Both schedules run on one plan (``_Plan``), compiled once per graph from
+its wire table (``graph._Wires``) with array operations, never from its
+factor nodes: the first run builds it and the graph keeps it beside its
+validation verdict. Reading a run (beliefs, closed values, cavities,
+``decode_map``, ``evaluate_assignment``) needs the plan and the table
+only, so a parsed graph run through these builds no node.
 Messages are stored dim-major: one packed ``(dim, wires)`` array per dim
 and direction, in which every wire owns one column (its "row" number), and
 a ``MessageState`` holds nothing but these arrays. Variables are grouped by
@@ -67,7 +71,7 @@ from .errors import (
     ZeroMessageError,
 )
 from .formats import _assemble
-from .graph import _ensure_valid, _wire_levels, components, tree_info
+from .graph import _by_variable, _ensure_valid, _frozen, _wire_levels, components, tree_info
 from .tensor import DenseTensor, Message, contract_to_axis, hadamard
 
 SCHEDULES = ("sync", "tree")
@@ -253,13 +257,6 @@ def _fold_mul(semiring, msgs):
     return acc
 
 
-def _frozen(arr):
-    """``arr``, made read-only (a kept plan is shared by every run of its
-    graph); views of it inherit the flag."""
-    arr.flags.writeable = False
-    return arr
-
-
 def _by_level(levels):
     """Stable sort order of ``levels``, then (level, slice) for each run of it."""
     order = np.argsort(levels, kind="stable")
@@ -294,26 +291,13 @@ class _Stack:
             return arr
         for d, rows, along in zip(self.shape, self.rows, self.along):
             arr = semiring.array_mul(arr, v2f[d].take(rows[run], 1).reshape(along))
-        return semiring.fold(arr.reshape(-1, *arr.shape[-2:]), 0)
+        return semiring._fold0(arr.reshape(-1, *arr.shape[-2:]))
 
 
-def _tensor_groups(members):
-    """Group (id, DenseTensor, wire rows) triples by tensor shape."""
-    by_shape = {}
-    for nid, tensor, rows in members:
-        ids, arrays, wire_rows = by_shape.setdefault(tensor.shape, ([], [], []))
-        ids.append(nid)
-        arrays.append(tensor.data)
-        wire_rows.append(rows)
-    return [
-        _TensorGroup(
-            shape,
-            ids,
-            _frozen(np.concatenate(arrays).reshape((len(ids), *shape))),
-            list(_frozen(np.array(wire_rows, dtype=np.intp).reshape(len(ids), len(shape)).T)),
-        )
-        for shape, (ids, arrays, wire_rows) in by_shape.items()
-    ]
+#: variables of one (dim, degree), term-major: ``rows[k, i]`` the packed row of member
+#: i's k-th incident wire; ``objs`` are the members' wire types and ``slots`` their
+#: places in ``g.variables``
+_SpiderGroup = namedtuple("_SpiderGroup", "dim rows objs slots")
 
 
 class _Plan:
@@ -325,7 +309,8 @@ class _Plan:
     f2v)`` maps each dim to such a C-contiguous array per direction, and is
     the only message store. Variables are grouped by (dim, degree),
     term-major: ``rows[k, i]`` is the row of member i's k-th incident wire;
-    factor tensors are stacked by shape.
+    factor tensors are stacked by shape. All of it is read off the graph's
+    wire table with array operations, never off its nodes.
 
     Both schedules run one kind of update program (``_levels``): a list of
     levels, each a list of batched ops, run by ``_execute``. The ops repeat
@@ -359,37 +344,43 @@ class _Plan:
     """
 
     def __init__(self, g):
+        w, variables = g._wires, g.variables
         self.semiring = get_semiring(g.semiring)
-        dim_of = {v.id: v.obj.dim for v in g.variables}
-        self.dims = {}  # dim -> number of wires of that dim
-        self.wire_rows = []  # (dim, row) of each entry of g.wires
-        # rows of each variable's wires in incidence order
-        self.var_rows = {vid: [] for vid in dim_of}
-        # rows of each factor's wires in axis order
-        self.factor_rows = factor_rows = {}
-        for f in sorted(g.factors, key=lambda f: f.id):  # g.wires order
-            rows = factor_rows[f.id] = []
-            for vid in f.neighbors:
-                d = dim_of[vid]
-                r = self.dims.get(d, 0)
-                self.dims[d] = r + 1
-                self.wire_rows.append((d, r))
-                self.var_rows[vid].append(r)
-                rows.append(r)
-        wire_dims = np.array([d for d, _r in self.wire_rows], dtype=np.intp)
-        # index into g.wires of each packed row, for first-dead-wire order
-        self.position = {d: _frozen(np.flatnonzero(wire_dims == d)) for d in self.dims}
-        by_key = {}
-        for v in g.variables:
-            rows = self.var_rows[v.id]
-            ids, members = by_key.setdefault((v.obj.dim, len(rows)), ([], []))
-            ids.append(v.id)
-            members.append(rows)
-        self.var_groups = [
-            (d, ids, _frozen(np.array(rows, dtype=np.intp).reshape(len(ids), k).T.copy()))
-            for (d, k), (ids, rows) in by_key.items()
-        ]
-        self.factor_groups = _tensor_groups((f.id, f.tensor, factor_rows[f.id]) for f in g.factors)
+        # a wire's row is its place among the wires of its dim, in g.wires order
+        self.dims, self.position = {}, {}  # dim -> wire count; dim -> g.wires index of each row
+        row = np.empty(len(w.dim), dtype=np.intp)
+        values, first = np.unique(w.dim, return_index=True)
+        for d in values[np.argsort(first)].tolist():
+            pos = self.position[d] = _frozen(np.flatnonzero(w.dim == d))
+            row[pos] = np.arange(len(pos))
+            self.dims[d] = len(pos)
+        # the (dim, row) of g.wires[i] is (wire_dim[i], wire_row[i]); factor f's wires start at start[f]
+        self.wire_dim, self.wire_row, self.start = w.dim, _frozen(row), w.start
+        # the rows of variable v's wires in incidence order: incident[cuts[v]:cuts[v + 1]]
+        by_var, cuts = _by_variable(w, len(variables))
+        self.incident, self.cuts, degree = _frozen(row[by_var]), _frozen(cuts), np.diff(cuts)
+        # spider groups by (dim, degree), in g.variables order
+        ids = np.fromiter((v.id for v in variables), np.intp, len(variables))
+        objs = [v.obj for v in variables]
+        dims = g._dims[ids]
+        key = dims * (len(w.dim) + 1) + degree[ids]  # (dim, degree): no degree passes the wire count
+        _keys, first, group_of = np.unique(key, return_index=True, return_inverse=True)
+        self.var_ids, self.var_groups = ids.tolist(), []
+        for k in np.argsort(first).tolist():
+            slots = np.flatnonzero(group_of == k)
+            members = ids[slots]
+            terms = np.arange(degree[members[0]]).reshape(-1, 1)
+            self.var_groups.append(_SpiderGroup(
+                int(dims[slots[0]]),
+                _frozen(self.incident[cuts[members] + terms]),
+                [objs[i] for i in slots.tolist()],
+                slots.tolist(),
+            ))
+        fids, self.factor_groups = np.array(w.ids, dtype=np.intp), []
+        for shape, pos, stack in w.groups:
+            wires = w.start[fids[pos]]  # each member's first wire
+            rows = [_frozen(row[wires + a]) for a in range(len(shape))]
+            self.factor_groups.append(_TensorGroup(shape, fids[pos].tolist(), stack, rows))
 
     def _empty(self):
         return {d: np.empty((d, n), dtype=self.semiring.dtype) for d, n in self.dims.items()}
@@ -460,7 +451,8 @@ class _Plan:
         stack are built once, so a level's op reads views of them.
         """
         ops = []
-        for d, _ids, rows in self.var_groups:
+        for group in self.var_groups:
+            d, rows = group.dim, group.rows
             k = len(rows)
             if not k:  # an isolated variable sends nothing
                 continue
@@ -577,9 +569,9 @@ class _Plan:
         schedule = two_pass_schedule(g)
         at = next(k for k, wire in enumerate(schedule) if wire in dead_wires)
         unit = self.initial(cfg)
-        wire_row = dict(zip(g.wires, self.wire_rows))
         for kind, fid, axis in schedule[at:]:
-            d, r = wire_row[(fid, axis)]
+            i = self.start.item(fid) + axis
+            d, r = self.wire_dim.item(i), self.wire_row.item(i)
             k = 0 if kind == "v2f" else 1
             arrays[k][d][:, r] = unit[k][d][:, r]
         return schedule[at]
@@ -592,33 +584,31 @@ class _Plan:
     # -- reading a state -------------------------------------------------------
 
     def incoming_products(self, f2v):
-        """(dim, ids, product of each member's incoming f2v messages) per spider group.
+        """(spider group, product of each member's incoming f2v messages) per group.
 
         The product left-folds in incidence order, as ``hadamard``; an
         isolated variable gets the unit.
         """
         semiring = self.semiring
-        for d, ids, rows in self.var_groups:
-            if len(rows):
-                yield d, ids, _fold_mul(semiring, f2v[d].take(rows, 1).swapaxes(0, 1))
+        for group in self.var_groups:
+            if len(group.rows):
+                yield group, _fold_mul(semiring, f2v[group.dim].take(group.rows, 1).swapaxes(0, 1))
             else:
-                yield d, ids, semiring.ones((d, len(ids)))
+                yield group, semiring.ones((group.dim, len(group.slots)))
 
-    def variable_beliefs(self, g, f2v, cfg):
+    def variable_beliefs(self, f2v, cfg):
         """``beliefs``'s variable beliefs and zero wire, from the packed f2v arrays."""
         semiring = self.semiring
-        by_var, dead_vars = {}, set()
-        for d, ids, values in self.incoming_products(f2v):
+        beliefs, dead_slots = [None] * len(self.var_ids), []
+        for group, values in self.incoming_products(f2v):
             if cfg.normalize and semiring.has_normalize:
                 values, dead = semiring._normalize_columns(values)
                 if dead is not None:
-                    dead_vars.update(vid for vid, gone in zip(ids, dead.tolist()) if gone)
-            values = values.T.copy()
-            values.flags.writeable = False
-            for vid, row in zip(ids, values):
-                by_var[vid] = Message._wrap(g.variable(vid).obj, row)
-        zero_wire = next((("belief", v.id) for v in g.variables if v.id in dead_vars), None)
-        return {v.id: by_var[v.id] for v in g.variables}, zero_wire
+                    dead_slots += [slot for slot, gone in zip(group.slots, dead.tolist()) if gone]
+            for slot, obj, row in zip(group.slots, group.objs, _frozen(values.T.copy())):
+                beliefs[slot] = Message._wrap(obj, row)
+        zero_wire = ("belief", self.var_ids[min(dead_slots)]) if dead_slots else None
+        return dict(zip(self.var_ids, beliefs)), zero_wire
 
     def factor_beliefs(self, g, v2f):
         """``beliefs``'s factor beliefs, from the packed v2f arrays."""
@@ -631,15 +621,17 @@ class _Plan:
             arr = np.asarray(arr).reshape(len(group.ids), -1)
             arr.flags.writeable = False
             by_factor.update((nid, DenseTensor._wrap(group.shape, flat)) for nid, flat in zip(group.ids, arr))
-        return {f.id: by_factor[f.id] for f in g.factors}
+        return {fid: by_factor[fid] for fid in g._wires.ids}
 
-    def cavity(self, g, v2f, fid, entry):
+    def cavity(self, v2f, fid, entry):
         """Factor ``fid``'s incoming v2f messages multiplied at its flat
         row-major ``entry``: the factor's belief there with the tensor left
         out. Left-folds ``mul`` in ascending axis order, as
         ``factor_beliefs``; a rank-0 factor's is the empty product."""
-        shape = g.factor(fid).tensor.shape
-        terms = [v2f[d].item(i, r) for d, r, i in zip(shape, self.factor_rows[fid], np.unravel_index(entry, shape))]
+        wires = slice(self.start[fid], self.start[fid + 1])
+        shape = self.wire_dim[wires].tolist()
+        index = np.unravel_index(entry, shape)
+        terms = [v2f[d].item(i, r) for d, r, i in zip(shape, self.wire_row[wires].tolist(), index)]
         return reduce(self.semiring.mul, terms) if terms else self.semiring.one
 
     def first_zero_wire(self, g, arrays):
@@ -735,7 +727,7 @@ def beliefs(g, state, cfg):
     """
     _run_semiring(g.semiring, cfg)
     plan, (v2f, f2v) = _plan_and_arrays(g, state)
-    var_beliefs, zero_wire = plan.variable_beliefs(g, f2v, cfg)
+    var_beliefs, zero_wire = plan.variable_beliefs(f2v, cfg)
     return var_beliefs, plan.factor_beliefs(g, v2f), zero_wire
 
 
@@ -778,7 +770,7 @@ def run_bp(g, cfg):
         converged, iterations = wire is None, 1
     else:
         state, converged, iterations, wire = _run_sync(g, cfg)
-    var_b, zero_wire = state._plan.variable_beliefs(g, state._arrays[1], cfg)
+    var_b, zero_wire = state._plan.variable_beliefs(state._arrays[1], cfg)
     if wire is None and semiring.name == "bool":
         # dead support can hide in a belief even when every wire message
         # still has a true entry, so scan both
@@ -865,16 +857,20 @@ def _closed_components(g, plan, f2v):
     a rank-0 factor's entry, else the fold of the incoming product at the
     smallest variable id."""
     semiring = plan.semiring
+    rank0 = {}  # the entry of each rank-0 factor
+    for group in plan.factor_groups:
+        if not group.shape:
+            rank0.update(zip(group.ids, group.tensors.tolist()))
     for var_ids, fac_ids in components(g):
         if not var_ids:
-            yield fac_ids, g.factor(fac_ids[0]).tensor.data.item(0)
+            yield fac_ids, rank0[fac_ids[0]]
             continue
-        v = g.variable(var_ids[0])
-        rows = plan.var_rows[v.id]
-        if rows:
-            z = semiring.fold(_fold_mul(semiring, f2v[v.obj.dim].take(rows, 1).T), 0).item()
+        v = var_ids[0]
+        d, rows = int(g._dims[v]), plan.incident[plan.cuts[v] : plan.cuts[v + 1]]
+        if len(rows):
+            z = semiring.fold(_fold_mul(semiring, f2v[d].take(rows, 1).T), 0).item()
         else:
-            z = semiring.fold(semiring.ones((v.obj.dim,)), 0).item()
+            z = semiring.fold(semiring.ones((d,)), 0).item()
         yield fac_ids, z
 
 
@@ -892,7 +888,7 @@ def contraction_derivative(g, factor_id, entry_index):
     state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
     plan, (v2f, f2v) = state._plan, state._arrays
     semiring = plan.semiring
-    cavity = plan.cavity(g, v2f, factor_id, entry_index)
+    cavity = plan.cavity(v2f, factor_id, entry_index)
     value = derivative = semiring.one
     for fac_ids, z in _closed_components(g, plan, f2v):
         value = semiring.mul(value, z)
@@ -901,12 +897,13 @@ def contraction_derivative(g, factor_id, entry_index):
 
 
 def _check_target(g, factor_id, entry_index):
-    """Check that ``g`` has factor ``factor_id`` and that ``entry_index`` is
-    a flat row-major index into its table; a ValidationError otherwise."""
-    try:
-        size = g.factor(factor_id).tensor.size
-    except KeyError:
-        raise ValidationError(f"no factor with id {factor_id}") from None
+    """Check that ``g`` is valid, has factor ``factor_id`` and that
+    ``entry_index`` is a flat row-major index into its table; a
+    ValidationError otherwise."""
+    w = _ensure_valid(g)._wires
+    if factor_id not in range(len(w.ids)):
+        raise ValidationError(f"no factor with id {factor_id}")
+    size = math.prod(w.dim[w.start[factor_id] : w.start[factor_id + 1]].tolist())
     if not 0 <= entry_index < size:
         raise ValidationError(f"entry {entry_index} out of range for factor {factor_id} ({size} entries)")
 
@@ -926,16 +923,17 @@ def decode_map(g, state):
             f"semiring {semiring.name!r} has no total order to decode with"
         )
     plan, (_v2f, f2v) = _plan_and_arrays(g, state)
-    best_of = {}
-    for d, ids, values in plan.incoming_products(f2v):
-        best = np.zeros(len(ids), dtype=np.intp)
+    best_of = [None] * len(plan.var_ids)
+    for group, values in plan.incoming_products(f2v):
+        best = np.zeros(len(group.slots), dtype=np.intp)
         best_val = values[0]
-        for j in range(1, d):
+        for j in range(1, group.dim):
             better = np.asarray(values[j] > best_val, dtype=bool)
             best[better] = j
             best_val = np.where(better, values[j], best_val)
-        best_of.update(zip(ids, best.tolist()))
-    return {v.id: best_of[v.id] for v in g.variables}
+        for slot, state_of in zip(group.slots, best.tolist()):
+            best_of[slot] = state_of
+    return dict(zip(plan.var_ids, best_of))
 
 
 def dual_seed(g, factor_id, entry_index):
@@ -962,8 +960,10 @@ def dual_seed(g, factor_id, entry_index):
 def evaluate_assignment(g, assignment):
     """Product of all factor entries at one full assignment, in the graph's
     semiring, as a Python scalar (as ``contraction_value``)."""
-    semiring = get_semiring(g.semiring)
-    total = semiring.one
-    for f in sorted(g.factors, key=lambda f: f.id):
-        total = semiring.mul(total, f.tensor.entry([assignment[v] for v in f.neighbors]))
-    return total
+    semiring, w = get_semiring(g.semiring), g._wires
+    states = np.fromiter(map(assignment.__getitem__, w.var.tolist()), np.intp, len(w.var))
+    entries, fids = np.empty(len(w.ids), dtype=object), np.array(w.ids, dtype=np.intp)  # entries by factor id
+    for shape, pos, stack in w.groups:
+        ids = fids[pos]
+        entries[ids] = stack[(np.arange(len(ids)), *(states[w.start[ids] + a] for a in range(len(shape))))]
+    return reduce(semiring.mul, entries.tolist(), semiring.one)

@@ -26,8 +26,11 @@ preambles are rejected. A UAI file is split into tokens once; a token's
 byte offset is computed only for an error message.
 
 Tables are read in bulk. Under every semiring all tables of a file go
-through one conversion and one ``coerce``, and each factor's tensor is a
-read-only slice of that one array. Count entries stay exact Python ints in
+through one conversion and one ``coerce``, into the graph's wire table
+(``graph._Wires``): the entries stacked by table shape, beside arrays of
+each wire's factor, axis, variable and dim. No factor node or tensor is
+built per table; ``g.factors`` builds them on first read, each tensor a
+read-only view of the stacked entries. Count entries stay exact Python ints in
 both formats: a UAI integer token is read with ``int``, so
 ``9007199254740993`` is not rounded to a float (``2.0`` still reads as 2,
 ``2.5`` is still rejected). Nested lists and any file with a bad table are
@@ -47,8 +50,10 @@ import json
 import math
 import re
 import warnings
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from numbers import Integral
+
+import numpy as np
 
 from .algebra import get_semiring
 from .errors import (
@@ -60,16 +65,17 @@ from .errors import (
 )
 from .graph import (
     FactorGraph,
-    FactorNode,
     ObjectType,
     VariableNode,
     _ensure_valid,
+    _wire_table,
 )
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor
 
-_TOP_KEYS = ("semiring_hint", "variables", "factors", "mode")
-_VARIABLE_KEYS = ("id", "name", "dim")
-_FACTOR_KEYS = ("id", "neighbors", "values")
+#: each object's allowed keys, and its required ones in the order a missing one is named
+_TOP_KEYS = frozenset(("semiring_hint", "variables", "factors", "mode")), ("variables", "factors")
+_VARIABLE_KEYS = frozenset(("id", "name", "dim")), ("id", "dim")
+_FACTOR_KEYS = frozenset(("id", "neighbors", "values")), ("id", "neighbors", "values")
 _INT = frozenset((int,))
 
 
@@ -86,8 +92,9 @@ def _resolve_semiring(requested, hint, payload_sample):
     return get_semiring("prob")
 
 
-def _require_keys(obj, allowed, required, where, index=None):
-    if all(map(allowed.__contains__, obj)) and all(map(obj.__contains__, required)):
+def _require_keys(obj, keys, where, index=None):
+    allowed, required = keys
+    if obj.keys() <= allowed and all(map(obj.__contains__, required)):
         return
     if index is not None:
         where = f"{where}[{index}]"
@@ -100,25 +107,18 @@ def _require_keys(obj, allowed, required, where, index=None):
 
 
 def _bulk(sr, shapes, flat):
-    """One tensor per shape, cut in order from one flat list of entries.
+    """One flat list of table entries, in order, as one array.
 
-    The entries go through one ``coerce``, and each tensor is a read-only
-    slice of the result. Returns None when a table is over the size cap or
-    an entry does not coerce: the caller then reads table by table, which
-    raises the first error in file order.
+    The entries go through one ``coerce``. Returns None when a table is over
+    the size cap or an entry does not coerce: the caller then reads table by
+    table, which raises the first error in file order.
     """
-    sizes = [math.prod(shape) for shape in shapes]
-    if sizes and max(sizes) > DEFAULT_TENSOR_CAP:
+    if shapes and max(map(math.prod, shapes)) > DEFAULT_TENSOR_CAP:
         return None
     try:
-        data = sr.coerce(flat)
+        return sr.coerce(flat)
     except ValueError:
         return None
-    data.flags.writeable = False
-    return [
-        DenseTensor._wrap(shape, data[end - size : end])
-        for shape, size, end in zip(shapes, sizes, accumulate(sizes))
-    ]
 
 
 def _table(sr, fid, shape, values):
@@ -164,25 +164,26 @@ def _assemble(sr, variables, factors):
             break
     # the tables before an unknown variable raise their own errors first
     tables = [values for _fid, _nb, values in factors[: len(shapes)]]
-    tensors = None
+    data = None
     if all(
         type(values) is list and len(values) == math.prod(shape)
         for shape, values in zip(shapes, tables)
     ):
-        tensors = _bulk(sr, shapes, list(chain.from_iterable(tables)))
-    if tensors is None:
-        tensors = [
-            _table(sr, f[0], shape, values) for f, shape, values in zip(factors, shapes, tables)
-        ]
+        data = _bulk(sr, shapes, list(chain.from_iterable(tables)))
+    if data is None:
+        data = np.concatenate([
+            _table(sr, f[0], shape, values).data for f, shape, values in zip(factors, shapes, tables)
+        ])
     if stop is not None:
         raise stop
-    return _graph(sr, variables, factors, tensors)
+    return _graph(sr, tuple(variables), [f[0] for f in factors], [f[1] for f in factors], shapes, data)
 
 
-def _graph(sr, variables, factors, tensors):
-    """The validated graph with one factor per (id, neighbor ids, ...) and tensor."""
-    nodes = tuple(FactorNode(f[0], t, f[1]) for f, t in zip(factors, tensors))
-    return _ensure_valid(FactorGraph(tuple(variables), nodes, semiring=sr.name))
+def _graph(sr, variables, ids, neighbors, shapes, data):
+    """The validated graph of ``variables`` and factors ``ids`` with these
+    neighbor ids and table shapes, their entries in order in ``data``: its
+    wire table is filled here, and its factor nodes wait for a first read."""
+    return _ensure_valid(FactorGraph._of_table(variables, _wire_table(ids, neighbors, shapes, data), sr.name))
 
 
 def build_graph(var_dims, factors, semiring):
@@ -219,7 +220,7 @@ def parse_native(text, semiring=None):
         raise ParseError(f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
-    _require_keys(doc, _TOP_KEYS, ("variables", "factors"), "top level")
+    _require_keys(doc, _TOP_KEYS, "top level")
     mode = doc.get("mode", "spider")
     if mode != "spider":
         raise ParseError(
@@ -250,7 +251,7 @@ def parse_native(text, semiring=None):
     for i, item in enumerate(doc["variables"]):
         if type(item) is not dict:
             raise ParseError(f"expected an object at variables[{i}]")
-        _require_keys(item, _VARIABLE_KEYS, ("id", "dim"), "variables", i)
+        _require_keys(item, _VARIABLE_KEYS, "variables", i)
         vid = item["id"]
         if type(vid) is not int:
             raise ParseError(f"id must be an integer at variables[{i}]")
@@ -260,7 +261,7 @@ def parse_native(text, semiring=None):
     for i, item in enumerate(doc["factors"]):
         if type(item) is not dict:
             raise ParseError(f"expected an object at factors[{i}]")
-        _require_keys(item, _FACTOR_KEYS, _FACTOR_KEYS, "factors", i)
+        _require_keys(item, _FACTOR_KEYS, "factors", i)
         fid = item["id"]
         if type(fid) is not int:
             raise ParseError(f"id must be an integer at factors[{i}]")
@@ -419,19 +420,20 @@ def parse_uai(text, semiring="prob"):
         scopes.append(scope)
     shapes = [tuple(map(dims.__getitem__, scope)) for scope in scopes]
     number = _count_entry if sr.name == "count" else float
-    tensors = _uai_bulk(toks, sr, shapes, number)
-    if tensors is None:
-        tensors = []
+    data = _uai_bulk(toks, sr, shapes, number)
+    if data is None:
+        tables = []
         for i, shape in enumerate(shapes):
             count = toks.next_int("the table size of factor {i}", i=i)
             values = toks.take(count, "entry {j} of factor {i}", number, i=i)
-            tensors.append(_table(sr, i, shape, values))
+            tables.append(_table(sr, i, shape, values).data)
         if toks.pos < len(tokens):
             raise ParseError(
                 f"expected the end of input after the last table at byte offset "
                 f"{toks.offset(toks.pos)}, got {_ascii(tokens[toks.pos])!r}"
             )
-    return _graph(sr, variables, list(enumerate(scopes)), tensors), sr
+        data = np.concatenate(tables)
+    return _graph(sr, variables, list(range(n_factors)), scopes, shapes, data), sr
 
 
 def _uai_bulk(toks, sr, shapes, number):

@@ -11,6 +11,17 @@ messages pointwise instead. A node that should carry a tensor of its own
 is written in normal (Forney) form: one variable per wire, and the node's
 tensor as a factor over those variables.
 
+Every graph holds its wiring once, as a wire table (``_Wires``): numpy
+arrays of factor id, axis, variable id and dim, one entry per wire in
+``g.wires`` order, each factor's offset into them, and the tables stacked
+by shape. The parsers fill it directly, and a graph they build makes its
+``FactorNode``s only when ``g.factors`` or ``g.factor()`` is first read,
+each tensor a read-only view of the stacked tables. A graph built from
+nodes (``FactorGraph(variables, factors, semiring)``) gets its table from
+them once they pass ``validate_graph``. Validation of a table-first graph,
+the walk below and the engine's compiled plan read the table, not the
+nodes.
+
 Tree structure comes from one walk, ``_walk``: a breadth-first traversal
 that roots each component at its smallest variable and records every
 node's wire to its parent, noting any wire that closes a cycle.
@@ -24,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,17 +88,112 @@ class FactorNode:
         return len(self.neighbors)
 
 
+def _frozen(arr):
+    """``arr``, made read-only; views of it inherit the flag."""
+    arr.flags.writeable = False
+    return arr
+
+
+class _Wires(NamedTuple):
+    """A graph's wiring and tables, built once and kept on the graph.
+
+    ``fac``, ``axis``, ``var`` and ``dim`` hold one entry per wire in
+    ``g.wires`` order: its factor id, axis, variable id, and the tensor's
+    dim on that axis. ``start[k]`` is the first wire of the k-th factor in
+    that order (factors by id, so factor k's on a valid graph) and
+    ``start[-1]`` the wire count. ``ids`` are the factor ids in
+    ``g.factors`` order, and ``groups`` holds one (shape, positions in
+    ``g.factors`` order, tables stacked as (members, *shape)) triple per
+    tensor shape. Every array is read-only.
+    """
+
+    ids: list
+    fac: np.ndarray
+    axis: np.ndarray
+    var: np.ndarray
+    dim: np.ndarray
+    start: np.ndarray
+    groups: tuple
+
+
+def _wire_table(ids, neighbors, shapes, flat):
+    """The ``_Wires`` of factors ``ids`` (``g.factors`` order), each wired
+    to the variable ids ``neighbors`` (int sequences), with tables of
+    ``shapes`` cut in order from the flat array ``flat``."""
+    fids = np.array(ids, dtype=np.intp)
+    ranks = np.fromiter(map(len, neighbors), np.intp, len(neighbors))
+    order = np.argsort(fids, kind="stable")  # g.wires order
+    sorted_shapes = shapes
+    if (np.diff(order) < 0).any():
+        neighbors, sorted_shapes, ranks = [neighbors[k] for k in order], [shapes[k] for k in order], ranks[order]
+    start = np.zeros(len(ranks) + 1, dtype=np.intp)
+    np.cumsum(ranks, out=start[1:])
+    n = int(start[-1])
+    return _Wires(
+        ids,
+        _frozen(np.repeat(fids[order], ranks)),
+        _frozen(np.arange(n, dtype=np.intp) - np.repeat(start[:-1], ranks)),
+        _frozen(np.fromiter(chain.from_iterable(neighbors), np.intp, n)),
+        _frozen(np.fromiter(chain.from_iterable(sorted_shapes), np.intp, n)),
+        _frozen(start),
+        _stacked(shapes, flat),
+    )
+
+
+def _stacked(shapes, flat):
+    """``_Wires.groups`` of tables with these shapes cut in order from
+    ``flat``: views of one read-only copy of it, its entries grouped by
+    shape."""
+    by_shape = {}
+    for k, shape in enumerate(shapes):
+        by_shape.setdefault(shape, []).append(k)
+    offsets = np.zeros(len(shapes) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(math.prod, shapes), np.intp, len(shapes)), out=offsets[1:])
+    members = [np.array(pos, dtype=np.intp) for pos in by_shape.values()]
+    picks = [(offsets[pos, None] + np.arange(math.prod(shape))).reshape(-1) for shape, pos in zip(by_shape, members)]
+    flat = _frozen(flat[np.concatenate(picks)] if picks else flat)
+    groups, at = [], 0
+    for shape, pos, pick in zip(by_shape, members, picks):
+        groups.append((shape, _frozen(pos), flat[at : at + len(pick)].reshape(len(pos), *shape)))
+        at += len(pick)
+    return tuple(groups)
+
+
+def _factor_nodes(w):
+    """The ``FactorNode``s of a valid graph's wire table ``w``, in
+    ``g.factors`` order, each tensor a view of its stacked table."""
+    from .tensor import DenseTensor
+
+    tensors = [None] * len(w.ids)
+    for shape, pos, stack in w.groups:
+        for k, table in zip(pos.tolist(), stack.reshape(len(pos), -1)):
+            tensors[k] = DenseTensor._wrap(shape, table)
+    var, start = w.var.tolist(), w.start.tolist()
+    return tuple(FactorNode(fid, t, tuple(var[start[fid] : start[fid + 1]])) for fid, t in zip(w.ids, tensors))
+
+
+class _Nodes:
+    """``FactorGraph.factors`` of a graph made from a wire table: its
+    ``FactorNode``s, built on first read and then kept."""
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return ()  # the field's default
+        return g.__dict__.setdefault("factors", _factor_nodes(g._wires))
+
+
 @dataclass(frozen=True)
 class FactorGraph:
     """Variables and factors whose tensors all live in one semiring.
 
     ``semiring`` is the registry name of that algebra. Every entry point
     runs the graph in it; to run another algebra, build or parse the model
-    under that one.
+    under that one. A parsed graph builds its ``factors`` from its wire
+    table on first read (see the module docstring).
     """
 
     variables: tuple = ()
-    factors: tuple = ()
+    factors: tuple = _Nodes()
     semiring: str = "prob"
 
     def __post_init__(self):
@@ -107,23 +215,43 @@ class FactorGraph:
         return {f.id: f for f in self.factors}
 
     @cached_property
+    def _wires(self):
+        # a graph built from nodes gets its table once they pass validate_graph;
+        # the parsers set the table of theirs
+        factors = _ensure_valid(self).factors
+        data = np.concatenate([f.tensor.data for f in factors]) if factors else np.empty(0)
+        shapes = [f.tensor.shape for f in factors]
+        return _wire_table([f.id for f in factors], [f.neighbors for f in factors], shapes, data)
+
+    @cached_property
+    def _dims(self):
+        """Each variable's dim by id; read only once the ids are dense."""
+        dims = np.empty(len(self.variables), dtype=np.intp)
+        dims[[v.id for v in self.variables]] = [v.obj.dim for v in self.variables]
+        return _frozen(dims)
+
+    @cached_property
     def wires(self):
         """Every edge as (factor id, axis), factors ascending, axes ascending."""
-        out = []
-        for f in sorted(self.factors, key=lambda f: f.id):
-            for axis in range(len(f.neighbors)):
-                out.append((f.id, axis))
-        return tuple(out)
+        return tuple(zip(self._wires.fac.tolist(), self._wires.axis.tolist()))
 
     @cached_property
     def incident(self):
         """Map variable id -> tuple of (factor id, axis) wires touching it."""
         inc = {v.id: [] for v in self.variables}
-        for fid, axis in self.wires:
-            vid = self.factor(fid).neighbors[axis]
+        for wire, vid in zip(self.wires, self._wires.var.tolist()):
             if vid in inc:
-                inc[vid].append((fid, axis))
+                inc[vid].append(wire)
         return {vid: tuple(ws) for vid, ws in inc.items()}
+
+    @classmethod
+    def _of_table(cls, variables, table, semiring):
+        """The graph of ``variables`` (a tuple) and the factors of wire
+        table ``table``, unchecked; ``factors`` is built on first read."""
+        g = object.__new__(cls)
+        # the instance dict, which the frozen __setattr__ does not guard
+        g.__dict__.update(variables=variables, semiring=semiring, _wires=table)
+        return g
 
     @cached_property
     def _forest(self):
@@ -176,6 +304,9 @@ def validate_graph(g):
     Checks the semiring label, id density, wiring against declared dims,
     and tensor shapes and dtypes (every tensor stored as the labelled
     semiring's ``dtype``). An empty report means the graph is safe to run.
+    A graph with a wire table is checked by array tests over it, and only
+    a factor they flag is looked at node by node, for its messages; a
+    graph built from nodes is checked node by node.
     """
     out = ValidationReport()
 
@@ -192,13 +323,27 @@ def validate_graph(g):
     if sorted(var_ids) != list(range(len(var_ids))):
         bad("variable-ids", f"variable ids must be unique and dense in [0, {len(var_ids)}), got {sorted(var_ids)}")
         return out
-    fac_ids = [f.id for f in g.factors]
+    w = g.__dict__.get("_wires")  # a graph built from nodes has none until it passes
+    fac_ids = [f.id for f in g.factors] if w is None else w.ids
     if sorted(fac_ids) != list(range(len(fac_ids))):
         bad("factor-ids", f"factor ids must be unique and dense in [0, {len(fac_ids)}), got {sorted(fac_ids)}")
         return out
 
+    # the factors to check node by node, in g.factors order: with a table,
+    # only those whose wiring or dtype the array tests flag
+    suspects = range(len(fac_ids))
+    if w is not None:
+        known = (w.var >= 0) & (w.var < len(var_ids))
+        fits = known & (w.dim == np.append(g._dims, 0)[np.where(known, w.var, -1)])
+        flawed = np.zeros(len(fac_ids), dtype=bool)
+        flawed[[fac_ids.index(fid) for fid in set(w.fac[~fits].tolist())]] = True
+        for _shape, pos, stack in w.groups:
+            flawed[pos] |= stack.dtype != dtype
+        suspects = np.flatnonzero(flawed).tolist()
+
     dims = {v.id: v.obj.dim for v in g.variables}
-    for f in g.factors:
+    for k in suspects:
+        f = g.factors[k]
         t = f.tensor
         if t is None:
             bad("factor-tensor", f"factor {f.id} has no tensor", factor_id=f.id)
@@ -290,6 +435,14 @@ def tree_info(g):
     return TreeInfo(is_tree=True, diameter=1 + max(v2f + f2v, default=-1), components=n)
 
 
+def _by_variable(w, nv):
+    """(order, cuts): the wires of variable v of the ``nv`` in table ``w``
+    are ``order[cuts[v]:cuts[v + 1]]``, in ``g.wires`` order."""
+    cuts = np.zeros(nv + 1, dtype=np.intp)
+    np.cumsum(np.bincount(w.var, minlength=nv), out=cuts[1:])
+    return np.argsort(w.var, kind="stable"), cuts
+
+
 def _walk(g):
     """Breadth-first walk of every component of ``g`` as a rooted tree.
 
@@ -306,14 +459,13 @@ def _walk(g):
     in ``g.wires`` order; and whether some wire closes a cycle, a repeated
     wire included.
     """
-    nv = len(g.variables)
-    node_wires = [[] for _ in range(nv + len(g.factors))]
-    ends = []
-    for f in sorted(g.factors, key=lambda f: f.id):  # g.wires order
-        for vid in f.neighbors:
-            node_wires[vid].append(len(ends))
-            node_wires[nv + f.id].append(len(ends))
-            ends.append(vid + nv + f.id)
+    w, nv = g._wires, len(g.variables)
+    # a variable's wires in g.wires order, then each factor's run of wires
+    by_var, cuts = (a.tolist() for a in _by_variable(w, nv))
+    runs, every = w.start.tolist(), list(range(len(w.var)))
+    node_wires = [by_var[a:b] for a, b in zip(cuts, cuts[1:])]
+    node_wires += [every[a:b] for a, b in zip(runs, runs[1:])]
+    ends = (w.var + (nv + w.fac)).tolist()
     parent = [-2] * len(node_wires)  # -2: not reached yet
     comps, cyclic = [], False
     for start in range(len(node_wires)):

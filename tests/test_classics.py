@@ -24,6 +24,8 @@ emission table; with the observations fixed, b_t(i) is the emission of
 the observed symbol at step t. Factor ids are the prior, then at each step
 its emission and its transition into the next step.
 
+Rabiner's scaled forward-backward is checked against the normalized prob
+run to rounding (rtol 1e-12), since the two rescale at different places.
 Three more classics run over the other semirings, each stating its own
 association: solution counting by dynamic programming on chain CSPs
 (count, exact in any order), AC-3 on tree CSPs (bool, exact in any order)
@@ -148,6 +150,46 @@ def test_viterbi_is_the_maxtimes_tree_run(seed):
     assert result.variable_beliefs[steps - 1].values.tobytes() == as_array(delta[-1]).tobytes()
     assert repr(left_fold(larger, result.variable_beliefs[steps - 1].values.tolist())) == repr(float(best_value))
     assert decode_map(g, result.state) == dict(enumerate(path))
+
+
+def scaled_recursions(pi, a, b):
+    """Rabiner's scaled forward and backward tables (1989, section V.A):
+    each alpha_hat[t] is divided by its own sum c_t, and beta_hat[t] by
+    c_{t+1}, the scale of the step after it."""
+    k, steps = len(pi), len(b)
+    alpha_hat, scale = [], []
+    for t in range(steps):
+        if t == 0:
+            alpha = [pi[i] * b[0][i] for i in range(k)]
+        else:
+            alpha = [left_fold(add, [a[i, j] * alpha_hat[t - 1][i] for i in range(k)]) * b[t][j] for j in range(k)]
+        scale.append(left_fold(add, alpha))
+        alpha_hat.append([x / scale[t] for x in alpha])
+    beta_hat = [[1.0] * k]
+    for t in range(steps - 2, -1, -1):
+        ahead = [b[t + 1][j] * beta_hat[0][j] for j in range(k)]
+        sums = [left_fold(add, [a[i, j] * ahead[j] for j in range(k)]) for i in range(k)]
+        beta_hat.insert(0, [x / scale[t + 1] for x in sums])
+    return alpha_hat, beta_hat
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scaled_forward_backward_is_the_normalized_prob_tree_run(seed):
+    # The two runs scale differently. Rabiner scales the forward variables
+    # once per step, alpha_t to sum to one, and the backward ones by the
+    # same per-step constants, so gamma_t = alpha_hat_t * beta_hat_t is the
+    # posterior with no division at the end. The normalized engine rescales
+    # every message it sends (prior, emission and transition messages
+    # alike) to sum to one, and then each belief. The constants cancel in
+    # the posterior, but the divisions round at different places, so the
+    # two agree to rounding, not bit for bit.
+    pi, a, b = hmm(np.random.default_rng(seed))
+    alpha_hat, beta_hat = scaled_recursions(pi, a, b)
+    result = run_bp(chain_graph(pi, a, b, "prob"), RunConfig(schedule="tree"))
+    assert len(result.variable_beliefs) == len(b)
+    for t, belief in result.variable_beliefs.items():
+        gamma = [x * y for x, y in zip(alpha_hat[t], beta_hat[t])]
+        np.testing.assert_allclose(belief.values, gamma, rtol=1e-12, atol=0)
 
 
 def chain_csp(rng):

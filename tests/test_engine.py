@@ -818,7 +818,7 @@ class TestMessageState:
         monkeypatch.setattr(engine._Stack, "contracted", counted_contracted)
         sweep_synchronous(g, init_messages(g, cfg), cfg)
         # one fold per spider group, term-major: (terms, dim, members)
-        assert len(folds) == sum(len(rows) >= 2 for _d, _ids, rows in plan.var_groups) == 3
+        assert len(folds) == sum(len(group.rows) >= 2 for group in plan.var_groups) == 3
         # (2,) fields, and (2, 2) tables sending on both axes in one op
         assert sorted(contractions) == [(2,), (2, 2)]
 

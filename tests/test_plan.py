@@ -83,7 +83,8 @@ def unpack(g, state):
     directed wire, read off the wire's packed row."""
     v2f, f2v = wire_messages(state)
     var_to_factor, factor_to_var = {}, {}
-    for (fid, axis), (d, r) in zip(g.wires, state._plan.wire_rows):
+    plan = state._plan
+    for (fid, axis), d, r in zip(g.wires, plan.wire_dim.tolist(), plan.wire_row.tolist()):
         vid = g.factor(fid).neighbors[axis]
         obj = g.variable(vid).obj
         var_to_factor[(vid, fid, axis)] = Message(obj, v2f[d][r])
