@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from spiderbp import FactorGraph, RunConfig, parse_native, parse_uai, run_bp
+from spiderbp import FactorGraph, RunConfig, evaluate_assignment, parse_native, parse_uai, run_bp
 from spiderbp.algebra import BOOL, PROB, get_semiring
 from spiderbp.cli import cli_dispatch
 from spiderbp.graph import FactorNode, ObjectType, VariableNode, _wire_table, validate_graph
@@ -99,6 +99,33 @@ def test_nodes_read_after_a_run_equal_the_eager_build(name):
             assert "factors" not in g.__dict__  # a run reads the table, not the nodes
             same_nodes(g.factors, eager_nodes(name, dims, order))
             assert g.factors is g.factors and g.factor(order[0][0]) is g.factors[0]
+
+
+@pytest.mark.parametrize("name", ["prob", "dual"])
+def test_an_assignment_multiplies_its_entries_in_factor_id_order(name):
+    rng = np.random.default_rng(2305 + SEMIRINGS.index(name))
+    sr = get_semiring(name)
+    for _ in range(30):
+        dims, factors = random_model(rng, name)
+        text, listed = native_text(name, dims, factors, rng)
+        assignment = {v: int(rng.integers(d)) for v, d in enumerate(dims)}
+        want = sr.one
+        for f in sorted(eager_nodes(name, dims, listed), key=lambda f: f.id):
+            want = sr.mul(want, f.tensor.entry([assignment[v] for v in f.neighbors]))
+        assert repr(evaluate_assignment(parse_native(text)[0], assignment)) == repr(want)
+
+
+def test_the_zero_wire_is_the_first_dead_belief_in_variable_order():
+    # variables 2 and 0 each read [1, 0] and [0, 1]: every message lives, and
+    # their beliefs die; the document lists variable 2 first
+    tables = [(0, [1.0, 0.0]), (0, [0.0, 1.0]), (1, [1.0, 1.0]), (2, [1.0, 0.0]), (2, [0.0, 1.0])]
+    g = parse_native(json.dumps({
+        "variables": [{"id": v, "dim": 2} for v in (2, 1, 0)],
+        "factors": [{"id": k, "neighbors": [v], "values": t} for k, (v, t) in enumerate(tables)],
+    }))[0]
+    for schedule in ("sync", "tree"):
+        result = run_bp(g, RunConfig(schedule=schedule))
+        assert result.contradiction and result.contradiction_wire == ("belief", 2), schedule
 
 
 TREE = {"dims": [2, 3, 2, 2], "scopes": [(0, 1), (2,), (1, 2), (), (0,)]}
