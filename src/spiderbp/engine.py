@@ -310,7 +310,7 @@ class _Plan:
     the only message store. Variables are grouped by (dim, degree),
     term-major: ``rows[k, i]`` is the row of member i's k-th incident wire;
     factor tensors are stacked by shape. All of it is read off the graph's
-    wire table with array operations, never off its nodes.
+    wire table with array operations, never off its factor nodes.
 
     Both schedules run one kind of update program (``_levels``): a list of
     levels, each a list of batched ops, run by ``_execute``. The ops repeat
