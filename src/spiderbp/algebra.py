@@ -28,9 +28,9 @@ for ``count`` (arbitrary-precision Python ints) and ``dual`` (pairs).
 Determinism contract. Every semiring sum in the package (message
 contraction, normalization, closing a diagram, the junction tree's
 separator sums and marginals, the oracle's totals) goes through
-``Semiring.fold(arr, axis)``, or for the batched engine's axis-0 sums its
-leaner form ``_fold0`` (the same adds), and its result is the ascending
-left fold
+``Semiring.fold(arr, axis)``, or for the engine's and junction tree's
+axis-0 sums its leaner form ``_fold0`` (the same adds), and its result is
+the ascending left fold
 
     acc = x[0]; acc = add(acc, x[i]) for i = 1, 2, ...
 
@@ -182,8 +182,8 @@ class Semiring:
 
     def _fold0(self, arr):
         """``fold(arr, 0)`` of an array of this algebra's dtype with two or
-        more axes and a nonempty axis 0: the batched engine's fold, which
-        an algebra may compute without ``fold``'s conversions."""
+        more axes and a nonempty axis 0: the engine's and junction tree's
+        fold, which an algebra may compute without ``fold``'s conversions."""
         return self.fold(arr, 0)
 
     def max_distance(self, a, b):
@@ -299,10 +299,11 @@ class ProbSemiring(Semiring):
         return np.array(self._ufunc.accumulate(arr, axis=axis)[(slice(None),) * axis + (-1,)], dtype=self.dtype)
 
     def _fold0(self, arr):
-        # fold's two kernels on axis 0, minus its conversions and index tuples
+        # fold's two kernels on axis 0, minus its conversions and index tuples;
+        # the last row is copied, as a view of it would keep all n rows alive
         n = len(arr)
         if arr.size < 32 * n * n:
-            return self._ufunc.accumulate(arr, axis=0)[-1]
+            return self._ufunc.accumulate(arr, axis=0)[-1].copy()
         if n == 1:
             return arr[0].copy()
         acc = self._ufunc(arr[0], arr[1])

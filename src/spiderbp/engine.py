@@ -884,7 +884,7 @@ def contraction_derivative(g, factor_id, entry_index):
     Z bit for bit as ``contraction_value``. A bad target is a
     ValidationError, a graph with a cycle a NotATreeError.
     """
-    _check_target(g, factor_id, entry_index)
+    factor_id, entry_index = _check_target(g, factor_id, entry_index)
     state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
     plan, (v2f, f2v) = state._plan, state._arrays
     semiring = plan.semiring
@@ -896,16 +896,25 @@ def contraction_derivative(g, factor_id, entry_index):
     return value, derivative
 
 
+def _check_index(value, size, what, missing):
+    """``value``, a Python or numpy integer (not a bool) in range(``size``),
+    as an int; else a ValidationError naming ``what`` and it, or ``missing``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value < size:
+        raise ValidationError(missing)
+    return int(value)
+
+
 def _check_target(g, factor_id, entry_index):
-    """Check that ``g`` is valid, has factor ``factor_id`` and that
-    ``entry_index`` is a flat row-major index into its table; a
-    ValidationError otherwise."""
+    """(factor id, entry) as ints, once ``g`` is valid, has factor
+    ``factor_id`` and ``entry_index`` is a flat row-major index into its
+    table; a ValidationError otherwise."""
     w = _ensure_valid(g)._wires
-    if factor_id not in range(len(w.ids)):
-        raise ValidationError(f"no factor with id {factor_id}")
+    factor_id = _check_index(factor_id, len(w.ids), "a factor id", f"no factor with id {factor_id}")
     size = math.prod(w.dim[w.start[factor_id] : w.start[factor_id + 1]].tolist())
-    if not 0 <= entry_index < size:
-        raise ValidationError(f"entry {entry_index} out of range for factor {factor_id} ({size} entries)")
+    missing = f"entry {entry_index} out of range for factor {factor_id} ({size} entries)"
+    return factor_id, _check_index(entry_index, size, "an entry", missing)
 
 
 def decode_map(g, state):
@@ -947,7 +956,7 @@ def dual_seed(g, factor_id, entry_index):
     """
     if g.semiring != "prob":
         raise ValidationError(f"dual_seed lifts a prob graph, not a {g.semiring} graph: parse or build the model under prob")
-    _check_target(g, factor_id, entry_index)
+    factor_id, entry_index = _check_target(g, factor_id, entry_index)
     factors = []
     for f in g.factors:
         values = f.tensor.data.tolist()

@@ -11,18 +11,20 @@ every variable's cliques form a connected subtree.
 
 Inference is Shafer-Shenoy propagation over the separators: each tree edge
 carries one message each way, a dense array over the separator's variables
-lifted once into the receiver's member axes, and a clique sends its
-potential times every other incoming message, summed onto the separator.
-One collect and one distribute pass per component are exact over any
-commutative semiring (the generalized distributive law). A variable's
-marginal is one fold of its lowest-id covering clique's belief, the same
-from any covering clique. Every sum is a ``Semiring.fold`` in ascending
-row-major order of the summed-out indices (``spiderbp.algebra``).
+lifted once into the receiver's member axes. A clique sends its potential
+times every other incoming message, summed onto the separator by one
+``_fold0`` of its (rest, separator) rows. One collect and one distribute
+pass per component are exact over any commutative semiring (the
+generalized distributive law). A variable's marginal is one ``_fold0`` of
+its lowest-id covering clique's belief as (rest, dim) rows, the same from
+any covering clique; one ``_normalize_columns`` rescales a dim's marginals.
+Every sum is the ascending left fold in row-major order of the summed-out
+indices (``spiderbp.algebra``).
 
 A frozen graph keeps its junction tree compiled, read-only, beside its BP
-plan: the tree, clique potentials and send program are built on its first
-``run_junction_tree``, later calls only propagate, and every ``JTResult``
-of the graph shares the one tree.
+plan: the tree, clique potentials, send and read program are built on its
+first ``run_junction_tree``, later calls only propagate, and every
+``JTResult`` of the graph shares the one tree.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import get_semiring
-from .engine import _kept, _run_semiring
-from .errors import CliqueTooLargeError, ValidationError, ZeroMessageError
-from .graph import _ensure_valid
+from .engine import _check_index, _kept, _run_semiring
+from .errors import CliqueTooLargeError, ValidationError
+from .graph import _ensure_valid, _frozen
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor, Message
 
 
@@ -208,16 +210,24 @@ def _clique_potential(g, semiring, clique):
 
 
 def _onto(dims, members, sep):
-    """``_sum_onto``'s layout for ``dims``: (transpose order, rows, separator shape)."""
+    """A send's layout for ``dims``: (transpose order, summed-out axes
+    first; (rest, separator) rows; separator shape)."""
     keep = [members.index(v) for v in sep]
     sep_dims = tuple(dims[i] for i in keep)
     rest = [i for i in range(len(members)) if i not in keep]
-    return keep + rest, (math.prod(sep_dims), math.prod(dims[i] for i in rest)), sep_dims
+    return rest + keep, (math.prod(dims[i] for i in rest), math.prod(sep_dims)), sep_dims
 
 
-def _sum_onto(semiring, arr, order, rows, sep_dims):
-    """Semiring sum of a member-space array onto the separator's axes (``_onto``)."""
-    return semiring.fold(np.transpose(arr, order).reshape(rows), 1).reshape(sep_dims)
+def _split(shape, pos):
+    """``shape`` as (pre, dim, post) around its axis ``pos``."""
+    return math.prod(shape[:pos]), shape[pos], math.prod(shape[pos + 1 :])
+
+
+def _fold_read(semiring, belief, pre, dim, post):
+    """A variable's unscaled marginal out of ``belief``, laid out as (pre,
+    dim, post) around its axis (``_split``): one ``_fold0`` of its (pre,
+    post) rows, in ascending row-major order."""
+    return semiring._fold0(belief.reshape(pre, dim, post).transpose(0, 2, 1).reshape(-1, dim))
 
 
 def _lift(arr, variables, members):
@@ -238,9 +248,10 @@ def _lift(arr, variables, members):
 
 class _CompiledTree:
     """A graph's junction tree, potentials (read-only: every run shares
-    them) and send program: per separator message, in collect-then-
-    distribute order, (sender, receiver, ``_onto`` layout, lift index). It
-    holds no reference to the graph."""
+    them), send program (per separator message, in collect-then-distribute
+    order: sender, receiver, ``_onto`` layout, lift index) and reads (per
+    dim, each variable's home clique and ``_split``). It holds no index
+    array over clique entries and no reference to the graph."""
 
     def __init__(self, g):
         semiring = get_semiring(g.semiring)
@@ -271,9 +282,11 @@ class _CompiledTree:
                         stack.append(other)
             for a, b in [(cid, parent[cid]) for cid in reversed(order[1:])] + [(parent[cid], cid) for cid in order[1:]]:
                 lift = tuple([slice(None) if m in nbrs[a][b] else None for m in members[b]])
-                self.sends.append((a, b, _onto(self.potentials[a].shape, members[a], nbrs[a][b]), lift))
-        at = tree.variable_to_clique
-        self.reads = [(v.id, at[v.id], members[at[v.id]].index(v.id), v.obj) for v in g.variables]
+                self.sends.append((a, b, *_onto(self.potentials[a].shape, members[a], nbrs[a][b]), lift))
+        self.var_ids, self.reads, at = tuple(v.id for v in g.variables), {}, tree.variable_to_clique
+        for slot, v in enumerate(g.variables):  # dim -> [(slot in g.variables, obj, home clique, split)]
+            split = _split(self.potentials[at[v.id]].shape, members[at[v.id]].index(v.id))
+            self.reads.setdefault(v.obj.dim, []).append((slot, v.obj, at[v.id], split))
 
 
 @dataclass
@@ -318,20 +331,26 @@ def run_junction_tree(g, cfg):
                 arr = semiring.array_mul(arr, messages[(other, cid)])
         return arr
 
-    for a, b, onto, lift in jt.sends:
-        messages[(a, b)] = _sum_onto(semiring, gather(a, skip=b), *onto)[lift]
+    for a, b, order, rows, sep_dims, lift in jt.sends:
+        messages[(a, b)] = semiring._fold0(gather(a, skip=b).transpose(order).reshape(rows)).reshape(sep_dims)[lift]
     beliefs = [gather(cid) for cid in range(len(jt.potentials))]
     z = jt.z
     for root in jt.roots:
         z = semiring.mul(z, semiring.fold(beliefs[root].reshape(-1), 0).item())
-    variable_beliefs, contradiction = {}, semiring.name == "bool" and z == semiring.zero
-    for vid, cid, axis, obj in jt.reads:
-        variable_beliefs[vid], dead = _marginal(semiring, beliefs[cid], axis, obj, cfg.normalize)
-        contradiction = contradiction or dead
+    marginals, contradiction = [None] * len(jt.var_ids), semiring.name == "bool" and z == semiring.zero
+    for dim, group in jt.reads.items():
+        values = np.empty((dim, len(group)), dtype=semiring.dtype)
+        for j, (_slot, _obj, cid, split) in enumerate(group):
+            values[:, j] = _fold_read(semiring, beliefs[cid], *split)
+        if cfg.normalize and semiring.has_normalize:
+            values, dead = semiring._normalize_columns(values)
+            contradiction = contradiction or dead is not None
+        for (slot, obj, *_), row in zip(group, _frozen(values.T.copy())):
+            marginals[slot] = Message._wrap(obj, row)
     clique_beliefs = {cid: DenseTensor._wrap(arr.shape, arr.reshape(-1)) for cid, arr in enumerate(beliefs)}
     for belief in clique_beliefs.values():  # fresh arrays or kept potentials: frozen, not copied
         belief.data.flags.writeable = False
-    return JTResult(variable_beliefs, z, jt.tree, semiring.name, clique_beliefs, contradiction)
+    return JTResult(dict(zip(jt.var_ids, marginals)), z, jt.tree, semiring.name, clique_beliefs, contradiction)
 
 
 def marginal_from_clique(result, cid, variable_id, cfg):
@@ -339,29 +358,19 @@ def marginal_from_clique(result, cid, variable_id, cfg):
 
     Every clique containing the variable must yield the same (rescaled)
     answer; exposed so callers can verify that consistency. ``cfg`` is
-    checked against the semiring of the graph the result came from.
+    checked against the semiring of the graph the result came from, and a
+    clique id that is not an int in range is a ValidationError.
     """
     semiring = _run_semiring(result.semiring, cfg)
+    cid = _check_index(cid, len(result.tree.cliques), "a clique id", f"no clique with id {cid}")
     clique = result.tree.cliques[cid]
     if variable_id not in clique.members:
         raise ValidationError(
             f"variable {variable_id} is not a member of clique {cid} {list(clique.members)}"
         )
     belief = result.clique_beliefs[cid].as_array()
-    pos = clique.members.index(variable_id)
-    return _marginal(semiring, belief, pos, result.variable_beliefs[variable_id].obj, cfg.normalize)[0]
-
-
-def _marginal(semiring, belief, pos, obj, normalize):
-    """Read-only marginal over ``obj`` of ``belief``'s axis ``pos``: one left
-    fold, rescaled if asked. Returns (marginal, dead), ``dead`` when the
-    rescaling met zero mass; the marginal then holds the raw zeros."""
-    values = semiring.fold(np.moveaxis(belief, pos, 0).reshape(belief.shape[pos], -1), 1)
-    dead = False
-    if normalize and semiring.has_normalize:
-        try:
-            values = semiring.normalize(values)
-        except ZeroMessageError:
-            dead = True
+    values = _fold_read(semiring, belief, *_split(belief.shape, clique.members.index(variable_id)))
+    if cfg.normalize and semiring.has_normalize:
+        values = semiring._normalize_columns(values.reshape(-1, 1))[0][:, 0]  # a dead one keeps its raw zeros
     values.flags.writeable = False
-    return Message._wrap(obj, values), dead
+    return Message._wrap(result.variable_beliefs[variable_id].obj, values)

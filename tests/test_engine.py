@@ -571,6 +571,21 @@ class TestContractionDerivative:
         with pytest.raises(ValidationError, match="no factor with id"):
             contraction_derivative(loopy, len(loopy.factors), 0)
 
+    @pytest.mark.parametrize("target", [contraction_derivative, dual_seed])
+    def test_a_target_must_be_an_integer(self, target):
+        # a float or a bool id or entry, which numpy would read or reject
+        # in its own words, is named in a ValidationError
+        g = build_graph([2, 2], [((0, 1), [1.0, 2.0, 3.0, 4.0]), ((1,), [1.0, 2.0])], PROB)
+        for fid, entry, words in [(0.0, 1, "a factor id must be an integer, got 0.0"), (True, 0, "a factor id must be an integer, got True"),
+                                  (0, 1.0, "an entry must be an integer, got 1.0"), (0, True, "an entry must be an integer, got True"),
+                                  (0, np.bool_(True), "an entry must be an integer, got np.True_|an entry must be an integer, got True")]:
+            with pytest.raises(ValidationError, match=f"^({words})$"):
+                target(g, fid, entry)
+        same = [target(g, fid, entry) for fid, entry in [(0, 1), (np.int64(0), np.int32(1)), (np.uint8(0), np.int64(1))]]
+        if target is dual_seed:
+            same = [[f.tensor.data.tolist() for f in lifted.factors] for lifted in same]
+        assert same[0] == same[1] == same[2]
+
 
 def uniform_grid(rng, n=4):
     """(dims, factors) of an n x n binary grid with uniform(0.5, 1.5) tables."""

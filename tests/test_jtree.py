@@ -23,11 +23,11 @@ from spiderbp import (
     run_bp,
     run_junction_tree,
 )
-from spiderbp.algebra import BOOL, COUNT, DUAL, MAXTIMES, get_semiring
+from spiderbp.algebra import BOOL, COUNT, DUAL, MAXTIMES, DualNumber, get_semiring
 from spiderbp.jtree import (
     _clique_potential,
     _eliminate,
-    _marginal,
+    _fold_read,
     _primal_adjacency,
     build_junction_tree,
     marginal_from_clique,
@@ -368,6 +368,18 @@ class TestCliqueConsistency:
         with pytest.raises(ValidationError):
             marginal_from_clique(result, c0.id, outsider, cfg)
 
+    def test_a_bad_clique_id_is_a_validation_error_naming_it(self):
+        g = loopy_square()
+        cfg = RunConfig()
+        result = run_junction_tree(g, cfg)
+        n = len(result.tree.cliques)
+        for cid, words in [(-1, "no clique with id -1"), (n, f"no clique with id {n}"),
+                           (1.0, "a clique id must be an integer, got 1.0"), (True, "a clique id must be an integer, got True")]:
+            with pytest.raises(ValidationError, match=f"^{words}$"):
+                marginal_from_clique(result, cid, result.tree.cliques[1].members[0], cfg)
+        vid = result.tree.cliques[1].members[0]
+        assert same_bits(marginal_from_clique(result, np.int64(1), vid, cfg).values, marginal_from_clique(result, 1, vid, cfg).values)
+
 
 class TestSeparatorMessages:
     def test_every_clique_belief_folds_to_z(self):
@@ -452,26 +464,30 @@ class TestSemiringsAndDeterminism:
 
     def test_separator_sums_are_ascending_left_folds(self):
         # every separator entry is acc = x[0]; acc = acc + x[i] over the
-        # other members' index tuples in ascending row-major order
+        # other members' index tuples in ascending row-major order. Clique
+        # A holds one random table over variables 0..k-1, clique B the
+        # separator and one more variable under a table of ones, so B's
+        # belief is A's message, bit for bit
         from itertools import product
-
-        from spiderbp.jtree import _onto, _sum_onto
 
         rng = np.random.default_rng(71)
         for _ in range(300):
             k = int(rng.integers(2, 5))
             dims = tuple(int(d) for d in rng.integers(2, 5, k))
-            members = tuple(sorted(int(v) for v in rng.choice(20, k, replace=False)))
-            sep = tuple(sorted(int(v) for v in rng.choice(members, int(rng.integers(1, k)), replace=False)))
+            sep = tuple(sorted(int(v) for v in rng.choice(k, int(rng.integers(1, k)), replace=False)))
             arr = rng.random(dims) * 10.0 ** rng.integers(-4, 5, dims)
-            keep = [members.index(v) for v in sep]
-            rest = [i for i in range(k) if i not in keep]
-            got = _sum_onto(PROB, arr, *_onto(dims, members, sep))
-            for s in product(*(range(dims[i]) for i in keep)):
+            ones = [1.0] * (2 * math.prod(dims[v] for v in sep))
+            g = build_graph([*dims, 2], [(tuple(range(k)), arr.ravel().tolist()), ((*sep, k), ones)], PROB)
+            result = run_junction_tree(g, RunConfig(normalize=False))
+            assert [c.members for c in result.tree.cliques] in ([tuple(range(k)), (*sep, k)], [(*sep, k), tuple(range(k))])
+            b = next(c.id for c in result.tree.cliques if k in c.members)
+            got = result.clique_beliefs[b].as_array()[..., 0]
+            rest = [i for i in range(k) if i not in sep]
+            for s in product(*(range(dims[i]) for i in sep)):
                 acc = None
                 for r in product(*(range(dims[i]) for i in rest)):
                     index = [0] * k
-                    for i, x in zip(keep + rest, s + r):
+                    for i, x in zip(list(sep) + rest, s + r):
                         index[i] = x
                     x = float(arr[tuple(index)])
                     acc = x if acc is None else acc + x
@@ -616,6 +632,19 @@ def ternary_prob_grid(rng, side):
     return build_graph([3] * side * side, factors, PROB)
 
 
+def dual_of(rng, g):
+    """``g``'s prob tables as dual ones, every entry given an eps part."""
+    factors = [(f.neighbors, [[x, float(rng.uniform(-1.0, 1.0))] for x in f.tensor.data.tolist()]) for f in sorted(g.factors, key=lambda f: f.id)]
+    return build_graph([v.obj.dim for v in g.variables], factors, DUAL)
+
+
+def as_reals(values):
+    """A marginal as floats; a dual one as its (real, eps) pairs."""
+    if values.dtype == object and isinstance(values[0], DualNumber):
+        return np.array([(d.real, d.eps) for d in values.tolist()])
+    return np.asarray(values, float)
+
+
 def literal_fold(arr, pos):
     """acc = x[0]; acc = acc + x[i] per state of axis ``pos``, over the
     other axes' index tuples in ascending row-major order."""
@@ -637,10 +666,13 @@ class TestOneReadPerVariable:
     same fold ``marginal_from_clique`` takes."""
 
     @pytest.mark.parametrize("normalize", [True, False])
-    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool"])
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
     def test_beliefs_are_marginal_from_clique_bit_for_bit(self, name, normalize):
         rng = np.random.default_rng(350)
-        graphs = [random_loopy(rng, name, max_vars=10, extra_edges=(1, 6)) for _ in range(8)]
+        if name == "dual":
+            graphs = [dual_of(rng, random_loopy(rng, max_vars=10, extra_edges=(1, 6))) for _ in range(8)]
+        else:
+            graphs = [random_loopy(rng, name, max_vars=10, extra_edges=(1, 6)) for _ in range(8)]
         if name == "prob":
             graphs.append(ternary_prob_grid(rng, 6))
         elif name == "count":
@@ -655,7 +687,47 @@ class TestOneReadPerVariable:
                     if result.tree.variable_to_clique[vid] == c.id or get_semiring(name).exact:
                         assert same_bits(got, folded)
                     else:
-                        assert np.allclose(np.asarray(got, float), np.asarray(folded, float), rtol=1e-12)
+                        assert np.allclose(as_reals(got), as_reals(folded), rtol=1e-12)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_mixed_dims_an_isolated_variable_and_a_rank0_component(self, name, normalize):
+        # a loop over dims 2, 3 and 5 with a chord, an isolated variable
+        # (a one-member clique) and a component of one rank-0 factor; the
+        # file lists the variables out of id order
+        rng = np.random.default_rng(356)
+        base = "prob" if name == "dual" else name
+        dims = [2, 3, 5, 2, 3, 5, 5]
+        scopes = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4), (2,), (6,), ()]
+        g = build_graph(dims, [(s, table_for(rng, base, math.prod(dims[v] for v in s))) for s in scopes], base)
+        doc = graph_to_document(dual_of(rng, g) if name == "dual" else g)
+        doc["variables"] = [doc["variables"][i] for i in (4, 6, 0, 2, 5, 1, 3)]
+        g, _ = parse_native(json.dumps(doc), semiring=name)
+        cfg = RunConfig(normalize=normalize)
+        result = run_junction_tree(g, cfg)
+        assert [len(c.members) for c in result.tree.cliques].count(1) == 1
+        assert list(result.variable_beliefs) == [v.id for v in g.variables] == [4, 6, 0, 2, 5, 1, 3]
+        for v in g.variables:
+            home = result.tree.variable_to_clique[v.id]
+            assert same_bits(result.variable_beliefs[v.id].values, marginal_from_clique(result, home, v.id, cfg).values)
+            assert result.variable_beliefs[v.id].obj == v.obj
+
+    def test_a_zero_mass_marginal_keeps_its_raw_zeros(self):
+        # one dead component (a triangle with an all-zero table) beside a
+        # live one, all binary: one rescale meets dead and live columns
+        dead = build_graph(
+            [2, 2, 2, 2, 2],
+            [((0, 1), [1.0, 2.0, 3.0, 4.0]), ((1, 2), [0.0] * 4), ((0, 2), [1.0, 1.0, 2.0, 1.0]), ((3, 4), [1.0, 2.0, 3.0, 2.0])],
+            PROB,
+        )
+        cfg = RunConfig()
+        result = run_junction_tree(dead, cfg)
+        assert result.contradiction and result.contraction_value == 0.0
+        for vid in (0, 1, 2):
+            assert result.variable_beliefs[vid].values.tolist() == [0.0, 0.0]
+            assert same_bits(result.variable_beliefs[vid].values, marginal_from_clique(result, result.tree.variable_to_clique[vid], vid, cfg).values)
+        assert result.variable_beliefs[3].values.tolist() == [3 / 8, 5 / 8]
+        assert not run_junction_tree(dead, RunConfig(normalize=False)).contradiction
 
     def test_marginal_from_clique_names_the_variable_as_the_run_does(self):
         # a named 3-cycle with a pendant: "c" is covered by two cliques
@@ -686,14 +758,14 @@ class TestOneReadPerVariable:
             dims = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(1, 5))))
             arr = rng.random(dims) * 10.0 ** rng.integers(-4, 5, dims)
             for pos in range(len(dims)):
-                values = _marginal(PROB, arr, pos, ObjectType("v", dims[pos]), False)[0].values
+                values = _fold_read(PROB, arr, math.prod(dims[:pos]), dims[pos], math.prod(dims[pos + 1 :]))
                 assert values.tolist() == literal_fold(arr, pos)
 
     def test_one_fold_per_variable(self, monkeypatch):
         from spiderbp import jtree
 
         calls = []
-        monkeypatch.setattr(jtree, "_marginal", lambda *args: calls.append(args) or _marginal(*args))
+        monkeypatch.setattr(jtree, "_fold_read", lambda *args: calls.append(args) or _fold_read(*args))
         g = random_loopy(np.random.default_rng(353), max_vars=10)
         result = run_junction_tree(g, RunConfig())
         assert len(calls) == len(g.variables)
