@@ -24,9 +24,10 @@ factor nodes: the first run builds it and the graph keeps it beside its
 validation verdict. Reading a run (beliefs, closed values, cavities,
 ``decode_map``, ``evaluate_assignment``) needs the plan and the table
 only, so a parsed graph run through these builds no node.
-Messages are stored dim-major: one packed ``(dim, wires)`` array per dim
-and direction, in which every wire owns one column (its "row" number), and
-a ``MessageState`` holds nothing but these arrays. Variables are grouped by
+Messages are stored dim-major: one packed ``(dim, 2 * wires)`` array per
+dim, in which every wire owns a "row" number r among the wires of its dim,
+its v2f message column r and its f2v message column wires + r; a
+``MessageState`` holds nothing but these arrays. Variables are grouped by
 (dim, degree), and every tensor is stacked once per out wire, transposed so
 that wire is last; tensors that agree in this oriented shape share a stack,
 kept in level order. An update program is a list of levels of batched ops:
@@ -35,9 +36,10 @@ slice of its stack. ``tree`` gives each directed wire a level (1 + the
 largest level among the messages it reads) and runs the levels in order, in
 place, so every message is computed once from final inputs. A ``sync``
 sweep is the same program with every wire at level 0, run from the old
-arrays into new ones, each op writing one slice per dim and direction.
-Every op, rescale and residual loops over the wires of a dim, not over the
-few entries of one message. The ops apply the per-wire rules of
+arrays into new ones, each op writing one slice of its dim's array. Every
+op loops over the wires of a dim, not over the few entries of one message,
+and a sweep rescales and measures its residual once per dim, over both
+directions at once. The ops apply the per-wire rules of
 ``update_variable_message`` and ``update_factor_message`` in the same
 operation order, so both schedules give the per-wire messages bit for bit.
 A run's state is read through ``beliefs``, ``decode_map`` and
@@ -84,7 +86,8 @@ class RunConfig:
     The run's semiring is the graph's (``FactorGraph.semiring``).
     ``semiring`` is None, meaning the graph's, or a registry name that must
     equal it: a different name is a ValidationError, since the tensors
-    cannot change algebra. ``tol`` is a finite number >= 0. ``damping``
+    cannot change algebra. ``max_iters`` is an integer >= 1 (a Python or
+    numpy one, not a bool). ``tol`` is a finite number >= 0. ``damping``
     blends each new message with the old one as (1 - damping) * new +
     damping * old and is only allowed for prob with the sync schedule.
     ``normalize`` rescales messages when the semiring knows how; exact
@@ -103,8 +106,8 @@ class RunConfig:
             get_semiring(self.semiring)
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not 0.0 <= self.tol < math.inf:
             raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
         if not 0.0 <= self.damping < 1.0:
@@ -134,8 +137,9 @@ def _run_semiring(name, cfg):
 class MessageState:
     """Every directed message of a run plus its counters; an immutable snapshot.
 
-    The messages live in the packed ``(v2f, f2v)`` arrays of the plan that
-    computed them, and a state is only ever read against the graph that
+    The messages live in the packed arrays of the plan that computed them,
+    one ``(dim, 2 * wires)`` array per dim holding both directions, and a
+    state is only ever read against the graph that
     keeps that plan: through ``beliefs``, ``decode_map`` and
     ``contraction_from_state``.
     """
@@ -171,8 +175,8 @@ class BPResult:
 
     @cached_property
     def factor_beliefs(self):
-        plan, (v2f, _f2v) = _plan_and_arrays(self._graph, self.state)
-        return plan.factor_beliefs(self._graph, v2f)
+        plan, arrays = _plan_and_arrays(self._graph, self.state)
+        return plan.factor_beliefs(self._graph, arrays)
 
 
 def _kept(g, key, compile):
@@ -274,7 +278,8 @@ _TensorGroup = namedtuple("_TensorGroup", "shape ids tensors rows")
 class _Stack:
     """The (tensor, out axis) pairs of one oriented shape, dim-major: tensors
     as (other axes ascending..., out dim, members in level order), and
-    ``rows[a][i]`` the packed row of member ``i``'s wire on oriented axis ``a``."""
+    ``rows[a][i]`` the packed row of member ``i``'s wire on other axis ``a``,
+    which is the column of its v2f message."""
 
     def __init__(self, shape, tensors, rows):
         self.shape, self.tensors, self.rows = shape, tensors, rows
@@ -282,7 +287,7 @@ class _Stack:
         rank = len(shape)
         self.along = [(d,) + (1,) * (rank - a - 1) + (-1,) for a, d in enumerate(shape[:-1])]
 
-    def contracted(self, semiring, run, v2f):
+    def contracted(self, semiring, run, arrays):
         """The (out dim, members) messages of the members in slice ``run``:
         tensors times v2f messages, axes ascending, other axes folded in
         row-major order (a rank-1 tensor has none: it is its message)."""
@@ -290,7 +295,7 @@ class _Stack:
         if not self.along:
             return arr
         for d, rows, along in zip(self.shape, self.rows, self.along):
-            arr = semiring.array_mul(arr, v2f[d].take(rows[run], 1).reshape(along))
+            arr = semiring.array_mul(arr, arrays[d].take(rows[run], 1).reshape(along))
         return semiring._fold0(arr.reshape(-1, *arr.shape[-2:]))
 
 
@@ -303,11 +308,12 @@ _SpiderGroup = namedtuple("_SpiderGroup", "dim rows objs slots")
 class _Plan:
     """A graph compiled for batched message updates over its semiring.
 
-    Every wire ``(factor id, axis)`` owns one integer row number, its
-    column in the packed dim-major ``(dim, wires)`` array of its variable's
-    dim, numbered in ``g.wires`` order; a message array pair ``(v2f,
-    f2v)`` maps each dim to such a C-contiguous array per direction, and is
-    the only message store. Variables are grouped by (dim, degree),
+    Every wire ``(factor id, axis)`` owns one integer row number r among
+    the ``wires`` wires of its variable's dim, numbered in ``g.wires``
+    order. A message store maps each dim to one C-contiguous packed
+    dim-major ``(dim, 2 * wires)`` array, whose column r holds the wire's
+    v2f message and column wires + r its f2v message, and is the only
+    message store. Variables are grouped by (dim, degree),
     term-major: ``rows[k, i]`` is the row of member i's k-th incident wire;
     factor tensors are stacked by shape. All of it is read off the graph's
     wire table with array operations, never off its factor nodes.
@@ -332,7 +338,7 @@ class _Plan:
     bit for bit. The sync sweep is the program with every wire at level 0,
     compiled once per plan: one op per spider group and one per oriented
     shape, each writing a slice of an op-ordered array that one ``take``
-    per dim and direction restores to packed order. The two-pass schedule
+    per dim restores to packed order. The two-pass schedule
     runs the program of the wires' dependency levels on the rows whose
     inputs are final, in place, one op per spider group and oriented shape
     at each level.
@@ -383,66 +389,65 @@ class _Plan:
             self.factor_groups.append(_TensorGroup(shape, fids[pos].tolist(), stack, rows))
 
     def _empty(self):
-        return {d: np.empty((d, n), dtype=self.semiring.dtype) for d, n in self.dims.items()}
+        return {d: np.empty((d, 2 * n), dtype=self.semiring.dtype) for d, n in self.dims.items()}
 
     def initial(self, cfg):
         """The unit message on every directed wire, as ``init_messages``."""
         semiring = self.semiring
-        v2f = self._empty()
-        for d, arr in v2f.items():
+        arrays = self._empty()
+        for d, arr in arrays.items():
             unit = semiring.ones((d,))
             if cfg.normalize and semiring.has_normalize:
                 unit = semiring.normalize(unit)
             arr[...] = unit[:, None]
-        return v2f, {d: arr.copy() for d, arr in v2f.items()}
+        return arrays
 
     def _dead_wires(self, g, gone):
-        """The wires of dead rows, as (kind, factor id, axis): every v2f
+        """The wires of dead columns, as (kind, factor id, axis): every v2f
         before every f2v, each in ``g.wires`` order.
 
-        ``gone`` holds (kind, dim, out rows, dead-row mask) entries, as
-        ``_execute`` returns them; ``out`` may be ``slice(None)``, every row
-        of the dim.
+        ``gone`` holds (dim, out columns, dead-column mask) entries, as
+        ``_execute`` returns them; ``out`` may be ``slice(None)``, every
+        column of the dim.
         """
-        hits = {"v2f": [], "f2v": []}
-        for kind, d, out, dead in gone:
-            hits[kind] += self.position[d][out][dead].tolist()
-        return [(kind,) + g.wires[pos] for kind, found in hits.items() for pos in sorted(found)]
+        hits = []  # (0 for v2f or 1 for f2v, g.wires index)
+        for d, out, dead in gone:
+            kind, row = np.divmod(np.arange(2 * self.dims[d])[out][dead], self.dims[d])
+            hits += zip(kind.tolist(), self.position[d][row].tolist())
+        return [(("v2f", "f2v")[kind],) + g.wires[pos] for kind, pos in sorted(hits)]
 
     # -- the update program ------------------------------------------------------
 
     def _execute(self, program, src, dst, normalize=False):
         """Run a program's ops level by level, reading ``src`` and writing ``dst``.
 
-        Both are (v2f, f2v) array pairs: a variable op folds f2v rows into
-        v2f rows, and a factor op contracts v2f rows into f2v rows; each
-        writes the (dim, out rows) block ``dst[k][d][:, out]``. With
-        ``normalize`` every op rescales its rows before writing them, and the
-        result lists (kind, dim, out rows, dead-row mask) per op with a dead
-        row; without, it is empty.
+        Both are message stores: a variable op folds f2v columns into v2f
+        columns, and a factor op contracts v2f columns into f2v columns;
+        each writes the (dim, out columns) block ``dst[d][:, out]``. With
+        ``normalize`` every op rescales its columns before writing them, and
+        the result lists (dim, out columns, dead-column mask) per op with a
+        dead column; without, it is empty.
         """
         semiring = self.semiring
         gone = []
         for ops in program:
             for d, out, stack, arg in ops:
                 if stack is None:
-                    kind, k = "v2f", 0
-                    values = _fold_mul(semiring, src[1][d].take(arg)) if len(arg) else semiring.ones((d, arg.shape[-1]))
+                    values = _fold_mul(semiring, src[d].take(arg)) if len(arg) else semiring.ones((d, arg.shape[-1]))
                 else:
-                    kind, k = "f2v", 1
-                    values = stack.contracted(semiring, arg, src[0])
+                    values = stack.contracted(semiring, arg, src)
                 if normalize:
                     values, dead = semiring._normalize_columns(values)
                     if dead is not None:
-                        gone.append((kind, d, out, dead))
-                dst[k][d][:, out] = values
+                        gone.append((d, out, dead))
+                dst[d][:, out] = values
         return gone
 
     def _levels(self, v2f_levels, f2v_levels):
         """The update program for given wire levels (dim -> level per row).
 
-        An op is (dim, out rows, stack or None, argument): a variable op
-        (stack None) folds the f2v entries of the (terms, dim, out rows)
+        An op is (dim, out columns, stack or None, argument): a variable op
+        (stack None) folds the f2v entries of the (terms, dim, out columns)
         flat index ``argument`` (no terms: the unit), a factor op contracts
         the slice ``argument`` of its ``_Stack``. Each (tensor group, out
         axis) is transposed to its oriented shape (other axes ascending, out
@@ -461,8 +466,9 @@ class _Plan:
             # the f2v rows each out row folds: its member's other wires, in incidence order
             leave_out = np.array([[q for q in range(k) if q != p] for p in range(k)], dtype=np.intp).reshape(k, k - 1)
             others = rows[leave_out].transpose(1, 0, 2).reshape(k - 1, 1, out.size)
-            # as flat indices into the (dim, wires) f2v array: a (terms, dim, out rows) gather
-            others = others + self.dims[d] * np.arange(d).reshape(d, 1)
+            # as flat indices of f2v columns in the (dim, 2 * wires) array: a (terms, dim, out rows) gather
+            n = self.dims[d]
+            others = others + n + 2 * n * np.arange(d).reshape(d, 1)
             out, others = _frozen(out[order]), _frozen(others.take(order, -1))
             ops.extend((level, (d, out[run], None, others[..., run])) for level, run in runs)
         stacks = {}
@@ -477,8 +483,9 @@ class _Plan:
             d, rows = shape[-1], [np.concatenate(r) for r in zip(*rows)]
             order, runs = _by_level(f2v_levels[d][rows[-1]])
             tensors = _frozen(np.concatenate(tensors, axis=-1).take(order, -1))
-            stack = _Stack(shape, tensors, [_frozen(r[order]) for r in rows])
-            ops.extend((level, (d, stack.rows[-1][run], stack, run)) for level, run in runs)
+            stack = _Stack(shape, tensors, [_frozen(r[order]) for r in rows[:-1]])
+            out = _frozen(rows[-1][order] + self.dims[d])  # the f2v columns
+            ops.extend((level, (d, out[run], stack, run)) for level, run in runs)
         program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
         for level, op in ops:
             program[level].append(op)
@@ -488,72 +495,59 @@ class _Plan:
 
     @cached_property
     def _sync_program(self):
-        """The level-0 program, each op writing one slice of an op-ordered array per
-        dim and direction, and the dim -> permutations back to packed order."""
+        """The level-0 program, each op writing one slice of an op-ordered
+        array per dim, and the dim -> permutations back to packed order."""
         level0 = {d: np.zeros(n, dtype=np.intp) for d, n in self.dims.items()}
-        ops, written = [], ({}, {})
+        ops, written = [], {}
         for level in self._levels(level0, level0):  # one level; none without wires
             for d, out, stack, arg in level:
-                rows = written[stack is not None].setdefault(d, [])
-                start = sum(map(len, rows))
+                cols = written.setdefault(d, [])
+                start = sum(map(len, cols))
                 ops.append((d, slice(start, start + len(out)), stack, arg))
-                rows.append(out)
-        return [ops], tuple({d: _frozen(np.argsort(np.concatenate(rows))) for d, rows in w.items()} for w in written)
+                cols.append(out)
+        return [ops], {d: _frozen(np.argsort(np.concatenate(cols))) for d, cols in written.items()}
 
     def sweep(self, g, arrays, cfg):
-        """New (v2f, f2v) arrays from the old ones, plus the residual.
+        """A new message store from the old one, plus the residual.
 
         Runs the level-0 program into op-ordered arrays, restores packed
-        order, then normalizes and damps as the per-wire rules do. The first
-        dead row raises ContradictionError for its wire, every v2f row in
-        ``g.wires`` order before every f2v row, before anything is divided
-        by zero.
+        order with one ``take`` per dim, then normalizes, damps and measures
+        the residual once per dim, both directions at once, as the per-wire
+        rules do column by column. The first dead column raises
+        ContradictionError for its wire, every v2f wire in ``g.wires`` order
+        before every f2v wire, before anything is divided by zero. A nan gap
+        (``inf - inf`` once unnormalized messages overflow) makes the
+        residual inf, so an overflowed run can never pass for converged.
         """
         semiring = self.semiring
         program, restore = self._sync_program
-        ordered = self._empty(), self._empty()
+        ordered = self._empty()
         self._execute(program, arrays, ordered)
-        new = tuple({d: a.take(back[d], 1) for d, a in fresh.items()} for fresh, back in zip(ordered, restore))
+        new = {d: a.take(restore[d], 1) for d, a in ordered.items()}
         if cfg.normalize and semiring.has_normalize:
             gone = []
-            for kind, fresh in zip(("v2f", "f2v"), new):
-                for d, cols in fresh.items():
-                    fresh[d], dead = semiring._normalize_columns(cols)
-                    if dead is not None:
-                        gone.append((kind, d, slice(None), dead))
+            for d, cols in new.items():
+                new[d], dead = semiring._normalize_columns(cols)
+                if dead is not None:
+                    gone.append((d, slice(None), dead))
             if gone:
                 raise ContradictionError(self._dead_wires(g, gone)[0])
         if cfg.damping != 0.0:
             lam = cfg.damping
-            for fresh, old in zip(new, arrays):
-                for d in fresh:
-                    fresh[d] = (1.0 - lam) * fresh[d] + lam * old[d]
-        residual = max(self._residual(new[0], arrays[0]), self._residual(new[1], arrays[1]))
-        return new, residual
-
-    def _residual(self, new, old):
-        """Largest componentwise gap between two message arrays.
-
-        A nan gap (``inf - inf`` once unnormalized messages overflow) makes
-        the residual inf, so an overflowed run can never pass for converged.
-        """
-        out = 0.0
-        for d, a in new.items():
-            gap = self.semiring.max_distance(a, old[d])
-            if gap != gap:
-                return math.inf
-            out = max(out, gap)
-        return out
+            for d, old in arrays.items():
+                new[d] = (1.0 - lam) * new[d] + lam * old
+        gaps = [semiring.max_distance(a, arrays[d]) for d, a in new.items()]
+        return new, max(gaps, default=0.0) if all(gap == gap for gap in gaps) else math.inf
 
     # -- the two-pass schedule ---------------------------------------------------
 
     def two_pass(self, g, cfg):
         """Every message of the exact tree schedule, level by level.
 
-        Returns ((v2f, f2v), contradiction wire or None). Each directed
+        Returns (message store, contradiction wire or None). Each directed
         wire is computed once from final inputs, so the messages equal those
         of the per-wire two-pass run. A normalized run that hits dead
-        support leaves the dead rows undivided and carries on; at the end
+        support leaves the dead columns undivided and carries on; at the end
         every message from the first dead wire of ``two_pass_schedule`` on
         is reset to the unit, which is the state the per-wire run halts in.
         """
@@ -571,9 +565,9 @@ class _Plan:
         unit = self.initial(cfg)
         for kind, fid, axis in schedule[at:]:
             i = self.start.item(fid) + axis
-            d, r = self.wire_dim.item(i), self.wire_row.item(i)
-            k = 0 if kind == "v2f" else 1
-            arrays[k][d][:, r] = unit[k][d][:, r]
+            d = self.wire_dim.item(i)
+            col = self.wire_row.item(i) + (kind == "f2v") * self.dims[d]
+            arrays[d][:, col] = unit[d][:, col]
         return schedule[at]
 
     def _wire_levels(self, g):
@@ -583,7 +577,11 @@ class _Plan:
 
     # -- reading a state -------------------------------------------------------
 
-    def incoming_products(self, f2v):
+    def _f2v(self, arrays, d):
+        """Dim ``d``'s f2v messages, a (dim, wires) view: column r is row r's."""
+        return arrays[d][:, self.dims[d]:]
+
+    def incoming_products(self, arrays):
         """(spider group, product of each member's incoming f2v messages) per group.
 
         The product left-folds in incidence order, as ``hadamard``; an
@@ -592,15 +590,15 @@ class _Plan:
         semiring = self.semiring
         for group in self.var_groups:
             if len(group.rows):
-                yield group, _fold_mul(semiring, f2v[group.dim].take(group.rows, 1).swapaxes(0, 1))
+                yield group, _fold_mul(semiring, self._f2v(arrays, group.dim).take(group.rows, 1).swapaxes(0, 1))
             else:
                 yield group, semiring.ones((group.dim, len(group.slots)))
 
-    def variable_beliefs(self, f2v, cfg):
-        """``beliefs``'s variable beliefs and zero wire, from the packed f2v arrays."""
+    def variable_beliefs(self, arrays, cfg):
+        """``beliefs``'s variable beliefs and zero wire, from the packed f2v messages."""
         semiring = self.semiring
         beliefs, dead_slots = [None] * len(self.var_ids), []
-        for group, values in self.incoming_products(f2v):
+        for group, values in self.incoming_products(arrays):
             if cfg.normalize and semiring.has_normalize:
                 values, dead = semiring._normalize_columns(values)
                 if dead is not None:
@@ -610,20 +608,20 @@ class _Plan:
         zero_wire = ("belief", self.var_ids[min(dead_slots)]) if dead_slots else None
         return dict(zip(self.var_ids, beliefs)), zero_wire
 
-    def factor_beliefs(self, g, v2f):
-        """``beliefs``'s factor beliefs, from the packed v2f arrays."""
+    def factor_beliefs(self, g, arrays):
+        """``beliefs``'s factor beliefs, from the packed v2f messages."""
         by_factor = {}
         for group in self.factor_groups:
             arr, rank = group.tensors, len(group.shape)
             for a, (d, r) in enumerate(zip(group.shape, group.rows)):  # axes ascending
                 along = (-1,) + (1,) * a + (d,) + (1,) * (rank - a - 1)
-                arr = self.semiring.array_mul(arr, v2f[d].take(r, 1).T.reshape(along))
+                arr = self.semiring.array_mul(arr, arrays[d].take(r, 1).T.reshape(along))
             arr = np.asarray(arr).reshape(len(group.ids), -1)
             arr.flags.writeable = False
             by_factor.update((nid, DenseTensor._wrap(group.shape, flat)) for nid, flat in zip(group.ids, arr))
         return {fid: by_factor[fid] for fid in g._wires.ids}
 
-    def cavity(self, v2f, fid, entry):
+    def cavity(self, arrays, fid, entry):
         """Factor ``fid``'s incoming v2f messages multiplied at its flat
         row-major ``entry``: the factor's belief there with the tensor left
         out. Left-folds ``mul`` in ascending axis order, as
@@ -631,15 +629,13 @@ class _Plan:
         wires = slice(self.start[fid], self.start[fid + 1])
         shape = self.wire_dim[wires].tolist()
         index = np.unravel_index(entry, shape)
-        terms = [v2f[d].item(i, r) for d, r, i in zip(shape, self.wire_row[wires].tolist(), index)]
+        terms = [arrays[d].item(i, r) for d, r, i in zip(shape, self.wire_row[wires].tolist(), index)]
         return reduce(self.semiring.mul, terms) if terms else self.semiring.one
 
     def first_zero_wire(self, g, arrays):
         """First all-zero message, every v2f in wire order before every f2v."""
         dead_wires = self._dead_wires(g, [
-            (kind, d, slice(None), (cols == self.semiring.zero).all(axis=0))
-            for kind, packed in zip(("v2f", "f2v"), arrays)
-            for d, cols in packed.items()
+            (d, slice(None), (cols == self.semiring.zero).all(axis=0)) for d, cols in arrays.items()
         ])
         return dead_wires[0] if dead_wires else None
 
@@ -726,9 +722,9 @@ def beliefs(g, state, cfg):
     Computed on the state's compiled plan.
     """
     _run_semiring(g.semiring, cfg)
-    plan, (v2f, f2v) = _plan_and_arrays(g, state)
-    var_beliefs, zero_wire = plan.variable_beliefs(f2v, cfg)
-    return var_beliefs, plan.factor_beliefs(g, v2f), zero_wire
+    plan, arrays = _plan_and_arrays(g, state)
+    var_beliefs, zero_wire = plan.variable_beliefs(arrays, cfg)
+    return var_beliefs, plan.factor_beliefs(g, arrays), zero_wire
 
 
 def run_bp(g, cfg):
@@ -770,7 +766,7 @@ def run_bp(g, cfg):
         converged, iterations = wire is None, 1
     else:
         state, converged, iterations, wire = _run_sync(g, cfg)
-    var_b, zero_wire = state._plan.variable_beliefs(state._arrays[1], cfg)
+    var_b, zero_wire = state._plan.variable_beliefs(state._arrays, cfg)
     if wire is None and semiring.name == "bool":
         # dead support can hide in a belief even when every wire message
         # still has a true entry, so scan both
@@ -845,14 +841,14 @@ def contraction_value(g):
 def contraction_from_state(g, state):
     """Close the diagram against converged messages, component by component,
     each at its smallest variable id."""
-    plan, (_v2f, f2v) = _plan_and_arrays(g, state)
+    plan, arrays = _plan_and_arrays(g, state)
     total = plan.semiring.one
-    for _fac_ids, z in _closed_components(g, plan, f2v):
+    for _fac_ids, z in _closed_components(g, plan, arrays):
         total = plan.semiring.mul(total, z)
     return total
 
 
-def _closed_components(g, plan, f2v):
+def _closed_components(g, plan, arrays):
     """(factor ids, closed value) per component, in ``components`` order:
     a rank-0 factor's entry, else the fold of the incoming product at the
     smallest variable id."""
@@ -868,7 +864,7 @@ def _closed_components(g, plan, f2v):
         v = var_ids[0]
         d, rows = int(g._dims[v]), plan.incident[plan.cuts[v] : plan.cuts[v + 1]]
         if len(rows):
-            z = semiring.fold(_fold_mul(semiring, f2v[d].take(rows, 1).T), 0).item()
+            z = semiring.fold(_fold_mul(semiring, plan._f2v(arrays, d).take(rows, 1).T), 0).item()
         else:
             z = semiring.fold(semiring.ones((d,)), 0).item()
         yield fac_ids, z
@@ -886,11 +882,11 @@ def contraction_derivative(g, factor_id, entry_index):
     """
     factor_id, entry_index = _check_target(g, factor_id, entry_index)
     state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
-    plan, (v2f, f2v) = state._plan, state._arrays
+    plan, arrays = state._plan, state._arrays
     semiring = plan.semiring
-    cavity = plan.cavity(v2f, factor_id, entry_index)
+    cavity = plan.cavity(arrays, factor_id, entry_index)
     value = derivative = semiring.one
-    for fac_ids, z in _closed_components(g, plan, f2v):
+    for fac_ids, z in _closed_components(g, plan, arrays):
         value = semiring.mul(value, z)
         derivative = semiring.mul(derivative, cavity if factor_id in fac_ids else z)
     return value, derivative
@@ -931,9 +927,9 @@ def decode_map(g, state):
         raise NoTotalOrderError(
             f"semiring {semiring.name!r} has no total order to decode with"
         )
-    plan, (_v2f, f2v) = _plan_and_arrays(g, state)
+    plan, arrays = _plan_and_arrays(g, state)
     best_of = [None] * len(plan.var_ids)
-    for group, values in plan.incoming_products(f2v):
+    for group, values in plan.incoming_products(arrays):
         best = np.zeros(len(group.slots), dtype=np.intp)
         best_val = values[0]
         for j in range(1, group.dim):

@@ -358,16 +358,17 @@ def marginal_from_clique(result, cid, variable_id, cfg):
 
     Every clique containing the variable must yield the same (rescaled)
     answer; exposed so callers can verify that consistency. ``cfg`` is
-    checked against the semiring of the graph the result came from, and a
-    clique id that is not an int in range is a ValidationError.
+    checked against the semiring of the graph the result came from; a
+    clique id that is not an int in range, or a variable id that is not an
+    int in the clique, is a ValidationError.
     """
     semiring = _run_semiring(result.semiring, cfg)
     cid = _check_index(cid, len(result.tree.cliques), "a clique id", f"no clique with id {cid}")
     clique = result.tree.cliques[cid]
+    outside = f"variable {variable_id} is not a member of clique {cid} {list(clique.members)}"
+    variable_id = _check_index(variable_id, len(result.variable_beliefs), "a variable id", outside)
     if variable_id not in clique.members:
-        raise ValidationError(
-            f"variable {variable_id} is not a member of clique {cid} {list(clique.members)}"
-        )
+        raise ValidationError(outside)
     belief = result.clique_beliefs[cid].as_array()
     values = _fold_read(semiring, belief, *_split(belief.shape, clique.members.index(variable_id)))
     if cfg.normalize and semiring.has_normalize:

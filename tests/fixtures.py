@@ -210,5 +210,7 @@ def node_between(node_tensor):
 def wire_messages(state):
     """A ``MessageState``'s messages as (v2f, f2v), each dim -> a (wires,
     dim) view, one row per wire of that dim in ``g.wires`` order: the
-    packed store read wire by wire, whatever its layout."""
-    return tuple({d: a.T for d, a in arrays.items()} for arrays in state._arrays)
+    packed store read wire by wire, whatever its layout. The store keeps
+    one (dim, 2 * wires) array per dim, v2f columns first."""
+    halves = {d: np.split(a, 2, axis=1) for d, a in state._arrays.items()}
+    return tuple({d: pair[k].T for d, pair in halves.items()} for k in (0, 1))

@@ -7,7 +7,7 @@ import pytest
 
 from spiderbp import cli, engine, graph
 from spiderbp.algebra import DualSemiring
-from spiderbp.cli import cli_dispatch
+from spiderbp.cli import EXIT_NOT_CONVERGED, cli_dispatch
 
 GOOD = {
     "semiring_hint": "prob",
@@ -127,6 +127,14 @@ class TestExitCodes:
         path = write(tmp_path, GOOD)
         code, _, _ = run_cli(capsys, "run", "--input", path, "--damping", "1.5")
         assert code == 1
+
+    def test_usage_bad_max_iters(self, tmp_path, capsys):
+        path = write(tmp_path, GOOD)
+        for value in ("0", "-3", "2.5", "inf", "true"):
+            code, out, err = run_cli(capsys, "run", "--input", path, "--max-iters", value)
+            assert code == 1 and out == "", value
+            assert json.loads(err)["message"].startswith("usage: "), value
+        assert run_cli(capsys, "run", "--input", path, "--max-iters", "1")[0] == EXIT_NOT_CONVERGED
 
     def test_damping_a_model_outside_prob_is_usage(self, tmp_path, capsys):
         path = write(tmp_path, GOOD)

@@ -83,6 +83,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(semiring="nosuch")
 
+    def test_max_iters_must_be_an_integer_of_at_least_one(self):
+        # 2.5 ran 3 sweeps, True 1, and inf never stopped a run that does not converge
+        for max_iters in (2.5, 1.0, True, False, np.bool_(True), math.inf, math.nan, "3", None, 0, -1, np.int64(0)):
+            with pytest.raises(ValueError, match="^max_iters must be an integer >= 1, got "):
+                RunConfig(max_iters=max_iters)
+        g = random_loopy(np.random.default_rng(55))
+        for max_iters in (2, np.int64(2), np.int32(2)):
+            result = run_bp(g, RunConfig(max_iters=max_iters))
+            assert result.iterations == 2 and not result.converged
+
     def test_tol_must_be_finite_and_nonnegative(self):
         # a nan tol passed every residual, an inf one certified any state
         for tol in (math.nan, math.inf, -math.inf, -1e-9):

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import re
 import weakref
 from itertools import combinations
 
@@ -379,6 +380,20 @@ class TestCliqueConsistency:
                 marginal_from_clique(result, cid, result.tree.cliques[1].members[0], cfg)
         vid = result.tree.cliques[1].members[0]
         assert same_bits(marginal_from_clique(result, np.int64(1), vid, cfg).values, marginal_from_clique(result, 1, vid, cfg).values)
+
+    def test_a_bad_variable_id_is_a_validation_error_naming_it(self):
+        g = loopy_square()
+        cfg = RunConfig()
+        result = run_junction_tree(g, cfg)
+        cid = next(c.id for c in result.tree.cliques if 1 in c.members)
+        # True == 1 and 1.0 == 1 pass a membership test, so they once read variable 1
+        for vid in (True, 1.0, np.bool_(True)):
+            with pytest.raises(ValidationError, match=f"^a variable id must be an integer, got {re.escape(repr(vid))}$"):
+                marginal_from_clique(result, cid, vid, cfg)
+        for vid in (-1, len(g.variables)):
+            with pytest.raises(ValidationError, match=f"^variable {vid} is not a member of clique {cid} "):
+                marginal_from_clique(result, cid, vid, cfg)
+        assert same_bits(marginal_from_clique(result, cid, np.int64(1), cfg).values, marginal_from_clique(result, cid, 1, cfg).values)
 
 
 class TestSeparatorMessages:

@@ -303,6 +303,43 @@ class TestContradictions:
         assert result.contradiction_wire == ("v2f", 2, 0)
         assert result.iterations == 1
 
+    @pytest.mark.parametrize("name", ["prob", "maxtimes"])
+    def test_a_v2f_and_an_f2v_of_two_dims_dying_in_one_sweep(self, name):
+        """The dim-2 v2f wire (3, 0) and the dim-3 f2v wire (5, 1) die in
+        one sweep; the dim-3 array comes first in the store, yet the v2f
+        wire is reported, as the per-wire reference reports it.
+
+        From the unit start a v2f message first changes at even sweeps and
+        an f2v one at odd sweeps, so no run kills both in one sweep: this
+        one starts from sweep 1's state with the v2f message on wire (5, 0)
+        set to [1, 0], as the unary [1, 0] on v2 sets it in sweep 2."""
+        g = build_graph([2, 3, 2], [
+            ((1,), [1.0, 1.0, 1.0]),
+            ((0,), [1.0, 0.0]),
+            ((0,), [0.0, 1.0]),
+            ((0, 1), [1.0] * 6),
+            ((2,), [1.0, 0.0]),
+            ((2, 1), [0.0, 0.0, 0.0, 1.0, 2.0, 3.0]),  # row 0 is zero
+        ], name)
+        cfg = RunConfig(semiring=name)
+        start = sweep_synchronous(g, init_messages(g, cfg), cfg)
+        plan, arrays = start._plan, {d: a.copy() for d, a in start._arrays.items()}
+        assert list(plan.dims) == [3, 2]
+        arrays[2][:, plan.wire_row[plan.start[5]]] = [1.0, 0.0]
+        start = engine.MessageState(plan, arrays, start.iteration)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContradictionError) as want:
+                reference_sweep(g, unpack(g, start), cfg)
+            with pytest.raises(ContradictionError) as got:
+                sweep_synchronous(g, start, cfg)
+        assert want.value.wire == got.value.wire == ("v2f", 3, 0)
+        # both die: with the f2v message on (2, 0) made the unit, (3, 0) lives
+        arrays[2][:, plan.dims[2] + plan.wire_row[plan.start[2]]] = 1.0
+        with pytest.raises(ContradictionError) as got:
+            sweep_synchronous(g, start, cfg)
+        assert got.value.wire == ("f2v", 5, 1)
+
 
 # -- observability ----------------------------------------------------------------
 
@@ -702,8 +739,8 @@ def sync_program_graphs(rng):
 
 
 class TestSyncProgramWritesEveryRowOnce:
-    """A sync sweep's ops write slices of op-ordered arrays; one permutation
-    per dim and direction takes them back to packed order."""
+    """A sync sweep's ops write slices of one op-ordered array per dim; one
+    permutation per dim takes it back to packed order, v2f columns first."""
 
     def test_slices_tile_each_array_and_restore_each_row(self):
         rng = np.random.default_rng(350)
@@ -713,30 +750,86 @@ class TestSyncProgramWritesEveryRowOnce:
             assert more == []
             level0 = {d: np.zeros(n, dtype=np.intp) for d, n in plan.dims.items()}
             unsliced = [op for level in plan._levels(level0, level0) for op in level]
-            # the same ops, in the same order, each writing a slice for its rows
+            # the same ops, in the same order, each writing a slice for its columns
             assert len(ops) == len(unsliced)
-            for (d, out, stack, arg), (dd, rows, twin, same) in zip(ops, unsliced):
-                assert (d, out.stop - out.start) == (dd, len(rows))
+            for (d, out, stack, arg), (dd, cols, twin, same) in zip(ops, unsliced):
+                assert (d, out.stop - out.start) == (dd, len(cols))
                 assert (stack is None) == (twin is None) and getattr(stack, "shape", None) == getattr(twin, "shape", None)
                 assert same == arg if stack is not None else np.array_equal(same, arg)
-            for k, back in enumerate(restore):
-                assert sorted(back) == sorted(plan.dims)
-                for d, n in plan.dims.items():
-                    mine = [i for i, op in enumerate(ops) if op[0] == d and (op[2] is not None) == k]
-                    slices = [ops[i][1] for i in mine]
-                    assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
-                    assert slices[-1].stop == n
-                    # the row written at position p of the op-ordered array
-                    written = np.concatenate([unsliced[i][1] for i in mine])
-                    assert sorted(back[d].tolist()) == list(range(n))
-                    assert written[back[d]].tolist() == list(range(n))
+                # a variable op writes v2f columns [0, wires), a factor op f2v columns [wires, 2 * wires)
+                assert ((cols >= plan.dims[d]) == (stack is not None)).all()
+            assert sorted(restore) == sorted(plan.dims)
+            for d, n in plan.dims.items():
+                mine = [i for i, op in enumerate(ops) if op[0] == d]
+                slices = [ops[i][1] for i in mine]
+                assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+                assert slices[-1].stop == 2 * n
+                # the column written at position p of the op-ordered array
+                written = np.concatenate([unsliced[i][1] for i in mine])
+                assert sorted(restore[d].tolist()) == list(range(2 * n))
+                assert written[restore[d]].tolist() == list(range(2 * n))
 
     def test_a_graph_without_wires_sweeps(self):
         for g in (build_graph([2, 3], [((), [2.0])], "prob"), build_graph([2], [], "prob")):
-            assert engine._Plan(g)._sync_program == ([[]], ({}, {}))
+            assert engine._Plan(g)._sync_program == ([[]], {})
             result = run_bp(g, RunConfig())
             assert result.converged and result.iterations == 0
             assert [b.values.tolist() for b in result.variable_beliefs.values()][0] == [0.5, 0.5]
+
+
+def two_dims(rng):
+    """A loopy graph over dims 3, 2 and 3, with a dim-2 wire first."""
+    scopes = [(1, 0), (0, 2), (1, 2), (0, 1, 2), (1,)]
+    dims = [3, 2, 3]
+    factors = [(scope, rng.uniform(0.1, 2.0, math.prod(dims[v] for v in scope)).tolist()) for scope in scopes]
+    return build_graph(dims, factors, PROB)
+
+
+class TestOneArrayPerDim:
+    """Every message of a state lives in one (dim, 2 * wires) array per dim,
+    and a sweep rescales and measures its residual once per dim."""
+
+    def test_the_store_is_one_array_per_dim_v2f_first(self):
+        g = two_dims(np.random.default_rng(351))
+        cfg = RunConfig()
+        start = init_messages(g, cfg)
+        state = sweep_synchronous(g, start, cfg)
+        plan, want = state._plan, reference_sweep(g, unpack(g, start), cfg)
+        assert list(plan.dims) == [2, 3]
+        tree = random_tree(np.random.default_rng(352))
+        for some in (start, state, run_bp(g, cfg).state, run_bp(tree, RunConfig(schedule="tree")).state):
+            assert sorted(some._arrays) == sorted(some._plan.dims)
+            for d, a in some._arrays.items():
+                assert a.shape == (d, 2 * some._plan.dims[d]) and a.flags.c_contiguous
+        for (fid, axis), d, r in zip(g.wires, plan.wire_dim.tolist(), plan.wire_row.tolist()):
+            n, vid = plan.dims[d], g.factor(fid).neighbors[axis]
+            assert same_bits(state._arrays[d][:, r], want.var_to_factor[(vid, fid, axis)].values)
+            assert same_bits(state._arrays[d][:, n + r], want.factor_to_var[(fid, axis)].values)
+
+    @pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(normalize=False), RunConfig(damping=0.3)])
+    def test_one_rescale_and_one_residual_per_dim_per_sweep(self, monkeypatch, cfg):
+        g = two_dims(np.random.default_rng(353))
+        state = init_messages(g, cfg)
+        semiring = type(get_semiring("prob"))
+        calls = []
+        normalize_columns, max_distance = semiring._normalize_columns, semiring.max_distance
+
+        def counted_normalize(self, cols):
+            calls.append(("normalize", cols.shape))
+            return normalize_columns(self, cols)
+
+        def counted_distance(self, a, b):
+            calls.append(("distance", a.shape))
+            return max_distance(self, a, b)
+
+        monkeypatch.setattr(semiring, "_normalize_columns", counted_normalize)
+        monkeypatch.setattr(semiring, "max_distance", counted_distance)
+        for sweep in range(3):
+            calls.clear()
+            state = sweep_synchronous(g, state, cfg)
+            wide = [(d, 2 * n) for d, n in state._plan.dims.items()]
+            want = [("normalize", shape) for shape in wide] if cfg.normalize else []
+            assert calls == want + [("distance", shape) for shape in wide], sweep
 
 
 class TestOverflowIsNotConvergence:
@@ -900,7 +993,7 @@ class TestOnePlanPerGraph:
             with pytest.raises(ValueError):
                 plan.factor_groups[0].tensors[...] = 0.0
             # a run's own arrays stay writable for the next sweep
-            assert all(a.flags.writeable for arrays in result.state._arrays for a in arrays.values())
+            assert all(a.flags.writeable for a in result.state._arrays.values())
 
     def test_a_dropped_graph_is_freed_without_the_cycle_collector(self):
         gc.disable()
