@@ -208,18 +208,18 @@ class Semiring:
         ``_normalize_columns``. The exception carries the unchanged input so
         callers can still report what was computed.
         """
-        out, dead = self._normalize_columns(np.asarray(values).reshape(-1, 1))
-        if dead is not None:
+        out = np.array(values, dtype=self.dtype).reshape(-1)
+        if self._normalize_columns(out[:, None]) is not None:
             raise ZeroMessageError(values=values)
-        return out[:, 0]
+        return out
 
     def _normalize_columns(self, cols):
-        """Each column of a (dim, n) array divided by its mass, the fold
-        of axis 0.
+        """Divide each column of a (dim, n) array by its mass, the fold of
+        axis 0, in place.
 
-        Returns (rescaled columns, dead-column mask), the mask None when no
-        column is dead. A column is dead when its mass is zero; dead columns
-        come back as they were, and nothing is divided by zero.
+        Returns the dead-column mask, None when no column is dead. A column
+        is dead when its mass is zero; dead columns keep their entries, and
+        nothing is divided by zero.
         """
         raise NotImplementedError
 
@@ -311,22 +311,22 @@ class ProbSemiring(Semiring):
             acc = self._ufunc(acc, arr[i])
         return acc
 
+    @np.errstate(invalid="ignore")  # inf - inf is a nan gap, not a warning
     def max_distance(self, a, b):
         # the same answer as the scalar loop: max is exact, and np.max keeps
         # any nan
-        with np.errstate(invalid="ignore"):
-            d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-        return float(d.max()) if d.size else 0.0
+        d = np.subtract(a, b)
+        return float(np.abs(d, out=d).max()) if d.size else 0.0
 
     def _normalize_columns(self, cols):
-        s = self._fold0(cols)
+        s = self._fold0(cols)  # a new array: dividing cols leaves it be
         if np.count_nonzero(s) == len(s):
-            return cols / s, None
+            np.divide(cols, s, out=cols)
+            return None
         dead = s == 0.0
-        out = cols.copy()
         live = ~dead
-        out[:, live] = cols[:, live] / s[live]
-        return out, dead
+        cols[:, live] = cols[:, live] / s[live]
+        return dead
 
     def random_scalar(self, rng):
         return float(rng.uniform(0.0, 2.0))
@@ -526,9 +526,8 @@ class DualSemiring(Semiring):
         s, sigma = PROB._fold0(a), PROB._fold0(b)
         live = s != 0.0
         real = a[:, live] / s[live]
-        out = cols.copy()
-        out[:, live] = _dual_array(real, (b[:, live] - sigma[live] * real) / s[live])
-        return out, None if live.all() else ~live
+        cols[:, live] = _dual_array(real, (b[:, live] - sigma[live] * real) / s[live])
+        return None if live.all() else ~live
 
     def random_scalar(self, rng):
         return DualNumber(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))

@@ -24,26 +24,26 @@ factor nodes: the first run builds it and the graph keeps it beside its
 validation verdict. Reading a run (beliefs, closed values, cavities,
 ``decode_map``, ``evaluate_assignment``) needs the plan and the table
 only, so a parsed graph run through these builds no node.
-Messages are stored dim-major: one packed ``(dim, 2 * wires)`` array per
-dim, in which every wire owns a "row" number r among the wires of its dim,
-its v2f message column r and its f2v message column wires + r; a
-``MessageState`` holds nothing but these arrays. Variables are grouped by
-(dim, degree), and every tensor is stacked once per out wire, transposed so
-that wire is last; tensors that agree in this oriented shape share a stack,
-kept in level order. An update program is a list of levels of batched ops:
-at each level, one op per spider group and one per oriented shape, on a
-slice of its stack. ``tree`` gives each directed wire a level (1 + the
-largest level among the messages it reads) and runs the levels in order, in
-place, so every message is computed once from final inputs. A ``sync``
-sweep is the same program with every wire at level 0, run from the old
-arrays into new ones, each op writing one slice of its dim's array. Every
-op loops over the wires of a dim, not over the few entries of one message,
-and a sweep rescales and measures its residual once per dim, over both
-directions at once. The ops apply the per-wire rules of
-``update_variable_message`` and ``update_factor_message`` in the same
-operation order, so both schedules give the per-wire messages bit for bit.
+Messages are stored dim-major: one ``(dim, 2 * wires)`` array per dim,
+the v2f messages of its wires in columns [0, wires) and their f2v messages
+in [wires, 2 * wires); a ``MessageState`` holds nothing but these arrays.
+Variables are grouped by (dim, degree), and every tensor is stacked once
+per out wire, transposed so that wire is last; tensors that agree in this
+oriented shape share a stack. Each spider group and each stack owns one
+block of columns, its out wires, and both schedules share this one column
+order. An update program is a list of levels of batched ops, each writing
+one slice of its dim's array. A ``sync`` sweep runs one op per block, from
+the old arrays into new ones, then rescales and measures its residual
+once per dim, over both directions at once. ``tree`` gives each directed
+wire a level (1 + the largest level among the messages it reads), keeps
+each block in level order, and runs one op per block and level, in
+place, so every message is computed once from final inputs. Every op
+loops over the wires of a dim, not over the few entries of one message.
+The ops apply the per-wire rules of ``update_variable_message`` and
+``update_factor_message`` in the same operation order, so both schedules
+give the per-wire messages bit for bit.
 A run's state is read through ``beliefs``, ``decode_map`` and
-``contraction_from_state``, which work on the packed arrays directly;
+``contraction_from_state``, which work on the arrays directly;
 ``contraction_derivative`` also reads a factor's cavity (its incoming
 messages) off them. Every semiring sum is a ``Semiring.fold`` and every
 rescaling a ``_normalize_columns``, under the contract written in
@@ -84,14 +84,16 @@ class RunConfig:
     """Knobs for one run.
 
     The run's semiring is the graph's (``FactorGraph.semiring``).
-    ``semiring`` is None, meaning the graph's, or a registry name that must
-    equal it: a different name is a ValidationError, since the tensors
-    cannot change algebra. ``max_iters`` is an integer >= 1 (a Python or
-    numpy one, not a bool). ``tol`` is a finite number >= 0. ``damping``
-    blends each new message with the old one as (1 - damping) * new +
-    damping * old and is only allowed for prob with the sync schedule.
-    ``normalize`` rescales messages when the semiring knows how; exact
-    algebras ignore it.
+    ``semiring`` is None, meaning the graph's, or a registry name (a str)
+    that must equal it: a different name is a ValidationError, since the
+    tensors cannot change algebra. ``max_iters`` is an integer >= 1 (a
+    Python or numpy one, not a bool). ``tol`` is a finite number >= 0 and
+    ``damping`` a number in [0, 1), each a Python or numpy int or float,
+    not a bool. ``damping`` blends each new message with the old one as
+    (1 - damping) * new + damping * old and is only allowed for prob with
+    the sync schedule. ``normalize``, a bool or numpy bool, rescales
+    messages when the semiring knows how; exact algebras ignore it. A value
+    of another type is a ValueError naming it; values are kept as given.
     """
 
     semiring: str = None
@@ -103,15 +105,20 @@ class RunConfig:
 
     def __post_init__(self):
         if self.semiring is not None:
+            if not isinstance(self.semiring, str):
+                raise ValueError(f"semiring must be None or a registry name, got {self.semiring!r}")
             get_semiring(self.semiring)
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not 0.0 <= self.tol < math.inf:
+        real = (int, float, np.integer, np.floating)
+        if isinstance(self.tol, bool) or not isinstance(self.tol, real) or not 0.0 <= self.tol < math.inf:
             raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
+        if isinstance(self.damping, bool) or not isinstance(self.damping, real) or not 0.0 <= self.damping < 1.0:
+            raise ValueError(f"damping must be a number in [0, 1), got {self.damping!r}")
+        if not isinstance(self.normalize, (bool, np.bool_)):
+            raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
         if self.damping > 0.0 and self.semiring not in (None, "prob"):
             raise ValueError("damping is only supported for the prob semiring")
         if self.damping > 0.0 and self.schedule != "sync":
@@ -137,10 +144,10 @@ def _run_semiring(name, cfg):
 class MessageState:
     """Every directed message of a run plus its counters; an immutable snapshot.
 
-    The messages live in the packed arrays of the plan that computed them,
-    one ``(dim, 2 * wires)`` array per dim holding both directions, and a
-    state is only ever read against the graph that
-    keeps that plan: through ``beliefs``, ``decode_map`` and
+    The messages live in the arrays of the plan that computed them, one
+    ``(dim, 2 * wires)`` array per dim holding both directions in the
+    plan's column order, and a state is only ever read against the graph
+    that keeps that plan: through ``beliefs``, ``decode_map`` and
     ``contraction_from_state``.
     """
 
@@ -270,78 +277,73 @@ def _by_level(levels):
     return order, runs
 
 
-#: tensors of one shape stacked as (members, *shape), ``rows[a][i]`` the packed row of
+#: tensors of one shape stacked as (members, *shape), ``cols[a][i]`` the v2f column of
 #: member i's wire on axis a; factor beliefs read these, the update program ``_Stack``s
-_TensorGroup = namedtuple("_TensorGroup", "shape ids tensors rows")
+_TensorGroup = namedtuple("_TensorGroup", "shape ids tensors cols")
 
 
 class _Stack:
     """The (tensor, out axis) pairs of one oriented shape, dim-major: tensors
-    as (other axes ascending..., out dim, members in level order), and
-    ``rows[a][i]`` the packed row of member ``i``'s wire on other axis ``a``,
-    which is the column of its v2f message."""
+    as (other axes ascending..., out dim, members in column order). Member
+    ``i``'s wire on other axis ``a`` has its v2f message in column
+    ``cols[a][i]`` of its dim's array, which has 2 * ``wires[dim]``
+    columns; ``gathers[a]`` holds these messages' flat indices, shaped
+    (dim, 1..., members) to line up with axis ``a``."""
 
-    def __init__(self, shape, tensors, rows):
-        self.shape, self.tensors, self.rows = shape, tensors, rows
-        # shape that lines a (dim, members) message up with one other axis
-        rank = len(shape)
-        self.along = [(d,) + (1,) * (rank - a - 1) + (-1,) for a, d in enumerate(shape[:-1])]
+    def __init__(self, shape, tensors, cols, wires):
+        self.shape, self.tensors, rank = shape, tensors, len(shape)
+        along = [(d,) + (1,) * (rank - a - 1) + (-1,) for a, d in enumerate(shape[:-1])]
+        self.gathers = [_frozen((c + 2 * wires[d] * np.arange(d)[:, None]).reshape(s)) for d, c, s in zip(shape, cols, along)]
 
     def contracted(self, semiring, run, arrays):
         """The (out dim, members) messages of the members in slice ``run``:
         tensors times v2f messages, axes ascending, other axes folded in
         row-major order (a rank-1 tensor has none: it is its message)."""
         arr = self.tensors[..., run]
-        if not self.along:
-            return arr
-        for d, rows, along in zip(self.shape, self.rows, self.along):
-            arr = semiring.array_mul(arr, arrays[d].take(rows[run], 1).reshape(along))
-        return semiring._fold0(arr.reshape(-1, *arr.shape[-2:]))
+        for d, gather in zip(self.shape, self.gathers):
+            arr = semiring.array_mul(arr, arrays[d].take(gather[..., run]))
+        return semiring._fold0(arr if arr.ndim == 3 else arr.reshape(-1, *arr.shape[-2:])) if self.gathers else arr
 
 
-#: variables of one (dim, degree), term-major: ``rows[k, i]`` the packed row of member
+#: variables of one (dim, degree), term-major: ``cols[k, i]`` the f2v column of member
 #: i's k-th incident wire; ``objs`` are the members' wire types and ``slots`` their
 #: places in ``g.variables``
-_SpiderGroup = namedtuple("_SpiderGroup", "dim rows objs slots")
+_SpiderGroup = namedtuple("_SpiderGroup", "dim cols objs slots")
 
 
 class _Plan:
     """A graph compiled for batched message updates over its semiring.
 
-    Every wire ``(factor id, axis)`` owns one integer row number r among
-    the ``wires`` wires of its variable's dim, numbered in ``g.wires``
-    order. A message store maps each dim to one C-contiguous packed
-    dim-major ``(dim, 2 * wires)`` array, whose column r holds the wire's
-    v2f message and column wires + r its f2v message, and is the only
-    message store. Variables are grouped by (dim, degree),
-    term-major: ``rows[k, i]`` is the row of member i's k-th incident wire;
+    A message store maps each dim to one C-contiguous dim-major ``(dim, 2 *
+    wires)`` array over the ``wires`` wires of that dim, and is the only
+    message store: v2f messages in columns [0, wires), f2v messages in
+    [wires, 2 * wires), both laid out in the order of the sync program's
+    ops (``_levels``). A wire's columns are ``v2f_col[i]`` and
+    ``f2v_col[i]`` for its place i in ``g.wires``, and ``col_wire`` maps
+    each column back. Variables are grouped by (dim, degree), term-major:
+    ``cols[k, i]`` is the f2v column of member i's k-th incident wire;
     factor tensors are stacked by shape. All of it is read off the graph's
     wire table with array operations, never off its factor nodes.
 
-    Both schedules run one kind of update program (``_levels``): a list of
-    levels, each a list of batched ops, run by ``_execute``. The ops repeat
-    the per-wire rules operation for operation: a variable left-folds
-    ``array_mul`` over its other wires in incidence order (as
-    ``hadamard``), a tensor multiplies messages in ascending axis order and
-    folds the remaining index tuples in row-major order (as
-    ``contract_to_axis``). A box with its wires permuted is the same map,
-    so each tensor is stacked once per out axis with that axis last; one
-    oriented shape (say (3, 2): a (2, 3) table sending on axis 0 and a
-    (3, 2) table sending on axis 1) is one stack across tensor groups, in
-    level order, and a level's factor op reads a slice of it. A spider op
-    gathers (terms, dim, out rows) with one flat ``take`` and folds its
-    terms, each one contiguous (dim, rows) block; a ``_Stack`` is (other
-    axes ascending..., out dim, members), so a message multiplies in as
-    (dim, 1..., members) and the fold of the leading axes adds (out dim,
-    members) blocks. Every product and sum keeps its operands and their
-    order, so messages, residuals and beliefs equal the per-wire results
-    bit for bit. The sync sweep is the program with every wire at level 0,
-    compiled once per plan: one op per spider group and one per oriented
-    shape, each writing a slice of an op-ordered array that one ``take``
-    per dim restores to packed order. The two-pass schedule
-    runs the program of the wires' dependency levels on the rows whose
-    inputs are final, in place, one op per spider group and oriented shape
-    at each level.
+    Both schedules run update programs compiled once per plan from the same
+    blocks (``_levels``), lists of levels of batched ops run by
+    ``_execute``. The ops repeat the per-wire rules operation for
+    operation: a variable left-folds ``array_mul`` over its other wires in
+    incidence order (as ``hadamard``), a tensor multiplies messages in
+    ascending axis order and folds the remaining index tuples in row-major
+    order (as ``contract_to_axis``). A box with its wires permuted is the
+    same map, so each tensor is stacked once per out axis with that axis
+    last; one oriented shape (say (3, 2): a (2, 3) table sending on axis 0
+    and a (3, 2) table sending on axis 1) is one stack across tensor
+    groups, and a factor op reads a slice of it. A spider op gathers
+    (terms, dim, out columns) with one flat ``take`` and folds its terms,
+    each one contiguous (dim, columns) block; a ``_Stack`` is (other axes
+    ascending..., out dim, members), so a message multiplies in as (dim,
+    1..., members) and the fold of the leading axes adds (out dim, members)
+    blocks. Every product and sum keeps its operands and their order, so
+    messages, residuals and beliefs equal the per-wire results bit for bit.
+    The sync program writes each block with one op; the two-pass program,
+    on a tree, writes each block level by level, in place.
 
     A graph keeps its plan (``_plan_of``) and every run of the graph shares
     it, so every array the plan keeps is read-only and runs write only into
@@ -352,49 +354,43 @@ class _Plan:
     def __init__(self, g):
         w, variables = g._wires, g.variables
         self.semiring = get_semiring(g.semiring)
-        # a wire's row is its place among the wires of its dim, in g.wires order
-        self.dims, self.position = {}, {}  # dim -> wire count; dim -> g.wires index of each row
-        row = np.empty(len(w.dim), dtype=np.intp)
         values, first = np.unique(w.dim, return_index=True)
-        for d in values[np.argsort(first)].tolist():
-            pos = self.position[d] = _frozen(np.flatnonzero(w.dim == d))
-            row[pos] = np.arange(len(pos))
-            self.dims[d] = len(pos)
-        # the (dim, row) of g.wires[i] is (wire_dim[i], wire_row[i]); factor f's wires start at start[f]
-        self.wire_dim, self.wire_row, self.start = w.dim, _frozen(row), w.start
-        # the rows of variable v's wires in incidence order: incident[cuts[v]:cuts[v + 1]]
+        self.dims = {d: int(np.count_nonzero(w.dim == d)) for d in values[np.argsort(first)].tolist()}
+        # g.wires[i] has dim wire_dim[i]; factor f's wires start at start[f]
+        self.wire_dim, self.start = w.dim, w.start
+        # the wires of variable v in incidence order: by_var[cuts[v]:cuts[v + 1]]
         by_var, cuts = _by_variable(w, len(variables))
-        self.incident, self.cuts, degree = _frozen(row[by_var]), _frozen(cuts), np.diff(cuts)
-        # spider groups by (dim, degree), in g.variables order
+        degree = np.diff(cuts)
+        # spider groups by (dim, degree), in g.variables order: wires[k, i] is member i's k-th wire
         ids = np.fromiter((v.id for v in variables), np.intp, len(variables))
         objs = [v.obj for v in variables]
         dims = g._dims[ids]
         key = dims * (len(w.dim) + 1) + degree[ids]  # (dim, degree): no degree passes the wire count
         _keys, first, group_of = np.unique(key, return_index=True, return_inverse=True)
-        self.var_ids, self.var_groups = ids.tolist(), []
+        spiders = []
         for k in np.argsort(first).tolist():
-            slots = np.flatnonzero(group_of == k)
-            members = ids[slots]
-            terms = np.arange(degree[members[0]]).reshape(-1, 1)
-            self.var_groups.append(_SpiderGroup(
-                int(dims[slots[0]]),
-                _frozen(self.incident[cuts[members] + terms]),
-                [objs[i] for i in slots.tolist()],
-                slots.tolist(),
-            ))
-        fids, self.factor_groups = np.array(w.ids, dtype=np.intp), []
-        for shape, pos, stack in w.groups:
-            wires = w.start[fids[pos]]  # each member's first wire
-            rows = [_frozen(row[wires + a]) for a in range(len(shape))]
-            self.factor_groups.append(_TensorGroup(shape, fids[pos].tolist(), stack, rows))
+            slots = np.flatnonzero(group_of == k).tolist()
+            terms = np.arange(degree[ids[slots[0]]]).reshape(-1, 1)
+            spiders.append((int(dims[slots[0]]), by_var[cuts[ids[slots]] + terms], [objs[i] for i in slots], slots))
+        # tensor groups by shape, (shape, factor ids, tables, wires): wires[a, i] is member i's wire on axis a
+        fids = np.array(w.ids, dtype=np.intp)
+        groups = [(shape, fids[pos], stack) for shape, pos, stack in w.groups]
+        groups = [(shape, fid, stack, w.start[fid] + np.arange(len(shape))[:, None]) for shape, fid, stack in groups]
+        self._sync_program, self._tree_program = self._levels(g, spiders, groups)
+        self.var_ids = ids.tolist()
+        self.var_groups = [_SpiderGroup(d, _frozen(self.f2v_col[wires]), *rest) for d, wires, *rest in spiders]
+        # the f2v columns of variable v's wires in incidence order: incident[cuts[v]:cuts[v + 1]]
+        self.incident, self.cuts = _frozen(self.f2v_col[by_var]), _frozen(cuts)
+        self.factor_groups = [
+            _TensorGroup(shape, fid.tolist(), stack, _frozen(self.v2f_col[wires])) for shape, fid, stack, wires in groups
+        ]
 
     def _empty(self):
         return {d: np.empty((d, 2 * n), dtype=self.semiring.dtype) for d, n in self.dims.items()}
 
     def initial(self, cfg):
         """The unit message on every directed wire, as ``init_messages``."""
-        semiring = self.semiring
-        arrays = self._empty()
+        semiring, arrays = self.semiring, self._empty()
         for d, arr in arrays.items():
             unit = semiring.ones((d,))
             if cfg.normalize and semiring.has_normalize:
@@ -404,140 +400,153 @@ class _Plan:
 
     def _dead_wires(self, g, gone):
         """The wires of dead columns, as (kind, factor id, axis): every v2f
-        before every f2v, each in ``g.wires`` order.
+        before every f2v, each in ``g.wires`` order, whatever their columns.
 
         ``gone`` holds (dim, out columns, dead-column mask) entries, as
-        ``_execute`` returns them; ``out`` may be ``slice(None)``, every
-        column of the dim.
+        ``_execute`` returns them; ``out`` is a slice, ``slice(None)`` for
+        every column of the dim.
         """
         hits = []  # (0 for v2f or 1 for f2v, g.wires index)
         for d, out, dead in gone:
-            kind, row = np.divmod(np.arange(2 * self.dims[d])[out][dead], self.dims[d])
-            hits += zip(kind.tolist(), self.position[d][row].tolist())
+            cols = np.arange(2 * self.dims[d])[out][dead]
+            hits += zip((cols >= self.dims[d]).tolist(), self.col_wire[d][cols].tolist())
         return [(("v2f", "f2v")[kind],) + g.wires[pos] for kind, pos in sorted(hits)]
 
-    # -- the update program ------------------------------------------------------
+    # -- the update programs -----------------------------------------------------
 
     def _execute(self, program, src, dst, normalize=False):
         """Run a program's ops level by level, reading ``src`` and writing ``dst``.
 
         Both are message stores: a variable op folds f2v columns into v2f
         columns, and a factor op contracts v2f columns into f2v columns;
-        each writes the (dim, out columns) block ``dst[d][:, out]``. With
-        ``normalize`` every op rescales its columns before writing them, and
-        the result lists (dim, out columns, dead-column mask) per op with a
-        dead column; without, it is empty.
+        each writes the (dim, out columns) block ``dst[d][:, out]``, ``out``
+        a slice. With ``normalize`` every op rescales its block in place,
+        and the result lists (dim, out columns, dead-column mask) per op
+        with a dead column; without, it is empty.
         """
         semiring = self.semiring
         gone = []
         for ops in program:
             for d, out, stack, arg in ops:
-                if stack is None:
-                    values = _fold_mul(semiring, src[d].take(arg)) if len(arg) else semiring.ones((d, arg.shape[-1]))
-                else:
-                    values = stack.contracted(semiring, arg, src)
+                if stack is not None:
+                    dst[d][:, out] = stack.contracted(semiring, arg, src)
+                elif len(arg):
+                    dst[d][:, out] = _fold_mul(semiring, src[d].take(arg))
+                else:  # a variable on one wire sends the unit
+                    dst[d][:, out] = semiring.one
                 if normalize:
-                    values, dead = semiring._normalize_columns(values)
+                    dead = semiring._normalize_columns(dst[d][:, out])
                     if dead is not None:
                         gone.append((d, out, dead))
-                dst[d][:, out] = values
         return gone
 
-    def _levels(self, v2f_levels, f2v_levels):
-        """The update program for given wire levels (dim -> level per row).
+    def _levels(self, g, spiders, groups):
+        """Lay out each dim's columns in op order; return the (sync program,
+        two-pass program) that writes them, the latter None off a tree.
 
-        An op is (dim, out columns, stack or None, argument): a variable op
-        (stack None) folds the f2v entries of the (terms, dim, out columns)
-        flat index ``argument`` (no terms: the unit), a factor op contracts
-        the slice ``argument`` of its ``_Stack``. Each (tensor group, out
-        axis) is transposed to its oriented shape (other axes ascending, out
-        axis last), with the members last; the groups of one oriented shape
-        make one stack, in level order. Each spider group's index and each
-        stack are built once, so a level's op reads views of them.
+        A program is a list of levels of ops (dim, out columns, stack or
+        None, argument), each writing the slice ``out`` of its dim's array:
+        a variable op (stack None) folds the f2v entries of the (terms, dim,
+        out columns) flat index ``argument`` (no terms: the unit), a factor
+        op contracts the slice ``argument`` of its ``_Stack``. Each (tensor
+        group, out axis) is transposed to its oriented shape (other axes
+        ascending, out axis last), members last, and the groups of one
+        oriented shape make one stack. Each spider group, in ``spiders``
+        order, owns a block of the v2f columns [0, wires), and each stack, in
+        order of first appearance, a block of the f2v columns [wires, 2 *
+        wires). On a tree a block's wires are sorted stably by level
+        (``graph._wire_levels``); elsewhere they keep their order. The sync
+        program runs one op per block, the two-pass program one per block
+        and level. Sets the wire -> column maps ``v2f_col`` and ``f2v_col``
+        (by ``g.wires`` index) and ``col_wire``, each dim's ``g.wires``
+        index per column.
         """
-        ops = []
-        for group in self.var_groups:
-            d, rows = group.dim, group.rows
-            k = len(rows)
-            if not k:  # an isolated variable sends nothing
-                continue
-            out = rows.reshape(-1)
-            order, runs = _by_level(v2f_levels[d][out])
-            # the f2v rows each out row folds: its member's other wires, in incidence order
-            leave_out = np.array([[q for q in range(k) if q != p] for p in range(k)], dtype=np.intp).reshape(k, k - 1)
-            others = rows[leave_out].transpose(1, 0, 2).reshape(k - 1, 1, out.size)
-            # as flat indices of f2v columns in the (dim, 2 * wires) array: a (terms, dim, out rows) gather
-            n = self.dims[d]
-            others = others + n + 2 * n * np.arange(d).reshape(d, 1)
-            out, others = _frozen(out[order]), _frozen(others.take(order, -1))
-            ops.extend((level, (d, out[run], None, others[..., run])) for level, run in runs)
+        n_wires = len(self.wire_dim)
+        # a forest has fewer wires than nodes, so most loopy graphs need no walk
+        tree = n_wires < len(g.variables) + len(g._wires.ids) and not g._forest[-1]
+        v2f_level, f2v_level = (np.array(x, dtype=np.intp) for x in _wire_levels(g)) if tree else [np.zeros(n_wires, np.intp)] * 2
+        v2f, f2v = np.empty(n_wires, dtype=np.intp), np.empty(n_wires, dtype=np.intp)
+        free = {d: [0, n] for d, n in self.dims.items()}  # each dim's next v2f and f2v column
+
+        def block(col, d, half, wires, levels):  # the next columns of one half: (first, order, level runs)
+            order, runs = _by_level(levels[wires])
+            at = free[d][half]
+            col[wires[order]] = np.arange(at, at + len(order))
+            free[d][half] = at + len(order)
+            return at, order, runs
+
         stacks = {}
-        for group in self.factor_groups:
-            rank = len(group.shape)
+        for shape, _members, tensors, wires in groups:
+            rank = len(shape)
             for t in range(rank):
                 axes = [a for a in range(rank) if a != t] + [t]
-                tensors, rows = stacks.setdefault(tuple(group.shape[a] for a in axes), ([], []))
-                tensors.append(group.tensors.transpose(*(a + 1 for a in axes), 0))
-                rows.append([group.rows[a] for a in axes])
-        for shape, (tensors, rows) in stacks.items():
-            d, rows = shape[-1], [np.concatenate(r) for r in zip(*rows)]
-            order, runs = _by_level(f2v_levels[d][rows[-1]])
-            tensors = _frozen(np.concatenate(tensors, axis=-1).take(order, -1))
-            stack = _Stack(shape, tensors, [_frozen(r[order]) for r in rows[:-1]])
-            out = _frozen(rows[-1][order] + self.dims[d])  # the f2v columns
-            ops.extend((level, (d, out[run], stack, run)) for level, run in runs)
-        program = [[] for _ in range(1 + max((level for level, _op in ops), default=-1))]
-        for level, op in ops:
+                stack = stacks.setdefault(tuple(shape[a] for a in axes), ([], []))
+                stack[0].append(tensors.transpose(*(a + 1 for a in axes), 0))
+                stack[1].append(wires[axes])
+        stack_blocks = []  # (shape, first column, level runs, tensors, other axes' wires) per stack
+        for shape, (tensors, wires) in stacks.items():
+            wires = np.concatenate(wires, axis=1)
+            at, order, runs = block(f2v, shape[-1], 1, wires[-1], f2v_level)
+            stack_blocks.append((shape, at, runs, np.concatenate(tensors, axis=-1).take(order, -1), wires[:-1, order]))
+        ops = []  # (dim, first column, level runs, stack or None, argument)
+        for d, wires, _objs, _slots in spiders:
+            k = len(wires)
+            if not k:  # an isolated variable sends nothing
+                continue
+            at, order, runs = block(v2f, d, 0, wires.reshape(-1), v2f_level)
+            # the f2v columns each out wire folds: its member's other wires, in incidence order
+            leave_out = np.array([[q for q in range(k) if q != p] for p in range(k)], dtype=np.intp).reshape(k, k - 1)
+            others = f2v[wires[leave_out]].transpose(1, 0, 2).reshape(k - 1, 1, wires.size).take(order, -1)
+            # as flat indices into the (dim, 2 * wires) array: a (terms, dim, out columns) gather
+            ops.append((d, at, runs, None, _frozen(others + 2 * self.dims[d] * np.arange(d).reshape(d, 1))))
+        for shape, at, runs, tensors, wires in stack_blocks:
+            ops.append((shape[-1], at, runs, _Stack(shape, _frozen(tensors), v2f[wires], self.dims), None))
+        sync, leveled = [], []
+        for d, at, runs, stack, arg in ops:
+            size = runs[-1][1].stop
+            sync.append((d, slice(at, at + size), stack, arg if stack is None else slice(0, size)))
+            for level, run in runs:
+                part = arg[..., run] if stack is None else run
+                leveled.append((level, (d, slice(at + run.start, at + run.stop), stack, part)))
+        self.v2f_col, self.f2v_col, self.col_wire = _frozen(v2f), _frozen(f2v), {}
+        for d, n in self.dims.items():
+            wires = np.flatnonzero(self.wire_dim == d)
+            self.col_wire[d] = _frozen(np.tile(wires, 2)[np.argsort(np.concatenate([v2f[wires], f2v[wires]]))])
+        program = [[] for _ in range(1 + max((level for level, _op in leveled), default=-1))]
+        for level, op in leveled:
             program[level].append(op)
-        return program
+        return [sync], program if tree else None
 
     # -- one sync sweep ----------------------------------------------------------
-
-    @cached_property
-    def _sync_program(self):
-        """The level-0 program, each op writing one slice of an op-ordered
-        array per dim, and the dim -> permutations back to packed order."""
-        level0 = {d: np.zeros(n, dtype=np.intp) for d, n in self.dims.items()}
-        ops, written = [], {}
-        for level in self._levels(level0, level0):  # one level; none without wires
-            for d, out, stack, arg in level:
-                cols = written.setdefault(d, [])
-                start = sum(map(len, cols))
-                ops.append((d, slice(start, start + len(out)), stack, arg))
-                cols.append(out)
-        return [ops], {d: _frozen(np.argsort(np.concatenate(cols))) for d, cols in written.items()}
 
     def sweep(self, g, arrays, cfg):
         """A new message store from the old one, plus the residual.
 
-        Runs the level-0 program into op-ordered arrays, restores packed
-        order with one ``take`` per dim, then normalizes, damps and measures
-        the residual once per dim, both directions at once, as the per-wire
-        rules do column by column. The first dead column raises
-        ContradictionError for its wire, every v2f wire in ``g.wires`` order
-        before every f2v wire, before anything is divided by zero. A nan gap
-        (``inf - inf`` once unnormalized messages overflow) makes the
-        residual inf, so an overflowed run can never pass for converged.
+        Runs the sync program into a new store, each op writing its block,
+        then normalizes (in place), damps and measures the residual once per
+        dim, both directions at once, as the per-wire rules do column by
+        column. The first dead column raises ContradictionError for its
+        wire, every v2f wire in ``g.wires`` order before every f2v wire,
+        before anything is divided by zero. A nan gap (``inf - inf`` once
+        unnormalized messages overflow) makes the residual inf, so an
+        overflowed run can never pass for converged.
         """
-        semiring = self.semiring
-        program, restore = self._sync_program
-        ordered = self._empty()
-        self._execute(program, arrays, ordered)
-        new = {d: a.take(restore[d], 1) for d, a in ordered.items()}
+        semiring, new = self.semiring, self._empty()
+        self._execute(self._sync_program, arrays, new)
         if cfg.normalize and semiring.has_normalize:
-            gone = []
-            for d, cols in new.items():
-                new[d], dead = semiring._normalize_columns(cols)
-                if dead is not None:
-                    gone.append((d, slice(None), dead))
+            gone = [(d, slice(None), dead) for d, a in new.items() if (dead := semiring._normalize_columns(a)) is not None]
             if gone:
                 raise ContradictionError(self._dead_wires(g, gone)[0])
         if cfg.damping != 0.0:
             lam = cfg.damping
             for d, old in arrays.items():
                 new[d] = (1.0 - lam) * new[d] + lam * old
-        gaps = [semiring.max_distance(a, arrays[d]) for d, a in new.items()]
-        return new, max(gaps, default=0.0) if all(gap == gap for gap in gaps) else math.inf
+        residual = 0.0
+        for d, a in new.items():
+            gap = semiring.max_distance(a, arrays[d])
+            if not gap <= residual:  # a larger gap, or a nan one
+                residual = gap if gap == gap else math.inf
+        return new, residual
 
     # -- the two-pass schedule ---------------------------------------------------
 
@@ -551,9 +560,11 @@ class _Plan:
         every message from the first dead wire of ``two_pass_schedule`` on
         is reset to the unit, which is the state the per-wire run halts in.
         """
+        if self._tree_program is None:
+            raise NotATreeError("two-pass scheduling needs a cycle-free graph without repeated wires")
         arrays = self.initial(cfg)
         normalize = cfg.normalize and self.semiring.has_normalize
-        gone = self._execute(self._levels(*self._wire_levels(g)), arrays, arrays, normalize)
+        gone = self._execute(self._tree_program, arrays, arrays, normalize)
         dead_wires = self._dead_wires(g, gone)
         return arrays, self._halt(g, arrays, cfg, set(dead_wires)) if dead_wires else None
 
@@ -565,21 +576,11 @@ class _Plan:
         unit = self.initial(cfg)
         for kind, fid, axis in schedule[at:]:
             i = self.start.item(fid) + axis
-            d = self.wire_dim.item(i)
-            col = self.wire_row.item(i) + (kind == "f2v") * self.dims[d]
+            d, col = self.wire_dim.item(i), (self.v2f_col if kind == "v2f" else self.f2v_col).item(i)
             arrays[d][:, col] = unit[d][:, col]
         return schedule[at]
 
-    def _wire_levels(self, g):
-        """``graph._wire_levels`` as dim -> level per packed row."""
-        v2f, f2v = (np.array(levels, dtype=np.intp) for levels in _wire_levels(g))
-        return ({d: v2f[pos] for d, pos in self.position.items()}, {d: f2v[pos] for d, pos in self.position.items()})
-
     # -- reading a state -------------------------------------------------------
-
-    def _f2v(self, arrays, d):
-        """Dim ``d``'s f2v messages, a (dim, wires) view: column r is row r's."""
-        return arrays[d][:, self.dims[d]:]
 
     def incoming_products(self, arrays):
         """(spider group, product of each member's incoming f2v messages) per group.
@@ -589,18 +590,18 @@ class _Plan:
         """
         semiring = self.semiring
         for group in self.var_groups:
-            if len(group.rows):
-                yield group, _fold_mul(semiring, self._f2v(arrays, group.dim).take(group.rows, 1).swapaxes(0, 1))
+            if len(group.cols):
+                yield group, _fold_mul(semiring, arrays[group.dim].take(group.cols, 1).swapaxes(0, 1))
             else:
                 yield group, semiring.ones((group.dim, len(group.slots)))
 
     def variable_beliefs(self, arrays, cfg):
-        """``beliefs``'s variable beliefs and zero wire, from the packed f2v messages."""
+        """``beliefs``'s variable beliefs and zero wire, from the f2v messages."""
         semiring = self.semiring
         beliefs, dead_slots = [None] * len(self.var_ids), []
         for group, values in self.incoming_products(arrays):
             if cfg.normalize and semiring.has_normalize:
-                values, dead = semiring._normalize_columns(values)
+                dead = semiring._normalize_columns(values)
                 if dead is not None:
                     dead_slots += [slot for slot, gone in zip(group.slots, dead.tolist()) if gone]
             for slot, obj, row in zip(group.slots, group.objs, _frozen(values.T.copy())):
@@ -609,13 +610,13 @@ class _Plan:
         return dict(zip(self.var_ids, beliefs)), zero_wire
 
     def factor_beliefs(self, g, arrays):
-        """``beliefs``'s factor beliefs, from the packed v2f messages."""
+        """``beliefs``'s factor beliefs, from the v2f messages."""
         by_factor = {}
         for group in self.factor_groups:
             arr, rank = group.tensors, len(group.shape)
-            for a, (d, r) in enumerate(zip(group.shape, group.rows)):  # axes ascending
+            for a, (d, cols) in enumerate(zip(group.shape, group.cols)):  # axes ascending
                 along = (-1,) + (1,) * a + (d,) + (1,) * (rank - a - 1)
-                arr = self.semiring.array_mul(arr, arrays[d].take(r, 1).T.reshape(along))
+                arr = self.semiring.array_mul(arr, arrays[d].take(cols, 1).T.reshape(along))
             arr = np.asarray(arr).reshape(len(group.ids), -1)
             arr.flags.writeable = False
             by_factor.update((nid, DenseTensor._wrap(group.shape, flat)) for nid, flat in zip(group.ids, arr))
@@ -629,7 +630,7 @@ class _Plan:
         wires = slice(self.start[fid], self.start[fid + 1])
         shape = self.wire_dim[wires].tolist()
         index = np.unravel_index(entry, shape)
-        terms = [arrays[d].item(i, r) for d, r, i in zip(shape, self.wire_row[wires].tolist(), index)]
+        terms = [arrays[d].item(i, col) for d, col, i in zip(shape, self.v2f_col[wires].tolist(), index)]
         return reduce(self.semiring.mul, terms) if terms else self.semiring.one
 
     def first_zero_wire(self, g, arrays):
@@ -641,7 +642,7 @@ class _Plan:
 
 
 def _plan_and_arrays(g, state):
-    """The state's compiled plan and packed messages, for its own graph: the
+    """The state's compiled plan and message arrays, for its own graph: the
     one that keeps that plan."""
     plan = state._plan
     if g.__dict__.get("_plan") is not plan:
@@ -862,9 +863,9 @@ def _closed_components(g, plan, arrays):
             yield fac_ids, rank0[fac_ids[0]]
             continue
         v = var_ids[0]
-        d, rows = int(g._dims[v]), plan.incident[plan.cuts[v] : plan.cuts[v + 1]]
-        if len(rows):
-            z = semiring.fold(_fold_mul(semiring, plan._f2v(arrays, d).take(rows, 1).T), 0).item()
+        d, cols = int(g._dims[v]), plan.incident[plan.cuts[v] : plan.cuts[v + 1]]
+        if len(cols):
+            z = semiring.fold(_fold_mul(semiring, arrays[d].take(cols, 1).T), 0).item()
         else:
             z = semiring.fold(semiring.ones((d,)), 0).item()
         yield fac_ids, z

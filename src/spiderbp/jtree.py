@@ -343,8 +343,7 @@ def run_junction_tree(g, cfg):
         for j, (_slot, _obj, cid, split) in enumerate(group):
             values[:, j] = _fold_read(semiring, beliefs[cid], *split)
         if cfg.normalize and semiring.has_normalize:
-            values, dead = semiring._normalize_columns(values)
-            contradiction = contradiction or dead is not None
+            contradiction = semiring._normalize_columns(values) is not None or contradiction
         for (slot, obj, *_), row in zip(group, _frozen(values.T.copy())):
             marginals[slot] = Message._wrap(obj, row)
     clique_beliefs = {cid: DenseTensor._wrap(arr.shape, arr.reshape(-1)) for cid, arr in enumerate(beliefs)}
@@ -372,6 +371,6 @@ def marginal_from_clique(result, cid, variable_id, cfg):
     belief = result.clique_beliefs[cid].as_array()
     values = _fold_read(semiring, belief, *_split(belief.shape, clique.members.index(variable_id)))
     if cfg.normalize and semiring.has_normalize:
-        values = semiring._normalize_columns(values.reshape(-1, 1))[0][:, 0]  # a dead one keeps its raw zeros
+        semiring._normalize_columns(values[:, None])  # a dead one keeps its raw zeros
     values.flags.writeable = False
     return Message._wrap(result.variable_beliefs[variable_id].obj, values)

@@ -209,8 +209,10 @@ def node_between(node_tensor):
 
 def wire_messages(state):
     """A ``MessageState``'s messages as (v2f, f2v), each dim -> a (wires,
-    dim) view, one row per wire of that dim in ``g.wires`` order: the
-    packed store read wire by wire, whatever its layout. The store keeps
-    one (dim, 2 * wires) array per dim, v2f columns first."""
-    halves = {d: np.split(a, 2, axis=1) for d, a in state._arrays.items()}
-    return tuple({d: pair[k].T for d, pair in halves.items()} for k in (0, 1))
+    dim) array, one row per wire of that dim in ``g.wires`` order: the
+    store read wire by wire, whatever its layout. The store keeps one
+    (dim, 2 * wires) array per dim, whose columns the plan's ``v2f_col``
+    and ``f2v_col`` give by ``g.wires`` index."""
+    plan = state._plan
+    wires = {d: np.flatnonzero(plan.wire_dim == d) for d in state._arrays}
+    return tuple({d: a[:, col[wires[d]]].T for d, a in state._arrays.items()} for col in (plan.v2f_col, plan.f2v_col))

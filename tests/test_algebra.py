@@ -109,6 +109,14 @@ class TestDistance:
         b = np.array([1.0, 2.5, 3.1])
         assert PROB.max_distance(a, b) == 0.5
 
+    def test_an_inf_minus_inf_gap_is_nan_without_a_warning(self):
+        # overflowed messages: the suite turns a RuntimeWarning into an error
+        inf = np.inf
+        for semiring in (PROB, MAXTIMES):
+            assert np.isnan(semiring.max_distance(np.array([[inf, 1.0]]), np.array([[inf, 0.5]])))
+            assert semiring.max_distance(np.array([[inf, 1.0]]), np.array([[2.0, 0.5]])) == inf
+            assert semiring.max_distance(np.empty((2, 0)), np.empty((2, 0))) == 0.0
+
 
 class TestCoercion:
     def test_prob_rejects_negative(self):
@@ -304,8 +312,9 @@ class TestFoldContract:
         for dim in (1, 2, 3, 7):
             rows = random_entries(rng, "dual" if name == "dual" else "prob", (100, dim))
             rows[0] = semiring.zeros((dim,))  # one dead row
-            # the engine's (dim, wires) layout: one message per column
-            scaled, dead = semiring._normalize_columns(rows.T)
+            # the engine's (dim, wires) layout: one message per column, rescaled in place
+            scaled = rows.T.copy()
+            dead = semiring._normalize_columns(scaled)
             assert dead.tolist() == [True] + [False] * 99
             assert [repr(x) for x in scaled[:, 0].tolist()] == [repr(x) for x in rows[0].tolist()]
             for i in range(1, len(rows)):

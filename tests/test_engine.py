@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,31 @@ class TestRunConfig:
             with pytest.raises(ValueError, match="tol"):
                 RunConfig(tol=tol)
         assert RunConfig(tol=0.0).tol == 0.0
+
+    def test_tol_damping_and_normalize_must_be_of_their_types(self):
+        # "x", None and "0.5" raised a bare TypeError, True passed as a tol of 1 and "no" normalized
+        for tol in ("x", None, True, False, np.bool_(True), "1e-9", [1e-9], 1j):
+            with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {re.escape(repr(tol))}$"):
+                RunConfig(tol=tol)
+        for damping in ("0.5", None, True, False, np.bool_(False), 0.5j, math.nan, 1, np.float32(-0.5)):
+            with pytest.raises(ValueError, match=rf"^damping must be a number in \[0, 1\), got {re.escape(repr(damping))}$"):
+                RunConfig(damping=damping)
+        for normalize in ("no", "", 0, 1, None, 1.0, np.int64(1)):
+            with pytest.raises(ValueError, match=f"^normalize must be a bool, got {re.escape(repr(normalize))}$"):
+                RunConfig(normalize=normalize)
+        # a semiring object passed and then failed every run; an unhashable name raised a bare TypeError
+        for semiring in (PROB, ["prob"], 1):
+            with pytest.raises(ValueError, match=f"^semiring must be None or a registry name, got {re.escape(repr(semiring))}$"):
+                RunConfig(semiring=semiring)
+        # numpy numbers and bools pass, and are kept as given
+        cfg = RunConfig(tol=np.float32(1e-6), damping=np.float64(0.25), normalize=np.bool_(False))
+        assert (type(cfg.tol), type(cfg.damping), type(cfg.normalize)) == (np.float32, np.float64, np.bool_)
+        assert RunConfig(tol=0, damping=np.int64(0)).tol == 0
+        g = random_loopy(np.random.default_rng(56))
+        want = run_bp(g, RunConfig(tol=1e-6, damping=0.25, max_iters=30))
+        got = run_bp(g, RunConfig(tol=np.float64(1e-6), damping=np.float64(0.25), normalize=np.bool_(True), max_iters=30))
+        assert (got.iterations, got.residual) == (want.iterations, want.residual)
+        assert all(np.array_equal(got.variable_beliefs[v].values, b.values) for v, b in want.variable_beliefs.items())
 
     def test_damping_restricted_to_prob_sync(self):
         with pytest.raises(ValueError):
@@ -843,7 +869,7 @@ class TestMessageState:
         monkeypatch.setattr(engine._Stack, "contracted", counted_contracted)
         sweep_synchronous(g, init_messages(g, cfg), cfg)
         # one fold per spider group, term-major: (terms, dim, members)
-        assert len(folds) == sum(len(group.rows) >= 2 for group in plan.var_groups) == 3
+        assert len(folds) == sum(len(group.cols) >= 2 for group in plan.var_groups) == 3
         # (2,) fields, and (2, 2) tables sending on both axes in one op
         assert sorted(contractions) == [(2,), (2, 2)]
 
@@ -855,7 +881,7 @@ class TestMessageState:
         factors += [((i,), rng.uniform(0.5, 1.5, 2).tolist()) for i in range(n)]
         g = build_graph([2] * n, factors, PROB)
         plan = engine._Plan(g)
-        program = plan._levels(*plan._wire_levels(g))
+        program = plan._tree_program
         assert len(program) == 2 * n
         assert all(len(ops) == 1 for ops in program)
 

@@ -43,7 +43,7 @@ from spiderbp.engine import (
     sweep_synchronous,
     two_pass_schedule,
 )
-from spiderbp.graph import FactorGraph, components
+from spiderbp.graph import FactorGraph, _wire_levels, components, tree_info
 from spiderbp.tensor import hadamard
 from spiderbp import engine
 from spiderbp.cli import EXIT_NOT_CONVERGED, cli_dispatch
@@ -80,11 +80,12 @@ class DictState:
 
 def unpack(g, state):
     """A ``MessageState`` of ``g`` as a ``DictState``: one ``Message`` per
-    directed wire, read off the wire's packed row."""
+    directed wire, read off the wire's row of the per-wire view."""
     v2f, f2v = wire_messages(state)
     var_to_factor, factor_to_var = {}, {}
-    plan = state._plan
-    for (fid, axis), d, r in zip(g.wires, plan.wire_dim.tolist(), plan.wire_row.tolist()):
+    rows = {d: iter(range(len(a))) for d, a in v2f.items()}  # each dim's wires, in g.wires order
+    for (fid, axis), d in zip(g.wires, state._plan.wire_dim.tolist()):
+        r = next(rows[d])
         vid = g.factor(fid).neighbors[axis]
         obj = g.variable(vid).obj
         var_to_factor[(vid, fid, axis)] = Message(obj, v2f[d][r])
@@ -325,7 +326,7 @@ class TestContradictions:
         start = sweep_synchronous(g, init_messages(g, cfg), cfg)
         plan, arrays = start._plan, {d: a.copy() for d, a in start._arrays.items()}
         assert list(plan.dims) == [3, 2]
-        arrays[2][:, plan.wire_row[plan.start[5]]] = [1.0, 0.0]
+        arrays[2][:, plan.v2f_col[plan.start[5]]] = [1.0, 0.0]
         start = engine.MessageState(plan, arrays, start.iteration)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -335,10 +336,30 @@ class TestContradictions:
                 sweep_synchronous(g, start, cfg)
         assert want.value.wire == got.value.wire == ("v2f", 3, 0)
         # both die: with the f2v message on (2, 0) made the unit, (3, 0) lives
-        arrays[2][:, plan.dims[2] + plan.wire_row[plan.start[2]]] = 1.0
+        arrays[2][:, plan.f2v_col[plan.start[2]]] = 1.0
         with pytest.raises(ContradictionError) as got:
             sweep_synchronous(g, start, cfg)
         assert got.value.wire == ("f2v", 5, 1)
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes"])
+    def test_wires_whose_columns_come_in_another_order(self, name):
+        """The f2v wires (1, 0), (2, 0) and (2, 1) die in the first sweep.
+        Wire (1, 0) comes first in ``g.wires``, but its column comes last:
+        factor 1's (2,) stack follows the (2, 2) stack of factors 0 and 2.
+        The sweep reports it, as the per-wire reference does."""
+        g = build_graph([2, 2], [((0, 1), [1.0, 2.0, 3.0, 4.0]), ((0,), [0.0, 0.0]), ((1, 0), [0.0] * 4)], name)
+        cfg = RunConfig(semiring=name)
+        start = init_messages(g, cfg)
+        plan = start._plan
+        assert plan.f2v_col[plan.start[2]] < plan.f2v_col[plan.start[2] + 1] < plan.f2v_col[plan.start[1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContradictionError) as want:
+                reference_sweep(g, unpack(g, start), cfg)
+            with pytest.raises(ContradictionError) as got:
+                sweep_synchronous(g, start, cfg)
+            result = run_bp(g, cfg)
+        assert want.value.wire == got.value.wire == result.contradiction_wire == ("f2v", 1, 0)
 
 
 # -- observability ----------------------------------------------------------------
@@ -693,8 +714,7 @@ class TestMergedOrientations:
 
     def test_stacks_merge_across_groups(self):
         plan = engine._Plan(merged_orientations(np.random.default_rng(330)))
-        program, _restore = plan._sync_program
-        ops = [op for op in program[0] if op[2] is not None]
+        ops = [op for op in plan._sync_program[0] if op[2] is not None]
         assert sorted(op[2].shape for op in ops) == [(2,), (2, 3), (2, 3, 3), (3, 2), (3, 2, 3), (3, 3, 2)]
         assert sum(len(group.shape) for group in plan.factor_groups) == 11
 
@@ -739,39 +759,63 @@ def sync_program_graphs(rng):
 
 
 class TestSyncProgramWritesEveryRowOnce:
-    """A sync sweep's ops write slices of one op-ordered array per dim; one
-    permutation per dim takes it back to packed order, v2f columns first."""
+    """Each dim's array is laid out in the sync program's op order: every op
+    of both schedules writes one slice, the sync ops' blocks tile the array,
+    v2f columns first, and each two-pass op writes a slice of one block."""
 
-    def test_slices_tile_each_array_and_restore_each_row(self):
+    def test_blocks_tile_each_array_and_every_op_writes_a_slice(self):
         rng = np.random.default_rng(350)
         for g in sync_program_graphs(rng):
             plan = engine._Plan(g)
-            (ops, *more), restore = plan._sync_program
+            ops, *more = plan._sync_program
             assert more == []
-            level0 = {d: np.zeros(n, dtype=np.intp) for d, n in plan.dims.items()}
-            unsliced = [op for level in plan._levels(level0, level0) for op in level]
-            # the same ops, in the same order, each writing a slice for its columns
-            assert len(ops) == len(unsliced)
-            for (d, out, stack, arg), (dd, cols, twin, same) in zip(ops, unsliced):
-                assert (d, out.stop - out.start) == (dd, len(cols))
-                assert (stack is None) == (twin is None) and getattr(stack, "shape", None) == getattr(twin, "shape", None)
-                assert same == arg if stack is not None else np.array_equal(same, arg)
-                # a variable op writes v2f columns [0, wires), a factor op f2v columns [wires, 2 * wires)
-                assert ((cols >= plan.dims[d]) == (stack is not None)).all()
-            assert sorted(restore) == sorted(plan.dims)
+            tree = plan._tree_program
+            assert (tree is None) == (not tree_info(g).is_tree)
+            for d, out, _stack, _arg in ops + [op for level in tree or [] for op in level]:
+                assert type(out) is slice and out.step is None and 0 <= out.start < out.stop <= 2 * plan.dims[d]
             for d, n in plan.dims.items():
-                mine = [i for i, op in enumerate(ops) if op[0] == d]
-                slices = [ops[i][1] for i in mine]
+                mine = [op for op in ops if op[0] == d]
+                slices = [op[1] for op in mine]
                 assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
                 assert slices[-1].stop == 2 * n
-                # the column written at position p of the op-ordered array
-                written = np.concatenate([unsliced[i][1] for i in mine])
-                assert sorted(restore[d].tolist()) == list(range(2 * n))
-                assert written[restore[d]].tolist() == list(range(2 * n))
+                for _d, out, stack, arg in mine:
+                    # a variable op gathers f2v columns into v2f columns [0, wires), a
+                    # factor op writes f2v columns [wires, 2 * wires), its whole stack
+                    if stack is None:
+                        assert out.stop <= n and out.stop - out.start == arg.shape[-1]
+                        assert (arg % (2 * n) >= n).all()
+                    else:
+                        assert out.start >= n and arg == slice(0, out.stop - out.start) and stack.tensors.shape[-1] == arg.stop
+                # both wire -> column maps are permutations, and col_wire inverts them
+                wires = np.flatnonzero(plan.wire_dim == d)
+                assert sorted(plan.v2f_col[wires].tolist()) == list(range(n))
+                assert sorted(plan.f2v_col[wires].tolist()) == list(range(n, 2 * n))
+                assert plan.col_wire[d][plan.v2f_col[wires]].tolist() == wires.tolist()
+                assert plan.col_wire[d][plan.f2v_col[wires]].tolist() == wires.tolist()
+            if tree is None:
+                continue
+            levels = [np.array(x) for x in _wire_levels(g)]  # v2f, f2v
+
+            def level_of(d, cols):
+                wires = plan.col_wire[d][cols]
+                return np.where(cols < plan.dims[d], levels[0][wires], levels[1][wires])
+
+            # on a tree each block is in nondecreasing two-pass level order
+            for d, out, _stack, _arg in ops:
+                assert (np.diff(level_of(d, np.arange(out.start, out.stop))) >= 0).all()
+            # each two-pass op writes the wires of its level in one sync op's block
+            for level, level_ops in enumerate(tree):
+                for d, out, stack, arg in level_ops:
+                    ((_d, block, twin, whole),) = [op for op in ops if op[0] == d and op[1].start <= out.start < op[1].stop]
+                    assert out.stop <= block.stop and twin is stack
+                    assert (level_of(d, np.arange(out.start, out.stop)) == level).all()
+                    part = slice(out.start - block.start, out.stop - block.start)
+                    assert arg == part if stack is not None else np.array_equal(arg, whole[..., part])
 
     def test_a_graph_without_wires_sweeps(self):
         for g in (build_graph([2, 3], [((), [2.0])], "prob"), build_graph([2], [], "prob")):
-            assert engine._Plan(g)._sync_program == ([[]], {})
+            plan = engine._Plan(g)
+            assert (plan._sync_program, plan._tree_program, plan.col_wire) == ([[]], [], {})
             result = run_bp(g, RunConfig())
             assert result.converged and result.iterations == 0
             assert [b.values.tolist() for b in result.variable_beliefs.values()][0] == [0.5, 0.5]
@@ -801,10 +845,12 @@ class TestOneArrayPerDim:
             assert sorted(some._arrays) == sorted(some._plan.dims)
             for d, a in some._arrays.items():
                 assert a.shape == (d, 2 * some._plan.dims[d]) and a.flags.c_contiguous
-        for (fid, axis), d, r in zip(g.wires, plan.wire_dim.tolist(), plan.wire_row.tolist()):
+        for i, ((fid, axis), d) in enumerate(zip(g.wires, plan.wire_dim.tolist())):
             n, vid = plan.dims[d], g.factor(fid).neighbors[axis]
-            assert same_bits(state._arrays[d][:, r], want.var_to_factor[(vid, fid, axis)].values)
-            assert same_bits(state._arrays[d][:, n + r], want.factor_to_var[(fid, axis)].values)
+            v2f, f2v = plan.v2f_col[i], plan.f2v_col[i]
+            assert v2f < n <= f2v < 2 * n
+            assert same_bits(state._arrays[d][:, v2f], want.var_to_factor[(vid, fid, axis)].values)
+            assert same_bits(state._arrays[d][:, f2v], want.factor_to_var[(fid, axis)].values)
 
     @pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(normalize=False), RunConfig(damping=0.3)])
     def test_one_rescale_and_one_residual_per_dim_per_sweep(self, monkeypatch, cfg):
@@ -984,9 +1030,9 @@ class TestOnePlanPerGraph:
         rng = np.random.default_rng(342)
         for g, schedule in ((odd_shapes(rng), "sync"), (merged_orientations(rng), "tree")):
             result = run_bp(g, RunConfig(schedule=schedule))
-            run_bp(g, RunConfig())  # compiles the sync program of a tree too
+            run_bp(g, RunConfig())  # a sync run of a tree too
             plan = g.__dict__["_plan"]
-            assert "_sync_program" in vars(plan)
+            assert plan._sync_program[0] and (plan._tree_program is None) == (schedule == "sync")
             arrays = list(kept_arrays(plan))
             assert len(arrays) > 10
             assert not any(a.flags.writeable for a in arrays)
