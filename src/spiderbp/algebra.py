@@ -28,9 +28,10 @@ for ``count`` (arbitrary-precision Python ints) and ``dual`` (pairs).
 Determinism contract. Every semiring sum in the package (message
 contraction, normalization, closing a diagram, the junction tree's
 separator sums and marginals, the oracle's totals) goes through
-``Semiring.fold(arr, axis)``, or for the engine's and junction tree's
-axis-0 sums its leaner form ``_fold0`` (the same adds), and its result is
-the ascending left fold
+``Semiring.fold(arr, axis)``, written once: it moves ``axis`` to the front
+and calls the semiring's one kernel ``_fold0``, which the engine's and
+junction tree's axis-0 sums call directly. The result is the ascending
+left fold
 
     acc = x[0]; acc = add(acc, x[i]) for i = 1, 2, ...
 
@@ -166,25 +167,23 @@ class Semiring:
 
         The result is the ascending left fold ``acc = x[0]; acc = add(acc,
         x[i])`` along the axis, bit for bit, and the zero for an empty
-        axis (the contract in the module docstring). Overrides change how
-        it is computed, never its bits. This one adds whole slices, first
-        to last.
+        axis (the contract in the module docstring).
         """
         arr = np.asarray(arr)
-        lead = (slice(None),) * axis
         if arr.shape[axis] == 0:
             return self.zeros(arr.shape[:axis] + arr.shape[axis + 1 :])
-        acc = arr[lead + (0,)]
-        for i in range(1, arr.shape[axis]):
-            acc = self.array_add(acc, arr[lead + (i,)])
-        # a sum of two or more slices is a new array already; one slice is a view
-        return (np.asarray if arr.shape[axis] > 1 else np.array)(acc, dtype=self.dtype)
+        # every fold in the package is of axis 0, and moveaxis costs microseconds
+        return np.array(self._fold0(np.moveaxis(arr, axis, 0) if axis else arr), dtype=self.dtype)
 
     def _fold0(self, arr):
-        """``fold(arr, 0)`` of an array of this algebra's dtype with two or
-        more axes and a nonempty axis 0: the engine's and junction tree's
-        fold, which an algebra may compute without ``fold``'s conversions."""
-        return self.fold(arr, 0)
+        """The kernel of ``fold(arr, 0)`` for an array of this algebra's
+        dtype with a nonempty axis 0, without ``fold``'s conversion: a new
+        array or scalar, never a view of ``arr``. Overrides change how it is
+        computed, never its bits. This one adds whole rows, first to last."""
+        acc = np.array(arr[0])
+        for i in range(1, len(arr)):
+            acc = self.array_add(acc, arr[i])
+        return acc
 
     def max_distance(self, a, b):
         """Largest componentwise ``distance`` between two equal-shape arrays.
@@ -288,24 +287,14 @@ class ProbSemiring(Semiring):
     def array_mul(self, a, b):
         return np.multiply(a, b)
 
-    def fold(self, arr, axis):
-        # The slice loop makes one call per index along the axis, accumulate
-        # runs one inner loop per position across it: long slices favour
-        # the loop. Both add in index order, so the choice moves no bit.
-        arr = np.asarray(arr)
-        n = arr.shape[axis]
-        if n == 0 or arr.size >= 32 * n * n:
-            return super().fold(arr, axis)
-        return np.array(self._ufunc.accumulate(arr, axis=axis)[(slice(None),) * axis + (-1,)], dtype=self.dtype)
-
     def _fold0(self, arr):
-        # fold's two kernels on axis 0, minus its conversions and index tuples;
-        # the last row is copied, as a view of it would keep all n rows alive
+        # The loop makes one ufunc call per row (not array_add: every sync
+        # sweep folds here), accumulate one inner loop per position: long rows
+        # favour the loop. Both add in row order, so the choice moves no bit.
+        # The last row is copied, as a view of it would keep all n rows alive.
         n = len(arr)
-        if arr.size < 32 * n * n:
+        if n == 1 or arr.size < 32 * n * n:
             return self._ufunc.accumulate(arr, axis=0)[-1].copy()
-        if n == 1:
-            return arr[0].copy()
         acc = self._ufunc(arr[0], arr[1])
         for i in range(2, n):
             acc = self._ufunc(acc, arr[i])
@@ -387,9 +376,9 @@ class BoolSemiring(Semiring):
     def array_mul(self, a, b):
         return np.logical_and(a, b)
 
-    def fold(self, arr, axis):
+    def _fold0(self, arr):
         # or gives the same bits in any order
-        return np.asarray(np.logical_or.reduce(np.asarray(arr), axis=axis))
+        return np.logical_or.reduce(arr, axis=0)
 
     def random_scalar(self, rng):
         return bool(rng.integers(2))
@@ -450,9 +439,9 @@ class NatCountSemiring(Semiring):
     def array_mul(self, a, b):
         return np.multiply(a, b)
 
-    def fold(self, arr, axis):
+    def _fold0(self, arr):
         # int addition is exact in any order
-        return np.asarray(np.add.reduce(np.asarray(arr), axis=axis), dtype=object)
+        return np.add.reduce(arr, axis=0)
 
     def random_scalar(self, rng):
         return int(rng.integers(0, 10))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 
@@ -176,7 +177,7 @@ def _beliefs_document(g, beliefs, z=None, converged=True, iterations=1, residual
     doc = {
         "converged": bool(converged),
         "iterations": int(iterations),
-        "residual": float(residual),
+        "residual": float(residual) if math.isfinite(residual) else None,  # JSON has no inf
         "semiring": semiring.name,
         "beliefs": [
             {"id": vid, "values": _values_json(semiring, belief.values)}

@@ -16,7 +16,7 @@ componentwise change falls to the tolerance; on a tree the fixed point is
 reached within diameter sweeps, because a message of level k (below) is
 final after k + 1 sweeps and the diameter is one more than the highest
 level. ``tree`` performs the classic two passes, leaves to root then root
-to leaves, and is exact on trees in a single execution.
+to leaves: exact on trees in one execution, which runs on past dead support.
 
 Both schedules run on one plan (``_Plan``), compiled once per graph from
 its wire table (``graph._Wires``) with array operations, never from its
@@ -73,7 +73,7 @@ from .errors import (
     ZeroMessageError,
 )
 from .formats import _assemble
-from .graph import _by_variable, _ensure_valid, _frozen, _wire_levels, components, tree_info
+from .graph import _by_variable, _ensure_valid, _frozen, _wire_levels, components
 from .tensor import DenseTensor, Message, contract_to_axis, hadamard
 
 SCHEDULES = ("sync", "tree")
@@ -421,12 +421,13 @@ class _Plan:
         columns, and a factor op contracts v2f columns into f2v columns;
         each writes the (dim, out columns) block ``dst[d][:, out]``, ``out``
         a slice. With ``normalize`` every op rescales its block in place,
-        and the result lists (dim, out columns, dead-column mask) per op
-        with a dead column; without, it is empty.
+        and the result lists (dim, out columns, dead-column mask) for each
+        op with a dead column in the lowest such level; without, it is empty.
         """
         semiring = self.semiring
         gone = []
         for ops in program:
+            first = not gone
             for d, out, stack, arg in ops:
                 if stack is not None:
                     dst[d][:, out] = stack.contracted(semiring, arg, src)
@@ -436,7 +437,7 @@ class _Plan:
                     dst[d][:, out] = semiring.one
                 if normalize:
                     dead = semiring._normalize_columns(dst[d][:, out])
-                    if dead is not None:
+                    if dead is not None and first:
                         gone.append((d, out, dead))
         return gone
 
@@ -462,8 +463,8 @@ class _Plan:
         index per column.
         """
         n_wires = len(self.wire_dim)
-        # a forest has fewer wires than nodes, so most loopy graphs need no walk
-        tree = n_wires < len(g.variables) + len(g._wires.ids) and not g._forest[-1]
+        # a forest has fewer wires than nodes (or none at all), so most loopy graphs need no walk
+        tree = n_wires < max(1, len(g.variables) + len(g._wires.ids)) and not g._forest[-1]
         v2f_level, f2v_level = (np.array(x, dtype=np.intp) for x in _wire_levels(g)) if tree else [np.zeros(n_wires, np.intp)] * 2
         v2f, f2v = np.empty(n_wires, dtype=np.intp), np.empty(n_wires, dtype=np.intp)
         free = {d: [0, n] for d, n in self.dims.items()}  # each dim's next v2f and f2v column
@@ -556,29 +557,16 @@ class _Plan:
         Returns (message store, contradiction wire or None). Each directed
         wire is computed once from final inputs, so the messages equal those
         of the per-wire two-pass run. A normalized run that hits dead
-        support leaves the dead columns undivided and carries on; at the end
-        every message from the first dead wire of ``two_pass_schedule`` on
-        is reset to the unit, which is the state the per-wire run halts in.
+        support leaves the dead columns undivided and runs to the end; it
+        reports the dead wire of lowest level, where support died, every v2f
+        before every f2v in ``g.wires`` order within that level.
         """
         if self._tree_program is None:
             raise NotATreeError("two-pass scheduling needs a cycle-free graph without repeated wires")
         arrays = self.initial(cfg)
         normalize = cfg.normalize and self.semiring.has_normalize
         gone = self._execute(self._tree_program, arrays, arrays, normalize)
-        dead_wires = self._dead_wires(g, gone)
-        return arrays, self._halt(g, arrays, cfg, set(dead_wires)) if dead_wires else None
-
-    def _halt(self, g, arrays, cfg, dead_wires):
-        """Reset the messages the per-wire run never reaches; return the
-        wire it halts at."""
-        schedule = two_pass_schedule(g)
-        at = next(k for k, wire in enumerate(schedule) if wire in dead_wires)
-        unit = self.initial(cfg)
-        for kind, fid, axis in schedule[at:]:
-            i = self.start.item(fid) + axis
-            d, col = self.wire_dim.item(i), (self.v2f_col if kind == "v2f" else self.f2v_col).item(i)
-            arrays[d][:, col] = unit[d][:, col]
-        return schedule[at]
+        return arrays, self._dead_wires(g, gone)[0] if gone else None
 
     # -- reading a state -------------------------------------------------------
 
@@ -669,7 +657,8 @@ def sweep_synchronous(g, state, cfg):
 
 
 def two_pass_schedule(g):
-    """Directed-wire order for one exact tree sweep.
+    """The per-wire reference order of one exact tree sweep; no run takes
+    it, as the plan runs the two passes a dependency level at a time.
 
     Each component is closed at its smallest variable id (on a tree every
     closing point gives the same value). First every wire pointing toward
@@ -699,19 +688,19 @@ def two_pass_schedule(g):
 
 
 def run_two_pass(g, cfg):
-    """Execute the two-pass schedule once on the compiled plan.
+    """Execute the two passes once on the compiled plan.
 
     Returns (state, contradiction wire or None). Messages are computed one
-    dependency level at a time and equal those of the per-wire schedule
-    ``two_pass_schedule`` bit for bit. A normalized run that hits dead
-    support returns the state the per-wire run halts in: the messages
-    before the first dead wire of that schedule, the unit from there on.
+    dependency level at a time and equal those of the per-wire rules in
+    ``two_pass_schedule`` order bit for bit. A normalized run that hits
+    dead support computes every message all the same, a dead one left
+    undivided, and returns where support died (``_Plan.two_pass``).
     """
     plan = _plan_of(g)
     _run_semiring(g.semiring, cfg)
-    arrays, halted_wire = plan.two_pass(g, cfg)
-    residual = 0.0 if halted_wire is None else math.inf
-    return MessageState(plan, arrays, 1, residual), halted_wire
+    arrays, dead_wire = plan.two_pass(g, cfg)
+    residual = 0.0 if dead_wire is None else math.inf
+    return MessageState(plan, arrays, 1, residual), dead_wire
 
 
 def beliefs(g, state, cfg):
@@ -746,18 +735,19 @@ def run_bp(g, cfg):
     messages grow without bound around a cycle, so count under ``sync``
     needs a cycle-free graph (ValidationError otherwise).
 
-    A normalized run that hits an all-zero aggregate stops early and flags
-    ``contradiction`` with the offending wire; partial beliefs are still
-    returned. Boolean runs never normalize, so they complete even when
-    support dies; they flag ``contradiction`` with the first dead wire and
-    their all-false beliefs are exact.
+    A normalized run that hits an all-zero aggregate flags ``contradiction``
+    with the wire where support died: a sync run stops with the state before
+    that sweep, a tree run completes with dead messages undivided. Boolean
+    runs never normalize, so they complete even when support dies; they
+    flag ``contradiction`` with the first dead wire and their all-false
+    beliefs are exact.
 
     The run builds variable beliefs only; the result computes its factor
     beliefs from its state on first read.
     """
-    _plan_of(g)
+    plan = _plan_of(g)
     semiring = _run_semiring(g.semiring, cfg)
-    if semiring.name == "count" and cfg.schedule == "sync" and not tree_info(g).is_tree:
+    if semiring.name == "count" and cfg.schedule == "sync" and plan._tree_program is None:
         raise ValidationError(
             "count under the sync schedule needs a cycle-free graph: exact counts grow every "
             "sweep around a cycle; count on a tree with --schedule tree, or on any graph with jtree"
@@ -835,7 +825,7 @@ def contraction_value(g):
     leaves it unchanged. Rank-0 factors multiply in directly; an isolated
     variable contributes one term per state.
     """
-    state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
+    state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # unnormalized: no dead wire
     return contraction_from_state(g, state)
 
 
@@ -882,7 +872,7 @@ def contraction_derivative(g, factor_id, entry_index):
     ValidationError, a graph with a cycle a NotATreeError.
     """
     factor_id, entry_index = _check_target(g, factor_id, entry_index)
-    state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # never halts
+    state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # unnormalized: no dead wire
     plan, arrays = state._plan, state._arrays
     semiring = plan.semiring
     cavity = plan.cavity(arrays, factor_id, entry_index)

@@ -618,6 +618,31 @@ class TestResultDocument:
         assert code == 0 and quiet == ""
         assert dest.read_bytes() == out.encode("utf-8")
 
+    @pytest.mark.parametrize("schedule", ["tree", "sync"])
+    def test_an_infinite_residual_is_null(self, tmp_path, capsys, schedule):
+        # the only factor is all zero, so either schedule ends contradicted
+        # with an inf residual, which JSON (RFC 8259) cannot spell
+        doc = {"variables": [{"id": 0, "dim": 2}], "factors": [{"id": 0, "neighbors": [0], "values": [0.0, 0.0]}]}
+        code, out, _ = run_cli(capsys, "run", "--schedule", schedule, "--input", write(tmp_path, doc))
+
+        def reject(literal):
+            raise ValueError(f"{literal} is not JSON")
+
+        parsed = json.loads(out, parse_constant=reject)
+        assert code == 4
+        assert (parsed["converged"], parsed["residual"]) == (False, None)
+        if schedule == "tree":  # a tree run completes: the belief is the dead message itself
+            assert parsed["beliefs"][0]["values"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("schedule", ["tree", "sync"])
+    def test_a_model_without_nodes(self, tmp_path, capsys, schedule):
+        path = write(tmp_path, {"variables": [], "factors": []})
+        code, out, _ = run_cli(capsys, "run", "--schedule", schedule, "--input", path)
+        assert code == 0
+        assert json.loads(out)["beliefs"] == []
+        code, out, _ = run_cli(capsys, "run", "--schedule", "tree", "--no-normalize", "--input", path)
+        assert code == 0 and json.loads(out)["contraction_value"] == 1.0
+
 
 def big_tables(n, edges):
     """A native document on ``n`` binary variables whose pairwise tables

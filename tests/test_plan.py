@@ -5,7 +5,7 @@ the public per-wire updates (``update_variable_message`` /
 ``update_factor_message``), the damping formula and the scalar
 ``distance``. The plan must reproduce them bit for bit: every message, the
 residual and the iteration counter, and for the two-pass run the beliefs,
-the closed value, the decoded states and the halting wire too.
+the closed value, the decoded states and the contradiction wire too.
 """
 
 import gc
@@ -431,19 +431,31 @@ class TestCliClosesItsOwnState:
 
 def reference_two_pass(g, cfg):
     """The per-wire two-pass run: ``two_pass_schedule`` order, one update at a
-    time, stopping at the first dead wire."""
+    time. A message whose support dies is recomputed unnormalized and kept,
+    and the run reports the dead wire of lowest ``_wire_levels`` level,
+    every v2f before every f2v in ``g.wires`` order within it."""
     start = unpack(g, init_messages(g, cfg))
     v2f, f2v = start.var_to_factor, start.factor_to_var
     working = DictState(v2f, f2v)
+    levels, position = _wire_levels(g), {wire: i for i, wire in enumerate(g.wires)}
+    dead = []  # (level, 0 for v2f or 1 for f2v, g.wires index, wire)
+
+    def update(kind, fid, axis, cfg):
+        if kind == "v2f":
+            vid = g.factor(fid).neighbors[axis]
+            v2f[(vid, fid, axis)] = update_variable_message(g, working, cfg, vid, (fid, axis))
+        else:
+            f2v[(fid, axis)] = update_factor_message(g, working, cfg, fid, axis)
+
     for kind, fid, axis in two_pass_schedule(g):
         try:
-            if kind == "v2f":
-                vid = g.factor(fid).neighbors[axis]
-                v2f[(vid, fid, axis)] = update_variable_message(g, working, cfg, vid, (fid, axis))
-            else:
-                f2v[(fid, axis)] = update_factor_message(g, working, cfg, fid, axis)
+            update(kind, fid, axis, cfg)
         except ContradictionError as err:
-            return DictState(v2f, f2v, 1, math.inf), err.wire
+            update(kind, fid, axis, replace(cfg, normalize=False))
+            k, i = int(kind == "f2v"), position[(fid, axis)]
+            dead.append((levels[k][i], k, i, err.wire))
+    if dead:
+        return DictState(v2f, f2v, 1, math.inf), min(dead)[3]
     return DictState(v2f, f2v, 1, 0.0), None
 
 
@@ -623,16 +635,48 @@ class TestTreeBitIdentity:
 
     @pytest.mark.parametrize("name", ["prob", "maxtimes"])
     def test_dead_support_same_wire_and_partial_beliefs(self, name):
+        # a contradicted run completes: every message and belief is the
+        # reference's, dead ones undivided, and so is the lowest-level wire
         rng = np.random.default_rng(316)
-        halted = 0
+        contradicted = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(40):
                 g = dead_tree(rng, name)
                 result = check_tree_against_reference(g, RunConfig(semiring=name))
-                halted += result.contradiction
-            check_tree_against_reference(dead_graph(name), RunConfig(semiring=name))
-        assert halted >= 10
+                contradicted += result.contradiction
+            result = check_tree_against_reference(dead_graph(name), RunConfig(semiring=name))
+        assert contradicted >= 10
+        assert result.variable_beliefs[0].values.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes"])
+    def test_dead_support_reports_the_lowest_dead_level(self, name):
+        # the chain v0 - f2 - v1 - f4 - v2 - f0 - v3 with unary factors f3 on v1
+        # and f1 on v3: f3 keeps v1 = 0 only, where f4 is zero, so support dies
+        # mid-chain in f4's message to v2 (level 3). Later dead messages follow
+        # from it, among them v2f (0, 0), first in g.wires order.
+        g = build_graph(
+            [2, 2, 2, 2],
+            [((2, 3), [1.0, 2.0, 3.0, 4.0]), ((3,), [1.0, 1.0]), ((0, 1), [1.0, 2.0, 3.0, 4.0]), ((1,), [1.0, 0.0]), ((1, 2), [0.0, 0.0, 1.0, 1.0])],
+            name,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = check_tree_against_reference(g, RunConfig(semiring=name))
+        assert result.contradiction_wire == ("f2v", 4, 1)
+        messages = unpack(g, result.state)
+        levels = _wire_levels(g)
+        dead = []  # (level, wire) in g.wires order, every v2f before every f2v
+        for k, kind in enumerate(("v2f", "f2v")):
+            for i, (fid, axis) in enumerate(g.wires):
+                vid = g.factor(fid).neighbors[axis]
+                msg = messages.var_to_factor[(vid, fid, axis)] if kind == "v2f" else messages.factor_to_var[(fid, axis)]
+                if not msg.values.any():
+                    dead.append((levels[k][i], (kind, fid, axis)))
+        assert min(dead) == (3, ("f2v", 4, 1))
+        assert dead[0] == (4, ("v2f", 0, 0))
+        # the model admits no state, and no belief has support
+        assert not any(b.values.any() for b in result.variable_beliefs.values())
 
     def test_dead_support_with_a_root(self):
         rng = np.random.default_rng(317)
@@ -734,6 +778,8 @@ class TestMergedOrientations:
     @pytest.mark.parametrize("name", ["prob", "maxtimes"])
     @pytest.mark.parametrize("zeroed", [0, 1, 2, 3])
     def test_zeroed_tables_halt_at_the_reference_wire(self, name, zeroed):
+        # the tree run completes and reports the lowest-level dead wire, the
+        # sync run halts at the per-wire sweep's first dead wire
         g = merged_orientations(np.random.default_rng(332), name, zeroed)
         cfg = RunConfig(semiring=name, max_iters=20)
         with warnings.catch_warnings():
@@ -748,7 +794,7 @@ class TestMergedOrientations:
 def sync_program_graphs(rng):
     """Trees, forests (isolated variables, rank-0 factors), loopy graphs,
     mixed dims with a repeated wire, merged orientations, a graph of one
-    rank-0 factor and a graph with no factor at all."""
+    rank-0 factor, a graph with no factor at all and one with no node."""
     yield from (random_tree(rng) for _ in range(3))
     yield from (random_forest(rng) for _ in range(3))
     yield from (random_loopy(rng) for _ in range(3))
@@ -756,6 +802,7 @@ def sync_program_graphs(rng):
     yield merged_orientations(rng)
     yield build_graph([2, 3], [((), [2.0])], "prob")
     yield build_graph([2], [], "prob")
+    yield build_graph([], [], "prob")
 
 
 class TestSyncProgramWritesEveryRowOnce:
@@ -819,6 +866,18 @@ class TestSyncProgramWritesEveryRowOnce:
             result = run_bp(g, RunConfig())
             assert result.converged and result.iterations == 0
             assert [b.values.tolist() for b in result.variable_beliefs.values()][0] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_a_graph_without_nodes_is_a_tree_both_schedules_run(self, name):
+        # tree_info calls it a tree, so the plan compiles its two-pass program
+        g = build_graph([], [], name)
+        assert tree_info(g).is_tree and engine._plan_of(g)._tree_program == []
+        for schedule in ("sync", "tree"):
+            result = run_bp(g, RunConfig(schedule=schedule))
+            assert result.converged and not result.contradiction and result.variable_beliefs == {}
+        semiring = get_semiring(name)
+        z = contraction_value(g)
+        assert type(z) is type(semiring.one) and z == semiring.one
 
 
 def two_dims(rng):
