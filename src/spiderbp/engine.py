@@ -16,7 +16,9 @@ componentwise change falls to the tolerance; on a tree the fixed point is
 reached within diameter sweeps, because a message of level k (below) is
 final after k + 1 sweeps and the diameter is one more than the highest
 level. ``tree`` performs the classic two passes, leaves to root then root
-to leaves: exact on trees in one execution, which runs on past dead support.
+to leaves: exact on trees in one execution. A normalized run that meets dead
+support keeps its messages, dead ones undivided, and names where it died
+(``MessageState.dead_wire``): a sync run ends on that sweep, a tree run completes.
 
 Both schedules run on one plan (``_Plan``), compiled once per graph from
 its wire table (``graph._Wires``) with array operations, never from its
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -148,18 +151,18 @@ class MessageState:
     ``(dim, 2 * wires)`` array per dim holding both directions in the
     plan's column order, and a state is only ever read against the graph
     that keeps that plan: through ``beliefs``, ``decode_map`` and
-    ``contraction_from_state``.
+    ``contraction_from_state``. ``dead_wire`` names the wire where a
+    normalized run's support died (its messages kept undivided), else None.
     """
 
-    __slots__ = ("_plan", "_arrays", "iteration", "residual")
+    __slots__ = ("_plan", "_arrays", "iteration", "residual", "dead_wire")
 
-    def __init__(self, plan, arrays, iteration=0, residual=math.inf):
+    def __init__(self, plan, arrays, iteration=0, residual=math.inf, dead_wire=None):
         self._plan, self._arrays = plan, arrays
-        self.iteration = iteration
-        self.residual = residual
+        self.iteration, self.residual, self.dead_wire = iteration, residual, dead_wire
 
     def __repr__(self):
-        return f"MessageState(iteration={self.iteration}, residual={self.residual})"
+        return f"MessageState(iteration={self.iteration}, residual={self.residual}, dead_wire={self.dead_wire})"
 
 
 @dataclass
@@ -521,23 +524,24 @@ class _Plan:
     # -- one sync sweep ----------------------------------------------------------
 
     def sweep(self, g, arrays, cfg):
-        """A new message store from the old one, plus the residual.
+        """A new message store from the old one, the residual and the dead wire.
 
         Runs the sync program into a new store, each op writing its block,
         then normalizes (in place), damps and measures the residual once per
         dim, both directions at once, as the per-wire rules do column by
-        column. The first dead column raises ContradictionError for its
-        wire, every v2f wire in ``g.wires`` order before every f2v wire,
-        before anything is divided by zero. A nan gap (``inf - inf`` once
-        unnormalized messages overflow) makes the residual inf, so an
-        overflowed run can never pass for converged.
+        column; the dead wire is None. A sweep with a dead column stops
+        before damping: it returns the store with its live columns rescaled
+        and its dead ones undivided, residual inf, and the first dead wire,
+        every v2f wire in ``g.wires`` order before every f2v wire. A nan gap
+        (``inf - inf`` once unnormalized messages overflow) makes the
+        residual inf, so an overflowed run can never pass for converged.
         """
         semiring, new = self.semiring, self._empty()
         self._execute(self._sync_program, arrays, new)
         if cfg.normalize and semiring.has_normalize:
             gone = [(d, slice(None), dead) for d, a in new.items() if (dead := semiring._normalize_columns(a)) is not None]
             if gone:
-                raise ContradictionError(self._dead_wires(g, gone)[0])
+                return new, math.inf, self._dead_wires(g, gone)[0]
         if cfg.damping != 0.0:
             lam = cfg.damping
             for d, old in arrays.items():
@@ -547,7 +551,7 @@ class _Plan:
             gap = semiring.max_distance(a, arrays[d])
             if not gap <= residual:  # a larger gap, or a nan one
                 residual = gap if gap == gap else math.inf
-        return new, residual
+        return new, residual, None
 
     # -- the two-pass schedule ---------------------------------------------------
 
@@ -584,14 +588,17 @@ class _Plan:
                 yield group, semiring.ones((group.dim, len(group.slots)))
 
     def variable_beliefs(self, arrays, cfg):
-        """``beliefs``'s variable beliefs and zero wire, from the f2v messages."""
+        """``beliefs``'s variable beliefs and zero wire, from the f2v messages;
+        the wire is the first dead (or all-false) belief in ``g.variables`` order."""
         semiring = self.semiring
         beliefs, dead_slots = [None] * len(self.var_ids), []
         for group, values in self.incoming_products(arrays):
             if cfg.normalize and semiring.has_normalize:
                 dead = semiring._normalize_columns(values)
-                if dead is not None:
-                    dead_slots += [slot for slot, gone in zip(group.slots, dead.tolist()) if gone]
+            else:
+                dead = ~values.any(axis=0) if semiring.name == "bool" else None
+            if dead is not None:
+                dead_slots += [slot for slot, gone in zip(group.slots, dead.tolist()) if gone]
             for slot, obj, row in zip(group.slots, group.objs, _frozen(values.T.copy())):
                 beliefs[slot] = Message._wrap(obj, row)
         zero_wire = ("belief", self.var_ids[min(dead_slots)]) if dead_slots else None
@@ -642,18 +649,19 @@ def sweep_synchronous(g, state, cfg):
     """One Jacobi sweep: every message recomputed from the old snapshot.
 
     Runs the state's plan at level 0: every variable and factor update at
-    once, normalized and damped per config; a dead message raises
-    ContradictionError for the first such wire, every v2f wire in
-    ``g.wires`` order before every f2v wire. The state must come from this
+    once, normalized and damped per config. The state must come from this
     graph (ValidationError otherwise). The returned state's ``residual`` is
     the largest componentwise change (after normalization and damping);
     0.0 means no message changed, since a gap is 0 only between equal
-    values and a nan gap makes the residual inf.
+    values and a nan gap makes the residual inf. A normalized sweep that
+    meets dead support keeps its messages undamped, dead ones undivided,
+    with residual inf and ``dead_wire`` the first dead wire, every v2f
+    wire in ``g.wires`` order before every f2v wire (``_Plan.sweep``).
     """
     _run_semiring(g.semiring, cfg)
     plan, arrays = _plan_and_arrays(g, state)
-    arrays, residual = plan.sweep(g, arrays, cfg)
-    return MessageState(plan, arrays, state.iteration + 1, residual)
+    arrays, residual, dead_wire = plan.sweep(g, arrays, cfg)
+    return MessageState(plan, arrays, state.iteration + 1, residual, dead_wire)
 
 
 def two_pass_schedule(g):
@@ -688,19 +696,18 @@ def two_pass_schedule(g):
 
 
 def run_two_pass(g, cfg):
-    """Execute the two passes once on the compiled plan.
+    """Execute the two passes once on the compiled plan; return the state.
 
-    Returns (state, contradiction wire or None). Messages are computed one
-    dependency level at a time and equal those of the per-wire rules in
-    ``two_pass_schedule`` order bit for bit. A normalized run that hits
-    dead support computes every message all the same, a dead one left
-    undivided, and returns where support died (``_Plan.two_pass``).
+    Messages are computed one dependency level at a time and equal those of
+    the per-wire rules in ``two_pass_schedule`` order bit for bit. A
+    normalized run that hits dead support computes every message all the
+    same, a dead one left undivided, and returns a state with residual inf
+    whose ``dead_wire`` is where support died (``_Plan.two_pass``).
     """
     plan = _plan_of(g)
     _run_semiring(g.semiring, cfg)
     arrays, dead_wire = plan.two_pass(g, cfg)
-    residual = 0.0 if dead_wire is None else math.inf
-    return MessageState(plan, arrays, 1, residual), dead_wire
+    return MessageState(plan, arrays, 1, 0.0 if dead_wire is None else math.inf, dead_wire)
 
 
 def beliefs(g, state, cfg):
@@ -720,27 +727,24 @@ def beliefs(g, state, cfg):
 def run_bp(g, cfg):
     """Run belief propagation under the given config.
 
-    The sync schedule sweeps until the residual falls to ``tol`` or
-    ``max_iters`` is hit (reported as not converged, never raised). When the
-    detecting sweep leaves every message bit-identical it only confirmed an
-    already-reached fixed point, so it is not counted in ``iterations``.
-    Otherwise a small residual alone is not trusted: residuals need not
-    shrink monotonically on loopy graphs, so ``converged`` is reported only
-    once an uncounted probe sweep certifies that one further sweep also
-    stays within ``tol`` — which the caller can then reproduce exactly. A
-    failed probe counts as a normal sweep and iteration continues. If the
-    budget runs out before certification the run reports not converged even
-    though the last residual may sit at or below ``tol``.
+    The sync schedule sweeps until it converges or ``max_iters`` sweeps
+    have run (not converged, never raised). Residuals need not shrink
+    monotonically on loopy graphs, so a residual within ``tol`` is trusted
+    only once the next sweep stays within ``tol`` too; that certifying sweep
+    is not counted in ``iterations`` and the run keeps the state it
+    certified. A sweep that changes no message confirms a fixed point
+    already reached: it converges the run uncounted. A budget that runs out
+    before certification reports not converged, whatever the last residual.
     The tree schedule executes its two passes once and is exact. Count
     messages grow without bound around a cycle, so count under ``sync``
     needs a cycle-free graph (ValidationError otherwise).
 
     A normalized run that hits an all-zero aggregate flags ``contradiction``
-    with the wire where support died: a sync run stops with the state before
-    that sweep, a tree run completes with dead messages undivided. Boolean
-    runs never normalize, so they complete even when support dies; they
-    flag ``contradiction`` with the first dead wire and their all-false
-    beliefs are exact.
+    with the state's ``dead_wire``, where support died: a sync run ends on
+    the sweep that finds it, a tree run completes; either keeps dead
+    messages undivided. Boolean runs never normalize, so they complete even
+    when support dies; they flag ``contradiction`` with the first dead wire
+    and their all-false beliefs are exact.
 
     The run builds variable beliefs only; the result computes its factor
     beliefs from its state on first read.
@@ -753,20 +757,16 @@ def run_bp(g, cfg):
             "sweep around a cycle; count on a tree with --schedule tree, or on any graph with jtree"
         )
     if cfg.schedule == "tree":
-        state, wire = run_two_pass(g, cfg)
-        converged, iterations = wire is None, 1
+        state = run_two_pass(g, cfg)
+        converged, iterations = state.dead_wire is None, 1
     else:
-        state, converged, iterations, wire = _run_sync(g, cfg)
+        state, converged, iterations = _run_sync(g, cfg)
     var_b, zero_wire = state._plan.variable_beliefs(state._arrays, cfg)
+    wire = state.dead_wire
     if wire is None and semiring.name == "bool":
         # dead support can hide in a belief even when every wire message
         # still has a true entry, so scan both
         wire = state._plan.first_zero_wire(g, state._arrays)
-        if wire is None:
-            for vid in sorted(var_b):
-                if not any(bool(x) for x in var_b[vid].values.tolist()):
-                    wire = ("belief", vid)
-                    break
     if wire is None:
         wire = zero_wire
     return BPResult(
@@ -782,37 +782,19 @@ def run_bp(g, cfg):
 
 
 def _run_sync(g, cfg):
-    """``run_bp``'s sync loop; returns (state, converged, iterations,
-    contradiction wire or None)."""
-    state = init_messages(g, cfg)
-    converged = False
-    iterations = 0
-    try:
-        k = 0
-        while k < cfg.max_iters:
-            k += 1
-            state = sweep_synchronous(g, state, cfg)
-            iterations = k
-            if state.residual > cfg.tol:
-                continue
-            if state.residual == 0.0:
-                # no message changed: already a fixed point, sweep not counted
-                converged = True
-                iterations = k - 1
-                break
-            if k >= cfg.max_iters:
-                break  # no budget left to certify the fixed point
-            probe = sweep_synchronous(g, state, cfg)
-            if probe.residual <= cfg.tol:
-                converged = True  # certified: the next sweep stays put
-                break
-            # the probe was real progress after all; adopt and continue
-            k += 1
-            iterations = k
-            state = probe
-    except ContradictionError as err:
-        return state, False, iterations, err.wire
-    return state, converged, iterations, None
+    """``run_bp``'s sync loop; returns (state, converged, iterations). The
+    checks run in this order so that a certified state keeps its residual."""
+    state, settled = init_messages(g, cfg), False
+    for k in range(1, cfg.max_iters + 1):
+        new = sweep_synchronous(g, state, cfg)
+        if settled and new.residual <= cfg.tol:
+            return state, True, k - 1  # certified: the next sweep stays put
+        if new.residual == 0.0:
+            return new, True, k - 1  # no message changed: already a fixed point
+        if new.dead_wire is not None:
+            return new, False, k
+        state, settled = new, new.residual <= cfg.tol
+    return state, False, k
 
 
 def contraction_value(g):
@@ -825,8 +807,7 @@ def contraction_value(g):
     leaves it unchanged. Rank-0 factors multiply in directly; an isolated
     variable contributes one term per state.
     """
-    state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # unnormalized: no dead wire
-    return contraction_from_state(g, state)
+    return contraction_from_state(g, run_two_pass(g, RunConfig(schedule="tree", normalize=False)))
 
 
 def contraction_from_state(g, state):
@@ -872,7 +853,7 @@ def contraction_derivative(g, factor_id, entry_index):
     ValidationError, a graph with a cycle a NotATreeError.
     """
     factor_id, entry_index = _check_target(g, factor_id, entry_index)
-    state, _ = run_two_pass(g, RunConfig(schedule="tree", normalize=False))  # unnormalized: no dead wire
+    state = run_two_pass(g, RunConfig(schedule="tree", normalize=False))
     plan, arrays = state._plan, state._arrays
     semiring = plan.semiring
     cavity = plan.cavity(arrays, factor_id, entry_index)
@@ -955,9 +936,17 @@ def dual_seed(g, factor_id, entry_index):
 
 def evaluate_assignment(g, assignment):
     """Product of all factor entries at one full assignment, in the graph's
-    semiring, as a Python scalar (as ``contraction_value``)."""
+    semiring, as a Python scalar (as ``contraction_value``). Each variable
+    on a factor needs a state, a Python or numpy integer (not a bool) below
+    its dim; a ValidationError names the first missing or bad one."""
     semiring, w = get_semiring(g.semiring), g._wires
-    states = np.fromiter(map(assignment.__getitem__, w.var.tolist()), np.intp, len(w.var))
+    given, dims, states = list(map(assignment.get, w.var.tolist())), g._dims[w.var], None
+    if all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, given))):
+        with suppress(OverflowError):  # a state past intp is out of range
+            states = np.fromiter(given, np.intp, len(given))
+    if states is None or ((states < 0) | (states >= dims)).any():
+        for vid, state, dim in zip(w.var.tolist(), given, dims.tolist()):
+            _check_index(state, dim, f"variable {vid}'s state", f"state {state!r} out of range for variable {vid} ({dim} states)")
     entries, fids = np.empty(len(w.ids), dtype=object), np.array(w.ids, dtype=np.intp)  # entries by factor id
     for shape, pos, stack in w.groups:
         ids = fids[pos]

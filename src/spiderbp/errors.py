@@ -42,10 +42,10 @@ class ZeroMessageError(SpiderBPError):
 
 
 class ContradictionError(SpiderBPError):
-    """A run was cut short because a message lost all support.
+    """A normalized message lost all support.
 
-    Raised internally when a normalized run cannot continue; surfaced to
-    users as a flag on the run result rather than an exception.
+    Raised only by the per-wire reference rules of ``spiderbp.engine``; a run
+    reports dead support on its state and result instead (``dead_wire``).
     """
 
     def __init__(self, wire, message=None):

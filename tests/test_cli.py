@@ -623,7 +623,7 @@ class TestResultDocument:
         # the only factor is all zero, so either schedule ends contradicted
         # with an inf residual, which JSON (RFC 8259) cannot spell
         doc = {"variables": [{"id": 0, "dim": 2}], "factors": [{"id": 0, "neighbors": [0], "values": [0.0, 0.0]}]}
-        code, out, _ = run_cli(capsys, "run", "--schedule", schedule, "--input", write(tmp_path, doc))
+        code, out, err = run_cli(capsys, "run", "--schedule", schedule, "--input", write(tmp_path, doc))
 
         def reject(literal):
             raise ValueError(f"{literal} is not JSON")
@@ -631,8 +631,11 @@ class TestResultDocument:
         parsed = json.loads(out, parse_constant=reject)
         assert code == 4
         assert (parsed["converged"], parsed["residual"]) == (False, None)
-        if schedule == "tree":  # a tree run completes: the belief is the dead message itself
-            assert parsed["beliefs"][0]["values"] == [0.0, 0.0]
+        # either run keeps the dead message: the belief is the zeros themselves
+        assert parsed["beliefs"][0]["values"] == [0.0, 0.0]
+        other = "sync" if schedule == "tree" else "tree"
+        # the same document and the same dead wire on stderr
+        assert run_cli(capsys, "run", "--schedule", other, "--input", write(tmp_path, doc)) == (code, out, err)
 
     @pytest.mark.parametrize("schedule", ["tree", "sync"])
     def test_a_model_without_nodes(self, tmp_path, capsys, schedule):

@@ -332,6 +332,27 @@ class TestFixedPointContract:
             again = sweep_synchronous(g, result.state, cfg)
             assert again.residual <= cfg.tol
 
+    def test_a_certified_state_keeps_its_residual(self):
+        # tol is the last nonzero residual of a tree run, so the sweep after
+        # the one it certifies changes no message: the run keeps the
+        # certified state, with its own residual and sweep count
+        rng, checked = np.random.default_rng(42), 0
+        for _ in range(10):
+            g = random_tree(rng, "prob")
+            state, residuals = init_messages(g, RunConfig()), [math.inf]
+            while residuals[-1] > 0.0 and len(residuals) < 50:
+                state = sweep_synchronous(g, state, RunConfig())
+                residuals.append(state.residual)
+            assert residuals[-1] == 0.0  # a tree reaches its fixed point exactly
+            if len(residuals) < 3:
+                continue
+            checked += 1
+            result = run_bp(g, RunConfig(tol=residuals[-2]))
+            assert result.converged and result.residual > 0.0
+            assert result.state.iteration == result.iterations
+            assert result.residual == residuals[result.iterations]
+        assert checked >= 5
+
 
 class TestContradictions:
     def dead_graph(self):
@@ -470,6 +491,26 @@ class TestEvaluateAssignment:
         assert repr(v) == {
             "prob": "9.0", "maxtimes": "9.0", "count": "126", "bool": "True", "dual": repr(DualNumber(9.0, 3.0)),
         }[name]
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ({0: 1, 1: -1}, "state -1 out of range for variable 1 (3 states)"),
+            ({0: 1, 1: 3}, "state 3 out of range for variable 1 (3 states)"),
+            ({0: 1, 1: 2**70}, f"state {2**70} out of range for variable 1 (3 states)"),
+            ({0: True, 1: 0}, "variable 0's state must be an integer, got True"),
+            ({0: np.bool_(True), 1: 0}, "variable 0's state must be an integer, got np.True_"),
+            ({0: 1.0, 1: 0}, "variable 0's state must be an integer, got 1.0"),
+            ({0: 1}, "variable 1's state must be an integer, got None"),
+        ],
+    )
+    def test_a_bad_or_missing_state_is_named(self, assignment, message):
+        g = build_graph([2, 3], [((0, 1), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), ((1,), [1.0, 2.0, 3.0])], "prob")
+        with pytest.raises(ValidationError) as err:
+            evaluate_assignment(g, assignment)
+        assert str(err.value) == message
+        # numpy integers of any width are states
+        assert evaluate_assignment(g, {0: np.int8(1), 1: np.uint64(2)}) == 6.0 * 3.0
 
 
 class TestDualSeed:
@@ -826,7 +867,7 @@ class TestTheGraphOwnsItsSemiring:
                 call()
         # naming the graph's own semiring is the same as naming none
         named = RunConfig(semiring=name, schedule=schedule, normalize=False)
-        z = [contraction_from_state(g, run_two_pass(g, c)[0]) for c in (named, own)]
+        z = [contraction_from_state(g, run_two_pass(g, c)) for c in (named, own)]
         assert repr(z[0]) == repr(z[1])
 
     def test_damping_needs_a_prob_graph(self):

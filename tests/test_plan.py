@@ -76,6 +76,7 @@ class DictState:
     factor_to_var: dict
     iteration: int = 0
     residual: float = math.inf
+    dead_wire: tuple = None
 
 
 def unpack(g, state):
@@ -90,14 +91,32 @@ def unpack(g, state):
         obj = g.variable(vid).obj
         var_to_factor[(vid, fid, axis)] = Message(obj, v2f[d][r])
         factor_to_var[(fid, axis)] = Message(obj, f2v[d][r])
-    return DictState(var_to_factor, factor_to_var, state.iteration, state.residual)
+    return DictState(var_to_factor, factor_to_var, state.iteration, state.residual, state.dead_wire)
 
 
 def reference_sweep(g, state, cfg):
-    """One sync sweep, one wire at a time, every v2f before every f2v."""
+    """One sync sweep, one wire at a time, every v2f before every f2v.
+
+    An update whose support dies is recomputed unnormalized and kept. A
+    sweep with such a wire is not damped: it ends with residual inf, the
+    first of them (in update order) its ``dead_wire``."""
     semiring = get_semiring(g.semiring)
-    new_v2f, new_f2v = {}, {}
-    residual = 0.0
+    dead = []
+
+    def updated(update, *args):
+        try:
+            return update(g, state, cfg, *args)
+        except ContradictionError as err:
+            dead.append(err.wire)
+            return update(g, state, replace(cfg, normalize=False), *args)
+
+    new_v2f = {}
+    for fid, axis in g.wires:
+        vid = g.factor(fid).neighbors[axis]
+        new_v2f[(vid, fid, axis)] = updated(update_variable_message, vid, (fid, axis))
+    new_f2v = {(fid, axis): updated(update_factor_message, fid, axis) for fid, axis in g.wires}
+    if dead:
+        return DictState(new_v2f, new_f2v, state.iteration + 1, math.inf, dead[0])
 
     def damped(msg, old):
         if cfg.damping == 0.0:
@@ -109,17 +128,11 @@ def reference_sweep(g, state, cfg):
         pairs = zip(msg.values.tolist(), old.values.tolist())
         return max((semiring.distance(x, y) for x, y in pairs), default=0.0)
 
-    for fid, axis in g.wires:
-        vid = g.factor(fid).neighbors[axis]
-        old = state.var_to_factor[(vid, fid, axis)]
-        msg = damped(update_variable_message(g, state, cfg, vid, (fid, axis)), old)
-        new_v2f[(vid, fid, axis)] = msg
-        residual = max(residual, gap(msg, old))
-    for fid, axis in g.wires:
-        old = state.factor_to_var[(fid, axis)]
-        msg = damped(update_factor_message(g, state, cfg, fid, axis), old)
-        new_f2v[(fid, axis)] = msg
-        residual = max(residual, gap(msg, old))
+    residual = 0.0
+    for new, olds in ((new_v2f, state.var_to_factor), (new_f2v, state.factor_to_var)):
+        for key, msg in new.items():
+            new[key] = msg = damped(msg, olds[key])
+            residual = max(residual, gap(msg, olds[key]))
     return DictState(new_v2f, new_f2v, state.iteration + 1, residual)
 
 
@@ -130,7 +143,10 @@ def reference_variable_beliefs(g, state, cfg):
         incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
         values = hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
         if cfg.normalize and semiring.has_normalize:
-            values = semiring.normalize(values)
+            try:
+                values = semiring.normalize(values)
+            except ZeroMessageError:
+                pass  # a dead belief is reported as it is
         out[v.id] = values
     return out
 
@@ -148,6 +164,7 @@ def assert_same_state(g, got, want):
     got = unpack(g, got)
     assert got.iteration == want.iteration
     assert repr(got.residual) == repr(want.residual)
+    assert got.dead_wire == want.dead_wire
     assert list(got.var_to_factor) == list(want.var_to_factor)
     assert list(got.factor_to_var) == list(want.factor_to_var)
     for key, msg in want.var_to_factor.items():
@@ -276,14 +293,21 @@ class TestBitIdentity:
         assert result.factor_beliefs[4].data.tolist() == [1.5]
 
 
+def dead_loopy(rng, name="prob"):
+    """A random loopy graph with about half of its table entries zeroed, so
+    support may die in any sweep."""
+    g = random_loopy(rng, name)
+    factors = [(f.neighbors, [x * (rng.random() > 0.45) for x in f.tensor.data.tolist()]) for f in g.factors]
+    return build_graph([v.dim for v in g.variables], factors, name)
+
+
 class TestContradictions:
     def reference_wire(self, g, cfg):
         state = unpack(g, init_messages(g, cfg))
-        try:
-            for _ in range(cfg.max_iters):
-                state = reference_sweep(g, state, cfg)
-        except ContradictionError as err:
-            return err.wire
+        for _ in range(cfg.max_iters):
+            state = reference_sweep(g, state, cfg)
+            if state.dead_wire is not None:
+                return state.dead_wire
         return None
 
     @pytest.mark.parametrize("name", ["prob", "maxtimes"])
@@ -299,10 +323,31 @@ class TestContradictions:
         assert result.contradiction
         assert result.contradiction_wire == want
 
+    @pytest.mark.parametrize("name, damping", [("prob", 0.0), ("prob", 0.3), ("maxtimes", 0.0)])
+    def test_the_dead_sweep_keeps_the_reference_messages(self, name, damping):
+        """A run that meets dead support ends on that sweep, its messages
+        (live ones rescaled, dead ones undivided, none damped), residual
+        and dead wire bit for bit those of the per-wire reference."""
+        rng, sweeps = np.random.default_rng(312), []
+        for _ in range(16):
+            g = dead_loopy(rng, name)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = check_against_reference(g, RunConfig(damping=damping, max_iters=50))
+            if result.contradiction and result.state.dead_wire is not None:
+                assert result.iterations == result.state.iteration and not result.converged
+                assert result.contradiction_wire == result.state.dead_wire
+                sweeps.append(result.iterations)
+        # a damped message keeps the old one's support, so support dies in
+        # sweep 1 or never; undamped, it dies in several sweeps
+        assert sweeps and (damping or len(set(sweeps)) > 1), sweeps
+
     def test_first_dead_wire_in_wire_order(self):
+        # support dies in sweep 2, which the run counts and keeps
         result = run_bp(late_dead_graph(), RunConfig())
-        assert result.contradiction_wire == ("v2f", 2, 0)
-        assert result.iterations == 1
+        assert result.contradiction_wire == result.state.dead_wire == ("v2f", 2, 0)
+        assert result.iterations == result.state.iteration == 2
+        assert result.residual == math.inf and not result.converged
 
     @pytest.mark.parametrize("name", ["prob", "maxtimes"])
     def test_a_v2f_and_an_f2v_of_two_dims_dying_in_one_sweep(self, name):
@@ -330,16 +375,15 @@ class TestContradictions:
         start = engine.MessageState(plan, arrays, start.iteration)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ContradictionError) as want:
-                reference_sweep(g, unpack(g, start), cfg)
-            with pytest.raises(ContradictionError) as got:
-                sweep_synchronous(g, start, cfg)
-        assert want.value.wire == got.value.wire == ("v2f", 3, 0)
+            want = reference_sweep(g, unpack(g, start), cfg)
+            got = sweep_synchronous(g, start, cfg)
+        assert want.dead_wire == got.dead_wire == ("v2f", 3, 0)
+        assert_same_state(g, got, want)
         # both die: with the f2v message on (2, 0) made the unit, (3, 0) lives
         arrays[2][:, plan.f2v_col[plan.start[2]]] = 1.0
-        with pytest.raises(ContradictionError) as got:
-            sweep_synchronous(g, start, cfg)
-        assert got.value.wire == ("f2v", 5, 1)
+        got = sweep_synchronous(g, start, cfg)
+        assert got.dead_wire == ("f2v", 5, 1)
+        assert_same_state(g, got, reference_sweep(g, unpack(g, start), cfg))
 
     @pytest.mark.parametrize("name", ["prob", "maxtimes"])
     def test_wires_whose_columns_come_in_another_order(self, name):
@@ -354,12 +398,12 @@ class TestContradictions:
         assert plan.f2v_col[plan.start[2]] < plan.f2v_col[plan.start[2] + 1] < plan.f2v_col[plan.start[1]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ContradictionError) as want:
-                reference_sweep(g, unpack(g, start), cfg)
-            with pytest.raises(ContradictionError) as got:
-                sweep_synchronous(g, start, cfg)
+            want = reference_sweep(g, unpack(g, start), cfg)
+            got = sweep_synchronous(g, start, cfg)
             result = run_bp(g, cfg)
-        assert want.value.wire == got.value.wire == result.contradiction_wire == ("f2v", 1, 0)
+        assert want.dead_wire == got.dead_wire == result.contradiction_wire == ("f2v", 1, 0)
+        assert_same_state(g, got, want)
+        assert_same_state(g, result.state, want)
 
 
 # -- observability ----------------------------------------------------------------
@@ -432,8 +476,9 @@ class TestCliClosesItsOwnState:
 def reference_two_pass(g, cfg):
     """The per-wire two-pass run: ``two_pass_schedule`` order, one update at a
     time. A message whose support dies is recomputed unnormalized and kept,
-    and the run reports the dead wire of lowest ``_wire_levels`` level,
-    every v2f before every f2v in ``g.wires`` order within it."""
+    and the state's ``dead_wire`` is the dead wire of lowest
+    ``_wire_levels`` level, every v2f before every f2v in ``g.wires`` order
+    within it."""
     start = unpack(g, init_messages(g, cfg))
     v2f, f2v = start.var_to_factor, start.factor_to_var
     working = DictState(v2f, f2v)
@@ -455,8 +500,8 @@ def reference_two_pass(g, cfg):
             k, i = int(kind == "f2v"), position[(fid, axis)]
             dead.append((levels[k][i], k, i, err.wire))
     if dead:
-        return DictState(v2f, f2v, 1, math.inf), min(dead)[3]
-    return DictState(v2f, f2v, 1, 0.0), None
+        return DictState(v2f, f2v, 1, math.inf, min(dead)[3])
+    return DictState(v2f, f2v, 1, 0.0)
 
 
 def reference_tensor_belief(semiring, tensor, msgs):
@@ -528,12 +573,12 @@ def reference_map(g, state, semiring):
 def check_tree_against_reference(g, cfg):
     """A tree run on the plan against the per-wire two-pass, bit for bit."""
     semiring = get_semiring(g.semiring)
-    want, want_wire = reference_two_pass(g, cfg)
+    want = reference_two_pass(g, cfg)
     result = run_bp(g, replace(cfg, schedule="tree"))
-    if want_wire is None:
+    if want.dead_wire is None:
         assert result.converged and result.residual == 0.0
     else:
-        assert result.contradiction and result.contradiction_wire == want_wire
+        assert result.contradiction and result.contradiction_wire == want.dead_wire
         assert result.residual == math.inf and not result.converged
     assert_same_state(g, result.state, want)
     var_b, fac_b = reference_beliefs(g, want, cfg)
@@ -779,14 +824,14 @@ class TestMergedOrientations:
     @pytest.mark.parametrize("zeroed", [0, 1, 2, 3])
     def test_zeroed_tables_halt_at_the_reference_wire(self, name, zeroed):
         # the tree run completes and reports the lowest-level dead wire, the
-        # sync run halts at the per-wire sweep's first dead wire
+        # sync run ends on the per-wire sweep that finds its first dead wire
         g = merged_orientations(np.random.default_rng(332), name, zeroed)
         cfg = RunConfig(semiring=name, max_iters=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert check_tree_against_reference(g, cfg).contradiction
             want = TestContradictions().reference_wire(g, cfg)
-            result = run_bp(g, cfg)
+            result = check_against_reference(g, cfg)
         assert want is not None
         assert result.contradiction and result.contradiction_wire == want
 

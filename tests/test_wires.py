@@ -115,14 +115,16 @@ def test_an_assignment_multiplies_its_entries_in_factor_id_order(name):
         assert repr(evaluate_assignment(parse_native(text)[0], assignment)) == repr(want)
 
 
-def test_the_zero_wire_is_the_first_dead_belief_in_variable_order():
+@pytest.mark.parametrize("name", ["prob", "bool"])
+def test_the_zero_wire_is_the_first_dead_belief_in_variable_order(name):
     # variables 2 and 0 each read [1, 0] and [0, 1]: every message lives, and
     # their beliefs die; the document lists variable 2 first
-    tables = [(0, [1.0, 0.0]), (0, [0.0, 1.0]), (1, [1.0, 1.0]), (2, [1.0, 0.0]), (2, [0.0, 1.0])]
+    tables = [(0, [1, 0]), (0, [0, 1]), (1, [1, 1]), (2, [1, 0]), (2, [0, 1])]
+    cast = bool if name == "bool" else float
     g = parse_native(json.dumps({
         "variables": [{"id": v, "dim": 2} for v in (2, 1, 0)],
-        "factors": [{"id": k, "neighbors": [v], "values": t} for k, (v, t) in enumerate(tables)],
-    }))[0]
+        "factors": [{"id": k, "neighbors": [v], "values": list(map(cast, t))} for k, (v, t) in enumerate(tables)],
+    }), name)[0]
     for schedule in ("sync", "tree"):
         result = run_bp(g, RunConfig(schedule=schedule))
         assert result.contradiction and result.contradiction_wire == ("belief", 2), schedule
