@@ -17,7 +17,7 @@ def show(tag, g):
     result = run_bp(g, RunConfig(schedule="tree"))
     print(f"{tag}: contradiction={result.contradiction}", end="")
     if result.contradiction:
-        print(f" (first dead aggregate at {result.contradiction_wire})")
+        print(f" (first wiped-out domain: {result.contradiction_wire})")
     else:
         print()
     for v in g.variables:

@@ -15,7 +15,7 @@ Exit codes:
    2  parse or validation failure (including non-tree input to
       tree-only operations)
    3  schedule finished without converging
-   4  contradiction: some wire carries an all-zero message
+   4  contradiction: an all-zero message or belief (dead support)
    5  a size cap was exceeded (tensor, oracle, or clique)
 ====  =========================================================
 """
@@ -214,7 +214,7 @@ def _run_failure(result):
     """A failed run's diagnostic and exit code; None for a run that
     converged without a contradiction."""
     if result.contradiction:
-        _diag("error", "contradiction: an all-zero message was produced",
+        _diag("error", "contradiction: an all-zero message or belief was produced",
               wire=list(result.contradiction_wire) if result.contradiction_wire else None)
         return EXIT_CONTRADICTION
     if not result.converged:

@@ -401,19 +401,20 @@ class _Plan:
             arr[...] = unit[:, None]
         return arrays
 
-    def _dead_wires(self, g, gone):
-        """The wires of dead columns, as (kind, factor id, axis): every v2f
-        before every f2v, each in ``g.wires`` order, whatever their columns.
+    def _dead_wire(self, g, gone):
+        """The first wire of a dead column, as (kind, factor id, axis): every
+        v2f before every f2v, each in ``g.wires`` order, whatever their columns.
 
         ``gone`` holds (dim, out columns, dead-column mask) entries, as
-        ``_execute`` returns them; ``out`` is a slice, ``slice(None)`` for
-        every column of the dim.
+        ``_execute`` returns them, at least one column dead; ``out`` is a
+        slice, ``slice(None)`` for every column of the dim.
         """
         hits = []  # (0 for v2f or 1 for f2v, g.wires index)
         for d, out, dead in gone:
             cols = np.arange(2 * self.dims[d])[out][dead]
             hits += zip((cols >= self.dims[d]).tolist(), self.col_wire[d][cols].tolist())
-        return [(("v2f", "f2v")[kind],) + g.wires[pos] for kind, pos in sorted(hits)]
+        kind, pos = min(hits)
+        return ("v2f", "f2v")[kind], *g.wires[pos]
 
     # -- the update programs -----------------------------------------------------
 
@@ -541,7 +542,7 @@ class _Plan:
         if cfg.normalize and semiring.has_normalize:
             gone = [(d, slice(None), dead) for d, a in new.items() if (dead := semiring._normalize_columns(a)) is not None]
             if gone:
-                return new, math.inf, self._dead_wires(g, gone)[0]
+                return new, math.inf, self._dead_wire(g, gone)
         if cfg.damping != 0.0:
             lam = cfg.damping
             for d, old in arrays.items():
@@ -567,10 +568,10 @@ class _Plan:
         """
         if self._tree_program is None:
             raise NotATreeError("two-pass scheduling needs a cycle-free graph without repeated wires")
-        arrays = self.initial(cfg)
+        arrays = self._empty()  # an op reads lower levels only, so no column is read unwritten
         normalize = cfg.normalize and self.semiring.has_normalize
         gone = self._execute(self._tree_program, arrays, arrays, normalize)
-        return arrays, self._dead_wires(g, gone)[0] if gone else None
+        return arrays, self._dead_wire(g, gone) if gone else None
 
     # -- reading a state -------------------------------------------------------
 
@@ -627,13 +628,6 @@ class _Plan:
         index = np.unravel_index(entry, shape)
         terms = [arrays[d].item(i, col) for d, col, i in zip(shape, self.v2f_col[wires].tolist(), index)]
         return reduce(self.semiring.mul, terms) if terms else self.semiring.one
-
-    def first_zero_wire(self, g, arrays):
-        """First all-zero message, every v2f in wire order before every f2v."""
-        dead_wires = self._dead_wires(g, [
-            (d, slice(None), (cols == self.semiring.zero).all(axis=0)) for d, cols in arrays.items()
-        ])
-        return dead_wires[0] if dead_wires else None
 
 
 def _plan_and_arrays(g, state):
@@ -739,12 +733,13 @@ def run_bp(g, cfg):
     messages grow without bound around a cycle, so count under ``sync``
     needs a cycle-free graph (ValidationError otherwise).
 
-    A normalized run that hits an all-zero aggregate flags ``contradiction``
-    with the state's ``dead_wire``, where support died: a sync run ends on
-    the sweep that finds it, a tree run completes; either keeps dead
-    messages undivided. Boolean runs never normalize, so they complete even
-    when support dies; they flag ``contradiction`` with the first dead wire
-    and their all-false beliefs are exact.
+    A run that meets dead support flags ``contradiction`` and names it as
+    ``beliefs`` does: the state's ``dead_wire``, where a normalized run's
+    support died (a sync run ends on that sweep, a tree run completes),
+    else the first dead belief in ``g.variables`` order, ``("belief", v)``.
+    Boolean runs never normalize: they complete and name the first wiped-out
+    domain (messages only lose true entries, so an all-false message leaves
+    an all-false belief), and their all-false beliefs are exact.
 
     The run builds variable beliefs only; the result computes its factor
     beliefs from its state on first read.
@@ -762,13 +757,7 @@ def run_bp(g, cfg):
     else:
         state, converged, iterations = _run_sync(g, cfg)
     var_b, zero_wire = state._plan.variable_beliefs(state._arrays, cfg)
-    wire = state.dead_wire
-    if wire is None and semiring.name == "bool":
-        # dead support can hide in a belief even when every wire message
-        # still has a true entry, so scan both
-        wire = state._plan.first_zero_wire(g, state._arrays)
-    if wire is None:
-        wire = zero_wire
+    wire = state.dead_wire or zero_wire
     return BPResult(
         state,
         converged=converged,
@@ -936,19 +925,19 @@ def dual_seed(g, factor_id, entry_index):
 
 def evaluate_assignment(g, assignment):
     """Product of all factor entries at one full assignment, in the graph's
-    semiring, as a Python scalar (as ``contraction_value``). Each variable
-    on a factor needs a state, a Python or numpy integer (not a bool) below
-    its dim; a ValidationError names the first missing or bad one."""
-    semiring, w = get_semiring(g.semiring), g._wires
-    given, dims, states = list(map(assignment.get, w.var.tolist())), g._dims[w.var], None
+    semiring, as a Python scalar (as ``contraction_value``). Every variable
+    needs a state, a Python or numpy integer (not a bool) below its dim; a
+    ValidationError names the first missing or bad one by id."""
+    semiring, w, dims = get_semiring(g.semiring), g._wires, g._dims
+    given, states = list(map(assignment.get, range(len(dims)))), None
     if all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, given))):
         with suppress(OverflowError):  # a state past intp is out of range
             states = np.fromiter(given, np.intp, len(given))
     if states is None or ((states < 0) | (states >= dims)).any():
-        for vid, state, dim in zip(w.var.tolist(), given, dims.tolist()):
+        for vid, (state, dim) in enumerate(zip(given, dims.tolist())):
             _check_index(state, dim, f"variable {vid}'s state", f"state {state!r} out of range for variable {vid} ({dim} states)")
     entries, fids = np.empty(len(w.ids), dtype=object), np.array(w.ids, dtype=np.intp)  # entries by factor id
     for shape, pos, stack in w.groups:
         ids = fids[pos]
-        entries[ids] = stack[(np.arange(len(ids)), *(states[w.start[ids] + a] for a in range(len(shape))))]
+        entries[ids] = stack[(np.arange(len(ids)), *(states[w.var[w.start[ids] + a]] for a in range(len(shape))))]
     return reduce(semiring.mul, entries.tolist(), semiring.one)

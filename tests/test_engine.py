@@ -41,7 +41,16 @@ from spiderbp.engine import (
     two_pass_schedule,
 )
 
-from fixtures import brute_force_count, node_between, random_forest, random_loopy, random_tree, random_tree_csp, relabel
+from fixtures import (
+    brute_force_count,
+    node_between,
+    random_forest,
+    random_loopy,
+    random_tree,
+    random_tree_csp,
+    relabel,
+    wire_messages,
+)
 from test_plan import same_bits, unpack
 
 
@@ -395,6 +404,56 @@ class TestContradictions:
         assert result.converged and not result.contradiction
         assert result.variable_beliefs[0].values.tolist() == [False, True]
 
+    @staticmethod
+    def seeded_models(rng, name):
+        """(graph, is a tree) for the fixtures' trees, forests and loopy
+        graphs of ``name``, each as drawn and with about half of its entries
+        zeroed, so support may die; dual lifts prob ones, count stays on trees."""
+        base = "prob" if name == "dual" else name
+        for _ in range(4):
+            models = [(random_tree(rng, base), True), (random_forest(rng, base), True)]
+            if name != "count":  # count under sync needs a cycle-free graph
+                models.append((random_loopy(rng, base), False))
+            for g, tree in models:
+                zeroed = [(f.neighbors, [type(x)(0) if rng.random() < 0.45 else x for x in f.tensor.data.tolist()]) for f in g.factors]
+                for h in (g, build_graph([v.dim for v in g.variables], zeroed, base)):
+                    if name == "dual":
+                        f = h.factors[int(rng.integers(len(h.factors)))]
+                        h = dual_seed(h, f.id, int(rng.integers(f.tensor.size)))
+                    yield h, tree
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_one_rule_names_dead_support(self, name):
+        """Every run names dead support as ``beliefs`` does: the state's
+        dead wire, else the first dead belief. A bool run flags exactly the
+        runs with an all-false message or belief."""
+        rng, named = np.random.default_rng(2901), 0
+        for g, tree in self.seeded_models(rng, name):
+            for schedule in ("sync", "tree") if tree else ("sync",):
+                for normalize in (True, False):
+                    # few enough sweeps that unnormalized loopy messages stay finite
+                    cfg = RunConfig(schedule=schedule, normalize=normalize, max_iters=30 if normalize or tree else 8)
+                    result = run_bp(g, cfg)
+                    wire = result.state.dead_wire or beliefs(g, result.state, cfg)[2]
+                    assert result.contradiction_wire == wire and result.contradiction == (wire is not None)
+                    named += wire is not None
+                    if name == "bool":
+                        columns = [a for arrays in wire_messages(result.state) for a in arrays.values()]
+                        dead = any((~a.any(axis=1)).any() for a in columns)
+                        dead |= any(not b.values.any() for b in result.variable_beliefs.values())
+                        assert result.contradiction == dead
+        assert named or name == "count", name  # count never rescales: it names no dead support
+
+    def test_a_wiped_out_domain_is_named_in_variable_order(self):
+        # the chain v0 - v1 - v2 - v3 of all-true pairs, v3's unary all-false:
+        # every domain is wiped out, v0 first
+        pair = [True] * 4
+        g = build_graph([2, 2, 2, 2], [((0, 1), pair), ((1, 2), pair), ((2, 3), pair), ((3,), [False, False])], BOOL)
+        for schedule in ("sync", "tree"):
+            result = run_bp(g, RunConfig(schedule=schedule))
+            assert result.contradiction and result.converged, schedule
+            assert result.contradiction_wire == beliefs(g, result.state, RunConfig())[2] == ("belief", 0), schedule
+
 
 class TestContractionValue:
     def test_equality_pair_count(self):
@@ -511,6 +570,20 @@ class TestEvaluateAssignment:
         assert str(err.value) == message
         # numpy integers of any width are states
         assert evaluate_assignment(g, {0: np.int8(1), 1: np.uint64(2)}) == 6.0 * 3.0
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ({0: 1, 1: -5}, "state -5 out of range for variable 1 (3 states)"),
+            ({0: 1}, "variable 1's state must be an integer, got None"),
+        ],
+    )
+    def test_a_variable_on_no_factor_needs_a_state_too(self, assignment, message):
+        g = build_graph([2, 3], [((0,), [1.0, 2.0])], "prob")
+        with pytest.raises(ValidationError) as err:
+            evaluate_assignment(g, assignment)
+        assert str(err.value) == message
+        assert evaluate_assignment(g, {0: 1, 1: 2}) == 2.0
 
 
 class TestDualSeed:

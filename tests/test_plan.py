@@ -924,6 +924,24 @@ class TestSyncProgramWritesEveryRowOnce:
         z = contraction_value(g)
         assert type(z) is type(semiring.one) and z == semiring.one
 
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_the_two_pass_writes_every_column_before_any_op_reads_it(self, name):
+        """Run into a store of zeros and into one of ones, the two-pass
+        program writes the same bits, those of ``run_two_pass``, which starts
+        from an unfilled store: no column keeps or feeds its fill."""
+        rng, semiring = np.random.default_rng(352), get_semiring(name)
+        base = "prob" if name == "dual" else name
+        graphs = [random_tree(rng, base) for _ in range(3)] + [random_forest(rng, base) for _ in range(3)]
+        if name == "dual":
+            graphs = [dual_seed(g, 0, 0) for g in graphs]
+        for g in graphs + [build_graph([2, 3], [((), [semiring.one])], name), build_graph([], [], name)]:
+            plan, cfg = engine._plan_of(g), RunConfig(schedule="tree", normalize=False)
+            want = run_two_pass(g, cfg)._arrays
+            for fill in (semiring.zero, semiring.one):
+                arrays = {d: np.full_like(a, fill) for d, a in want.items()}
+                plan._execute(plan._tree_program, arrays, arrays)
+                assert all(same_bits(arrays[d], a) for d, a in want.items()), (name, fill)
+
 
 def two_dims(rng):
     """A loopy graph over dims 3, 2 and 3, with a dim-2 wire first."""
