@@ -29,19 +29,22 @@ only, so a parsed graph run through these builds no node.
 Messages are stored dim-major: one ``(dim, 2 * wires)`` array per dim,
 the v2f messages of its wires in columns [0, wires) and their f2v messages
 in [wires, 2 * wires); a ``MessageState`` holds nothing but these arrays.
-Variables are grouped by (dim, degree), and every tensor is stacked once
-per out wire, transposed so that wire is last; tensors that agree in this
-oriented shape share a stack. Each spider group and each stack owns one
-block of columns, its out wires, and both schedules share this one column
-order. An update program is a list of levels of batched ops, each writing
-one slice of its dim's array. A ``sync`` sweep runs one op per block, from
-the old arrays into new ones, then rescales and measures its residual
-once per dim, over both directions at once. ``tree`` gives each directed
-wire a level (1 + the largest level among the messages it reads), keeps
-each block in level order, and runs one op per block and level, in
-place, so every message is computed once from final inputs. Every op
-loops over the wires of a dim, not over the few entries of one message.
-The ops apply the per-wire rules of ``update_variable_message`` and
+Variables are grouped by dim, by degree descending, and every tensor is
+stacked once per out wire, transposed so that wire is last; tensors that
+agree in this oriented shape share a stack. The variables of each dim and
+degree, and each stack, own one block of columns, their out wires, and
+both schedules share this one column order. An update program is a list of
+levels of batched ops, each writing one slice of its dim's array. A
+``sync`` sweep runs one op per stack and one spider op per dim (a ragged
+fold, ``_fold_ragged``, in which each column folds only its own terms;
+variables on one wire send the unit from their own op), from the old
+arrays into new ones, then rescales and measures its residual once per
+dim, over both directions at once. ``tree`` gives each directed wire a
+level (1 + the largest level among the messages it reads), keeps each
+block in level order, and runs one op per block and level, in place, so
+every message is computed once from final inputs. Every op loops over the
+wires of a dim, not over the few entries of one message. The ops apply the
+per-wire rules of ``update_variable_message`` and
 ``update_factor_message`` in the same operation order, so both schedules
 give the per-wire messages bit for bit.
 A run's state is read through ``beliefs``, ``decode_map`` and
@@ -271,6 +274,32 @@ def _fold_mul(semiring, msgs):
     return acc
 
 
+def _fold_ragged(semiring, msgs, ends, into):
+    """Left fold of ``array_mul`` into the first ``ends[0]`` columns of the
+    (dim, columns) ``into``: term k of flat ``msgs`` is an (``ends[k]``, dim)
+    block that multiplies into the first ``ends[k]`` columns (``ends``
+    nonincreasing), so each column folds exactly its own terms, in order."""
+    width, dim = ends[0], len(into)
+    head = msgs[: width * dim].reshape(width, dim)  # the product so far of columns [0, width)
+    at = width * dim
+    for end in ends[1:]:
+        if end < width:  # columns [end, width) have all their terms
+            into[:, end:width] = head[end:].T
+            head, width = head[:end], end
+        head = semiring.array_mul(head, msgs[at : at + end * dim].reshape(end, dim))
+        at += end * dim
+    into[:, :width] = head.T
+
+
+def _ragged(terms, d, n):
+    """``_fold_ragged``'s (flat indices, ends) into dim ``d``'s (d, 2 * ``n``)
+    array for ``terms``, each the f2v columns that term reaches, no more than
+    the term before: term after term, each a (columns, d) block."""
+    rows = 2 * n * np.arange(d)
+    flat = np.concatenate([(cols[:, None] + rows).ravel() for cols in terms]) if terms else np.empty(0, dtype=np.intp)
+    return _frozen(flat), tuple(len(cols) for cols in terms)
+
+
 def _by_level(levels):
     """Stable sort order of ``levels``, then (level, slice) for each run of it."""
     order = np.argsort(levels, kind="stable")
@@ -308,10 +337,10 @@ class _Stack:
         return semiring._fold0(arr if arr.ndim == 3 else arr.reshape(-1, *arr.shape[-2:])) if self.gathers else arr
 
 
-#: variables of one (dim, degree), term-major: ``cols[k, i]`` the f2v column of member
-#: i's k-th incident wire; ``objs`` are the members' wire types and ``slots`` their
-#: places in ``g.variables``
-_SpiderGroup = namedtuple("_SpiderGroup", "dim cols objs slots")
+#: the variables of one dim, by degree descending: ``gather`` and ``ends`` are the ragged
+#: fold (``_fold_ragged``) of each member's incoming f2v messages in incidence order,
+#: ``objs`` the members' wire types and ``slots`` their places in ``g.variables``
+_SpiderGroup = namedtuple("_SpiderGroup", "dim gather ends objs slots")
 
 
 class _Plan:
@@ -323,10 +352,10 @@ class _Plan:
     [wires, 2 * wires), both laid out in the order of the sync program's
     ops (``_levels``). A wire's columns are ``v2f_col[i]`` and
     ``f2v_col[i]`` for its place i in ``g.wires``, and ``col_wire`` maps
-    each column back. Variables are grouped by (dim, degree), term-major:
-    ``cols[k, i]`` is the f2v column of member i's k-th incident wire;
-    factor tensors are stacked by shape. All of it is read off the graph's
-    wire table with array operations, never off its factor nodes.
+    each column back. Variables are grouped by dim, by degree descending,
+    and read through a ragged fold (``_fold_ragged``) of each member's f2v
+    columns; factor tensors are stacked by shape. All of it is read off the
+    graph's wire table with array operations, never off its factor nodes.
 
     Both schedules run update programs compiled once per plan from the same
     blocks (``_levels``), lists of levels of batched ops run by
@@ -338,15 +367,19 @@ class _Plan:
     same map, so each tensor is stacked once per out axis with that axis
     last; one oriented shape (say (3, 2): a (2, 3) table sending on axis 0
     and a (3, 2) table sending on axis 1) is one stack across tensor
-    groups, and a factor op reads a slice of it. A spider op gathers
-    (terms, dim, out columns) with one flat ``take`` and folds its terms,
-    each one contiguous (dim, columns) block; a ``_Stack`` is (other axes
-    ascending..., out dim, members), so a message multiplies in as (dim,
-    1..., members) and the fold of the leading axes adds (out dim, members)
-    blocks. Every product and sum keeps its operands and their order, so
-    messages, residuals and beliefs equal the per-wire results bit for bit.
-    The sync program writes each block with one op; the two-pass program,
-    on a tree, writes each block level by level, in place.
+    groups, and a factor op reads a slice of it. A two-pass spider op
+    gathers (terms, dim, out columns) with one flat ``take`` and folds its
+    terms, each one contiguous (dim, columns) block; a sync spider op
+    gathers a dim's terms of every degree unpadded, term k an (``ends[k]``,
+    dim) block of the columns that have a k-th term, a prefix as the
+    degrees descend. A ``_Stack`` is (other axes ascending..., out dim,
+    members), so a message multiplies in as (dim, 1..., members) and the
+    fold of the leading axes adds (out dim, members) blocks. Every product
+    and sum keeps its operands and their order, so messages, residuals and
+    beliefs equal the per-wire results bit for bit. The sync program writes
+    each stack's block, a dim's spider blocks with terms and its variables
+    on one wire with one op each; the two-pass program, on a tree, writes
+    each block level by level, in place.
 
     A graph keeps its plan (``_plan_of``) and every run of the graph shares
     it, so every array the plan keeps is read-only and runs write only into
@@ -364,26 +397,34 @@ class _Plan:
         # the wires of variable v in incidence order: by_var[cuts[v]:cuts[v + 1]]
         by_var, cuts = _by_variable(w, len(variables))
         degree = np.diff(cuts)
-        # spider groups by (dim, degree), in g.variables order: wires[k, i] is member i's k-th wire
         ids = np.fromiter((v.id for v in variables), np.intp, len(variables))
         objs = [v.obj for v in variables]
         dims = g._dims[ids]
-        key = dims * (len(w.dim) + 1) + degree[ids]  # (dim, degree): no degree passes the wire count
-        _keys, first, group_of = np.unique(key, return_index=True, return_inverse=True)
-        spiders = []
+        # one spider group per dim, by degree descending (stable in g.variables order), as
+        # (dim, start, degree, objs, slots): member i's wires are by_var[start[i]:][:degree[i]]
+        _dims, first, group_of = np.unique(dims, return_index=True, return_inverse=True)
+        spiders, dealt = [], []
         for k in np.argsort(first).tolist():
-            slots = np.flatnonzero(group_of == k).tolist()
-            terms = np.arange(degree[ids[slots[0]]]).reshape(-1, 1)
-            spiders.append((int(dims[slots[0]]), by_var[cuts[ids[slots]] + terms], [objs[i] for i in slots], slots))
+            slots = np.flatnonzero(group_of == k)
+            slots = slots[np.argsort(-degree[ids[slots]], kind="stable")]
+            members = ids[slots]
+            spiders.append((int(dims[slots[0]]), cuts[members], degree[members], [objs[i] for i in slots], slots.tolist()))
+            dealt.append(slots)
+        # variable_beliefs makes each group's messages in its order, then deals them out in g.variables order
+        self._dealt = np.argsort(np.concatenate([ids[:0], *dealt])).tolist()
         # tensor groups by shape, (shape, factor ids, tables, wires): wires[a, i] is member i's wire on axis a
         fids = np.array(w.ids, dtype=np.intp)
         groups = [(shape, fids[pos], stack) for shape, pos, stack in w.groups]
         groups = [(shape, fid, stack, w.start[fid] + np.arange(len(shape))[:, None]) for shape, fid, stack in groups]
-        self._sync_program, self._tree_program = self._levels(g, spiders, groups)
+        self._blocks, self._tree_program = self._levels(g, by_var, spiders, groups)
         self.var_ids = ids.tolist()
-        self.var_groups = [_SpiderGroup(d, _frozen(self.f2v_col[wires]), *rest) for d, wires, *rest in spiders]
         # the f2v columns of variable v's wires in incidence order: incident[cuts[v]:cuts[v + 1]]
         self.incident, self.cuts = _frozen(self.f2v_col[by_var]), _frozen(cuts)
+        self.var_groups = []
+        for d, start, deg, *rest in spiders:
+            ends = np.searchsorted(-deg, -np.arange(deg[0])).tolist()  # the members with a k-th wire
+            gather = _ragged([self.incident[start[:e] + k] for k, e in enumerate(ends)], d, self.dims.get(d, 0))
+            self.var_groups.append(_SpiderGroup(d, *gather, *rest))
         self.factor_groups = [
             _TensorGroup(shape, fid.tolist(), stack, _frozen(self.v2f_col[wires])) for shape, fid, stack, wires in groups
         ]
@@ -435,6 +476,8 @@ class _Plan:
             for d, out, stack, arg in ops:
                 if stack is not None:
                     dst[d][:, out] = stack.contracted(semiring, arg, src)
+                elif type(arg) is tuple:  # (flat indices, ends): one dim's spiders with terms
+                    _fold_ragged(semiring, src[d].ravel()[arg[0]], arg[1], dst[d][:, out])
                 elif len(arg):
                     dst[d][:, out] = _fold_mul(semiring, src[d].take(arg))
                 else:  # a variable on one wire sends the unit
@@ -445,8 +488,8 @@ class _Plan:
                         gone.append((d, out, dead))
         return gone
 
-    def _levels(self, g, spiders, groups):
-        """Lay out each dim's columns in op order; return the (sync program,
+    def _levels(self, g, by_var, spiders, groups):
+        """Lay out each dim's columns in op order; return the (op per block,
         two-pass program) that writes them, the latter None off a tree.
 
         A program is a list of levels of ops (dim, out columns, stack or
@@ -456,15 +499,16 @@ class _Plan:
         op contracts the slice ``argument`` of its ``_Stack``. Each (tensor
         group, out axis) is transposed to its oriented shape (other axes
         ascending, out axis last), members last, and the groups of one
-        oriented shape make one stack. Each spider group, in ``spiders``
-        order, owns a block of the v2f columns [0, wires), and each stack, in
-        order of first appearance, a block of the f2v columns [wires, 2 *
-        wires). On a tree a block's wires are sorted stably by level
-        (``graph._wire_levels``); elsewhere they keep their order. The sync
-        program runs one op per block, the two-pass program one per block
-        and level. Sets the wire -> column maps ``v2f_col`` and ``f2v_col``
-        (by ``g.wires`` index) and ``col_wire``, each dim's ``g.wires``
-        index per column.
+        oriented shape make one stack. The members of each degree of each
+        spider group, in ``spiders`` order, own a block of the v2f columns
+        [0, wires), and each stack, in order of first appearance, a block of
+        the f2v columns [wires, 2 * wires). On a tree a block's wires are
+        sorted stably by level (``graph._wire_levels``); elsewhere they keep
+        their order. Returns one op per block (``_sync_program`` merges a
+        dim's spider blocks into one) and the two-pass program, one op per
+        block and level. Sets the wire -> column maps ``v2f_col`` and
+        ``f2v_col`` (by ``g.wires`` index) and ``col_wire``, each dim's
+        ``g.wires`` index per column.
         """
         n_wires = len(self.wire_dim)
         # a forest has fewer wires than nodes (or none at all), so most loopy graphs need no walk
@@ -494,16 +538,19 @@ class _Plan:
             at, order, runs = block(f2v, shape[-1], 1, wires[-1], f2v_level)
             stack_blocks.append((shape, at, runs, np.concatenate(tensors, axis=-1).take(order, -1), wires[:-1, order]))
         ops = []  # (dim, first column, level runs, stack or None, argument)
-        for d, wires, _objs, _slots in spiders:
-            k = len(wires)
-            if not k:  # an isolated variable sends nothing
-                continue
-            at, order, runs = block(v2f, d, 0, wires.reshape(-1), v2f_level)
-            # the f2v columns each out wire folds: its member's other wires, in incidence order
-            leave_out = np.array([[q for q in range(k) if q != p] for p in range(k)], dtype=np.intp).reshape(k, k - 1)
-            others = f2v[wires[leave_out]].transpose(1, 0, 2).reshape(k - 1, 1, wires.size).take(order, -1)
-            # as flat indices into the (dim, 2 * wires) array: a (terms, dim, out columns) gather
-            ops.append((d, at, runs, None, _frozen(others + 2 * self.dims[d] * np.arange(d).reshape(d, 1))))
+        for d, start, degree, _objs, _slots in spiders:
+            bounds = [0, *(np.flatnonzero(degree[1:] != degree[:-1]) + 1).tolist(), len(degree)]
+            for a, b in zip(bounds, bounds[1:]):  # the members of each degree k: wires[j, i] is member i's j-th wire
+                k = int(degree[a])
+                if not k:  # an isolated variable sends nothing
+                    continue
+                wires = by_var[start[a:b] + np.arange(k).reshape(-1, 1)]
+                at, order, runs = block(v2f, d, 0, wires.reshape(-1), v2f_level)
+                # the f2v columns each out wire folds: its member's other wires, in incidence order
+                leave_out = np.array([[q for q in range(k) if q != p] for p in range(k)], dtype=np.intp).reshape(k, k - 1)
+                others = f2v[wires[leave_out]].transpose(1, 0, 2).reshape(k - 1, 1, wires.size).take(order, -1)
+                # as flat indices into the (dim, 2 * wires) array: a (terms, dim, out columns) gather
+                ops.append((d, at, runs, None, _frozen(others + 2 * self.dims[d] * np.arange(d).reshape(d, 1))))
         for shape, at, runs, tensors, wires in stack_blocks:
             ops.append((shape[-1], at, runs, _Stack(shape, _frozen(tensors), v2f[wires], self.dims), None))
         sync, leveled = [], []
@@ -520,7 +567,23 @@ class _Plan:
         program = [[] for _ in range(1 + max((level for level, _op in leveled), default=-1))]
         for level, op in leveled:
             program[level].append(op)
-        return [sync], program if tree else None
+        return sync, program if tree else None
+
+    @cached_property
+    def _sync_program(self):
+        """``_levels``'s op of each block, but one ragged op per dim for its
+        spider blocks with terms, which come by degree descending; built on
+        the first sweep, as a tree run never sweeps."""
+        ops, spiders = [], {}
+        for d, out, stack, arg in self._blocks:
+            if stack is None and len(arg):
+                spiders.setdefault(d, (out.start, []))[1].append(arg)
+            else:
+                ops.append((d, out, stack, arg))
+        for d, (at, gathers) in spiders.items():
+            terms = [np.concatenate([gather[k, 0] for gather in gathers if len(gather) > k]) for k in range(len(gathers[0]))]
+            ops.append((d, slice(at, at + len(terms[0])), None, _ragged(terms, d, self.dims[d])))
+        return [ops]
 
     # -- one sync sweep ----------------------------------------------------------
 
@@ -583,16 +646,17 @@ class _Plan:
         """
         semiring = self.semiring
         for group in self.var_groups:
-            if len(group.cols):
-                yield group, _fold_mul(semiring, arrays[group.dim].take(group.cols, 1).swapaxes(0, 1))
-            else:
-                yield group, semiring.ones((group.dim, len(group.slots)))
+            values, ends = np.empty((group.dim, len(group.slots)), dtype=semiring.dtype), group.ends
+            if ends:  # not only isolated variables, so the dim has an array
+                _fold_ragged(semiring, arrays[group.dim].ravel()[group.gather], ends, values)
+            values[:, ends[0] if ends else 0 :] = semiring.one  # an isolated variable gets the unit
+            yield group, values
 
     def variable_beliefs(self, arrays, cfg):
         """``beliefs``'s variable beliefs and zero wire, from the f2v messages;
         the wire is the first dead (or all-false) belief in ``g.variables`` order."""
         semiring = self.semiring
-        beliefs, dead_slots = [None] * len(self.var_ids), []
+        made, dead_slots = [], []
         for group, values in self.incoming_products(arrays):
             if cfg.normalize and semiring.has_normalize:
                 dead = semiring._normalize_columns(values)
@@ -600,10 +664,9 @@ class _Plan:
                 dead = ~values.any(axis=0) if semiring.name == "bool" else None
             if dead is not None:
                 dead_slots += [slot for slot, gone in zip(group.slots, dead.tolist()) if gone]
-            for slot, obj, row in zip(group.slots, group.objs, _frozen(values.T.copy())):
-                beliefs[slot] = Message._wrap(obj, row)
+            made += map(Message._wrap, group.objs, _frozen(values.T.copy()))
         zero_wire = ("belief", self.var_ids[min(dead_slots)]) if dead_slots else None
-        return dict(zip(self.var_ids, beliefs)), zero_wire
+        return dict(zip(self.var_ids, map(made.__getitem__, self._dealt))), zero_wire
 
     def factor_beliefs(self, g, arrays):
         """``beliefs``'s factor beliefs, from the v2f messages."""
@@ -927,7 +990,8 @@ def evaluate_assignment(g, assignment):
     """Product of all factor entries at one full assignment, in the graph's
     semiring, as a Python scalar (as ``contraction_value``). Every variable
     needs a state, a Python or numpy integer (not a bool) below its dim; a
-    ValidationError names the first missing or bad one by id."""
+    ValidationError names the first missing or bad one by id, or else the
+    first key that names no variable."""
     semiring, w, dims = get_semiring(g.semiring), g._wires, g._dims
     given, states = list(map(assignment.get, range(len(dims)))), None
     if all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, given))):
@@ -936,6 +1000,10 @@ def evaluate_assignment(g, assignment):
     if states is None or ((states < 0) | (states >= dims)).any():
         for vid, (state, dim) in enumerate(zip(given, dims.tolist())):
             _check_index(state, dim, f"variable {vid}'s state", f"state {state!r} out of range for variable {vid} ({dim} states)")
+    if len(assignment) != len(given):  # every id has a key, so some key names none
+        named = set(range(len(given)))
+        stray = next(key for key in assignment if key not in named)
+        raise ValidationError(f"assignment key {stray!r} names none of the {len(given)} variables")
     entries, fids = np.empty(len(w.ids), dtype=object), np.array(w.ids, dtype=np.intp)  # entries by factor id
     for shape, pos, stack in w.groups:
         ids = fids[pos]

@@ -585,6 +585,26 @@ class TestEvaluateAssignment:
         assert str(err.value) == message
         assert evaluate_assignment(g, {0: 1, 1: 2}) == 2.0
 
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ({0: 1, 1: 2, 7: 99, "x": None}, "assignment key 7 names none of the 2 variables"),
+            ({"x": None, 0: 1, 1: 2}, "assignment key 'x' names none of the 2 variables"),
+            ({0: 1, 1: 2, -1: 0}, "assignment key -1 names none of the 2 variables"),
+            ({0: 1, 1: 2, 2: 0}, "assignment key 2 names none of the 2 variables"),
+            ({0: 1, 7: 2}, "variable 1's state must be an integer, got None"),  # a missing state first
+        ],
+    )
+    def test_a_key_that_names_no_variable_is_named(self, assignment, message):
+        g = build_graph([2, 3], [((0,), [1.0, 2.0])], "prob")
+        with pytest.raises(ValidationError) as err:
+            evaluate_assignment(g, assignment)
+        assert str(err.value) == message
+        # a key equal to an id names that variable, as a dict lookup finds it
+        assert evaluate_assignment(g, {np.int64(0): 1, np.int64(1): 2}) == 2.0
+        with pytest.raises(ValidationError, match="^assignment key 0 names none of the 0 variables$"):
+            evaluate_assignment(build_graph([], [], "prob"), {0: 1})
+
 
 class TestDualSeed:
     def test_seed_lands_on_one_entry(self):
@@ -969,21 +989,25 @@ class TestMessageState:
         cfg = RunConfig()
         plan = engine._Plan(g)
         folds, contractions = [], []
-        fold_mul, contracted = engine._fold_mul, engine._Stack.contracted
+        fold, contracted = engine._fold_ragged, engine._Stack.contracted
 
-        def counted_fold(semiring, msgs):
-            folds.append(msgs.shape)
-            return fold_mul(semiring, msgs)
+        def counted_fold(semiring, msgs, ends, into):
+            folds.append((msgs.shape, ends, into.shape))
+            return fold(semiring, msgs, ends, into)
 
         def counted_contracted(stack, *args):
             contractions.append(stack.shape)
             return contracted(stack, *args)
 
-        monkeypatch.setattr(engine, "_fold_mul", counted_fold)
+        monkeypatch.setattr(engine, "_fold_ragged", counted_fold)
         monkeypatch.setattr(engine._Stack, "contracted", counted_contracted)
         sweep_synchronous(g, init_messages(g, cfg), cfg)
-        # one fold per spider group, term-major: (terms, dim, members)
-        assert len(folds) == sum(len(group.cols) >= 2 for group in plan.var_groups) == 3
+        # one ragged fold for the one dim: 64 interior variables of degree 5, 32 edge ones of
+        # degree 4 and 4 corners of degree 3 send on 320 + 128 + 12 = 460 wires, each folding
+        # all but one of its variable's wires; term k reaches the wires that have a k-th
+        assert [group.dim for group in plan.var_groups] == [2]
+        assert folds == [((2 * (460 + 460 + 448 + 320),), (460, 460, 448, 320), (2, 460))]
+        assert len(plan._sync_program[0]) == 3
         # (2,) fields, and (2, 2) tables sending on both axes in one op
         assert sorted(contractions) == [(2,), (2, 2)]
 

@@ -15,6 +15,7 @@ import sys
 import warnings
 import weakref
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from spiderbp.engine import (
     sweep_synchronous,
     two_pass_schedule,
 )
-from spiderbp.graph import FactorGraph, _wire_levels, components, tree_info
+from spiderbp.graph import FactorGraph, _by_variable, _wire_levels, components, tree_info
 from spiderbp.tensor import hadamard
 from spiderbp import engine
 from spiderbp.cli import EXIT_NOT_CONVERGED, cli_dispatch
@@ -836,6 +837,82 @@ class TestMergedOrientations:
         assert result.contradiction and result.contradiction_wire == want
 
 
+def ragged_degrees(rng, name="prob", loop=False):
+    """Dims 2 and 3 in turn, each on one variable of every degree 0 to 6, in
+    shuffled order: a chain through the variables of degree 1 to 6, the two
+    of degree 1 at its ends, topped up to each degree with unary factors,
+    every factor in shuffled order. With ``loop`` a pairwise factor between
+    two variables of degree 3 or more, in place of a unary of each, closes a
+    cycle."""
+    dims = [2, 3] * 7
+    degree = np.empty(14, dtype=int)
+    degree[0::2], degree[1::2] = rng.permutation(7), rng.permutation(7)
+    first, last = np.flatnonzero(degree == 1).tolist()
+    chain = [first, *rng.permutation(np.flatnonzero(degree >= 2)).tolist(), last]
+    scopes = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(chain, chain[1:])]
+    if loop:
+        scopes.append(tuple(rng.choice(np.flatnonzero(degree >= 3), 2, replace=False).tolist()))
+    on = np.bincount([v for scope in scopes for v in scope], minlength=14)
+    scopes += [(v,) for v in range(14) for _ in range(degree[v] - on[v])]
+    factors = [(scopes[i], table_for(rng, name, math.prod(dims[v] for v in scopes[i]))) for i in rng.permutation(len(scopes))]
+    return build_graph(dims, factors, get_semiring(name))
+
+
+class TestRaggedSpiders:
+    """A dim's variables of every degree share one ragged spider op, and
+    each belief and decoded state one ragged fold per dim."""
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_degrees_zero_to_six_in_one_op_per_dim(self, name, normalize):
+        rng, semiring = np.random.default_rng(360), get_semiring(name)
+        base = "prob" if name == "dual" else name
+        for loop in (False, True) if name != "count" else (False,):  # count syncs on trees only
+            g = ragged_degrees(rng, base, loop)
+            if name == "dual":
+                g = dual_seed(g, int(rng.integers(len(g.factors))), 0)
+            degree = np.diff(_by_variable(g._wires, 14)[1])
+            assert sorted(degree[0::2]) == sorted(degree[1::2]) == list(range(7))
+            plan = engine._plan_of(g)
+            assert [group.dim for group in plan.var_groups] == [2, 3]
+            # one ragged spider op per dim, and one unit op for its variables on one wire
+            spiders = [(op[0], type(op[3]) is tuple) for op in plan._sync_program[0] if op[2] is None]
+            assert spiders == [(2, False), (3, False), (2, True), (3, True)]
+            # unnormalized loopy messages grow every sweep: stop well before overflow
+            cfg = RunConfig(semiring=name, normalize=normalize, max_iters=8 if loop and not normalize else 200)
+            results = [check_against_reference(g, cfg)]
+            if not loop:
+                results.append(check_tree_against_reference(g, cfg))
+            for result in results:
+                state = unpack(g, result.state)
+                got = beliefs(g, result.state, cfg)[0]
+                for vid, values in reference_variable_beliefs(g, state, cfg).items():
+                    assert same_bits(got[vid].values, values), ("belief", vid)
+                if semiring.has_compare:
+                    assert decode_map(g, result.state) == reference_map(g, state, semiring)
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
+    def test_each_column_folds_exactly_its_own_terms(self, name):
+        """Term k, a flat (``ends[k]``, dim) block, multiplies into the first
+        ``ends[k]`` columns, each column its own terms left to right, no
+        other, and no column past ``ends[0]`` is written. Under dual a -0.0
+        eps would turn +0.0 if a column were padded with the unit."""
+        semiring, rng = get_semiring(name), np.random.default_rng(361)
+        for terms in ([4, 4, 3, 1, 1], [2, 2, 2], [1], [3, 1]):  # per column, nonincreasing
+            own = [[[semiring.random_scalar(rng) for _ in range(3)] for _ in range(t)] for t in terms]
+            if name == "dual":
+                own = [[[DualNumber(x.real, -0.0) for x in row] for row in col] for col in own]
+            ends = tuple(sum(t > k for t in terms) for k in range(terms[0]))
+            # term k of each column it reaches, an (ends[k], 3) block, the blocks flat one after another
+            blocks = [np.array([own[j][k] for j in range(end)], dtype=semiring.dtype) for k, end in enumerate(ends)]
+            msgs = np.concatenate([block.ravel() for block in blocks])
+            into = semiring.full((3, len(terms) + 1), semiring.zero)
+            engine._fold_ragged(semiring, msgs, ends, into)
+            for j, col in enumerate(own):
+                assert same_bits(into[:, j], reduce(semiring.array_mul, np.array(col, dtype=semiring.dtype))), (terms, j)
+            assert same_bits(into[:, -1], semiring.full((3,), semiring.zero))
+
+
 def sync_program_graphs(rng):
     """Trees, forests (isolated variables, rank-0 factors), loopy graphs,
     mixed dims with a repeated wire, merged orientations, a graph of one
@@ -845,6 +922,8 @@ def sync_program_graphs(rng):
     yield from (random_loopy(rng) for _ in range(3))
     yield odd_shapes(rng)
     yield merged_orientations(rng)
+    yield ragged_degrees(rng)
+    yield ragged_degrees(rng, loop=True)
     yield build_graph([2, 3], [((), [2.0])], "prob")
     yield build_graph([2], [], "prob")
     yield build_graph([], [], "prob")
@@ -865,17 +944,29 @@ class TestSyncProgramWritesEveryRowOnce:
             assert (tree is None) == (not tree_info(g).is_tree)
             for d, out, _stack, _arg in ops + [op for level in tree or [] for op in level]:
                 assert type(out) is slice and out.step is None and 0 <= out.start < out.stop <= 2 * plan.dims[d]
+            degree = np.diff(_by_variable(g._wires, len(g.variables))[1])[g._wires.var]  # of each wire's variable
             for d, n in plan.dims.items():
-                mine = [op for op in ops if op[0] == d]
+                mine = sorted((op for op in ops if op[0] == d), key=lambda op: op[1].start)
                 slices = [op[1] for op in mine]
                 assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
                 assert slices[-1].stop == 2 * n
+                spiders = [op for op in mine if op[2] is None]
+                # one spider op folds terms, a ragged one, and one sends the unit, at most
+                assert [type(arg) is tuple for _d, _out, _stack, arg in spiders] in ([True, False], [True], [False])
+                assert spiders[-1][1].stop == n
                 for _d, out, stack, arg in mine:
                     # a variable op gathers f2v columns into v2f columns [0, wires), a
                     # factor op writes f2v columns [wires, 2 * wires), its whole stack
-                    if stack is None:
-                        assert out.stop <= n and out.stop - out.start == arg.shape[-1]
-                        assert (arg % (2 * n) >= n).all()
+                    cols = plan.col_wire[d][out]
+                    if stack is None and type(arg) is not tuple:  # a variable on one wire sends the unit
+                        assert arg.shape == (0, d, out.stop - out.start) and (degree[cols] == 1).all()
+                    elif stack is None:
+                        gather, ends = arg
+                        assert out.start == 0 and ends[0] == out.stop and gather.shape == (d * sum(ends),)
+                        assert (gather % (2 * n) >= n).all()
+                        # ragged: the column of a degree-k variable's wire folds k - 1 terms
+                        assert list(ends) == sorted(ends, reverse=True)
+                        assert (np.array(ends)[:, None] > np.arange(ends[0])).sum(0).tolist() == (degree[cols] - 1).tolist()
                     else:
                         assert out.start >= n and arg == slice(0, out.stop - out.start) and stack.tensors.shape[-1] == arg.stop
                 # both wire -> column maps are permutations, and col_wire inverts them
@@ -892,9 +983,12 @@ class TestSyncProgramWritesEveryRowOnce:
                 wires = plan.col_wire[d][cols]
                 return np.where(cols < plan.dims[d], levels[0][wires], levels[1][wires])
 
-            # on a tree each block is in nondecreasing two-pass level order
-            for d, out, _stack, _arg in ops:
-                assert (np.diff(level_of(d, np.arange(out.start, out.stop))) >= 0).all()
+            # on a tree each block is in nondecreasing two-pass level order, a spider
+            # block within each degree, the degrees descending
+            for d, out, stack, _arg in ops:
+                cols = np.arange(out.start, out.stop)
+                steps = np.diff(degree[plan.col_wire[d][cols]]) if stack is None else np.zeros(len(cols) - 1)
+                assert (steps <= 0).all() and (np.diff(level_of(d, cols))[steps == 0] >= 0).all()
             # each two-pass op writes the wires of its level in one sync op's block
             for level, level_ops in enumerate(tree):
                 for d, out, stack, arg in level_ops:
@@ -902,7 +996,22 @@ class TestSyncProgramWritesEveryRowOnce:
                     assert out.stop <= block.stop and twin is stack
                     assert (level_of(d, np.arange(out.start, out.stop)) == level).all()
                     part = slice(out.start - block.start, out.stop - block.start)
-                    assert arg == part if stack is not None else np.array_equal(arg, whole[..., part])
+                    if stack is not None:
+                        assert arg == part
+                        continue
+                    # a spider op folds the sync op's terms of its columns, all alike: (terms, dim, columns)
+                    gather = arg
+                    assert gather.shape[1:] == (d, out.stop - out.start)
+                    assert (degree[plan.col_wire[d][out]] - 1 == len(gather)).all()
+                    if type(whole) is not tuple:  # the unit op's
+                        assert len(gather) == 0
+                        continue
+                    sync_gather, sync_ends = whole
+                    assert len(gather) == sum(e > part.start for e in sync_ends) == sum(e >= part.stop for e in sync_ends)
+                    offsets = d * np.cumsum((0,) + sync_ends)  # the sync op's term k is a flat (ends[k], dim) block
+                    for k, term in enumerate(gather):
+                        block = sync_gather[offsets[k] : offsets[k + 1]].reshape(sync_ends[k], d)
+                        assert np.array_equal(term, block[part].T)
 
     def test_a_graph_without_wires_sweeps(self):
         for g in (build_graph([2, 3], [((), [2.0])], "prob"), build_graph([2], [], "prob")):
