@@ -36,8 +36,8 @@ degree, and each stack, own one block of columns, their out wires, and
 both schedules share this one column order. An update program is a list of
 levels of batched ops, each writing one slice of its dim's array. A
 ``sync`` sweep runs one op per stack and one spider op per dim (a ragged
-fold, ``_fold_ragged``, in which each column folds only its own terms;
-variables on one wire send the unit from their own op), from the old
+fold, ``_fold_ragged``, in which each column folds only its own terms, so
+a variable on one wire folds none and sends the unit), from the old
 arrays into new ones, then rescales and measures its residual once per
 dim, over both directions at once. ``tree`` gives each directed wire a
 level (1 + the largest level among the messages it reads), keeps each
@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -275,11 +276,15 @@ def _fold_mul(semiring, msgs):
 
 
 def _fold_ragged(semiring, msgs, ends, into):
-    """Left fold of ``array_mul`` into the first ``ends[0]`` columns of the
-    (dim, columns) ``into``: term k of flat ``msgs`` is an (``ends[k]``, dim)
-    block that multiplies into the first ``ends[k]`` columns (``ends``
-    nonincreasing), so each column folds exactly its own terms, in order."""
-    width, dim = ends[0], len(into)
+    """Left fold of ``array_mul`` into every column of the (dim, columns)
+    ``into``: term k of flat ``msgs`` is an (``ends[k]``, dim) block that
+    multiplies into the first ``ends[k]`` columns (``ends`` nonincreasing),
+    so each column folds exactly its own terms, in order, and a column
+    past ``ends[0]`` (every column when ``ends`` is empty) gets the unit,
+    the empty product."""
+    width, dim = ends[0] if ends else 0, len(into)
+    if width < into.shape[1]:  # most sync folds have no such column, and an empty slice's write is not free
+        into[:, width:] = semiring.one
     head = msgs[: width * dim].reshape(width, dim)  # the product so far of columns [0, width)
     at = width * dim
     for end in ends[1:]:
@@ -372,14 +377,15 @@ class _Plan:
     terms, each one contiguous (dim, columns) block; a sync spider op
     gathers a dim's terms of every degree unpadded, term k an (``ends[k]``,
     dim) block of the columns that have a k-th term, a prefix as the
-    degrees descend. A ``_Stack`` is (other axes ascending..., out dim,
-    members), so a message multiplies in as (dim, 1..., members) and the
-    fold of the leading axes adds (out dim, members) blocks. Every product
-    and sum keeps its operands and their order, so messages, residuals and
-    beliefs equal the per-wire results bit for bit. The sync program writes
-    each stack's block, a dim's spider blocks with terms and its variables
-    on one wire with one op each; the two-pass program, on a tree, writes
-    each block level by level, in place.
+    degrees descend: a column with no term, a variable on one wire, gets
+    the unit, as in the two-pass's ragged ops. A ``_Stack`` is (other axes
+    ascending..., out dim, members), so a message multiplies in as (dim,
+    1..., members) and the fold of the leading axes adds (out dim, members)
+    blocks. Every product and sum keeps its operands and their order, so
+    messages, residuals and beliefs equal the per-wire results bit for bit.
+    The sync program writes each stack's block and each dim's v2f columns
+    with one op each; the two-pass program, on a tree, writes each block
+    level by level, in place.
 
     A graph keeps its plan (``_plan_of``) and every run of the graph shares
     it, so every array the plan keeps is read-only and runs write only into
@@ -403,15 +409,14 @@ class _Plan:
         # one spider group per dim, by degree descending (stable in g.variables order), as
         # (dim, start, degree, objs, slots): member i's wires are by_var[start[i]:][:degree[i]]
         _dims, first, group_of = np.unique(dims, return_index=True, return_inverse=True)
-        spiders, dealt = [], []
+        spiders = []
         for k in np.argsort(first).tolist():
             slots = np.flatnonzero(group_of == k)
             slots = slots[np.argsort(-degree[ids[slots]], kind="stable")]
             members = ids[slots]
             spiders.append((int(dims[slots[0]]), cuts[members], degree[members], [objs[i] for i in slots], slots.tolist()))
-            dealt.append(slots)
         # variable_beliefs makes each group's messages in its order, then deals them out in g.variables order
-        self._dealt = np.argsort(np.concatenate([ids[:0], *dealt])).tolist()
+        self._dealt = np.argsort([slot for *_, slots in spiders for slot in slots]).tolist()
         # tensor groups by shape, (shape, factor ids, tables, wires): wires[a, i] is member i's wire on axis a
         fids = np.array(w.ids, dtype=np.intp)
         groups = [(shape, fids[pos], stack) for shape, pos, stack in w.groups]
@@ -476,12 +481,10 @@ class _Plan:
             for d, out, stack, arg in ops:
                 if stack is not None:
                     dst[d][:, out] = stack.contracted(semiring, arg, src)
-                elif type(arg) is tuple:  # (flat indices, ends): one dim's spiders with terms
+                elif type(arg) is tuple:  # (flat indices, ends): spiders of one dim, any degrees
                     _fold_ragged(semiring, src[d].ravel()[arg[0]], arg[1], dst[d][:, out])
-                elif len(arg):
+                else:  # (terms, dim, out columns) flat indices: spiders of one degree
                     dst[d][:, out] = _fold_mul(semiring, src[d].take(arg))
-                else:  # a variable on one wire sends the unit
-                    dst[d][:, out] = semiring.one
                 if normalize:
                     dead = semiring._normalize_columns(dst[d][:, out])
                     if dead is not None and first:
@@ -495,20 +498,20 @@ class _Plan:
         A program is a list of levels of ops (dim, out columns, stack or
         None, argument), each writing the slice ``out`` of its dim's array:
         a variable op (stack None) folds the f2v entries of the (terms, dim,
-        out columns) flat index ``argument`` (no terms: the unit), a factor
-        op contracts the slice ``argument`` of its ``_Stack``. Each (tensor
-        group, out axis) is transposed to its oriented shape (other axes
-        ascending, out axis last), members last, and the groups of one
-        oriented shape make one stack. The members of each degree of each
-        spider group, in ``spiders`` order, own a block of the v2f columns
-        [0, wires), and each stack, in order of first appearance, a block of
-        the f2v columns [wires, 2 * wires). On a tree a block's wires are
-        sorted stably by level (``graph._wire_levels``); elsewhere they keep
-        their order. Returns one op per block (``_sync_program`` merges a
-        dim's spider blocks into one) and the two-pass program, one op per
-        block and level. Sets the wire -> column maps ``v2f_col`` and
-        ``f2v_col`` (by ``g.wires`` index) and ``col_wire``, each dim's
-        ``g.wires`` index per column.
+        out columns) flat index ``argument`` (no term: the two-pass runs a
+        ragged op), a factor op contracts the slice ``argument`` of its
+        ``_Stack``. Each (tensor group, out axis) is transposed to its
+        oriented shape (other axes ascending, out axis last), members last,
+        and the groups of one oriented shape make one stack. The members of
+        each degree of each spider group, in ``spiders`` order, own a block
+        of the v2f columns [0, wires), and each stack, in order of first
+        appearance, a block of the f2v columns [wires, 2 * wires). On a tree
+        a block's wires are sorted stably by level (``graph._wire_levels``);
+        elsewhere they keep their order. Returns one op per block
+        (``_sync_program`` merges a dim's spider blocks into one) and the
+        two-pass program, one op per block and level. Sets the wire ->
+        column maps ``v2f_col`` and ``f2v_col`` (by ``g.wires`` index) and
+        ``col_wire``, each dim's ``g.wires`` index per column.
         """
         n_wires = len(self.wire_dim)
         # a forest has fewer wires than nodes (or none at all), so most loopy graphs need no walk
@@ -558,7 +561,7 @@ class _Plan:
             size = runs[-1][1].stop
             sync.append((d, slice(at, at + size), stack, arg if stack is None else slice(0, size)))
             for level, run in runs:
-                part = arg[..., run] if stack is None else run
+                part = run if stack is not None else arg[..., run] if len(arg) else _ragged([], d, 0)
                 leveled.append((level, (d, slice(at + run.start, at + run.stop), stack, part)))
         self.v2f_col, self.f2v_col, self.col_wire = _frozen(v2f), _frozen(f2v), {}
         for d, n in self.dims.items():
@@ -571,18 +574,20 @@ class _Plan:
 
     @cached_property
     def _sync_program(self):
-        """``_levels``'s op of each block, but one ragged op per dim for its
-        spider blocks with terms, which come by degree descending; built on
-        the first sweep, as a tree run never sweeps."""
+        """``_levels``'s op of each stack block, and one ragged op per dim
+        over all its spider blocks, by degree descending: it writes the dim's
+        v2f columns, those of variables on one wire, past its last column
+        with a term, the unit. Built on the first sweep, as a tree run never
+        sweeps."""
         ops, spiders = [], {}
         for d, out, stack, arg in self._blocks:
-            if stack is None and len(arg):
-                spiders.setdefault(d, (out.start, []))[1].append(arg)
+            if stack is None:
+                spiders.setdefault(d, []).append(arg)
             else:
                 ops.append((d, out, stack, arg))
-        for d, (at, gathers) in spiders.items():
+        for d, gathers in spiders.items():
             terms = [np.concatenate([gather[k, 0] for gather in gathers if len(gather) > k]) for k in range(len(gathers[0]))]
-            ops.append((d, slice(at, at + len(terms[0])), None, _ragged(terms, d, self.dims[d])))
+            ops.append((d, slice(0, self.dims[d]), None, _ragged(terms, d, self.dims[d])))
         return [ops]
 
     # -- one sync sweep ----------------------------------------------------------
@@ -638,19 +643,19 @@ class _Plan:
 
     # -- reading a state -------------------------------------------------------
 
-    def incoming_products(self, arrays):
-        """(spider group, product of each member's incoming f2v messages) per group.
+    def _products(self, arrays, d, gather, ends, width):
+        """A new (``d``, ``width``) array, ``_fold_ragged`` of dim ``d``'s f2v
+        entries ``gather``; with no term, the dim may have no array to read."""
+        values = np.empty((d, width), dtype=self.semiring.dtype)
+        _fold_ragged(self.semiring, arrays[d].ravel()[gather] if ends else gather, ends, values)
+        return values
 
-        The product left-folds in incidence order, as ``hadamard``; an
-        isolated variable gets the unit.
-        """
-        semiring = self.semiring
+    def incoming_products(self, arrays):
+        """(spider group, product of each member's incoming f2v messages) per
+        group, left-folded in incidence order as ``hadamard``: an isolated
+        variable's is the unit, the empty product."""
         for group in self.var_groups:
-            values, ends = np.empty((group.dim, len(group.slots)), dtype=semiring.dtype), group.ends
-            if ends:  # not only isolated variables, so the dim has an array
-                _fold_ragged(semiring, arrays[group.dim].ravel()[group.gather], ends, values)
-            values[:, ends[0] if ends else 0 :] = semiring.one  # an isolated variable gets the unit
-            yield group, values
+            yield group, self._products(arrays, group.dim, group.gather, group.ends, len(group.slots))
 
     def variable_beliefs(self, arrays, cfg):
         """``beliefs``'s variable beliefs and zero wire, from the f2v messages;
@@ -695,7 +700,10 @@ class _Plan:
 
 def _plan_and_arrays(g, state):
     """The state's compiled plan and message arrays, for its own graph: the
-    one that keeps that plan."""
+    one that keeps that plan; anything but a ``MessageState`` is a
+    ValidationError naming its type."""
+    if not isinstance(state, MessageState):
+        raise ValidationError(f"a message state must be a MessageState, got {type(state).__name__}")
     plan = state._plan
     if g.__dict__.get("_plan") is not plan:
         raise ValidationError("the message state was computed on another graph")
@@ -866,32 +874,22 @@ def contraction_from_state(g, state):
     """Close the diagram against converged messages, component by component,
     each at its smallest variable id."""
     plan, arrays = _plan_and_arrays(g, state)
-    total = plan.semiring.one
-    for _fac_ids, z in _closed_components(g, plan, arrays):
-        total = plan.semiring.mul(total, z)
-    return total
+    return reduce(plan.semiring.mul, [z for _fac_ids, z in _closed_components(g, plan, arrays)], plan.semiring.one)
 
 
 def _closed_components(g, plan, arrays):
     """(factor ids, closed value) per component, in ``components`` order:
     a rank-0 factor's entry, else the fold of the incoming product at the
     smallest variable id."""
-    semiring = plan.semiring
-    rank0 = {}  # the entry of each rank-0 factor
-    for group in plan.factor_groups:
-        if not group.shape:
-            rank0.update(zip(group.ids, group.tensors.tolist()))
+    rank0 = {fid: x for group in plan.factor_groups if not group.shape for fid, x in zip(group.ids, group.tensors.tolist())}
     for var_ids, fac_ids in components(g):
         if not var_ids:
             yield fac_ids, rank0[fac_ids[0]]
             continue
         v = var_ids[0]
         d, cols = int(g._dims[v]), plan.incident[plan.cuts[v] : plan.cuts[v + 1]]
-        if len(cols):
-            z = semiring.fold(_fold_mul(semiring, arrays[d].take(cols, 1).T), 0).item()
-        else:
-            z = semiring.fold(semiring.ones((d,)), 0).item()
-        yield fac_ids, z
+        product = plan._products(arrays, d, *_ragged(list(cols[:, None]), d, plan.dims.get(d, 0)), 1)
+        yield fac_ids, plan.semiring.fold(product[:, 0], 0).item()
 
 
 def contraction_derivative(g, factor_id, entry_index):
@@ -952,7 +950,7 @@ def decode_map(g, state):
             f"semiring {semiring.name!r} has no total order to decode with"
         )
     plan, arrays = _plan_and_arrays(g, state)
-    best_of = [None] * len(plan.var_ids)
+    made = []
     for group, values in plan.incoming_products(arrays):
         best = np.zeros(len(group.slots), dtype=np.intp)
         best_val = values[0]
@@ -960,9 +958,8 @@ def decode_map(g, state):
             better = np.asarray(values[j] > best_val, dtype=bool)
             best[better] = j
             best_val = np.where(better, values[j], best_val)
-        for slot, state_of in zip(group.slots, best.tolist()):
-            best_of[slot] = state_of
-    return dict(zip(plan.var_ids, best_of))
+        made += best.tolist()
+    return dict(zip(plan.var_ids, map(made.__getitem__, plan._dealt)))
 
 
 def dual_seed(g, factor_id, entry_index):
@@ -991,7 +988,10 @@ def evaluate_assignment(g, assignment):
     semiring, as a Python scalar (as ``contraction_value``). Every variable
     needs a state, a Python or numpy integer (not a bool) below its dim; a
     ValidationError names the first missing or bad one by id, or else the
-    first key that names no variable."""
+    first key that names no variable. An assignment that is not a mapping is
+    a ValidationError naming its type."""
+    if not isinstance(assignment, Mapping):
+        raise ValidationError(f"an assignment must be a mapping of variable id to state, got {type(assignment).__name__}")
     semiring, w, dims = get_semiring(g.semiring), g._wires, g._dims
     given, states = list(map(assignment.get, range(len(dims)))), None
     if all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, given))):

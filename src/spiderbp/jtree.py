@@ -33,6 +33,7 @@ import heapq
 import math
 import types
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -165,8 +166,10 @@ def build_junction_tree(g):
     Deterministic throughout: min-fill ties break to the lowest variable
     id, a clique's id is its place in elimination order, the tree is the
     one the elimination induces, and each factor lands in the lowest-id
-    clique covering its scope. Raises CliqueTooLargeError when any clique's
-    state space would exceed ``DEFAULT_TENSOR_CAP`` entries.
+    clique covering its scope. A rank-0 factor, a scalar that slides
+    through any diagram, lands in no clique: it only scales Z. Raises
+    CliqueTooLargeError when any clique's state space would exceed
+    ``DEFAULT_TENSOR_CAP`` entries.
     """
     _ensure_valid(g)
     order, members, edges = _eliminate(_primal_adjacency(g))
@@ -183,12 +186,9 @@ def build_junction_tree(g):
     for i, m in enumerate(members):
         for v in m:
             covering.setdefault(v, []).append(i)
-    for f in sorted(g.factors, key=lambda f: f.id):
-        if not members:
-            break  # variable-free graph: rank-0 factors fold straight into Z
+    for f in sorted((f for f in g.factors if f.neighbors), key=lambda f: f.id):  # a rank-0 factor scales Z only
         scope = set(f.neighbors)
-        candidates = covering[f.neighbors[0]] if f.neighbors else range(len(members))
-        assigned[next(i for i in candidates if scope.issubset(members[i]))].append(f.id)
+        assigned[next(i for i in covering[f.neighbors[0]] if scope.issubset(members[i]))].append(f.id)
 
     cliques = tuple(
         Clique(i, m, tuple(assigned[i])) for i, m in enumerate(members)
@@ -249,16 +249,15 @@ def _lift(arr, variables, members):
 class _CompiledTree:
     """A graph's junction tree, potentials (read-only: every run shares
     them), send program (per separator message, in collect-then-distribute
-    order: sender, receiver, ``_onto`` layout, lift index) and reads (per
-    dim, each variable's home clique and ``_split``). It holds no index
+    order: sender, receiver, ``_onto`` layout, lift index), reads (per
+    dim, each variable's home clique and ``_split``) and the entries of
+    its rank-0 factors (``scalars``), which no clique holds. It holds no index
     array over clique entries and no reference to the graph."""
 
     def __init__(self, g):
         semiring = get_semiring(g.semiring)
         self.tree = tree = build_junction_tree(g)
-        self.z = semiring.one  # times the rank-0 factors, when there are no cliques
-        for f in () if tree.cliques else sorted(g.factors, key=lambda f: f.id):
-            self.z = semiring.mul(self.z, f.tensor.data.item(0))
+        self.scalars = [f.tensor.data.item(0) for f in sorted(g.factors, key=lambda f: f.id) if not f.neighbors]
         members = [c.members for c in tree.cliques]
         self.potentials = tuple(_clique_potential(g, semiring, c) for c in tree.cliques)
         for pot in self.potentials:  # fresh arrays: frozen, not copied
@@ -316,7 +315,8 @@ def run_junction_tree(g, cfg):
     root in post-order, then distributed in pre-order. Each clique's belief
     is its potential times every incoming message; each variable's marginal
     is folded out of its lowest-id covering clique (rescaled per config),
-    and Z is the product over components of the root beliefs' totals.
+    and Z is the product over components of the root beliefs' totals, then
+    of each rank-0 factor's entry in factor-id order (as ``contraction_value``).
     ``contradiction`` flags dead support by ``run_bp``'s rule: a normalized
     marginal of zero mass (reported as its raw zeros), or under bool Z = 0.
     """
@@ -334,9 +334,8 @@ def run_junction_tree(g, cfg):
     for a, b, order, rows, sep_dims, lift in jt.sends:
         messages[(a, b)] = semiring._fold0(gather(a, skip=b).transpose(order).reshape(rows)).reshape(sep_dims)[lift]
     beliefs = [gather(cid) for cid in range(len(jt.potentials))]
-    z = jt.z
-    for root in jt.roots:
-        z = semiring.mul(z, semiring.fold(beliefs[root].reshape(-1), 0).item())
+    totals = [semiring.fold(beliefs[root].reshape(-1), 0).item() for root in jt.roots]
+    z = reduce(semiring.mul, totals + jt.scalars, semiring.one)
     marginals, contradiction = [None] * len(jt.var_ids), semiring.name == "bool" and z == semiring.zero
     for dim, group in jt.reads.items():
         values = np.empty((dim, len(group)), dtype=semiring.dtype)

@@ -31,13 +31,17 @@ association: solution counting by dynamic programming on chain CSPs
 (count, exact in any order), AC-3 on tree CSPs (bool, exact in any order)
 and forward-mode differentiation of the forward algorithm (against
 ``dual_seed`` and ``contraction_derivative``, equal to rounding because
-the forward algorithm closes Z at the other end).
+the forward algorithm closes Z at the other end). Last, proper colourings
+are counted (count) against their closed forms, exact: q(q-1)^(n-1) on
+any tree of n variables, (q-1)^(n-1) of them in each state of each
+variable, and (q-1)^n + (-1)^n (q-1) on an n-cycle, split evenly over a
+variable's q colours.
 """
 
 import numpy as np
 import pytest
 
-from spiderbp import RunConfig, build_graph, contraction_value, decode_map, dual_seed, run_bp
+from spiderbp import RunConfig, build_graph, contraction_value, decode_map, dual_seed, run_bp, run_junction_tree
 from spiderbp.engine import contraction_derivative, contraction_from_state
 
 from fixtures import random_tree_structure
@@ -327,3 +331,48 @@ def test_forward_mode_derivative_of_the_forward_algorithm(seed):
     assert value == pytest.approx(z, rel=1e-12) and dual.real == pytest.approx(z, rel=1e-12)
     assert derivative == pytest.approx(dz, rel=1e-9, abs=1e-300)
     assert dual.eps == pytest.approx(dz, rel=1e-9, abs=1e-300)
+
+
+# -- proper colourings, in closed form ------------------------------------------
+
+
+def differ(q):
+    """The 0/1 table of "neighbours take different colours" over q colours."""
+    return [int(i != j) for i in range(q) for j in range(q)]
+
+
+def colouring_tree(rng, q):
+    """A random tree of 2..40 variables, each hung under an earlier one by
+    a ``differ`` table facing either way; every leaf is on one wire."""
+    n = int(rng.integers(2, 41))
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+    return build_graph([q] * n, [(edge, differ(q)) for edge in edges], "count"), edges
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_colourings_of_branching_trees_in_closed_form(q):
+    rng, branching = np.random.default_rng(3100 + q), 0
+    for _ in range(3):
+        g, edges = colouring_tree(rng, q)
+        n = len(g.variables)
+        want = q * (q - 1) ** (n - 1)
+        z, jt = contraction_value(g), run_junction_tree(g, RunConfig(normalize=False)).contraction_value
+        assert (type(z), z) == (type(jt), jt) == (int, want)
+        result = run_bp(g, RunConfig(schedule="tree", normalize=False))
+        for vid, belief in result.variable_beliefs.items():
+            assert belief.values.tolist() == [(q - 1) ** (n - 1)] * q, vid
+            assert all(type(x) is int for x in belief.values.tolist())
+        branching += max(np.bincount(np.ravel(edges))) >= 3
+    assert branching  # some tree branches
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_colourings_of_cycles_in_closed_form(q):
+    for n in range(3, 13):
+        g = build_graph([q] * n, [((i, (i + 1) % n), differ(q)) for i in range(n)], "count")
+        result = run_junction_tree(g, RunConfig(normalize=False))
+        want = (q - 1) ** n + (-1) ** n * (q - 1)
+        assert (type(result.contraction_value), result.contraction_value) == (int, want)
+        for vid, belief in result.variable_beliefs.items():
+            assert belief.values.tolist() == [want // q] * q, (n, vid)

@@ -585,6 +585,13 @@ class TestEvaluateAssignment:
         assert str(err.value) == message
         assert evaluate_assignment(g, {0: 1, 1: 2}) == 2.0
 
+    @pytest.mark.parametrize("assignment", [[0, 1], None, (1, 2), "01", 3], ids=["list", "None", "tuple", "str", "int"])
+    def test_an_assignment_that_is_not_a_mapping_is_a_validation_error_naming_its_type(self, assignment):
+        g = build_graph([2, 3], [((0, 1), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])], "prob")
+        message = f"^an assignment must be a mapping of variable id to state, got {type(assignment).__name__}$"
+        with pytest.raises(ValidationError, match=message):
+            evaluate_assignment(g, assignment)
+
     @pytest.mark.parametrize(
         "assignment, message",
         [
@@ -983,6 +990,24 @@ class TestMessageState:
         with pytest.raises(ValidationError):
             sweep_synchronous(twin, state, cfg)
         beliefs(g, state, cfg)  # its own graph is fine
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda g, state, cfg: beliefs(g, state, cfg),
+            lambda g, state, cfg: decode_map(g, state),
+            lambda g, state, cfg: contraction_from_state(g, state),
+            lambda g, state, cfg: sweep_synchronous(g, state, cfg),
+        ],
+        ids=["beliefs", "decode_map", "contraction_from_state", "sweep_synchronous"],
+    )
+    def test_anything_but_a_message_state_is_a_validation_error_naming_its_type(self, entry):
+        g, cfg = random_tree(np.random.default_rng(53)), RunConfig()
+        state = run_bp(g, cfg).state
+        for wrong in (None, "x", [state], {"_plan": state._plan}):
+            with pytest.raises(ValidationError, match=f"^a message state must be a MessageState, got {type(wrong).__name__}$"):
+                entry(g, wrong, cfg)
+        entry(g, state, cfg)  # a state of the graph is fine
 
     def test_one_sync_sweep_runs_one_op_per_spider_group_and_oriented_shape(self, monkeypatch):
         g = spin_glass_grid(np.random.default_rng(52), 10)

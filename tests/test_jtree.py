@@ -18,6 +18,7 @@ from spiderbp import (
     RunConfig,
     ValidationError,
     build_graph,
+    contraction_value,
     dual_seed,
     exact_contraction,
     exact_marginal,
@@ -35,11 +36,11 @@ from spiderbp.jtree import (
     running_intersection_holds,
 )
 from spiderbp.formats import graph_to_document, parse_native
-from spiderbp.graph import FactorGraph, FactorNode, ObjectType, VariableNode
+from spiderbp.graph import FactorGraph, FactorNode, ObjectType, VariableNode, components
 from spiderbp.tensor import DenseTensor
 from spiderbp import jtree
 
-from fixtures import brute_force_count, four_cycle, normal_form, peak_bytes, random_loopy, random_tree, table_for
+from fixtures import brute_force_count, four_cycle, normal_form, peak_bytes, random_loopy, random_tree, relabel, table_for
 from test_plan import bits, fresh, kept_arrays, same_bits
 
 
@@ -250,8 +251,8 @@ class TestEliminationTree:
         tree = build_junction_tree(scope_graph(4, [(), (1, 1), (1, 2), ()]))
         assert [c.members for c in tree.cliques] == [(0,), (1, 2), (3,)]
         assert tree.edges == ()
-        # a rank-0 factor covers nothing, so it lands in clique 0
-        assert [c.factor_ids for c in tree.cliques] == [(0, 3), (1, 2), ()]
+        # a rank-0 factor is a scalar of Z: it lands in no clique
+        assert [c.factor_ids for c in tree.cliques] == [(), (1, 2), ()]
 
 
 class TestRunJunctionTree:
@@ -340,6 +341,70 @@ class TestRunJunctionTree:
         )
         result = run_junction_tree(g, RunConfig(normalize=False))
         assert np.isclose(result.contraction_value, 3.0 * 7.0)
+
+
+def forest_with_scalars(rng, name):
+    """A forest over 3..8 variables (some of them isolated) with pairwise
+    and unary tables, and one or two rank-0 factors at random places in
+    factor order, one of them zero half the time."""
+    n = int(rng.integers(3, 9))
+    dims = [int(d) for d in rng.integers(2, 4, n)]
+    factors = []
+    for v in range(1, n):
+        if rng.random() < 0.6:
+            u = int(rng.integers(0, v))
+            factors.append(((u, v), table_for(rng, name, dims[u] * dims[v])))
+    factors += [((v,), table_for(rng, name, dims[v])) for v in range(n) if rng.random() < 0.4]
+    scalars = [[x + 1 for x in table_for(rng, name, 1)] for _ in range(int(rng.integers(1, 3)))]
+    if rng.random() < 0.5:
+        scalars[0] = [get_semiring(name).zero]
+    for scalar in scalars:
+        factors.insert(int(rng.integers(len(factors) + 1)), ((), scalar))
+    return build_graph(dims, factors, get_semiring(name))
+
+
+class TestRank0FactorsOnlyScaleZ:
+    """A rank-0 factor is a scalar: no clique holds it, it scales Z alone,
+    and the junction tree's marginals are tree BP's wherever clique 0 is."""
+
+    @pytest.mark.parametrize("c, z", [(0.0, 0.0), (3.0, 60.0)])
+    def test_a_rank0_factor_scales_no_marginal(self, c, z):
+        g = build_graph([2, 2, 2], [((), [c]), ((1, 2), [1, 2, 3, 4])], "prob")
+        assert [clique.factor_ids for clique in build_junction_tree(g).cliques] == [(), (1,)]
+        for normalize, var0 in ((True, [0.5, 0.5]), (False, [1.0, 1.0])):
+            cfg = RunConfig(normalize=normalize)
+            jt, bp = run_junction_tree(g, cfg), run_bp(g, RunConfig(schedule="tree", normalize=normalize))
+            assert not jt.contradiction and not bp.contradiction
+            assert jt.variable_beliefs[0].values.tolist() == bp.variable_beliefs[0].values.tolist() == var0
+            for v in (1, 2):
+                assert np.allclose(jt.variable_beliefs[v].values, bp.variable_beliefs[v].values, rtol=1e-12)
+            assert jt.contraction_value == contraction_value(g) == z
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count"])
+    def test_forests_match_tree_bp_whichever_component_holds_clique_0(self, name):
+        rng, moved = np.random.default_rng(3101), 0
+        for _ in range(6):
+            g = forest_with_scalars(rng, name)
+            n, holders = len(g.variables), set()
+            for perm in (np.arange(n), rng.permutation(n), rng.permutation(n), rng.permutation(n)):
+                h = relabel(g, dict(enumerate(perm.tolist())))
+                tree = build_junction_tree(h)
+                assert all(h.factor(fid).neighbors for clique in tree.cliques for fid in clique.factor_ids)
+                holders.add(next(i for i, (var_ids, _) in enumerate(components(h)) if tree.cliques[0].members[0] in var_ids))
+                for normalize in (True, False):
+                    jt = run_junction_tree(h, RunConfig(normalize=normalize))
+                    bp = run_bp(h, RunConfig(schedule="tree", normalize=normalize))
+                    assert not jt.contradiction and not bp.contradiction
+                    for v in h.variables:
+                        got, want = jt.variable_beliefs[v.id].values, bp.variable_beliefs[v.id].values
+                        if name == "count":
+                            assert got.tolist() == want.tolist(), (v.id, normalize)
+                        else:
+                            np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"{v.id} {normalize}")
+                z = jt.contraction_value
+                assert z == contraction_value(h) if name == "count" else np.isclose(z, contraction_value(h), rtol=1e-12)
+            moved += len(holders) > 1
+        assert moved  # some forest's clique 0 lies in more than one component as its ids move
 
 
 class TestCliqueConsistency:

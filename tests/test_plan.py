@@ -137,12 +137,19 @@ def reference_sweep(g, state, cfg):
     return DictState(new_v2f, new_f2v, state.iteration + 1, residual)
 
 
+def reference_product(g, state, v):
+    """Variable ``v``'s incoming f2v messages multiplied as ``hadamard``
+    does, in incidence order; the unit when it has none."""
+    semiring = get_semiring(g.semiring)
+    incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
+    return hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
+
+
 def reference_variable_beliefs(g, state, cfg):
     semiring = get_semiring(g.semiring)
     out = {}
     for v in g.variables:
-        incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
-        values = hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
+        values = reference_product(g, state, v)
         if cfg.normalize and semiring.has_normalize:
             try:
                 values = semiring.normalize(values)
@@ -518,16 +525,7 @@ def reference_tensor_belief(semiring, tensor, msgs):
 def reference_beliefs(g, state, cfg):
     """Variable beliefs and factor beliefs."""
     semiring = get_semiring(g.semiring)
-    var_b = {}
-    for v in g.variables:
-        incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
-        values = hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
-        if cfg.normalize and semiring.has_normalize:
-            try:
-                values = semiring.normalize(values)
-            except ZeroMessageError:
-                pass  # a dead belief is reported as it is
-        var_b[v.id] = values
+    var_b = reference_variable_beliefs(g, state, cfg)
     fac_b = {
         f.id: reference_tensor_belief(
             semiring,
@@ -547,12 +545,7 @@ def reference_z(g, semiring, state):
         if not var_ids:
             total = semiring.mul(total, g.factor(fac_ids[0]).tensor.data.item(0))
             continue
-        v = g.variable(var_ids[0])
-        incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
-        if incoming:
-            z = semiring.fold(hadamard(semiring, incoming).values, 0).item()
-        else:
-            z = semiring.fold(semiring.ones((v.dim,)), 0).item()
+        z = semiring.fold(reference_product(g, state, g.variable(var_ids[0])), 0).item()
         total = semiring.mul(total, z)
     return total
 
@@ -561,8 +554,7 @@ def reference_map(g, state, semiring):
     """The scalar argmax scan: strictly greater wins, ties to the lowest index."""
     out = {}
     for v in g.variables:
-        incoming = [state.factor_to_var[w] for w in g.incident[v.id]]
-        values = hadamard(semiring, incoming).values if incoming else semiring.ones((v.dim,))
+        values = reference_product(g, state, v)
         best, best_val = 0, values[0]
         for j in range(1, len(values)):
             if values[j] > best_val:
@@ -875,9 +867,9 @@ class TestRaggedSpiders:
             assert sorted(degree[0::2]) == sorted(degree[1::2]) == list(range(7))
             plan = engine._plan_of(g)
             assert [group.dim for group in plan.var_groups] == [2, 3]
-            # one ragged spider op per dim, and one unit op for its variables on one wire
-            spiders = [(op[0], type(op[3]) is tuple) for op in plan._sync_program[0] if op[2] is None]
-            assert spiders == [(2, False), (3, False), (2, True), (3, True)]
+            # one ragged spider op per dim, its variables on one wire included, and no unit op
+            spiders = [(op[0], type(op[3]) is tuple, op[1]) for op in plan._sync_program[0] if op[2] is None]
+            assert spiders == [(2, True, slice(0, plan.dims[2])), (3, True, slice(0, plan.dims[3]))]
             # unnormalized loopy messages grow every sweep: stop well before overflow
             cfg = RunConfig(semiring=name, normalize=normalize, max_iters=8 if loop and not normalize else 200)
             results = [check_against_reference(g, cfg)]
@@ -895,22 +887,24 @@ class TestRaggedSpiders:
     def test_each_column_folds_exactly_its_own_terms(self, name):
         """Term k, a flat (``ends[k]``, dim) block, multiplies into the first
         ``ends[k]`` columns, each column its own terms left to right, no
-        other, and no column past ``ends[0]`` is written. Under dual a -0.0
-        eps would turn +0.0 if a column were padded with the unit."""
+        other, and every column past ``ends[0]`` (all of them when ``ends``
+        is empty) gets the unit. Under dual a -0.0 eps would turn +0.0 if a
+        column with terms were padded with the unit."""
         semiring, rng = get_semiring(name), np.random.default_rng(361)
-        for terms in ([4, 4, 3, 1, 1], [2, 2, 2], [1], [3, 1]):  # per column, nonincreasing
+        for terms in ([4, 4, 3, 1, 1], [2, 2, 2], [1], [3, 1], []):  # per column, nonincreasing
             own = [[[semiring.random_scalar(rng) for _ in range(3)] for _ in range(t)] for t in terms]
             if name == "dual":
                 own = [[[DualNumber(x.real, -0.0) for x in row] for row in col] for col in own]
-            ends = tuple(sum(t > k for t in terms) for k in range(terms[0]))
+            ends = tuple(sum(t > k for t in terms) for k in range(max(terms, default=0)))
             # term k of each column it reaches, an (ends[k], 3) block, the blocks flat one after another
             blocks = [np.array([own[j][k] for j in range(end)], dtype=semiring.dtype) for k, end in enumerate(ends)]
-            msgs = np.concatenate([block.ravel() for block in blocks])
-            into = semiring.full((3, len(terms) + 1), semiring.zero)
+            msgs = np.concatenate([block.ravel() for block in blocks]) if blocks else np.empty(0, semiring.dtype)
+            into = semiring.full((3, len(terms) + 2), semiring.zero)
             engine._fold_ragged(semiring, msgs, ends, into)
             for j, col in enumerate(own):
                 assert same_bits(into[:, j], reduce(semiring.array_mul, np.array(col, dtype=semiring.dtype))), (terms, j)
-            assert same_bits(into[:, -1], semiring.full((3,), semiring.zero))
+            for j in (-2, -1):  # the columns with no term
+                assert same_bits(into[:, j], semiring.ones((3,))), (terms, j)
 
 
 def sync_program_graphs(rng):
@@ -950,23 +944,19 @@ class TestSyncProgramWritesEveryRowOnce:
                 slices = [op[1] for op in mine]
                 assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
                 assert slices[-1].stop == 2 * n
-                spiders = [op for op in mine if op[2] is None]
-                # one spider op folds terms, a ragged one, and one sends the unit, at most
-                assert [type(arg) is tuple for _d, _out, _stack, arg in spiders] in ([True, False], [True], [False])
-                assert spiders[-1][1].stop == n
+                # one spider op, a ragged one, writes the dim's v2f columns [0, wires)
+                assert [(type(op[3]) is tuple, op[1]) for op in mine if op[2] is None] == [(True, slice(0, n))]
                 for _d, out, stack, arg in mine:
                     # a variable op gathers f2v columns into v2f columns [0, wires), a
                     # factor op writes f2v columns [wires, 2 * wires), its whole stack
                     cols = plan.col_wire[d][out]
-                    if stack is None and type(arg) is not tuple:  # a variable on one wire sends the unit
-                        assert arg.shape == (0, d, out.stop - out.start) and (degree[cols] == 1).all()
-                    elif stack is None:
+                    if stack is None:
                         gather, ends = arg
-                        assert out.start == 0 and ends[0] == out.stop and gather.shape == (d * sum(ends),)
-                        assert (gather % (2 * n) >= n).all()
-                        # ragged: the column of a degree-k variable's wire folds k - 1 terms
+                        assert gather.shape == (d * sum(ends),) and (gather % (2 * n) >= n).all()
+                        # ragged: the column of a degree-k variable's wire folds k - 1 terms, so
+                        # every column of a variable on one wire, past ends[0], folds none
                         assert list(ends) == sorted(ends, reverse=True)
-                        assert (np.array(ends)[:, None] > np.arange(ends[0])).sum(0).tolist() == (degree[cols] - 1).tolist()
+                        assert (np.array(ends, dtype=int)[:, None] > np.arange(n)).sum(0).tolist() == (degree[cols] - 1).tolist()
                     else:
                         assert out.start >= n and arg == slice(0, out.stop - out.start) and stack.tensors.shape[-1] == arg.stop
                 # both wire -> column maps are permutations, and col_wire inverts them
@@ -999,19 +989,28 @@ class TestSyncProgramWritesEveryRowOnce:
                     if stack is not None:
                         assert arg == part
                         continue
+                    if type(arg) is tuple:  # variables on one wire: a ragged op with no term sends the unit
+                        assert len(arg[0]) == 0 and arg[1] == () and (degree[plan.col_wire[d][out]] == 1).all()
+                        continue
                     # a spider op folds the sync op's terms of its columns, all alike: (terms, dim, columns)
                     gather = arg
-                    assert gather.shape[1:] == (d, out.stop - out.start)
+                    assert gather.shape[1:] == (d, out.stop - out.start) and len(gather)
                     assert (degree[plan.col_wire[d][out]] - 1 == len(gather)).all()
-                    if type(whole) is not tuple:  # the unit op's
-                        assert len(gather) == 0
-                        continue
                     sync_gather, sync_ends = whole
                     assert len(gather) == sum(e > part.start for e in sync_ends) == sum(e >= part.stop for e in sync_ends)
                     offsets = d * np.cumsum((0,) + sync_ends)  # the sync op's term k is a flat (ends[k], dim) block
                     for k, term in enumerate(gather):
                         block = sync_gather[offsets[k] : offsets[k + 1]].reshape(sync_ends[k], d)
                         assert np.array_equal(term, block[part].T)
+
+    def test_a_sweep_runs_one_op_per_dim_with_wires_and_one_per_stack(self):
+        """Read off the graph: the dims its wires have, and its oriented
+        shapes, each table's axes but one ascending, then the out axis."""
+        rng = np.random.default_rng(353)
+        for g in sync_program_graphs(rng):
+            shapes = {f.tensor.shape for f in g.factors}
+            oriented = {shape[:t] + shape[t + 1 :] + shape[t : t + 1] for shape in shapes for t in range(len(shape))}
+            assert len(engine._Plan(g)._sync_program[0]) == len(set(g._wires.dim.tolist())) + len(oriented)
 
     def test_a_graph_without_wires_sweeps(self):
         for g in (build_graph([2, 3], [((), [2.0])], "prob"), build_graph([2], [], "prob")):
