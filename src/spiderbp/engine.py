@@ -24,8 +24,8 @@ Both schedules run on one plan (``_Plan``), compiled once per graph from
 its wire table (``graph._Wires``) with array operations, never from its
 factor nodes: the first run builds it and the graph keeps it beside its
 validation verdict. Reading a run (beliefs, closed values, cavities,
-``decode_map``, ``evaluate_assignment``) needs the plan and the table
-only, so a parsed graph run through these builds no node.
+``decode_map``, ``evaluate_assignment``) needs the plan and the table only
+(factor beliefs read its stacked tables), so a parsed graph builds no node.
 Messages are stored dim-major: one ``(dim, 2 * wires)`` array per dim,
 the v2f messages of its wires in columns [0, wires) and their f2v messages
 in [wires, 2 * wires); a ``MessageState`` holds nothing but these arrays.
@@ -305,6 +305,24 @@ def _ragged(terms, d, n):
     return _frozen(flat), tuple(len(cols) for cols in terms)
 
 
+def _read_beliefs(semiring, cfg, groups, var_ids, dealt):
+    """BP's and the junction tree's one read: ``groups`` yields, per group,
+    its members' objs, slots in ``g.variables`` (ids ``var_ids``) and a fresh
+    (dim, members) product, rescaled in place per config; a column is dead at
+    zero mass or, under bool, all false. Returns the read-only beliefs, dealt
+    into ``g.variables`` order, and the first dead id in that order or None."""
+    made, dead_slots = [], []
+    for objs, slots, values in groups:
+        if cfg.normalize and semiring.has_normalize:
+            dead = semiring._normalize_columns(values)
+        else:
+            dead = ~values.any(axis=0) if semiring.name == "bool" else None
+        if dead is not None:
+            dead_slots += [slot for slot, gone in zip(slots, dead.tolist()) if gone]
+        made += map(Message._wrap, objs, _frozen(values.T.copy()))
+    return dict(zip(var_ids, map(made.__getitem__, dealt))), var_ids[min(dead_slots)] if dead_slots else None
+
+
 def _by_level(levels):
     """Stable sort order of ``levels``, then (level, slice) for each run of it."""
     order = np.argsort(levels, kind="stable")
@@ -312,11 +330,6 @@ def _by_level(levels):
     bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(order)]
     runs = [(int(ordered[i]), slice(i, j)) for i, j in zip(bounds, bounds[1:])]
     return order, runs
-
-
-#: tensors of one shape stacked as (members, *shape), ``cols[a][i]`` the v2f column of
-#: member i's wire on axis a; factor beliefs read these, the update program ``_Stack``s
-_TensorGroup = namedtuple("_TensorGroup", "shape ids tensors cols")
 
 
 class _Stack:
@@ -359,8 +372,8 @@ class _Plan:
     ``f2v_col[i]`` for its place i in ``g.wires``, and ``col_wire`` maps
     each column back. Variables are grouped by dim, by degree descending,
     and read through a ragged fold (``_fold_ragged``) of each member's f2v
-    columns; factor tensors are stacked by shape. All of it is read off the
-    graph's wire table with array operations, never off its factor nodes.
+    columns; factor beliefs come straight from the wire table's stacks. All
+    of it is read off the wire table with array operations, never off nodes.
 
     Both schedules run update programs compiled once per plan from the same
     blocks (``_levels``), lists of levels of batched ops run by
@@ -417,10 +430,9 @@ class _Plan:
             spiders.append((int(dims[slots[0]]), cuts[members], degree[members], [objs[i] for i in slots], slots.tolist()))
         # variable_beliefs makes each group's messages in its order, then deals them out in g.variables order
         self._dealt = np.argsort([slot for *_, slots in spiders for slot in slots]).tolist()
-        # tensor groups by shape, (shape, factor ids, tables, wires): wires[a, i] is member i's wire on axis a
+        # tensor groups by shape, (shape, tables, wires): wires[a, i] is member i's wire on axis a
         fids = np.array(w.ids, dtype=np.intp)
-        groups = [(shape, fids[pos], stack) for shape, pos, stack in w.groups]
-        groups = [(shape, fid, stack, w.start[fid] + np.arange(len(shape))[:, None]) for shape, fid, stack in groups]
+        groups = [(shape, stack, w.start[fids[pos]] + np.arange(len(shape))[:, None]) for shape, pos, stack in w.groups]
         self._blocks, self._tree_program = self._levels(g, by_var, spiders, groups)
         self.var_ids = ids.tolist()
         # the f2v columns of variable v's wires in incidence order: incident[cuts[v]:cuts[v + 1]]
@@ -430,9 +442,6 @@ class _Plan:
             ends = np.searchsorted(-deg, -np.arange(deg[0])).tolist()  # the members with a k-th wire
             gather = _ragged([self.incident[start[:e] + k] for k, e in enumerate(ends)], d, self.dims.get(d, 0))
             self.var_groups.append(_SpiderGroup(d, *gather, *rest))
-        self.factor_groups = [
-            _TensorGroup(shape, fid.tolist(), stack, _frozen(self.v2f_col[wires])) for shape, fid, stack, wires in groups
-        ]
 
     def _empty(self):
         return {d: np.empty((d, 2 * n), dtype=self.semiring.dtype) for d, n in self.dims.items()}
@@ -528,7 +537,7 @@ class _Plan:
             return at, order, runs
 
         stacks = {}
-        for shape, _members, tensors, wires in groups:
+        for shape, tensors, wires in groups:
             rank = len(shape)
             for t in range(rank):
                 axes = [a for a in range(rank) if a != t] + [t]
@@ -651,40 +660,30 @@ class _Plan:
         return values
 
     def incoming_products(self, arrays):
-        """(spider group, product of each member's incoming f2v messages) per
-        group, left-folded in incidence order as ``hadamard``: an isolated
-        variable's is the unit, the empty product."""
+        """(objs, slots, product of each member's incoming f2v messages) per
+        spider group, left-folded in incidence order as ``hadamard``: an
+        isolated variable's is the unit, the empty product."""
         for group in self.var_groups:
-            yield group, self._products(arrays, group.dim, group.gather, group.ends, len(group.slots))
+            yield group.objs, group.slots, self._products(arrays, group.dim, group.gather, group.ends, len(group.slots))
 
     def variable_beliefs(self, arrays, cfg):
         """``beliefs``'s variable beliefs and zero wire, from the f2v messages;
         the wire is the first dead (or all-false) belief in ``g.variables`` order."""
-        semiring = self.semiring
-        made, dead_slots = [], []
-        for group, values in self.incoming_products(arrays):
-            if cfg.normalize and semiring.has_normalize:
-                dead = semiring._normalize_columns(values)
-            else:
-                dead = ~values.any(axis=0) if semiring.name == "bool" else None
-            if dead is not None:
-                dead_slots += [slot for slot, gone in zip(group.slots, dead.tolist()) if gone]
-            made += map(Message._wrap, group.objs, _frozen(values.T.copy()))
-        zero_wire = ("belief", self.var_ids[min(dead_slots)]) if dead_slots else None
-        return dict(zip(self.var_ids, map(made.__getitem__, self._dealt))), zero_wire
+        made, dead = _read_beliefs(self.semiring, cfg, self.incoming_products(arrays), self.var_ids, self._dealt)
+        return made, None if dead is None else ("belief", dead)
 
     def factor_beliefs(self, g, arrays):
-        """``beliefs``'s factor beliefs, from the v2f messages."""
-        by_factor = {}
-        for group in self.factor_groups:
-            arr, rank = group.tensors, len(group.shape)
-            for a, (d, cols) in enumerate(zip(group.shape, group.cols)):  # axes ascending
-                along = (-1,) + (1,) * a + (d,) + (1,) * (rank - a - 1)
-                arr = self.semiring.array_mul(arr, arrays[d].take(cols, 1).T.reshape(along))
-            arr = np.asarray(arr).reshape(len(group.ids), -1)
+        """``beliefs``'s factor beliefs, from the v2f messages and the wire table's stacks."""
+        w, by_factor = g._wires, {}
+        for shape, pos, arr in w.groups:
+            ids = [w.ids[p] for p in pos.tolist()]
+            for a, d in enumerate(shape):  # axes ascending
+                along = (-1,) + (1,) * a + (d,) + (1,) * (len(shape) - a - 1)
+                arr = self.semiring.array_mul(arr, arrays[d].take(self.v2f_col[w.start[ids] + a], 1).T.reshape(along))
+            arr = np.asarray(arr).reshape(len(ids), -1)
             arr.flags.writeable = False
-            by_factor.update((nid, DenseTensor._wrap(group.shape, flat)) for nid, flat in zip(group.ids, arr))
-        return {fid: by_factor[fid] for fid in g._wires.ids}
+            by_factor.update((fid, DenseTensor._wrap(shape, flat)) for fid, flat in zip(ids, arr))
+        return {fid: by_factor[fid] for fid in w.ids}
 
     def cavity(self, arrays, fid, entry):
         """Factor ``fid``'s incoming v2f messages multiplied at its flat
@@ -881,7 +880,7 @@ def _closed_components(g, plan, arrays):
     """(factor ids, closed value) per component, in ``components`` order:
     a rank-0 factor's entry, else the fold of the incoming product at the
     smallest variable id."""
-    rank0 = {fid: x for group in plan.factor_groups if not group.shape for fid, x in zip(group.ids, group.tensors.tolist())}
+    rank0 = {g._wires.ids[p]: x for shape, pos, stack in g._wires.groups if not shape for p, x in zip(pos.tolist(), stack.tolist())}
     for var_ids, fac_ids in components(g):
         if not var_ids:
             yield fac_ids, rank0[fac_ids[0]]
@@ -951,10 +950,10 @@ def decode_map(g, state):
         )
     plan, arrays = _plan_and_arrays(g, state)
     made = []
-    for group, values in plan.incoming_products(arrays):
-        best = np.zeros(len(group.slots), dtype=np.intp)
+    for _objs, slots, values in plan.incoming_products(arrays):
+        best = np.zeros(len(slots), dtype=np.intp)
         best_val = values[0]
-        for j in range(1, group.dim):
+        for j in range(1, len(values)):
             better = np.asarray(values[j] > best_val, dtype=bool)
             best[better] = j
             best_val = np.where(better, values[j], best_val)

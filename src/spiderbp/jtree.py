@@ -17,7 +17,7 @@ times every other incoming message, summed onto the separator by one
 pass per component are exact over any commutative semiring (the
 generalized distributive law). A variable's marginal is one ``_fold0`` of
 its lowest-id covering clique's belief as (rest, dim) rows, the same from
-any covering clique; one ``_normalize_columns`` rescales a dim's marginals.
+any covering clique, and BP's read (``engine._read_beliefs``) takes them.
 Every sum is the ascending left fold in row-major order of the summed-out
 indices (``spiderbp.algebra``).
 
@@ -32,16 +32,16 @@ from __future__ import annotations
 import heapq
 import math
 import types
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
 
 from .algebra import get_semiring
-from .engine import _check_index, _kept, _run_semiring
+from .engine import _check_index, _kept, _read_beliefs, _run_semiring
 from .errors import CliqueTooLargeError, ValidationError
-from .graph import _ensure_valid, _frozen
+from .graph import _ensure_valid
 from .tensor import DEFAULT_TENSOR_CAP, DenseTensor, Message
 
 
@@ -249,9 +249,10 @@ def _lift(arr, variables, members):
 class _CompiledTree:
     """A graph's junction tree, potentials (read-only: every run shares
     them), send program (per separator message, in collect-then-distribute
-    order: sender, receiver, ``_onto`` layout, lift index), reads (per
-    dim, each variable's home clique and ``_split``) and the entries of
-    its rank-0 factors (``scalars``), which no clique holds. It holds no index
+    order: sender, receiver, ``_onto`` layout, lift index), reads (per dim,
+    its variables' objs, slots and (home clique, ``_split``) pairs, and the
+    ``dealt`` order, as ``_read_beliefs`` takes them) and the entries of its
+    rank-0 factors (``scalars``), which no clique holds. It holds no index
     array over clique entries and no reference to the graph."""
 
     def __init__(self, g):
@@ -282,10 +283,12 @@ class _CompiledTree:
             for a, b in [(cid, parent[cid]) for cid in reversed(order[1:])] + [(parent[cid], cid) for cid in order[1:]]:
                 lift = tuple([slice(None) if m in nbrs[a][b] else None for m in members[b]])
                 self.sends.append((a, b, *_onto(self.potentials[a].shape, members[a], nbrs[a][b]), lift))
-        self.var_ids, self.reads, at = tuple(v.id for v in g.variables), {}, tree.variable_to_clique
-        for slot, v in enumerate(g.variables):  # dim -> [(slot in g.variables, obj, home clique, split)]
+        self.var_ids, reads, at = tuple(v.id for v in g.variables), {}, tree.variable_to_clique
+        for slot, v in enumerate(g.variables):  # dim -> [(obj, slot, (home clique, split))]
             split = _split(self.potentials[at[v.id]].shape, members[at[v.id]].index(v.id))
-            self.reads.setdefault(v.obj.dim, []).append((slot, v.obj, at[v.id], split))
+            reads.setdefault(v.obj.dim, []).append((v.obj, slot, (at[v.id], split)))
+        self.reads = [tuple(zip(*read)) for read in reads.values()]  # per dim: (objs, slots, homes)
+        self.dealt = np.argsort([slot for _objs, slots, _homes in self.reads for slot in slots]).tolist()
 
 
 @dataclass
@@ -298,11 +301,17 @@ class JTResult:
     tree: JunctionTree
     #: registry name of the graph's semiring, which the beliefs live in
     semiring: str
-    #: clique id -> unnormalized member-space belief (potential times all
-    #: incoming separator messages); every covering clique of a variable
-    #: folds to the same marginal
-    clique_beliefs: dict = None
     contradiction: bool = False
+    _beliefs: list = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def clique_beliefs(self):
+        """Clique id -> unnormalized member-space belief (potential times all
+        incoming separator messages), read-only, built on first read; every
+        covering clique of a variable folds to the same marginal."""
+        for arr in self._beliefs:  # fresh arrays or kept potentials: frozen, not copied
+            arr.flags.writeable = False
+        return {cid: DenseTensor._wrap(arr.shape, arr.reshape(-1)) for cid, arr in enumerate(self._beliefs)}
 
 
 def run_junction_tree(g, cfg):
@@ -313,12 +322,15 @@ def run_junction_tree(g, cfg):
     runs unnormalized Shafer-Shenoy propagation: in each component, rooted
     at its lowest clique id, separator messages are collected towards the
     root in post-order, then distributed in pre-order. Each clique's belief
-    is its potential times every incoming message; each variable's marginal
-    is folded out of its lowest-id covering clique (rescaled per config),
-    and Z is the product over components of the root beliefs' totals, then
-    of each rank-0 factor's entry in factor-id order (as ``contraction_value``).
-    ``contradiction`` flags dead support by ``run_bp``'s rule: a normalized
-    marginal of zero mass (reported as its raw zeros), or under bool Z = 0.
+    is its potential times every incoming message, wrapped as
+    ``clique_beliefs`` only on first read; each variable's marginal is
+    folded out of its lowest-id covering clique, and Z is the product over
+    components of the root beliefs' totals, then of each rank-0 factor's
+    entry in factor-id order (as ``contraction_value``). The marginals are
+    read as ``run_bp`` reads its beliefs (``engine._read_beliefs``): rescaled
+    per config, with ``contradiction`` set by the same dead-support rule, a
+    normalized marginal of zero mass (reported as its raw zeros) or an
+    all-false bool one. A false rank-0 factor makes Z false and flags none.
     """
     semiring = _run_semiring(g.semiring, cfg)
     jt = _kept(g, "_junction_tree", _CompiledTree)
@@ -336,19 +348,11 @@ def run_junction_tree(g, cfg):
     beliefs = [gather(cid) for cid in range(len(jt.potentials))]
     totals = [semiring.fold(beliefs[root].reshape(-1), 0).item() for root in jt.roots]
     z = reduce(semiring.mul, totals + jt.scalars, semiring.one)
-    marginals, contradiction = [None] * len(jt.var_ids), semiring.name == "bool" and z == semiring.zero
-    for dim, group in jt.reads.items():
-        values = np.empty((dim, len(group)), dtype=semiring.dtype)
-        for j, (_slot, _obj, cid, split) in enumerate(group):
-            values[:, j] = _fold_read(semiring, beliefs[cid], *split)
-        if cfg.normalize and semiring.has_normalize:
-            contradiction = semiring._normalize_columns(values) is not None or contradiction
-        for (slot, obj, *_), row in zip(group, _frozen(values.T.copy())):
-            marginals[slot] = Message._wrap(obj, row)
-    clique_beliefs = {cid: DenseTensor._wrap(arr.shape, arr.reshape(-1)) for cid, arr in enumerate(beliefs)}
-    for belief in clique_beliefs.values():  # fresh arrays or kept potentials: frozen, not copied
-        belief.data.flags.writeable = False
-    return JTResult(dict(zip(jt.var_ids, marginals)), z, jt.tree, semiring.name, clique_beliefs, contradiction)
+    # per dim: its variables' objs, slots and (dim, variables) unscaled marginals
+    reads = ((objs, slots, np.stack([_fold_read(semiring, beliefs[cid], *split) for cid, split in homes], axis=1))
+             for objs, slots, homes in jt.reads)
+    marginals, dead = _read_beliefs(semiring, cfg, reads, jt.var_ids, jt.dealt)
+    return JTResult(marginals, z, jt.tree, semiring.name, dead is not None, beliefs)
 
 
 def marginal_from_clique(result, cid, variable_id, cfg):

@@ -11,7 +11,6 @@ trades silent slowness for a loud error (TooLargeError).
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -20,11 +19,6 @@ from .errors import TooLargeError
 
 #: cap on the number of enumerated assignments
 DEFAULT_ORACLE_CAP = 1 << 22
-
-
-def assignments(dims):
-    """All index tuples for the given dims, ascending in row-major order."""
-    return product(*(range(d) for d in dims))
 
 
 def _lifted_factor(factor, var_pos, grid, dims):

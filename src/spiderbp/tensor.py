@@ -68,11 +68,6 @@ class DenseTensor:
         fields["shape"], fields["data"] = shape, data
         return t
 
-    @classmethod
-    def from_array(cls, arr):
-        arr = np.asarray(arr)
-        return cls(arr.shape, arr.reshape(-1))
-
     @property
     def rank(self):
         return len(self.shape)

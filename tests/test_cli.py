@@ -421,6 +421,23 @@ class TestJtree:
         assert code == 4
         assert json.loads(out)["contraction_value"] is False
 
+    def test_a_false_rank0_factor_exits_0_as_a_tree_run_does(self, tmp_path, capsys):
+        # Z is false, yet every marginal keeps a true entry: no dead support
+        doc = {
+            "semiring_hint": "bool",
+            "variables": [{"id": 0, "dim": 2}, {"id": 1, "dim": 2}],
+            "factors": [
+                {"id": 0, "neighbors": [], "values": [False]},
+                {"id": 1, "neighbors": [0, 1], "values": [True, False, True, True]},
+            ],
+        }
+        path = write(tmp_path, doc)
+        for argv in (["run", "--schedule", "tree"], ["jtree"]):
+            code, out, err = run_cli(capsys, *argv, "--input", path)
+            assert (code, err) == (0, ""), argv
+            assert [item["values"] for item in json.loads(out)["beliefs"]] == [[True, True]] * 2
+        assert json.loads(out)["contraction_value"] is False
+
     @pytest.mark.parametrize(
         "flags, exit_code",
         [

@@ -22,6 +22,7 @@ from spiderbp import (
     exact_contraction,
     parse_native,
     parse_uai,
+    run_bp,
     serialize_native,
     serialize_uai,
 )
@@ -29,6 +30,7 @@ from spiderbp.algebra import COUNT, DUAL, DualNumber, get_semiring
 from spiderbp.tensor import DEFAULT_TENSOR_CAP, DenseTensor
 
 from fixtures import random_tree
+from test_plan import result_bits
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -664,6 +666,13 @@ def _graph_bits(g):
     )
 
 
+def _wire_bits(g):
+    """Everything that must match between two graphs' wire tables."""
+    w = g._wires
+    arrays = [(a.dtype, a.tobytes()) for a in (w.fac, w.axis, w.var, w.dim, w.start)]
+    return w.ids, arrays, [(shape, pos.tobytes(), _bits(tables.reshape(-1))) for shape, pos, tables in w.groups]
+
+
 def _mutate(rng, kind, dims, scopes, tables):
     """One fault of ``kind`` put into a model's plain data, in place."""
     if kind in DIM_FAULTS:
@@ -729,6 +738,23 @@ class TestOneWayIn:
             assert built is TooLargeError
         elif not (mutation == "negative" and semiring == "dual"):  # a dual entry may be negative
             assert built is ValidationError
+
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    @pytest.mark.parametrize("semiring", ["prob", "count", "bool"])
+    def test_numpy_ids_and_array_tables_build_what_ints_and_lists_do(self, semiring, int_type):
+        # numpy integer neighbour ids are rewritten as ints, and an ndarray
+        # table, here shaped like its factor, is flattened in row-major order
+        rng = np.random.default_rng(["prob", "count", "bool"].index(semiring))
+        for _ in range(10):
+            dims, scopes, tables = _random_document(rng, semiring)
+            g = build_graph(dims, list(zip(scopes, tables)), semiring)
+            arrays = [np.array(t).reshape([dims[v] for v in scope]) for scope, t in zip(scopes, tables)]
+            h = build_graph(dims, [(np.array(scope, dtype=int_type), t) for scope, t in zip(scopes, arrays)], semiring)
+            assert all(type(v) is int for f in h.factors for v in f.neighbors)
+            assert _graph_bits(h) == _graph_bits(g) and _wire_bits(h) == _wire_bits(g)
+            for cfg in (RunConfig(), RunConfig(schedule="tree"), RunConfig(schedule="tree", normalize=False)):
+                assert result_bits(run_bp(h, cfg)) == result_bits(run_bp(g, cfg)), cfg
 
 
 class TestBenchModelsParse:

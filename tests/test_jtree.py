@@ -346,7 +346,8 @@ class TestRunJunctionTree:
 def forest_with_scalars(rng, name):
     """A forest over 3..8 variables (some of them isolated) with pairwise
     and unary tables, and one or two rank-0 factors at random places in
-    factor order, one of them zero half the time."""
+    factor order, one of them zero half the time (the others nonzero: True
+    under bool)."""
     n = int(rng.integers(3, 9))
     dims = [int(d) for d in rng.integers(2, 4, n)]
     factors = []
@@ -355,7 +356,7 @@ def forest_with_scalars(rng, name):
             u = int(rng.integers(0, v))
             factors.append(((u, v), table_for(rng, name, dims[u] * dims[v])))
     factors += [((v,), table_for(rng, name, dims[v])) for v in range(n) if rng.random() < 0.4]
-    scalars = [[x + 1 for x in table_for(rng, name, 1)] for _ in range(int(rng.integers(1, 3)))]
+    scalars = [[True if name == "bool" else x + 1 for x in table_for(rng, name, 1)] for _ in range(int(rng.integers(1, 3)))]
     if rng.random() < 0.5:
         scalars[0] = [get_semiring(name).zero]
     for scalar in scalars:
@@ -380,7 +381,19 @@ class TestRank0FactorsOnlyScaleZ:
                 assert np.allclose(jt.variable_beliefs[v].values, bp.variable_beliefs[v].values, rtol=1e-12)
             assert jt.contraction_value == contraction_value(g) == z
 
-    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count"])
+    def test_a_false_rank0_factor_flags_no_contradiction(self):
+        # Z is false, yet every marginal keeps a true entry: tree BP names no
+        # dead support, and neither does the junction tree
+        g = build_graph([2, 2], [((), [False]), ((0, 1), [True, False, True, True])], "bool")
+        for normalize in (True, False):
+            jt = run_junction_tree(g, RunConfig(normalize=normalize))
+            bp = run_bp(g, RunConfig(schedule="tree", normalize=normalize))
+            assert jt.contraction_value is contraction_value(g) is False
+            assert not jt.contradiction and not bp.contradiction
+            for v in (0, 1):
+                assert jt.variable_beliefs[v].values.tolist() == bp.variable_beliefs[v].values.tolist() == [True, True]
+
+    @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool"])
     def test_forests_match_tree_bp_whichever_component_holds_clique_0(self, name):
         rng, moved = np.random.default_rng(3101), 0
         for _ in range(6):
@@ -394,15 +407,15 @@ class TestRank0FactorsOnlyScaleZ:
                 for normalize in (True, False):
                     jt = run_junction_tree(h, RunConfig(normalize=normalize))
                     bp = run_bp(h, RunConfig(schedule="tree", normalize=normalize))
-                    assert not jt.contradiction and not bp.contradiction
+                    assert jt.contradiction == bp.contradiction  # a seeded bool table may rule every state out
                     for v in h.variables:
                         got, want = jt.variable_beliefs[v.id].values, bp.variable_beliefs[v.id].values
-                        if name == "count":
+                        if get_semiring(name).exact:
                             assert got.tolist() == want.tolist(), (v.id, normalize)
                         else:
                             np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"{v.id} {normalize}")
                 z = jt.contraction_value
-                assert z == contraction_value(h) if name == "count" else np.isclose(z, contraction_value(h), rtol=1e-12)
+                assert z == contraction_value(h) if get_semiring(name).exact else np.isclose(z, contraction_value(h), rtol=1e-12)
             moved += len(holders) > 1
         assert moved  # some forest's clique 0 lies in more than one component as its ids move
 

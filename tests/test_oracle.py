@@ -18,20 +18,10 @@ from spiderbp import (
 )
 from spiderbp.algebra import BOOL, COUNT, DualNumber
 from spiderbp.graph import FactorNode, ObjectType, VariableNode
-from spiderbp.oracle import assignments, joint_table
+from spiderbp.oracle import joint_table
 from spiderbp.tensor import DenseTensor
 
 from fixtures import node_between, normal_form, peak_bytes, random_tree
-
-
-class TestAssignments:
-    def test_row_major_order(self):
-        assert list(assignments((2, 3))) == [
-            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
-        ]
-
-    def test_empty_dims(self):
-        assert list(assignments(())) == [()]
 
 
 class TestJointTable:

@@ -795,10 +795,13 @@ class TestMergedOrientations:
     """Stacks merged across tensor groups against the per-wire reference."""
 
     def test_stacks_merge_across_groups(self):
-        plan = engine._Plan(merged_orientations(np.random.default_rng(330)))
+        g = merged_orientations(np.random.default_rng(330))
+        plan = engine._Plan(g)
         ops = [op for op in plan._sync_program[0] if op[2] is not None]
         assert sorted(op[2].shape for op in ops) == [(2,), (2, 3), (2, 3, 3), (3, 2), (3, 2, 3), (3, 3, 2)]
-        assert sum(len(group.shape) for group in plan.factor_groups) == 11
+        # six table shapes, a rank-0 one among them, with 11 axes between them
+        assert sum(len(shape) for shape, _pos, _tables in g._wires.groups) == 11
+        assert sum(op[2].tensors.shape[-1] for op in ops) == len(g.wires) == 12  # one stacked member per out wire
 
     @pytest.mark.parametrize("name", ["prob", "maxtimes", "count", "bool", "dual"])
     @pytest.mark.parametrize("normalize", [True, False])
@@ -1181,7 +1184,7 @@ def kept_arrays(obj):
     elif isinstance(obj, (list, tuple)):
         for x in obj:
             yield from kept_arrays(x)
-    elif isinstance(obj, (engine._Plan, engine._Stack)):  # a _TensorGroup is a tuple
+    elif isinstance(obj, (engine._Plan, engine._Stack)):  # a _SpiderGroup is a tuple
         yield from kept_arrays(vars(obj))
 
 
@@ -1266,8 +1269,10 @@ class TestOnePlanPerGraph:
             arrays = list(kept_arrays(plan))
             assert len(arrays) > 10
             assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError):  # the tables factor beliefs read
+                g._wires.groups[0][2][...] = 0.0
             with pytest.raises(ValueError):
-                plan.factor_groups[0].tensors[...] = 0.0
+                next(op[2] for op in plan._sync_program[0] if op[2] is not None).tensors[...] = 0.0
             # a run's own arrays stay writable for the next sweep
             assert all(a.flags.writeable for a in result.state._arrays.values())
 

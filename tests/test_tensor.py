@@ -79,11 +79,6 @@ class TestDenseTensor:
         with pytest.raises(TooLargeError):
             DenseTensor((2,) * 25, np.zeros(2))
 
-    def test_from_array(self):
-        t = DenseTensor.from_array(np.arange(6.0).reshape(2, 3))
-        assert t.shape == (2, 3)
-        assert t.entry((1, 0)) == 3.0
-
 
 class TestMessage:
     def test_dim_checked(self):
@@ -128,7 +123,8 @@ class TestWrap:
 class TestMatricize:
     def test_grouping(self):
         rng = np.random.default_rng(5)
-        t = DenseTensor.from_array(rng.uniform(size=(2, 3, 4)))
+        arr = rng.uniform(size=(2, 3, 4))
+        t = DenseTensor(arr.shape, arr.reshape(-1))
         m = matricize(t, (0, 2), (1,))
         assert m.shape == (8, 3)
         for i in range(2):
@@ -231,7 +227,8 @@ class TestContractToAxis:
 
     def test_three_axes(self):
         rng = np.random.default_rng(2)
-        t = DenseTensor.from_array(rng.uniform(size=(2, 3, 2)))
+        arr = rng.uniform(size=(2, 3, 2))
+        t = DenseTensor(arr.shape, arr.reshape(-1))
         m0 = Message(obj(2, "a"), rng.uniform(size=2))
         m2 = Message(obj(2, "c"), rng.uniform(size=2))
         out = contract_to_axis(PROB, t, 1, [m0, m2])
